@@ -76,6 +76,13 @@ struct SendLink {
     buffer: SendBuffer<DataPacket>,
 }
 
+/// Whether two packets may share a forwarding run: same flow, same SLA
+/// class, same dissemination mask — everything admission, accounting
+/// and the out-neighbour choice depend on.
+fn same_run(a: &DataPacket, b: &DataPacket) -> bool {
+    a.flow == b.flow && a.class == b.class && a.mask == b.mask
+}
+
 pub(crate) struct Shipment {
     to: NodeId,
     datagram: Bytes,
@@ -202,8 +209,6 @@ pub(crate) struct Shared {
     frame_pool: Mutex<BufferPool>,
     /// Reusable packet scratch for the batch send path.
     packet_scratch: Mutex<ScratchVecPool<DataPacket>>,
-    /// Reusable link-sequence scratch for the batch send path.
-    seq_scratch: Mutex<ScratchVecPool<u64>>,
     /// Bounded lane for data shipments; overflow is shed by class.
     shipper_tx: Sender<Shipment>,
     /// Reserved unbounded lane for control frames, so saturating data
@@ -416,48 +421,26 @@ impl Shared {
         self.transmit(neighbor, Bytes::from(buf), class);
     }
 
-    /// Assigns a per-link sequence, buffers for recovery, and transmits
-    /// a data packet toward `neighbor`.
-    pub(crate) fn send_data(&self, neighbor: NodeId, packet: &DataPacket) {
+    /// Sends a run of data packets toward `neighbor`: assigns them
+    /// consecutive per-link sequences, buffers them for recovery, and
+    /// coalesces them into as few datagrams as
+    /// [`NodeConfig::max_batch_bytes`] allows — one syscall, one
+    /// checksum, one fault verdict per wire datagram instead of per
+    /// packet (one that ends up carrying a single packet is a plain
+    /// DATA frame; see [`wire::encode_data_frame`]).
+    ///
+    /// A run shares one `(flow, class, mask)` ([`same_run`]): admission
+    /// and per-flow accounting are charged once for the whole run.
+    fn send_data_batch(&self, neighbor: NodeId, packets: &[DataPacket]) {
+        let Some(first) = packets.first() else { return };
+        debug_assert!(
+            packets.iter().all(|p| same_run(first, p)),
+            "a run shares one (flow, class, mask)"
+        );
         // Shed before touching the link sequence or the retransmit
         // buffer: a shed packet must not open a gap the neighbour
-        // would NACK for.
-        if !self.admit_data(packet.class, 1) {
-            return;
-        }
-        let link_seq = {
-            let mut links = self.send_links.lock();
-            let link = links.entry(neighbor).or_insert_with(|| SendLink {
-                next_seq: 0,
-                buffer: SendBuffer::new(self.config.retransmit_buffer),
-            });
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.buffer.push(seq, packet.clone());
-            seq
-        };
-        self.metrics.counters.data_sent.fetch_add(1, Ordering::Relaxed);
-        self.metrics.flow(packet.flow).transmissions.fetch_add(1, Ordering::Relaxed);
-        self.transmit_pooled(neighbor, Some(packet.class), |buf| {
-            wire::encode_data(self.me(), packet, link_seq, buf);
-        });
-    }
-
-    /// Like [`Shared::send_data`] for a run of packets: assigns them
-    /// consecutive per-link sequences and coalesces them into as few
-    /// datagrams as [`NodeConfig::max_batch_bytes`] allows — one
-    /// syscall, one checksum, one fault verdict per wire datagram
-    /// instead of per packet.
-    ///
-    /// All packets must belong to the same flow (callers batch within
-    /// one sending session).
-    pub(crate) fn send_data_batch(&self, neighbor: NodeId, packets: &[DataPacket]) {
-        if packets.is_empty() {
-            return;
-        }
-        // Same pre-sequence shedding as `send_data`: the whole run is
-        // admitted or shed as one unit.
-        if !self.admit_data(packets[0].class, packets.len() as u64) {
+        // would NACK for. The whole run is admitted or shed as a unit.
+        if !self.admit_data(first.class, packets.len() as u64) {
             return;
         }
         let first_seq = {
@@ -475,9 +458,7 @@ impl Shared {
         };
         let n = packets.len() as u64;
         self.metrics.counters.data_sent.fetch_add(n, Ordering::Relaxed);
-        self.metrics.flow(packets[0].flow).transmissions.fetch_add(n, Ordering::Relaxed);
-        let mut seqs = self.seq_scratch.lock().get();
-        seqs.extend(first_seq..first_seq + n);
+        self.metrics.flow(first.flow).transmissions.fetch_add(n, Ordering::Relaxed);
         // Chunk so no datagram exceeds the configured batch budget
         // (always at least one packet per datagram).
         let budget = self.config.max_batch_bytes;
@@ -493,12 +474,12 @@ impl Shared {
                 size += next;
                 end += 1;
             }
-            self.transmit_pooled(neighbor, Some(packets[0].class), |buf| {
-                wire::encode_data_batch(self.me(), &packets[start..end], &seqs[start..end], buf);
+            self.transmit_pooled(neighbor, Some(first.class), |buf| {
+                let chunk_seq = first_seq + start as u64;
+                wire::encode_data_frame(self.me(), &packets[start..end], chunk_seq, buf);
             });
             start = end;
         }
-        self.seq_scratch.lock().put(seqs);
     }
 
     /// Takes a pooled scratch vector for assembling a packet batch.
@@ -511,17 +492,9 @@ impl Shared {
         self.packet_scratch.lock().put(v);
     }
 
-    /// Disseminates a packet from this node along its mask's out-edges.
-    pub(crate) fn disseminate(&self, packet: &DataPacket) {
-        for &e in self.graph.out_edges(self.me()) {
-            if packet.mask_contains(e) {
-                self.send_data(self.graph.edge(e).dst, packet);
-            }
-        }
-    }
-
-    /// Disseminates a run of same-flow packets sharing one mask,
-    /// batching the per-neighbor sends.
+    /// Disseminates a run of packets (one `(flow, class, mask)`; a
+    /// single packet is a run of one) from this node along the mask's
+    /// out-edges, batching the per-neighbour sends.
     pub(crate) fn disseminate_batch(&self, packets: &[DataPacket]) {
         let Some(first) = packets.first() else { return };
         for &e in self.graph.out_edges(self.me()) {
@@ -679,22 +652,39 @@ impl Shared {
                     // clones.
                     self.metrics.flow(packet.flow).transmissions.fetch_add(1, Ordering::Relaxed);
                     self.transmit_pooled(from, Some(packet.class), |buf| {
-                        wire::encode_data(self.me(), &packet, seq, buf);
+                        wire::encode_data_frame(self.me(), std::slice::from_ref(&packet), seq, buf);
                     });
                 }
             }
-            Message::Data(packet) => self.handle_data(from, packet),
-            Message::DataBatch(packets) => {
-                // Un-batch: every packet runs the exact per-packet path
-                // (gap tracking, dedup, delivery, forwarding).
-                for packet in packets {
-                    self.handle_data(from, packet);
-                }
-            }
+            Message::Data(packet) => self.handle_data(from, std::slice::from_ref(&packet)),
+            Message::DataBatch(packets) => self.handle_data(from, &packets),
         }
     }
 
-    fn handle_data(&self, from: NodeId, packet: DataPacket) {
+    /// Handles the data packets of one incoming frame (a DATA frame is
+    /// a frame of one): each packet is accepted on its own, and the
+    /// survivors leave as they arrived — every maximal run of
+    /// consecutive accepted packets sharing one `(flow, class, mask)`
+    /// is forwarded as one batch per out-neighbour.
+    fn handle_data(&self, from: NodeId, packets: &[DataPacket]) {
+        // `packets[start..i]` is the pending run: accepted, one
+        // `(flow, class, mask)`, not yet forwarded.
+        let mut start = 0;
+        for (i, packet) in packets.iter().enumerate() {
+            let accepted = self.accept_data(from, packet);
+            if !accepted || (start < i && !same_run(&packets[start], packet)) {
+                self.disseminate_batch(&packets[start..i]);
+                start = if accepted { i } else { i + 1 };
+            }
+        }
+        self.disseminate_batch(&packets[start..]);
+    }
+
+    /// The per-packet receive checks: gap tracking (and a NACK for any
+    /// gap this arrival exposes), flow-level duplicate suppression,
+    /// local delivery, expiry. Returns whether the packet is to be
+    /// forwarded along its mask.
+    fn accept_data(&self, from: NodeId, packet: &DataPacket) -> bool {
         self.metrics.counters.data_received.fetch_add(1, Ordering::Relaxed);
         let now = now_us();
         // Hop-by-hop recovery: detect gaps on this incoming link.
@@ -715,7 +705,7 @@ impl Shared {
         // Flow-level duplicate suppression.
         if !self.dedup.lock().insert((packet.flow, packet.flow_seq)) {
             self.metrics.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         }
         let on_time = !packet.expired(now);
         // Unicast delivers at the flow's destination; a group flow
@@ -757,9 +747,8 @@ impl Shared {
         }
         if !on_time {
             self.metrics.counters.expired.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        self.disseminate(&packet);
+        on_time
     }
 
     fn flood_link_state(&self, update: &LinkStateUpdate, except: Option<NodeId>) {
@@ -1475,7 +1464,6 @@ fn build_shared(
         groups: Mutex::new(Vec::new()),
         frame_pool: Mutex::new(BufferPool::default()),
         packet_scratch: Mutex::new(ScratchVecPool::default()),
-        seq_scratch: Mutex::new(ScratchVecPool::default()),
         shipper_tx,
         control_tx,
         queued_data: AtomicU64::new(0),

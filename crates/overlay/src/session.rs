@@ -231,7 +231,7 @@ impl FlowSender {
             mask: self.slot.lock().mask(),
             payload: Bytes::copy_from_slice(payload),
         };
-        self.shared.disseminate(&packet);
+        self.shared.disseminate_batch(std::slice::from_ref(&packet));
         Ok(seq)
     }
 
@@ -277,7 +277,7 @@ impl FlowSender {
             mask: self.slot.lock().mask(),
             payload: Bytes::copy_from_slice(payload),
         };
-        self.shared.disseminate(&packet);
+        self.shared.disseminate_batch(std::slice::from_ref(&packet));
         Ok(true)
     }
 
@@ -458,7 +458,7 @@ impl FlowGroup {
             mask: self.slot.lock().mask(),
             payload: Bytes::copy_from_slice(payload),
         };
-        self.shared.disseminate(&packet);
+        self.shared.disseminate_batch(std::slice::from_ref(&packet));
         Ok(seq)
     }
 

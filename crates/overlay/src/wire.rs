@@ -294,30 +294,30 @@ fn put_data_body<B: BufMut>(buf: &mut B, d: &DataPacket, link_seq: u64) {
     buf.put_slice(&d.payload);
 }
 
-/// Appends one `T_DATA` frame for `packet` with its per-link sequence
-/// overridden to `link_seq`, without cloning the packet. The node's
-/// transmit path pairs this with a pooled buffer.
-pub(crate) fn encode_data(from: NodeId, packet: &DataPacket, link_seq: u64, buf: &mut Vec<u8>) {
-    buf.reserve(PRELUDE_LEN + data_body_len(packet));
-    let base = put_prelude(buf, T_DATA, from);
-    put_data_body(buf, packet, link_seq);
-    seal(buf, base);
-}
-
-/// Appends one `T_DATA_BATCH` frame carrying `packets[start..end]`,
-/// whose per-link sequences are `link_seqs[start..end]`.
-pub(crate) fn encode_data_batch(
+/// Appends one data frame carrying `packets` (at least one) with their
+/// per-link sequences overridden to count up from `first_link_seq` (a
+/// run always occupies consecutive sequences on its link), without
+/// cloning the packets; the node's transmit path pairs this with a
+/// pooled buffer. A single packet is framed as plain `T_DATA`, never
+/// as a `T_DATA_BATCH` of one, so single-packet traffic looks the same
+/// on the wire whether or not the sender batches.
+pub(crate) fn encode_data_frame(
     from: NodeId,
     packets: &[DataPacket],
-    link_seqs: &[u64],
+    first_link_seq: u64,
     buf: &mut Vec<u8>,
 ) {
-    debug_assert_eq!(packets.len(), link_seqs.len());
+    debug_assert!(!packets.is_empty(), "a data frame carries at least one packet");
     let body: usize = packets.iter().map(data_body_len).sum();
     buf.reserve(PRELUDE_LEN + 2 + body);
-    let base = put_prelude(buf, T_DATA_BATCH, from);
-    buf.put_u16(packets.len() as u16);
-    for (d, &seq) in packets.iter().zip(link_seqs) {
+    let base = if packets.len() == 1 {
+        put_prelude(buf, T_DATA, from)
+    } else {
+        let base = put_prelude(buf, T_DATA_BATCH, from);
+        buf.put_u16(packets.len() as u16);
+        base
+    };
+    for (d, seq) in packets.iter().zip(first_link_seq..) {
         put_data_body(buf, d, seq);
     }
     seal(buf, base);
@@ -833,6 +833,24 @@ mod tests {
         assert_eq!(&back, packets);
         assert_eq!(back[0].link_seq, 500);
         assert_eq!(back[2].link_seq, 502);
+    }
+
+    #[test]
+    fn data_frame_of_one_is_plain_data() {
+        // The node's encoder must put a lone packet on the wire exactly
+        // as a DATA envelope would, and several as a DATA-BATCH, with
+        // link sequences counting up from the one given.
+        let Message::DataBatch(packets) = sample_batch(3).message else { unreachable!() };
+        let from = NodeId::new(3);
+        for n in [1, 3] {
+            let mut buf = Vec::new();
+            encode_data_frame(from, &packets[..n], 500, &mut buf);
+            let message = match n {
+                1 => Message::Data(packets[0].clone()),
+                _ => Message::DataBatch(packets.clone()),
+            };
+            assert_eq!(buf, Envelope { from, message }.encode().as_ref(), "n={n}");
+        }
     }
 
     #[test]
