@@ -35,9 +35,15 @@ fn main() {
         let mut config = experiment.config;
         config.playback.seed = seed;
 
-        let aggs =
-            run_comparison(&experiment.topology, &traces, &experiment.flows, &anchors, &config)
-                .expect("flows routable");
+        let aggs = run_comparison(
+            &experiment.topology,
+            &traces,
+            &experiment.flows,
+            &anchors,
+            &config,
+            experiment.threads,
+        )
+        .expect("flows routable");
         merge_into(&mut anchor_aggs, aggs, week);
 
         for (i, &limit) in limits.iter().enumerate() {
@@ -49,6 +55,7 @@ fn main() {
                 &experiment.flows,
                 &[SchemeKind::TargetedRedundancy],
                 &cfg,
+                experiment.threads,
             )
             .expect("flows routable");
             if week == 0 {

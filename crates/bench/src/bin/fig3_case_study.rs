@@ -12,7 +12,7 @@ use dg_bench::cli::Cli;
 use dg_bench::{topo_cli, topo_from_matches, write_csv};
 use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
 use dg_core::{Flow, ServiceRequirement};
-use dg_sim::{run_flow_detailed, PlaybackConfig};
+use dg_sim::{run_flow_full, PlaybackConfig};
 use dg_topology::generate::TopoSpec;
 use dg_topology::Micros;
 use dg_trace::{LinkCondition, TraceSet};
@@ -66,7 +66,8 @@ fn main() {
             &SchemeParams::default(),
         )
         .expect("flow routable");
-        let (stats, records) = run_flow_detailed(&graph, &traces, scheme.as_mut(), &config);
+        let out = run_flow_full(&graph, &traces, scheme.as_mut(), &config);
+        let (stats, records) = (out.stats, out.seconds);
         csv[0].push(kind.label().to_string());
         println!(
             "{:<28} unavailable {:>2}s  on-time {:>7.3}%",

@@ -76,8 +76,15 @@ fn main() {
             let traces = gen::generate(&experiment.topology, &wan);
             let mut config = experiment.config;
             config.playback.seed = seed;
-            run_comparison(&experiment.topology, &traces, &experiment.flows, &kinds, &config)
-                .expect("flows routable")
+            run_comparison(
+                &experiment.topology,
+                &traces,
+                &experiment.flows,
+                &kinds,
+                &config,
+                experiment.threads,
+            )
+            .expect("flows routable")
         }));
         eprintln!("bias {bias}x done");
     }
@@ -98,8 +105,15 @@ fn main() {
             config.playback.seed = seed;
             config.requirement.deadline = Micros::from_millis(deadline_ms);
             config.playback.deadline = Micros::from_millis(deadline_ms);
-            run_comparison(&experiment.topology, &traces, &experiment.flows, &kinds, &config)
-                .expect("flows routable")
+            run_comparison(
+                &experiment.topology,
+                &traces,
+                &experiment.flows,
+                &kinds,
+                &config,
+                experiment.threads,
+            )
+            .expect("flows routable")
         }));
         eprintln!("deadline {deadline_ms}ms done");
     }

@@ -194,10 +194,9 @@ fn run_size(
         .seed(seed)
         .build()
         .expect("experiment configuration is consistent");
-    let aggregates = dg_sim::experiment::run_comparison_parallel(
-        &graph, &traces, &flows, &KINDS, &config, threads,
-    )
-    .expect("sampled flows are routable under every scheme");
+    let aggregates =
+        dg_sim::experiment::run_comparison(&graph, &traces, &flows, &KINDS, &config, threads)
+            .expect("sampled flows are routable under every scheme");
     let rows =
         tabulate(&aggregates, SchemeKind::StaticSinglePath, SchemeKind::TimeConstrainedFlooding);
 

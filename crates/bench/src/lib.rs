@@ -161,7 +161,7 @@ impl Experiment {
             let mut config = self.config;
             config.playback.seed = seed;
             let traces = self.traces_for(seed);
-            let aggs = dg_sim::experiment::run_comparison_parallel(
+            let aggs = dg_sim::experiment::run_comparison(
                 &self.topology,
                 &traces,
                 &self.flows,

@@ -1,7 +1,7 @@
 //! Interned, incrementally-invalidated dissemination-graph cache.
 //!
 //! Precomputing dissemination graphs dominates route-setup cost once
-//! overlays grow past the paper's 12 sites. [`GraphCache`] keeps two
+//! overlays grow past the paper's 12 sites. [`GraphCache`] keeps three
 //! tiers of precomputed results on top of the generic
 //! [`dg_topology::cache::PrecomputeCache`]:
 //!
@@ -17,6 +17,14 @@
 //!   computation *selected* plus every edge that was unusable at
 //!   compute time; a usability flip on any of those edges — and only
 //!   those — evicts it ([`GraphCache::note_loss`]).
+//! - **Multicast graphs** ([`GraphCache::multicast`]): several-receiver
+//!   graphs ([`MulticastKind`]) over the same usable subgraph, interned
+//!   across flows by `(source, receiver set, kind, deadline)` and
+//!   invalidated by the same dependency rule.
+//!
+//! The live and multicast tiers store the same value type but different
+//! graphs — a disjoint pair against a shortest-path tree — so a
+//! one-receiver multicast lookup does not alias a live one.
 //!
 //! The live dependency rule is what makes incremental invalidation
 //! sound: a *usable but unselected* edge can change condition freely
@@ -31,7 +39,8 @@
 //! sequences against [`GraphCache::compute_uncached`] as a
 //! from-scratch oracle to enforce exactly this.
 
-use crate::mgraph::{receiver_digest, MulticastGraph, MulticastKind};
+use crate::dgraph::canonical_receivers;
+use crate::scheme::targeted::{problem_branches, Side};
 use crate::scheme::{
     build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticTwoDisjoint, TargetedGraphs,
     TargetedRedundancy,
@@ -66,6 +75,63 @@ impl CachedGraphKind {
         CachedGraphKind::DestinationProblem,
         CachedGraphKind::Robust,
     ];
+}
+
+/// Which multicast construction to use (escalation order mirrors the
+/// unicast targeted-redundancy modes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum MulticastKind {
+    /// Union of the per-receiver tie-broken shortest usable paths —
+    /// with unique tie-broken optima this union is a proper out-tree.
+    Tree,
+    /// The tree plus destination-problem-style redundancy branches
+    /// grafted only at receivers with an unusable incident link.
+    Targeted,
+    /// The tree plus redundancy branches at *every* receiver — the
+    /// multicast analogue of the unicast robust graph.
+    Robust,
+}
+
+impl MulticastKind {
+    /// All kinds, in escalation order.
+    pub const ALL: [MulticastKind; 3] =
+        [MulticastKind::Tree, MulticastKind::Targeted, MulticastKind::Robust];
+
+    /// Short lowercase label, e.g. `"targeted"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            MulticastKind::Tree => "tree",
+            MulticastKind::Targeted => "targeted",
+            MulticastKind::Robust => "robust",
+        }
+    }
+}
+
+impl std::fmt::Display for MulticastKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Order-independent digest of a receiver set, used (together with the
+/// source, kind, and deadline) as the cross-flow interning key: any
+/// permutation or duplication of the same receivers digests
+/// identically, so 10k flows sharing a source and receiver set hit one
+/// cache entry. Collisions are guarded by comparing the stored
+/// receiver set on every hit, so a (astronomically unlikely) digest
+/// collision costs a recomputation, never a wrong graph.
+pub fn receiver_digest(receivers: &[NodeId]) -> u64 {
+    // Commutative mix: sum and xor of per-receiver hashes, finalized.
+    let mut sum = 0u64;
+    let mut xor = 0u64;
+    let mut n = 0u64;
+    for &r in receivers {
+        let h = splitmix64(r.index() as u64 + 1);
+        sum = sum.wrapping_add(h);
+        xor ^= h.rotate_left(17);
+        n += 1;
+    }
+    splitmix64(sum ^ xor.rotate_left(32) ^ n)
 }
 
 /// Counter snapshot across all cache tiers (see [`GraphCache::stats`]).
@@ -105,12 +171,12 @@ impl GraphCacheStats {
 struct Inner {
     baseline: PrecomputeCache<(Flow, Micros), TargetedGraphs>,
     live: PrecomputeCache<(Flow, CachedGraphKind, Micros), DisseminationGraph>,
-    multicast: PrecomputeCache<(NodeId, u64, MulticastKind, Micros), MulticastGraph>,
+    multicast: PrecomputeCache<(NodeId, u64, MulticastKind, Micros), DisseminationGraph>,
     unusable: EdgeSet,
 }
 
 /// Shared, thread-safe cache of precomputed dissemination graphs for
-/// one topology (see the module docs for the two tiers).
+/// one topology (see the module docs for the tiers).
 pub struct GraphCache {
     graph: Arc<Graph>,
     params: SchemeParams,
@@ -300,23 +366,22 @@ impl GraphCache {
         receivers: &[NodeId],
         kind: MulticastKind,
         requirement: ServiceRequirement,
-    ) -> Result<Arc<MulticastGraph>, CoreError> {
-        let canonical = canonical_receivers(source, receivers)?;
+    ) -> Result<Arc<DisseminationGraph>, CoreError> {
+        let canonical = canonical_receivers(source, receivers.to_vec())?;
         let key = (source, receiver_digest(&canonical), kind, requirement.deadline);
         let mut inner = self.inner.lock().expect("cache lock");
-        if let Some(graph) = inner.multicast.get(&key) {
-            if graph.receivers() == canonical.as_slice() {
-                return Ok(graph);
-            }
-            // Digest collision: serve a fresh computation without
-            // evicting the resident entry.
-            let (g, _) =
-                self.compute_multicast(source, &canonical, kind, requirement, &inner.unusable)?;
-            return Ok(Arc::new(g));
+        let resident = inner.multicast.get(&key);
+        if let Some(graph) = resident.as_ref().filter(|g| g.receivers() == canonical) {
+            return Ok(Arc::clone(graph));
         }
         let (graph, deps) =
             self.compute_multicast(source, &canonical, kind, requirement, &inner.unusable)?;
-        Ok(inner.multicast.insert(key, graph, deps))
+        Ok(match resident {
+            // Digest collision: serve the fresh computation without
+            // evicting the resident entry.
+            Some(_) => Arc::new(graph),
+            None => inner.multicast.insert(key, graph, deps),
+        })
     }
 
     /// From-scratch computation of the multicast graph under the
@@ -333,8 +398,8 @@ impl GraphCache {
         receivers: &[NodeId],
         kind: MulticastKind,
         requirement: ServiceRequirement,
-    ) -> Result<MulticastGraph, CoreError> {
-        let canonical = canonical_receivers(source, receivers)?;
+    ) -> Result<DisseminationGraph, CoreError> {
+        let canonical = canonical_receivers(source, receivers.to_vec())?;
         let unusable = self.inner.lock().expect("cache lock").unusable.clone();
         self.compute_multicast(source, &canonical, kind, requirement, &unusable).map(|(g, _)| g)
     }
@@ -367,84 +432,50 @@ impl GraphCache {
         // Healing any currently-unusable edge must recompute: the edge
         // was excluded, so its return can only improve the optimum.
         let mut deps = unusable.clone();
-        let usable = |e: EdgeId| !unusable.contains(e);
-        let pair = k_disjoint_paths_weighted(
-            g,
-            flow.source,
-            flow.destination,
-            2,
-            self.params.disjointness,
-            |e| usable(e).then(|| tie_broken_weight(g, e) as i64),
-        );
-        let paths = match pair {
-            Ok(p) => p,
-            // Not enough usable disjoint routes: fall back to the full
-            // topology rather than failing the flow.
-            Err(_) => k_disjoint_paths_weighted(
-                g,
-                flow.source,
-                flow.destination,
-                2,
-                self.params.disjointness,
-                |e| Some(tie_broken_weight(g, e) as i64),
-            )?,
+        let pair = |usable_only: bool| {
+            let (s, t) = (flow.source, flow.destination);
+            k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
+                (!usable_only || !unusable.contains(e)).then(|| tie_broken_weight(g, e) as i64)
+            })
         };
-        for p in &paths {
-            for &e in p.edges() {
-                deps.insert(e);
-            }
+        // Not enough usable disjoint routes: fall back to the full
+        // topology rather than failing the flow.
+        let paths = pair(true).or_else(|_| pair(false))?;
+        let mut edges: Vec<EdgeId> = paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
+        let sides: &[Side] = match kind {
+            CachedGraphKind::TwoDisjoint => &[],
+            CachedGraphKind::SourceProblem => &[Side::Source],
+            CachedGraphKind::DestinationProblem => &[Side::Destination],
+            CachedGraphKind::Robust => &[Side::Source, Side::Destination],
+        };
+        if !sides.is_empty() {
+            let branches = self.live_branches(flow, sides, &edges, requirement, unusable)?;
+            edges.extend(branches);
         }
-        let normal = DisseminationGraph::from_paths(g, &paths)?;
-        let graph = match kind {
-            CachedGraphKind::TwoDisjoint => normal,
-            CachedGraphKind::SourceProblem => {
-                self.problem_graph(flow, &normal, requirement, unusable, Side::Source, &mut deps)?
-            }
-            CachedGraphKind::DestinationProblem => self.problem_graph(
-                flow,
-                &normal,
-                requirement,
-                unusable,
-                Side::Destination,
-                &mut deps,
-            )?,
-            CachedGraphKind::Robust => {
-                let s = self.problem_graph(
-                    flow,
-                    &normal,
-                    requirement,
-                    unusable,
-                    Side::Source,
-                    &mut deps,
-                )?;
-                let d = self.problem_graph(
-                    flow,
-                    &normal,
-                    requirement,
-                    unusable,
-                    Side::Destination,
-                    &mut deps,
-                )?;
-                s.union(g, &d)?
-            }
-        };
+        for &e in &edges {
+            deps.insert(e);
+        }
+        let graph = DisseminationGraph::new(g, flow.source, flow.destination, edges)?;
         Ok((graph, deps))
     }
 
-    /// Usability-filtered analogue of the targeted scheme's problem
-    /// graphs: the disjoint pair plus a deadline-feasible branch
-    /// through every usable endpoint neighbour, continuations chosen
-    /// canonically (tie-broken weights). Selected edges are added to
-    /// `deps`.
-    fn problem_graph(
+    /// The usability-filtered problem branches of `flow` on each of
+    /// `sides` (see [`problem_branches`]), every side branching off
+    /// `base`: only deadline-feasible, currently-usable edges,
+    /// continuations chosen canonically (tie-broken weights).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DeadlineInfeasible`] when no edge can meet the
+    /// deadline.
+    fn live_branches(
         &self,
         flow: Flow,
-        normal: &DisseminationGraph,
+        sides: &[Side],
+        base: &[EdgeId],
         requirement: ServiceRequirement,
         unusable: &EdgeSet,
-        side: Side,
-        deps: &mut EdgeSet,
-    ) -> Result<DisseminationGraph, CoreError> {
+    ) -> Result<Vec<EdgeId>, CoreError> {
         let g = &*self.graph;
         let feasible: HashSet<EdgeId> =
             reach::time_constrained_edges(g, flow.source, flow.destination, requirement.deadline)?
@@ -456,79 +487,15 @@ impl GraphCache {
                 destination: flow.destination,
             });
         }
-        let ok = |e: EdgeId| feasible.contains(&e) && !unusable.contains(e);
-        let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
-        match side {
-            Side::Source => {
-                let used: HashSet<NodeId> =
-                    normal.forwarding_edges(g, flow.source).map(|e| g.edge(e).dst).collect();
-                for &out in g.out_edges(flow.source) {
-                    let neighbor = g.edge(out).dst;
-                    if !ok(out) || used.contains(&neighbor) {
-                        continue;
-                    }
-                    if neighbor == flow.destination {
-                        candidates.push((g.edge(out).latency, vec![out]));
-                        continue;
-                    }
-                    let tail =
-                        dijkstra::shortest_path_weighted(g, neighbor, flow.destination, |e| {
-                            let info = g.edge(e);
-                            (ok(e) && info.src != flow.source && info.dst != flow.source)
-                                .then(|| tie_broken_weight(g, e))
-                        });
-                    if let Ok(tail) = tail {
-                        let branch_latency = g.edge(out).latency + tail.latency(g);
-                        if branch_latency <= requirement.deadline {
-                            let mut branch = vec![out];
-                            branch.extend_from_slice(tail.edges());
-                            candidates.push((branch_latency, branch));
-                        }
-                    }
-                }
-            }
-            Side::Destination => {
-                let used: HashSet<NodeId> = normal
-                    .edges()
-                    .iter()
-                    .filter(|&&e| g.edge(e).dst == flow.destination)
-                    .map(|&e| g.edge(e).src)
-                    .collect();
-                for &inc in g.in_edges(flow.destination) {
-                    let neighbor = g.edge(inc).src;
-                    if !ok(inc) || used.contains(&neighbor) {
-                        continue;
-                    }
-                    if neighbor == flow.source {
-                        candidates.push((g.edge(inc).latency, vec![inc]));
-                        continue;
-                    }
-                    let head = dijkstra::shortest_path_weighted(g, flow.source, neighbor, |e| {
-                        let info = g.edge(e);
-                        (ok(e) && info.src != flow.destination && info.dst != flow.destination)
-                            .then(|| tie_broken_weight(g, e))
-                    });
-                    if let Ok(head) = head {
-                        let branch_latency = g.edge(inc).latency + head.latency(g);
-                        if branch_latency <= requirement.deadline {
-                            let mut branch = head.edges().to_vec();
-                            branch.push(inc);
-                            candidates.push((branch_latency, branch));
-                        }
-                    }
-                }
-            }
-        }
-        candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
-        let limit = self.params.problem_branch_limit.map_or(usize::MAX, usize::from);
-        let mut edges: Vec<EdgeId> = normal.edges().to_vec();
-        for (_, branch) in candidates.into_iter().take(limit) {
-            for &e in &branch {
-                deps.insert(e);
-            }
-            edges.extend(branch);
-        }
-        DisseminationGraph::new(g, flow.source, flow.destination, edges)
+        let weight =
+            |e| (feasible.contains(&e) && !unusable.contains(e)).then(|| tie_broken_weight(g, e));
+        let limit = self.params.problem_branch_limit;
+        Ok(sides
+            .iter()
+            .flat_map(|&side| {
+                problem_branches(g, flow, side, base, requirement.deadline, limit, weight)
+            })
+            .collect())
     }
 
     /// Computes the multicast graph and its dependency set against an
@@ -546,7 +513,7 @@ impl GraphCache {
         kind: MulticastKind,
         requirement: ServiceRequirement,
         unusable: &EdgeSet,
-    ) -> Result<(MulticastGraph, EdgeSet), CoreError> {
+    ) -> Result<(DisseminationGraph, EdgeSet), CoreError> {
         let g = &*self.graph;
         let mut deps = unusable.clone();
         let usable = |e: EdgeId| !unusable.contains(e);
@@ -565,15 +532,12 @@ impl GraphCache {
             })?;
             edges.extend_from_slice(path.edges());
         }
-        for &e in &edges {
-            deps.insert(e);
-        }
 
         if kind != MulticastKind::Tree {
-            // Branch decisions below read the tree as it stood, not
-            // earlier receivers' grafts, so construction order cannot
-            // leak into the result.
-            let tree = edges.clone();
+            // Branch decisions read the tree as it stood, not earlier
+            // receivers' grafts, so construction order cannot leak into
+            // the result.
+            let tree_len = edges.len();
             for &r in receivers {
                 if kind == MulticastKind::Targeted {
                     // The classification itself reads every in-edge's
@@ -581,104 +545,28 @@ impl GraphCache {
                     for &e in g.in_edges(r) {
                         deps.insert(e);
                     }
-                    let problem = g.in_edges(r).iter().any(|&e| unusable.contains(e));
-                    if !problem {
+                    if g.in_edges(r).iter().all(|&e| usable(e)) {
                         continue;
                     }
                 }
-                self.graft_receiver_branches(
-                    source,
-                    r,
-                    requirement,
-                    unusable,
-                    &tree,
-                    &mut edges,
-                    &mut deps,
-                );
-            }
-        }
-        let graph = MulticastGraph::new(g, source, receivers.to_vec(), edges)?;
-        Ok((graph, deps))
-    }
-
-    /// Grafts destination-problem-style redundancy branches for one
-    /// receiver: a deadline-feasible path into every usable in-edge of
-    /// `receiver` not already fed by the tree, continuations chosen
-    /// canonically (tie-broken weights), best-latency branches first up
-    /// to `problem_branch_limit`. A receiver whose deadline admits no
-    /// feasible edges keeps its plain tree path instead of failing the
-    /// whole group.
-    #[allow(clippy::too_many_arguments)]
-    fn graft_receiver_branches(
-        &self,
-        source: NodeId,
-        receiver: NodeId,
-        requirement: ServiceRequirement,
-        unusable: &EdgeSet,
-        tree: &[EdgeId],
-        edges: &mut Vec<EdgeId>,
-        deps: &mut EdgeSet,
-    ) {
-        let g = &*self.graph;
-        let feasible: HashSet<EdgeId> =
-            match reach::time_constrained_edges(g, source, receiver, requirement.deadline) {
-                Ok(v) if !v.is_empty() => v.into_iter().collect(),
-                _ => return,
-            };
-        let ok = |e: EdgeId| feasible.contains(&e) && !unusable.contains(e);
-        let used: HashSet<NodeId> =
-            tree.iter().filter(|&&e| g.edge(e).dst == receiver).map(|&e| g.edge(e).src).collect();
-        let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
-        for &inc in g.in_edges(receiver) {
-            let neighbor = g.edge(inc).src;
-            if !ok(inc) || used.contains(&neighbor) {
-                continue;
-            }
-            if neighbor == source {
-                candidates.push((g.edge(inc).latency, vec![inc]));
-                continue;
-            }
-            let head = dijkstra::shortest_path_weighted(g, source, neighbor, |e| {
-                let info = g.edge(e);
-                (ok(e) && info.src != receiver && info.dst != receiver)
-                    .then(|| tie_broken_weight(g, e))
-            });
-            if let Ok(head) = head {
-                let branch_latency = g.edge(inc).latency + head.latency(g);
-                if branch_latency <= requirement.deadline {
-                    let mut branch = head.edges().to_vec();
-                    branch.push(inc);
-                    candidates.push((branch_latency, branch));
+                // Destination-problem branches into this receiver. One
+                // whose deadline admits no feasible edges keeps its
+                // plain tree path instead of failing the whole group.
+                let flow = Flow::new(source, r);
+                let tree = &edges[..tree_len];
+                if let Ok(branches) =
+                    self.live_branches(flow, &[Side::Destination], tree, requirement, unusable)
+                {
+                    edges.extend(branches);
                 }
             }
         }
-        candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
-        let limit = self.params.problem_branch_limit.map_or(usize::MAX, usize::from);
-        for (_, branch) in candidates.into_iter().take(limit) {
-            for &e in &branch {
-                deps.insert(e);
-            }
-            edges.extend(branch);
+        for &e in &edges {
+            deps.insert(e);
         }
+        let graph = DisseminationGraph::with_receivers(g, source, receivers.to_vec(), edges)?;
+        Ok((graph, deps))
     }
-}
-
-/// Canonicalizes a receiver set for interning: sorted, deduplicated,
-/// source dropped; errors when nothing remains.
-fn canonical_receivers(source: NodeId, receivers: &[NodeId]) -> Result<Vec<NodeId>, CoreError> {
-    let mut canonical: Vec<NodeId> = receivers.iter().copied().filter(|&r| r != source).collect();
-    canonical.sort();
-    canonical.dedup();
-    if canonical.is_empty() {
-        return Err(CoreError::MismatchedEndpoints);
-    }
-    Ok(canonical)
-}
-
-#[derive(Clone, Copy)]
-enum Side {
-    Source,
-    Destination,
 }
 
 /// Latency with an edge-unique tie-break:
@@ -693,7 +581,7 @@ fn tie_broken_weight(graph: &Graph, e: EdgeId) -> u64 {
 }
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -889,6 +777,9 @@ mod tests {
         for &r in &rs {
             assert!(a.contains_receiver(r));
         }
+        // The key's digest sees the set, not the spelling.
+        assert_eq!(receiver_digest(&rs), receiver_digest(&[rs[2], rs[0], rs[1]]));
+        assert_ne!(receiver_digest(&rs), receiver_digest(&rs[..1]));
     }
 
     #[test]
@@ -934,7 +825,7 @@ mod tests {
         let targeted = cache.multicast(src, &rs, MulticastKind::Targeted, req).unwrap();
         assert!(!targeted.contains(dead));
         let inbound =
-            |mg: &MulticastGraph| mg.edges().iter().filter(|&&e| g.edge(e).dst == sjc).count();
+            |mg: &DisseminationGraph| mg.edges().iter().filter(|&&e| g.edge(e).dst == sjc).count();
         assert!(
             inbound(&targeted) > 1,
             "problem receiver must gain redundant inbound edges, got {}",

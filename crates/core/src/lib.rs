@@ -49,12 +49,13 @@ mod detector;
 mod dgraph;
 mod error;
 mod flow;
-mod mgraph;
 pub mod scheme;
 
-pub use cache::{build_scheme_cached, CachedGraphKind, GraphCache, GraphCacheStats};
+pub use cache::{
+    build_scheme_cached, receiver_digest, CachedGraphKind, GraphCache, GraphCacheStats,
+    MulticastKind,
+};
 pub use detector::{ProblemDetector, ProblemStatus};
-pub use dgraph::DisseminationGraph;
+pub use dgraph::{DisseminationGraph, MulticastGraph};
 pub use error::CoreError;
 pub use flow::{Flow, ServiceRequirement, SlaClass};
-pub use mgraph::{receiver_digest, MulticastGraph, MulticastKind};

@@ -19,7 +19,7 @@ mod flooding;
 mod k_disjoint;
 mod static_disjoint;
 mod static_single;
-mod targeted;
+pub(crate) mod targeted;
 
 pub use dynamic_disjoint::DynamicTwoDisjoint;
 pub use dynamic_single::DynamicSinglePath;
@@ -287,7 +287,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(s.flow(), flow);
             assert_eq!(s.current().source(), flow.source);
-            assert_eq!(s.current().destination(), flow.destination);
+            assert_eq!(s.current().receivers(), &[flow.destination]);
         }
     }
 

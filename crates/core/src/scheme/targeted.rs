@@ -114,23 +114,23 @@ impl TargetedGraphs {
             });
         }
 
-        let limit = params.problem_branch_limit.map(usize::from);
-        let source_problem = build_source_problem_graph(
-            topology,
-            flow,
-            &normal,
-            &feasible,
-            requirement.deadline,
-            limit,
-        )?;
-        let destination_problem = build_destination_problem_graph(
-            topology,
-            flow,
-            &normal,
-            &feasible,
-            requirement.deadline,
-            limit,
-        )?;
+        // The baseline bundle reads topology only: every feasible edge
+        // is usable and continuations minimise plain latency.
+        let problem_graph = |side| {
+            let mut edges = normal.edges().to_vec();
+            edges.extend(problem_branches(
+                topology,
+                flow,
+                side,
+                normal.edges(),
+                requirement.deadline,
+                params.problem_branch_limit,
+                |e| feasible.contains(&e).then(|| topology.edge(e).latency.as_micros()),
+            ));
+            DisseminationGraph::new(topology, flow.source, flow.destination, edges)
+        };
+        let source_problem = problem_graph(Side::Source)?;
+        let destination_problem = problem_graph(Side::Destination)?;
         let robust = source_problem.union(topology, &destination_problem)?;
 
         Ok(TargetedGraphs { normal, source_problem, destination_problem, robust })
@@ -199,115 +199,91 @@ impl TargetedRedundancy {
     }
 }
 
-/// Adds, for every usable neighbour `n` of the source not already on
-/// the disjoint pair, the edge `source -> n` plus a shortest
-/// continuation `n -> destination` that avoids the source area, so each
-/// branch is an independent escape route. Branches that cannot meet the
-/// deadline are skipped; `limit` caps how many are added (lowest
-/// latency first).
-fn build_source_problem_graph(
-    topology: &Graph,
-    flow: Flow,
-    normal: &DisseminationGraph,
-    feasible: &HashSet<EdgeId>,
-    deadline: Micros,
-    limit: Option<usize>,
-) -> Result<DisseminationGraph, CoreError> {
-    let used: HashSet<NodeId> =
-        normal.forwarding_edges(topology, flow.source).map(|e| topology.edge(e).dst).collect();
-    let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
-    for &out in topology.out_edges(flow.source) {
-        if !feasible.contains(&out) || used.contains(&topology.edge(out).dst) {
-            continue;
-        }
-        let neighbor = topology.edge(out).dst;
-        if neighbor == flow.destination {
-            candidates.push((topology.edge(out).latency, vec![out]));
-            continue;
-        }
-        if let Some(tail) =
-            continuation(topology, neighbor, flow.destination, flow.source, feasible)
-        {
-            let branch_latency: Micros = topology.edge(out).latency
-                + tail.iter().map(|&e| topology.edge(e).latency).sum::<Micros>();
-            if branch_latency <= deadline {
-                let mut branch = vec![out];
-                branch.extend(tail);
-                candidates.push((branch_latency, branch));
-            }
-        }
-    }
-    candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
-    let mut edges: Vec<EdgeId> = normal.edges().to_vec();
-    for (_, branch) in candidates.into_iter().take(limit.unwrap_or(usize::MAX)) {
-        edges.extend(branch);
-    }
-    DisseminationGraph::new(topology, flow.source, flow.destination, edges)
+/// Which endpoint of a flow a problem graph adds redundancy around.
+#[derive(Clone, Copy)]
+pub(crate) enum Side {
+    /// Branch out of the source over every neighbour.
+    Source,
+    /// Branch into the destination over every neighbour.
+    Destination,
 }
 
-/// Symmetric construction on the destination side: a shortest approach
-/// `source -> m` avoiding the destination area, plus the final edge
-/// `m -> destination`, for every usable in-neighbour `m` not already on
-/// the disjoint pair; `limit` caps how many are added.
-fn build_destination_problem_graph(
-    topology: &Graph,
+/// The redundancy branches a problem graph adds around one endpoint of
+/// `flow`, flattened into one edge list.
+///
+/// For every neighbour of that endpoint which `base` (the graph being
+/// widened) does not already use, a branch is the connecting edge plus
+/// the cheapest continuation to the far endpoint that stays clear of
+/// the problem endpoint, so each branch is an independent route.
+/// `weight` returns `None` for edges that must not be used and the
+/// cost continuations minimise otherwise. Branches whose latency
+/// exceeds `deadline` are dropped; of the rest, the `limit`
+/// lowest-latency ones are kept (ties resolved by edge list).
+///
+/// Every problem graph in the crate is built from this: the baseline
+/// bundle, the cache's usability-filtered live graphs, and the
+/// per-receiver grafts of multicast graphs (a receiver is the
+/// destination of `flow` there).
+pub(crate) fn problem_branches(
+    g: &Graph,
     flow: Flow,
-    normal: &DisseminationGraph,
-    feasible: &HashSet<EdgeId>,
+    side: Side,
+    base: &[EdgeId],
     deadline: Micros,
-    limit: Option<usize>,
-) -> Result<DisseminationGraph, CoreError> {
-    let used: HashSet<NodeId> = normal
-        .edges()
+    limit: Option<u8>,
+    weight: impl Fn(EdgeId) -> Option<u64>,
+) -> Vec<EdgeId> {
+    let (endpoint, connecting) = match side {
+        Side::Source => (flow.source, g.out_edges(flow.source)),
+        Side::Destination => (flow.destination, g.in_edges(flow.destination)),
+    };
+    // An edge's ends as (nearer the problem endpoint, farther from it).
+    let ends = |e: EdgeId| match side {
+        Side::Source => (g.edge(e).src, g.edge(e).dst),
+        Side::Destination => (g.edge(e).dst, g.edge(e).src),
+    };
+    let used: HashSet<NodeId> = base
         .iter()
-        .filter(|&&e| topology.edge(e).dst == flow.destination)
-        .map(|&e| topology.edge(e).src)
+        .map(|&e| ends(e))
+        .filter(|&(near, _)| near == endpoint)
+        .map(|(_, far)| far)
         .collect();
     let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
-    for &inc in topology.in_edges(flow.destination) {
-        if !feasible.contains(&inc) || used.contains(&topology.edge(inc).src) {
+    for &link in connecting {
+        let neighbor = ends(link).1;
+        if weight(link).is_none() || used.contains(&neighbor) {
             continue;
         }
-        let neighbor = topology.edge(inc).src;
-        if neighbor == flow.source {
-            candidates.push((topology.edge(inc).latency, vec![inc]));
+        let (from, to) = match side {
+            Side::Source => (neighbor, flow.destination),
+            Side::Destination => (flow.source, neighbor),
+        };
+        if from == to {
+            // The neighbour is the far endpoint: the link is the branch.
+            candidates.push((g.edge(link).latency, vec![link]));
             continue;
         }
-        if let Some(head) =
-            continuation(topology, flow.source, neighbor, flow.destination, feasible)
-        {
-            let branch_latency: Micros = topology.edge(inc).latency
-                + head.iter().map(|&e| topology.edge(e).latency).sum::<Micros>();
-            if branch_latency <= deadline {
-                let mut branch = head;
-                branch.push(inc);
-                candidates.push((branch_latency, branch));
+        let rest = dijkstra::shortest_path_weighted(g, from, to, |e| {
+            let info = g.edge(e);
+            if info.src == endpoint || info.dst == endpoint {
+                return None;
+            }
+            weight(e)
+        });
+        if let Ok(rest) = rest {
+            let latency = g.edge(link).latency + rest.latency(g);
+            if latency <= deadline {
+                let branch = match side {
+                    Side::Source => [&[link], rest.edges()].concat(),
+                    Side::Destination => [rest.edges(), &[link]].concat(),
+                };
+                candidates.push((latency, branch));
             }
         }
     }
     candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
-    let mut edges: Vec<EdgeId> = normal.edges().to_vec();
-    for (_, branch) in candidates.into_iter().take(limit.unwrap_or(usize::MAX)) {
-        edges.extend(branch);
-    }
-    DisseminationGraph::new(topology, flow.source, flow.destination, edges)
-}
-
-/// Shortest path `from -> to` that stays within the feasible edge set
-/// and avoids the node `avoid` (the problematic endpoint area).
-fn continuation(
-    topology: &Graph,
-    from: NodeId,
-    to: NodeId,
-    avoid: NodeId,
-    feasible: &HashSet<EdgeId>,
-) -> Option<Vec<EdgeId>> {
-    dijkstra::shortest_path_filtered(topology, from, to, |e| {
-        let info = topology.edge(e);
-        feasible.contains(&e) && info.src != avoid && info.dst != avoid
-    })
-    .ok()
-    .map(|p| p.edges().to_vec())
+    let limit = limit.map_or(usize::MAX, usize::from);
+    candidates.into_iter().take(limit).flat_map(|(_, branch)| branch).collect()
 }
 
 impl RoutingScheme for TargetedRedundancy {

@@ -48,7 +48,7 @@ proptest! {
                 scheme.update(&g, st);
                 let dg = scheme.current();
                 prop_assert_eq!(dg.source(), flow.source);
-                prop_assert_eq!(dg.destination(), flow.destination);
+                prop_assert_eq!(dg.receivers(), &[flow.destination]);
                 // Still connects: best baseline latency is finite and
                 // within the deadline (schemes only pick deadline-feasible
                 // graphs at baseline conditions).

@@ -440,6 +440,10 @@ impl EmuRun {
         let log_err = log.try_clone()?;
         let mut command = Command::new(&self.options.node_bin);
         command
+            // `options.runtime` is the one way to pick the daemons'
+            // runtime; an ambient DG_RUNTIME must not change what a
+            // run with `runtime: None` deploys.
+            .env_remove("DG_RUNTIME")
             .arg("--config")
             .arg(&slot.config_path)
             .arg("--epoch-us")

@@ -10,7 +10,7 @@ use crate::overload::{OverloadConfig, OverloadDetector, OverloadTransition};
 use crate::pool::{BufferPool, ScratchVecPool};
 use crate::recovery::{retransmit_worthwhile, GapTracker, SendBuffer};
 use crate::runtime::{Runtime, SpawnMode};
-use crate::session::{Delivery, FlowGroup, FlowReceiver, FlowSender, GroupSlot, SchemeSlot};
+use crate::session::{Delivery, FlowGroup, FlowReceiver, FlowSender, Route, Session, SessionSlot};
 use crate::shard::ShardedMap;
 use crate::wire::{
     self, DataPacket, DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message,
@@ -201,10 +201,10 @@ pub(crate) struct Shared {
     /// Sharded so concurrent deliveries for unrelated flows don't
     /// serialize on one lock.
     receivers: ShardedMap<Flow, Sender<Delivery>>,
-    pub(crate) senders: Mutex<Vec<Arc<Mutex<SchemeSlot>>>>,
-    /// Multicast group sessions originated here, refreshed alongside
-    /// the unicast sender slots on every scheme-update tick.
-    pub(crate) groups: Mutex<Vec<Arc<Mutex<GroupSlot>>>>,
+    /// Every sending session originated here, unicast and group alike:
+    /// refreshed on every scheme-update tick and counted against
+    /// `sender_capacity`.
+    pub(crate) sessions: Mutex<Vec<Arc<Mutex<SessionSlot>>>>,
     /// Reusable encode buffers for the transmit path.
     frame_pool: Mutex<BufferPool>,
     /// Reusable packet scratch for the batch send path.
@@ -998,55 +998,60 @@ impl Shared {
 
     fn update_schemes(&self) {
         let state = self.linkstate.lock().network_state(now_us());
-        let slots: Vec<_> = self.senders.lock().clone();
+        let slots: Vec<_> = self.sessions.lock().clone();
         for slot in slots {
             let mut slot = slot.lock();
-            if slot.scheme.update(&self.graph, &state) {
-                slot.refresh_mask(self.graph.edge_count());
-                self.metrics.counters.graph_changes.fetch_add(1, Ordering::Relaxed);
-                let flow = slot.scheme.flow();
-                self.metrics.flow(flow).graph_changes.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record(EventKind::RouteChange {
-                    flow,
-                    scheme: slot.scheme.kind(),
-                    edges: slot.scheme.current().len() as u64,
-                });
-            }
-            // Keep a usable disjoint-pair fallback warm for the flow.
-            // Hits are free; a recompute only happens after a report
-            // flipped one of the routes' links across the usability
-            // threshold (the pair itself is deadline-independent).
-            let _ = self.graph_cache.live(
-                slot.scheme.flow(),
-                CachedGraphKind::TwoDisjoint,
-                ServiceRequirement::default(),
-            );
-        }
-        // Group slots ride the same tick: a lookup against the
-        // interned multicast tier is free while the cached graph is
-        // valid, and recomputes exactly when a link-state report
-        // flipped an edge the graph depends on.
-        let groups: Vec<_> = self.groups.lock().clone();
-        for slot in groups {
-            let mut slot = slot.lock();
-            let fresh = self.graph_cache.multicast(
-                slot.flow.source,
-                slot.graph.receivers(),
-                slot.kind,
-                slot.requirement,
-            );
-            if let Ok(graph) = fresh {
-                if !Arc::ptr_eq(&graph, &slot.graph) {
-                    // A recompute can land on the same edge set (the
-                    // flip was on a redundant branch's alternative);
-                    // only a real edge-set change counts as a reroute.
-                    let changed = *graph != *slot.graph;
-                    slot.refresh(graph, self.graph.edge_count());
+            let flow = slot.flow;
+            let changed = match &mut slot.route {
+                Route::Scheme(scheme) => {
+                    let changed = scheme.update(&self.graph, &state);
                     if changed {
-                        self.metrics.counters.graph_changes.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.flow(slot.flow).graph_changes.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.record(EventKind::RouteChange {
+                            flow,
+                            scheme: scheme.kind(),
+                            edges: scheme.current().len() as u64,
+                        });
+                    }
+                    // Keep a usable disjoint-pair fallback warm for the
+                    // flow. Hits are free; a recompute only happens
+                    // after a report flipped one of the routes' links
+                    // across the usability threshold (the pair itself
+                    // is deadline-independent).
+                    let _ = self.graph_cache.live(
+                        flow,
+                        CachedGraphKind::TwoDisjoint,
+                        ServiceRequirement::default(),
+                    );
+                    changed
+                }
+                // A lookup against the interned multicast tier is free
+                // while the cached graph is valid, and recomputes
+                // exactly when a link-state report flipped an edge the
+                // graph depends on.
+                Route::Group { graph, kind, requirement } => {
+                    match self.graph_cache.multicast(
+                        flow.source,
+                        graph.receivers(),
+                        *kind,
+                        *requirement,
+                    ) {
+                        Ok(fresh) if !Arc::ptr_eq(&fresh, graph) => {
+                            // A recompute can land on the same edge set
+                            // (the flip was on a redundant branch's
+                            // alternative); only a real edge-set change
+                            // counts as a reroute.
+                            let changed = *fresh != **graph;
+                            *graph = fresh;
+                            changed
+                        }
+                        _ => false,
                     }
                 }
+            };
+            if changed {
+                slot.refresh_mask(self.graph.edge_count());
+                self.metrics.counters.graph_changes.fetch_add(1, Ordering::Relaxed);
+                self.metrics.flow(flow).graph_changes.fetch_add(1, Ordering::Relaxed);
             }
         }
         // An ongoing overload episode keeps its downgrade masks in step
@@ -1082,20 +1087,25 @@ impl Shared {
     }
 
     /// (Re)applies the downgrade policy for overload `level` to every
-    /// sender slot: surgical keeps its full graph at every level,
+    /// unicast session: surgical keeps its full graph at every level,
     /// timely falls back to its precomputed disjoint pair at level 2,
     /// and bulk drops to a single path from level 1. `ClassDowngraded`
     /// is journaled only when a slot's effective level changes; a mask
     /// recomputed at an unchanged level (link state moved mid-episode)
     /// is silent.
     fn apply_overload(&self, level: u8) {
-        let slots: Vec<_> = self.senders.lock().clone();
+        let slots: Vec<_> = self.sessions.lock().clone();
         if slots.is_empty() {
             return;
         }
         let state = self.linkstate.lock().network_state(now_us());
         for slot in slots {
             let mut slot = slot.lock();
+            // A group keeps its graph: the cheaper unicast graphs below
+            // would not reach its receivers.
+            if matches!(slot.route, Route::Group { .. }) {
+                continue;
+            }
             let (flow, class) = (slot.flow, slot.class);
             let effective = match class {
                 SlaClass::Surgical => 0,
@@ -1460,8 +1470,7 @@ fn build_shared(
         send_links: Mutex::new(HashMap::new()),
         recv_links: Mutex::new(HashMap::new()),
         receivers: ShardedMap::new(),
-        senders: Mutex::new(Vec::new()),
-        groups: Mutex::new(Vec::new()),
+        sessions: Mutex::new(Vec::new()),
         frame_pool: Mutex::new(BufferPool::default()),
         packet_scratch: Mutex::new(ScratchVecPool::default()),
         shipper_tx,
@@ -1567,22 +1576,28 @@ impl OverlayHandle {
             return Err(OverlayError::UnknownNode(scheme.flow().source));
         }
         let flow = scheme.flow();
-        let mut senders = self.shared.senders.lock();
-        // Admission control: refuse work beyond the configured
-        // capacity instead of absorbing it and failing every class.
+        let slot = self.admit(Route::Scheme(scheme), flow, class)?;
+        Ok(FlowSender(Session::new(Arc::clone(&self.shared), slot, requirement.deadline)))
+    }
+
+    /// Admission control for every kind of sending session: refuse work
+    /// beyond the configured capacity instead of absorbing it and
+    /// failing every class.
+    fn admit(
+        &self,
+        route: Route,
+        flow: Flow,
+        class: SlaClass,
+    ) -> Result<Arc<Mutex<SessionSlot>>, OverlayError> {
+        let mut sessions = self.shared.sessions.lock();
         let capacity = self.shared.config.sender_capacity;
-        if senders.len() >= capacity {
-            return Err(OverlayError::AdmissionDenied { active: senders.len(), capacity });
+        if sessions.len() >= capacity {
+            return Err(OverlayError::AdmissionDenied { active: sessions.len(), capacity });
         }
-        let slot = Arc::new(Mutex::new(SchemeSlot::new(
-            scheme,
-            flow,
-            class,
-            self.shared.graph.edge_count(),
-        )));
-        senders.push(Arc::clone(&slot));
-        drop(senders);
-        Ok(FlowSender::new(Arc::clone(&self.shared), slot, flow, requirement.deadline, class))
+        let edge_count = self.shared.graph.edge_count();
+        let slot = Arc::new(Mutex::new(SessionSlot::new(route, flow, class, edge_count)));
+        sessions.push(Arc::clone(&slot));
+        Ok(slot)
     }
 
     /// Opens a multicast sending session from this node to `receivers`:
@@ -1612,22 +1627,8 @@ impl OverlayHandle {
         let flow = Flow::group(self.node_id(), group_id);
         let graph =
             self.shared.graph_cache.multicast(self.node_id(), receivers, kind, requirement)?;
-        let mut groups = self.shared.groups.lock();
-        let capacity = self.shared.config.sender_capacity;
-        let active = self.shared.senders.lock().len() + groups.len();
-        if active >= capacity {
-            return Err(OverlayError::AdmissionDenied { active, capacity });
-        }
-        let slot = Arc::new(Mutex::new(GroupSlot::new(
-            graph,
-            flow,
-            kind,
-            requirement,
-            self.shared.graph.edge_count(),
-        )));
-        groups.push(Arc::clone(&slot));
-        drop(groups);
-        Ok(FlowGroup::new(Arc::clone(&self.shared), slot, flow, requirement.deadline, class))
+        let slot = self.admit(Route::Group { graph, kind, requirement }, flow, class)?;
+        Ok(FlowGroup(Session::new(Arc::clone(&self.shared), slot, requirement.deadline)))
     }
 
     /// Opens a receiving session for the multicast group flow

@@ -90,16 +90,25 @@ impl DeliveryStats {
     }
 }
 
-/// The per-sender routing state: the live scheme plus its current
+/// What decides a sending session's dissemination graph.
+pub(crate) enum Route {
+    /// A routing scheme, shown every link-state update.
+    Scheme(Box<dyn RoutingScheme>),
+    /// A several-receiver graph interned in the node's graph cache and
+    /// fetched again when link-state flips evict it.
+    Group { graph: Arc<DisseminationGraph>, kind: MulticastKind, requirement: ServiceRequirement },
+}
+
+/// The per-session routing state: the route plus its current
 /// dissemination graph pre-encoded as a wire bitmask, and — under
 /// overload — a cheaper override mask that temporarily replaces it.
-pub(crate) struct SchemeSlot {
-    pub(crate) scheme: Box<dyn RoutingScheme>,
+pub(crate) struct SessionSlot {
+    pub(crate) route: Route,
     pub(crate) flow: Flow,
     pub(crate) class: SlaClass,
     mask: Bytes,
     /// Downgraded dissemination mask applied while the node is
-    /// overloaded; `None` means the scheme's full graph is in force.
+    /// overloaded; `None` means the route's full graph is in force.
     downgrade: Option<Bytes>,
     /// The overload level the current downgrade was computed at (0
     /// when no downgrade is active), so re-applying the same level is
@@ -107,19 +116,31 @@ pub(crate) struct SchemeSlot {
     pub(crate) downgrade_level: u8,
 }
 
-impl SchemeSlot {
-    pub(crate) fn new(
-        scheme: Box<dyn RoutingScheme>,
-        flow: Flow,
-        class: SlaClass,
-        edge_count: usize,
-    ) -> Self {
-        let mask = Bytes::from(scheme.current().to_bitmask(edge_count));
-        SchemeSlot { scheme, flow, class, mask, downgrade: None, downgrade_level: 0 }
+impl SessionSlot {
+    pub(crate) fn new(route: Route, flow: Flow, class: SlaClass, edge_count: usize) -> Self {
+        let mut slot = SessionSlot {
+            route,
+            flow,
+            class,
+            mask: Bytes::new(),
+            downgrade: None,
+            downgrade_level: 0,
+        };
+        slot.refresh_mask(edge_count);
+        slot
     }
 
+    /// The graph the route currently selects.
+    pub(crate) fn graph(&self) -> &DisseminationGraph {
+        match &self.route {
+            Route::Scheme(scheme) => scheme.current(),
+            Route::Group { graph, .. } => graph,
+        }
+    }
+
+    /// Re-stamps the wire mask after the route changed its graph.
     pub(crate) fn refresh_mask(&mut self, edge_count: usize) {
-        self.mask = Bytes::from(self.scheme.current().to_bitmask(edge_count));
+        self.mask = Bytes::from(self.graph().to_bitmask(edge_count));
     }
 
     /// Replaces the stamped mask with a downgraded graph (overload).
@@ -128,7 +149,7 @@ impl SchemeSlot {
         self.downgrade_level = level;
     }
 
-    /// Restores the scheme's full graph.
+    /// Restores the route's full graph.
     pub(crate) fn clear_downgrade(&mut self) {
         self.downgrade = None;
         self.downgrade_level = 0;
@@ -139,28 +160,16 @@ impl SchemeSlot {
     }
 
     fn mask(&self) -> Bytes {
-        match &self.downgrade {
-            Some(mask) => mask.clone(),
-            None => self.mask.clone(),
-        }
+        self.downgrade.as_ref().unwrap_or(&self.mask).clone()
     }
 }
 
-impl std::fmt::Debug for SchemeSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemeSlot")
-            .field("scheme", &self.scheme.kind())
-            .field("class", &self.class)
-            .field("downgraded", &self.downgrade.is_some())
-            .finish()
-    }
-}
-
-/// A sending session: stamps packets with the flow's current
-/// dissemination graph and injects them at the source node.
-pub struct FlowSender {
+/// What [`FlowSender`] and [`FlowGroup`] are both made of: a flow, its
+/// sequence counter, and the slot whose mask is stamped onto every
+/// packet before it is injected at the source node.
+pub(crate) struct Session {
     shared: Arc<Shared>,
-    slot: Arc<Mutex<SchemeSlot>>,
+    slot: Arc<Mutex<SessionSlot>>,
     flow: Flow,
     deadline: Micros,
     class: SlaClass,
@@ -170,9 +179,9 @@ pub struct FlowSender {
     cells: Arc<crate::metrics::FlowCells>,
 }
 
-impl std::fmt::Debug for FlowSender {
+impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlowSender")
+        f.debug_struct("Session")
             .field("flow", &self.flow)
             .field("deadline", &self.deadline)
             .field("class", &self.class)
@@ -180,32 +189,93 @@ impl std::fmt::Debug for FlowSender {
     }
 }
 
-impl FlowSender {
+impl Session {
     pub(crate) fn new(
         shared: Arc<Shared>,
-        slot: Arc<Mutex<SchemeSlot>>,
-        flow: Flow,
+        slot: Arc<Mutex<SessionSlot>>,
         deadline: Micros,
-        class: SlaClass,
     ) -> Self {
+        let (flow, class) = {
+            let slot = slot.lock();
+            (slot.flow, slot.class)
+        };
         let cells = shared.metrics.flow(flow);
-        FlowSender { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
+        Session { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
     }
 
+    fn check(payloads: &[&[u8]]) -> Result<(), OverlayError> {
+        match payloads.iter().find(|p| p.len() > MAX_PAYLOAD) {
+            Some(p) => Err(OverlayError::PayloadTooLarge { got: p.len(), max: MAX_PAYLOAD }),
+            None => Ok(()),
+        }
+    }
+
+    fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
+        Self::check(payloads)?;
+        let n = payloads.len() as u64;
+        let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
+        self.cells.packets_sent.fetch_add(n, Ordering::Relaxed);
+        self.disseminate(first, payloads);
+        Ok(first)
+    }
+
+    fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
+        Self::check(&[payload])?;
+        let next = self.next_seq.load(Ordering::Relaxed);
+        if next == 0 {
+            return Ok(false);
+        }
+        self.disseminate(next - 1, &[payload]);
+        Ok(true)
+    }
+
+    /// Stamps `payloads` as consecutive packets from `first_seq` — one
+    /// timestamp, the slot's current mask — and injects them as one run.
+    fn disseminate(&self, first_seq: u64, payloads: &[&[u8]]) {
+        if payloads.is_empty() {
+            return;
+        }
+        let mask = self.slot.lock().mask();
+        let sent_at = now_us();
+        // Pooled scratch: the send path otherwise allocates (and frees)
+        // one `Vec<DataPacket>` per call.
+        let mut packets = self.shared.take_packet_scratch();
+        packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| DataPacket {
+            flow: self.flow,
+            flow_seq,
+            sent_at,
+            deadline: self.deadline,
+            link_seq: 0, // assigned per link at transmission
+            retransmission: false,
+            class: self.class,
+            mask: mask.clone(),
+            payload: Bytes::copy_from_slice(p),
+        }));
+        self.shared.disseminate_batch(&packets);
+        self.shared.put_packet_scratch(packets);
+    }
+}
+
+/// A sending session: stamps packets with the flow's current
+/// dissemination graph and injects them at the source node.
+#[derive(Debug)]
+pub struct FlowSender(pub(crate) Session);
+
+impl FlowSender {
     /// The flow this session sends on.
     pub fn flow(&self) -> Flow {
-        self.flow
+        self.0.flow
     }
 
     /// The SLA class stamped onto this session's packets.
     pub fn class(&self) -> SlaClass {
-        self.class
+        self.0.class
     }
 
     /// True while the node has replaced this flow's dissemination graph
     /// with a cheaper one under overload (see `docs/RESILIENCE.md`).
     pub fn is_downgraded(&self) -> bool {
-        self.slot.lock().is_downgraded()
+        self.0.slot.lock().is_downgraded()
     }
 
     /// Sends one application packet; returns its flow sequence number.
@@ -215,24 +285,7 @@ impl FlowSender {
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
     /// [`MAX_PAYLOAD`] bytes.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.cells.packets_sent.fetch_add(1, Ordering::Relaxed);
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: seq,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate_batch(std::slice::from_ref(&packet));
-        Ok(seq)
+        self.0.send_batch(&[payload])
     }
 
     /// Re-disseminates the most recently sent packet under its original
@@ -259,26 +312,7 @@ impl FlowSender {
     /// matching [`FlowSender::send`] for the probe to be a faithful
     /// re-offer).
     pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
-        let next = self.next_seq.load(Ordering::Relaxed);
-        if next == 0 {
-            return Ok(false);
-        }
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: next - 1,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate_batch(std::slice::from_ref(&packet));
-        Ok(true)
+        self.0.tail_probe(payload)
     }
 
     /// Sends a run of application packets as one batch: they receive
@@ -295,85 +329,12 @@ impl FlowSender {
     /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
     /// [`MAX_PAYLOAD`]; nothing is sent in that case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        for p in payloads {
-            if p.len() > MAX_PAYLOAD {
-                return Err(OverlayError::PayloadTooLarge { got: p.len(), max: MAX_PAYLOAD });
-            }
-        }
-        let n = payloads.len() as u64;
-        let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
-        if n == 0 {
-            return Ok(first);
-        }
-        self.cells.packets_sent.fetch_add(n, Ordering::Relaxed);
-        let mask = self.slot.lock().mask();
-        let sent_at = now_us();
-        // Pooled scratch: the batch path otherwise allocates (and
-        // frees) one `Vec<DataPacket>` per call.
-        let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().enumerate().map(|(i, p)| DataPacket {
-            flow: self.flow,
-            flow_seq: first + i as u64,
-            sent_at,
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: mask.clone(),
-            payload: Bytes::copy_from_slice(p),
-        }));
-        self.shared.disseminate_batch(&packets);
-        self.shared.put_packet_scratch(packets);
-        Ok(first)
+        self.0.send_batch(payloads)
     }
 
     /// The dissemination graph currently stamped onto packets.
     pub fn current_graph(&self) -> DisseminationGraph {
-        self.slot.lock().scheme.current().clone()
-    }
-}
-
-/// The per-group routing state: the interned multicast graph plus its
-/// current wire bitmask. Refreshed by the node's scheme-update tick
-/// when link-state flips evict the cached graph.
-pub(crate) struct GroupSlot {
-    pub(crate) graph: Arc<MulticastGraph>,
-    pub(crate) flow: Flow,
-    pub(crate) kind: MulticastKind,
-    pub(crate) requirement: ServiceRequirement,
-    mask: Bytes,
-}
-
-impl GroupSlot {
-    pub(crate) fn new(
-        graph: Arc<MulticastGraph>,
-        flow: Flow,
-        kind: MulticastKind,
-        requirement: ServiceRequirement,
-        edge_count: usize,
-    ) -> Self {
-        let mask = Bytes::from(graph.to_bitmask(edge_count));
-        GroupSlot { graph, flow, kind, requirement, mask }
-    }
-
-    /// Installs a fresh graph and re-stamps the wire mask.
-    pub(crate) fn refresh(&mut self, graph: Arc<MulticastGraph>, edge_count: usize) {
-        self.mask = Bytes::from(graph.to_bitmask(edge_count));
-        self.graph = graph;
-    }
-
-    fn mask(&self) -> Bytes {
-        self.mask.clone()
-    }
-}
-
-impl std::fmt::Debug for GroupSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupSlot")
-            .field("flow", &self.flow)
-            .field("kind", &self.kind)
-            .field("receivers", &self.graph.receivers().len())
-            .finish()
+        self.0.slot.lock().graph().clone()
     }
 }
 
@@ -386,52 +347,24 @@ impl std::fmt::Debug for GroupSlot {
 /// graph cache, so thousands of groups over the same topology share
 /// one precomputed graph per distinct `(source, receiver set, kind,
 /// deadline)`. See `docs/MULTICAST.md`.
-pub struct FlowGroup {
-    shared: Arc<Shared>,
-    slot: Arc<Mutex<GroupSlot>>,
-    flow: Flow,
-    deadline: Micros,
-    class: SlaClass,
-    next_seq: AtomicU64,
-    cells: Arc<crate::metrics::FlowCells>,
-}
-
-impl std::fmt::Debug for FlowGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlowGroup")
-            .field("flow", &self.flow)
-            .field("deadline", &self.deadline)
-            .field("class", &self.class)
-            .finish()
-    }
-}
+#[derive(Debug)]
+pub struct FlowGroup(pub(crate) Session);
 
 impl FlowGroup {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        slot: Arc<Mutex<GroupSlot>>,
-        flow: Flow,
-        deadline: Micros,
-        class: SlaClass,
-    ) -> Self {
-        let cells = shared.metrics.flow(flow);
-        FlowGroup { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
-    }
-
     /// The group flow this session sends on (a tagged group id in the
     /// destination field; see [`Flow::group`]).
     pub fn flow(&self) -> Flow {
-        self.flow
+        self.0.flow
     }
 
     /// The SLA class stamped onto this session's packets.
     pub fn class(&self) -> SlaClass {
-        self.class
+        self.0.class
     }
 
     /// The canonical receiver set of the group.
     pub fn receivers(&self) -> Vec<NodeId> {
-        self.slot.lock().graph.receivers().to_vec()
+        self.0.slot.lock().graph().receivers().to_vec()
     }
 
     /// Sends one application packet to every receiver of the group;
@@ -442,24 +375,7 @@ impl FlowGroup {
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
     /// [`MAX_PAYLOAD`] bytes.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.cells.packets_sent.fetch_add(1, Ordering::Relaxed);
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: seq,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate_batch(std::slice::from_ref(&packet));
-        Ok(seq)
+        self.0.send_batch(&[payload])
     }
 
     /// Sends a run of packets to every receiver as one batch — the
@@ -473,39 +389,28 @@ impl FlowGroup {
     /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
     /// [`MAX_PAYLOAD`]; nothing is sent in that case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        for p in payloads {
-            if p.len() > MAX_PAYLOAD {
-                return Err(OverlayError::PayloadTooLarge { got: p.len(), max: MAX_PAYLOAD });
-            }
-        }
-        let n = payloads.len() as u64;
-        let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
-        if n == 0 {
-            return Ok(first);
-        }
-        self.cells.packets_sent.fetch_add(n, Ordering::Relaxed);
-        let mask = self.slot.lock().mask();
-        let sent_at = now_us();
-        let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().enumerate().map(|(i, p)| DataPacket {
-            flow: self.flow,
-            flow_seq: first + i as u64,
-            sent_at,
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: mask.clone(),
-            payload: Bytes::copy_from_slice(p),
-        }));
-        self.shared.disseminate_batch(&packets);
-        self.shared.put_packet_scratch(packets);
-        Ok(first)
+        self.0.send_batch(payloads)
     }
 
-    /// The multicast graph currently stamped onto packets.
+    /// Offers the group's most recently sent packet again under its
+    /// original sequence number, exactly as [`FlowSender::tail_probe`]
+    /// does for a unicast flow: every receiver that already has it
+    /// suppresses the duplicate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
+    /// [`MAX_PAYLOAD`] bytes.
+    pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
+        self.0.tail_probe(payload)
+    }
+
+    /// The several-receiver graph currently stamped onto packets.
     pub fn current_graph(&self) -> Arc<MulticastGraph> {
-        Arc::clone(&self.slot.lock().graph)
+        match &self.0.slot.lock().route {
+            Route::Group { graph, .. } => Arc::clone(graph),
+            Route::Scheme(scheme) => Arc::new(scheme.current().clone()),
+        }
     }
 }
 

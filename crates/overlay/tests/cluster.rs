@@ -653,3 +653,42 @@ fn group_and_unicast_flows_do_not_collide() {
     assert!(grp_sessions[0].1.drain().is_empty(), "unicast packet leaked into the group session");
     cluster.shutdown();
 }
+
+#[test]
+fn groups_and_unicast_senders_share_one_admission_count() {
+    use dg_core::{MulticastKind, SlaClass};
+    use dg_overlay::OverlayError;
+
+    let graph = presets::north_america_12();
+    let cluster =
+        Cluster::launch(&graph, ClusterConfig { sender_capacity: 2, ..Default::default() })
+            .expect("cluster launches");
+    let flow = nyc_sjc(&cluster);
+    for group_id in 0..2 {
+        cluster
+            .open_group_sender(
+                flow.source,
+                &[flow.destination],
+                group_id,
+                MulticastKind::Tree,
+                ServiceRequirement::default(),
+                SlaClass::Timely,
+            )
+            .expect("within capacity");
+    }
+    // Two open groups fill a capacity of two, whichever kind asks next.
+    let denied = |e| matches!(e, OverlayError::AdmissionDenied { active: 2, capacity: 2 });
+    let unicast =
+        cluster.open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+    assert!(unicast.is_err_and(denied), "two open groups must deny a third session");
+    let group = cluster.open_group_sender(
+        flow.source,
+        &[flow.destination],
+        2,
+        MulticastKind::Tree,
+        ServiceRequirement::default(),
+        SlaClass::Timely,
+    );
+    assert!(group.is_err_and(denied));
+    cluster.shutdown();
+}

@@ -131,6 +131,9 @@ fn real_udp_pair_reports_ready_converges_and_dumps_metrics() {
 
     let spawn = |cfg: &std::path::Path, metrics: &std::path::Path| {
         Command::new(bin())
+            // The READY line below asserts the *default* runtime, which
+            // an exported DG_RUNTIME would override.
+            .env_remove("DG_RUNTIME")
             .args(["--config", cfg.to_str().unwrap()])
             .args(["--run-ms", "1500"])
             .args(["--metrics-json", metrics.to_str().unwrap()])

@@ -2,9 +2,9 @@
 
 use crate::metrics::{gap_coverage, FlowRunStats};
 use crate::parallel::{run_flows_cached, FlowJob};
-use crate::playback::{run_flow, PlaybackConfig};
+use crate::playback::PlaybackConfig;
 use dg_core::scheme::{SchemeKind, SchemeParams};
-use dg_core::{build_scheme_cached, CoreError, Flow, GraphCache, ServiceRequirement, SlaClass};
+use dg_core::{CoreError, Flow, GraphCache, ServiceRequirement, SlaClass};
 use dg_topology::{Graph, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
@@ -37,7 +37,8 @@ impl ExperimentConfig {
     /// Starts a builder seeded with the paper's defaults.
     ///
     /// Prefer this over struct-literal construction: [`build`] rejects
-    /// internally inconsistent knobs (a zero packet rate, a threshold
+    /// internally inconsistent knobs (a zero or sub-microsecond-spaced
+    /// packet rate, a threshold
     /// outside `(0, 1]`, a zero deadline) instead of letting them
     /// surface as panics or nonsense mid-run.
     ///
@@ -115,6 +116,12 @@ impl ExperimentConfigBuilder {
         if p.packets_per_second == 0 {
             return Err(InvalidExperiment("packets_per_second must be positive"));
         }
+        if p.packets_per_second > 1_000_000 {
+            // The inter-packet spacing is whole microseconds; past a
+            // million a second it truncates to zero and every packet of
+            // a second is sent at the same instant.
+            return Err(InvalidExperiment("packets_per_second must be at most 1000000"));
+        }
         if p.deadline == dg_topology::Micros::ZERO {
             return Err(InvalidExperiment("deadline must be positive"));
         }
@@ -156,10 +163,48 @@ impl SchemeAggregate {
     }
 }
 
-/// Runs every scheme in `kinds` over every flow against `traces`.
+/// Replays `flows` under each `(scheme, requirement)` row on `threads`
+/// workers and sums every row over its flows. With no flows there is
+/// nothing to aggregate, so the result is empty.
+fn aggregate_rows(
+    topology: &Graph,
+    traces: &TraceSet,
+    cache: &GraphCache,
+    flows: &[(NodeId, NodeId)],
+    rows: &[(SchemeKind, ServiceRequirement)],
+    playback: &PlaybackConfig,
+    threads: usize,
+) -> Result<Vec<SchemeAggregate>, CoreError> {
+    if flows.is_empty() {
+        return Ok(Vec::new());
+    }
+    let jobs: Vec<FlowJob> = rows
+        .iter()
+        .flat_map(|&(kind, requirement)| {
+            flows.iter().map(move |&(s, t)| FlowJob { kind, flow: Flow::new(s, t), requirement })
+        })
+        .collect();
+    let results = run_flows_cached(topology, traces, &jobs, playback, threads, cache)?;
+    Ok(rows
+        .iter()
+        .zip(results.chunks(flows.len()))
+        .map(|(&(kind, _), per_flow)| {
+            let mut totals = per_flow[0];
+            for f in &per_flow[1..] {
+                totals.merge(f);
+            }
+            SchemeAggregate { kind, totals, per_flow: per_flow.to_vec() }
+        })
+        .collect())
+}
+
+/// Runs every scheme in `kinds` over every flow against `traces`, the
+/// per-(scheme, flow) replays fanned out over `threads` workers (zero =
+/// one per CPU core, as for [`crate::run_flows`]).
 ///
 /// All schemes replay identical traces with paired loss draws, so the
-/// comparison isolates routing differences.
+/// comparison isolates routing differences, and results do not depend
+/// on `threads`. An empty `flows` list yields no aggregates.
 ///
 /// # Errors
 ///
@@ -171,26 +216,14 @@ pub fn run_comparison(
     flows: &[(NodeId, NodeId)],
     kinds: &[SchemeKind],
     config: &ExperimentConfig,
+    threads: usize,
 ) -> Result<Vec<SchemeAggregate>, CoreError> {
     // One cache per run: the expensive graph constructions (disjoint
     // pairs, targeted bundles) are shared across the schemes that need
     // them instead of being recomputed per (kind, flow).
     let cache = GraphCache::new(topology.clone(), config.scheme_params);
-    let mut out = Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let mut per_flow = Vec::with_capacity(flows.len());
-        for &(s, t) in flows {
-            let flow = Flow::new(s, t);
-            let mut scheme = build_scheme_cached(kind, &cache, flow, config.requirement)?;
-            per_flow.push(run_flow(topology, traces, scheme.as_mut(), &config.playback));
-        }
-        let mut totals = per_flow[0];
-        for f in &per_flow[1..] {
-            totals.merge(f);
-        }
-        out.push(SchemeAggregate { kind, totals, per_flow });
-    }
-    Ok(out)
+    let rows: Vec<_> = kinds.iter().map(|&kind| (kind, config.requirement)).collect();
+    aggregate_rows(topology, traces, &cache, flows, &rows, &config.playback, threads)
 }
 
 /// Evaluates each SLA service class under its own scheme preference
@@ -199,7 +232,8 @@ pub fn run_comparison(
 /// graph at 65 ms — over identical traces. This is the simulator-side
 /// counterpart of the overlay's per-class bindings: it sizes, offline,
 /// what each class's redundancy budget buys in timeliness, the numbers
-/// an operator needs before writing an `--sla-json` plan.
+/// an operator needs before writing an `--sla-json` plan. An empty
+/// `flows` list yields no rows.
 ///
 /// # Errors
 ///
@@ -214,68 +248,12 @@ pub fn run_sla_comparison(
     let cache = GraphCache::new(topology.clone(), config.scheme_params);
     let mut out = Vec::with_capacity(SlaClass::ALL.len());
     for class in SlaClass::ALL {
+        // Each class plays back against its own deadline.
         let requirement = class.requirement();
-        let kind = class.preferred_scheme();
         let playback = PlaybackConfig { deadline: requirement.deadline, ..config.playback };
-        let mut per_flow = Vec::with_capacity(flows.len());
-        for &(s, t) in flows {
-            let flow = Flow::new(s, t);
-            let mut scheme = build_scheme_cached(kind, &cache, flow, requirement)?;
-            per_flow.push(run_flow(topology, traces, scheme.as_mut(), &playback));
-        }
-        let mut totals = per_flow[0];
-        for f in &per_flow[1..] {
-            totals.merge(f);
-        }
-        out.push((class, SchemeAggregate { kind, totals, per_flow }));
-    }
-    Ok(out)
-}
-
-/// Like [`run_comparison`], fanning the per-(scheme, flow) runs out
-/// over `threads` worker threads. Results are bit-identical to the
-/// serial version (loss draws are a pure function of the event
-/// coordinates, so execution order cannot matter).
-///
-/// # Errors
-///
-/// Propagates scheme-construction failures.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn run_comparison_parallel(
-    topology: &Graph,
-    traces: &TraceSet,
-    flows: &[(NodeId, NodeId)],
-    kinds: &[SchemeKind],
-    config: &ExperimentConfig,
-    threads: usize,
-) -> Result<Vec<SchemeAggregate>, CoreError> {
-    assert!(threads > 0, "at least one worker thread required");
-    let cache = GraphCache::new(topology.clone(), config.scheme_params);
-    let jobs: Vec<FlowJob> = kinds
-        .iter()
-        .flat_map(|&kind| {
-            flows.iter().map(move |&(s, t)| FlowJob {
-                kind,
-                flow: Flow::new(s, t),
-                requirement: config.requirement,
-            })
-        })
-        .collect();
-    let results = run_flows_cached(topology, traces, &jobs, &config.playback, threads, &cache)?;
-
-    let flows_per_kind = flows.len();
-    let mut out = Vec::with_capacity(kinds.len());
-    for (ki, &kind) in kinds.iter().enumerate() {
-        let per_flow: Vec<FlowRunStats> =
-            results[ki * flows_per_kind..(ki + 1) * flows_per_kind].to_vec();
-        let mut totals = per_flow[0];
-        for f in &per_flow[1..] {
-            totals.merge(f);
-        }
-        out.push(SchemeAggregate { kind, totals, per_flow });
+        let row = [(class.preferred_scheme(), requirement)];
+        let aggregates = aggregate_rows(topology, traces, &cache, flows, &row, &playback, 1)?;
+        out.extend(aggregates.into_iter().map(|aggregate| (class, aggregate)));
     }
     Ok(out)
 }
@@ -359,7 +337,7 @@ mod tests {
             playback: PlaybackConfig { packets_per_second: 10, ..Default::default() },
             ..Default::default()
         };
-        let aggs = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config).unwrap();
+        let aggs = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config, 1).unwrap();
         assert_eq!(aggs.len(), 6);
         for a in &aggs {
             assert_eq!(a.per_flow.len(), 2);
@@ -406,19 +384,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_matches_serial() {
+    fn worker_counts_cannot_change_the_comparison() {
         let (g, traces, flows) = tiny_experiment();
         let config = ExperimentConfig {
             playback: PlaybackConfig { packets_per_second: 10, ..Default::default() },
             ..Default::default()
         };
-        let serial = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config).unwrap();
-        for threads in [1, 3] {
+        let serial = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config, 1).unwrap();
+        // Zero means one worker per core, as for `run_flows`.
+        for threads in [0, 3] {
             let parallel =
-                run_comparison_parallel(&g, &traces, &flows, &SchemeKind::ALL, &config, threads)
-                    .unwrap();
+                run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config, threads).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn no_flows_means_no_aggregates() {
+        let (g, traces, _) = tiny_experiment();
+        let config = ExperimentConfig::default();
+        for threads in [0, 1, 4] {
+            let aggs = run_comparison(&g, &traces, &[], &SchemeKind::ALL, &config, threads);
+            assert_eq!(aggs.unwrap(), vec![]);
+        }
+        assert!(run_sla_comparison(&g, &traces, &[], &config).unwrap().is_empty());
     }
 
     #[test]
@@ -430,6 +419,10 @@ mod tests {
     #[test]
     fn builder_rejects_inconsistent_knobs() {
         assert!(ExperimentConfig::builder().packets_per_second(0).build().is_err());
+        // One packet per microsecond is the densest schedule the
+        // whole-microsecond spacing can express.
+        assert!(ExperimentConfig::builder().packets_per_second(1_000_000).build().is_ok());
+        assert!(ExperimentConfig::builder().packets_per_second(1_000_001).build().is_err());
         assert!(ExperimentConfig::builder().availability_threshold(0.0).build().is_err());
         assert!(ExperimentConfig::builder().availability_threshold(1.5).build().is_err());
         assert!(ExperimentConfig::builder().deadline(Micros::ZERO).build().is_err());
@@ -459,7 +452,7 @@ mod tests {
             playback: PlaybackConfig { packets_per_second: 10, ..Default::default() },
             ..Default::default()
         };
-        let aggs = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config).unwrap();
+        let aggs = run_comparison(&g, &traces, &flows, &SchemeKind::ALL, &config, 1).unwrap();
         let rows =
             tabulate(&aggs, SchemeKind::StaticSinglePath, SchemeKind::TimeConstrainedFlooding);
         assert_eq!(rows.len(), 6);

@@ -1,33 +1,30 @@
-//! Grouped many-flow playback over multicast dissemination graphs.
+//! Grouped many-flow playback over several-receiver dissemination
+//! graphs.
 //!
 //! The paper's flows are strictly unicast, but the north-star workload
 //! — thousands of concurrent flows per node — shares sources heavily
 //! (one feed, many subscribers). This module replays that shape the
 //! way the overlay sends it: flows sharing a source collapse into one
-//! **group job** routed by a single interned [`MulticastGraph`], and
-//! each packet propagates through the shared graph **once**, with
-//! every receiver's outcome read from that one propagation. The naive
-//! alternative ([`run_unicast_static_with`]) replays each receiver as
-//! its own unicast flow — the baseline the `many-flow` bench compares
-//! against.
+//! **group job** routed by a single interned [`DisseminationGraph`],
+//! and each packet propagates through the shared graph **once**, with
+//! every receiver's outcome read from that one propagation.
 //!
-//! Determinism matches the unicast runner: loss draws are a pure
+//! Groups run on the same playback loop and worker pool as unicast
+//! flows; what differs is that the graph is fixed for the run and that
+//! the loop accumulates per-receiver counters. Loss draws are a pure
 //! function of `(seed, edge, seq, attempt)`, worker counts cannot
-//! change results, and a single-receiver group run is byte-identical
-//! to the plain unicast replay of the same graph (same seed mixing,
-//! same propagation core).
+//! change results, and a one-receiver group sees exactly the draws of
+//! the unicast flow with the same endpoints.
 
-use crate::packet::{simulate_group_packet_with, simulate_packet_with, PacketOutcome, SimScratch};
-use crate::playback::PlaybackConfig;
-use dg_core::{
-    receiver_digest, CoreError, DisseminationGraph, Flow, GraphCache, MulticastGraph,
-    MulticastKind, ServiceRequirement,
-};
+use crate::metrics::fraction;
+use crate::packet::SimScratch;
+use crate::parallel::fan_out;
+use crate::playback::{play, PlaybackConfig, Tally};
+use dg_core::{CoreError, DisseminationGraph, Flow, GraphCache, MulticastKind, ServiceRequirement};
 use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One unit of grouped playback work: all flows from `source` to
 /// `receivers`, routed by one `kind` multicast graph.
@@ -60,34 +57,11 @@ pub struct ReceiverRunStats {
 }
 
 impl ReceiverRunStats {
-    fn new(receiver: NodeId) -> Self {
-        ReceiverRunStats {
-            receiver,
-            packets_sent: 0,
-            packets_on_time: 0,
-            packets_delivered: 0,
-            packets_lost: 0,
-        }
-    }
-
-    fn record(&mut self, outcome: &PacketOutcome) {
-        self.packets_sent += 1;
-        if outcome.delivered_at.is_some() {
-            self.packets_delivered += 1;
-        } else {
-            self.packets_lost += 1;
-        }
-        if outcome.on_time {
-            self.packets_on_time += 1;
-        }
-    }
-
-    /// Fraction of this receiver's packets delivered on time.
+    /// Fraction of this receiver's packets delivered on time; `0.0`
+    /// when none were sent, as for
+    /// [`FlowRunStats::on_time_fraction`](crate::FlowRunStats::on_time_fraction).
     pub fn on_time_fraction(&self) -> f64 {
-        if self.packets_sent == 0 {
-            return 0.0;
-        }
-        self.packets_on_time as f64 / self.packets_sent as f64
+        fraction(self.packets_on_time, self.packets_sent)
     }
 }
 
@@ -107,141 +81,84 @@ pub struct GroupRunStats {
     pub receivers: Vec<ReceiverRunStats>,
 }
 
+/// The per-receiver accumulator of the playback loop.
+impl Tally for GroupRunStats {
+    fn packet(
+        &mut self,
+        scratch: &SimScratch,
+        _: &DisseminationGraph,
+        _sent: Micros,
+        expiry: Micros,
+        transmissions: u64,
+    ) {
+        self.transmissions += transmissions;
+        for cell in &mut self.receivers {
+            cell.packets_sent += 1;
+            match scratch.arrived(cell.receiver) {
+                Some(at) => {
+                    cell.packets_delivered += 1;
+                    cell.packets_on_time += u64::from(at <= expiry);
+                }
+                None => cell.packets_lost += 1,
+            }
+        }
+    }
+}
+
 /// Collapses a list of unicast flows into `(source, receivers)` group
 /// specs, preserving first-seen source order (self-flows and duplicate
 /// receivers are dropped by the graph's canonicalization later).
 pub fn group_flows(flows: &[Flow]) -> Vec<(NodeId, Vec<NodeId>)> {
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut by_source: std::collections::HashMap<NodeId, Vec<NodeId>> =
-        std::collections::HashMap::new();
+    let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    let mut index = std::collections::HashMap::new();
     for f in flows {
-        let entry = by_source.entry(f.source).or_insert_with(|| {
-            order.push(f.source);
-            Vec::new()
+        let i = *index.entry(f.source).or_insert_with(|| {
+            groups.push((f.source, Vec::new()));
+            groups.len() - 1
         });
-        entry.push(f.destination);
+        groups[i].1.push(f.destination);
     }
-    order
-        .into_iter()
-        .map(|s| {
-            let receivers = by_source.remove(&s).expect("every ordered source has receivers");
-            (s, receivers)
-        })
-        .collect()
+    groups
 }
 
-/// The sampling seed of a group run. A single-receiver group mixes
-/// exactly as the unicast playback does — `(source << 32) | receiver`
-/// — so `--flows 1` group runs are byte-identical to the unicast path
-/// on fixed seeds; larger groups mix the canonical receiver-set digest
-/// so distinct groups see independent draws.
-fn group_seed(seed: u64, source: NodeId, receivers: &[NodeId]) -> u64 {
-    let key = match receivers {
-        [only] => ((source.index() as u64) << 32) | only.index() as u64,
-        many => ((source.index() as u64) << 32) | (receiver_digest(many) & 0xFFFF_FFFF),
-    };
-    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(key)
-}
-
-/// Replays `traces` for one multicast group over a caller-held scratch
-/// arena. The graph is static for the run (the cached graph a sender
-/// would hold between reroutes); each of the `seconds × pps` packets
-/// propagates once and every receiver's outcome is read from that
-/// propagation.
-pub fn run_group_with(
+/// Replays `traces` over one fixed graph: each of the `seconds × pps`
+/// packets propagates once and every receiver's counters are read from
+/// that propagation.
+fn replay_graph(
     topology: &Graph,
     traces: &TraceSet,
-    mgraph: &MulticastGraph,
+    graph: &DisseminationGraph,
     config: &PlaybackConfig,
     scratch: &mut SimScratch,
 ) -> GroupRunStats {
-    assert!(config.packets_per_second > 0, "at least one packet per second");
-    let seed = group_seed(config.seed, mgraph.source(), mgraph.receivers());
-    let total_seconds = traces.duration().as_secs();
-    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
-
     let mut stats = GroupRunStats {
-        source: mgraph.source(),
-        seconds: total_seconds,
+        source: graph.source(),
+        seconds: traces.duration().as_secs(),
         transmissions: 0,
-        receivers: mgraph.receivers().iter().map(|&r| ReceiverRunStats::new(r)).collect(),
+        receivers: graph
+            .receivers()
+            .iter()
+            .map(|&receiver| ReceiverRunStats {
+                receiver,
+                packets_sent: 0,
+                packets_on_time: 0,
+                packets_delivered: 0,
+                packets_lost: 0,
+            })
+            .collect(),
     };
-    let mut outcomes: Vec<PacketOutcome> = Vec::with_capacity(stats.receivers.len());
-    let mut seq = 0u64;
-    scratch.index_multicast(topology, mgraph);
-    for second in 0..total_seconds {
-        for k in 0..u64::from(config.packets_per_second) {
-            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
-            stats.transmissions += simulate_group_packet_with(
-                scratch,
-                topology,
-                mgraph,
-                traces,
-                t,
-                config.deadline,
-                &config.recovery,
-                seed,
-                seq,
-                &mut outcomes,
-            );
-            seq += 1;
-            for (cell, outcome) in stats.receivers.iter_mut().zip(&outcomes) {
-                cell.record(outcome);
-            }
-        }
-    }
+    let mut route = graph;
+    play(topology, traces, &mut route, config, scratch, &mut stats);
     stats
-}
-
-/// The naive per-flow baseline: replays `traces` for one **unicast**
-/// flow over a static dissemination graph, with the exact seed mixing
-/// and packet cadence of [`crate::run_flow`]. Returns the receiver's
-/// counters plus the flow's total link transmissions.
-pub fn run_unicast_static_with(
-    topology: &Graph,
-    traces: &TraceSet,
-    dgraph: &DisseminationGraph,
-    config: &PlaybackConfig,
-    scratch: &mut SimScratch,
-) -> (ReceiverRunStats, u64) {
-    assert!(config.packets_per_second > 0, "at least one packet per second");
-    let seed = group_seed(config.seed, dgraph.source(), &[dgraph.destination()]);
-    let total_seconds = traces.duration().as_secs();
-    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
-
-    let mut stats = ReceiverRunStats::new(dgraph.destination());
-    let mut transmissions = 0u64;
-    let mut seq = 0u64;
-    scratch.index_graph(topology, dgraph);
-    for second in 0..total_seconds {
-        for k in 0..u64::from(config.packets_per_second) {
-            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
-            let outcome = simulate_packet_with(
-                scratch,
-                topology,
-                dgraph,
-                traces,
-                t,
-                config.deadline,
-                &config.recovery,
-                seed,
-                seq,
-            );
-            seq += 1;
-            transmissions += outcome.transmissions;
-            stats.record(&outcome);
-        }
-    }
-    (stats, transmissions)
 }
 
 /// Replays every group job against `traces`, fanned out over `threads`
 /// workers (zero = one per CPU core), returning one [`GroupRunStats`]
 /// per job **in input order**. Graphs are built serially through the
 /// shared `cache`, so jobs with the same `(source, receiver set, kind,
-/// deadline)` intern one computation; each worker holds one
-/// [`SimScratch`] whose forwarding index is rebuilt once per group,
-/// not per packet. Worker counts cannot change results.
+/// deadline)` intern one computation, and each stays fixed for its run
+/// (the cached graph a sender holds between reroutes). Worker counts
+/// cannot change results.
 ///
 /// # Errors
 ///
@@ -255,76 +172,19 @@ pub fn run_groups(
     config: &PlaybackConfig,
     threads: usize,
 ) -> Result<Vec<GroupRunStats>, CoreError> {
-    let mut graphs: Vec<Arc<MulticastGraph>> = Vec::with_capacity(jobs.len());
+    let mut graphs: Vec<Arc<DisseminationGraph>> = Vec::with_capacity(jobs.len());
     for job in jobs {
         graphs.push(cache.multicast(job.source, &job.receivers, job.kind, job.requirement)?);
     }
-    let total = graphs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-    .min(total);
-
-    if threads == 1 {
-        // The serial reference path: one scratch, jobs in order.
-        let mut scratch = SimScratch::new();
-        return Ok(graphs
-            .iter()
-            .map(|g| run_group_with(topology, traces, g, config, &mut scratch))
-            .collect());
-    }
-
-    let results: Mutex<Vec<Option<GroupRunStats>>> = Mutex::new(vec![None; total]);
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut scratch = SimScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= total {
-                        return;
-                    }
-                    let stats = run_group_with(topology, traces, &graphs[i], config, &mut scratch);
-                    results.lock().expect("results lock")[i] = Some(stats);
-                }
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    Ok(results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect())
-}
-
-/// A convenience wrapper of [`run_groups`] that builds its own cache.
-///
-/// # Errors
-///
-/// Propagates multicast-graph construction failures, in job order.
-pub fn run_groups_fresh(
-    topology: &Graph,
-    traces: &TraceSet,
-    jobs: &[GroupJob],
-    config: &PlaybackConfig,
-    threads: usize,
-) -> Result<Vec<GroupRunStats>, CoreError> {
-    let cache = GraphCache::new(topology.clone(), dg_core::scheme::SchemeParams::default());
-    run_groups(topology, traces, &cache, jobs, config, threads)
+    Ok(fan_out(graphs.len(), threads, |i, scratch| {
+        replay_graph(topology, traces, &graphs[i], config, scratch)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_core::scheme::SchemeParams;
+    use dg_core::scheme::{SchemeParams, StaticTwoDisjoint};
     use dg_topology::presets;
     use dg_trace::gen::{self, SyntheticWanConfig};
 
@@ -355,25 +215,38 @@ mod tests {
     }
 
     #[test]
-    fn single_receiver_group_is_byte_identical_to_unicast() {
+    fn single_receiver_group_matches_the_unicast_flow_replay() {
+        // The same graph replayed as a fixed one-receiver group and as
+        // a static scheme's unicast flow: the loop's two graph sources
+        // and two accumulators must agree on every shared counter.
         let g = presets::north_america_12();
-        let traces = noisy_traces(&g);
+        let mut cfg = SyntheticWanConfig::calibrated(3);
+        cfg.duration = Micros::from_secs(60);
+        cfg.node_problems.events_per_hour = 60.0;
+        cfg.link_problems.events_per_hour = 60.0;
+        let traces = gen::generate(&g, &cfg);
         let cache = GraphCache::new(g.clone(), SchemeParams::default());
-        let (src, dst) = (g.node_by_name("NYC").unwrap(), g.node_by_name("SJC").unwrap());
+        let flow = Flow::new(g.node_by_name("NYC").unwrap(), g.node_by_name("SJC").unwrap());
         let config = quick_config();
-        let mgraph = cache
-            .multicast(src, &[dst], MulticastKind::Tree, ServiceRequirement::default())
+        let graph = cache
+            .multicast(flow.source, &[flow.destination], MulticastKind::Tree, Default::default())
             .unwrap();
-        let mut scratch = SimScratch::new();
-        let group = run_group_with(&g, &traces, &mgraph, &config, &mut scratch);
-        let uni = mgraph.unicast_view(&g, dst).unwrap();
-        let (stats, transmissions) =
-            run_unicast_static_with(&g, &traces, &uni, &config, &mut scratch);
-        assert_eq!(group.receivers, vec![stats]);
-        assert_eq!(group.transmissions, transmissions);
-        let a = serde_json::to_string(&group.receivers[0]).unwrap();
-        let b = serde_json::to_string(&stats).unwrap();
-        assert_eq!(a, b, "single-receiver group must be byte-identical to unicast");
+        let group = replay_graph(&g, &traces, &graph, &config, &mut SimScratch::new());
+        let mut scheme = StaticTwoDisjoint::from_graph(flow, (*graph).clone());
+        let uni = crate::run_flow(&g, &traces, &mut scheme, &config);
+        assert!(uni.packets_lost > 0, "the trace must exercise loss");
+        assert_eq!(group.transmissions, uni.transmissions);
+        assert_eq!(
+            group.receivers,
+            vec![ReceiverRunStats {
+                receiver: flow.destination,
+                packets_sent: uni.packets_sent,
+                packets_on_time: uni.packets_on_time,
+                packets_delivered: uni.packets_delivered,
+                packets_lost: uni.packets_lost,
+            }]
+        );
+        assert_eq!(group.receivers[0].on_time_fraction(), uni.on_time_fraction());
     }
 
     #[test]
@@ -387,21 +260,20 @@ mod tests {
             .map(|n| g.node_by_name(n).unwrap())
             .collect();
         let config = quick_config();
-        let mgraph = cache
-            .multicast(src, &receivers, MulticastKind::Tree, ServiceRequirement::default())
-            .unwrap();
-        let mut scratch = SimScratch::new();
-        let group = run_group_with(&g, &traces, &mgraph, &config, &mut scratch);
-        let mut unicast_total = 0u64;
-        for &r in &receivers {
-            let uni = cache
-                .compute_multicast_uncached(src, &[r], MulticastKind::Tree, Default::default())
-                .unwrap()
-                .unicast_view(&g, r)
-                .unwrap();
-            let (_, tx) = run_unicast_static_with(&g, &traces, &uni, &config, &mut scratch);
-            unicast_total += tx;
-        }
+        let job = |receivers: Vec<NodeId>| GroupJob {
+            source: src,
+            receivers,
+            kind: MulticastKind::Tree,
+            requirement: ServiceRequirement::default(),
+        };
+        let group =
+            &run_groups(&g, &traces, &cache, &[job(receivers.clone())], &config, 1).unwrap()[0];
+        let singles: Vec<GroupJob> = receivers.iter().map(|&r| job(vec![r])).collect();
+        let unicast_total: u64 = run_groups(&g, &traces, &cache, &singles, &config, 1)
+            .unwrap()
+            .iter()
+            .map(|run| run.transmissions)
+            .sum();
         assert!(
             group.transmissions < unicast_total,
             "shared tree ({}) must beat per-receiver unicast ({unicast_total})",
@@ -432,9 +304,10 @@ mod tests {
             })
             .collect();
         let config = quick_config();
-        let serial = run_groups_fresh(&g, &traces, &jobs, &config, 1).unwrap();
+        let cache = GraphCache::new(g.clone(), SchemeParams::default());
+        let serial = run_groups(&g, &traces, &cache, &jobs, &config, 1).unwrap();
         for threads in [2, 4] {
-            let parallel = run_groups_fresh(&g, &traces, &jobs, &config, threads).unwrap();
+            let parallel = run_groups(&g, &traces, &cache, &jobs, &config, threads).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }

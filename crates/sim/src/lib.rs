@@ -12,6 +12,26 @@
 //! as unavailable when the fraction of its packets delivered within the
 //! deadline falls below the configured threshold.
 //!
+//! # Structure
+//!
+//! There is one packet function ([`simulate_packet_with`]: the packet
+//! spreads through the graph once, however many receivers it has), one
+//! playback loop and one worker pool. The loop has two parameters:
+//!
+//! - **where the graph comes from** — a
+//!   [`RoutingScheme`](dg_core::scheme::RoutingScheme) that sees every
+//!   monitoring update and may reroute ([`run_flow`],
+//!   [`run_flow_full`], [`run_flows`]), or a fixed graph from the
+//!   [`GraphCache`](dg_core::GraphCache) ([`run_groups`]);
+//! - **what is accumulated** — per-second records and a latency
+//!   histogram for a flow ([`PlaybackOutput`]), or per-receiver
+//!   counters for a group ([`GroupRunStats`]).
+//!
+//! [`run_flows`], [`run_groups`] and [`experiment::run_comparison`] fan
+//! their jobs out over the same pool: `threads` workers (zero = one per
+//! core), one [`SimScratch`] per worker, results in input order and
+//! byte-identical at any worker count.
+//!
 //! # Example
 //!
 //! ```
@@ -29,8 +49,23 @@
 //!     SchemeKind::StaticTwoDisjoint, &g, flow,
 //!     Default::default(), &SchemeParams::default(),
 //! )?;
-//! let stats = run_flow(&g, &traces, scheme.as_mut(), &PlaybackConfig::default());
+//! let config = PlaybackConfig::default();
+//! let stats = run_flow(&g, &traces, scheme.as_mut(), &config);
 //! assert_eq!(stats.seconds, 30);
+//!
+//! // The same flow as a group of one, on the pool: the graph is fetched
+//! // from a cache and stays fixed for the run.
+//! use dg_core::{GraphCache, MulticastKind};
+//! use dg_sim::{run_groups, GroupJob};
+//! let cache = GraphCache::new(g.clone(), SchemeParams::default());
+//! let job = GroupJob {
+//!     source: flow.source,
+//!     receivers: vec![flow.destination],
+//!     kind: MulticastKind::Tree,
+//!     requirement: Default::default(),
+//! };
+//! let runs = run_groups(&g, &traces, &cache, &[job], &config, 0)?;
+//! assert_eq!(runs[0].receivers[0].packets_sent, stats.packets_sent);
 //! # Ok::<(), dg_core::CoreError>(())
 //! ```
 
@@ -46,18 +81,9 @@ mod parallel;
 mod playback;
 mod rng;
 
-pub use group::{
-    group_flows, run_group_with, run_groups, run_groups_fresh, run_unicast_static_with, GroupJob,
-    GroupRunStats, ReceiverRunStats,
-};
+pub use group::{group_flows, run_groups, GroupJob, GroupRunStats, ReceiverRunStats};
 pub use histogram::LatencyHistogram;
 pub use metrics::{gap_coverage, FlowRunStats, SecondRecord};
-pub use packet::{
-    simulate_group_packet_with, simulate_packet, simulate_packet_with, PacketOutcome,
-    RecoveryModel, SimScratch,
-};
-pub use parallel::{run_flows, run_flows_cached, FlowJob};
-pub use playback::{
-    run_flow, run_flow_detailed, run_flow_full, run_flow_full_with, run_flow_with, PlaybackConfig,
-    PlaybackOutput,
-};
+pub use packet::{simulate_packet, simulate_packet_with, PacketOutcome, RecoveryModel, SimScratch};
+pub use parallel::{run_flows, FlowJob};
+pub use playback::{run_flow, run_flow_full, PlaybackConfig, PlaybackOutput};

@@ -51,12 +51,16 @@ impl FlowRunStats {
         1.0 - self.unavailable_seconds as f64 / self.seconds as f64
     }
 
-    /// Fraction of packets delivered on time.
+    /// Fraction of packets delivered on time, and `0.0` when none were
+    /// sent — the one convention for every on-time fraction the
+    /// simulator reports. A run that sent nothing carries no timeliness
+    /// evidence, and a floor such as `on_time_fraction() >= 0.99` must
+    /// not pass on it: the same stance as the overlay's
+    /// `DeliveryStats::on_time_fraction`, which returns `None` there.
+    /// This stays a plain `f64` because report tables and the benchmark
+    /// consume it as a number.
     pub fn on_time_fraction(&self) -> f64 {
-        if self.packets_sent == 0 {
-            return 1.0;
-        }
-        self.packets_on_time as f64 / self.packets_sent as f64
+        fraction(self.packets_on_time, self.packets_sent)
     }
 
     /// Average link transmissions per message — the paper's cost.
@@ -78,6 +82,15 @@ impl FlowRunStats {
         self.transmissions += other.transmissions;
         self.graph_changes += other.graph_changes;
     }
+}
+
+/// `part / whole`, or `0.0` of an empty whole (see
+/// [`FlowRunStats::on_time_fraction`] for why not `1.0`).
+pub(crate) fn fraction(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        return 0.0;
+    }
+    part as f64 / whole as f64
 }
 
 /// The paper's headline metric: what fraction of the gap between the
@@ -137,12 +150,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_run_is_vacuously_available() {
+    fn empty_run_is_vacuously_available_but_shows_no_timeliness() {
         let mut s = stats(0, 0, 0, 0);
         s.seconds = 0;
         assert_eq!(s.availability(), 1.0);
-        assert_eq!(s.on_time_fraction(), 1.0);
         assert_eq!(s.average_cost(), 0.0);
+        // Flows and group receivers answer the empty case alike.
+        assert_eq!(s.on_time_fraction(), 0.0);
+        let receiver = crate::ReceiverRunStats {
+            receiver: NodeId::new(1),
+            packets_sent: 0,
+            packets_on_time: 0,
+            packets_delivered: 0,
+            packets_lost: 0,
+        };
+        assert_eq!(receiver.on_time_fraction(), s.on_time_fraction());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-packet propagation through a dissemination graph.
 
 use crate::rng::unit_sample;
-use dg_core::{DisseminationGraph, MulticastGraph};
-use dg_topology::{Graph, Micros};
+use dg_core::DisseminationGraph;
+use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -31,8 +31,9 @@ impl Default for RecoveryModel {
 /// What happened to one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketOutcome {
-    /// Earliest arrival time at the destination, if it arrived at all
-    /// before nodes dropped it as expired.
+    /// Earliest arrival time at the destination (with several
+    /// receivers: at the last of them), if it arrived at all before
+    /// nodes dropped it as expired.
     pub delivered_at: Option<Micros>,
     /// True when `delivered_at` is within the deadline.
     pub on_time: bool,
@@ -50,7 +51,7 @@ pub struct PacketOutcome {
 /// instead of scanning every member edge at every node visit.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    heap: BinaryHeap<Reverse<(Micros, dg_topology::NodeId)>>,
+    heap: BinaryHeap<Reverse<(Micros, NodeId)>>,
     arrival: Vec<(u64, Micros)>,
     generation: u64,
     /// `out[node] = ` the dissemination graph's edges leaving `node`.
@@ -65,23 +66,13 @@ impl SimScratch {
 
     /// Rebuilds the per-node forwarding index for `dgraph`. Call once
     /// per dissemination graph (and again whenever the scheme reroutes);
-    /// [`simulate_packet_with`] then does O(out-degree) work per visit.
+    /// [`simulate_packet_with`] then does O(out-degree) work per visit,
+    /// and one index serves every receiver of the graph.
     pub fn index_graph(&mut self, topology: &Graph, dgraph: &DisseminationGraph) {
-        self.index_edges(topology, dgraph.edges());
-    }
-
-    /// Rebuilds the per-node forwarding index for a multicast graph;
-    /// one index then serves every receiver of the group.
-    pub fn index_multicast(&mut self, topology: &Graph, mgraph: &MulticastGraph) {
-        self.index_edges(topology, mgraph.edges());
-    }
-
-    /// Rebuilds the per-node forwarding index from a raw edge set.
-    pub fn index_edges(&mut self, topology: &Graph, edges: &[dg_topology::EdgeId]) {
         let n = topology.node_count();
         self.out.iter_mut().for_each(Vec::clear);
         self.out.resize(n, Vec::new());
-        for &e in edges {
+        for &e in dgraph.edges() {
             self.out[topology.edge(e).src.index()].push(e);
         }
     }
@@ -94,13 +85,15 @@ impl SimScratch {
         }
     }
 
-    fn arrived(&self, node: usize) -> Option<Micros> {
-        let (generation, at) = self.arrival[node];
+    /// When the most recently propagated packet first reached `node`,
+    /// if it did.
+    pub(crate) fn arrived(&self, node: NodeId) -> Option<Micros> {
+        let (generation, at) = self.arrival[node.index()];
         (generation == self.generation).then_some(at)
     }
 
-    fn mark(&mut self, node: usize, at: Micros) {
-        self.arrival[node] = (self.generation, at);
+    fn mark(&mut self, node: NodeId, at: Micros) {
+        self.arrival[node.index()] = (self.generation, at);
     }
 }
 
@@ -112,6 +105,11 @@ impl SimScratch {
 /// deadline-aware service never forwards useless data). Loss draws are
 /// deterministic in `(seed, edge, seq, attempt)`, making scheme
 /// comparisons paired rather than noisy.
+///
+/// The packet spreads through the graph once however many receivers it
+/// has, exactly as one overlay send covers a whole group; the outcome
+/// counts it delivered once *every* receiver has it (`delivered_at` is
+/// the last receiver's first arrival).
 ///
 /// This convenience wrapper builds fresh scratch state per call; bulk
 /// replays should hold a [`SimScratch`] and call
@@ -169,7 +167,21 @@ pub fn simulate_packet_with(
         seed,
         seq,
     );
-    let delivered_at = scratch.arrived(dgraph.destination().index());
+    outcome(scratch, dgraph, expiry, transmissions)
+}
+
+/// Reads the outcome of the packet last propagated over `dgraph` out of
+/// the scratch's arrival table.
+pub(crate) fn outcome(
+    scratch: &SimScratch,
+    dgraph: &DisseminationGraph,
+    expiry: Micros,
+    transmissions: u64,
+) -> PacketOutcome {
+    let delivered_at = dgraph
+        .receivers()
+        .iter()
+        .try_fold(Micros::ZERO, |latest, &r| Some(latest.max(scratch.arrived(r)?)));
     PacketOutcome {
         delivered_at,
         on_time: delivered_at.is_some_and(|t| t <= expiry),
@@ -177,59 +189,15 @@ pub fn simulate_packet_with(
     }
 }
 
-/// Simulates one multicast packet over `mgraph`, reading every
-/// receiver's outcome from a single propagation — the packet spreads
-/// through the shared dissemination graph once, exactly as one overlay
-/// send covers the whole group. `outcomes[i]` is the result for
-/// `mgraph.receivers()[i]`; the returned count is the packet's total
-/// link transmissions (the shared group cost). The scratch must have
-/// been indexed via [`SimScratch::index_multicast`].
-#[allow(clippy::too_many_arguments)] // a flat hot-path signature beats a builder here
-pub fn simulate_group_packet_with(
-    scratch: &mut SimScratch,
-    topology: &Graph,
-    mgraph: &MulticastGraph,
-    traces: &TraceSet,
-    send_time: Micros,
-    deadline: Micros,
-    recovery: &RecoveryModel,
-    seed: u64,
-    seq: u64,
-    outcomes: &mut Vec<PacketOutcome>,
-) -> u64 {
-    let expiry = send_time.saturating_add(deadline);
-    let transmissions = propagate(
-        scratch,
-        topology,
-        mgraph.source(),
-        traces,
-        send_time,
-        expiry,
-        recovery,
-        seed,
-        seq,
-    );
-    outcomes.clear();
-    outcomes.extend(mgraph.receivers().iter().map(|r| {
-        let delivered_at = scratch.arrived(r.index());
-        PacketOutcome {
-            delivered_at,
-            on_time: delivered_at.is_some_and(|t| t <= expiry),
-            transmissions,
-        }
-    }));
-    transmissions
-}
-
-/// The shared propagation core: first-arrival times at every node the
-/// packet reaches are left in the scratch's arrival table for the
-/// caller to read (one node for unicast, the receiver set for
-/// multicast). Returns the packet's link transmissions.
+/// Spreads one packet from `source` over the indexed graph. First
+/// arrival times at every node it reaches are left in the scratch's
+/// arrival table for the caller to read; returns the packet's link
+/// transmissions.
 #[allow(clippy::too_many_arguments)]
-fn propagate(
+pub(crate) fn propagate(
     scratch: &mut SimScratch,
     topology: &Graph,
-    source: dg_topology::NodeId,
+    source: NodeId,
     traces: &TraceSet,
     send_time: Micros,
     expiry: Micros,
@@ -242,10 +210,10 @@ fn propagate(
     scratch.heap.push(Reverse((send_time, source)));
 
     while let Some(Reverse((t, u))) = scratch.heap.pop() {
-        if scratch.arrived(u.index()).is_some() {
+        if scratch.arrived(u).is_some() {
             continue;
         }
-        scratch.mark(u.index(), t);
+        scratch.mark(u, t);
         if t > expiry {
             // Expired packets are not forwarded further.
             continue;
@@ -393,6 +361,44 @@ mod tests {
             3,
         );
         assert!(out.on_time, "second disjoint path should deliver");
+    }
+
+    #[test]
+    fn one_propagation_serves_every_receiver() {
+        let (g, _, mut traces, flow) = setup();
+        let lax = g.node_by_name("LAX").unwrap();
+        let paths = [flow.destination, lax].map(|r| dijkstra::shortest_path(&g, flow.source, r));
+        let [to_sjc, to_lax] = paths.map(Result::unwrap);
+        let edges = [to_sjc.edges(), to_lax.edges()].concat();
+        let dg =
+            DisseminationGraph::with_receivers(&g, flow.source, vec![flow.destination, lax], edges)
+                .unwrap();
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(&g, &dg);
+        let rec = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
+        let send = |scratch: &mut SimScratch, traces: &TraceSet| {
+            simulate_packet_with(scratch, &g, &dg, traces, Micros::ZERO, DEADLINE, &rec, 1, 0)
+        };
+        // Clean: shared edges transmit once, each receiver is reached at
+        // its own path latency, and the packet counts as delivered when
+        // the slower of them has it.
+        let out = send(&mut scratch, &traces);
+        assert_eq!(out.transmissions, dg.len() as u64);
+        assert_eq!(scratch.arrived(flow.destination), Some(to_sjc.latency(&g)));
+        assert_eq!(scratch.arrived(lax), Some(to_lax.latency(&g)));
+        assert_eq!(out.delivered_at, Some(to_sjc.latency(&g).max(to_lax.latency(&g))));
+        assert!(out.on_time);
+        // Cut LAX's last hop: SJC still gets it, the group as a whole
+        // does not.
+        let last = *to_lax.edges().last().unwrap();
+        assert!(!to_sjc.edges().contains(&last));
+        for i in 0..traces.interval_count() {
+            traces.set_condition(last, i, LinkCondition::down());
+        }
+        let out = send(&mut scratch, &traces);
+        assert_eq!(scratch.arrived(flow.destination), Some(to_sjc.latency(&g)));
+        assert_eq!(scratch.arrived(lax), None);
+        assert_eq!((out.delivered_at, out.on_time), (None, false));
     }
 
     #[test]

@@ -1,28 +1,29 @@
-//! Parallel flow playback.
+//! Parallel playback.
 //!
-//! Flow replays are embarrassingly parallel: each `(scheme, flow)` job
-//! reads the shared immutable topology and traces, mutates only its own
-//! scheme and scratch arena, and every loss draw is a pure function of
-//! the event coordinates `(seed, seq, edge, attempt)` — so execution
-//! order cannot leak into results. [`run_flows`] exploits that shape:
+//! Replays are embarrassingly parallel: each job reads the shared
+//! immutable topology and traces, mutates only its own route and
+//! scratch arena, and every loss draw is a pure function of the event
+//! coordinates `(seed, seq, edge, attempt)` — so execution order cannot
+//! leak into results. [`fan_out`] is the one worker pool, and
+//! [`run_flows`] and [`crate::run_groups`] both ride it:
 //!
-//! - schemes are pre-built **serially** through one shared
+//! - routes are pre-built **serially** through one shared
 //!   [`GraphCache`], so the expensive dissemination-graph constructions
-//!   are interned once (its baseline tier is immutable during the run)
-//!   and construction errors surface in deterministic job order;
+//!   are interned once and construction errors surface in deterministic
+//!   job order;
 //! - replay jobs fan out over `threads` workers pulling from an atomic
 //!   job index, each worker reusing **one** [`SimScratch`] arena
 //!   (event heap, arrival table, forwarding index) across all the jobs
 //!   it executes;
 //! - results land in a slot-per-job vector, so the returned order is
 //!   the input order regardless of which worker ran what, and every
-//!   [`FlowRunStats`] is byte-identical to what the serial path
-//!   produces for the same seed.
+//!   result is byte-identical to what the serial path produces for the
+//!   same seed.
 
 use crate::metrics::FlowRunStats;
 use crate::packet::SimScratch;
-use crate::playback::{run_flow_with, PlaybackConfig};
-use dg_core::scheme::{RoutingScheme, SchemeKind};
+use crate::playback::{replay_scheme, PlaybackConfig};
+use dg_core::scheme::SchemeKind;
 use dg_core::{build_scheme_cached, CoreError, Flow, GraphCache, ServiceRequirement};
 use dg_topology::Graph;
 use dg_trace::TraceSet;
@@ -39,6 +40,53 @@ pub struct FlowJob {
     pub flow: Flow,
     /// The timeliness contract the scheme is built against.
     pub requirement: ServiceRequirement,
+}
+
+/// Runs `job(i, scratch)` for every `i < total` on `threads` workers
+/// (zero = one per CPU core, never more than `total`), each holding one
+/// [`SimScratch`] for all the jobs it pulls, and returns the results in
+/// index order. One worker runs inline on the calling thread, jobs in
+/// order — the serial reference path.
+pub(crate) fn fan_out<T: Send>(
+    total: usize,
+    threads: usize,
+    job: impl Fn(usize, &mut SimScratch) -> T + Sync,
+) -> Vec<T> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .min(total);
+    if threads <= 1 {
+        let mut scratch = SimScratch::new();
+        return (0..total).map(|i| job(i, &mut scratch)).collect();
+    }
+
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..total).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|_| {
+                let mut scratch = SimScratch::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    if i >= total {
+                        return;
+                    }
+                    let result = job(i, &mut scratch);
+                    results.lock().expect("results lock")[i] = Some(result);
+                }
+            });
+        }
+    })
+    .expect("worker threads do not panic");
+
+    results
+        .into_inner()
+        .expect("results lock")
+        .into_iter()
+        .map(|slot| slot.expect("every job ran"))
+        .collect()
 }
 
 /// Replays every job in `jobs` against `traces`, fanned out over
@@ -64,15 +112,10 @@ pub fn run_flows(
     run_flows_cached(topology, traces, jobs, config, threads, &cache)
 }
 
-/// [`run_flows`] over a caller-provided scheme cache, so several runs
-/// on the same topology (and the cluster side of an experiment) share
-/// one set of precomputed dissemination graphs. Only the cache's
-/// immutable baseline tier is read during the fan-out.
-///
-/// # Errors
-///
-/// Propagates scheme-construction failures, in job order.
-pub fn run_flows_cached(
+/// [`run_flows`] over a caller-provided scheme cache (an experiment
+/// builds it with its own scheme tunables). Only the cache's immutable
+/// baseline tier is read, and only while the schemes are built.
+pub(crate) fn run_flows_cached(
     topology: &Graph,
     traces: &TraceSet,
     jobs: &[FlowJob],
@@ -80,62 +123,16 @@ pub fn run_flows_cached(
     threads: usize,
     cache: &GraphCache,
 ) -> Result<Vec<FlowRunStats>, CoreError> {
-    // Build every scheme serially so errors surface deterministically
-    // and all graph construction is interned through one cache.
-    let mut built: Vec<Option<Box<dyn RoutingScheme>>> = Vec::with_capacity(jobs.len());
+    // Each scheme is owned by the one job that replays it.
+    let mut built = Vec::with_capacity(jobs.len());
     for job in jobs {
-        built.push(Some(build_scheme_cached(job.kind, cache, job.flow, job.requirement)?));
+        let scheme = build_scheme_cached(job.kind, cache, job.flow, job.requirement)?;
+        built.push(Mutex::new(Some(scheme)));
     }
-    let total = built.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-    .min(total);
-
-    if threads == 1 {
-        // The serial reference path: one scratch, jobs in order.
-        let mut scratch = SimScratch::new();
-        let mut out = Vec::with_capacity(total);
-        for mut scheme in built.into_iter().flatten() {
-            out.push(run_flow_with(topology, traces, scheme.as_mut(), config, &mut scratch));
-        }
-        return Ok(out);
-    }
-
-    let built = Mutex::new(built);
-    let results: Mutex<Vec<Option<FlowRunStats>>> = Mutex::new(vec![None; total]);
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                // One scratch arena per worker, reused across its jobs.
-                let mut scratch = SimScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= total {
-                        return;
-                    }
-                    let mut scheme =
-                        built.lock().expect("jobs lock")[i].take().expect("each job taken once");
-                    let stats =
-                        run_flow_with(topology, traces, scheme.as_mut(), config, &mut scratch);
-                    results.lock().expect("results lock")[i] = Some(stats);
-                }
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    Ok(results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect())
+    Ok(fan_out(built.len(), threads, |i, scratch| {
+        let mut scheme = built[i].lock().expect("scheme lock").take().expect("each job taken once");
+        replay_scheme(topology, traces, scheme.as_mut(), config, scratch).stats
+    }))
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
-//! Replaying a trace against one flow and one routing scheme.
+//! The playback loop: replaying a trace against one dissemination-graph
+//! route, and the per-flow entry points built on it.
 
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{FlowRunStats, SecondRecord};
-use crate::packet::{simulate_packet_with, RecoveryModel, SimScratch};
+use crate::packet::{outcome, propagate, RecoveryModel, SimScratch};
 use dg_core::scheme::RoutingScheme;
+use dg_core::{receiver_digest, DisseminationGraph};
 use dg_topology::{Graph, Micros};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
@@ -54,10 +56,192 @@ pub struct PlaybackOutput {
     pub latency: LatencyHistogram,
 }
 
+/// Where the playback loop takes its dissemination graph from.
+pub(crate) trait Route {
+    /// The graph packets are sent over right now.
+    fn current(&self) -> &DisseminationGraph;
+
+    /// Shows the route the conditions of the monitoring interval that
+    /// started at `interval_start`; true when the graph changed.
+    fn observe(&mut self, topology: &Graph, traces: &TraceSet, interval_start: Micros) -> bool;
+}
+
+/// A routing scheme reroutes on monitoring updates.
+impl Route for dyn RoutingScheme + '_ {
+    fn current(&self) -> &DisseminationGraph {
+        RoutingScheme::current(self)
+    }
+
+    fn observe(&mut self, topology: &Graph, traces: &TraceSet, interval_start: Micros) -> bool {
+        self.update(topology, &traces.state_at(interval_start))
+    }
+}
+
+/// A fixed graph — the cached graph a sender holds between reroutes —
+/// stays as it is for the whole run.
+impl Route for &DisseminationGraph {
+    fn current(&self) -> &DisseminationGraph {
+        self
+    }
+
+    fn observe(&mut self, _: &Graph, _: &TraceSet, _: Micros) -> bool {
+        false
+    }
+}
+
+/// What the playback loop accumulates.
+pub(crate) trait Tally {
+    /// One packet sent at `sent` over `graph` has propagated; its
+    /// arrivals are in `scratch`.
+    fn packet(
+        &mut self,
+        scratch: &SimScratch,
+        graph: &DisseminationGraph,
+        sent: Micros,
+        expiry: Micros,
+        transmissions: u64,
+    );
+
+    /// Every packet of `second` has been sent.
+    fn second_ended(&mut self, _second: u64, _availability_threshold: f64) {}
+
+    /// The route changed its graph.
+    fn rerouted(&mut self) {}
+}
+
+/// The sampling seed of a run. The graph's endpoints are mixed in so
+/// different flows see independent loss draws while schemes on the same
+/// flow stay paired: `(source << 32) | receiver` for one receiver, the
+/// receiver-set digest in the low half for several.
+fn playback_seed(seed: u64, graph: &DisseminationGraph) -> u64 {
+    let receivers = match graph.receivers() {
+        [only] => only.index() as u64,
+        many => receiver_digest(many) & 0xFFFF_FFFF,
+    };
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((graph.source().index() as u64) << 32 | receivers)
+}
+
+/// The playback loop: sends `packets_per_second` evenly spaced packets
+/// for every second of `traces` over whatever graph `route` currently
+/// selects, and hands each propagated packet to `tally`.
+///
+/// Route updates fire `detection_lag` after each monitoring interval
+/// boundary, with that boundary's conditions — packets sent before the
+/// update still use the previous dissemination graph, which is how a
+/// real deployment experiences a problem's onset. The scratch's
+/// forwarding index is rebuilt only when the route actually changes,
+/// and its event heap and arrival table are reused across every packet.
+pub(crate) fn play<R: Route + ?Sized, T: Tally>(
+    topology: &Graph,
+    traces: &TraceSet,
+    route: &mut R,
+    config: &PlaybackConfig,
+    scratch: &mut SimScratch,
+    tally: &mut T,
+) {
+    assert!(config.packets_per_second > 0, "at least one packet per second");
+    let seed = playback_seed(config.seed, route.current());
+    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
+
+    // Pending route updates: (observe_time, interval_start).
+    let mut updates: Vec<(Micros, Micros)> = traces
+        .interval_starts()
+        .map(|start| (start.saturating_add(config.detection_lag), start))
+        .collect();
+    updates.reverse(); // pop from the back in chronological order
+
+    let mut seq = 0u64;
+    scratch.index_graph(topology, route.current());
+    for second in 0..traces.duration().as_secs() {
+        for k in 0..u64::from(config.packets_per_second) {
+            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
+            // Apply monitoring updates that have become observable.
+            while updates.last().is_some_and(|&(observe, _)| observe <= t) {
+                let (_, interval_start) = updates.pop().expect("checked non-empty");
+                if route.observe(topology, traces, interval_start) {
+                    tally.rerouted();
+                    scratch.index_graph(topology, route.current());
+                }
+            }
+            let graph = route.current();
+            let expiry = t.saturating_add(config.deadline);
+            let transmissions = propagate(
+                scratch,
+                topology,
+                graph.source(),
+                traces,
+                t,
+                expiry,
+                &config.recovery,
+                seed,
+                seq,
+            );
+            seq += 1;
+            tally.packet(scratch, graph, t, expiry, transmissions);
+        }
+        tally.second_ended(second, config.availability_threshold);
+    }
+}
+
+/// The per-flow accumulator: aggregate stats, one record per second,
+/// and the latency distribution.
+struct FlowTally {
+    out: PlaybackOutput,
+    /// Packets sent and delivered on time in the second under way.
+    sent: u64,
+    on_time: u64,
+}
+
+impl Tally for FlowTally {
+    fn packet(
+        &mut self,
+        scratch: &SimScratch,
+        graph: &DisseminationGraph,
+        sent: Micros,
+        expiry: Micros,
+        transmissions: u64,
+    ) {
+        let outcome = outcome(scratch, graph, expiry, transmissions);
+        let stats = &mut self.out.stats;
+        self.sent += 1;
+        stats.packets_sent += 1;
+        stats.transmissions += transmissions;
+        match outcome.delivered_at {
+            Some(arrived) => {
+                stats.packets_delivered += 1;
+                self.out.latency.record(arrived.saturating_sub(sent));
+            }
+            None => {
+                stats.packets_lost += 1;
+                self.out.latency.record_lost();
+            }
+        }
+        if outcome.on_time {
+            self.on_time += 1;
+            stats.packets_on_time += 1;
+        }
+    }
+
+    fn second_ended(&mut self, second: u64, availability_threshold: f64) {
+        let (sent, on_time) = (self.sent, self.on_time);
+        let unavailable = (on_time as f64) < availability_threshold * sent as f64;
+        if unavailable {
+            self.out.stats.unavailable_seconds += 1;
+        }
+        self.out.seconds.push(SecondRecord { second, sent, on_time, unavailable });
+        (self.sent, self.on_time) = (0, 0);
+    }
+
+    fn rerouted(&mut self) {
+        self.out.stats.graph_changes += 1;
+    }
+}
+
 /// Replays `traces` for the scheme's flow and returns aggregate stats.
 ///
-/// See [`run_flow_detailed`] for the per-second breakdown and
-/// [`run_flow_full`] for the latency distribution as well.
+/// See [`run_flow_full`] for the per-second breakdown and the latency
+/// distribution as well.
 pub fn run_flow(
     topology: &Graph,
     traces: &TraceSet,
@@ -67,150 +251,52 @@ pub fn run_flow(
     run_flow_full(topology, traces, scheme, config).stats
 }
 
-/// Like [`run_flow`], reusing a caller-provided scratch arena. The
-/// parallel runner ([`crate::run_flows`]) keeps one scratch per worker
-/// so consecutive jobs on a thread reuse the event heap, arrival table,
-/// and edge-index allocations; results are identical to [`run_flow`]
-/// (the scratch is re-indexed for the scheme's graph before any packet
-/// is simulated).
-pub fn run_flow_with(
-    topology: &Graph,
-    traces: &TraceSet,
-    scheme: &mut dyn RoutingScheme,
-    config: &PlaybackConfig,
-    scratch: &mut SimScratch,
-) -> FlowRunStats {
-    run_flow_full_with(topology, traces, scheme, config, scratch).stats
-}
-
-/// Replays `traces` and additionally returns one record per second
-/// (used for the case-study timeline figure).
-pub fn run_flow_detailed(
-    topology: &Graph,
-    traces: &TraceSet,
-    scheme: &mut dyn RoutingScheme,
-    config: &PlaybackConfig,
-) -> (FlowRunStats, Vec<SecondRecord>) {
-    let out = run_flow_full(topology, traces, scheme, config);
-    (out.stats, out.seconds)
-}
-
-/// Replays `traces` and returns stats, per-second records, and the
-/// latency distribution.
-///
-/// Scheme updates fire `detection_lag` after each monitoring interval
-/// boundary, with that boundary's conditions — packets sent before the
-/// update still use the previous dissemination graph, which is how a
-/// real deployment experiences a problem's onset.
+/// Replays `traces` for the scheme's flow and returns stats, per-second
+/// records, and the latency distribution. The scheme sees each
+/// monitoring update `detection_lag` after its interval boundary and
+/// may reroute on it.
 pub fn run_flow_full(
     topology: &Graph,
     traces: &TraceSet,
     scheme: &mut dyn RoutingScheme,
     config: &PlaybackConfig,
 ) -> PlaybackOutput {
-    // One scratch for the whole run: the forwarding index is rebuilt
-    // only when the scheme actually reroutes, and the event heap and
-    // arrival table are reused across every packet.
-    let mut scratch = SimScratch::new();
-    run_flow_full_with(topology, traces, scheme, config, &mut scratch)
+    replay_scheme(topology, traces, scheme, config, &mut SimScratch::new())
 }
 
-/// [`run_flow_full`] over a caller-provided scratch arena (see
-/// [`run_flow_with`]).
-pub fn run_flow_full_with(
+/// [`run_flow_full`] over a caller-held scratch arena, so a pool worker
+/// reuses one across its jobs (it is re-indexed for the scheme's graph
+/// before any packet is simulated, so results do not depend on it).
+pub(crate) fn replay_scheme(
     topology: &Graph,
     traces: &TraceSet,
     scheme: &mut dyn RoutingScheme,
     config: &PlaybackConfig,
     scratch: &mut SimScratch,
 ) -> PlaybackOutput {
-    assert!(config.packets_per_second > 0, "at least one packet per second");
-    let flow = scheme.flow();
-    // Mix the flow into the sampling seed so different flows see
-    // independent loss draws while schemes stay paired.
-    let seed = config
-        .seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((flow.source.index() as u64) << 32 | flow.destination.index() as u64);
-
-    let total_seconds = traces.duration().as_secs();
-    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
-
-    // Pending scheme updates: (observe_time, interval_start).
-    let mut updates: Vec<(Micros, Micros)> = traces
-        .interval_starts()
-        .map(|start| (start.saturating_add(config.detection_lag), start))
-        .collect();
-    updates.reverse(); // pop from the back in chronological order
-
-    let mut stats = FlowRunStats {
-        scheme: scheme.kind(),
-        flow,
-        seconds: total_seconds,
-        unavailable_seconds: 0,
-        packets_sent: 0,
-        packets_on_time: 0,
-        packets_delivered: 0,
-        packets_lost: 0,
-        transmissions: 0,
-        graph_changes: 0,
+    let seconds = traces.duration().as_secs();
+    let mut tally = FlowTally {
+        out: PlaybackOutput {
+            stats: FlowRunStats {
+                scheme: scheme.kind(),
+                flow: scheme.flow(),
+                seconds,
+                unavailable_seconds: 0,
+                packets_sent: 0,
+                packets_on_time: 0,
+                packets_delivered: 0,
+                packets_lost: 0,
+                transmissions: 0,
+                graph_changes: 0,
+            },
+            seconds: Vec::with_capacity(seconds as usize),
+            latency: LatencyHistogram::new(),
+        },
+        sent: 0,
+        on_time: 0,
     };
-    let mut records = Vec::with_capacity(total_seconds as usize);
-    let mut latency = LatencyHistogram::new();
-    let mut seq = 0u64;
-    scratch.index_graph(topology, scheme.current());
-
-    for second in 0..total_seconds {
-        let mut sent = 0u64;
-        let mut on_time = 0u64;
-        for k in 0..u64::from(config.packets_per_second) {
-            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
-            // Apply monitoring updates that have become observable.
-            while updates.last().is_some_and(|&(observe, _)| observe <= t) {
-                let (_, interval_start) = updates.pop().expect("checked non-empty");
-                let state = traces.state_at(interval_start);
-                if scheme.update(topology, &state) {
-                    stats.graph_changes += 1;
-                    scratch.index_graph(topology, scheme.current());
-                }
-            }
-            let outcome = simulate_packet_with(
-                scratch,
-                topology,
-                scheme.current(),
-                traces,
-                t,
-                config.deadline,
-                &config.recovery,
-                seed,
-                seq,
-            );
-            seq += 1;
-            sent += 1;
-            stats.packets_sent += 1;
-            stats.transmissions += outcome.transmissions;
-            match outcome.delivered_at {
-                Some(arrived) => {
-                    stats.packets_delivered += 1;
-                    latency.record(arrived.saturating_sub(t));
-                }
-                None => {
-                    stats.packets_lost += 1;
-                    latency.record_lost();
-                }
-            }
-            if outcome.on_time {
-                on_time += 1;
-                stats.packets_on_time += 1;
-            }
-        }
-        let unavailable = (on_time as f64) < config.availability_threshold * sent as f64;
-        if unavailable {
-            stats.unavailable_seconds += 1;
-        }
-        records.push(SecondRecord { second, sent, on_time, unavailable });
-    }
-    PlaybackOutput { stats, seconds: records, latency }
+    play(topology, traces, scheme, config, scratch, &mut tally);
+    tally.out
 }
 
 #[cfg(test)]
@@ -239,7 +325,8 @@ mod tests {
         let g = presets::north_america_12();
         let traces = TraceSet::clean(g.edge_count(), 3, Micros::from_secs(10)).unwrap();
         let mut s = scheme(&g, SchemeKind::StaticSinglePath);
-        let (stats, records) = run_flow_detailed(&g, &traces, s.as_mut(), &quick_config());
+        let PlaybackOutput { stats, seconds: records, .. } =
+            run_flow_full(&g, &traces, s.as_mut(), &quick_config());
         assert_eq!(stats.seconds, 30);
         assert_eq!(stats.unavailable_seconds, 0);
         assert_eq!(stats.packets_sent, 600);
@@ -260,7 +347,8 @@ mod tests {
         for &e in s.current().edges() {
             traces.set_condition(e, 1, LinkCondition::down());
         }
-        let (stats, records) = run_flow_detailed(&g, &traces, s.as_mut(), &quick_config());
+        let PlaybackOutput { stats, seconds: records, .. } =
+            run_flow_full(&g, &traces, s.as_mut(), &quick_config());
         assert_eq!(stats.unavailable_seconds, 10);
         for r in &records {
             assert_eq!(r.unavailable, (10..20).contains(&r.second), "second {}", r.second);
@@ -277,7 +365,8 @@ mod tests {
                 traces.set_condition(e, i, LinkCondition::down());
             }
         }
-        let (stats, records) = run_flow_detailed(&g, &traces, s.as_mut(), &quick_config());
+        let PlaybackOutput { stats, seconds: records, .. } =
+            run_flow_full(&g, &traces, s.as_mut(), &quick_config());
         // Problem starts at second 10; detection at 11; from then on the
         // dynamic scheme routes around it.
         assert!(records[10].unavailable, "onset second is lost");

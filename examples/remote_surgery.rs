@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example remote_surgery`
 
 use dissemination_graphs::prelude::*;
-use dissemination_graphs::sim::run_flow_detailed;
+use dissemination_graphs::sim::run_flow_full;
 use dissemination_graphs::trace::LinkCondition;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ServiceRequirement::default(),
             &SchemeParams::default(),
         )?;
-        let (stats, records) = run_flow_detailed(&graph, &traces, scheme.as_mut(), &config);
-        timelines.push((kind, stats, records));
+        let out = run_flow_full(&graph, &traces, scheme.as_mut(), &config);
+        timelines.push((kind, out.stats, out.seconds));
     }
 
     println!("timeline ('.' = available second, 'X' = violated second):");

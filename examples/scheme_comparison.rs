@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         playback: PlaybackConfig { packets_per_second: 100, seed, ..Default::default() },
         ..Default::default()
     };
-    let aggregates = run_comparison(&graph, &traces, &flows, &SchemeKind::ALL, &config)?;
+    let aggregates = run_comparison(&graph, &traces, &flows, &SchemeKind::ALL, &config, 0)?;
     let rows =
         tabulate(&aggregates, SchemeKind::StaticSinglePath, SchemeKind::TimeConstrainedFlooding);
 

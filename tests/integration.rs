@@ -65,8 +65,8 @@ fn full_pipeline_produces_the_papers_ordering() {
         playback: PlaybackConfig { packets_per_second: 20, ..Default::default() },
         ..Default::default()
     };
-    let aggs =
-        run_comparison(&graph, &traces, &flows, &SchemeKind::ALL, &config).expect("flows routable");
+    let aggs = run_comparison(&graph, &traces, &flows, &SchemeKind::ALL, &config, 1)
+        .expect("flows routable");
     let rows = tabulate(&aggs, SchemeKind::StaticSinglePath, SchemeKind::TimeConstrainedFlooding);
     let get = |k: SchemeKind| rows.iter().find(|r| r.scheme == k).unwrap();
     let single = get(SchemeKind::StaticSinglePath);

@@ -217,7 +217,7 @@ fn golden_table2_ordering_is_stable_for_fixed_seed() {
         SchemeKind::TargetedRedundancy,
         SchemeKind::TimeConstrainedFlooding,
     ];
-    let aggs = run_comparison(&graph, &traces, &flows, &schemes, &config).expect("routable");
+    let aggs = run_comparison(&graph, &traces, &flows, &schemes, &config, 1).expect("routable");
     let rows = tabulate(&aggs, SchemeKind::StaticSinglePath, SchemeKind::TimeConstrainedFlooding);
     let get = |k: SchemeKind| rows.iter().find(|r| r.scheme == k).unwrap();
     let single = get(SchemeKind::StaticSinglePath);

@@ -94,7 +94,7 @@ proptest! {
                 Ok(scheme) => {
                     let dg = scheme.current();
                     prop_assert_eq!(dg.source(), s);
-                    prop_assert_eq!(dg.destination(), t);
+                    prop_assert_eq!(dg.receivers(), &[t]);
                     prop_assert!(dg.best_latency(&graph) <= req.deadline,
                         "{kind} misses deadline");
                     prop_assert!(flood.current().is_superset_of(dg),
@@ -125,7 +125,8 @@ proptest! {
         let run = |_: ()| {
             let mut scheme = build_scheme(SchemeKind::TargetedRedundancy, &graph, flow,
                 ServiceRequirement::default(), &SchemeParams::default()).unwrap();
-            dissemination_graphs::sim::run_flow_detailed(&graph, &traces, scheme.as_mut(), &config)
+            let out = dissemination_graphs::sim::run_flow_full(&graph, &traces, scheme.as_mut(), &config);
+            (out.stats, out.seconds)
         };
         let (stats_a, records_a) = run(());
         let (stats_b, _) = run(());
