@@ -8,7 +8,8 @@
 //!   per second, Gbps, and p50/p99/p999 end-to-end latency.
 //! * **sim** — trace playback of the two most expensive routing schemes
 //!   over the evaluation topology; reports simulated packets per
-//!   wall-clock second.
+//!   wall-clock second and, per scheme, where the packets went (the
+//!   memoised wavefront or the event heap).
 //! * **sim-parallel** (`--parallel` or `--only sim-parallel`) — the
 //!   same replay fanned out over a batch of flow×scheme jobs, run once
 //!   serially and once on the worker-pool `run_flows` path; reports
@@ -34,7 +35,9 @@
 //! exits non-zero when throughput regresses by more than `--tolerance`
 //! (default 0.2 = 20%). The overload scenario's surgical on-time
 //! fraction is gated at a fixed 2% tolerance — an SLA floor, not a
-//! throughput band.
+//! throughput band. The sim benches' replay counters are gated as
+//! counts: targeted redundancy may send at most a tenth of its packets
+//! through the event heap.
 //!
 //! Usage: `cargo run --release -p dg-bench --bin dg-bench --
 //! [--quick] [--only forwarding|sim|sim-parallel|overload|many-flow]
@@ -52,8 +55,8 @@ use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
 use dg_core::{Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequirement};
 use dg_overlay::cluster::{Cluster, ClusterConfig};
 use dg_sim::{
-    group_flows, run_flow, run_flows, run_groups, FlowJob, GroupJob, LatencyHistogram,
-    PlaybackConfig,
+    group_flows, run_flow_full_with, run_flows, run_groups, FlowJob, FlowRunStats, GroupJob,
+    LatencyHistogram, PlaybackConfig, ReplayCounters, SimScratch,
 };
 use dg_topology::generate::TopoSpec;
 use dg_topology::{GraphBuilder, Micros};
@@ -106,7 +109,30 @@ struct SimResult {
     packets: u64,
     wall_secs: f64,
     packets_per_sec: f64,
+    #[serde(default)]
+    cores: usize,
+    #[serde(default)]
+    git_rev: String,
+    /// Where each scheme's packets went.
+    #[serde(default)]
+    replay: Vec<SchemeReplay>,
 }
+
+/// Where one scheme's replayed packets went: answered by the memoised
+/// loss-free wavefront or propagated through the event heap. Counts,
+/// not timings — they repeat exactly on any host.
+#[derive(Debug, Serialize, Deserialize)]
+struct SchemeReplay {
+    scheme: String,
+    counters: ReplayCounters,
+    /// `full_propagations / (wave_hits + full_propagations)`.
+    full_share: f64,
+}
+
+/// The share of its packets targeted redundancy may send through the
+/// event heap on the calibrated trace before `--check` calls it a silent
+/// fall-back to per-packet propagation (it measures 0.004–0.007).
+const TARGETED_FULL_SHARE_CEILING: f64 = 0.10;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct SimParallelResult {
@@ -129,9 +155,15 @@ struct SimParallelResult {
     parallel_wall_secs: f64,
     parallel_packets_per_sec: f64,
     speedup: f64,
-    /// Whether the parallel results were byte-identical to the serial
-    /// ones. Anything but `true` is a correctness failure.
+    /// Whether the parallel results — and those of the replay-counter
+    /// pass — were byte-identical to the serial ones. Anything but
+    /// `true` is a correctness failure.
     identical: bool,
+    #[serde(default)]
+    git_rev: String,
+    /// Where each scheme's packets went, over all of its jobs.
+    #[serde(default)]
+    replay: Vec<SchemeReplay>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -375,6 +407,56 @@ fn forwarding_bench(secs: u64, payload_len: usize, batch: usize, mode: &str) -> 
     }
 }
 
+/// Cores the host reports, for the result stamps.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The checkout's revision for the result stamps; `unknown` outside a
+/// git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
+}
+
+/// The two most expensive schemes: the paper's recommended policy and
+/// the flooding upper bound.
+const SIM_SCHEMES: [SchemeKind; 2] =
+    [SchemeKind::TargetedRedundancy, SchemeKind::TimeConstrainedFlooding];
+
+/// Replays `flows` under `kind`, one after the other on one scratch, and
+/// reads off it where the packets went.
+fn replay_scheme(
+    g: &dg_topology::Graph,
+    traces: &dg_trace::TraceSet,
+    kind: SchemeKind,
+    flows: &[Flow],
+    config: &PlaybackConfig,
+) -> (Vec<FlowRunStats>, SchemeReplay) {
+    let requirement = ServiceRequirement::new(config.deadline);
+    let mut scratch = SimScratch::new();
+    let stats = flows
+        .iter()
+        .map(|&flow| {
+            let mut scheme = build_scheme(kind, g, flow, requirement, &SchemeParams::default())
+                .expect("flow is routable");
+            run_flow_full_with(g, traces, scheme.as_mut(), config, &mut scratch).stats
+        })
+        .collect();
+    let counters = scratch.replay();
+    let replay = SchemeReplay {
+        scheme: kind.label().to_string(),
+        counters,
+        full_share: counters.full_share(),
+    };
+    (stats, replay)
+}
+
 fn sim_bench(trace_secs: u64, rate: u32, mode: &str, spec: &TopoSpec) -> SimResult {
     let g = spec.build();
     let mut cfg = SyntheticWanConfig::calibrated(2017);
@@ -387,24 +469,16 @@ fn sim_bench(trace_secs: u64, rate: u32, mode: &str, spec: &TopoSpec) -> SimResu
         Flow::new(s, t)
     };
     let deadline = spec.default_deadline(&g, &[(flow.source, flow.destination)]);
+    let config = PlaybackConfig { packets_per_second: rate, deadline, ..PlaybackConfig::default() };
     let mut packets = 0u64;
     let start = Instant::now();
-    // The two most expensive schemes: the paper's recommended policy
-    // and the flooding upper bound.
-    for kind in [SchemeKind::TargetedRedundancy, SchemeKind::TimeConstrainedFlooding] {
-        let mut scheme = build_scheme(
-            kind,
-            &g,
-            flow,
-            ServiceRequirement::new(deadline),
-            &SchemeParams::default(),
-        )
-        .expect("flow is routable");
-        let config =
-            PlaybackConfig { packets_per_second: rate, deadline, ..PlaybackConfig::default() };
-        let stats = run_flow(&g, &traces, scheme.as_mut(), &config);
-        packets += stats.packets_sent;
-    }
+    let replay = SIM_SCHEMES
+        .map(|kind| {
+            let (stats, replay) = replay_scheme(&g, &traces, kind, &[flow], &config);
+            packets += stats[0].packets_sent;
+            replay
+        })
+        .into();
     let wall = start.elapsed().as_secs_f64();
     SimResult {
         bench: "sim".to_string(),
@@ -416,6 +490,9 @@ fn sim_bench(trace_secs: u64, rate: u32, mode: &str, spec: &TopoSpec) -> SimResu
         packets,
         wall_secs: wall,
         packets_per_sec: packets as f64 / wall,
+        cores: cores(),
+        git_rev: git_rev(),
+        replay,
     }
 }
 
@@ -437,7 +514,7 @@ fn sim_parallel_bench(
     let traces = gen::generate(&g, &cfg);
     let flows = spec.default_flows(&g, 8);
     let deadline = spec.default_deadline(&g, &flows);
-    let jobs: Vec<FlowJob> = [SchemeKind::TargetedRedundancy, SchemeKind::TimeConstrainedFlooding]
+    let jobs: Vec<FlowJob> = SIM_SCHEMES
         .into_iter()
         .flat_map(|kind| {
             flows.iter().map(move |&(s, t)| FlowJob {
@@ -449,7 +526,7 @@ fn sim_parallel_bench(
         .collect();
     let config = PlaybackConfig { packets_per_second: rate, deadline, ..PlaybackConfig::default() };
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     let threads = cores.min(jobs.len()).max(1);
 
     let start = Instant::now();
@@ -459,6 +536,15 @@ fn sim_parallel_bench(
     let start = Instant::now();
     let parallel = run_flows(&g, &traces, &jobs, &config, threads).expect("flows are routable");
     let parallel_wall = start.elapsed().as_secs_f64();
+
+    // Where the packets went: the same jobs once more, untimed, each
+    // scheme's on a scratch of its own. They must agree with the other
+    // two replays like those with each other.
+    let flows: Vec<Flow> = flows.iter().map(|&(s, t)| Flow::new(s, t)).collect();
+    let (counted, replay): (Vec<_>, Vec<_>) = SIM_SCHEMES
+        .map(|kind| replay_scheme(&g, &traces, kind, &flows, &config))
+        .into_iter()
+        .unzip();
 
     let packets: u64 = serial.iter().map(|s| s.packets_sent).sum();
     SimParallelResult {
@@ -477,7 +563,9 @@ fn sim_parallel_bench(
         parallel_wall_secs: parallel_wall,
         parallel_packets_per_sec: packets as f64 / parallel_wall,
         speedup: serial_wall / parallel_wall,
-        identical: serial == parallel,
+        identical: serial == parallel && serial == counted.concat(),
+        git_rev: git_rev(),
+        replay,
     }
 }
 
@@ -646,6 +734,34 @@ fn check_metric(name: &str, baseline: f64, current: f64, tolerance: f64) -> Resu
     }
 }
 
+fn replay_line(r: &SchemeReplay) -> String {
+    let c = r.counters;
+    format!(
+        "{}: {} wave hits, {} full propagations ({} straddlers), {} wave builds, full share {:.4}",
+        r.scheme, c.wave_hits, c.full_propagations, c.straddlers, c.wave_builds, r.full_share
+    )
+}
+
+/// The count gate on the sim benches: fails when targeted redundancy
+/// sent more than [`TARGETED_FULL_SHARE_CEILING`] of its packets through
+/// the event heap — a silent fall-back to per-packet propagation —
+/// whatever the wall clock says.
+fn check_full_share(bench: &str, replay: &[SchemeReplay]) -> Result<String, String> {
+    let label = SchemeKind::TargetedRedundancy.label();
+    let Some(targeted) = replay.iter().find(|r| r.scheme == label) else {
+        return Err(format!("{bench}: no replay counters for {label}"));
+    };
+    let line = format!(
+        "{bench} {label} full-propagation share: {:.4} (ceiling {TARGETED_FULL_SHARE_CEILING})",
+        targeted.full_share
+    );
+    if targeted.full_share > TARGETED_FULL_SHARE_CEILING {
+        Err(format!("{line} — packets are not being answered by the wavefront"))
+    } else {
+        Ok(line)
+    }
+}
+
 fn load_json<T: Deserialize>(path: &Path) -> Option<T> {
     let raw = std::fs::read_to_string(path).ok()?;
     serde_json::from_str(&raw).ok()
@@ -718,6 +834,9 @@ fn main() {
             "sim: {} packets in {:.2}s -> {:.0} packets/sec",
             r.packets, r.wall_secs, r.packets_per_sec
         );
+        for line in r.replay.iter().map(replay_line) {
+            println!("sim: {line}");
+        }
         write_result(&out_dir, "sim", &r);
         r
     });
@@ -735,6 +854,9 @@ fn main() {
             r.cores,
             r.identical
         );
+        for line in r.replay.iter().map(replay_line) {
+            println!("sim-parallel: {line}");
+        }
         write_result(&out_dir, "sim_parallel", &r);
         // Byte-identity is a correctness invariant, not a performance
         // band: a divergence fails the run even without --check.
@@ -747,7 +869,9 @@ fn main() {
         r
     });
     let many_flow = (only.is_none() || only == Some("many-flow")).then(|| {
-        let (mf_secs, mf_rate) = if quick { (2, 100) } else { (5, 100) };
+        // A minute of trace at full size: at 5 s (500 packets a flow)
+        // both legs are graph construction and interning, not playback.
+        let (mf_secs, mf_rate) = if quick { (2, 100) } else { (60, 100) };
         let r = many_flow_bench(flows, mf_secs, mf_rate, mode, &spec);
         println!(
             "many-flow: {} flows in {} groups, grouped {:.2}s ({:.0} flow-pps) vs naive {:.2}s \
@@ -810,8 +934,16 @@ fn main() {
             None => failures
                 .push(format!("no readable baseline at {}/BENCH_sim.json", baseline_dir.display())),
         }
+        match check_full_share("sim", &current.replay) {
+            Ok(line) => println!("check {line}"),
+            Err(line) => failures.push(line),
+        }
     }
     if let Some(current) = sim_parallel {
+        match check_full_share("sim-parallel", &current.replay) {
+            Ok(line) => println!("check {line}"),
+            Err(line) => failures.push(line),
+        }
         // The single-thread leg must not regress: the worker-pool
         // machinery is free when threads == 1.
         match load_json::<SimParallelResult>(&baseline_dir.join("BENCH_sim_parallel.json")) {

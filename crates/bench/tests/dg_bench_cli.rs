@@ -29,6 +29,30 @@ fn as_num(v: &Value) -> Option<f64> {
     }
 }
 
+/// The sim results' stamps and per-scheme replay counters: every one of
+/// a scheme's `packets` is a wave hit or a full propagation, and the
+/// wavefront answers for nearly all of them.
+fn assert_replay_counters(result: &Value, packets: u64) {
+    assert!(as_num(field(result, "cores")).unwrap() >= 1.0);
+    assert!(matches!(field(result, "git_rev"), Value::String(rev) if !rev.is_empty()));
+    let Value::Array(replay) = field(result, "replay") else { panic!("replay must be an array") };
+    let schemes: Vec<_> = replay.iter().map(|r| field(r, "scheme").clone()).collect();
+    let expected = ["targeted-redundancy", "time-constrained-flooding"];
+    assert_eq!(schemes, expected.map(|s| Value::String(s.into())));
+    for scheme in replay {
+        let counters = field(scheme, "counters");
+        let count = |key| match field(counters, key) {
+            Value::UInt(n) => *n,
+            other => panic!("{key} must be a count, got {other:?}"),
+        };
+        assert_eq!(count("wave_hits") + count("full_propagations"), packets);
+        assert!(count("straddlers") <= count("full_propagations"));
+        assert!(count("wave_builds") >= 2, "the quick trace has two intervals");
+        let share = as_num(field(scheme, "full_share")).unwrap();
+        assert!(share > 0.0 && share < 0.10, "full share {share}");
+    }
+}
+
 #[test]
 fn quick_run_emits_schema_valid_results() {
     let dir = std::env::temp_dir().join(format!("dg_bench_smoke_{}", std::process::id()));
@@ -64,6 +88,7 @@ fn quick_run_emits_schema_valid_results() {
         assert!(as_num(field(&sim, key)).is_some(), "{key} must be numeric");
     }
     assert!(as_num(field(&sim, "packets_per_sec")).unwrap() > 0.0);
+    assert_replay_counters(&sim, 40_000);
 
     let par = read_json(&dir.join("BENCH_sim_parallel.json"));
     assert_eq!(field(&par, "bench"), &Value::String("sim_parallel".into()));
@@ -86,6 +111,7 @@ fn quick_run_emits_schema_valid_results() {
     // The harness exits nonzero on divergence, so a written file must
     // say identical — but pin it anyway: it is the bench's contract.
     assert_eq!(field(&par, "identical"), &Value::Bool(true));
+    assert_replay_counters(&par, 8 * 40_000);
 
     // A self-check against the numbers just produced always passes.
     let check = dg_bench()

@@ -17,7 +17,7 @@
 //! the unicast flow with the same endpoints.
 
 use crate::metrics::fraction;
-use crate::packet::SimScratch;
+use crate::packet::{SimScratch, Spread};
 use crate::parallel::fan_out;
 use crate::playback::{play, PlaybackConfig, Tally};
 use dg_core::{CoreError, DisseminationGraph, Flow, GraphCache, MulticastKind, ServiceRequirement};
@@ -83,23 +83,18 @@ pub struct GroupRunStats {
 
 /// The per-receiver accumulator of the playback loop.
 impl Tally for GroupRunStats {
-    fn packet(
-        &mut self,
-        scratch: &SimScratch,
-        _: &DisseminationGraph,
-        _sent: Micros,
-        expiry: Micros,
-        transmissions: u64,
-    ) {
-        self.transmissions += transmissions;
+    fn packets(&mut self, spread: Spread<'_>, _: &DisseminationGraph, deadline: Micros, n: u64) {
+        self.transmissions += spread.transmissions * n;
         for cell in &mut self.receivers {
-            cell.packets_sent += 1;
-            match scratch.arrived(cell.receiver) {
-                Some(at) => {
-                    cell.packets_delivered += 1;
-                    cell.packets_on_time += u64::from(at <= expiry);
+            cell.packets_sent += n;
+            match spread.reached_after(cell.receiver) {
+                Some(after) => {
+                    cell.packets_delivered += n;
+                    if after <= deadline {
+                        cell.packets_on_time += n;
+                    }
                 }
-                None => cell.packets_lost += 1,
+                None => cell.packets_lost += n,
             }
         }
     }

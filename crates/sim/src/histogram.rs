@@ -63,17 +63,28 @@ impl LatencyHistogram {
 
     /// Records one delivered packet's latency.
     pub fn record(&mut self, latency: Micros) {
-        self.total_recorded += 1;
+        self.record_n(latency, 1);
+    }
+
+    /// Records `n` delivered packets that all took `latency` — one
+    /// bucket lookup (a logarithm) for the lot.
+    pub fn record_n(&mut self, latency: Micros, n: u64) {
+        self.total_recorded += n;
         match Self::bucket_of(latency) {
-            Some(i) => self.counts[i] += 1,
-            None if latency.as_micros() < FLOOR_US as u64 => self.underflow += 1,
-            None => self.overflow += 1,
+            Some(i) => self.counts[i] += n,
+            None if latency.as_micros() < FLOOR_US as u64 => self.underflow += n,
+            None => self.overflow += n,
         }
     }
 
     /// Records a packet that was never delivered.
     pub fn record_lost(&mut self) {
-        self.lost += 1;
+        self.record_lost_n(1);
+    }
+
+    /// Records `n` packets that were never delivered.
+    pub fn record_lost_n(&mut self, n: u64) {
+        self.lost += n;
     }
 
     /// Delivered packets recorded.
@@ -219,6 +230,21 @@ mod tests {
         assert_eq!(h.delivered(), 2);
         assert!(h.quantile(0.5).is_some());
         assert!(h.quantile(1.0).is_some());
+    }
+
+    #[test]
+    fn a_batch_is_that_many_single_records() {
+        let (mut one_by_one, mut batched) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for latency in [Micros::from_micros(10), Micros::from_millis(30), Micros::from_secs(100)] {
+            for _ in 0..7 {
+                one_by_one.record(latency);
+                one_by_one.record_lost();
+            }
+            batched.record_n(latency, 7);
+            batched.record_lost_n(7);
+        }
+        batched.record_n(Micros::from_millis(30), 0);
+        assert_eq!(one_by_one, batched);
     }
 
     #[test]

@@ -32,6 +32,39 @@
 //! core), one [`SimScratch`] per worker, results in input order and
 //! byte-identical at any worker count.
 //!
+//! # Replaying what repeats once
+//!
+//! The packet function runs an event heap, and it is the definition of
+//! what every run reports. The playback loop does not run it for every
+//! packet. Inside one trace interval conditions are constant and a loss
+//! draw is a pure function of `(seed, edge, seq, attempt)`, so every
+//! packet that loses nothing spreads the same way: the same nodes at
+//! the same offsets from its send, the same transmissions. The loop
+//! therefore builds, once per (graph, interval), the **loss-free
+//! wavefront** — one run of the same propagation loop in which every
+//! draw survives and is noted instead: the edge's half of the hash
+//! chain and the smallest surviving draw as an integer. A packet is a
+//! *hit* when its `[send, expiry]` lies inside the interval and its
+//! first-attempt draws on the noted edges all survive; that costs two
+//! hash rounds an edge and no heap, and runs of hits reach the
+//! accumulator as one batch. Every other packet — a failed draw, an
+//! interval-straddler — runs the event heap as before.
+//!
+//! Why this is exact: if no transmission of the wavefront is lost, the
+//! event heap performs the wavefront's pushes and pops in the
+//! wavefront's order, shifted in time; conditions are read at visit
+//! times, all of which are at or before the expiry and so inside the
+//! interval; and the integer comparison is the float comparison
+//! (scaling by 2^53 is exact). A wavefront is dropped with its graph
+//! ([`SimScratch::index_graph`], which every run and every reroute
+//! calls), rebuilt at each interval, and belongs to the seed, deadline
+//! and trace of the run that built it: the run holds its `&TraceSet`
+//! from start to end, which is what [`simulate_packet_with`] cannot do
+//! between calls — so that function stays un-memoised.
+//! [`SimScratch::replay`] counts where the packets went
+//! ([`ReplayCounters`]); [`run_flow_full_with`] is [`run_flow_full`]
+//! over a scratch the caller holds, for reading them.
+//!
 //! # Example
 //!
 //! ```
@@ -84,6 +117,8 @@ mod rng;
 pub use group::{group_flows, run_groups, GroupJob, GroupRunStats, ReceiverRunStats};
 pub use histogram::LatencyHistogram;
 pub use metrics::{gap_coverage, FlowRunStats, SecondRecord};
-pub use packet::{simulate_packet, simulate_packet_with, PacketOutcome, RecoveryModel, SimScratch};
+pub use packet::{
+    simulate_packet, simulate_packet_with, PacketOutcome, RecoveryModel, ReplayCounters, SimScratch,
+};
 pub use parallel::{run_flows, FlowJob};
-pub use playback::{run_flow, run_flow_full, PlaybackConfig, PlaybackOutput};
+pub use playback::{run_flow, run_flow_full, run_flow_full_with, PlaybackConfig, PlaybackOutput};

@@ -1,8 +1,9 @@
-//! Per-packet propagation through a dissemination graph.
+//! Per-packet propagation through a dissemination graph, and the
+//! loss-free wavefront that answers for the packets that repeat it.
 
-use crate::rng::unit_sample;
+use crate::rng::{draw_bits, edge_prefix, survival_threshold, unit_sample};
 use dg_core::DisseminationGraph;
-use dg_topology::{Graph, Micros, NodeId};
+use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -42,20 +43,114 @@ pub struct PacketOutcome {
     pub transmissions: u64,
 }
 
+/// Where the packets a [`SimScratch`] replayed went: answered by the
+/// memoised loss-free wavefront, or propagated through the event heap.
+/// Every replayed packet is exactly one of `wave_hits` and
+/// `full_propagations`; the counters run for the scratch's whole life.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReplayCounters {
+    /// Packets that lost nothing inside one trace interval and took
+    /// their outcome from the interval's wavefront.
+    pub wave_hits: u64,
+    /// Packets propagated through the event heap: a draw failed, or the
+    /// packet was a straddler.
+    pub full_propagations: u64,
+    /// Wavefronts built — one loss-free propagation per (graph,
+    /// interval) a replay entered, not a packet.
+    pub wave_builds: u64,
+    /// The full propagations whose `[send, expiry]` was not inside one
+    /// trace interval, so that no wavefront could answer for them.
+    pub straddlers: u64,
+}
+
+impl ReplayCounters {
+    /// Share of the replayed packets that took the event heap; `0.0`
+    /// when none were replayed.
+    pub fn full_share(&self) -> f64 {
+        crate::metrics::fraction(self.full_propagations, self.wave_hits + self.full_propagations)
+    }
+}
+
 /// Reusable per-flow simulation state, so replaying millions of packets
 /// allocates nothing per packet.
 ///
 /// Holds the event heap, a generation-stamped arrival table (cleared in
-/// O(1) by bumping the generation), and a per-node index of the current
+/// O(1) by bumping the generation), a per-node index of the current
 /// dissemination graph's forwarding edges — computed once per graph
-/// instead of scanning every member edge at every node visit.
+/// instead of scanning every member edge at every node visit — and,
+/// during a playback run, the loss-free wavefront of that graph in the
+/// trace interval being replayed.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     heap: BinaryHeap<Reverse<(Micros, NodeId)>>,
     arrival: Vec<(u64, Micros)>,
     generation: u64,
     /// `out[node] = ` the dissemination graph's edges leaving `node`.
-    out: Vec<Vec<dg_topology::EdgeId>>,
+    out: Vec<Vec<EdgeId>>,
+    wave: Wave,
+    pub(crate) replay: ReplayCounters,
+}
+
+/// The loss-free wavefront of the indexed graph in one trace interval:
+/// how a packet spreads when none of its transmissions is lost. Inside
+/// an interval conditions are constant and a draw is a pure function of
+/// `(seed, edge, seq, attempt)`, so a packet whose first-attempt draws
+/// all survive does exactly what the wavefront did — the same nodes at
+/// the same offsets from its send, the same transmissions — and the
+/// draws are all that is left to compute for it.
+///
+/// It is valid for one graph (dropped by [`SimScratch::index_graph`]),
+/// one interval, and the seed, deadline and trace of the playback run
+/// that built it: a run holds its `&TraceSet` from start to end and
+/// starts by indexing its graph, so a wave never outlives the
+/// conditions it was built from. [`simulate_packet_with`] holds no such
+/// borrow between calls and never consults it.
+#[derive(Debug, Default)]
+struct Wave {
+    /// The trace interval it was built in; `None` when there is none.
+    interval: Option<usize>,
+    /// The send times `[from, until)` it answers for: the packet's
+    /// expiry is still inside the interval, and no arrival saturates.
+    from: Micros,
+    until: Micros,
+    /// First arrivals of the loss-free packet sent at `from` — the
+    /// scratch's table at the time, entries stamped `generation`.
+    arrival: Vec<(u64, Micros)>,
+    generation: u64,
+    transmissions: u64,
+    /// One entry per transmission that can be lost: the edge's
+    /// [`edge_prefix`] and its [`survival_threshold`], likeliest loss
+    /// first so that a dead link ends the check at the first draw.
+    draws: Vec<(u64, u64)>,
+}
+
+/// How one packet spread through the indexed graph: when it first
+/// reached each node, counted from its send, and what that cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Spread<'a> {
+    arrival: &'a [(u64, Micros)],
+    generation: u64,
+    sent: Micros,
+    /// Link transmissions performed.
+    pub(crate) transmissions: u64,
+}
+
+impl Spread<'_> {
+    /// How long after its send the packet first reached `node`, if it
+    /// did.
+    pub(crate) fn reached_after(&self, node: NodeId) -> Option<Micros> {
+        let (generation, at) = self.arrival[node.index()];
+        (generation == self.generation).then(|| at.saturating_sub(self.sent))
+    }
+
+    /// How long after its send every receiver of `dgraph` had the
+    /// packet (the last receiver's first arrival), if they all got it.
+    pub(crate) fn delivered_after(&self, dgraph: &DisseminationGraph) -> Option<Micros> {
+        dgraph
+            .receivers()
+            .iter()
+            .try_fold(Micros::ZERO, |latest, &r| Some(latest.max(self.reached_after(r)?)))
+    }
 }
 
 impl SimScratch {
@@ -75,6 +170,14 @@ impl SimScratch {
         for &e in dgraph.edges() {
             self.out[topology.edge(e).src.index()].push(e);
         }
+        // The wavefront belonged to the graph indexed before.
+        self.wave.interval = None;
+        self.wave.until = self.wave.from;
+    }
+
+    /// Where the packets replayed on this scratch went.
+    pub fn replay(&self) -> ReplayCounters {
+        self.replay
     }
 
     fn begin(&mut self, n: usize) {
@@ -85,15 +188,88 @@ impl SimScratch {
         }
     }
 
-    /// When the most recently propagated packet first reached `node`,
-    /// if it did.
-    pub(crate) fn arrived(&self, node: NodeId) -> Option<Micros> {
-        let (generation, at) = self.arrival[node.index()];
-        (generation == self.generation).then_some(at)
+    fn arrived(&self, node: NodeId) -> bool {
+        self.arrival[node.index()].0 == self.generation
     }
 
     fn mark(&mut self, node: NodeId, at: Micros) {
         self.arrival[node.index()] = (self.generation, at);
+    }
+
+    /// How the most recently propagated packet, sent at `sent` for
+    /// `transmissions`, spread.
+    pub(crate) fn spread(&self, sent: Micros, transmissions: u64) -> Spread<'_> {
+        Spread { arrival: &self.arrival, generation: self.generation, sent, transmissions }
+    }
+
+    /// How every packet the wavefront answers for spread.
+    pub(crate) fn wave_spread(&self) -> Spread<'_> {
+        let Wave { ref arrival, generation, from, transmissions, .. } = self.wave;
+        Spread { arrival, generation, sent: from, transmissions }
+    }
+
+    /// The trace interval the wavefront was built in, if there is one.
+    pub(crate) fn wave_interval(&self) -> Option<usize> {
+        self.wave.interval
+    }
+
+    /// Whether the wavefront answers for a packet sent at `t`, provided
+    /// its draws survive. A packet of the wave's interval it does not
+    /// cover is a straddler.
+    pub(crate) fn wave_covers(&self, t: Micros) -> bool {
+        self.wave.from <= t && t < self.wave.until
+    }
+
+    /// Whether packet `seq` loses none of the wavefront's transmissions.
+    pub(crate) fn wave_survives(&self, seq: u64) -> bool {
+        self.wave.draws.iter().all(|&(prefix, threshold)| draw_bits(prefix, seq, 0) >= threshold)
+    }
+
+    /// Builds the wavefront of the indexed graph in `interval`: one run
+    /// of [`propagate`] in which nothing is lost, sent at the interval's
+    /// start, that notes every transmission's draw instead of making it.
+    ///
+    /// The wave then covers the sends `t` with `t + deadline` still
+    /// inside the interval — every condition the packet meets is the
+    /// one the wave met — and early enough that `t` plus the wave's
+    /// latest arrival does not saturate, so that all of `propagate`'s
+    /// arithmetic is the wave's shifted by `t - from`. An interval no
+    /// longer than the deadline gets an empty wave.
+    pub(crate) fn build_wave(
+        &mut self,
+        topology: &Graph,
+        traces: &TraceSet,
+        source: NodeId,
+        interval: usize,
+        deadline: Micros,
+        seed: u64,
+    ) {
+        let (from, end) = traces.interval_span(interval);
+        let until = end.saturating_sub(deadline);
+        self.wave.interval = Some(interval);
+        (self.wave.from, self.wave.until) = (from, from);
+        if from >= until {
+            return;
+        }
+        // Nothing is lost, so nothing is recovered.
+        let no_recovery = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
+        let mut draws = std::mem::take(&mut self.wave.draws);
+        draws.clear();
+        let expiry = from.saturating_add(deadline);
+        self.wave.transmissions =
+            propagate(self, topology, source, traces, from, expiry, &no_recovery, |e, _, loss| {
+                draws.push((edge_prefix(seed, e.index() as u32), survival_threshold(loss)));
+                true
+            });
+        draws.retain(|&(_, threshold)| threshold > 0);
+        draws.sort_unstable_by_key(|&(_, threshold)| Reverse(threshold));
+        self.wave.draws = draws;
+        std::mem::swap(&mut self.arrival, &mut self.wave.arrival);
+        self.wave.generation = self.generation;
+        let latest = self.wave.arrival.iter().filter(|a| a.0 == self.generation).map(|a| a.1).max();
+        let reach = latest.unwrap_or(from).saturating_sub(from);
+        self.wave.until = until.min(Micros::MAX.saturating_sub(reach));
+        self.replay.wave_builds += 1;
     }
 }
 
@@ -104,7 +280,9 @@ impl SimScratch {
 /// nodes drop packets that have already exceeded the deadline (the
 /// deadline-aware service never forwards useless data). Loss draws are
 /// deterministic in `(seed, edge, seq, attempt)`, making scheme
-/// comparisons paired rather than noisy.
+/// comparisons paired rather than noisy. Each hop meets the conditions
+/// in force when the packet is at that hop's tail, not the ones at
+/// `send_time`.
 ///
 /// The packet spreads through the graph once however many receivers it
 /// has, exactly as one overlay send covers a whole group; the outcome
@@ -141,8 +319,10 @@ pub fn simulate_packet(
 }
 
 /// [`simulate_packet`] against caller-held [`SimScratch`] — the
-/// allocation-free bulk-replay path. The scratch must have been indexed
-/// for `dgraph` via [`SimScratch::index_graph`].
+/// allocation-free path. The scratch must have been indexed for
+/// `dgraph` via [`SimScratch::index_graph`]. Every call runs the event
+/// heap: nothing is remembered from one call to the next, so the caller
+/// may change `traces` between them.
 #[allow(clippy::too_many_arguments)] // a flat hot-path signature beats a builder here
 pub fn simulate_packet_with(
     scratch: &mut SimScratch,
@@ -164,24 +344,12 @@ pub fn simulate_packet_with(
         send_time,
         expiry,
         recovery,
-        seed,
-        seq,
+        sampled(seed, seq),
     );
-    outcome(scratch, dgraph, expiry, transmissions)
-}
-
-/// Reads the outcome of the packet last propagated over `dgraph` out of
-/// the scratch's arrival table.
-pub(crate) fn outcome(
-    scratch: &SimScratch,
-    dgraph: &DisseminationGraph,
-    expiry: Micros,
-    transmissions: u64,
-) -> PacketOutcome {
-    let delivered_at = dgraph
-        .receivers()
-        .iter()
-        .try_fold(Micros::ZERO, |latest, &r| Some(latest.max(scratch.arrived(r)?)));
+    let delivered_at = scratch
+        .spread(send_time, transmissions)
+        .delivered_after(dgraph)
+        .map(|after| send_time.saturating_add(after));
     PacketOutcome {
         delivered_at,
         on_time: delivered_at.is_some_and(|t| t <= expiry),
@@ -189,10 +357,24 @@ pub(crate) fn outcome(
     }
 }
 
-/// Spreads one packet from `source` over the indexed graph. First
-/// arrival times at every node it reaches are left in the scratch's
+/// The draws of packet `seq`, for [`propagate`]: a transmission gets
+/// through when its sample reaches the link's loss rate.
+pub(crate) fn sampled(seed: u64, seq: u64) -> impl FnMut(EdgeId, u32, f64) -> bool {
+    move |e, attempt, loss_rate| unit_sample(seed, e.index() as u32, seq, attempt) >= loss_rate
+}
+
+/// Spreads one packet from `source` over the indexed graph — the one
+/// propagation loop: the event heap runs it with sampled draws, and the
+/// wavefront is a run of it in which every draw survives. First arrival
+/// times at every node the packet reaches are left in the scratch's
 /// arrival table for the caller to read; returns the packet's link
 /// transmissions.
+///
+/// `survives(edge, attempt, loss_rate)` says whether that transmission
+/// gets through. The timing rule: an edge's condition is read at the
+/// time the packet is at the edge's tail (`condition_at(e, t)` with `t`
+/// the node's visit time), so a packet in flight across an interval
+/// boundary meets the next interval's conditions downstream.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate(
     scratch: &mut SimScratch,
@@ -202,15 +384,14 @@ pub(crate) fn propagate(
     send_time: Micros,
     expiry: Micros,
     recovery: &RecoveryModel,
-    seed: u64,
-    seq: u64,
+    mut survives: impl FnMut(EdgeId, u32, f64) -> bool,
 ) -> u64 {
     let mut transmissions = 0u64;
     scratch.begin(topology.node_count());
     scratch.heap.push(Reverse((send_time, source)));
 
     while let Some(Reverse((t, u))) = scratch.heap.pop() {
-        if scratch.arrived(u).is_some() {
+        if scratch.arrived(u) {
             continue;
         }
         scratch.mark(u, t);
@@ -223,14 +404,14 @@ pub(crate) fn propagate(
             let cond = traces.condition_at(e, t);
             let latency = topology.edge(e).latency.saturating_add(cond.extra_latency);
             transmissions += 1;
-            if unit_sample(seed, e.index() as u32, seq, 0) >= cond.loss_rate {
+            if survives(e, 0, cond.loss_rate) {
                 scratch.heap.push(Reverse((t.saturating_add(latency), topology.edge(e).dst)));
             } else if recovery.enabled {
                 // Lost: receiver detects the gap one inter-packet spacing
                 // after the packet would have arrived, NACKs back, and the
                 // source of the link retransmits once.
                 transmissions += 1;
-                if unit_sample(seed, e.index() as u32, seq, 1) >= cond.loss_rate {
+                if survives(e, 1, cond.loss_rate) {
                     let recovered = t
                         .saturating_add(recovery.gap_detection)
                         .saturating_add(latency.saturating_mul(3));
@@ -379,13 +560,16 @@ mod tests {
         let send = |scratch: &mut SimScratch, traces: &TraceSet| {
             simulate_packet_with(scratch, &g, &dg, traces, Micros::ZERO, DEADLINE, &rec, 1, 0)
         };
+        // Sent at time zero, so "after the send" is the arrival time.
+        let reached =
+            |scratch: &SimScratch, node| scratch.spread(Micros::ZERO, 0).reached_after(node);
         // Clean: shared edges transmit once, each receiver is reached at
         // its own path latency, and the packet counts as delivered when
         // the slower of them has it.
         let out = send(&mut scratch, &traces);
         assert_eq!(out.transmissions, dg.len() as u64);
-        assert_eq!(scratch.arrived(flow.destination), Some(to_sjc.latency(&g)));
-        assert_eq!(scratch.arrived(lax), Some(to_lax.latency(&g)));
+        assert_eq!(reached(&scratch, flow.destination), Some(to_sjc.latency(&g)));
+        assert_eq!(reached(&scratch, lax), Some(to_lax.latency(&g)));
         assert_eq!(out.delivered_at, Some(to_sjc.latency(&g).max(to_lax.latency(&g))));
         assert!(out.on_time);
         // Cut LAX's last hop: SJC still gets it, the group as a whole
@@ -396,8 +580,8 @@ mod tests {
             traces.set_condition(last, i, LinkCondition::down());
         }
         let out = send(&mut scratch, &traces);
-        assert_eq!(scratch.arrived(flow.destination), Some(to_sjc.latency(&g)));
-        assert_eq!(scratch.arrived(lax), None);
+        assert_eq!(reached(&scratch, flow.destination), Some(to_sjc.latency(&g)));
+        assert_eq!(reached(&scratch, lax), None);
         assert_eq!((out.delivered_at, out.on_time), (None, false));
     }
 
@@ -428,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn conditions_are_read_at_send_time() {
+    fn conditions_are_those_of_the_interval_the_packet_travels_in() {
         let (g, dg, mut traces, _) = setup();
         let victim = dg.edges()[0];
         // Interval 1 (10s..20s) is dead, the rest clean; no recovery so
@@ -439,6 +623,85 @@ mod tests {
         assert!(ok.on_time);
         let bad = simulate_packet(&g, &dg, &traces, Micros::from_secs(15), DEADLINE, &no_rec, 1, 0);
         assert!(!bad.on_time);
+    }
+
+    #[test]
+    fn a_hop_meets_the_conditions_at_its_visit_time_not_the_send_time() {
+        let (g, dg, mut traces, flow) = setup();
+        // The path's last hop dies in interval 1, and the first hop is
+        // slow enough in interval 0 that a packet sent 30 ms before the
+        // boundary reaches the last hop's tail after it.
+        let last = *dg.edges().iter().find(|&&e| g.edge(e).dst == flow.destination).unwrap();
+        let first = *dg.edges().iter().find(|&&e| g.edge(e).src == flow.source).unwrap();
+        let slow = Micros::from_millis(20);
+        traces.set_condition(first, 0, LinkCondition::new(0.0, slow));
+        traces.set_condition(last, 1, LinkCondition::down());
+        let tail_after = (dg.best_latency(&g) + slow).saturating_sub(g.edge(last).latency);
+        assert!(tail_after > Micros::from_millis(30) && dg.best_latency(&g) + slow < DEADLINE);
+        let no_rec = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
+        let boundary = Micros::from_secs(10);
+        let send = |at| simulate_packet(&g, &dg, &traces, at, DEADLINE, &no_rec, 1, 0);
+        let early =
+            send(boundary.saturating_sub(tail_after).saturating_sub(Micros::from_micros(1)));
+        assert!(early.on_time, "at the last hop's tail just before the boundary");
+        let straddler = send(boundary.saturating_sub(Micros::from_millis(30)));
+        assert_eq!(straddler.delivered_at, None, "sent in interval 0, lost to interval 1");
+        assert_eq!(straddler.transmissions, dg.len() as u64, "every hop was tried");
+    }
+
+    #[test]
+    fn a_wave_covers_the_sends_whose_expiry_stays_in_its_interval() {
+        let (g, dg, traces, _) = setup();
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(&g, &dg);
+        assert_eq!(scratch.wave_interval(), None);
+        assert!(!scratch.wave_covers(Micros::ZERO));
+        scratch.build_wave(&g, &traces, dg.source(), 1, DEADLINE, 7);
+        assert_eq!(scratch.wave_interval(), Some(1));
+        let (from, until) = (Micros::from_secs(10), Micros::from_secs(20).saturating_sub(DEADLINE));
+        assert!(!scratch.wave_covers(from.saturating_sub(Micros::from_micros(1))));
+        assert!(scratch.wave_covers(from));
+        assert!(scratch.wave_covers(until.saturating_sub(Micros::from_micros(1))));
+        assert!(!scratch.wave_covers(until), "expiry on the boundary reads the next interval");
+        // A clean trace loses nothing: no draw is left to make, and the
+        // wave is the clean packet.
+        assert!(scratch.wave_survives(0));
+        let spread = scratch.wave_spread();
+        assert_eq!(spread.transmissions, dg.len() as u64);
+        assert_eq!(spread.delivered_after(&dg), Some(dg.best_latency(&g)));
+        // The last interval has no end; indexing a graph drops the wave.
+        scratch.build_wave(&g, &traces, dg.source(), 9, DEADLINE, 7);
+        assert!(scratch.wave_covers(Micros::from_secs(1_000_000)));
+        assert!(!scratch.wave_covers(Micros::MAX.saturating_sub(DEADLINE)), "expiry saturates");
+        scratch.index_graph(&g, &dg);
+        assert_eq!(scratch.wave_interval(), None);
+        assert!(!scratch.wave_covers(Micros::from_secs(95)));
+        assert_eq!(scratch.replay().wave_builds, 2);
+    }
+
+    #[test]
+    fn a_wave_answers_for_nothing_it_cannot_shift_exactly() {
+        let (g, dg, mut traces, _) = setup();
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(&g, &dg);
+        // An interval no longer than the deadline: every packet straddles.
+        let short = TraceSet::clean(g.edge_count(), 4, Micros::from_millis(60)).unwrap();
+        scratch.build_wave(&g, &short, dg.source(), 1, DEADLINE, 7);
+        assert_eq!(scratch.wave_interval(), Some(1));
+        assert!(!scratch.wave_covers(Micros::from_millis(60)));
+        assert_eq!(scratch.replay().wave_builds, 0, "nothing to build");
+        // An arrival that saturates is not a fixed offset from the send.
+        traces.set_condition(dg.edges()[0], 0, LinkCondition::new(0.0, Micros::MAX));
+        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, 7);
+        assert!(!scratch.wave_covers(Micros::ZERO));
+        // A dead link is the first draw checked, and no packet survives it.
+        traces.set_condition(dg.edges()[0], 0, LinkCondition::new(2e-4, Micros::ZERO));
+        traces.set_condition(dg.edges()[1], 0, LinkCondition::down());
+        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, 7);
+        assert!(scratch.wave_covers(Micros::ZERO));
+        assert_eq!(scratch.wave.draws.len(), 2, "clean links need no draw");
+        assert_eq!(scratch.wave.draws[0].1, 1 << 53);
+        assert!((0..1_000).all(|seq| !scratch.wave_survives(seq)));
     }
 
     #[test]

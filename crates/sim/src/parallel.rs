@@ -22,7 +22,7 @@
 
 use crate::metrics::FlowRunStats;
 use crate::packet::SimScratch;
-use crate::playback::{replay_scheme, PlaybackConfig};
+use crate::playback::{run_flow_full_with, PlaybackConfig};
 use dg_core::scheme::SchemeKind;
 use dg_core::{build_scheme_cached, CoreError, Flow, GraphCache, ServiceRequirement};
 use dg_topology::Graph;
@@ -131,7 +131,7 @@ pub(crate) fn run_flows_cached(
     }
     Ok(fan_out(built.len(), threads, |i, scratch| {
         let mut scheme = built[i].lock().expect("scheme lock").take().expect("each job taken once");
-        replay_scheme(topology, traces, scheme.as_mut(), config, scratch).stats
+        run_flow_full_with(topology, traces, scheme.as_mut(), config, scratch).stats
     }))
 }
 

@@ -3,7 +3,7 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{FlowRunStats, SecondRecord};
-use crate::packet::{outcome, propagate, RecoveryModel, SimScratch};
+use crate::packet::{propagate, sampled, RecoveryModel, SimScratch, Spread};
 use dg_core::scheme::RoutingScheme;
 use dg_core::{receiver_digest, DisseminationGraph};
 use dg_topology::{Graph, Micros};
@@ -91,16 +91,9 @@ impl Route for &DisseminationGraph {
 
 /// What the playback loop accumulates.
 pub(crate) trait Tally {
-    /// One packet sent at `sent` over `graph` has propagated; its
-    /// arrivals are in `scratch`.
-    fn packet(
-        &mut self,
-        scratch: &SimScratch,
-        graph: &DisseminationGraph,
-        sent: Micros,
-        expiry: Micros,
-        transmissions: u64,
-    );
+    /// `n` consecutive packets sent over `graph` each spread as
+    /// `spread` says. Packets are handed over in send order.
+    fn packets(&mut self, spread: Spread<'_>, graph: &DisseminationGraph, deadline: Micros, n: u64);
 
     /// Every packet of `second` has been sent.
     fn second_ended(&mut self, _second: u64, _availability_threshold: f64) {}
@@ -122,9 +115,24 @@ fn playback_seed(seed: u64, graph: &DisseminationGraph) -> u64 {
         .wrapping_add((graph.source().index() as u64) << 32 | receivers)
 }
 
+/// Hands the run of wavefront hits not yet tallied to `tally`.
+fn flush_hits<T: Tally>(
+    tally: &mut T,
+    scratch: &mut SimScratch,
+    graph: &DisseminationGraph,
+    deadline: Micros,
+    hits: &mut u64,
+) {
+    let n = std::mem::take(hits);
+    if n > 0 {
+        scratch.replay.wave_hits += n;
+        tally.packets(scratch.wave_spread(), graph, deadline, n);
+    }
+}
+
 /// The playback loop: sends `packets_per_second` evenly spaced packets
 /// for every second of `traces` over whatever graph `route` currently
-/// selects, and hands each propagated packet to `tally`.
+/// selects, and hands what became of them to `tally`.
 ///
 /// Route updates fire `detection_lag` after each monitoring interval
 /// boundary, with that boundary's conditions — packets sent before the
@@ -132,6 +140,16 @@ fn playback_seed(seed: u64, graph: &DisseminationGraph) -> u64 {
 /// real deployment experiences a problem's onset. The scratch's
 /// forwarding index is rebuilt only when the route actually changes,
 /// and its event heap and arrival table are reused across every packet.
+///
+/// Most packets lose nothing, and inside one trace interval all of
+/// those spread alike: the loop builds the interval's loss-free
+/// wavefront once ([`SimScratch::build_wave`]) and a packet it covers
+/// whose draws all survive is a **hit**, counted and handed to the
+/// tally with the hits around it — at the next miss, second boundary,
+/// interval change or route update. Every other packet — a failed
+/// draw, or a `[send, expiry]` that leaves the interval — runs the
+/// event heap, which is the definition; a hit is the same result
+/// without the work.
 pub(crate) fn play<R: Route + ?Sized, T: Tally>(
     topology: &Graph,
     traces: &TraceSet,
@@ -142,6 +160,7 @@ pub(crate) fn play<R: Route + ?Sized, T: Tally>(
 ) {
     assert!(config.packets_per_second > 0, "at least one packet per second");
     let seed = playback_seed(config.seed, route.current());
+    let deadline = config.deadline;
     let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
 
     // Pending route updates: (observe_time, interval_start).
@@ -152,6 +171,7 @@ pub(crate) fn play<R: Route + ?Sized, T: Tally>(
     updates.reverse(); // pop from the back in chronological order
 
     let mut seq = 0u64;
+    let mut hits = 0u64;
     scratch.index_graph(topology, route.current());
     for second in 0..traces.duration().as_secs() {
         for k in 0..u64::from(config.packets_per_second) {
@@ -159,27 +179,44 @@ pub(crate) fn play<R: Route + ?Sized, T: Tally>(
             // Apply monitoring updates that have become observable.
             while updates.last().is_some_and(|&(observe, _)| observe <= t) {
                 let (_, interval_start) = updates.pop().expect("checked non-empty");
+                flush_hits(tally, scratch, route.current(), deadline, &mut hits);
                 if route.observe(topology, traces, interval_start) {
                     tally.rerouted();
                     scratch.index_graph(topology, route.current());
                 }
             }
             let graph = route.current();
-            let expiry = t.saturating_add(config.deadline);
-            let transmissions = propagate(
-                scratch,
-                topology,
-                graph.source(),
-                traces,
-                t,
-                expiry,
-                &config.recovery,
-                seed,
-                seq,
-            );
+            if !scratch.wave_covers(t) {
+                // A straddler of the wave's interval, or the first
+                // packet of another.
+                let interval = traces.interval_at(t);
+                if scratch.wave_interval() != Some(interval) {
+                    flush_hits(tally, scratch, graph, deadline, &mut hits);
+                    scratch.build_wave(topology, traces, graph.source(), interval, deadline, seed);
+                }
+            }
+            let covered = scratch.wave_covers(t);
+            if covered && scratch.wave_survives(seq) {
+                hits += 1;
+            } else {
+                flush_hits(tally, scratch, graph, deadline, &mut hits);
+                scratch.replay.full_propagations += 1;
+                scratch.replay.straddlers += u64::from(!covered);
+                let transmissions = propagate(
+                    scratch,
+                    topology,
+                    graph.source(),
+                    traces,
+                    t,
+                    t.saturating_add(deadline),
+                    &config.recovery,
+                    sampled(seed, seq),
+                );
+                tally.packets(scratch.spread(t, transmissions), graph, deadline, 1);
+            }
             seq += 1;
-            tally.packet(scratch, graph, t, expiry, transmissions);
         }
+        flush_hits(tally, scratch, route.current(), deadline, &mut hits);
         tally.second_ended(second, config.availability_threshold);
     }
 }
@@ -194,32 +231,30 @@ struct FlowTally {
 }
 
 impl Tally for FlowTally {
-    fn packet(
+    fn packets(
         &mut self,
-        scratch: &SimScratch,
+        spread: Spread<'_>,
         graph: &DisseminationGraph,
-        sent: Micros,
-        expiry: Micros,
-        transmissions: u64,
+        deadline: Micros,
+        n: u64,
     ) {
-        let outcome = outcome(scratch, graph, expiry, transmissions);
         let stats = &mut self.out.stats;
-        self.sent += 1;
-        stats.packets_sent += 1;
-        stats.transmissions += transmissions;
-        match outcome.delivered_at {
-            Some(arrived) => {
-                stats.packets_delivered += 1;
-                self.out.latency.record(arrived.saturating_sub(sent));
+        self.sent += n;
+        stats.packets_sent += n;
+        stats.transmissions += spread.transmissions * n;
+        match spread.delivered_after(graph) {
+            Some(latency) => {
+                stats.packets_delivered += n;
+                self.out.latency.record_n(latency, n);
+                if latency <= deadline {
+                    self.on_time += n;
+                    stats.packets_on_time += n;
+                }
             }
             None => {
-                stats.packets_lost += 1;
-                self.out.latency.record_lost();
+                stats.packets_lost += n;
+                self.out.latency.record_lost_n(n);
             }
-        }
-        if outcome.on_time {
-            self.on_time += 1;
-            stats.packets_on_time += 1;
         }
     }
 
@@ -261,13 +296,15 @@ pub fn run_flow_full(
     scheme: &mut dyn RoutingScheme,
     config: &PlaybackConfig,
 ) -> PlaybackOutput {
-    replay_scheme(topology, traces, scheme, config, &mut SimScratch::new())
+    run_flow_full_with(topology, traces, scheme, config, &mut SimScratch::new())
 }
 
-/// [`run_flow_full`] over a caller-held scratch arena, so a pool worker
-/// reuses one across its jobs (it is re-indexed for the scheme's graph
-/// before any packet is simulated, so results do not depend on it).
-pub(crate) fn replay_scheme(
+/// [`run_flow_full`] over a caller-held scratch arena: a pool worker
+/// reuses one across its jobs, and [`SimScratch::replay`] says
+/// afterwards where the run's packets went. The scratch is re-indexed
+/// for the scheme's graph before any packet is simulated, so results do
+/// not depend on what it was used for before.
+pub fn run_flow_full_with(
     topology: &Graph,
     traces: &TraceSet,
     scheme: &mut dyn RoutingScheme,
@@ -472,6 +509,133 @@ mod tests {
         .unwrap();
         let stats = run_flow(&g, &traces, s.as_mut(), &quick_config());
         assert_eq!(stats.graph_changes, 2, "one switch away, one back");
+    }
+
+    /// A route that leaves its first graph for its second on seeing
+    /// the interval that starts at `at`.
+    struct Switch<'a> {
+        graphs: [&'a DisseminationGraph; 2],
+        at: Micros,
+        now: usize,
+    }
+
+    impl Route for Switch<'_> {
+        fn current(&self) -> &DisseminationGraph {
+            self.graphs[self.now]
+        }
+
+        fn observe(&mut self, _: &Graph, _: &TraceSet, interval_start: Micros) -> bool {
+            let switch = interval_start == self.at;
+            self.now += usize::from(switch);
+            switch
+        }
+    }
+
+    /// Per tally call: the size of the graph named, the transmissions of
+    /// the spread handed over, and the packets it stands for.
+    struct Calls(Vec<(usize, u64, u64)>);
+
+    impl Tally for Calls {
+        fn packets(&mut self, spread: Spread<'_>, graph: &DisseminationGraph, _: Micros, n: u64) {
+            self.0.push((graph.len(), spread.transmissions, n));
+        }
+    }
+
+    #[test]
+    fn a_reroute_mid_interval_hands_the_pending_hits_to_the_old_graph() {
+        let g = presets::north_america_12();
+        let traces = TraceSet::clean(g.edge_count(), 3, Micros::from_secs(10)).unwrap();
+        let single = scheme(&g, SchemeKind::StaticSinglePath).current().clone();
+        let double = scheme(&g, SchemeKind::StaticTwoDisjoint).current().clone();
+        // Seen half a second into interval 1, between two packets of a
+        // second and of a run of hits.
+        let mut route = Switch { graphs: [&single, &double], at: Micros::from_secs(10), now: 0 };
+        let config = PlaybackConfig {
+            packets_per_second: 10,
+            detection_lag: Micros::from_millis(500),
+            ..PlaybackConfig::default()
+        };
+        let mut calls = Calls(Vec::new());
+        let mut scratch = SimScratch::new();
+        play(&g, &traces, &mut route, &config, &mut scratch, &mut calls);
+        // On a clean network a packet costs its graph's edges, so a run
+        // of hits handed over with the wrong graph shows.
+        let packets_costing = |edges: usize| -> u64 {
+            calls.0.iter().filter(|c| c.1 == edges as u64).map(|c| c.2).sum()
+        };
+        assert!(calls.0.iter().all(|&(edges, cost, _)| cost == edges as u64), "{:?}", calls.0);
+        assert_eq!(packets_costing(single.len()), 105, "sent before 10.5 s");
+        assert_eq!(packets_costing(double.len()), 195);
+        assert!(calls.0.contains(&(single.len(), single.len() as u64, 5)), "10.0 s to 10.4 s");
+        let replay = scratch.replay();
+        assert_eq!((replay.wave_hits, replay.full_propagations, replay.straddlers), (300, 0, 0));
+        assert_eq!(replay.wave_builds, 4, "one per interval, and one more for the new graph");
+    }
+
+    #[test]
+    fn a_scratch_carries_no_wave_from_one_job_to_the_next() {
+        // Two jobs that differ in seed, graph, trace, deadline and rate,
+        // back to back on one scratch, both ways round: each must come
+        // out as it does on a fresh one. Their traces are one interval
+        // long, so the second job starts inside the window of the wave
+        // the first one left.
+        let g = presets::north_america_12();
+        let lossy = |loss: f64, extra_ms: u64| {
+            let mut traces = TraceSet::clean(g.edge_count(), 1, Micros::from_secs(20)).unwrap();
+            for e in g.edges() {
+                traces.set_condition(e, 0, LinkCondition::new(loss, Micros::from_millis(extra_ms)));
+            }
+            traces
+        };
+        let jobs = [
+            (
+                SchemeKind::StaticTwoDisjoint,
+                lossy(0.05, 0),
+                PlaybackConfig { seed: 1, ..quick_config() },
+            ),
+            (
+                SchemeKind::TimeConstrainedFlooding,
+                lossy(0.1, 3),
+                PlaybackConfig {
+                    seed: 2,
+                    packets_per_second: 50,
+                    deadline: Micros::from_millis(80),
+                    ..quick_config()
+                },
+            ),
+        ];
+        let run = |job: &(SchemeKind, TraceSet, PlaybackConfig), scratch: &mut SimScratch| {
+            run_flow_full_with(&g, &job.1, scheme(&g, job.0).as_mut(), &job.2, scratch)
+        };
+        let fresh = jobs.each_ref().map(|job| run(job, &mut SimScratch::new()));
+        assert!(fresh.iter().all(|out| out.latency.cdf().len() > 1), "some packets lost a draw");
+        for order in [[0, 1], [1, 0]] {
+            let mut shared = SimScratch::new();
+            for i in order {
+                assert_eq!(run(&jobs[i], &mut shared), fresh[i], "job {i} in order {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_counters_say_where_the_packets_went() {
+        let g = presets::north_america_12();
+        let mut traces = TraceSet::clean(g.edge_count(), 3, Micros::from_secs(10)).unwrap();
+        let mut s = scheme(&g, SchemeKind::StaticSinglePath);
+        // The path is dead for interval 1: every packet of it runs the
+        // event heap, and so do the straddlers of intervals 0 and 1.
+        for &e in s.current().edges() {
+            traces.set_condition(e, 1, LinkCondition::down());
+        }
+        let mut scratch = SimScratch::new();
+        let out = run_flow_full_with(&g, &traces, s.as_mut(), &quick_config(), &mut scratch);
+        let replay = scratch.replay();
+        assert_eq!(replay.wave_hits + replay.full_propagations, out.stats.packets_sent);
+        // 20 pps: one packet is sent less than 65 ms before a boundary.
+        assert_eq!(replay.straddlers, 2);
+        assert_eq!(replay.full_propagations, 200 + 1, "interval 1 and interval 0's straddler");
+        assert_eq!(replay.wave_builds, 3);
+        assert!((replay.full_share() - 201.0 / 600.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,14 +15,45 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `(seed, edge)` half of a draw's hash chain. It is the same for
+/// every packet a flow sends over `edge`, so a replay that asks about
+/// the same edges packet after packet hashes it once.
+pub(crate) fn edge_prefix(seed: u64, edge: u32) -> u64 {
+    splitmix64(splitmix64(seed) ^ u64::from(edge))
+}
+
+/// The 53 random bits of the draw for `(seq, attempt)` on the edge
+/// behind `prefix`: [`unit_sample`] is this over 2^53.
+pub(crate) fn draw_bits(prefix: u64, seq: u64, attempt: u32) -> u64 {
+    splitmix64(splitmix64(prefix ^ seq) ^ u64::from(attempt)) >> 11
+}
+
+/// 2^53, the number of values a draw takes.
+const DRAWS: f64 = (1u64 << 53) as f64;
+
 /// A uniform sample in `[0, 1)` determined by the event coordinates.
 pub fn unit_sample(seed: u64, edge: u32, seq: u64, attempt: u32) -> f64 {
-    let mut h = splitmix64(seed);
-    h = splitmix64(h ^ u64::from(edge));
-    h = splitmix64(h ^ seq);
-    h = splitmix64(h ^ u64::from(attempt));
     // 53 random bits into the mantissa range.
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    draw_bits(edge_prefix(seed, edge), seq, attempt) as f64 / DRAWS
+}
+
+/// The smallest [`draw_bits`] value that survives `loss_rate`:
+/// `draw_bits(..) >= survival_threshold(loss)` exactly when
+/// `unit_sample(..) >= loss`.
+///
+/// A draw is `k / 2^53` with `k` an integer below 2^53, and both that
+/// division and `loss * 2^53` are exact in `f64` (scaling by a power of
+/// two), so `k / 2^53 >= loss` iff `k >= loss * 2^53` iff
+/// `k >= ceil(loss * 2^53)`. The cast saturates: a rate of zero or less
+/// gives 0 (nothing is lost), a rate above one gives more than any `k`
+/// (everything is lost), as the float comparison does; NaN compares
+/// false with everything, so it loses everything too.
+pub(crate) fn survival_threshold(loss_rate: f64) -> u64 {
+    if loss_rate.is_nan() {
+        u64::MAX
+    } else {
+        (loss_rate * DRAWS).ceil() as u64
+    }
 }
 
 #[cfg(test)]
@@ -63,5 +94,39 @@ mod tests {
         let losses = (0..n).filter(|&seq| unit_sample(9, 1, seq, 0) < p).count();
         let freq = losses as f64 / n as f64;
         assert!((freq - p).abs() < 0.02, "freq {freq}");
+    }
+
+    /// The integer comparison the replay memo uses is the float
+    /// comparison `propagate` uses, at every rate that has a say:
+    /// nothing, everything, out-of-range and NaN rates, and the `f64`
+    /// neighbours of actual draws on both sides.
+    #[test]
+    fn integer_threshold_agrees_with_the_float_comparison() {
+        let agree = |loss: f64, seq: u64| {
+            let bits = draw_bits(edge_prefix(3, 5), seq, 0);
+            assert_eq!(
+                bits >= survival_threshold(loss),
+                unit_sample(3, 5, seq, 0) >= loss,
+                "loss {loss:e}, seq {seq}, draw {bits}"
+            );
+        };
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for seq in 0..2_000 {
+            let draw = unit_sample(3, 5, seq, 0);
+            assert!(draw > 0.0, "the neighbours below are taken of a positive draw");
+            for loss in [draw, next_up(draw), next_down(draw), draw / 2.0, (draw + 1.0) / 2.0] {
+                agree(loss, seq);
+            }
+            for loss in [0.0, -0.0, 2e-4, 0.5, 1.0, next_down(1.0), next_up(1.0)] {
+                agree(loss, seq);
+            }
+            for loss in [-1.0, 7.5, f64::MIN_POSITIVE, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                agree(loss, seq);
+            }
+        }
+        assert_eq!(survival_threshold(0.0), 0);
+        assert_eq!(survival_threshold(1.0), 1 << 53);
+        assert_eq!(survival_threshold(f64::NAN), u64::MAX);
     }
 }

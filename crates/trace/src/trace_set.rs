@@ -132,7 +132,20 @@ impl TraceSet {
         idx.min(self.interval_count().saturating_sub(1))
     }
 
-    /// Condition of `edge` at time `t`.
+    /// The times `[from, until)` that [`TraceSet::interval_at`] maps to
+    /// `interval`. The last interval has no end (`until` is
+    /// [`Micros::MAX`]): times past the horizon are clamped into it.
+    pub fn interval_span(&self, interval: usize) -> (Micros, Micros) {
+        let from = self.interval_duration.saturating_mul(interval as u64);
+        let last = interval + 1 >= self.interval_count();
+        (from, if last { Micros::MAX } else { from.saturating_add(self.interval_duration) })
+    }
+
+    /// Condition of `edge` at time `t`: the record of the interval `t`
+    /// falls in, whatever happened before. The simulator asks with the
+    /// time a packet is *at the link's tail*, not the time it was sent,
+    /// so a packet in flight across an interval boundary meets the next
+    /// interval's conditions on the hops it has yet to take.
     ///
     /// # Panics
     ///
@@ -369,6 +382,19 @@ mod tests {
         assert_eq!(t.interval_at(Micros::from_secs(10)), 1);
         assert_eq!(t.interval_at(Micros::from_secs(59)), 5);
         assert_eq!(t.interval_at(Micros::from_secs(1000)), 5);
+    }
+
+    #[test]
+    fn interval_spans_are_what_interval_at_maps_back() {
+        let t = small();
+        assert_eq!(t.interval_span(0), (Micros::ZERO, Micros::from_secs(10)));
+        assert_eq!(t.interval_span(5), (Micros::from_secs(50), Micros::MAX));
+        for i in 0..t.interval_count() {
+            let (from, until) = t.interval_span(i);
+            assert_eq!(t.interval_at(from), i);
+            assert_eq!(t.interval_at(until.saturating_sub(Micros::from_micros(1))), i);
+            assert!(i == 0 || t.interval_at(from.saturating_sub(Micros::from_micros(1))) == i - 1);
+        }
     }
 
     #[test]
