@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dg_topology::algo::disjoint::{disjoint_pair, k_disjoint_paths, Disjointness};
 use dg_topology::algo::{dijkstra, maxflow, reach, yen};
+use dg_topology::generate::TopoSpec;
 use dg_topology::{presets, Micros};
 use std::hint::black_box;
 
@@ -71,5 +72,26 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_algorithms, bench_scaling);
+/// The two searches every dissemination-graph construction starts
+/// with, on the control-plane benchmark's topology (Waxman, 100 nodes,
+/// its first representative flow and deadline).
+fn bench_waxman_100(c: &mut Criterion) {
+    let spec = TopoSpec::Waxman { nodes: 100, seed: 2017 };
+    let graph = spec.build();
+    let flows = spec.default_flows(&graph, 64);
+    let deadline = spec.default_deadline(&graph, &flows);
+    let (s, t) = flows[0];
+
+    let mut group = c.benchmark_group("waxman_100");
+    group.sample_size(60);
+    group.bench_function("bhandari_pair", |b| {
+        b.iter(|| disjoint_pair(black_box(&graph), s, t, Disjointness::Node).unwrap())
+    });
+    group.bench_function("time_constrained_edges", |b| {
+        b.iter(|| reach::time_constrained_edges(black_box(&graph), s, t, deadline).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_algorithms, bench_scaling, bench_waxman_100);
 criterion_main!(benches);

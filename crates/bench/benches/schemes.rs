@@ -4,8 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
-use dg_core::{DisseminationGraph, Flow, ServiceRequirement};
-use dg_topology::{presets, Micros};
+use dg_core::{
+    CachedGraphKind, DisseminationGraph, Flow, GraphCache, MulticastKind, ServiceRequirement,
+};
+use dg_topology::generate::TopoSpec;
+use dg_topology::{presets, Micros, NodeId};
 use dg_trace::{LinkCondition, NetworkState};
 use std::hint::black_box;
 
@@ -67,5 +70,35 @@ fn bench_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schemes);
+/// Cold constructions on the control-plane benchmark's topology
+/// (Waxman, 100 nodes): what a `GraphCache` miss of each tier costs.
+fn bench_waxman_100(c: &mut Criterion) {
+    let spec = TopoSpec::Waxman { nodes: 100, seed: 2017 };
+    let graph = spec.build();
+    let flows = spec.default_flows(&graph, 64);
+    let req = ServiceRequirement::new(spec.default_deadline(&graph, &flows));
+    let flow = Flow::new(flows[0].0, flows[0].1);
+    let params = SchemeParams::default();
+    let receivers: Vec<NodeId> = flows[1..7].iter().map(|&(_, t)| t).collect();
+
+    let mut group = c.benchmark_group("waxman_100");
+    group.sample_size(60);
+    group.bench_function("construct/targeted", |b| {
+        let kind = SchemeKind::TargetedRedundancy;
+        b.iter(|| build_scheme(kind, black_box(&graph), flow, req, &params).unwrap())
+    });
+    let cache = GraphCache::new(graph.clone(), params);
+    group.bench_function("live/robust", |b| {
+        b.iter(|| cache.compute_uncached(black_box(flow), CachedGraphKind::Robust, req).unwrap())
+    });
+    group.bench_function("multicast/targeted", |b| {
+        let kind = MulticastKind::Targeted;
+        b.iter(|| {
+            cache.compute_multicast_uncached(flow.source, black_box(&receivers), kind, req).unwrap()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_schemes, bench_waxman_100);
 criterion_main!(benches);

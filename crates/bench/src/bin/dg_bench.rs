@@ -50,7 +50,7 @@
 //! topology-independent.
 
 use dg_bench::cli::Cli;
-use dg_bench::{topo_cli, topo_from_matches};
+use dg_bench::{cores, git_rev, topo_cli, topo_from_matches};
 use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
 use dg_core::{Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequirement};
 use dg_overlay::cluster::{Cluster, ClusterConfig};
@@ -405,23 +405,6 @@ fn forwarding_bench(secs: u64, payload_len: usize, batch: usize, mode: &str) -> 
             p999: quantile(0.999),
         },
     }
-}
-
-/// Cores the host reports, for the result stamps.
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The checkout's revision for the result stamps; `unknown` outside a
-/// git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
 
 /// The two most expensive schemes: the paper's recommended policy and

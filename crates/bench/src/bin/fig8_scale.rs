@@ -106,6 +106,10 @@ struct Fig8Result {
     bench: String,
     schema_version: u32,
     mode: String,
+    /// Cores the host reported and the revision measured: the timings
+    /// below mean nothing without them.
+    cores: usize,
+    git_rev: String,
     rate: u32,
     trace_seconds: u64,
     sizes: Vec<SizeResult>,
@@ -332,6 +336,8 @@ fn main() {
         bench: "fig8_scale".to_string(),
         schema_version: SCHEMA_VERSION,
         mode: mode.to_string(),
+        cores: dg_bench::cores(),
+        git_rev: dg_bench::git_rev(),
         rate,
         trace_seconds: trace_secs,
         sizes: results,

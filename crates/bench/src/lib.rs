@@ -21,6 +21,25 @@ use std::path::PathBuf;
 /// one crate): [`cli::Cli`], [`cli::Matches`], [`cli::CliError`].
 pub use dg_cli as cli;
 
+/// Cores the host reports, for the result stamps.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The checkout's revision for the result stamps, with `+changes` when
+/// the working tree differs from it; `unknown` outside a git checkout.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let Some(rev) = git(&["rev-parse", "--short=12", "HEAD"])
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+    else {
+        return "unknown".to_string();
+    };
+    let changed = git(&["diff", "--quiet", "HEAD"]).is_some_and(|out| !out.status.success());
+    format!("{}{}", rev.trim(), if changed { "+changes" } else { "" })
+}
+
 /// The standard experiment: the evaluation topology, its 16
 /// transcontinental flows, and the calibrated synthetic-WAN config.
 #[derive(Debug)]

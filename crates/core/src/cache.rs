@@ -40,18 +40,15 @@
 //! from-scratch oracle to enforce exactly this.
 
 use crate::dgraph::canonical_receivers;
-use crate::scheme::targeted::{problem_branches, Side};
+use crate::scheme::targeted::{problem_branches, Scratch, Side};
 use crate::scheme::{
     build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticTwoDisjoint, TargetedGraphs,
     TargetedRedundancy,
 };
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
-use dg_topology::algo::disjoint::k_disjoint_paths_weighted;
-use dg_topology::algo::{dijkstra, reach};
 use dg_topology::cache::{CacheStats, EdgeSet, PrecomputeCache};
-use dg_topology::{EdgeId, Graph, Micros, NodeId};
+use dg_topology::{EdgeId, Graph, Micros, NodeId, TopologyError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Which cached dissemination graph of a flow to fetch.
@@ -173,6 +170,9 @@ struct Inner {
     live: PrecomputeCache<(Flow, CachedGraphKind, Micros), DisseminationGraph>,
     multicast: PrecomputeCache<(NodeId, u64, MulticastKind, Micros), DisseminationGraph>,
     unusable: EdgeSet,
+    /// Search storage every miss computes on, reused from one to the
+    /// next under the lock that serialises them anyway.
+    scratch: Scratch,
 }
 
 /// Shared, thread-safe cache of precomputed dissemination graphs for
@@ -181,6 +181,8 @@ pub struct GraphCache {
     graph: Arc<Graph>,
     params: SchemeParams,
     unusable_loss: f64,
+    /// [`tie_broken_weight`] of every edge, by edge index.
+    weights: Vec<u64>,
     inner: Mutex<Inner>,
 }
 
@@ -204,8 +206,10 @@ impl GraphCache {
 
     /// Creates a cache for `graph` with the given scheme tunables.
     pub fn new(graph: impl Into<Arc<Graph>>, params: SchemeParams) -> Self {
+        let graph = graph.into();
         GraphCache {
-            graph: graph.into(),
+            weights: graph.edges().map(|e| tie_broken_weight(&graph, e)).collect(),
+            graph,
             params,
             unusable_loss: Self::DEFAULT_UNUSABLE_LOSS,
             inner: Mutex::new(Inner {
@@ -213,6 +217,7 @@ impl GraphCache {
                 live: PrecomputeCache::new(),
                 multicast: PrecomputeCache::new(),
                 unusable: EdgeSet::new(),
+                scratch: Scratch::default(),
             }),
         }
     }
@@ -271,7 +276,13 @@ impl GraphCache {
         if let Some(bundle) = inner.baseline.get(&key) {
             return Ok(bundle);
         }
-        let bundle = TargetedGraphs::compute(&self.graph, flow, requirement, &self.params)?;
+        let bundle = TargetedGraphs::compute_on(
+            &mut inner.scratch,
+            &self.graph,
+            flow,
+            requirement,
+            &self.params,
+        )?;
         Ok(inner.baseline.insert(key, bundle, EdgeSet::new()))
     }
 
@@ -318,7 +329,8 @@ impl GraphCache {
         if let Some(graph) = inner.live.get(&key) {
             return Ok(graph);
         }
-        let (graph, deps) = self.compute_live(flow, kind, requirement, &inner.unusable)?;
+        let Inner { scratch, unusable, .. } = &mut *inner;
+        let (graph, deps) = self.compute_live(scratch, flow, kind, requirement, unusable)?;
         Ok(inner.live.insert(key, graph, deps))
     }
 
@@ -335,8 +347,9 @@ impl GraphCache {
         kind: CachedGraphKind,
         requirement: ServiceRequirement,
     ) -> Result<DisseminationGraph, CoreError> {
-        let unusable = self.inner.lock().expect("cache lock").unusable.clone();
-        self.compute_live(flow, kind, requirement, &unusable).map(|(g, _)| g)
+        let mut inner = self.inner.lock().expect("cache lock");
+        let Inner { scratch, unusable, .. } = &mut *inner;
+        self.compute_live(scratch, flow, kind, requirement, unusable).map(|(g, _)| g)
     }
 
     /// The interned multicast graph for `source` → `receivers` under
@@ -374,8 +387,9 @@ impl GraphCache {
         if let Some(graph) = resident.as_ref().filter(|g| g.receivers() == canonical) {
             return Ok(Arc::clone(graph));
         }
+        let Inner { scratch, unusable, .. } = &mut *inner;
         let (graph, deps) =
-            self.compute_multicast(source, &canonical, kind, requirement, &inner.unusable)?;
+            self.compute_multicast(scratch, source, &canonical, kind, requirement, unusable)?;
         Ok(match resident {
             // Digest collision: serve the fresh computation without
             // evicting the resident entry.
@@ -400,8 +414,10 @@ impl GraphCache {
         requirement: ServiceRequirement,
     ) -> Result<DisseminationGraph, CoreError> {
         let canonical = canonical_receivers(source, receivers.to_vec())?;
-        let unusable = self.inner.lock().expect("cache lock").unusable.clone();
-        self.compute_multicast(source, &canonical, kind, requirement, &unusable).map(|(g, _)| g)
+        let mut inner = self.inner.lock().expect("cache lock");
+        let Inner { scratch, unusable, .. } = &mut *inner;
+        self.compute_multicast(scratch, source, &canonical, kind, requirement, unusable)
+            .map(|(g, _)| g)
     }
 
     /// Counter snapshot across all tiers.
@@ -423,6 +439,7 @@ impl GraphCache {
     /// dependency set is `selected edges ∪ unusable edges`).
     fn compute_live(
         &self,
+        scratch: &mut Scratch,
         flow: Flow,
         kind: CachedGraphKind,
         requirement: ServiceRequirement,
@@ -432,10 +449,10 @@ impl GraphCache {
         // Healing any currently-unusable edge must recompute: the edge
         // was excluded, so its return can only improve the optimum.
         let mut deps = unusable.clone();
-        let pair = |usable_only: bool| {
+        let mut pair = |usable_only: bool| {
             let (s, t) = (flow.source, flow.destination);
-            k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
-                (!usable_only || !unusable.contains(e)).then(|| tie_broken_weight(g, e) as i64)
+            scratch.ws.k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
+                (!usable_only || !unusable.contains(e)).then(|| self.weights[e.index()] as i64)
             })
         };
         // Not enough usable disjoint routes: fall back to the full
@@ -449,7 +466,9 @@ impl GraphCache {
             CachedGraphKind::Robust => &[Side::Source, Side::Destination],
         };
         if !sides.is_empty() {
-            let branches = self.live_branches(flow, sides, &edges, requirement, unusable)?;
+            scratch.ws.reach_from(g, flow.source)?;
+            let deadline = requirement.deadline;
+            let branches = self.live_branches(scratch, flow, sides, &edges, deadline, unusable)?;
             edges.extend(branches);
         }
         for &e in &edges {
@@ -464,38 +483,50 @@ impl GraphCache {
     /// `base`: only deadline-feasible, currently-usable edges,
     /// continuations chosen canonically (tie-broken weights).
     ///
+    /// The caller has run `reach_from(flow.source)` on the scratch
+    /// workspace: feasibility is that source pass plus a pass of the
+    /// flow's own from its destination, so flows that share a source
+    /// share the first.
+    ///
     /// # Errors
     ///
     /// [`CoreError::DeadlineInfeasible`] when no edge can meet the
     /// deadline.
     fn live_branches(
         &self,
+        scratch: &mut Scratch,
         flow: Flow,
         sides: &[Side],
         base: &[EdgeId],
-        requirement: ServiceRequirement,
+        deadline: Micros,
         unusable: &EdgeSet,
     ) -> Result<Vec<EdgeId>, CoreError> {
-        let g = &*self.graph;
-        let feasible: HashSet<EdgeId> =
-            reach::time_constrained_edges(g, flow.source, flow.destination, requirement.deadline)?
-                .into_iter()
-                .collect();
+        let Scratch { ws, feasible } = scratch;
+        ws.time_constrained_edges_to(&self.graph, flow.destination, deadline, feasible)?;
         if feasible.is_empty() {
             return Err(CoreError::DeadlineInfeasible {
                 source: flow.source,
                 destination: flow.destination,
             });
         }
-        let weight =
-            |e| (feasible.contains(&e) && !unusable.contains(e)).then(|| tie_broken_weight(g, e));
+        let weight = |e: EdgeId| {
+            (feasible.contains(e) && !unusable.contains(e)).then(|| self.weights[e.index()])
+        };
         let limit = self.params.problem_branch_limit;
-        Ok(sides
-            .iter()
-            .flat_map(|&side| {
-                problem_branches(g, flow, side, base, requirement.deadline, limit, weight)
-            })
-            .collect())
+        let mut branches = Vec::new();
+        for &side in sides {
+            branches.extend(problem_branches(
+                ws,
+                &self.graph,
+                flow,
+                side,
+                base,
+                deadline,
+                limit,
+                weight,
+            ));
+        }
+        Ok(branches)
     }
 
     /// Computes the multicast graph and its dependency set against an
@@ -508,6 +539,7 @@ impl GraphCache {
     /// of a receiver reads their usability too.
     fn compute_multicast(
         &self,
+        scratch: &mut Scratch,
         source: NodeId,
         receivers: &[NodeId],
         kind: MulticastKind,
@@ -518,19 +550,27 @@ impl GraphCache {
         let mut deps = unusable.clone();
         let usable = |e: EdgeId| !unusable.contains(e);
 
-        // The shared tree: per-receiver tie-broken shortest usable
-        // paths. Unique optima make their union a proper out-tree, and
-        // the full-graph fallback mirrors the live tier's "keep a
-        // route rather than fail the flow" stance.
+        // The shared tree: the tie-broken shortest usable path to every
+        // receiver, all read off one search from the source. Unique
+        // optima make their union a proper out-tree. Receivers the
+        // usable subgraph cuts off take their path from a second tree
+        // over the full graph — the live tier's "keep a route rather
+        // than fail the flow" stance.
         let mut edges: Vec<EdgeId> = Vec::new();
-        for &r in receivers {
-            let path = dijkstra::shortest_path_weighted(g, source, r, |e| {
-                usable(e).then(|| tie_broken_weight(g, e))
-            })
-            .or_else(|_| {
-                dijkstra::shortest_path_weighted(g, source, r, |e| Some(tie_broken_weight(g, e)))
-            })?;
-            edges.extend_from_slice(path.edges());
+        scratch.ws.search_from(g, source, None, |e| usable(e).then(|| self.weights[e.index()]))?;
+        let cut_off: Vec<NodeId> = receivers
+            .iter()
+            .copied()
+            .filter(|&r| !scratch.ws.append_path_to(g, r, &mut edges))
+            .collect();
+        if !cut_off.is_empty() {
+            scratch.ws.search_from(g, source, None, |e| Some(self.weights[e.index()]))?;
+            for r in cut_off {
+                g.check_node(r)?;
+                if !scratch.ws.append_path_to(g, r, &mut edges) {
+                    return Err(TopologyError::NoRoute(source, r).into());
+                }
+            }
         }
 
         if kind != MulticastKind::Tree {
@@ -538,6 +578,9 @@ impl GraphCache {
             // receivers' grafts, so construction order cannot leak into
             // the result.
             let tree_len = edges.len();
+            // Every receiver's feasible edges start from the same
+            // source-side distances: one pass, on first need.
+            let mut source_pass_done = false;
             for &r in receivers {
                 if kind == MulticastKind::Targeted {
                     // The classification itself reads every in-edge's
@@ -552,11 +595,20 @@ impl GraphCache {
                 // Destination-problem branches into this receiver. One
                 // whose deadline admits no feasible edges keeps its
                 // plain tree path instead of failing the whole group.
-                let flow = Flow::new(source, r);
-                let tree = &edges[..tree_len];
-                if let Ok(branches) =
-                    self.live_branches(flow, &[Side::Destination], tree, requirement, unusable)
-                {
+                if !source_pass_done {
+                    scratch.ws.reach_from(g, source)?;
+                    source_pass_done = true;
+                }
+                let (flow, tree) = (Flow::new(source, r), &edges[..tree_len]);
+                let deadline = requirement.deadline;
+                if let Ok(branches) = self.live_branches(
+                    scratch,
+                    flow,
+                    &[Side::Destination],
+                    tree,
+                    deadline,
+                    unusable,
+                ) {
                     edges.extend(branches);
                 }
             }
@@ -616,6 +668,9 @@ pub fn build_scheme_cached(
         other => build_scheme(other, cache.graph(), flow, requirement, cache.params()),
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! The dissemination graph itself.
 
 use crate::CoreError;
+use dg_topology::cache::EdgeSet;
 use dg_topology::{algo::dijkstra, EdgeId, Graph, Micros, NodeId, Path};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
 
 /// An arbitrary overlay subgraph on which a flow's packets are
 /// disseminated from one source to one or more receivers.
@@ -112,30 +112,32 @@ impl DisseminationGraph {
             graph.check_node(r)?;
         }
         let receivers = canonical_receivers(source, receivers)?;
+        let mut edges = edges;
+        let mut member = EdgeSet::new();
         for &e in &edges {
             graph.check_edge(e)?;
+            member.insert(e);
         }
-        let member: HashSet<EdgeId> = edges.iter().copied().collect();
         // Reachability from the source within the subgraph.
-        let mut reachable = HashSet::from([source]);
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
+        let mut reachable = vec![false; graph.node_count()];
+        reachable[source.index()] = true;
+        let mut frontier = vec![source];
+        while let Some(u) = frontier.pop() {
             for &e in graph.out_edges(u) {
-                if member.contains(&e) {
-                    let v = graph.edge(e).dst;
-                    if reachable.insert(v) {
-                        queue.push_back(v);
-                    }
+                let v = graph.edge(e).dst;
+                if member.contains(e) && !reachable[v.index()] {
+                    reachable[v.index()] = true;
+                    frontier.push(v);
                 }
             }
         }
-        if let Some(&missed) = receivers.iter().find(|r| !reachable.contains(r)) {
+        if let Some(&missed) = receivers.iter().find(|r| !reachable[r.index()]) {
             return Err(CoreError::Unreachable { source, destination: missed });
         }
-        let mut kept: Vec<EdgeId> =
-            member.into_iter().filter(|&e| reachable.contains(&graph.edge(e).src)).collect();
-        kept.sort();
-        Ok(DisseminationGraph { source, receivers, edges: kept })
+        edges.sort_unstable();
+        edges.dedup();
+        edges.retain(|&e| reachable[graph.edge(e).src.index()]);
+        Ok(DisseminationGraph { source, receivers, edges })
     }
 
     /// Builds the single-path dissemination graph for `path`.

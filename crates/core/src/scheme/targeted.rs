@@ -23,10 +23,10 @@ use crate::scheme::{RoutingScheme, SchemeKind, SchemeParams};
 use crate::{
     CoreError, DisseminationGraph, Flow, ProblemDetector, ProblemStatus, ServiceRequirement,
 };
-use dg_topology::algo::{dijkstra, disjoint::disjoint_pair, reach};
-use dg_topology::{EdgeId, Graph, Micros, NodeId};
+use dg_topology::algo::SearchWorkspace;
+use dg_topology::cache::EdgeSet;
+use dg_topology::{EdgeId, Graph, Micros};
 use dg_trace::NetworkState;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Which of the four precomputed graphs is active.
@@ -81,6 +81,15 @@ pub struct TargetedGraphs {
     pub robust: DisseminationGraph,
 }
 
+/// Storage that graph construction reuses from one graph to the next:
+/// the search workspace, and the deadline-feasible edge set the
+/// searches on it are filtered by.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub(crate) ws: SearchWorkspace,
+    pub(crate) feasible: EdgeSet,
+}
+
 impl TargetedGraphs {
     /// Precomputes the four graphs for `flow` under `requirement`.
     ///
@@ -94,19 +103,37 @@ impl TargetedGraphs {
         requirement: ServiceRequirement,
         params: &SchemeParams,
     ) -> Result<Self, CoreError> {
-        let (p1, p2) = disjoint_pair(topology, flow.source, flow.destination, params.disjointness)?;
-        let normal = DisseminationGraph::from_paths(topology, &[p1, p2])?;
+        Self::compute_on(&mut Scratch::default(), topology, flow, requirement, params)
+    }
+
+    /// [`TargetedGraphs::compute`] on the caller's scratch storage.
+    pub(crate) fn compute_on(
+        scratch: &mut Scratch,
+        topology: &Graph,
+        flow: Flow,
+        requirement: ServiceRequirement,
+        params: &SchemeParams,
+    ) -> Result<Self, CoreError> {
+        let Scratch { ws, feasible } = scratch;
+        let pair = ws.k_disjoint_paths_weighted(
+            topology,
+            flow.source,
+            flow.destination,
+            2,
+            params.disjointness,
+            |e| Some(topology.edge(e).latency.as_micros() as i64),
+        )?;
+        let normal = DisseminationGraph::from_paths(topology, &pair)?;
 
         // Edges that can still meet the deadline; branches outside this
         // set could never deliver on time, so they are never added.
-        let feasible: HashSet<EdgeId> = reach::time_constrained_edges(
+        ws.time_constrained_edges(
             topology,
             flow.source,
             flow.destination,
             requirement.deadline,
-        )?
-        .into_iter()
-        .collect();
+            feasible,
+        )?;
         if feasible.is_empty() {
             return Err(CoreError::DeadlineInfeasible {
                 source: flow.source,
@@ -116,16 +143,17 @@ impl TargetedGraphs {
 
         // The baseline bundle reads topology only: every feasible edge
         // is usable and continuations minimise plain latency.
-        let problem_graph = |side| {
+        let mut problem_graph = |side| {
             let mut edges = normal.edges().to_vec();
             edges.extend(problem_branches(
+                ws,
                 topology,
                 flow,
                 side,
                 normal.edges(),
                 requirement.deadline,
                 params.problem_branch_limit,
-                |e| feasible.contains(&e).then(|| topology.edge(e).latency.as_micros()),
+                |e| feasible.contains(e).then(|| topology.edge(e).latency.as_micros()),
             ));
             DisseminationGraph::new(topology, flow.source, flow.destination, edges)
         };
@@ -220,11 +248,19 @@ pub(crate) enum Side {
 /// exceeds `deadline` are dropped; of the rest, the `limit`
 /// lowest-latency ones are kept (ties resolved by edge list).
 ///
+/// The continuations are forward searches, and which way a search runs
+/// decides which of several equal-cost routes it returns. Into the
+/// destination they all leave `flow.source` under one weight, so they
+/// are read off one shortest-path tree; out of the source each starts
+/// at its own neighbour and stops once the destination is settled.
+///
 /// Every problem graph in the crate is built from this: the baseline
 /// bundle, the cache's usability-filtered live graphs, and the
 /// per-receiver grafts of multicast graphs (a receiver is the
 /// destination of `flow` there).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn problem_branches(
+    ws: &mut SearchWorkspace,
     g: &Graph,
     flow: Flow,
     side: Side,
@@ -242,43 +278,49 @@ pub(crate) fn problem_branches(
         Side::Source => (g.edge(e).src, g.edge(e).dst),
         Side::Destination => (g.edge(e).dst, g.edge(e).src),
     };
-    let used: HashSet<NodeId> = base
-        .iter()
-        .map(|&e| ends(e))
-        .filter(|&(near, _)| near == endpoint)
-        .map(|(_, far)| far)
-        .collect();
+    // Continuations stay clear of the problem endpoint.
+    let onward = |e: EdgeId| {
+        let info = g.edge(e);
+        if info.src == endpoint || info.dst == endpoint {
+            return None;
+        }
+        weight(e)
+    };
+    let far = match side {
+        Side::Source => flow.destination,
+        Side::Destination => flow.source,
+    };
+    let mut tree_built = false;
     let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
     for &link in connecting {
         let neighbor = ends(link).1;
-        if weight(link).is_none() || used.contains(&neighbor) {
+        if weight(link).is_none() || base.iter().any(|&e| ends(e) == (endpoint, neighbor)) {
             continue;
         }
-        let (from, to) = match side {
-            Side::Source => (neighbor, flow.destination),
-            Side::Destination => (flow.source, neighbor),
-        };
-        if from == to {
+        if neighbor == far {
             // The neighbour is the far endpoint: the link is the branch.
             candidates.push((g.edge(link).latency, vec![link]));
             continue;
         }
-        let rest = dijkstra::shortest_path_weighted(g, from, to, |e| {
-            let info = g.edge(e);
-            if info.src == endpoint || info.dst == endpoint {
-                return None;
+        let mut branch = Vec::new();
+        let reached = match side {
+            Side::Source => {
+                branch.push(link);
+                ws.search_from(g, neighbor, Some(far), onward).is_ok()
+                    && ws.append_path_to(g, far, &mut branch)
             }
-            weight(e)
-        });
-        if let Ok(rest) = rest {
-            let latency = g.edge(link).latency + rest.latency(g);
-            if latency <= deadline {
-                let branch = match side {
-                    Side::Source => [&[link], rest.edges()].concat(),
-                    Side::Destination => [rest.edges(), &[link]].concat(),
-                };
-                candidates.push((latency, branch));
+            Side::Destination => {
+                if !tree_built {
+                    tree_built = ws.search_from(g, far, None, onward).is_ok();
+                }
+                let reached = tree_built && ws.append_path_to(g, neighbor, &mut branch);
+                branch.push(link);
+                reached
             }
+        };
+        let latency: Micros = branch.iter().map(|&e| g.edge(e).latency).sum();
+        if reached && latency <= deadline {
+            candidates.push((latency, branch));
         }
     }
     candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));

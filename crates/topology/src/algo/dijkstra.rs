@@ -1,8 +1,14 @@
 //! Dijkstra shortest paths by latency.
+//!
+//! There is one search loop, [`SearchWorkspace::search`]'s, and it runs
+//! on a [`SearchWorkspace`]: a search stops as soon as its target is
+//! settled, and after the workspace's first use on a graph of some size
+//! it allocates nothing. The free functions below are that loop on a
+//! workspace of their own, for callers with one search to run.
 
+use crate::algo::SearchWorkspace;
 use crate::{EdgeId, Graph, Micros, NodeId, Path, TopologyError};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Shortest path from `src` to `dst` by total latency.
 ///
@@ -43,24 +49,7 @@ pub fn shortest_path_filtered<F>(
 where
     F: Fn(EdgeId) -> bool,
 {
-    graph.check_node(src)?;
-    graph.check_node(dst)?;
-    if src == dst {
-        return Err(TopologyError::NoRoute(src, dst));
-    }
-    let (dist, prev) = run(graph, src, Direction::Forward, &usable);
-    if dist[dst.index()].is_unreachable() {
-        return Err(TopologyError::NoRoute(src, dst));
-    }
-    let mut edges = Vec::new();
-    let mut at = dst;
-    while at != src {
-        let e = prev[at.index()].expect("reachable node has predecessor");
-        edges.push(e);
-        at = graph.edge(e).src;
-    }
-    edges.reverse();
-    Path::new(graph, edges)
+    shortest_path_weighted(graph, src, dst, latency_where(graph, usable))
 }
 
 /// Latency of the shortest path from `src` to every node.
@@ -70,7 +59,9 @@ pub fn distances_from<F>(graph: &Graph, src: NodeId, usable: F) -> Vec<Micros>
 where
     F: Fn(EdgeId) -> bool,
 {
-    run(graph, src, Direction::Forward, &usable).0
+    let mut ws = SearchWorkspace::new();
+    ws.search(graph, src, Direction::Forward, None, latency_where(graph, usable));
+    ws.dist.into_iter().map(Micros::from_micros).collect()
 }
 
 /// Latency of the shortest path from every node to `dst`.
@@ -80,7 +71,9 @@ pub fn distances_to<F>(graph: &Graph, dst: NodeId, usable: F) -> Vec<Micros>
 where
     F: Fn(EdgeId) -> bool,
 {
-    run(graph, dst, Direction::Backward, &usable).0
+    let mut ws = SearchWorkspace::new();
+    ws.search(graph, dst, Direction::Backward, None, latency_where(graph, usable));
+    ws.dist.into_iter().map(Micros::from_micros).collect()
 }
 
 /// Shortest path under a caller-supplied edge weight (in microseconds);
@@ -101,92 +94,169 @@ pub fn shortest_path_weighted<W>(
 where
     W: Fn(EdgeId) -> Option<u64>,
 {
-    graph.check_node(src)?;
-    graph.check_node(dst)?;
-    if src == dst {
-        return Err(TopologyError::NoRoute(src, dst));
-    }
-    let n = graph.node_count();
-    let mut dist = vec![u64::MAX; n];
-    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0u64, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        for &e in graph.out_edges(u) {
-            let Some(w) = weight(e) else { continue };
-            let v = graph.edge(e).dst;
-            let nd = d.saturating_add(w);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some(e);
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    if dist[dst.index()] == u64::MAX {
-        return Err(TopologyError::NoRoute(src, dst));
-    }
-    let mut edges = Vec::new();
-    let mut at = dst;
-    while at != src {
-        let e = prev[at.index()].expect("reachable node has predecessor");
-        edges.push(e);
-        at = graph.edge(e).src;
-    }
-    edges.reverse();
-    Path::new(graph, edges)
+    SearchWorkspace::new().shortest_path_weighted(graph, src, dst, weight)
 }
 
-enum Direction {
+/// The weight of plain-latency searches: an edge's baseline latency
+/// where `usable` admits it.
+pub(super) fn latency_where<'g>(
+    graph: &'g Graph,
+    usable: impl Fn(EdgeId) -> bool + 'g,
+) -> impl Fn(EdgeId) -> Option<u64> + 'g {
+    move |e| usable(e).then(|| graph.edge(e).latency.as_micros())
+}
+
+/// Which way a search follows edges.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Direction {
+    /// Out of the origin: distances *from* it.
     Forward,
+    /// Into the origin, over reversed edges: distances *to* it.
     Backward,
 }
 
-fn run<F>(
-    graph: &Graph,
-    origin: NodeId,
-    direction: Direction,
-    usable: &F,
-) -> (Vec<Micros>, Vec<Option<EdgeId>>)
-where
-    F: Fn(EdgeId) -> bool,
-{
-    let n = graph.node_count();
-    let mut dist = vec![Micros::MAX; n];
-    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[origin.index()] = Micros::ZERO;
-    heap.push(Reverse((Micros::ZERO, origin)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
+impl SearchWorkspace {
+    /// Shortest path under `weight`, as [`shortest_path_weighted`], on
+    /// this workspace. The search stops once `dst` is settled: tree
+    /// edges only change while a node's distance still falls, and every
+    /// node on the way to a settled node settled before it, so the path
+    /// is the one a full run returns.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`shortest_path`].
+    pub fn shortest_path_weighted<W>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        weight: W,
+    ) -> Result<Path, TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<u64>,
+    {
+        graph.check_node(src)?;
+        graph.check_node(dst)?;
+        if src == dst {
+            return Err(TopologyError::NoRoute(src, dst));
         }
-        let edges = match direction {
-            Direction::Forward => graph.out_edges(u),
-            Direction::Backward => graph.in_edges(u),
-        };
-        for &e in edges {
-            if !usable(e) {
+        self.search(graph, src, Direction::Forward, Some(dst), weight);
+        let mut edges = Vec::new();
+        if !self.append_path_to(graph, dst, &mut edges) {
+            return Err(TopologyError::NoRoute(src, dst));
+        }
+        Path::new(graph, edges)
+    }
+
+    /// Searches forward from `src` under `weight` and leaves the result
+    /// in the workspace for [`SearchWorkspace::distance_to`] and
+    /// [`SearchWorkspace::append_path_to`] to read. With `until` the
+    /// search stops once that node is settled; without, it builds the
+    /// whole shortest-path tree, in which the path to each node is the
+    /// one [`shortest_path_weighted`] returns for it — so searches that
+    /// share a source and a weight share one tree.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::UnknownNode`] for an out-of-range `src`.
+    pub fn search_from<W>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        until: Option<NodeId>,
+        weight: W,
+    ) -> Result<(), TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<u64>,
+    {
+        graph.check_node(src)?;
+        self.search(graph, src, Direction::Forward, until, weight);
+        Ok(())
+    }
+
+    /// Distance of `node` in the last [`SearchWorkspace::search_from`],
+    /// `None` when it was not reached. After a search that stopped at
+    /// a node, only that node's and its ancestors' distances are final.
+    pub fn distance_to(&self, node: NodeId) -> Option<u64> {
+        self.origin?;
+        self.dist.get(node.index()).copied().filter(|&d| d != u64::MAX)
+    }
+
+    /// Appends the path the last [`SearchWorkspace::search_from`] found
+    /// from its source to `node`, in travel order; `false` (and nothing
+    /// appended) when `node` was not reached. Nothing is appended for
+    /// the source itself.
+    pub fn append_path_to(&self, graph: &Graph, node: NodeId, out: &mut Vec<EdgeId>) -> bool {
+        if self.distance_to(node).is_none() {
+            return false;
+        }
+        let start = out.len();
+        let mut at = node;
+        while Some(at) != self.origin {
+            let e = self.prev[at.index()].expect("reached node has a tree edge");
+            out.push(e);
+            at = graph.edge(e).src;
+        }
+        out[start..].reverse();
+        true
+    }
+
+    /// The one Dijkstra loop: distances (and, forward, tree edges) from
+    /// `origin` under `weight`, stopping once `target` is settled.
+    ///
+    /// Equal distances pop in node order and a tree edge is replaced
+    /// only by a strictly shorter route, so the tree is a function of
+    /// the graph and the weights alone.
+    pub(super) fn search<W>(
+        &mut self,
+        graph: &Graph,
+        origin: NodeId,
+        direction: Direction,
+        target: Option<NodeId>,
+        weight: W,
+    ) where
+        W: Fn(EdgeId) -> Option<u64>,
+    {
+        let n = graph.node_count();
+        self.dist.clear();
+        self.dist.resize(n, u64::MAX);
+        // Tree edges are read only at nodes this search reached.
+        self.prev.resize(n, None);
+        self.heap.clear();
+        // An edge is relaxed at most once: the frontier never outgrows
+        // this, so it never reallocates mid-search.
+        self.heap.reserve(graph.edge_count() + 1);
+        // Only a forward search leaves a tree to read paths off.
+        self.origin = matches!(direction, Direction::Forward).then_some(origin);
+        self.dist[origin.index()] = 0;
+        self.heap.push(Reverse((0, origin)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u.index()] {
                 continue;
             }
-            let info = graph.edge(e);
-            let v = match direction {
-                Direction::Forward => info.dst,
-                Direction::Backward => info.src,
+            if Some(u) == target {
+                break;
+            }
+            let edges = match direction {
+                Direction::Forward => graph.out_edges(u),
+                Direction::Backward => graph.in_edges(u),
             };
-            let nd = d.saturating_add(info.latency);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some(e);
-                heap.push(Reverse((nd, v)));
+            for &e in edges {
+                let Some(w) = weight(e) else { continue };
+                let info = graph.edge(e);
+                let v = match direction {
+                    Direction::Forward => info.dst,
+                    Direction::Backward => info.src,
+                };
+                let nd = d.saturating_add(w);
+                if nd < self.dist[v.index()] {
+                    self.dist[v.index()] = nd;
+                    self.prev[v.index()] = Some(e);
+                    self.heap.push(Reverse((nd, v)));
+                }
             }
         }
     }
-    (dist, prev)
 }
 
 #[cfg(test)]
@@ -278,5 +348,55 @@ mod tests {
             let to = distances_to(&g, t, |_| true);
             assert_eq!(from[t.index()], to[s.index()], "mismatch NYC->{}", g.node(t).name);
         }
+    }
+
+    #[test]
+    fn early_exit_returns_the_path_the_full_run_returns() {
+        // Latencies of 1 to 3 ms on a dense random graph: most pairs
+        // have several shortest routes, and which one the tree holds is
+        // settled by pop order — exactly what an early stop must not
+        // disturb.
+        let mut state = 0x2017u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        let mut tied = 0;
+        for _ in 0..40 {
+            let n = 6 + below(14) as usize;
+            let mut b = GraphBuilder::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if below(100) < 40 {
+                        b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1)
+                            .unwrap();
+                    }
+                }
+            }
+            let g = b.build();
+            let latency = |e: EdgeId| Some(g.edge(e).latency.as_micros());
+            for &s in &nodes {
+                ws.search_from(&g, s, None, latency).unwrap();
+                let full: Vec<Option<Vec<EdgeId>>> = nodes
+                    .iter()
+                    .map(|&t| {
+                        let mut edges = Vec::new();
+                        ws.append_path_to(&g, t, &mut edges).then_some(edges)
+                    })
+                    .collect();
+                for &t in nodes.iter().filter(|&&t| t != s) {
+                    let stopped = ws.shortest_path_weighted(&g, s, t, latency).ok();
+                    assert_eq!(stopped.as_ref().map(Path::edges), full[t.index()].as_deref());
+                    let routes =
+                        crate::algo::yen::k_shortest_paths(&g, s, t, 2).unwrap_or_default();
+                    tied += usize::from(
+                        routes.len() == 2 && routes[0].latency(&g) == routes[1].latency(&g),
+                    );
+                }
+            }
+        }
+        assert!(tied > 500, "too few tied pairs to mean anything: {tied}");
     }
 }

@@ -5,10 +5,29 @@
 //! Bhandari's algorithm finds the set of k disjoint paths whose *total*
 //! latency is minimal, which can differ from greedily taking the
 //! shortest path first and then routing around it.
+//!
+//! # Which optimum
+//!
+//! Several path sets can share the minimal total. Which one is returned
+//! is fixed by the order in which each round's Bellman–Ford scans arcs:
+//! passes over the arc list in index order (node-internal arcs first in
+//! [`Disjointness::Node`] mode, then edges by id), relaxing in place,
+//! an arc's predecessor replaced only by a strictly shorter route.
+//! Results downstream — the committed tables, figures and golden
+//! playbacks — are pinned to that choice, so the scan order is part of
+//! this module's contract: a search that scans in another order (say
+//! Dijkstra over reduced costs, as [`crate::algo::suurballe`] does)
+//! returns a pair of the same total latency but, on ties, not the same
+//! pair. What the rounds do skip is work that cannot change anything:
+//! an arc is scanned in a pass only if its tail's distance fell since
+//! the arc was last scanned, which is exactly when the scan can relax.
+//! The union of the paths is then split back into paths taking, at
+//! every node, the lowest-numbered arc first, so the result is a
+//! function of the graph, the endpoints and the weights alone.
 
-use crate::algo::bellman_ford::{Arc, ArcList};
+use crate::algo::bellman_ford::Arc;
+use crate::algo::SearchWorkspace;
 use crate::{EdgeId, Graph, NodeId, Path, TopologyError};
-use std::collections::HashSet;
 
 /// Which resources the paths must not share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -118,39 +137,7 @@ pub fn k_disjoint_paths_weighted<W>(
 where
     W: Fn(EdgeId) -> Option<i64>,
 {
-    graph.check_node(src)?;
-    graph.check_node(dst)?;
-    if src == dst || k == 0 {
-        return Err(TopologyError::NoRoute(src, dst));
-    }
-
-    let base = build_base(graph, mode, &weight);
-    let (s, t) = split_endpoints(src, dst, mode);
-
-    let mut used: HashSet<usize> = HashSet::new();
-    for round in 0..k {
-        let residual = build_residual(&base, &used);
-        let Some(path) = residual.arcs.shortest_path(s, t) else {
-            return Err(TopologyError::InsufficientDisjointPaths {
-                requested: k,
-                available: round,
-            });
-        };
-        for arc_idx in path {
-            match residual.origin[arc_idx] {
-                Origin::Forward(i) => {
-                    used.insert(i);
-                }
-                Origin::ReverseOf(i) => {
-                    used.remove(&i);
-                }
-            }
-        }
-    }
-
-    let mut paths = decompose(graph, &base, &used, s, t, k);
-    paths.sort_by_key(|p| p.latency(graph));
-    Ok(paths)
+    SearchWorkspace::new().k_disjoint_paths_weighted(graph, src, dst, k, mode, weight)
 }
 
 /// Maximum number of disjoint paths between `src` and `dst`.
@@ -160,20 +147,6 @@ where
 /// need only this module.
 pub fn max_disjoint(graph: &Graph, src: NodeId, dst: NodeId, mode: Disjointness) -> usize {
     crate::algo::maxflow::max_disjoint_paths(graph, src, dst, mode)
-}
-
-pub(crate) struct BaseArc {
-    pub(crate) from: usize,
-    pub(crate) to: usize,
-    pub(crate) weight: i64,
-    /// The overlay edge this arc represents; `None` for node-internal
-    /// arcs introduced by node splitting.
-    pub(crate) edge: Option<EdgeId>,
-}
-
-pub(crate) struct Base {
-    pub(crate) node_count: usize,
-    pub(crate) arcs: Vec<BaseArc>,
 }
 
 /// Endpoint indices of a flow in the (possibly node-split) arc graph:
@@ -187,97 +160,235 @@ pub(crate) fn split_endpoints(src: NodeId, dst: NodeId, mode: Disjointness) -> (
     }
 }
 
-pub(crate) fn build_base<W>(graph: &Graph, mode: Disjointness, weight: &W) -> Base
-where
-    W: Fn(EdgeId) -> Option<i64>,
-{
-    match mode {
-        Disjointness::Edge => Base {
-            node_count: graph.node_count(),
-            arcs: graph
-                .edges()
-                .filter_map(|e| {
-                    let w = weight(e)?;
-                    let info = graph.edge(e);
-                    Some(BaseArc {
-                        from: info.src.index(),
-                        to: info.dst.index(),
-                        weight: w,
-                        edge: Some(e),
-                    })
-                })
-                .collect(),
-        },
-        Disjointness::Node => {
-            // Node v splits into v_in = 2v and v_out = 2v + 1.
-            let mut arcs: Vec<BaseArc> = (0..graph.node_count())
-                .map(|v| BaseArc { from: v * 2, to: v * 2 + 1, weight: 0, edge: None })
-                .collect();
-            arcs.extend(graph.edges().filter_map(|e| {
-                let w = weight(e)?;
-                let info = graph.edge(e);
-                Some(BaseArc {
-                    from: info.src.index() * 2 + 1,
-                    to: info.dst.index() * 2,
-                    weight: w,
-                    edge: Some(e),
-                })
-            }));
-            Base { node_count: graph.node_count() * 2, arcs }
+/// Weight of an arc whose edge the caller excluded: it keeps its place
+/// in the arc list, so arc indices map straight to edge ids, and is
+/// never relaxed.
+const EXCLUDED: i64 = i64::MAX;
+
+/// The arc graph Bhandari searches, laid out so that adjacency can be
+/// read off the overlay graph instead of being built: in
+/// [`Disjointness::Edge`] mode arc `e` is edge `e`; in
+/// [`Disjointness::Node`] mode node `v` splits into `v_in = 2v` and
+/// `v_out = 2v + 1`, arc `v` is the internal `v_in → v_out` and arc
+/// `n + e` is edge `e` from its tail's out-copy to its head's in-copy.
+#[derive(Clone, Copy)]
+struct Layout<'g> {
+    graph: &'g Graph,
+    mode: Disjointness,
+}
+
+impl Layout<'_> {
+    fn node_count(self) -> usize {
+        match self.mode {
+            Disjointness::Edge => self.graph.node_count(),
+            Disjointness::Node => self.graph.node_count() * 2,
+        }
+    }
+
+    /// Number of node-internal arcs ahead of the edge arcs.
+    fn internal_arcs(self) -> usize {
+        match self.mode {
+            Disjointness::Edge => 0,
+            Disjointness::Node => self.graph.node_count(),
+        }
+    }
+
+    /// Calls `f` with every arc that leaves node `x` of the residual
+    /// graph: its own arcs not in `used`, and the arcs into it that are
+    /// (those run backwards).
+    fn for_each_residual_out_arc(self, used: &[bool], x: usize, mut f: impl FnMut(usize)) {
+        let g = self.graph;
+        let mut offer = |arc: usize, reversed: bool| {
+            if used[arc] == reversed {
+                f(arc);
+            }
+        };
+        match self.mode {
+            Disjointness::Edge => {
+                let v = NodeId::new(x as u32);
+                g.out_edges(v).iter().for_each(|e| offer(e.index(), false));
+                g.in_edges(v).iter().for_each(|e| offer(e.index(), true));
+            }
+            Disjointness::Node => {
+                let n = g.node_count();
+                let v = NodeId::new((x / 2) as u32);
+                if x.is_multiple_of(2) {
+                    offer(x / 2, false);
+                    g.in_edges(v).iter().for_each(|e| offer(n + e.index(), true));
+                } else {
+                    g.out_edges(v).iter().for_each(|e| offer(n + e.index(), false));
+                    offer(x / 2, true);
+                }
+            }
         }
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Origin {
-    Forward(usize),
-    ReverseOf(usize),
-}
-
-struct Residual {
-    arcs: ArcList,
-    origin: Vec<Origin>,
-}
-
-fn build_residual(base: &Base, used: &HashSet<usize>) -> Residual {
-    let mut arcs = Vec::with_capacity(base.arcs.len());
-    let mut origin = Vec::with_capacity(base.arcs.len());
-    for (i, a) in base.arcs.iter().enumerate() {
-        if used.contains(&i) {
-            arcs.push(Arc { from: a.to, to: a.from, weight: -a.weight });
-            origin.push(Origin::ReverseOf(i));
-        } else {
-            arcs.push(Arc { from: a.from, to: a.to, weight: a.weight });
-            origin.push(Origin::Forward(i));
+impl SearchWorkspace {
+    /// [`k_disjoint_paths_weighted`] on this workspace.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`k_disjoint_paths`].
+    pub fn k_disjoint_paths_weighted<W>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        mode: Disjointness,
+        weight: W,
+    ) -> Result<Vec<Path>, TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<i64>,
+    {
+        graph.check_node(src)?;
+        graph.check_node(dst)?;
+        if src == dst || k == 0 {
+            return Err(TopologyError::NoRoute(src, dst));
         }
+        let layout = Layout { graph, mode };
+        let (s, t) = split_endpoints(src, dst, mode);
+        self.load_arcs(layout, weight);
+        for round in 0..k {
+            if !self.augment(layout, s, t) {
+                return Err(TopologyError::InsufficientDisjointPaths {
+                    requested: k,
+                    available: round,
+                });
+            }
+        }
+
+        // A used arc sits reversed in `arcs`.
+        let internal = layout.internal_arcs();
+        let arcs = &self.arcs;
+        self.selected.clear();
+        // Room for any union, so that a longer one later allocates nothing.
+        self.selected.reserve(arcs.len());
+        self.selected.extend((0..arcs.len()).filter(|&i| self.used[i]));
+        let mut paths = decompose(graph, &mut self.selected, s, t, k, |i| {
+            let edge = i.checked_sub(internal).map(|e| EdgeId::new(e as u32));
+            (arcs[i].to, arcs[i].from, edge)
+        });
+        paths.sort_by_key(|p| p.latency(graph));
+        Ok(paths)
     }
-    Residual { arcs: ArcList { node_count: base.node_count, arcs }, origin }
+
+    /// Lays the arc list out (see [`Layout`]) under `weight`, nothing
+    /// used yet.
+    fn load_arcs<W>(&mut self, layout: Layout<'_>, weight: W)
+    where
+        W: Fn(EdgeId) -> Option<i64>,
+    {
+        let graph = layout.graph;
+        self.arcs.clear();
+        self.arcs.extend((0..layout.internal_arcs()).map(|v| Arc {
+            from: v * 2,
+            to: v * 2 + 1,
+            weight: 0,
+        }));
+        self.arcs.extend(graph.edges().map(|e| {
+            let info = graph.edge(e);
+            let (from, to) = split_endpoints(info.src, info.dst, layout.mode);
+            Arc { from, to, weight: weight(e).unwrap_or(EXCLUDED) }
+        }));
+        self.used.clear();
+        self.used.resize(self.arcs.len(), false);
+    }
+
+    /// One round: Bellman–Ford from `s` over the residual graph, then
+    /// the shortest `s → t` path's arcs flipped in place — an unused arc
+    /// joins the solution and now runs backwards at negated weight, a
+    /// used one leaves it. `false` when `t` is out of reach.
+    ///
+    /// The scan is the plain algorithm's (whole passes over the arcs in
+    /// index order, relaxing in place) minus the scans that cannot
+    /// relax: an arc is due in the pass under way, or failing that the
+    /// next, whenever its tail's distance falls.
+    fn augment(&mut self, layout: Layout<'_>, s: usize, t: usize) -> bool {
+        let nodes = layout.node_count();
+        self.arc_dist.clear();
+        self.arc_dist.resize(nodes, i64::MAX);
+        self.arc_prev.resize(nodes, 0);
+        let words = self.arcs.len().div_ceil(64);
+        for due in [&mut self.scan_now, &mut self.scan_next] {
+            due.clear();
+            due.resize(words, 0);
+        }
+        let set = |due: &mut [u64], arc: usize| due[arc / 64] |= 1 << (arc % 64);
+
+        self.arc_dist[s] = 0;
+        layout.for_each_residual_out_arc(&self.used, s, |arc| set(&mut self.scan_now, arc));
+        for _pass in 0..nodes.saturating_sub(1) {
+            for word in 0..words {
+                // Re-read after every scan: a relaxation may make a
+                // later arc of this very word due.
+                while self.scan_now[word] != 0 {
+                    let bits = self.scan_now[word];
+                    self.scan_now[word] = bits & (bits - 1);
+                    let i = word * 64 + bits.trailing_zeros() as usize;
+                    let arc = self.arcs[i];
+                    if arc.weight == EXCLUDED {
+                        continue;
+                    }
+                    let nd = self.arc_dist[arc.from] + arc.weight;
+                    if nd < self.arc_dist[arc.to] {
+                        self.arc_dist[arc.to] = nd;
+                        self.arc_prev[arc.to] = i;
+                        layout.for_each_residual_out_arc(&self.used, arc.to, |next| {
+                            let due =
+                                if next > i { &mut self.scan_now } else { &mut self.scan_next };
+                            set(due, next);
+                        });
+                    }
+                }
+            }
+            std::mem::swap(&mut self.scan_now, &mut self.scan_next);
+            if self.scan_now.iter().all(|&w| w == 0) {
+                break;
+            }
+        }
+        if self.arc_dist[t] == i64::MAX {
+            return false;
+        }
+        let mut at = t;
+        while at != s {
+            let i = self.arc_prev[at];
+            let arc = &mut self.arcs[i];
+            at = arc.from;
+            *arc = Arc { from: arc.to, to: arc.from, weight: -arc.weight };
+            self.used[i] = !self.used[i];
+        }
+        true
+    }
 }
 
-/// Splits the union of `k` arc-disjoint s→t paths back into paths.
+/// Splits the union of `k` arc-disjoint `s → t` paths back into paths.
+///
+/// `selected` holds the union's arc indices in ascending order and
+/// `arc` gives an arc's tail, head and overlay edge (`None` for a
+/// node-internal arc). At every node the lowest-numbered arc still
+/// unclaimed is taken, so the split is a function of the union alone.
 pub(crate) fn decompose(
     graph: &Graph,
-    base: &Base,
-    used: &HashSet<usize>,
+    selected: &mut Vec<usize>,
     s: usize,
     t: usize,
     k: usize,
+    arc: impl Fn(usize) -> (usize, usize, Option<EdgeId>),
 ) -> Vec<Path> {
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); base.node_count];
-    for &i in used {
-        out[base.arcs[i].from].push(i);
-    }
     let mut paths = Vec::with_capacity(k);
     for _ in 0..k {
         let mut edges = Vec::new();
         let mut at = s;
         while at != t {
-            let arc_idx = out[at].pop().expect("balanced degrees guarantee an out-arc");
-            let arc = &base.arcs[arc_idx];
-            if let Some(e) = arc.edge {
-                edges.push(e);
-            }
-            at = arc.to;
+            let next = selected
+                .iter()
+                .position(|&i| arc(i).0 == at)
+                .expect("balanced degrees guarantee an out-arc");
+            let (_, head, edge) = arc(selected.remove(next));
+            edges.extend(edge);
+            at = head;
         }
         paths.push(Path::new(graph, edges).expect("decomposed arcs form a path"));
     }
@@ -428,5 +539,157 @@ mod tests {
         // Sorted by latency.
         assert!(paths[0].latency(&g) <= paths[1].latency(&g));
         assert!(paths[1].latency(&g) <= paths[2].latency(&g));
+    }
+
+    /// S -> {A, B} -> M -> {C, D} -> T, every link 1 ms: one pair of
+    /// edge-disjoint routes as a union, four ways to split it at M.
+    fn crossing() -> Graph {
+        let mut b = GraphBuilder::new();
+        let ids: Vec<NodeId> = ["S", "A", "B", "M", "C", "D", "T"].map(|n| b.add_node(n)).to_vec();
+        let [s, a, bb, m, c, d, t] = ids[..] else { unreachable!() };
+        for (u, v) in [(s, a), (s, bb), (a, m), (bb, m), (m, c), (m, d), (c, t), (d, t)] {
+            b.add_link(u, v, Micros::from_millis(1), 1).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn two_hundred_calls_one_answer() {
+        let g = crossing();
+        let (s, t) = (g.node_by_name("S").unwrap(), g.node_by_name("T").unwrap());
+        let first = disjoint_pair(&g, s, t, Disjointness::Edge).unwrap();
+        for _ in 0..200 {
+            assert_eq!(disjoint_pair(&g, s, t, Disjointness::Edge).unwrap(), first);
+        }
+        // Node mode: the trap's two routes tie at 11 ms, and a stable
+        // sort keeps whichever the split produced first in front.
+        let g = trap();
+        let (a, z) = (g.node_by_name("A").unwrap(), g.node_by_name("Z").unwrap());
+        let first = disjoint_pair(&g, a, z, Disjointness::Node).unwrap();
+        assert_eq!(first.0.latency(&g), first.1.latency(&g));
+        for _ in 0..200 {
+            assert_eq!(disjoint_pair(&g, a, z, Disjointness::Node).unwrap(), first);
+        }
+    }
+
+    /// Flows whose optimum is tied and which a search in another scan
+    /// order resolves differently (see the module docs): their pairs as
+    /// the committed results have them.
+    #[test]
+    fn tied_preset_pairs_stay_as_pinned() {
+        let g = crate::presets::north_america_12();
+        let bos = g.node_by_name("BOS").unwrap();
+        for (src, first, second) in [
+            ("DEN", "DEN -> CHI -> BOS", "DEN -> DFW -> ATL -> NYC -> BOS"),
+            ("LAX", "LAX -> DEN -> CHI -> BOS", "LAX -> ATL -> NYC -> BOS"),
+            ("SJC", "SJC -> DEN -> CHI -> BOS", "SJC -> DFW -> ATL -> NYC -> BOS"),
+            ("SEA", "SEA -> CHI -> BOS", "SEA -> DEN -> DFW -> ATL -> NYC -> BOS"),
+        ] {
+            let s = g.node_by_name(src).unwrap();
+            let (p1, p2) = disjoint_pair(&g, s, bos, Disjointness::Node).unwrap();
+            assert_eq!((p1.display(&g).as_str(), p2.display(&g).as_str()), (first, second));
+        }
+    }
+
+    /// The algorithm as it stood before the workspace: a fresh residual
+    /// arc list per round, whole Bellman–Ford passes over it. Returns
+    /// the union of the paths as sorted edge ids.
+    fn reference_union<W>(
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        mode: Disjointness,
+        weight: W,
+    ) -> Result<Vec<EdgeId>, usize>
+    where
+        W: Fn(EdgeId) -> Option<i64>,
+    {
+        use crate::algo::bellman_ford::ArcList;
+        use crate::algo::suurballe::build_base;
+        let base = build_base(graph, mode, &weight);
+        let (s, t) = split_endpoints(src, dst, mode);
+        let mut used = std::collections::BTreeSet::new();
+        for round in 0..k {
+            let arcs = base
+                .arcs
+                .iter()
+                .enumerate()
+                .map(|(i, a)| match used.contains(&i) {
+                    true => Arc { from: a.to, to: a.from, weight: -a.weight },
+                    false => Arc { from: a.from, to: a.to, weight: a.weight },
+                })
+                .collect();
+            let residual = ArcList { node_count: base.node_count, arcs };
+            let path = residual.shortest_path(s, t).ok_or(round)?;
+            for i in path {
+                if !used.remove(&i) {
+                    used.insert(i);
+                }
+            }
+        }
+        let mut edges: Vec<EdgeId> = used.iter().filter_map(|&i| base.arcs[i].edge).collect();
+        edges.sort();
+        Ok(edges)
+    }
+
+    /// A random graph whose latencies are small integers, so equal
+    /// totals — and with them the scan-order rule — decide most cases.
+    fn tied_graph(rng: &mut u64) -> Graph {
+        let mut next = |bound: u64| {
+            *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*rng >> 33) % bound
+        };
+        let n = 4 + next(9) as usize;
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if next(100) < 45 {
+                    let ms = Micros::from_millis(1 + next(3));
+                    b.add_link(nodes[i], nodes[j], ms, 1).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn rounds_on_the_workspace_match_whole_passes() {
+        let mut rng = 0x2017u64;
+        let mut ws = SearchWorkspace::new();
+        let mut found = 0;
+        for case in 0..400u64 {
+            let g = tied_graph(&mut rng);
+            let excluded = case % 7;
+            let weight = |e: EdgeId| {
+                (excluded == 0 || e.index() as u64 % 7 != excluded)
+                    .then(|| g.edge(e).latency.as_micros() as i64)
+            };
+            let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
+            for mode in [Disjointness::Edge, Disjointness::Node] {
+                for k in 1..=3 {
+                    let ours = ws.k_disjoint_paths_weighted(&g, s, t, k, mode, weight);
+                    let theirs = reference_union(&g, s, t, k, mode, weight);
+                    match (ours, theirs) {
+                        (Ok(paths), Ok(union)) => {
+                            found += 1;
+                            let mut edges: Vec<EdgeId> =
+                                paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
+                            edges.sort();
+                            assert_eq!(edges, union, "case {case} {mode:?} k={k}");
+                        }
+                        (
+                            Err(TopologyError::InsufficientDisjointPaths { requested, available }),
+                            Err(round),
+                        ) => assert_eq!((requested, available), (k, round)),
+                        (ours, theirs) => {
+                            panic!("case {case} {mode:?} k={k}: {ours:?} / {theirs:?}")
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found > 400, "too few routable cases to mean anything: {found}");
     }
 }

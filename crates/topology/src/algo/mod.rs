@@ -10,4 +10,7 @@ pub mod disjoint;
 pub mod maxflow;
 pub mod reach;
 pub mod suurballe;
+mod workspace;
 pub mod yen;
+
+pub use workspace::SearchWorkspace;

@@ -6,7 +6,9 @@
 //! fastest route `source -> u`, plus the edge itself, plus the fastest
 //! route `v -> destination` fits within the deadline.
 
-use crate::algo::dijkstra;
+use crate::algo::dijkstra::{self, latency_where, Direction};
+use crate::algo::SearchWorkspace;
+use crate::cache::EdgeSet;
 use crate::{EdgeId, Graph, Micros, NodeId, TopologyError};
 
 /// Edges that can lie on some route from `src` to `dst` whose total
@@ -37,25 +39,102 @@ pub fn time_constrained_edges(
     dst: NodeId,
     deadline: Micros,
 ) -> Result<Vec<EdgeId>, TopologyError> {
-    graph.check_node(src)?;
-    graph.check_node(dst)?;
-    if src == dst {
-        return Err(TopologyError::NoRoute(src, dst));
+    let mut ws = SearchWorkspace::new();
+    ws.reach_from(graph, src)?;
+    ws.reach_to(graph, dst)?;
+    Ok(graph.edges().filter(|&e| ws.in_time(graph, e, deadline)).collect())
+}
+
+impl SearchWorkspace {
+    /// [`time_constrained_edges`] on this workspace, as a bitmap:
+    /// `out` is cleared and then holds exactly the qualifying edges.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`time_constrained_edges`].
+    pub fn time_constrained_edges(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        deadline: Micros,
+        out: &mut EdgeSet,
+    ) -> Result<(), TopologyError> {
+        self.reach_from(graph, src)?;
+        self.time_constrained_edges_to(graph, dst, deadline, out)
     }
-    let from_src = dijkstra::distances_from(graph, src, |_| true);
-    let to_dst = dijkstra::distances_to(graph, dst, |_| true);
-    Ok(graph
-        .edges()
-        .filter(|&e| {
-            let info = graph.edge(e);
-            let head = from_src[info.src.index()];
-            let tail = to_dst[info.dst.index()];
-            if head.is_unreachable() || tail.is_unreachable() {
-                return false;
-            }
-            head.saturating_add(info.latency).saturating_add(tail) <= deadline
-        })
-        .collect())
+
+    /// The source pass of [`SearchWorkspace::time_constrained_edges`]
+    /// alone: flows that share `src` run it once and then call
+    /// [`SearchWorkspace::time_constrained_edges_to`] per destination.
+    /// Other searches on the workspace in between leave it in place.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::UnknownNode`] for an out-of-range `src`.
+    pub fn reach_from(&mut self, graph: &Graph, src: NodeId) -> Result<(), TopologyError> {
+        graph.check_node(src)?;
+        self.search(graph, src, Direction::Forward, None, latency_where(graph, |_| true));
+        std::mem::swap(&mut self.dist, &mut self.from_src);
+        // What `dist` took in exchange belongs to no search.
+        self.origin = None;
+        self.reach_src = Some(src);
+        Ok(())
+    }
+
+    /// The destination pass and the filter of
+    /// [`SearchWorkspace::time_constrained_edges`], against the source
+    /// pass the last [`SearchWorkspace::reach_from`] on `graph` left.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`time_constrained_edges`].
+    ///
+    /// # Panics
+    ///
+    /// When no source pass over a graph of this size is in place.
+    pub fn time_constrained_edges_to(
+        &mut self,
+        graph: &Graph,
+        dst: NodeId,
+        deadline: Micros,
+        out: &mut EdgeSet,
+    ) -> Result<(), TopologyError> {
+        self.reach_to(graph, dst)?;
+        self.collect_in_time(graph, deadline, out);
+        Ok(())
+    }
+
+    /// Leaves distances to `dst` in `dist`, beside `from_src`.
+    fn reach_to(&mut self, graph: &Graph, dst: NodeId) -> Result<(), TopologyError> {
+        graph.check_node(dst)?;
+        let src = self.reach_src.expect("reach_from runs before the destination pass");
+        assert_eq!(self.from_src.len(), graph.node_count(), "source pass is of another graph");
+        if src == dst {
+            return Err(TopologyError::NoRoute(src, dst));
+        }
+        self.search(graph, dst, Direction::Backward, None, latency_where(graph, |_| true));
+        Ok(())
+    }
+
+    /// Whether `e` fits: fastest route to its tail, the edge itself and
+    /// the fastest route on from its head, against `deadline`.
+    fn in_time(&self, graph: &Graph, e: EdgeId, deadline: Micros) -> bool {
+        let info = graph.edge(e);
+        let head = self.from_src[info.src.index()];
+        let tail = self.dist[info.dst.index()];
+        if head == u64::MAX || tail == u64::MAX {
+            return false;
+        }
+        head.saturating_add(info.latency.as_micros()).saturating_add(tail) <= deadline.as_micros()
+    }
+
+    fn collect_in_time(&self, graph: &Graph, deadline: Micros, out: &mut EdgeSet) {
+        out.clear();
+        for e in graph.edges().filter(|&e| self.in_time(graph, e, deadline)) {
+            out.insert(e);
+        }
+    }
 }
 
 /// True when the shortest route meets the deadline at baseline latency.

@@ -9,8 +9,8 @@
 //! make an excellent cross-check — the property suite asserts they
 //! agree on every random graph.
 
-use crate::algo::disjoint::{build_base, decompose, split_endpoints, Base, Disjointness};
-use crate::{Graph, NodeId, Path, TopologyError};
+use crate::algo::disjoint::{decompose, split_endpoints, Disjointness};
+use crate::{EdgeId, Graph, NodeId, Path, TopologyError};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -84,11 +84,71 @@ pub fn suurballe_pair(
         at = arcs2[j].0;
     }
 
-    let mut paths = decompose(graph, &base, &used, s, t, 2);
+    let mut selected: Vec<usize> = used.into_iter().collect();
+    selected.sort_unstable();
+    let mut paths = decompose(graph, &mut selected, s, t, 2, |i| {
+        let a = &base.arcs[i];
+        (a.from, a.to, a.edge)
+    });
     paths.sort_by_key(|p| p.latency(graph));
     let second = paths.pop().expect("two disjoint paths");
     let first = paths.pop().expect("two disjoint paths");
     Ok((first, second))
+}
+
+pub(crate) struct BaseArc {
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+    pub(crate) weight: i64,
+    /// The overlay edge this arc represents; `None` for node-internal
+    /// arcs introduced by node splitting.
+    pub(crate) edge: Option<EdgeId>,
+}
+
+pub(crate) struct Base {
+    pub(crate) node_count: usize,
+    pub(crate) arcs: Vec<BaseArc>,
+}
+
+pub(crate) fn build_base<W>(graph: &Graph, mode: Disjointness, weight: &W) -> Base
+where
+    W: Fn(EdgeId) -> Option<i64>,
+{
+    match mode {
+        Disjointness::Edge => Base {
+            node_count: graph.node_count(),
+            arcs: graph
+                .edges()
+                .filter_map(|e| {
+                    let w = weight(e)?;
+                    let info = graph.edge(e);
+                    Some(BaseArc {
+                        from: info.src.index(),
+                        to: info.dst.index(),
+                        weight: w,
+                        edge: Some(e),
+                    })
+                })
+                .collect(),
+        },
+        Disjointness::Node => {
+            // Node v splits into v_in = 2v and v_out = 2v + 1.
+            let mut arcs: Vec<BaseArc> = (0..graph.node_count())
+                .map(|v| BaseArc { from: v * 2, to: v * 2 + 1, weight: 0, edge: None })
+                .collect();
+            arcs.extend(graph.edges().filter_map(|e| {
+                let w = weight(e)?;
+                let info = graph.edge(e);
+                Some(BaseArc {
+                    from: info.src.index() * 2 + 1,
+                    to: info.dst.index() * 2,
+                    weight: w,
+                    edge: Some(e),
+                })
+            }));
+            Base { node_count: graph.node_count() * 2, arcs }
+        }
+    }
 }
 
 #[derive(Clone, Copy)]

@@ -47,6 +47,11 @@ impl EdgeSet {
         !had
     }
 
+    /// Empties the set, keeping its storage.
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+
     /// Removes `edge`; returns whether it was present.
     pub fn remove(&mut self, edge: EdgeId) -> bool {
         let (word, bit) = (edge.index() / 64, edge.index() % 64);
