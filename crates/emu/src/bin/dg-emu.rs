@@ -53,7 +53,6 @@ fn cli() -> Cli {
         )
         .flag("out", "DIR", "artifact directory (default target/emu/<label>-seed<seed>)")
         .flag("node-bin", "PATH", "dg-node binary (default: $DG_NODE_BIN, then a sibling)")
-        .flag("runtime", "MODE", "daemon runtime: 'threaded', 'reactor', or 'reactor:N'")
         .flag_default(
             "warmup-ms",
             "N",
@@ -151,7 +150,6 @@ fn main() {
         Ok(v) => v.expect("flag has a default"),
         Err(e) => cli.exit_with(&e),
     };
-    options.runtime = matches.value("runtime").map(str::to_string);
 
     println!(
         "dg-emu: deploying {} ({} nodes, {} flows, {} chaos events) under seed {seed}",

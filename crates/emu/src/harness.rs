@@ -109,9 +109,6 @@ pub struct EmuOptions {
     pub traffic_pps: u64,
     /// Post-heal delivery ratio every surviving flow must clear.
     pub threshold: f64,
-    /// `--runtime` descriptor passed to every daemon (None = daemon
-    /// default).
-    pub runtime: Option<String>,
     /// How long a daemon may take to print `READY`.
     pub ready_timeout_ms: u64,
     /// Grace past the nominal end before stragglers are force-killed.
@@ -133,7 +130,6 @@ impl EmuOptions {
             quiesce_ms: 1_600,
             traffic_pps: 100,
             threshold: 0.99,
-            runtime: None,
             ready_timeout_ms: 10_000,
             shutdown_grace_ms: 10_000,
         }
@@ -440,10 +436,6 @@ impl EmuRun {
         let log_err = log.try_clone()?;
         let mut command = Command::new(&self.options.node_bin);
         command
-            // `options.runtime` is the one way to pick the daemons'
-            // runtime; an ambient DG_RUNTIME must not change what a
-            // run with `runtime: None` deploys.
-            .env_remove("DG_RUNTIME")
             .arg("--config")
             .arg(&slot.config_path)
             .arg("--epoch-us")
@@ -470,9 +462,6 @@ impl EmuRun {
                 .arg(self.options.traffic_pps.to_string())
                 .arg("--traffic-stop-ms")
                 .arg(timeline.traffic_stop.to_string());
-        }
-        if let Some(runtime) = &self.options.runtime {
-            command.arg("--runtime").arg(runtime);
         }
         let child =
             command.spawn().map_err(|error| EmuError::Spawn { node: slot.name.clone(), error })?;

@@ -13,11 +13,11 @@
 //!   dg-node --config node.json --run-secs 30 --metrics-json out.json
 //!   dg-node --help                               # full flag reference
 //!
-//! Once the UDP socket is bound and the protocol threads are running,
+//! Once the UDP socket is bound and the node's threads are running,
 //! the daemon prints a machine-parseable readiness line to stdout:
 //!
 //! ```text
-//! READY <node> <addr> <runtime>
+//! READY <node> <addr>
 //! ```
 //!
 //! Deployment harnesses (`dg-emu`) wait for this line instead of
@@ -78,7 +78,7 @@
 use dg_cli::Cli;
 use dg_overlay::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use dg_overlay::session::FlowSender;
-use dg_overlay::{MetricsSnapshot, NodeFileConfig, OverlayHandle, OverlayNode, Runtime, SlaPlan};
+use dg_overlay::{MetricsSnapshot, NodeFileConfig, OverlayHandle, OverlayNode, SlaPlan};
 use dg_topology::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,11 +103,6 @@ fn cli() -> Cli {
             "T",
             "anchor all time flags to this wall-clock instant (us since the UNIX epoch) \
              instead of process start; deadlines already past are honoured immediately",
-        )
-        .flag(
-            "runtime",
-            "MODE",
-            "node runtime: 'threaded' (default), 'reactor', or 'reactor:N' with N workers",
         )
 }
 
@@ -151,7 +146,6 @@ struct Options {
     sla_json: Option<String>,
     traffic_pps: Option<u64>,
     traffic_stop: Option<Duration>,
-    runtime_descriptor: Option<String>,
     epoch_us: Option<u64>,
 }
 
@@ -187,7 +181,6 @@ fn main() {
         sla_json: matches.value("sla-json").map(str::to_string),
         traffic_pps: get_u64("traffic-pps"),
         traffic_stop: get_u64("traffic-stop-ms").map(Duration::from_millis),
-        runtime_descriptor: matches.value("runtime").map(str::to_string),
         epoch_us: get_u64("epoch-us"),
     };
     run(config_path, options);
@@ -236,28 +229,20 @@ fn run(config_path: &str, options: Options) {
     };
 
     let graph = Arc::new(graph);
-    // --runtime beats DG_RUNTIME beats the threaded default.
-    let descriptor = options
-        .runtime_descriptor
-        .clone()
-        .or_else(|| std::env::var("DG_RUNTIME").ok())
-        .unwrap_or_else(|| "threaded".to_string());
-    let runtime = Runtime::from_descriptor(&descriptor);
-    let handle = match OverlayNode::spawn_on(&runtime, config, Arc::clone(&graph)) {
+    let handle = match OverlayNode::spawn(config, Arc::clone(&graph)) {
         Ok(handle) => handle,
         Err(e) => fail!("cannot start node {}: {e}", file.node),
     };
     // The machine-parseable readiness line harnesses wait for: printed
-    // only after the socket is bound and the protocol threads (or the
-    // reactor slot) are running. Rust's stdout is line-buffered even
-    // into a pipe, so the line is visible immediately.
-    println!("READY {} {} {descriptor}", file.node, handle.local_addr());
+    // only after the socket is bound and the node's threads are
+    // running. Rust's stdout is line-buffered even into a pipe, so the
+    // line is visible immediately.
+    println!("READY {} {}", file.node, handle.local_addr());
     println!(
-        "dg-node {} listening on {} with {} peers ({:?} runtime)",
+        "dg-node {} listening on {} with {} peers",
         file.node,
         handle.local_addr(),
-        file.peers.len(),
-        runtime.mode()
+        file.peers.len()
     );
     // SLA plan: open (and hold) a class-appropriate sending session for
     // every flow sourced here, so admission, shed bands, and overload
@@ -395,7 +380,6 @@ fn run(config_path: &str, options: Options) {
     }
     let snapshot = handle.metrics_snapshot();
     handle.shutdown();
-    runtime.shutdown();
     if let Some(path) = &options.metrics_json {
         dump_snapshot(&snapshot, path, "metrics");
     }

@@ -98,51 +98,15 @@ pub struct Cluster {
     /// Every node's bound address, kept so a killed node can restart on
     /// the same port and its peers need no reconfiguration.
     addrs: Vec<std::net::SocketAddr>,
-    /// The runtime all nodes are spawned on (restarts included).
-    runtime: Runtime,
-    /// Whether [`Cluster::shutdown`] should also stop the runtime's
-    /// worker pool (true when the cluster built the runtime itself).
-    owns_runtime: bool,
 }
 
 impl Cluster {
-    /// Binds and starts one node per site of `graph` on a runtime the
-    /// cluster builds and owns: the `DG_RUNTIME` environment variable
-    /// selects it (`threaded` — the default — `reactor`, or
-    /// `reactor:N` for an explicit worker count), so whole test suites
-    /// can be re-run under the reactor without code changes.
+    /// Binds and starts one node per site of `graph`.
     ///
     /// # Errors
     ///
     /// Returns [`OverlayError::Io`] when sockets cannot be bound.
     pub fn launch(graph: &Graph, config: ClusterConfig) -> Result<Cluster, OverlayError> {
-        let descriptor = std::env::var("DG_RUNTIME").unwrap_or_default();
-        let runtime = Runtime::from_descriptor(&descriptor);
-        Cluster::launch_inner(graph, config, runtime, true)
-    }
-
-    /// Binds and starts one node per site of `graph` on a caller-owned
-    /// runtime. The cluster will not stop the runtime's workers on
-    /// [`Cluster::shutdown`] — several clusters may share one pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::Io`] when sockets cannot be bound, or
-    /// [`OverlayError::RuntimeShutDown`] for a stopped runtime.
-    pub fn launch_on(
-        graph: &Graph,
-        config: ClusterConfig,
-        runtime: Runtime,
-    ) -> Result<Cluster, OverlayError> {
-        Cluster::launch_inner(graph, config, runtime, false)
-    }
-
-    fn launch_inner(
-        graph: &Graph,
-        config: ClusterConfig,
-        runtime: Runtime,
-        owns_runtime: bool,
-    ) -> Result<Cluster, OverlayError> {
         let graph = Arc::new(graph.clone());
         // Bind every socket first so all peer addresses are known.
         let sockets: Vec<UdpSocket> = (0..graph.node_count())
@@ -163,31 +127,27 @@ impl Cluster {
         let mut handles = Vec::with_capacity(graph.node_count());
         for (socket, node) in sockets.into_iter().zip(graph.nodes()) {
             let node_config = make_node_config(&graph, &addrs, &config, node);
-            let handle = OverlayNode::spawn_with_socket_on(
-                &runtime,
-                node_config,
-                Arc::clone(&graph),
-                socket,
-            )?;
+            let handle = OverlayNode::spawn_with_socket(node_config, Arc::clone(&graph), socket)?;
             apply_base_delays(&handle, &graph, &base_delay, node);
             handles.push(Some(handle));
         }
         let scheme_cache = GraphCache::new(Arc::clone(&graph), config.scheme_params);
-        Ok(Cluster {
-            graph,
-            handles,
-            config,
-            scheme_cache,
-            base_delay,
-            addrs,
-            runtime,
-            owns_runtime,
-        })
+        Ok(Cluster { graph, handles, config, scheme_cache, base_delay, addrs })
     }
 
-    /// The runtime this cluster's nodes run on.
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
+    /// [`Cluster::launch`] under the name `benchmark/` calls it by; goes
+    /// with [`Runtime`] (see there).
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::launch`].
+    #[doc(hidden)]
+    pub fn launch_on(
+        graph: &Graph,
+        config: ClusterConfig,
+        _runtime: Runtime,
+    ) -> Result<Cluster, OverlayError> {
+        Cluster::launch(graph, config)
     }
 
     /// The topology this cluster runs.
@@ -253,12 +213,7 @@ impl Cluster {
         assert!(self.handles[node.index()].is_none(), "restarting a live node");
         let socket = UdpSocket::bind(self.addrs[node.index()])?;
         let node_config = make_node_config(&self.graph, &self.addrs, &self.config, node);
-        let handle = OverlayNode::spawn_with_socket_on(
-            &self.runtime,
-            node_config,
-            Arc::clone(&self.graph),
-            socket,
-        )?;
+        let handle = OverlayNode::spawn_with_socket(node_config, Arc::clone(&self.graph), socket)?;
         apply_base_delays(&handle, &self.graph, &self.base_delay, node);
         self.handles[node.index()] = Some(handle);
         Ok(())
@@ -446,14 +401,14 @@ impl Cluster {
         )
     }
 
-    /// Stops every node, then — if the cluster built its own runtime in
-    /// [`Cluster::launch`] — the runtime's worker pool.
+    /// Stops every node: all are asked to stop before any is waited
+    /// for, so the cluster stops in the time its slowest node takes.
     pub fn shutdown(self) {
+        for h in self.handles.iter().flatten() {
+            h.request_stop();
+        }
         for h in self.handles.into_iter().flatten() {
             h.shutdown();
-        }
-        if self.owns_runtime {
-            self.runtime.shutdown();
         }
     }
 }

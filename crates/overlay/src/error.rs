@@ -30,9 +30,6 @@ pub enum OverlayError {
     },
     /// A configuration builder was given internally inconsistent knobs.
     InvalidConfig(&'static str),
-    /// A node was offered to a runtime whose worker pool has been shut
-    /// down (see `Runtime::shutdown`).
-    RuntimeShutDown,
     /// The node refused a new sender session: it is already at its
     /// configured capacity (see `NodeConfig::sender_capacity`).
     AdmissionDenied {
@@ -56,9 +53,6 @@ impl fmt::Display for OverlayError {
                 write!(f, "payload too large: {got} bytes exceeds {max}")
             }
             OverlayError::InvalidConfig(rule) => write!(f, "invalid configuration: {rule}"),
-            OverlayError::RuntimeShutDown => {
-                write!(f, "runtime has been shut down; no new nodes accepted")
-            }
             OverlayError::AdmissionDenied { active, capacity } => {
                 write!(f, "admission denied: {active} senders open, capacity {capacity}")
             }

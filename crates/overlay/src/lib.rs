@@ -62,7 +62,7 @@ mod node;
 pub mod overload;
 pub mod pool;
 pub mod recovery;
-pub mod runtime;
+mod runtime;
 pub mod session;
 pub mod shard;
 pub mod sla;
@@ -74,5 +74,6 @@ pub use error::OverlayError;
 pub use metrics::{ClusterMetricsReport, MetricsSnapshot, NodeCounters, NodeThread};
 pub use node::{OverlayHandle, OverlayNode};
 pub use overload::{OverloadConfig, OverloadDetector, OverloadTransition, MAX_LEVEL};
-pub use runtime::{Runtime, RuntimeConfig, SpawnMode};
+#[doc(hidden)]
+pub use runtime::Runtime;
 pub use sla::{SlaFlowSpec, SlaPlan};

@@ -1,4 +1,5 @@
-//! The overlay node: socket, forwarding engine, and protocol threads.
+//! The overlay node: socket, forwarding engine, and protocol duties.
+//! Threads, socket reads and waits live in [`crate::runtime`].
 
 use crate::clock::now_us;
 use crate::config::NodeConfig;
@@ -9,7 +10,7 @@ use crate::monitor::{FlapDamper, LinkMonitor};
 use crate::overload::{OverloadConfig, OverloadDetector, OverloadTransition};
 use crate::pool::{BufferPool, ScratchVecPool};
 use crate::recovery::{retransmit_worthwhile, GapTracker, SendBuffer};
-use crate::runtime::{Runtime, SpawnMode};
+use crate::runtime::NodeThreads;
 use crate::session::{Delivery, FlowGroup, FlowReceiver, FlowSender, Route, Session, SessionSlot};
 use crate::shard::ShardedMap;
 use crate::wire::{
@@ -17,7 +18,7 @@ use crate::wire::{
 };
 use crate::OverlayError;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind, SchemeParams};
 use dg_core::{
     CachedGraphKind, Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequirement, SlaClass,
@@ -25,13 +26,11 @@ use dg_core::{
 use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::NetworkState;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::net::UdpSocket;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Constructor namespace for overlay nodes; see [`OverlayNode::spawn`].
 #[derive(Debug)]
@@ -176,8 +175,10 @@ impl Supervision {
 pub(crate) struct Shared {
     pub(crate) config: NodeConfig,
     pub(crate) graph: Arc<Graph>,
-    socket: UdpSocket,
+    pub(crate) socket: UdpSocket,
     running: AtomicBool,
+    /// The timer thread, unparked whenever a lane gains a shipment.
+    pub(crate) timer: OnceLock<std::thread::Thread>,
     pub(crate) faults: FaultPlan,
     monitor: Mutex<LinkMonitor>,
     linkstate: Mutex<LinkStateDb>,
@@ -262,10 +263,17 @@ impl Shared {
         self.running.load(Ordering::SeqCst)
     }
 
+    /// Requests shutdown. The timer thread wakes at once to flush what
+    /// is parked; the receive thread notices within one read timeout.
+    pub(crate) fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.wake_timer();
+    }
+
     /// Accounts one supervised-duty panic: counts it, journals it, and
     /// opens the degradation window. The crash instant counts as a
     /// heartbeat — the restart is immediate, so the duty is degraded,
-    /// not dead. Shared by the per-thread supervisor and the reactor.
+    /// not dead.
     pub(crate) fn note_thread_crash(&self, thread: NodeThread) {
         self.metrics.counters.thread_crashes.fetch_add(1, Ordering::Relaxed);
         self.metrics.record(EventKind::ThreadCrash { thread });
@@ -341,11 +349,11 @@ impl Shared {
         link.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Accounts one wire transmission and queues it on the shipper.
-    /// Control frames (`class == None`) take the reserved unbounded
-    /// lane; data frames take the bounded lane and are shed (and
-    /// counted against their class) on overflow instead of growing
-    /// without bound.
+    /// Accounts one wire transmission and queues it for the timer
+    /// thread, waking it. Control frames (`class == None`) take the
+    /// reserved unbounded lane; data frames take the bounded lane and
+    /// are shed (and counted against their class) on overflow instead
+    /// of growing without bound.
     fn ship(&self, to: NodeId, datagram: Bytes, depart_at: Micros, class: Option<SlaClass>) {
         self.account_send(to, datagram.len());
         let shipment = Shipment {
@@ -358,11 +366,12 @@ impl Shared {
         let Some(class) = class else {
             // Closed channels only happen during shutdown.
             let _ = self.control_tx.send(shipment);
+            self.wake_timer();
             return;
         };
         self.queued_data.fetch_add(1, Ordering::Relaxed);
         match self.shipper_tx.try_send(shipment) {
-            Ok(()) => {}
+            Ok(()) => self.wake_timer(),
             Err(TrySendError::Full(_)) => {
                 self.queued_data.fetch_sub(1, Ordering::Relaxed);
                 self.shed(class, 1);
@@ -371,6 +380,15 @@ impl Shared {
             Err(TrySendError::Disconnected(_)) => {
                 self.queued_data.fetch_sub(1, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Unparks the timer thread: a lane gained a shipment whose
+    /// departure may be earlier than anything it is waiting for, or the
+    /// node is stopping.
+    fn wake_timer(&self) {
+        if let Some(timer) = self.timer.get() {
+            timer.unpark();
         }
     }
 
@@ -504,7 +522,7 @@ impl Shared {
         }
     }
 
-    fn handle_datagram(&self, datagram: &[u8]) {
+    pub(crate) fn handle_datagram(&self, datagram: &[u8]) {
         self.metrics.counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
         self.metrics.counters.bytes_received.fetch_add(datagram.len() as u64, Ordering::Relaxed);
         // Data frames are copied once out of the receive scratch buffer
@@ -1184,6 +1202,7 @@ impl Shared {
                 self.queued_data.fetch_sub(1, Ordering::Relaxed);
             }
         }
+        self.wake_timer();
     }
 
     fn send_hellos(&self) {
@@ -1197,86 +1216,73 @@ impl Shared {
     }
 }
 
-/// Per-node state the shipper duty keeps across service passes: the
-/// departure heap plus the receive ends of the two shipment lanes.
-pub(crate) struct ShipperState {
-    heap: std::collections::BinaryHeap<Shipment>,
+/// What a node's timer thread owns: every departure and deadline it
+/// waits for. Shipments arrive on the two lanes and park in the
+/// departure heap until due; the periodic duties each keep the instant
+/// they next fire.
+pub(crate) struct Timers {
+    heap: BinaryHeap<Shipment>,
     data_rx: Receiver<Shipment>,
     control_rx: Receiver<Shipment>,
+    next_hello: Instant,
+    next_ls: Instant,
+    next_digest: Instant,
 }
 
-impl ShipperState {
-    pub(crate) fn new(data_rx: Receiver<Shipment>, control_rx: Receiver<Shipment>) -> Self {
-        ShipperState { heap: std::collections::BinaryHeap::new(), data_rx, control_rx }
-    }
-}
-
-/// Deadline state for one node's periodic duties — the node's slots in
-/// the reactor's timer wheel. The threaded ticker drives the same
-/// state, so both modes fire the same duties on the same cadence.
-pub(crate) struct TickerState {
-    next_hello: std::time::Instant,
-    next_ls: std::time::Instant,
-    next_digest: std::time::Instant,
-}
-
-impl TickerState {
+impl Timers {
     /// Hello duties fire immediately (a fresh node introduces itself
-    /// right away, as the threaded ticker always has); link-state and
-    /// digest origination wait one full interval.
-    pub(crate) fn new(config: &NodeConfig) -> Self {
-        let now = std::time::Instant::now();
-        TickerState {
+    /// right away); link-state and digest origination wait one full
+    /// interval.
+    fn new(
+        config: &NodeConfig,
+        data_rx: Receiver<Shipment>,
+        control_rx: Receiver<Shipment>,
+    ) -> Self {
+        let now = Instant::now();
+        Timers {
+            heap: BinaryHeap::new(),
+            data_rx,
+            control_rx,
             next_hello: now,
             next_ls: now + config.link_state_interval,
             next_digest: now + config.digest_interval,
         }
     }
 
-    /// The earliest pending deadline.
-    pub(crate) fn next_deadline(&self) -> std::time::Instant {
-        self.next_hello.min(self.next_ls).min(self.next_digest)
+    /// How long the timer thread may park: until the earliest parked
+    /// departure (on the overlay clock, read as `now`) or protocol
+    /// deadline (on the monotonic clock, read as `tick`). A stopping
+    /// node waits for departures only, and `None` says the last one has
+    /// left.
+    pub(crate) fn next_wake(&self, running: bool, now: Micros, tick: Instant) -> Option<Duration> {
+        let departure = self
+            .heap
+            .peek()
+            .map(|s| Duration::from_micros(s.depart_at.saturating_sub(now).as_micros()));
+        if !running {
+            return departure;
+        }
+        let protocol =
+            self.next_hello.min(self.next_ls).min(self.next_digest).saturating_duration_since(tick);
+        Some(departure.map_or(protocol, |d| d.min(protocol)))
     }
 }
 
 impl Shared {
-    /// Drains up to [`RX_BATCH`] datagrams from the socket without
-    /// blocking (the socket must be in non-blocking mode, or mid-drain
-    /// in the threaded receive loop). Returns how many were handled.
-    pub(crate) fn service_receive(&self, buf: &mut [u8]) -> usize {
-        let mut handled = 0;
-        while handled < RX_BATCH {
-            match self.socket.recv_from(buf) {
-                Ok((len, _addr)) => {
-                    self.handle_datagram(&buf[..len]);
-                    handled += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        handled
-    }
-
     /// One shipper pass: drains both lanes into the departure heap and
-    /// sends everything due. Returns how many shipments went onto the
-    /// wire and the earliest still-parked departure, if any.
-    pub(crate) fn service_shipper(&self, state: &mut ShipperState) -> (usize, Option<Micros>) {
+    /// sends everything due.
+    pub(crate) fn service_shipper(&self, timers: &mut Timers) {
         // The reserved control lane drains first, then data. Both land
         // in the same departure heap; the lanes exist so saturating
         // data can never *drop* control, not to reorder departures.
-        for rx in [&state.control_rx, &state.data_rx] {
-            loop {
-                match rx.try_recv() {
-                    Ok(s) => state.heap.push(s),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => break,
-                }
+        for rx in [&timers.control_rx, &timers.data_rx] {
+            while let Ok(s) = rx.try_recv() {
+                timers.heap.push(s);
             }
         }
         let now = now_us();
-        let mut sent = 0;
-        while state.heap.peek().is_some_and(|s| s.depart_at <= now) {
-            let s = state.heap.pop().expect("peeked");
+        while timers.heap.peek().is_some_and(|s| s.depart_at <= now) {
+            let s = timers.heap.pop().expect("peeked");
             if s.class.is_some() {
                 self.queued_data.fetch_sub(1, Ordering::Relaxed);
             }
@@ -1284,56 +1290,46 @@ impl Shared {
                 let _ = self.socket.send_to(&s.datagram, addr);
             }
             self.frame_pool.lock().recycle(s.datagram);
-            sent += 1;
         }
-        (sent, state.heap.peek().map(|s| s.depart_at))
     }
 
     /// Fires whichever periodic duties are due: hello probes plus the
     /// per-tick housekeeping (overload observation, LSA retransmits,
     /// NACK re-requests) on the hello cadence, link-state origination
     /// and scheme refresh on the link-state cadence, anti-entropy
-    /// digests on theirs. Returns whether anything fired.
-    pub(crate) fn service_ticker(&self, state: &mut TickerState) -> bool {
-        let tick = std::time::Instant::now();
-        let mut fired = false;
-        if tick >= state.next_hello {
-            state.next_hello = tick + self.config.hello_interval;
+    /// digests on theirs.
+    pub(crate) fn service_ticker(&self, timers: &mut Timers) {
+        let tick = Instant::now();
+        if tick >= timers.next_hello {
+            timers.next_hello = tick + self.config.hello_interval;
             self.send_hellos();
             let now = now_us();
             self.observe_overload(now);
             self.retransmit_pending_lsas(now);
             self.rerequest_nacks(now);
-            fired = true;
         }
-        if tick >= state.next_ls {
-            state.next_ls = tick + self.config.link_state_interval;
+        if tick >= timers.next_ls {
+            timers.next_ls = tick + self.config.link_state_interval;
             if !self.originations_paused.load(Ordering::Relaxed) {
                 self.originate_link_state();
             }
             self.update_schemes();
-            fired = true;
         }
-        if tick >= state.next_digest {
-            state.next_digest = tick + self.config.digest_interval;
+        if tick >= timers.next_digest {
+            timers.next_digest = tick + self.config.digest_interval;
             self.send_digests();
-            fired = true;
         }
-        fired
     }
 }
 
 /// A running overlay node.
 ///
 /// Dropping the handle without calling [`OverlayHandle::shutdown`]
-/// leaves the daemon threads (or reactor registration) running until
-/// process exit; call `shutdown` for an orderly stop.
+/// leaves the node's threads running until process exit; call
+/// `shutdown` for an orderly stop.
 pub struct OverlayHandle {
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-    /// Set by the reactor worker once this node's slot has flushed its
-    /// parked shipments and been dropped; `None` in threaded mode.
-    retired: Option<Arc<AtomicBool>>,
+    threads: NodeThreads,
 }
 
 impl std::fmt::Debug for OverlayHandle {
@@ -1346,87 +1342,36 @@ impl std::fmt::Debug for OverlayHandle {
 }
 
 impl OverlayNode {
-    /// Binds the configured address and starts the node on dedicated
-    /// threads (the [`SpawnMode::Threaded`] compatibility mode; see
-    /// [`OverlayNode::spawn_on`] for the runtime-aware entry point).
+    /// Binds the configured address and starts the node.
     ///
     /// # Errors
     ///
     /// Returns [`OverlayError::Io`] when the socket cannot be bound.
     pub fn spawn(config: NodeConfig, graph: Arc<Graph>) -> Result<OverlayHandle, OverlayError> {
-        OverlayNode::spawn_on(&Runtime::threaded(), config, graph)
-    }
-
-    /// Binds the configured address and starts the node on `runtime`:
-    /// three dedicated threads under a [`SpawnMode::Threaded`] runtime,
-    /// or a slot on the shared reactor worker pool under
-    /// [`SpawnMode::Reactor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::Io`] when the socket cannot be bound and
-    /// [`OverlayError::RuntimeShutDown`] when the runtime has stopped.
-    pub fn spawn_on(
-        runtime: &Runtime,
-        config: NodeConfig,
-        graph: Arc<Graph>,
-    ) -> Result<OverlayHandle, OverlayError> {
         let socket = UdpSocket::bind(config.listen)?;
-        OverlayNode::spawn_with_socket_on(runtime, config, graph, socket)
+        OverlayNode::spawn_with_socket(config, graph, socket)
     }
 
     /// Starts a node over an already-bound socket (used by clusters,
-    /// which must learn every port before wiring up peer tables) on
-    /// dedicated threads.
+    /// which must learn every port before wiring up peer tables).
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::Io`] when socket options cannot be set.
+    /// Returns [`OverlayError::Io`] when socket options cannot be set
+    /// or a thread cannot be started.
     pub fn spawn_with_socket(
         config: NodeConfig,
         graph: Arc<Graph>,
         socket: UdpSocket,
     ) -> Result<OverlayHandle, OverlayError> {
-        OverlayNode::spawn_with_socket_on(&Runtime::threaded(), config, graph, socket)
-    }
-
-    /// Starts a node over an already-bound socket on `runtime`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::Io`] when socket options cannot be set
-    /// and [`OverlayError::RuntimeShutDown`] when the runtime has
-    /// stopped accepting nodes.
-    pub fn spawn_with_socket_on(
-        runtime: &Runtime,
-        config: NodeConfig,
-        graph: Arc<Graph>,
-        socket: UdpSocket,
-    ) -> Result<OverlayHandle, OverlayError> {
-        match runtime.mode() {
-            SpawnMode::Threaded => {
-                socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-                let (shared, data_rx, control_rx) = build_shared(config, graph, socket);
-                spawn_threaded(shared, data_rx, control_rx)
-            }
-            SpawnMode::Reactor => {
-                // The reactor never blocks on any one node's socket; it
-                // polls every registered socket in non-blocking mode.
-                socket.set_nonblocking(true)?;
-                let (shared, data_rx, control_rx) = build_shared(config, graph, socket);
-                let retired = runtime.register(Arc::clone(&shared), data_rx, control_rx)?;
-                Ok(OverlayHandle { shared, threads: Vec::new(), retired: Some(retired) })
-            }
-        }
+        let (shared, timers) = build_shared(config, graph, socket);
+        let threads = NodeThreads::spawn(&shared, timers)?;
+        Ok(OverlayHandle { shared, threads })
     }
 }
 
-/// Builds the node's shared state and its two shipment lanes.
-fn build_shared(
-    config: NodeConfig,
-    graph: Arc<Graph>,
-    socket: UdpSocket,
-) -> (Arc<Shared>, Receiver<Shipment>, Receiver<Shipment>) {
+/// Builds the node's shared state and the timer thread's side of it.
+fn build_shared(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> (Arc<Shared>, Timers) {
     let (shipper_tx, shipper_rx) = channel::bounded(config.shipper_queue);
     let (control_tx, control_rx) = channel::unbounded();
     let overload = OverloadDetector::new(OverloadConfig {
@@ -1449,11 +1394,13 @@ fn build_shared(
         problem_loss_threshold: config.detector_loss_threshold,
         ..SchemeParams::default()
     };
+    let timers = Timers::new(&config, shipper_rx, control_rx);
     let shared = Arc::new(Shared {
         config,
         graph: Arc::clone(&graph),
         socket,
         running: AtomicBool::new(true),
+        timer: OnceLock::new(),
         faults: FaultPlan::with_seed(fault_seed),
         monitor: Mutex::new(LinkMonitor::new(
             monitor_window,
@@ -1485,46 +1432,7 @@ fn build_shared(
         ls_epoch: now_us().as_micros(),
         originations_paused: AtomicBool::new(false),
     });
-    (shared, shipper_rx, control_rx)
-}
-
-/// Starts the three dedicated per-node threads of the compatibility
-/// [`SpawnMode::Threaded`] mode.
-fn spawn_threaded(
-    shared: Arc<Shared>,
-    data_rx: Receiver<Shipment>,
-    control_rx: Receiver<Shipment>,
-) -> Result<OverlayHandle, OverlayError> {
-    let rx_shared = Arc::clone(&shared);
-    let rx_thread = std::thread::Builder::new()
-        .name(format!("dg-rx-{}", rx_shared.config.node))
-        .spawn(move || {
-            run_supervised(&rx_shared, NodeThread::Receive, || receive_loop(&rx_shared));
-        })?;
-
-    let ship_shared = Arc::clone(&shared);
-    let ship_thread = std::thread::Builder::new()
-        .name(format!("dg-ship-{}", ship_shared.config.node))
-        .spawn(move || {
-            run_supervised(&ship_shared, NodeThread::Shipper, || {
-                // A fresh heap per restart: a panic forfeits whatever
-                // was parked, exactly as a crashed thread always has.
-                let mut state = ShipperState::new(data_rx.clone(), control_rx.clone());
-                shipper_loop(&ship_shared, &mut state);
-            });
-        })?;
-
-    let tick_shared = Arc::clone(&shared);
-    let tick_thread = std::thread::Builder::new()
-        .name(format!("dg-tick-{}", tick_shared.config.node))
-        .spawn(move || {
-            run_supervised(&tick_shared, NodeThread::Ticker, || {
-                let mut state = TickerState::new(&tick_shared.config);
-                ticker_loop(&tick_shared, &mut state);
-            });
-        })?;
-
-    Ok(OverlayHandle { shared, threads: vec![rx_thread, ship_thread, tick_thread], retired: None })
+    (shared, timers)
 }
 
 impl OverlayHandle {
@@ -1770,114 +1678,18 @@ impl OverlayHandle {
         self.shared.inject_overload(shipments, dwell);
     }
 
-    /// Stops the node and waits for its outbound queue to flush: joins
-    /// the dedicated threads in threaded mode, or waits for the reactor
-    /// worker to retire this node's slot in reactor mode.
-    pub fn shutdown(mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(retired) = self.retired.take() {
-            // The worker flushes parked shipments before retiring the
-            // slot, mirroring the threaded shipper's drain-then-exit.
-            // The cap only guards against a runtime that was torn down
-            // out from under the node.
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            while !retired.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+    /// Asks the node to stop without waiting for it, so a cluster can
+    /// stop every node before joining any.
+    pub(crate) fn request_stop(&self) {
+        self.shared.stop();
     }
-}
 
-/// Most datagrams the receive thread drains per socket wakeup before
-/// re-arming the blocking wait, so a burst costs one timeout cycle.
-const RX_BATCH: usize = 32;
-
-/// Runs `body` under panic supervision: a panic is caught, counted,
-/// journaled, flagged as degradation, and the body restarted; a clean
-/// return is a shutdown.
-fn run_supervised(shared: &Shared, thread: NodeThread, body: impl Fn()) {
-    loop {
-        if catch_unwind(AssertUnwindSafe(&body)).is_ok() {
-            return;
-        }
-        if !shared.running.load(Ordering::SeqCst) {
-            return;
-        }
-        shared.note_thread_crash(thread);
-    }
-}
-
-fn receive_loop(shared: &Shared) {
-    let mut buf = vec![0u8; 65_536];
-    // A panic mid-drain can leave the socket non-blocking; restore
-    // blocking mode so a restarted loop does not spin.
-    let _ = shared.socket.set_nonblocking(false);
-    while shared.running.load(Ordering::SeqCst) {
-        shared.beat(NodeThread::Receive);
-        shared.maybe_injected_panic(NodeThread::Receive);
-        // Block (bounded by the socket read timeout) for the first
-        // datagram of a burst...
-        match shared.socket.recv_from(&mut buf) {
-            Ok((len, _addr)) => shared.handle_datagram(&buf[..len]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-        // ...then opportunistically drain the rest of it without
-        // blocking. The read timeout only applies in blocking mode, so
-        // toggling non-blocking on and off preserves it.
-        if shared.socket.set_nonblocking(true).is_err() {
-            continue;
-        }
-        for _ in 1..RX_BATCH {
-            match shared.socket.recv_from(&mut buf) {
-                Ok((len, _addr)) => shared.handle_datagram(&buf[..len]),
-                Err(_) => break,
-            }
-        }
-        if shared.socket.set_nonblocking(false).is_err() {
-            break;
-        }
-    }
-}
-
-fn shipper_loop(shared: &Shared, state: &mut ShipperState) {
-    loop {
-        shared.beat(NodeThread::Shipper);
-        shared.maybe_injected_panic(NodeThread::Shipper);
-        let (_, next_departure) = shared.service_shipper(state);
-        // `None` means the heap is empty: a stopping node may exit.
-        if !shared.running.load(Ordering::SeqCst) && next_departure.is_none() {
-            return;
-        }
-        // Sleep until the next due shipment or a short poll.
-        let nap = next_departure
-            .map(|d| Duration::from_micros(d.saturating_sub(now_us()).as_micros().min(5_000)))
-            .unwrap_or(Duration::from_millis(2));
-        if let Ok(s) = state.data_rx.recv_timeout(nap) {
-            state.heap.push(s);
-        }
-    }
-}
-
-fn ticker_loop(shared: &Shared, state: &mut TickerState) {
-    while shared.running.load(Ordering::SeqCst) {
-        shared.beat(NodeThread::Ticker);
-        shared.maybe_injected_panic(NodeThread::Ticker);
-        shared.service_ticker(state);
-        let nap = state
-            .next_deadline()
-            .saturating_duration_since(std::time::Instant::now())
-            .min(shared.config.hello_interval)
-            .max(Duration::from_millis(1));
-        std::thread::sleep(nap);
+    /// Stops the node and waits for both its threads. Every shipment
+    /// parked before the call leaves at its departure time first:
+    /// shutdown returned means flushed.
+    pub fn shutdown(self) {
+        self.request_stop();
+        self.threads.join();
     }
 }
 
@@ -1896,14 +1708,64 @@ mod tests {
         assert!(cache.insert((f, 1)), "evicted key is fresh again");
     }
 
+    fn timers_at(tick: Instant) -> Timers {
+        let (_, data_rx) = channel::bounded(1);
+        let (_, control_rx) = channel::unbounded();
+        Timers {
+            heap: BinaryHeap::new(),
+            data_rx,
+            control_rx,
+            next_hello: tick + Duration::from_millis(50),
+            next_ls: tick + Duration::from_millis(200),
+            next_digest: tick + Duration::from_millis(1_000),
+        }
+    }
+
+    fn parked(depart_at: Micros) -> Shipment {
+        Shipment { to: NodeId::new(0), datagram: Bytes::new(), depart_at, order: 0, class: None }
+    }
+
     #[test]
-    fn ticker_state_fires_hellos_first() {
+    fn next_wake_is_the_earliest_departure_or_protocol_deadline() {
+        let tick = Instant::now();
+        let now = Micros::from_millis(1_000);
+        let ms = Duration::from_millis;
+        let mut timers = timers_at(tick);
+        assert_eq!(timers.next_wake(true, now, tick), Some(ms(50)), "hello is earliest");
+        timers.next_hello = tick + ms(300);
+        assert_eq!(timers.next_wake(true, now, tick), Some(ms(200)), "then link state");
+        timers.next_ls = tick + ms(2_000);
+        assert_eq!(timers.next_wake(true, now, tick), Some(ms(300)), "hello again");
+        timers.next_hello = tick + ms(5_000);
+        assert_eq!(timers.next_wake(true, now, tick), Some(ms(1_000)), "then the digest");
+        timers.heap.push(parked(now.saturating_add(Micros::from_millis(7))));
+        timers.heap.push(parked(now.saturating_add(Micros::from_millis(3))));
+        assert_eq!(timers.next_wake(true, now, tick), Some(ms(3)), "heap head beats them all");
+        assert_eq!(
+            timers.next_wake(true, now.saturating_add(Micros::from_millis(9)), tick + ms(9)),
+            Some(Duration::ZERO),
+            "an overdue departure wakes at once"
+        );
+        // A stopping node waits for departures only, then for nothing.
+        assert_eq!(timers.next_wake(false, now, tick), Some(ms(3)));
+        timers.heap.clear();
+        assert_eq!(timers.next_wake(false, now, tick), None);
+    }
+
+    #[test]
+    fn fresh_timers_fire_hellos_first() {
         let config = NodeConfig::builder(NodeId::new(0), "127.0.0.1:0".parse().unwrap())
             .build()
             .expect("default config validates");
-        let state = TickerState::new(&config);
-        assert_eq!(state.next_deadline(), state.next_hello, "hello duty is due immediately");
-        assert!(state.next_ls > state.next_hello);
-        assert!(state.next_digest > state.next_hello);
+        let (_, data_rx) = channel::bounded(1);
+        let (_, control_rx) = channel::unbounded();
+        let timers = Timers::new(&config, data_rx, control_rx);
+        assert!(timers.next_ls > timers.next_hello);
+        assert!(timers.next_digest > timers.next_hello);
+        assert_eq!(
+            timers.next_wake(true, now_us(), Instant::now()),
+            Some(Duration::ZERO),
+            "hello duty is due immediately"
+        );
     }
 }

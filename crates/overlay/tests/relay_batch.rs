@@ -1,10 +1,9 @@
 //! Relay-side batching: a DATA-BATCH frame is accepted packet by packet
 //! and its survivors are forwarded as runs — batches stay batches.
 //!
-//! The tests run real nodes over loopback UDP (on the runtime
-//! `DG_RUNTIME` names, like the cluster suites). A site can be a *tap*
+//! The tests run real nodes over loopback UDP. A site can be a *tap*
 //! instead of a node: a plain socket the test injects hand-encoded
-//! frames from and reads a neighbour's data frames on, byte for byte.
+//! frames from and reads a neighbour's frames on, byte for byte.
 
 use bytes::Bytes;
 use dg_core::scheme::{RoutingScheme, SchemeKind};
@@ -12,7 +11,7 @@ use dg_core::{DisseminationGraph, Flow, ServiceRequirement, SlaClass};
 use dg_overlay::fault::LinkFault;
 use dg_overlay::session::{Delivery, FlowReceiver, FlowSender};
 use dg_overlay::wire::{DataPacket, Envelope, Message};
-use dg_overlay::{now_us, NodeConfig, NodeCounters, OverlayHandle, OverlayNode, Runtime};
+use dg_overlay::{now_us, NodeConfig, NodeConfigBuilder, NodeCounters, OverlayHandle, OverlayNode};
 use dg_topology::{Graph, GraphBuilder, Micros, NodeId};
 use dg_trace::NetworkState;
 use std::collections::HashMap;
@@ -59,7 +58,6 @@ fn chain4() -> (Graph, Vec<NodeId>) {
 
 struct Net {
     graph: Arc<Graph>,
-    runtime: Runtime,
     addrs: Vec<SocketAddr>,
     nodes: Vec<Option<OverlayHandle>>,
     taps: Vec<Option<UdpSocket>>,
@@ -69,8 +67,17 @@ impl Net {
     /// One node per site with its own `max_batch_bytes`; the sites in
     /// `taps` get a bare socket instead.
     fn launch(graph: Graph, budget: impl Fn(NodeId) -> usize, taps: &[NodeId]) -> Net {
+        Net::launch_tuned(graph, budget, taps, |config| config)
+    }
+
+    /// As [`Net::launch`], with `tune` applied to every node's config.
+    fn launch_tuned(
+        graph: Graph,
+        budget: impl Fn(NodeId) -> usize,
+        taps: &[NodeId],
+        tune: impl Fn(NodeConfigBuilder) -> NodeConfigBuilder,
+    ) -> Net {
         let graph = Arc::new(graph);
-        let runtime = Runtime::from_descriptor(&std::env::var("DG_RUNTIME").unwrap_or_default());
         let sockets: Vec<UdpSocket> =
             graph.nodes().map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind")).collect();
         let addrs: Vec<SocketAddr> =
@@ -85,18 +92,19 @@ impl Net {
             }
             let peers: HashMap<_, _> =
                 graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect();
-            let config = NodeConfig::builder(node, addrs[node.index()])
-                .max_batch_bytes(budget(node))
-                .peers(peers)
-                .build()
-                .expect("config validates");
-            let handle =
-                OverlayNode::spawn_with_socket_on(&runtime, config, Arc::clone(&graph), socket)
-                    .expect("node spawns");
+            let config = tune(
+                NodeConfig::builder(node, addrs[node.index()])
+                    .max_batch_bytes(budget(node))
+                    .peers(peers),
+            )
+            .build()
+            .expect("config validates");
+            let handle = OverlayNode::spawn_with_socket(config, Arc::clone(&graph), socket)
+                .expect("node spawns");
             nodes.push(Some(handle));
             tapped.push(None);
         }
-        Net { graph, runtime, addrs, nodes, taps: tapped }
+        Net { graph, addrs, nodes, taps: tapped }
     }
 
     fn node(&self, node: NodeId) -> &OverlayHandle {
@@ -174,7 +182,6 @@ impl Net {
         for handle in self.nodes.into_iter().flatten() {
             handle.shutdown();
         }
-        self.runtime.shutdown();
     }
 }
 
@@ -494,4 +501,51 @@ fn batched_and_unbatched_runs_count_the_same() {
         batched,
         [(0, 0, 0, 0, all), (all, 0, 0, 0, all), (all, 0, 0, 0, all), (all, all, 0, 0, 0)]
     );
+}
+
+/// A control frame the fault plan delays must leave at its departure
+/// time, not at the timer thread's next protocol deadline: with every
+/// cadence set to seconds, the only thing that can wake the thread in
+/// time is the enqueue itself.
+#[test]
+fn a_delayed_control_frame_leaves_at_its_departure_time() {
+    let (graph, n) = topology(&["A", "B"], &[(0, 1)]);
+    let cadence = Duration::from_secs(5);
+    let net = Net::launch_tuned(
+        graph,
+        |_| BIG_BUDGET,
+        &[n[1]],
+        |config| {
+            config
+                .hello_interval(cadence)
+                .link_state_interval(cadence)
+                .digest_interval(cadence)
+                .link_state_max_age(cadence * 4)
+                .watchdog_stale_after(cadence * 4)
+        },
+    );
+    let delay = Duration::from_millis(5);
+    net.node(n[0]).faults().set(n[1], LinkFault::delayed(Micros::from_millis(5)));
+    // Let the start-up hello (due at once) and its wake pass.
+    std::thread::sleep(Duration::from_millis(50));
+    let mut buf = vec![0u8; 65_536];
+    for seq in 100..105 {
+        // A hello is answered at once, on the control lane.
+        let asked = Instant::now();
+        net.inject(n[1], n[0], Message::Hello { seq, sent_at: now_us() });
+        let took = loop {
+            assert!(asked.elapsed() < Duration::from_secs(3), "hello {seq} never answered");
+            let Ok((len, _)) = net.tap(n[1]).recv_from(&mut buf) else { continue };
+            match Envelope::decode(&buf[..len]).expect("frames decode").message {
+                Message::HelloAck { echo_seq, .. } if echo_seq == seq => break asked.elapsed(),
+                _ => continue,
+            }
+        };
+        assert!(took >= delay, "ack {seq} skipped its {delay:?} link delay: {took:?}");
+        assert!(
+            took < Duration::from_millis(200),
+            "ack {seq} waited {took:?} for a {delay:?} departure (cadence {cadence:?})"
+        );
+    }
+    net.shutdown();
 }

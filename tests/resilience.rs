@@ -169,6 +169,38 @@ fn thread_crashes_degrade_then_recover() {
     cluster.shutdown();
 }
 
+/// A shipper crash must not strand the queue-depth signal. Parked data
+/// shipments are counted in `outbound_queue_depth` until they depart;
+/// the departure heap lives outside the shipper duty's unwind
+/// boundary, so the shipments outlive the panic, leave when due, and
+/// the depth the shed bands and the overload detector read returns to
+/// zero instead of reading phantom load for the rest of the node's life.
+#[test]
+fn shipper_crash_keeps_parked_shipments_and_queue_depth() {
+    let graph = topology::presets::ring(3, Micros::from_millis(2));
+    let cluster =
+        Cluster::launch(&graph, ClusterConfig { fault_seed: chaos_seed(), ..Default::default() })
+            .unwrap();
+    let node = cluster.node(NodeId::new(1));
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    node.inject_overload(100, Duration::from_millis(200));
+    assert_eq!(node.outbound_queue_depth(), 100);
+    // Let the shipments reach the departure heap before the crash.
+    std::thread::sleep(Duration::from_millis(20));
+    node.inject_thread_panic(NodeThread::Shipper);
+    wait_for("the shipper crash", &|| node.metrics_snapshot().counters.thread_crashes == 1);
+    wait_for("the parked shipments to depart", &|| node.outbound_queue_depth() == 0);
+    assert_eq!(node.metrics_snapshot().counters.thread_crashes, 1);
+    cluster.shutdown();
+}
+
 /// Acceptance criterion: an oscillating link is flap-damped. Down
 /// declarations stay fail-fast, recoveries wait out the hold-down, the
 /// suppressed attempts are counted and journaled, and the total
