@@ -57,7 +57,7 @@ mod error;
 pub mod fault;
 mod linkstate;
 pub mod metrics;
-mod monitor;
+pub mod monitor;
 mod node;
 pub mod overload;
 pub mod pool;

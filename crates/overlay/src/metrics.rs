@@ -169,6 +169,9 @@ declare_counters! {
     retransmits_suppressed,
     /// NACKs re-issued after the first request stayed silent.
     nack_rerequests,
+    /// Silent NACKed sequences not asked for a second time, because
+    /// their retransmission could no longer meet the packet's deadline.
+    nack_rerequests_skipped,
     /// Supervised node threads restarted after a panic.
     thread_crashes,
     }

@@ -1,18 +1,51 @@
-//! Hello-based link monitoring.
+//! Link monitoring: one loss estimator per in-link.
 //!
 //! Each node probes its out-links with periodic hellos; neighbours echo
-//! them back. Loss is estimated from hello sequence gaps over a sliding
-//! window, and RTT from the echo round trip. These estimates feed the
-//! node's link-state reports — the information dynamic schemes and the
+//! them back. Loss on the link *from* a neighbour is estimated from
+//! every sequenced arrival that link carries — the hello sequence, and
+//! the per-link sequence of the data packets the gap tracker
+//! ([`crate::recovery::GapTracker`]) already reads for NACKs — and RTT
+//! from the echo round trip. These estimates feed the node's
+//! link-state reports — the information dynamic schemes and the
 //! targeted-redundancy detector act on.
+//!
+//! The estimate spans the shortest run of trailing hello ticks that
+//! holds [`SAMPLE_TARGET`] samples, between [`SPAN_FLOOR_TICKS`] and
+//! the configured window: a link carrying a thousand packets a second
+//! is judged on its last fifth of a second, an idle one on its last
+//! window of hellos and nothing else. What is advertised is the lower
+//! of that estimate and one over twice the span: a problem has to be
+//! both recent and more than one burst can fake (see
+//! [`LinkMonitor::loss_from`]).
 //!
 //! Estimates are *staleness-aware*: a link that stops delivering hellos
 //! entirely would otherwise freeze at its last (possibly clean)
 //! estimate, so silence is charged as loss based on how many hellos
-//! should have arrived since the last one did.
+//! should have arrived since the last one did. Absent *data* is no
+//! evidence either way: a tick in which a link carried nothing only
+//! widens the span.
 
 use dg_topology::{Micros, NodeId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+/// The fewest trailing hello ticks an estimate spans, however many
+/// samples they hold. A loss burst is over within a tick (the
+/// Gilbert–Elliott background of the benchmarks loses two or three
+/// packets of five); four ticks of a busy link dilute it well below a
+/// 5 % threshold, while one tick of a real 50 % loss still reads above
+/// 10 %. It is also what a clear waits for: the estimate of a healed
+/// link falls to zero once the span holds clean ticks only, four to
+/// five ticks after the loss ends.
+pub const SPAN_FLOOR_TICKS: u64 = 4;
+
+/// The samples an estimate wants before it stops widening its span. At
+/// a 5 % threshold 200 samples put ten losses between clean and
+/// problem — four average bursts' worth — and an estimate on 200
+/// samples of an independent loss is within ±3 points of the rate
+/// nineteen times in twenty. A link too quiet to supply them inside
+/// the window is judged on the whole window, as an idle link always
+/// was.
+pub const SAMPLE_TARGET: u64 = 200;
 
 /// Per-neighbour monitoring state.
 #[derive(Debug, Default)]
@@ -28,6 +61,20 @@ struct NeighborStats {
     /// Smoothed one-way delay from this neighbour (from hello
     /// timestamps; nodes of a localhost cluster share a clock).
     one_way: Option<Micros>,
+    /// Data evidence per closed hello tick, newest last, at most a
+    /// window of them: `(expected, received)` link sequences.
+    data: VecDeque<(u64, u64)>,
+}
+
+impl NeighborStats {
+    /// `(expected, received)` data sequences over the last `ticks`.
+    fn data_over(&self, ticks: u64) -> (u64, u64) {
+        self.data
+            .iter()
+            .rev()
+            .take(ticks as usize)
+            .fold((0, 0), |(e, r), &(expected, received)| (e + expected, r + received))
+    }
 }
 
 /// Tracks hello reception and RTT per neighbour.
@@ -46,9 +93,10 @@ pub struct LinkMonitor {
 }
 
 impl LinkMonitor {
-    /// Creates a monitor estimating loss over the last `window` hellos,
-    /// charging silence as loss at one hello per `hello_interval` and
-    /// declaring a link down after `down_after` silent intervals.
+    /// Creates a monitor estimating loss over at most the last `window`
+    /// hello ticks, charging silence as loss at one hello per
+    /// `hello_interval` and declaring a link down after `down_after`
+    /// silent intervals.
     ///
     /// # Panics
     ///
@@ -126,17 +174,52 @@ impl LinkMonitor {
     /// Records a hello received *from* `neighbor` — i.e. evidence about
     /// the link `neighbor -> self` — along with its measured one-way
     /// delay (EWMA-smoothed) and the local arrival time.
+    ///
+    /// A sequence more than a window below the highest seen cannot be a
+    /// reordered hello: the neighbour restarted and counts from zero
+    /// again, so the estimator starts over with it instead of pruning
+    /// the new life's hellos until they outgrow the old one's.
     pub fn record_hello(&mut self, neighbor: NodeId, seq: u64, one_way: Micros, now: Micros) {
         let stats = self.neighbors.entry(neighbor).or_default();
+        if stats.highest.is_some_and(|h| seq.saturating_add(self.window) < h) {
+            stats.received.clear();
+            stats.highest = None;
+        }
         stats.received.insert(seq);
-        stats.highest = Some(stats.highest.map_or(seq, |h| h.max(seq)));
+        let highest = stats.highest.map_or(seq, |h| h.max(seq));
+        stats.highest = Some(highest);
         stats.last_heard = Some(stats.last_heard.map_or(now, |t| t.max(now)));
-        let floor = stats.highest.expect("just set").saturating_sub(self.window);
-        stats.received.retain(|&s| s > floor);
+        stats.received.retain(|&s| s + self.window > highest);
         stats.one_way = Some(match stats.one_way {
             Some(old) => Micros::from_micros((old.as_micros() * 7 + one_way.as_micros()) / 8),
             None => one_way,
         });
+    }
+
+    /// Closes one hello tick of data evidence about the link from
+    /// `neighbor`: its sequence stream advanced by `expected`, of which
+    /// `received` arrived as first transmissions (what
+    /// [`crate::recovery::GapTracker::take_evidence`] hands over) by
+    /// `now`. An empty tick still counts as a tick. A link that
+    /// delivered data is alive whatever became of its hellos: the
+    /// silence that charges overdue hellos and declares a link down is
+    /// measured from the last arrival of either kind.
+    pub fn record_data_tick(
+        &mut self,
+        neighbor: NodeId,
+        expected: u64,
+        received: u64,
+        now: Micros,
+    ) {
+        let stats = self.neighbors.entry(neighbor).or_default();
+        if stats.data.len() as u64 == self.window {
+            stats.data.pop_front();
+        }
+        stats.data.push_back((expected, received));
+        if received > 0 {
+            // Only a hello starts the clock: `heard_from` keeps its meaning.
+            stats.last_heard = stats.last_heard.map(|t| t.max(now));
+        }
     }
 
     /// Smoothed one-way delay from `neighbor`, if any hello arrived.
@@ -154,10 +237,29 @@ impl LinkMonitor {
         });
     }
 
+    /// How many trailing hello ticks an estimate for `stats` spans: the
+    /// fewest, from `scale` × [`SPAN_FLOOR_TICKS`] up, that hold
+    /// `scale` × [`SAMPLE_TARGET`] samples, or the whole window when
+    /// none does.
+    fn span(&self, stats: &NeighborStats, highest: u64, scale: u64) -> u64 {
+        let floor = (scale * SPAN_FLOOR_TICKS).min(self.window);
+        let enough = |&ticks: &u64| {
+            (highest + 1).min(ticks) + stats.data_over(ticks).0 >= scale * SAMPLE_TARGET
+        };
+        (floor..self.window).find(enough).unwrap_or(self.window)
+    }
+
     /// Estimated loss rate on the link *from* `neighbor` to this node
-    /// as of `now`, over the window. Unknown neighbours report full
-    /// loss (a link that has never delivered a hello is as good as
-    /// down), and hellos overdue since `last_heard` count as lost.
+    /// as of `now`: the hellos and data sequences missing among those
+    /// expected — over the estimate's span of hello ticks, and over a
+    /// span of twice the floor and twice the samples (the window
+    /// permitting), whichever reads lower. A problem has to be recent,
+    /// so a healed link reads clean once the narrow span does; and it
+    /// has to be substantial, so the ten losses the worst background
+    /// burst in fifty packs into one tick do not read as a 5 % link.
+    /// Unknown neighbours report full loss (a link that has never
+    /// delivered a hello is as good as down), and hellos overdue since
+    /// the link last delivered anything count as lost.
     pub fn loss_from(&self, neighbor: NodeId, now: Micros) -> f64 {
         let Some(stats) = self.neighbors.get(&neighbor) else {
             return 1.0;
@@ -168,12 +270,14 @@ impl LinkMonitor {
         // Hellos that should have arrived during the silence. One
         // interval of quiet is normal scheduling jitter, so it is free.
         let silence = now.saturating_sub(last_heard).as_micros();
-        let overdue =
-            (silence / self.hello_interval.as_micros()).saturating_sub(1).min(self.window);
-        let expected = (highest + 1).min(self.window) + overdue;
-        let floor = highest.saturating_sub(self.window);
-        let got = stats.received.iter().filter(|&&s| s > floor).count() as u64;
-        (1.0 - got as f64 / expected.max(1) as f64).clamp(0.0, 1.0)
+        let overdue = (silence / self.hello_interval.as_micros()).saturating_sub(1);
+        let over = |ticks: u64| {
+            let hellos = stats.received.iter().filter(|&&s| s + ticks > highest).count() as u64;
+            let (data_expected, data) = stats.data_over(ticks);
+            let expected = (highest + 1).min(ticks) + overdue.min(ticks) + data_expected;
+            (1.0 - (hellos + data) as f64 / expected.max(1) as f64).clamp(0.0, 1.0)
+        };
+        over(self.span(stats, highest, 1)).min(over(self.span(stats, highest, 2)))
     }
 
     /// Smoothed RTT to `neighbor`, if any echo has returned.
@@ -416,6 +520,176 @@ mod tests {
         assert!(!m.is_down(n, at(13)));
         assert_eq!(m.down_transition(n, at(13)), Some(false));
         assert_eq!(m.down_transition(n, at(13)), None);
+    }
+
+    /// A 20-hello window, as the node defaults to.
+    fn busy_monitor() -> LinkMonitor {
+        LinkMonitor::new(20, TICK, 5)
+    }
+
+    /// One hello tick on the link from `n`: hello `i` arrives, and the
+    /// data stream advanced by `expected` of which `received` arrived.
+    fn tick(m: &mut LinkMonitor, n: NodeId, i: u64, expected: u64, received: u64) {
+        m.record_hello(n, i, Micros::ZERO, at(i));
+        m.record_data_tick(n, expected, received, at(i));
+    }
+
+    /// 1000 pps across 50 ms ticks.
+    const PER_TICK: u64 = 50;
+
+    #[test]
+    fn bursts_on_a_busy_link_do_not_trigger() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        // Once the link has a history, a five-packet burst at 50 % loss
+        // (three lost) every fourth tick: five times the rate of the
+        // benchmarks' background.
+        for i in 0..200 {
+            let lost = if i >= 8 && i % 4 == 0 { 3 } else { 0 };
+            tick(&mut m, n, i, PER_TICK, PER_TICK - lost);
+            let loss = m.loss_from(n, at(i));
+            assert!(loss < 0.025, "tick {i}: a burst reads as {loss}");
+            assert_eq!(m.detect(n, loss, 0.05), None);
+        }
+    }
+
+    #[test]
+    fn sustained_loss_on_a_busy_link_triggers_within_one_tick() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        for i in 0..40 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        assert_eq!(m.loss_from(n, at(39)), 0.0);
+        // One tick of 50 % loss: 25 of 50 missing.
+        tick(&mut m, n, 40, PER_TICK, PER_TICK / 2);
+        let loss = m.loss_from(n, at(40));
+        assert_eq!(m.detect(n, loss, 0.05), Some(true), "one lossy tick reads as {loss}");
+    }
+
+    #[test]
+    fn busy_link_clears_within_five_clean_ticks_and_never_during_the_loss() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        for i in 0..20 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        for i in 20..40 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK / 2);
+            let loss = m.loss_from(n, at(i));
+            assert_ne!(m.detect(n, loss, 0.05), Some(false), "cleared during the loss");
+            assert!(m.is_triggered(n));
+        }
+        assert!((m.loss_from(n, at(39)) - 0.5).abs() < 0.03);
+        let cleared_after = (40..60)
+            .position(|i| {
+                tick(&mut m, n, i, PER_TICK, PER_TICK);
+                m.detect(n, m.loss_from(n, at(i)), 0.05) == Some(false)
+            })
+            .expect("a healed link clears");
+        assert!(cleared_after < 5, "cleared only after {} clean ticks", cleared_after + 1);
+    }
+
+    #[test]
+    fn drained_link_neither_triggers_nor_clears() {
+        let n = NodeId::new(1);
+        // A clean busy link stops carrying data: silence of data is not
+        // loss, and the estimate stays what the hellos say.
+        let mut m = busy_monitor();
+        for i in 0..60 {
+            let data = if i < 30 { PER_TICK } else { 0 };
+            tick(&mut m, n, i, data, data);
+            assert_eq!(m.loss_from(n, at(i)), 0.0);
+        }
+        // A lossy busy link stops carrying data while its hellos keep
+        // arriving: the clean hellos are a handful of samples against
+        // the hundreds that said 50 %, and the empty ticks are none.
+        // The estimate holds until the window has forgotten the data —
+        // where a healed link that still carried data cleared in four.
+        let mut m = busy_monitor();
+        for i in 0..30 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK / 2);
+        }
+        assert_eq!(m.detect(n, m.loss_from(n, at(29)), 0.05), Some(true));
+        for i in 30..45 {
+            tick(&mut m, n, i, 0, 0);
+            let loss = m.loss_from(n, at(i));
+            assert!(loss > 0.4, "tick {i}: empty ticks moved the estimate to {loss}");
+            assert_eq!(m.detect(n, loss, 0.05), None);
+        }
+        // From then on it is an idle link, judged on its hellos alone.
+        for i in 45..50 {
+            tick(&mut m, n, i, 0, 0);
+        }
+        assert_eq!(m.loss_from(n, at(49)), 0.0);
+    }
+
+    #[test]
+    fn empty_data_ticks_leave_an_idle_link_on_its_hello_window() {
+        let (mut idle, mut ticked) = (monitor(), monitor());
+        let n = NodeId::new(1);
+        for seq in (0..40).filter(|s| s % 3 != 0) {
+            idle.record_hello(n, seq, Micros::ZERO, at(seq));
+            tick(&mut ticked, n, seq, 0, 0);
+            assert_eq!(idle.loss_from(n, at(seq)), ticked.loss_from(n, at(seq)));
+        }
+    }
+
+    #[test]
+    fn estimate_tracks_the_injected_rate() {
+        let n = NodeId::new(1);
+        for percent in (0..=60).step_by(5) {
+            let mut m = busy_monitor();
+            // 200 samples is four ticks; eight let both spans fill.
+            for i in 0..8 {
+                tick(&mut m, n, i, PER_TICK, PER_TICK - PER_TICK * percent / 100);
+            }
+            let (loss, rate) = (m.loss_from(n, at(7)), percent as f64 / 100.0);
+            assert!((loss - rate).abs() <= 0.03, "{rate} reads as {loss}");
+        }
+    }
+
+    #[test]
+    fn restarted_neighbor_resynchronises_the_hello_window() {
+        let mut m = monitor();
+        let n = NodeId::new(1);
+        for seq in 0..100 {
+            m.record_hello(n, seq, Micros::ZERO, at(seq));
+        }
+        assert_eq!(m.loss_from(n, at(99)), 0.0);
+        // The neighbour restarts and counts from zero over a link that
+        // now loses every other hello. The old life's sequences must
+        // not mask the new one's until it has been up as long.
+        for (i, seq) in (0..20).step_by(2).enumerate() {
+            m.record_hello(n, seq, Micros::ZERO, at(100 + 2 * i as u64));
+        }
+        let loss = m.loss_from(n, at(119));
+        assert!(loss > 0.4 && loss < 0.6, "the new life's loss reads as {loss}");
+    }
+
+    #[test]
+    fn data_keeps_a_link_alive_through_lost_hellos() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        for i in 0..10 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        // Six hellos in a row are lost (down_after is five) while data
+        // keeps arriving: the link is lossy, not down.
+        for i in 10..16 {
+            m.record_data_tick(n, PER_TICK, PER_TICK / 2, at(i));
+            assert!(!m.is_down(n, at(i)));
+        }
+        // Without data the same silence is a dead link.
+        for i in 16..23 {
+            m.record_data_tick(n, 0, 0, at(i));
+        }
+        assert!(m.is_down(n, at(22)));
+        // And data alone never makes a link heard from.
+        let stranger = NodeId::new(2);
+        m.record_data_tick(stranger, PER_TICK, PER_TICK, at(22));
+        assert!(!m.heard_from(stranger));
+        assert_eq!(m.loss_from(stranger, at(22)), 1.0);
     }
 
     #[test]

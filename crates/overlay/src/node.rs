@@ -4,7 +4,7 @@
 use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::fault::{corrupt_in_place, FaultPlan};
-use crate::linkstate::LinkStateDb;
+use crate::linkstate::{Applied, LinkStateDb};
 use crate::metrics::{EventKind, MetricsRegistry, MetricsSnapshot, NodeThread};
 use crate::monitor::{FlapDamper, LinkMonitor};
 use crate::overload::{OverloadConfig, OverloadDetector, OverloadTransition};
@@ -132,6 +132,10 @@ struct AdvertisedLink {
     triggered: bool,
     loss: f32,
     extra_latency_us: u32,
+    /// The damper is withholding a transition of this link's flags; it
+    /// is asked again on every hello tick, and the refusal counted and
+    /// journalled once.
+    withheld: bool,
 }
 
 /// Thread supervision state: per-thread heartbeats, pending panic
@@ -571,10 +575,7 @@ impl Shared {
                 };
                 self.metrics.counters.lsa_acks_sent.fetch_add(1, Ordering::Relaxed);
                 self.transmit(from, ack.encode(), None);
-                if self.linkstate.lock().apply(&update, now_us()) {
-                    self.note_link_state(&update);
-                    self.flood_link_state(&update, Some(from));
-                }
+                self.take_link_state(&update, Some(from));
             }
             Message::LsaAck { origin, epoch, seq } => {
                 self.metrics.counters.lsa_acks_received.fetch_add(1, Ordering::Relaxed);
@@ -706,7 +707,12 @@ impl Shared {
         self.metrics.counters.data_received.fetch_add(1, Ordering::Relaxed);
         let now = now_us();
         // Hop-by-hop recovery: detect gaps on this incoming link.
-        let missing = self.recv_links.lock().entry(from).or_default().observe(packet.link_seq, now);
+        let missing = self
+            .recv_links
+            .lock()
+            .entry(from)
+            .or_insert_with(|| GapTracker::with_reset_horizon(self.config.retransmit_buffer as u64))
+            .observe_packet(packet.link_seq, now, packet.sent_at, packet.deadline);
         if !missing.is_empty() {
             self.metrics.counters.nack_messages_sent.fetch_add(1, Ordering::Relaxed);
             self.metrics
@@ -864,25 +870,36 @@ impl Shared {
         }
     }
 
-    /// Re-requests gaps whose NACK has gone unanswered: exactly one
-    /// extra chance per gap, covering the case where the NACK itself
-    /// was lost while the neighbour's buffer still holds the packet.
-    fn rerequest_nacks(&self, now: Micros) {
+    /// The hello tick's pass over the in-links' gap trackers. Each hands
+    /// the link monitor the loss evidence its data stream gathered
+    /// since the last tick, and names the gaps whose NACK has gone
+    /// unanswered: exactly one extra chance per gap, covering the case
+    /// where the NACK itself was lost while the neighbour's buffer
+    /// still holds the packet — unless the packet's deadline can no
+    /// longer be met, when asking again only buys a retransmission
+    /// that is suppressed, missed, or expires on arrival.
+    fn service_recv_links(&self, now: Micros) {
         let silence = Micros::from_micros(self.config.nack_rerequest_after.as_micros() as u64);
+        let mut skipped = 0;
         let due: Vec<(NodeId, Vec<u64>)> = {
+            // The only place that holds both locks: trackers, then monitor.
             let mut links = self.recv_links.lock();
+            let mut monitor = self.monitor.lock();
             links
                 .iter_mut()
                 .filter_map(|(&neighbor, tracker)| {
-                    let due = tracker.due_rerequests(now, silence);
-                    if due.is_empty() {
-                        None
-                    } else {
-                        Some((neighbor, due))
-                    }
+                    let (expected, received) = tracker.take_evidence();
+                    monitor.record_data_tick(neighbor, expected, received, now);
+                    let (due, hopeless) =
+                        tracker.due_rerequests(now, silence, monitor.rtt_to(neighbor));
+                    skipped += hopeless;
+                    (!due.is_empty()).then_some((neighbor, due))
                 })
                 .collect()
         };
+        if skipped > 0 {
+            self.metrics.counters.nack_rerequests_skipped.fetch_add(skipped, Ordering::Relaxed);
+        }
         for (neighbor, missing) in due {
             self.metrics
                 .counters
@@ -894,103 +911,112 @@ impl Shared {
         }
     }
 
-    /// Originates this node's own link-state report: the loss observed
-    /// *from* each neighbour (our in-edges) and the latency above
-    /// baseline.
-    fn originate_link_state(&self) {
-        let me = self.me();
-        let now = now_us();
-        let entries: Vec<LinkStateEntry> = {
-            let mut monitor = self.monitor.lock();
-            let mut damper = self.damper.lock();
-            let mut advertised = self.advertised.lock();
-            let mut entries = Vec::with_capacity(self.graph.in_edges(me).len());
-            for &e in self.graph.in_edges(me) {
-                let neighbor = self.graph.edge(e).src;
-                let baseline = self.graph.edge(e).latency;
-                let extra = monitor
-                    .one_way_from(neighbor)
-                    .map_or(Micros::ZERO, |d| d.saturating_sub(baseline));
-                let loss = monitor.loss_from(neighbor, now);
-                // The problem detector stays quiet until a link has
-                // delivered at least one hello; a never-heard link reads
-                // as 100% loss and would trigger spuriously at startup.
-                if monitor.heard_from(neighbor) {
-                    let _ = monitor.detect(neighbor, loss, self.config.detector_loss_threshold);
+    /// Runs the problem detector over every in-link — the loss observed
+    /// *from* each neighbour and the latency above baseline, as of
+    /// `now` — and moves what each link advertises through the flap
+    /// damper. Returns whether an advertised flag changed, which is
+    /// worth an origination of its own.
+    fn evaluate_links(&self, now: Micros) -> bool {
+        let mut monitor = self.monitor.lock();
+        let mut damper = self.damper.lock();
+        let mut advertised = self.advertised.lock();
+        let mut transitioned = false;
+        for &e in self.graph.in_edges(self.me()) {
+            let neighbor = self.graph.edge(e).src;
+            let baseline = self.graph.edge(e).latency;
+            let extra =
+                monitor.one_way_from(neighbor).map_or(Micros::ZERO, |d| d.saturating_sub(baseline));
+            let loss = monitor.loss_from(neighbor, now);
+            // The problem detector stays quiet until a link has
+            // delivered at least one hello; a never-heard link reads
+            // as 100% loss and would trigger spuriously at startup.
+            if monitor.heard_from(neighbor) {
+                let _ = monitor.detect(neighbor, loss, self.config.detector_loss_threshold);
+            }
+            // Hello silence past the configured horizon declares the
+            // link down outright — flooded so every scheme routes
+            // around it rather than waiting for loss estimates to
+            // decay.
+            let _ = monitor.down_transition(neighbor, now);
+            let raw = AdvertisedLink {
+                down: monitor.is_down(neighbor, now),
+                triggered: monitor.is_triggered(neighbor),
+                loss: loss as f32,
+                extra_latency_us: extra.as_micros().min(u64::from(u32::MAX)) as u32,
+                withheld: false,
+            };
+            let adv = advertised.entry(neighbor).or_default();
+            if raw.down == adv.down && raw.triggered == adv.triggered {
+                // Flags are steady: measured loss and latency drift
+                // through untouched.
+                *adv = raw;
+                continue;
+            }
+            // Bad news is fail-fast: a down declaration or a detector
+            // trigger bypasses the damper (but still charges it, so the
+            // good-news side of a flapping link stays held). Everything
+            // else asks.
+            let bad_news = (raw.down && !adv.down) || (raw.triggered && !adv.triggered);
+            let admitted = if bad_news {
+                damper.record_forced(neighbor, now);
+                true
+            } else {
+                damper.admit(neighbor, now)
+            };
+            if !admitted {
+                // Suppressed: keep the previous advertisement wholesale
+                // — flags *and* measurements — so an oscillating link
+                // cannot thrash every scheme in the network.
+                if !std::mem::replace(&mut adv.withheld, true) {
+                    self.metrics.counters.flap_suppressions.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record(EventKind::FlapSuppressed {
+                        neighbor,
+                        penalty: damper.penalty(neighbor, now) as f32,
+                    });
                 }
-                // Hello silence past the configured horizon declares the
-                // link down outright — flooded so every scheme routes
-                // around it rather than waiting for loss estimates to
-                // decay.
-                let _ = monitor.down_transition(neighbor, now);
-                let raw = AdvertisedLink {
-                    down: monitor.is_down(neighbor, now),
-                    triggered: monitor.is_triggered(neighbor),
-                    loss: loss as f32,
-                    extra_latency_us: extra.as_micros().min(u64::from(u32::MAX)) as u32,
-                };
-                let adv = advertised.entry(neighbor).or_default();
-                if raw.down != adv.down || raw.triggered != adv.triggered {
-                    // A down declaration is fail-fast: it bypasses the
-                    // damper (but still charges it, so the up side of a
-                    // flapping link stays held). Everything else asks.
-                    let admitted = if raw.down && !adv.down {
-                        damper.record_forced(neighbor, now);
-                        true
-                    } else {
-                        damper.admit(neighbor, now)
-                    };
-                    if admitted {
-                        if raw.down != adv.down {
-                            if raw.down {
-                                self.metrics
-                                    .counters
-                                    .links_declared_down
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.metrics.record(EventKind::LinkDown { neighbor });
-                            } else {
-                                self.metrics.record(EventKind::LinkUp { neighbor });
-                            }
-                        }
-                        if raw.triggered != adv.triggered {
-                            if raw.triggered {
-                                self.metrics.record(EventKind::DetectorTriggered {
-                                    neighbor,
-                                    loss: raw.loss,
-                                });
-                            } else {
-                                self.metrics.record(EventKind::DetectorCleared {
-                                    neighbor,
-                                    loss: raw.loss,
-                                });
-                            }
-                        }
-                        *adv = raw;
-                    } else {
-                        // Suppressed: keep the previous advertisement
-                        // wholesale — flags *and* measurements — so an
-                        // oscillating link cannot thrash every scheme
-                        // in the network.
-                        self.metrics.counters.flap_suppressions.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.record(EventKind::FlapSuppressed {
-                            neighbor,
-                            penalty: damper.penalty(neighbor, now) as f32,
-                        });
-                    }
+                continue;
+            }
+            if raw.down != adv.down {
+                if raw.down {
+                    self.metrics.counters.links_declared_down.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record(EventKind::LinkDown { neighbor });
                 } else {
-                    // Flags are steady: measured loss and latency drift
-                    // through untouched.
-                    adv.loss = raw.loss;
-                    adv.extra_latency_us = raw.extra_latency_us;
+                    self.metrics.record(EventKind::LinkUp { neighbor });
                 }
-                entries.push(LinkStateEntry {
-                    edge: e,
-                    loss: adv.loss,
-                    extra_latency_us: adv.extra_latency_us,
-                    down: adv.down,
+            }
+            if raw.triggered != adv.triggered {
+                self.metrics.record(if raw.triggered {
+                    EventKind::DetectorTriggered { neighbor, loss: raw.loss }
+                } else {
+                    EventKind::DetectorCleared { neighbor, loss: raw.loss }
                 });
             }
-            entries
+            *adv = raw;
+            transitioned = true;
+        }
+        transitioned
+    }
+
+    /// Originates this node's own link-state report: what
+    /// [`Shared::evaluate_links`] last settled on advertising for each
+    /// in-edge.
+    fn originate_link_state(&self) {
+        let me = self.me();
+        let entries: Vec<LinkStateEntry> = {
+            let advertised = self.advertised.lock();
+            self.graph
+                .in_edges(me)
+                .iter()
+                .map(|&e| {
+                    let adv = advertised.get(&self.graph.edge(e).src).copied().unwrap_or_default();
+                    LinkStateEntry {
+                        edge: e,
+                        loss: adv.loss,
+                        extra_latency_us: adv.extra_latency_us,
+                        down: adv.down,
+                    }
+                })
+                .collect()
         };
         self.metrics.counters.link_state_originated.fetch_add(1, Ordering::Relaxed);
         let update = LinkStateUpdate {
@@ -999,9 +1025,23 @@ impl Shared {
             seq: self.ls_seq.fetch_add(1, Ordering::Relaxed) + 1,
             entries,
         };
-        self.linkstate.lock().apply(&update, now);
-        self.note_link_state(&update);
-        self.flood_link_state(&update, None);
+        self.take_link_state(&update, None);
+    }
+
+    /// Stores a link-state report, own or received from `except`, and
+    /// if it is news: feeds it to the graph cache, floods it onward,
+    /// and — when it moved an edge across the problem threshold, which
+    /// is when a route can change — re-runs the local senders' schemes
+    /// at once instead of at the next periodic refresh.
+    fn take_link_state(&self, update: &LinkStateUpdate, except: Option<NodeId>) {
+        let applied = self.linkstate.lock().apply(update, now_us());
+        if applied.is_new() {
+            self.note_link_state(update);
+            self.flood_link_state(update, except);
+        }
+        if applied == Applied::Crossed {
+            self.update_schemes();
+        }
     }
 
     /// Feeds an accepted link-state report into the graph cache, so
@@ -1295,24 +1335,31 @@ impl Shared {
 
     /// Fires whichever periodic duties are due: hello probes plus the
     /// per-tick housekeeping (overload observation, LSA retransmits,
-    /// NACK re-requests) on the hello cadence, link-state origination
-    /// and scheme refresh on the link-state cadence, anti-entropy
-    /// digests on theirs.
+    /// loss evidence and NACK re-requests, the problem detector) on the
+    /// hello cadence, link-state origination and scheme refresh on the
+    /// link-state cadence, anti-entropy digests on theirs. A flag the
+    /// detector moves does not wait for the link-state cadence: it is
+    /// originated on the tick it happens.
     pub(crate) fn service_ticker(&self, timers: &mut Timers) {
         let tick = Instant::now();
-        if tick >= timers.next_hello {
+        let hello_due = tick >= timers.next_hello;
+        let ls_due = tick >= timers.next_ls;
+        if hello_due {
             timers.next_hello = tick + self.config.hello_interval;
             self.send_hellos();
             let now = now_us();
             self.observe_overload(now);
             self.retransmit_pending_lsas(now);
-            self.rerequest_nacks(now);
+            self.service_recv_links(now);
         }
-        if tick >= timers.next_ls {
-            timers.next_ls = tick + self.config.link_state_interval;
-            if !self.originations_paused.load(Ordering::Relaxed) {
+        if hello_due || ls_due {
+            let transitioned = self.evaluate_links(now_us());
+            if (transitioned || ls_due) && !self.originations_paused.load(Ordering::Relaxed) {
                 self.originate_link_state();
             }
+        }
+        if ls_due {
+            timers.next_ls = tick + self.config.link_state_interval;
             self.update_schemes();
         }
         if tick >= timers.next_digest {
@@ -1407,7 +1454,11 @@ fn build_shared(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> (Ar
             Micros::from_micros(hello_interval.as_micros() as u64),
             link_down_intervals,
         )),
-        linkstate: Mutex::new(LinkStateDb::new(&graph, max_age)),
+        linkstate: Mutex::new(LinkStateDb::new(
+            &graph,
+            max_age,
+            scheme_params.problem_loss_threshold,
+        )),
         graph_cache: GraphCache::new(Arc::clone(&graph), scheme_params),
         pending_lsa: Mutex::new(HashMap::new()),
         damper: Mutex::new(FlapDamper::new(flap_hold_down, flap_half_life, flap_threshold)),

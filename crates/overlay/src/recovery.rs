@@ -10,14 +10,20 @@
 //!
 //! Two deadline-awareness refinements on top of the basic discipline:
 //!
-//! - The serving side consults [`retransmit_worthwhile`] before
-//!   answering a NACK — a retransmission that cannot arrive inside the
-//!   packet's deadline is pure cost (CASPR's observation) and is
-//!   skipped (counted `retransmits_suppressed`).
+//! - Both sides consult [`retransmit_worthwhile`] — a retransmission
+//!   that cannot arrive inside the packet's deadline is pure cost
+//!   (CASPR's observation). The serving side skips it before answering
+//!   a NACK (counted `retransmits_suppressed`); the requesting side
+//!   does not ask a second time for it (`nack_rerequests_skipped`).
 //! - A NACK itself rides an unreliable datagram. If the requested
 //!   sequences stay silent past a timeout, [`GapTracker::due_rerequests`]
 //!   re-issues the request exactly once, so a lost NACK does not
 //!   silently forfeit the recovery.
+//!
+//! The sequence stream the tracker reads for gaps is also the richest
+//! loss evidence a link offers: [`GapTracker::take_evidence`] hands
+//! the link monitor how far the stream advanced and how much of that
+//! arrived.
 
 use dg_topology::Micros;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -84,19 +90,42 @@ impl<T> SendBuffer<T> {
     }
 }
 
+/// A NACKed sequence still awaited: when it was asked for, and the
+/// budget of the packet whose arrival exposed the gap (its neighbours
+/// in the link stream were sent within a millisecond of it).
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    asked_at: Micros,
+    sent_at: Micros,
+    deadline: Micros,
+}
+
 /// Receiver side: detects sequence gaps on one incoming link.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GapTracker {
     next_expected: Option<u64>,
     /// Sequences already NACKed, so reordering cannot double-request.
     requested: HashSet<u64>,
-    /// Outstanding NACKed sequences, by request time, awaiting either
-    /// the retransmission or a timed re-request.
-    pending: HashMap<u64, Micros>,
-    /// Sequences already re-requested once; a still-silent sequence is
-    /// then abandoned (the deadline could not survive a third round
-    /// trip anyway).
-    rerequested: HashSet<u64>,
+    /// Outstanding NACKed sequences awaiting either the retransmission
+    /// or a timed re-request; a sequence leaves when either happens,
+    /// which is what makes the re-request single.
+    pending: HashMap<u64, Pending>,
+    /// An arrival further below the expectation than the sender can
+    /// still hold for retransmission is no retransmission: the sender
+    /// restarted and numbers the link from zero again.
+    reset_horizon: u64,
+    /// `(expected, received)` since the last [`GapTracker::take_evidence`]:
+    /// how far the stream advanced, and how many of those sequences
+    /// arrived first time. A retransmission is not evidence that the
+    /// link delivered, so arrivals below the expectation count nowhere.
+    evidence: (u64, u64),
+}
+
+impl Default for GapTracker {
+    fn default() -> Self {
+        // The default `retransmit_buffer`.
+        GapTracker::with_reset_horizon(2_048)
+    }
 }
 
 impl GapTracker {
@@ -106,37 +135,70 @@ impl GapTracker {
         GapTracker::default()
     }
 
-    /// Observes an arriving link sequence number at local time `now`
-    /// and returns the gap of missing sequences to NACK (empty for
-    /// in-order, duplicate, or retransmitted arrivals).
-    pub fn observe(&mut self, link_seq: u64, now: Micros) -> Vec<u64> {
-        let Some(expected) = self.next_expected else {
-            // First packet on this link: synchronize, nothing to recover
-            // (anything earlier predates our knowledge of the link).
-            self.next_expected = Some(link_seq + 1);
-            return Vec::new();
-        };
-        if link_seq < expected {
-            // A retransmission or reordering; no new information, and
-            // the sequence is no longer outstanding.
-            self.requested.remove(&link_seq);
-            self.pending.remove(&link_seq);
-            self.rerequested.remove(&link_seq);
-            return Vec::new();
+    /// A tracker for a link whose sender keeps `reset_horizon` packets
+    /// for retransmission (its `retransmit_buffer`).
+    pub fn with_reset_horizon(reset_horizon: u64) -> Self {
+        GapTracker {
+            next_expected: None,
+            requested: HashSet::new(),
+            pending: HashMap::new(),
+            reset_horizon,
+            evidence: (0, 0),
         }
+    }
+
+    /// [`GapTracker::observe_packet`] for a stream without deadlines:
+    /// nothing it NACKs is ever too late to ask for again.
+    pub fn observe(&mut self, link_seq: u64, now: Micros) -> Vec<u64> {
+        self.observe_packet(link_seq, now, now, Micros::MAX)
+    }
+
+    /// Observes the link sequence number of a packet arriving at local
+    /// time `now`, stamped `sent_at` at its source with a one-way
+    /// `deadline`, and returns the gap of missing sequences to NACK
+    /// (empty for in-order, duplicate, or retransmitted arrivals).
+    pub fn observe_packet(
+        &mut self,
+        link_seq: u64,
+        now: Micros,
+        sent_at: Micros,
+        deadline: Micros,
+    ) -> Vec<u64> {
+        let expected = match self.next_expected {
+            Some(expected) if link_seq >= expected => expected,
+            Some(expected) if expected - link_seq <= self.reset_horizon => {
+                // A retransmission or reordering; no new information, and
+                // the sequence is no longer outstanding.
+                self.requested.remove(&link_seq);
+                self.pending.remove(&link_seq);
+                return Vec::new();
+            }
+            // The first packet on this link, or of a restarted sender:
+            // synchronize, nothing to recover (anything earlier predates
+            // our knowledge of the stream).
+            _ => {
+                self.requested.clear();
+                self.pending.clear();
+                self.next_expected = Some(link_seq + 1);
+                self.evidence.0 += 1;
+                self.evidence.1 += 1;
+                return Vec::new();
+            }
+        };
+        self.evidence.0 += link_seq - expected + 1;
+        self.evidence.1 += 1;
         let gap_start = expected.max(link_seq.saturating_sub(MAX_NACK));
         let missing: Vec<u64> =
             (gap_start..link_seq).filter(|s| !self.requested.contains(s)).collect();
         self.requested.extend(missing.iter().copied());
         for &s in &missing {
-            self.pending.insert(s, now);
+            self.pending.insert(s, Pending { asked_at: now, sent_at, deadline });
         }
         // Bound the memory of the bookkeeping sets.
         if self.requested.len() > 4 * MAX_NACK as usize {
             let floor = link_seq.saturating_sub(2 * MAX_NACK);
             self.requested.retain(|&s| s >= floor);
             self.pending.retain(|&s, _| s >= floor);
-            self.rerequested.retain(|&s| s >= floor);
         }
         self.next_expected = Some(link_seq + 1);
         missing
@@ -144,27 +206,45 @@ impl GapTracker {
 
     /// Sequences NACKed at least `silence` ago that have still not
     /// arrived, each eligible for exactly one re-request (a NACK rides
-    /// an unreliable datagram too). Returned sequences move to the
-    /// re-requested set and are never offered again.
-    pub fn due_rerequests(&mut self, now: Micros, silence: Micros) -> Vec<u64> {
-        let mut due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|&(_, &asked_at)| now.saturating_sub(asked_at) >= silence)
-            .map(|(&s, _)| s)
-            .collect();
+    /// an unreliable datagram too) — those, that is, whose
+    /// retransmission could still arrive in time over a link of
+    /// round-trip `rtt` ([`retransmit_worthwhile`]); the rest are
+    /// dropped and counted in the second value. Either way the
+    /// sequence is never offered again.
+    pub fn due_rerequests(
+        &mut self,
+        now: Micros,
+        silence: Micros,
+        rtt: Option<Micros>,
+    ) -> (Vec<u64>, u64) {
+        let mut due = Vec::new();
+        let mut skipped = 0;
+        self.pending.retain(|&s, p| {
+            if now.saturating_sub(p.asked_at) < silence {
+                return true;
+            }
+            if retransmit_worthwhile(p.sent_at, p.deadline, now, rtt) {
+                due.push(s);
+            } else {
+                skipped += 1;
+            }
+            false
+        });
         due.sort_unstable();
-        for &s in &due {
-            self.pending.remove(&s);
-            self.rerequested.insert(s);
-        }
-        due
+        (due, skipped)
     }
 
     /// Outstanding NACKed sequences awaiting retransmission or
     /// re-request (bookkeeping-bound diagnostics).
     pub fn outstanding(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The loss evidence gathered since the last call, `(expected,
+    /// received)`: the link sequences the stream advanced by and how
+    /// many of them arrived as first transmissions.
+    pub fn take_evidence(&mut self) -> (u64, u64) {
+        std::mem::take(&mut self.evidence)
     }
 }
 
@@ -254,16 +334,77 @@ mod tests {
         assert_eq!(t.observe(3, Micros::from_millis(10)), vec![1, 2]);
         assert_eq!(t.outstanding(), 2);
         // Too early: nothing is due yet.
-        assert!(t.due_rerequests(Micros::from_millis(100), silence).is_empty());
+        assert!(t.due_rerequests(Micros::from_millis(100), silence, None).0.is_empty());
         // Sequence 1's retransmission lands; it is no longer pending.
         assert!(t.observe(1, Micros::from_millis(150)).is_empty());
         assert_eq!(t.outstanding(), 1);
         // Past the silence horizon, 2 is re-requested — once.
-        assert_eq!(t.due_rerequests(Micros::from_millis(300), silence), vec![2]);
-        assert!(t.due_rerequests(Micros::from_millis(600), silence).is_empty());
+        assert_eq!(t.due_rerequests(Micros::from_millis(300), silence, None), (vec![2], 0));
+        assert!(t.due_rerequests(Micros::from_millis(600), silence, None).0.is_empty());
         assert_eq!(t.outstanding(), 0);
         // A late arrival of 2 is still passed through harmlessly.
         assert!(t.observe(2, Micros::from_millis(700)).is_empty());
+    }
+
+    #[test]
+    fn hopeless_gaps_are_not_rerequested() {
+        let mut t = GapTracker::new();
+        let silence = Micros::from_millis(250);
+        let deadline = Micros::from_millis(65);
+        let rtt = Some(Micros::from_millis(20));
+        let ms = Micros::from_millis;
+        t.observe_packet(0, ms(1_000), ms(990), deadline);
+        // A 65 ms budget: the gap exposed at +10 ms is long expired when
+        // the 250 ms silence timer fires...
+        assert_eq!(t.observe_packet(3, ms(1_010), ms(1_000), deadline), vec![1, 2]);
+        assert_eq!(t.due_rerequests(ms(1_260), silence, rtt), (vec![], 2));
+        // ...and is never offered again.
+        assert_eq!(t.outstanding(), 0);
+        assert_eq!(t.due_rerequests(ms(2_000), silence, rtt), (vec![], 0));
+        // A budget that outlasts the silence keeps its one re-request —
+        // unless the hop back takes longer than what is left of it.
+        let slow = Micros::from_secs(1);
+        assert_eq!(t.observe_packet(5, ms(3_000), ms(2_990), slow), vec![4]);
+        assert_eq!(t.due_rerequests(ms(3_250), silence, rtt), (vec![4], 0));
+        assert_eq!(t.observe_packet(7, ms(4_000), ms(3_990), slow), vec![6]);
+        assert_eq!(t.due_rerequests(ms(4_985), silence, rtt), (vec![], 1));
+    }
+
+    #[test]
+    fn restarted_sender_resynchronises_the_tracker() {
+        let mut t = GapTracker::with_reset_horizon(2_048);
+        for seq in 0..5_000 {
+            assert!(t.observe(seq, Micros::ZERO).is_empty());
+        }
+        // Within the horizon a low sequence is a retransmission...
+        assert!(t.observe(4_000, Micros::ZERO).is_empty());
+        assert!(t.observe(5_000, Micros::ZERO).is_empty(), "and the stream goes on");
+        // ...further back than the sender's buffer reaches, it is the
+        // sender's next life: gaps are gaps again at once, not after
+        // 5000 more packets.
+        assert!(t.observe(0, Micros::ZERO).is_empty(), "synchronizes");
+        assert!(t.observe(1, Micros::ZERO).is_empty());
+        assert_eq!(t.observe(4, Micros::ZERO), vec![2, 3]);
+    }
+
+    #[test]
+    fn evidence_counts_first_transmissions_only() {
+        let mut t = GapTracker::new();
+        assert_eq!(t.take_evidence(), (0, 0));
+        t.observe(10, Micros::ZERO);
+        t.observe(11, Micros::ZERO);
+        assert_eq!(t.take_evidence(), (2, 2), "in order");
+        t.observe(14, Micros::ZERO);
+        assert_eq!(t.take_evidence(), (3, 1), "12 and 13 are missing");
+        // Their retransmissions (or a duplicate) say nothing about the
+        // link: it had lost them.
+        t.observe(12, Micros::ZERO);
+        t.observe(13, Micros::ZERO);
+        t.observe(14, Micros::ZERO);
+        assert_eq!(t.take_evidence(), (0, 0));
+        // A gap too long to NACK in full is still counted in full.
+        assert_eq!(t.observe(1_015, Micros::ZERO).len() as u64, MAX_NACK);
+        assert_eq!(t.take_evidence(), (1_001, 1));
     }
 
     #[test]

@@ -57,7 +57,7 @@ proptest! {
             // Periodically fire the re-request timer with a silence
             // horizon short enough to actually re-offer something.
             if (i as u64).is_multiple_of(rerequest_every) {
-                for s in tracker.due_rerequests(now, Micros::from_micros(2_000)) {
+                for s in tracker.due_rerequests(now, Micros::from_micros(2_000), None).0 {
                     *requests.entry(s).or_default() += 1;
                 }
             }
@@ -65,18 +65,18 @@ proptest! {
         // Drain the timer once more, far in the future, then verify it
         // never offers anything a third time.
         let end = Micros::from_micros((stream.len() as u64 + 10) * 1_000);
-        for s in tracker.due_rerequests(end, Micros::ZERO) {
+        for s in tracker.due_rerequests(end, Micros::ZERO, None).0 {
             *requests.entry(s).or_default() += 1;
         }
-        prop_assert!(tracker.due_rerequests(end, Micros::ZERO).is_empty());
+        prop_assert!(tracker.due_rerequests(end, Micros::ZERO, None).0.is_empty());
         for (&seq, &count) in &requests {
             prop_assert!(
                 count <= 2,
                 "seq {seq} requested {count} times — single NACK plus one re-request is the cap"
             );
         }
-        // The final zero-silence drain moved every pending entry to the
-        // re-requested set, so nothing is left outstanding.
+        // The final zero-silence drain took every pending entry, so
+        // nothing is left outstanding.
         prop_assert_eq!(tracker.outstanding(), 0);
     }
 
