@@ -393,8 +393,8 @@ impl EmuRun {
             // (the resilience suite's settings), and an aging horizon
             // past the run so a dead origin's reports freeze
             // identically everywhere instead of expiring mid-compare.
-            file.hello_interval_ms = 25;
-            file.link_state_interval_ms = 100;
+            file.hello_interval_ms = Some(25);
+            file.link_state_interval_ms = Some(100);
             file.digest_interval_ms = Some(300);
             file.link_state_max_age_ms = Some(timeline.run_ms + 30_000);
             file.fault_seed = Some(self.options.seed);

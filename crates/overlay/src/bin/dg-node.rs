@@ -63,7 +63,7 @@
 //! daemons at slightly different instants remain comparable.
 //!
 //! Config format: see [`dg_overlay::NodeFileConfig`] — identity fields
-//! plus optional tuning overrides:
+//! plus optional tuning overrides; a key it does not know is an error:
 //! ```json
 //! {
 //!   "topology": "topology.json",
@@ -231,7 +231,7 @@ fn run(config_path: &str, options: Options) {
     let graph = Arc::new(graph);
     let handle = match OverlayNode::spawn(config, Arc::clone(&graph)) {
         Ok(handle) => handle,
-        Err(e) => fail!("cannot start node {}: {e}", file.node),
+        Err(e) => fail!("{config_path}: cannot start node {}: {e}", file.node),
     };
     // The machine-parseable readiness line harnesses wait for: printed
     // only after the socket is bound and the node's threads are

@@ -20,12 +20,12 @@ use dg_core::{
     SlaClass,
 };
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
-use std::collections::HashMap;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cluster-wide settings.
+/// Cluster-wide settings: the emulation's own `latency_scale`, and the
+/// [`NodeConfig`] values every node is launched with.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Hello probe interval for every node.
@@ -35,51 +35,50 @@ pub struct ClusterConfig {
     /// Scale factor applied to emulated link latencies (1.0 = the
     /// topology's real propagation delays; tests may shrink it).
     pub latency_scale: f64,
-    /// Scheme construction tunables used by [`Cluster::open_sender`].
-    pub scheme_params: SchemeParams,
     /// Base seed for the nodes' deterministic fault RNGs; each node
     /// derives its own stream from this and its index.
     pub fault_seed: u64,
     /// Largest wire datagram built when coalescing sends (see
-    /// [`crate::NodeConfigBuilder::max_batch_bytes`]); loopback
-    /// clusters can raise it well past the WAN-safe default.
+    /// [`NodeConfig::max_batch_bytes`]); loopback clusters can raise it
+    /// well past the WAN-safe default.
     pub max_batch_bytes: usize,
     /// Anti-entropy digest interval for every node (see
-    /// [`crate::NodeConfigBuilder::digest_interval`]).
+    /// [`NodeConfig::digest_interval`]).
     pub digest_interval: Duration,
     /// Flap-damper hold-down for every node (see
-    /// [`crate::NodeConfigBuilder::flap_hold_down`]).
+    /// [`NodeConfig::flap_hold_down`]).
     pub flap_hold_down: Duration,
     /// Watchdog staleness horizon for every node (see
-    /// [`crate::NodeConfigBuilder::watchdog_stale_after`]).
+    /// [`NodeConfig::watchdog_stale_after`]).
     pub watchdog_stale_after: Duration,
     /// Outbound data-queue bound for every node (see
-    /// [`crate::NodeConfigBuilder::shipper_queue`]) — also the depth
-    /// scale of the class shed bands and the overload detector.
+    /// [`NodeConfig::shipper_queue`]) — also the depth scale of the
+    /// class shed bands and the overload detector.
     pub shipper_queue: usize,
     /// Sender-session admission capacity per node (see
-    /// [`crate::NodeConfigBuilder::sender_capacity`]).
+    /// [`NodeConfig::sender_capacity`]).
     pub sender_capacity: usize,
     /// Overload-detector hold-down for every node (see
-    /// [`crate::NodeConfigBuilder::overload_hold_down`]).
+    /// [`NodeConfig::overload_hold_down`]).
     pub overload_hold_down: Duration,
 }
 
 impl Default for ClusterConfig {
+    /// Every value shared with [`NodeConfig`] is [`NodeConfig::new`]'s.
     fn default() -> Self {
+        let node = NodeConfig::new(NodeId::new(0), SocketAddr::from(([127, 0, 0, 1], 0)));
         ClusterConfig {
-            hello_interval: Duration::from_millis(50),
-            link_state_interval: Duration::from_millis(200),
+            hello_interval: node.hello_interval,
+            link_state_interval: node.link_state_interval,
             latency_scale: 1.0,
-            scheme_params: SchemeParams::default(),
-            fault_seed: 0,
-            max_batch_bytes: 1_400,
-            digest_interval: Duration::from_secs(1),
-            flap_hold_down: Duration::from_millis(500),
-            watchdog_stale_after: Duration::from_secs(1),
-            shipper_queue: 16_384,
-            sender_capacity: 1_024,
-            overload_hold_down: Duration::from_millis(500),
+            fault_seed: node.fault_seed,
+            max_batch_bytes: node.max_batch_bytes,
+            digest_interval: node.digest_interval,
+            flap_hold_down: node.flap_hold_down,
+            watchdog_stale_after: node.watchdog_stale_after,
+            shipper_queue: node.shipper_queue,
+            sender_capacity: node.sender_capacity,
+            overload_hold_down: node.overload_hold_down,
         }
     }
 }
@@ -97,7 +96,7 @@ pub struct Cluster {
     base_delay: Vec<Micros>,
     /// Every node's bound address, kept so a killed node can restart on
     /// the same port and its peers need no reconfiguration.
-    addrs: Vec<std::net::SocketAddr>,
+    addrs: Vec<SocketAddr>,
 }
 
 impl Cluster {
@@ -105,14 +104,16 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::Io`] when sockets cannot be bound.
+    /// Returns [`OverlayError::Io`] when sockets cannot be bound, and
+    /// [`OverlayError::InvalidConfig`] when `config` breaks one of
+    /// [`NodeConfig::validate`]'s rules.
     pub fn launch(graph: &Graph, config: ClusterConfig) -> Result<Cluster, OverlayError> {
         let graph = Arc::new(graph.clone());
         // Bind every socket first so all peer addresses are known.
         let sockets: Vec<UdpSocket> = (0..graph.node_count())
             .map(|_| UdpSocket::bind("127.0.0.1:0"))
             .collect::<Result<_, _>>()?;
-        let addrs: Vec<std::net::SocketAddr> =
+        let addrs: Vec<SocketAddr> =
             sockets.iter().map(|s| s.local_addr()).collect::<Result<_, _>>()?;
 
         let base_delay: Vec<Micros> = graph
@@ -131,7 +132,7 @@ impl Cluster {
             apply_base_delays(&handle, &graph, &base_delay, node);
             handles.push(Some(handle));
         }
-        let scheme_cache = GraphCache::new(Arc::clone(&graph), config.scheme_params);
+        let scheme_cache = GraphCache::new(Arc::clone(&graph), SchemeParams::default());
         Ok(Cluster { graph, handles, config, scheme_cache, base_delay, addrs })
     }
 
@@ -418,24 +419,24 @@ impl Cluster {
 /// table survive its death.
 fn make_node_config(
     graph: &Graph,
-    addrs: &[std::net::SocketAddr],
+    addrs: &[SocketAddr],
     config: &ClusterConfig,
     node: NodeId,
 ) -> NodeConfig {
-    NodeConfig::builder(node, addrs[node.index()])
-        .hello_interval(config.hello_interval)
-        .link_state_interval(config.link_state_interval)
-        .fault_seed(config.fault_seed ^ (node.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .max_batch_bytes(config.max_batch_bytes)
-        .digest_interval(config.digest_interval)
-        .flap_hold_down(config.flap_hold_down)
-        .watchdog_stale_after(config.watchdog_stale_after)
-        .shipper_queue(config.shipper_queue)
-        .sender_capacity(config.sender_capacity)
-        .overload_hold_down(config.overload_hold_down)
-        .peers(graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect::<HashMap<_, _>>())
-        .build()
-        .expect("cluster node configuration validates")
+    NodeConfig {
+        peers: graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect(),
+        hello_interval: config.hello_interval,
+        link_state_interval: config.link_state_interval,
+        fault_seed: config.fault_seed ^ (node.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        max_batch_bytes: config.max_batch_bytes,
+        digest_interval: config.digest_interval,
+        flap_hold_down: config.flap_hold_down,
+        watchdog_stale_after: config.watchdog_stale_after,
+        shipper_queue: config.shipper_queue,
+        sender_capacity: config.sender_capacity,
+        overload_hold_down: config.overload_hold_down,
+        ..NodeConfig::new(node, addrs[node.index()])
+    }
 }
 
 /// Emulates propagation delay on each of `node`'s out-links.

@@ -2,65 +2,35 @@
 
 use crate::OverlayError;
 use dg_topology::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Configuration for one overlay node.
+/// Configuration for one overlay node: who it is, and the values some
+/// deployment, test or benchmark sets away from their defaults. What
+/// the service fixes rather than exposes — the loss window, the
+/// retransmission buffer, the problem threshold, the flap and overload
+/// thresholds — are constants beside the code that reads them.
 ///
-/// Construct with [`NodeConfig::builder`], which validates the knobs
-/// against each other before the node spawns.
+/// Start from [`NodeConfig::new`] and override with struct-update
+/// syntax; [`crate::OverlayNode::spawn`] validates what it is given.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// This node's identity in the topology.
     pub node: NodeId,
     /// Address to bind the UDP socket on (use port 0 for ephemeral).
     pub listen: SocketAddr,
-    /// Socket addresses of every overlay neighbour, by node id.
+    /// Socket addresses of every overlay neighbour, by node id. Frames
+    /// from a node id with no entry here are dropped as malformed.
     pub peers: HashMap<NodeId, SocketAddr>,
     /// How often hellos probe each out-link.
     pub hello_interval: Duration,
-    /// Hellos per loss-estimation window.
-    pub monitor_window: usize,
     /// How often this node originates a link-state update.
     pub link_state_interval: Duration,
-    /// Per-neighbour retransmission buffer capacity (packets).
-    pub retransmit_buffer: usize,
-    /// Flow-level duplicate-suppression window (packets).
-    pub dedup_window: usize,
-    /// Capacity of the node's structured event journal (events); zero
-    /// disables journalling while still counting refused events.
-    pub journal_capacity: usize,
-    /// Incoming-link loss estimate at which the problem detector
-    /// triggers (clears at half this value).
-    pub detector_loss_threshold: f64,
-    /// Hello silence longer than this many hello intervals declares the
-    /// incoming link down (flooded via link state).
-    pub link_down_intervals: u64,
     /// Link-state reports older than this expire back to a pessimistic
     /// default (a crashed origin must not freeze the database).
     pub link_state_max_age: Duration,
-    /// Bound on the outgoing-shipment queue (datagrams); overflow is
-    /// dropped and counted in `shipper_drops` (plus the per-class
-    /// `shed_*` counter of the shed packet).
-    pub shipper_queue: usize,
-    /// Bound on each receiver session's delivery queue (packets);
-    /// overflow is dropped and counted in `delivery_drops`.
-    pub delivery_queue: usize,
-    /// Seed for the node's deterministic fault-injection RNG.
-    pub fault_seed: u64,
-    /// Budget for coalescing batched sends into one wire datagram
-    /// (bytes of packet bodies). The WAN-safe default stays near a
-    /// common 1500-byte MTU; loopback benchmarks raise it to pack more
-    /// packets per syscall.
-    pub max_batch_bytes: usize,
-    /// How long to wait for a neighbour's link-state ack before
-    /// retransmitting the report (doubles per retry).
-    pub lsa_retransmit_timeout: Duration,
-    /// Retransmission budget per (neighbour, origin) link-state report;
-    /// an exhausted report is abandoned and left to anti-entropy.
-    pub lsa_max_retransmits: u32,
     /// How often anti-entropy digests summarize the link-state database
     /// to each neighbour.
     pub digest_interval: Duration,
@@ -68,342 +38,100 @@ pub struct NodeConfig {
     /// neighbour (route-flap damping hold-down); zero disables the
     /// hold-down.
     pub flap_hold_down: Duration,
-    /// Half-life of the route-flap damper's instability penalty.
-    pub flap_penalty_half_life: Duration,
-    /// Penalty above which a link is considered flapping and its
-    /// transitions stay suppressed until the penalty decays.
-    pub flap_suppress_threshold: f64,
-    /// How long a NACKed sequence may stay silent before the NACK is
-    /// re-issued (once).
-    pub nack_rerequest_after: Duration,
     /// A supervised thread whose heartbeat is older than this marks the
     /// node degraded; it is also how long the degraded flag lingers
     /// after a thread restart.
     pub watchdog_stale_after: Duration,
+    /// Bound on the outgoing-shipment queue (datagrams); overflow is
+    /// dropped and counted in `shipper_drops` (plus the per-class
+    /// `shed_*` counter of the shed packet). Also the depth scale of
+    /// the class shed bands and the overload detector.
+    pub shipper_queue: usize,
     /// Maximum sender sessions this node admits; further `open_sender`
     /// calls fail with [`OverlayError::AdmissionDenied`].
     pub sender_capacity: usize,
-    /// Fraction of `shipper_queue` at which the smoothed queue depth
-    /// declares the node overloaded (redundancy downgrades begin).
-    pub overload_enter_depth: f64,
-    /// Fraction of `shipper_queue` the smoothed depth must fall below —
-    /// with no shedding — before overload can clear (hysteresis; must
-    /// be below `overload_enter_depth`).
-    pub overload_exit_depth: f64,
     /// Minimum dwell between overload transitions (enter, escalate,
     /// exit), and the sustained-quiet horizon required before exit —
     /// the same hold-down idea as route-flap damping.
     pub overload_hold_down: Duration,
+    /// Budget for coalescing batched sends into one wire datagram
+    /// (bytes of packet bodies). The WAN-safe default stays near a
+    /// common 1500-byte MTU; loopback benchmarks raise it to pack more
+    /// packets per syscall.
+    pub max_batch_bytes: usize,
+    /// Seed for the node's deterministic fault-injection RNG.
+    pub fault_seed: u64,
 }
 
 impl NodeConfig {
-    /// Starts a validated builder from the localhost-cluster defaults:
-    /// 50 ms hellos, 20-hello loss windows, 200 ms link-state refresh.
-    pub fn builder(node: NodeId, listen: SocketAddr) -> NodeConfigBuilder {
-        NodeConfigBuilder { config: NodeConfigBuilder::defaults(node, listen) }
-    }
-}
-
-/// Builder for [`NodeConfig`]; see [`NodeConfig::builder`].
-///
-/// Every setter overrides one default; [`NodeConfigBuilder::build`]
-/// checks the result for internal consistency so a bad knob fails fast
-/// instead of spawning a node that can never converge.
-#[derive(Debug, Clone)]
-pub struct NodeConfigBuilder {
-    config: NodeConfig,
-}
-
-impl NodeConfigBuilder {
-    fn defaults(node: NodeId, listen: SocketAddr) -> NodeConfig {
+    /// The localhost-cluster defaults for `node` listening on `listen`,
+    /// with no peers yet: 50 ms hellos, 200 ms link-state refresh.
+    pub fn new(node: NodeId, listen: SocketAddr) -> NodeConfig {
         NodeConfig {
             node,
             listen,
             peers: HashMap::new(),
             hello_interval: Duration::from_millis(50),
-            monitor_window: 20,
             link_state_interval: Duration::from_millis(200),
-            retransmit_buffer: 2_048,
-            dedup_window: 16_384,
-            journal_capacity: 1_024,
-            detector_loss_threshold: 0.05,
-            link_down_intervals: 5,
             link_state_max_age: Duration::from_secs(3),
-            shipper_queue: 16_384,
-            delivery_queue: 16_384,
-            fault_seed: 0,
-            max_batch_bytes: 1_400,
-            lsa_retransmit_timeout: Duration::from_millis(100),
-            lsa_max_retransmits: 4,
             digest_interval: Duration::from_secs(1),
             flap_hold_down: Duration::from_millis(500),
-            flap_penalty_half_life: Duration::from_secs(2),
-            flap_suppress_threshold: 3.0,
-            nack_rerequest_after: Duration::from_millis(250),
             watchdog_stale_after: Duration::from_secs(1),
+            shipper_queue: 16_384,
             sender_capacity: 1_024,
-            overload_enter_depth: 0.5,
-            overload_exit_depth: 0.125,
             overload_hold_down: Duration::from_millis(500),
+            max_batch_bytes: 1_400,
+            fault_seed: 0,
         }
     }
 
-    /// Socket addresses of every overlay neighbour, by node id.
-    pub fn peers(mut self, peers: HashMap<NodeId, SocketAddr>) -> Self {
-        self.config.peers = peers;
-        self
-    }
-
-    /// How often hellos probe each out-link.
-    pub fn hello_interval(mut self, interval: Duration) -> Self {
-        self.config.hello_interval = interval;
-        self
-    }
-
-    /// Hellos per loss-estimation window.
-    pub fn monitor_window(mut self, window: usize) -> Self {
-        self.config.monitor_window = window;
-        self
-    }
-
-    /// How often this node originates a link-state update.
-    pub fn link_state_interval(mut self, interval: Duration) -> Self {
-        self.config.link_state_interval = interval;
-        self
-    }
-
-    /// Per-neighbour retransmission buffer capacity (packets).
-    pub fn retransmit_buffer(mut self, packets: usize) -> Self {
-        self.config.retransmit_buffer = packets;
-        self
-    }
-
-    /// Flow-level duplicate-suppression window (packets).
-    pub fn dedup_window(mut self, packets: usize) -> Self {
-        self.config.dedup_window = packets;
-        self
-    }
-
-    /// Capacity of the node's structured event journal (events).
-    pub fn journal_capacity(mut self, events: usize) -> Self {
-        self.config.journal_capacity = events;
-        self
-    }
-
-    /// Incoming-link loss estimate that triggers the problem detector.
-    pub fn detector_loss_threshold(mut self, threshold: f64) -> Self {
-        self.config.detector_loss_threshold = threshold;
-        self
-    }
-
-    /// Hello-silence horizon, in hello intervals, for declaring a link
-    /// down.
-    pub fn link_down_intervals(mut self, intervals: u64) -> Self {
-        self.config.link_down_intervals = intervals;
-        self
-    }
-
-    /// Expiry age for remote link-state reports.
-    pub fn link_state_max_age(mut self, age: Duration) -> Self {
-        self.config.link_state_max_age = age;
-        self
-    }
-
-    /// Bound on the outgoing-shipment queue (datagrams).
-    pub fn shipper_queue(mut self, datagrams: usize) -> Self {
-        self.config.shipper_queue = datagrams;
-        self
-    }
-
-    /// Bound on each receiver session's delivery queue (packets).
-    pub fn delivery_queue(mut self, packets: usize) -> Self {
-        self.config.delivery_queue = packets;
-        self
-    }
-
-    /// Seed for the node's deterministic fault-injection RNG.
-    pub fn fault_seed(mut self, seed: u64) -> Self {
-        self.config.fault_seed = seed;
-        self
-    }
-
-    /// Byte budget for coalescing batched sends into one datagram.
-    pub fn max_batch_bytes(mut self, bytes: usize) -> Self {
-        self.config.max_batch_bytes = bytes;
-        self
-    }
-
-    /// Ack-timeout before a link-state report is retransmitted.
-    pub fn lsa_retransmit_timeout(mut self, timeout: Duration) -> Self {
-        self.config.lsa_retransmit_timeout = timeout;
-        self
-    }
-
-    /// Retransmission budget per (neighbour, origin) link-state report.
-    pub fn lsa_max_retransmits(mut self, retries: u32) -> Self {
-        self.config.lsa_max_retransmits = retries;
-        self
-    }
-
-    /// How often anti-entropy digests are exchanged.
-    pub fn digest_interval(mut self, interval: Duration) -> Self {
-        self.config.digest_interval = interval;
-        self
-    }
-
-    /// Route-flap damping hold-down window (zero disables it).
-    pub fn flap_hold_down(mut self, hold_down: Duration) -> Self {
-        self.config.flap_hold_down = hold_down;
-        self
-    }
-
-    /// Half-life of the flap damper's instability penalty.
-    pub fn flap_penalty_half_life(mut self, half_life: Duration) -> Self {
-        self.config.flap_penalty_half_life = half_life;
-        self
-    }
-
-    /// Penalty above which a flapping link stays suppressed.
-    pub fn flap_suppress_threshold(mut self, threshold: f64) -> Self {
-        self.config.flap_suppress_threshold = threshold;
-        self
-    }
-
-    /// Silence horizon after which a NACK is re-issued once.
-    pub fn nack_rerequest_after(mut self, silence: Duration) -> Self {
-        self.config.nack_rerequest_after = silence;
-        self
-    }
-
-    /// Heartbeat staleness horizon for the thread watchdog.
-    pub fn watchdog_stale_after(mut self, horizon: Duration) -> Self {
-        self.config.watchdog_stale_after = horizon;
-        self
-    }
-
-    /// Maximum sender sessions the node admits.
-    pub fn sender_capacity(mut self, sessions: usize) -> Self {
-        self.config.sender_capacity = sessions;
-        self
-    }
-
-    /// Queue-depth fraction at which overload is entered.
-    pub fn overload_enter_depth(mut self, fraction: f64) -> Self {
-        self.config.overload_enter_depth = fraction;
-        self
-    }
-
-    /// Queue-depth fraction below which overload may clear.
-    pub fn overload_exit_depth(mut self, fraction: f64) -> Self {
-        self.config.overload_exit_depth = fraction;
-        self
-    }
-
-    /// Minimum dwell between overload transitions.
-    pub fn overload_hold_down(mut self, hold_down: Duration) -> Self {
-        self.config.overload_hold_down = hold_down;
-        self
-    }
-
-    /// Validates the configuration and returns it.
+    /// Checks the values against each other, so a bad one fails the
+    /// spawn instead of starting a node that can never converge.
     ///
     /// # Errors
     ///
     /// Returns [`OverlayError::InvalidConfig`] naming the first rule the
     /// configuration violates.
-    pub fn build(self) -> Result<NodeConfig, OverlayError> {
-        let c = &self.config;
-        if c.hello_interval.is_zero() {
+    pub fn validate(&self) -> Result<(), OverlayError> {
+        if self.hello_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("hello_interval must be positive"));
         }
-        if c.link_state_interval.is_zero() {
+        if self.link_state_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("link_state_interval must be positive"));
         }
-        if c.hello_interval >= c.link_state_interval * 10 {
+        if self.hello_interval >= self.link_state_interval * 10 {
             return Err(OverlayError::InvalidConfig(
                 "hello_interval must be well under 10x link_state_interval",
             ));
         }
-        if c.link_state_max_age <= c.link_state_interval * 2 {
+        if self.link_state_max_age <= self.link_state_interval * 2 {
             return Err(OverlayError::InvalidConfig(
                 "link_state_max_age must outlast at least two link-state refreshes",
             ));
         }
-        if c.monitor_window == 0 {
-            return Err(OverlayError::InvalidConfig("monitor_window must be positive"));
-        }
-        if c.retransmit_buffer == 0 {
-            return Err(OverlayError::InvalidConfig("retransmit_buffer must be positive"));
-        }
-        if c.dedup_window == 0 {
-            return Err(OverlayError::InvalidConfig("dedup_window must be positive"));
-        }
-        if !(c.detector_loss_threshold > 0.0 && c.detector_loss_threshold < 1.0) {
-            return Err(OverlayError::InvalidConfig(
-                "detector_loss_threshold must be strictly between 0 and 1",
-            ));
-        }
-        if c.link_down_intervals == 0 {
-            return Err(OverlayError::InvalidConfig("link_down_intervals must be positive"));
-        }
-        if c.shipper_queue == 0 || c.delivery_queue == 0 {
-            return Err(OverlayError::InvalidConfig(
-                "shipper_queue and delivery_queue must be positive",
-            ));
-        }
-        if c.max_batch_bytes == 0 {
-            return Err(OverlayError::InvalidConfig("max_batch_bytes must be positive"));
-        }
-        if c.lsa_retransmit_timeout.is_zero() {
-            return Err(OverlayError::InvalidConfig("lsa_retransmit_timeout must be positive"));
-        }
-        if c.digest_interval.is_zero() {
+        if self.digest_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("digest_interval must be positive"));
         }
-        if c.flap_penalty_half_life.is_zero() {
-            return Err(OverlayError::InvalidConfig("flap_penalty_half_life must be positive"));
-        }
-        if c.flap_suppress_threshold <= 1.0 {
-            return Err(OverlayError::InvalidConfig(
-                "flap_suppress_threshold must exceed 1 so a first transition is admissible",
-            ));
-        }
-        if c.nack_rerequest_after.is_zero() {
-            return Err(OverlayError::InvalidConfig("nack_rerequest_after must be positive"));
-        }
-        if c.watchdog_stale_after <= c.hello_interval * 2 {
+        if self.watchdog_stale_after <= self.hello_interval * 2 {
             return Err(OverlayError::InvalidConfig(
                 "watchdog_stale_after must comfortably outlast the hello interval \
                  (heartbeats are stamped at most once per tick)",
             ));
         }
-        if c.sender_capacity == 0 {
+        if self.shipper_queue == 0 {
+            return Err(OverlayError::InvalidConfig("shipper_queue must be positive"));
+        }
+        if self.sender_capacity == 0 {
             return Err(OverlayError::InvalidConfig("sender_capacity must be positive"));
         }
-        if !(c.overload_enter_depth > 0.0 && c.overload_enter_depth < 1.0) {
-            return Err(OverlayError::InvalidConfig(
-                "overload_enter_depth must be strictly between 0 and 1",
-            ));
-        }
-        if !(c.overload_exit_depth > 0.0 && c.overload_exit_depth < c.overload_enter_depth) {
-            return Err(OverlayError::InvalidConfig(
-                "overload_exit_depth must be positive and below overload_enter_depth \
-                 (hysteresis needs a gap)",
-            ));
-        }
-        if c.overload_hold_down.is_zero() {
+        if self.overload_hold_down.is_zero() {
             return Err(OverlayError::InvalidConfig("overload_hold_down must be positive"));
         }
-        Ok(self.config)
+        if self.max_batch_bytes == 0 {
+            return Err(OverlayError::InvalidConfig("max_batch_bytes must be positive"));
+        }
+        Ok(())
     }
-}
-
-fn default_hello_ms() -> u64 {
-    50
-}
-
-fn default_ls_ms() -> u64 {
-    200
 }
 
 /// The on-disk JSON configuration of a standalone `dg-node` daemon —
@@ -411,9 +139,9 @@ fn default_ls_ms() -> u64 {
 /// like `dg-emu` (which generates one per node), so the two can never
 /// drift apart on field names.
 ///
-/// Only the identity fields are mandatory; every `*_ms` tuning knob is
-/// optional and falls back to the [`NodeConfig`] default when omitted,
-/// which keeps hand-written configs short:
+/// Only the identity fields are mandatory; every tuning key is
+/// optional and falls back to the [`NodeConfig::new`] default when
+/// omitted, which keeps hand-written configs short:
 ///
 /// ```json
 /// {
@@ -436,53 +164,51 @@ pub struct NodeFileConfig {
     #[serde(default)]
     pub peers: HashMap<String, SocketAddr>,
     /// How often hellos probe each out-link.
-    #[serde(default = "default_hello_ms")]
-    pub hello_interval_ms: u64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub hello_interval_ms: Option<u64>,
     /// How often this node originates a link-state update.
-    #[serde(default = "default_ls_ms")]
-    pub link_state_interval_ms: u64,
-    /// Anti-entropy digest cadence override.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub link_state_interval_ms: Option<u64>,
+    /// Anti-entropy digest cadence.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub digest_interval_ms: Option<u64>,
-    /// Route-flap damping hold-down override (zero disables damping's
-    /// window).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub flap_hold_down_ms: Option<u64>,
-    /// Link-state aging horizon override. Deployment harnesses that
-    /// compare database digests across daemons raise this past the run
-    /// length so a dead origin's reports freeze identically everywhere
-    /// instead of expiring at slightly different instants.
+    /// Link-state aging horizon. Deployment harnesses that compare
+    /// database digests across daemons raise this past the run length
+    /// so a dead origin's reports freeze identically everywhere instead
+    /// of expiring at slightly different instants.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub link_state_max_age_ms: Option<u64>,
-    /// Watchdog staleness horizon override (also the degraded-flag
-    /// linger after a thread restart).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub watchdog_stale_after_ms: Option<u64>,
-    /// Hello-silence intervals before an incoming link is declared
-    /// down.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub link_down_intervals: Option<u64>,
     /// Seed for the daemon's deterministic fault-injection RNG.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault_seed: Option<u64>,
 }
 
+/// Every top-level key a config file may hold.
+const FILE_KEYS: [&str; 9] = [
+    "topology",
+    "node",
+    "listen",
+    "peers",
+    "hello_interval_ms",
+    "link_state_interval_ms",
+    "digest_interval_ms",
+    "link_state_max_age_ms",
+    "fault_seed",
+];
+
 impl NodeFileConfig {
     /// A config with the mandatory identity fields and every tuning
-    /// knob at its default.
+    /// key left to its default.
     pub fn new(topology: &str, node: &str, listen: SocketAddr) -> NodeFileConfig {
         NodeFileConfig {
             topology: topology.to_string(),
             node: node.to_string(),
             listen,
             peers: HashMap::new(),
-            hello_interval_ms: default_hello_ms(),
-            link_state_interval_ms: default_ls_ms(),
+            hello_interval_ms: None,
+            link_state_interval_ms: None,
             digest_interval_ms: None,
-            flap_hold_down_ms: None,
             link_state_max_age_ms: None,
-            watchdog_stale_after_ms: None,
-            link_down_intervals: None,
             fault_seed: None,
         }
     }
@@ -491,9 +217,19 @@ impl NodeFileConfig {
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error on malformed input.
+    /// Returns the underlying serde error on malformed input, and an
+    /// error naming the key when the file holds one this struct does
+    /// not know.
     pub fn from_json(json: &str) -> Result<NodeFileConfig, serde_json::Error> {
-        serde_json::from_str(json)
+        let value: Value = serde_json::from_str(json)?;
+        // CORRECTNESS: Every key must be one the daemon reads; a typo'd
+        // or retired key must not run the node at defaults in silence.
+        if let Value::Object(entries) = &value {
+            if let Some((key, _)) = entries.iter().find(|(k, _)| !FILE_KEYS.contains(&k.as_str())) {
+                return Err(serde::de::Error::custom(format!("unknown key `{key}`")).into());
+            }
+        }
+        Ok(NodeFileConfig::from_value(&value)?)
     }
 
     /// Serializes the config to JSON.
@@ -501,14 +237,14 @@ impl NodeFileConfig {
         serde_json::to_string_pretty(self).expect("config serializes")
     }
 
-    /// Resolves the file config against its topology into a validated
-    /// [`NodeConfig`]: site names become node ids and the tuning
-    /// overrides flow through the builder's consistency checks.
+    /// Resolves the file config against its topology into a
+    /// [`NodeConfig`]: site names become node ids, and the keys the
+    /// file holds override the [`NodeConfig::new`] defaults.
+    /// ([`crate::OverlayNode::spawn`] validates the result.)
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the unknown site or the
-    /// violated builder rule.
+    /// Returns a human-readable message naming the unknown site.
     pub fn resolve(&self, graph: &Graph) -> Result<NodeConfig, String> {
         let me = graph
             .node_by_name(&self.node)
@@ -519,136 +255,104 @@ impl NodeFileConfig {
                 graph.node_by_name(name).ok_or_else(|| format!("peer {name:?} not in topology"))?;
             peers.insert(peer, *addr);
         }
-        let mut builder = NodeConfig::builder(me, self.listen)
-            .hello_interval(Duration::from_millis(self.hello_interval_ms))
-            .link_state_interval(Duration::from_millis(self.link_state_interval_ms))
-            .peers(peers);
-        if let Some(ms) = self.digest_interval_ms {
-            builder = builder.digest_interval(Duration::from_millis(ms));
-        }
-        if let Some(ms) = self.flap_hold_down_ms {
-            builder = builder.flap_hold_down(Duration::from_millis(ms));
-        }
-        if let Some(ms) = self.link_state_max_age_ms {
-            builder = builder.link_state_max_age(Duration::from_millis(ms));
-        }
-        if let Some(ms) = self.watchdog_stale_after_ms {
-            builder = builder.watchdog_stale_after(Duration::from_millis(ms));
-        }
-        if let Some(n) = self.link_down_intervals {
-            builder = builder.link_down_intervals(n);
-        }
-        if let Some(seed) = self.fault_seed {
-            builder = builder.fault_seed(seed);
-        }
-        builder.build().map_err(|e| e.to_string())
+        let defaults = NodeConfig::new(me, self.listen);
+        let ms = Duration::from_millis;
+        Ok(NodeConfig {
+            peers,
+            hello_interval: self.hello_interval_ms.map_or(defaults.hello_interval, ms),
+            link_state_interval: self
+                .link_state_interval_ms
+                .map_or(defaults.link_state_interval, ms),
+            digest_interval: self.digest_interval_ms.map_or(defaults.digest_interval, ms),
+            link_state_max_age: self.link_state_max_age_ms.map_or(defaults.link_state_max_age, ms),
+            fault_seed: self.fault_seed.unwrap_or(defaults.fault_seed),
+            ..defaults
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterConfig;
 
-    #[test]
-    fn defaults_are_sane() {
-        let cfg = NodeConfig::builder(NodeId::new(1), "127.0.0.1:0".parse().unwrap())
-            .build()
-            .expect("defaults validate");
-        assert_eq!(cfg.node, NodeId::new(1));
-        assert!(cfg.peers.is_empty());
-        assert!(cfg.hello_interval < cfg.link_state_interval * 10);
-        assert!(cfg.retransmit_buffer > 0 && cfg.dedup_window > 0);
-        assert!(cfg.journal_capacity > 0);
-        assert!(cfg.detector_loss_threshold > 0.0 && cfg.detector_loss_threshold < 1.0);
-        assert!(cfg.link_down_intervals > 0);
-        assert!(cfg.link_state_max_age > cfg.link_state_interval * 2, "aging must outlast refresh");
-        assert!(cfg.shipper_queue > 0 && cfg.delivery_queue > 0);
-        assert!(cfg.max_batch_bytes > 0);
+    fn listen() -> SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
     }
 
     #[test]
-    fn builder_rejects_inconsistent_knobs() {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let bad = NodeConfig::builder(NodeId::new(3), listen)
-            .link_state_max_age(Duration::from_millis(100))
-            .build();
-        assert!(matches!(bad, Err(OverlayError::InvalidConfig(_))), "max age must outlast refresh");
-        let bad = NodeConfig::builder(NodeId::new(3), listen).dedup_window(0).build();
-        assert!(matches!(bad, Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(3), listen).detector_loss_threshold(1.5).build();
-        assert!(matches!(bad, Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(3), listen).max_batch_bytes(0).build();
-        assert!(matches!(bad, Err(OverlayError::InvalidConfig(_))));
+    fn defaults_validate_and_are_written_once() {
+        let graph = dg_topology::presets::north_america_12();
+        let nyc = graph.node_by_name("NYC").unwrap();
+        let node = NodeConfig::new(nyc, listen());
+        assert!(node.peers.is_empty());
+        node.validate().expect("defaults validate");
+
+        // Every value a cluster shares with its nodes is the node default.
+        let cluster = ClusterConfig::default();
+        assert_eq!(cluster.hello_interval, node.hello_interval);
+        assert_eq!(cluster.link_state_interval, node.link_state_interval);
+        assert_eq!(cluster.digest_interval, node.digest_interval);
+        assert_eq!(cluster.flap_hold_down, node.flap_hold_down);
+        assert_eq!(cluster.watchdog_stale_after, node.watchdog_stale_after);
+        assert_eq!(cluster.shipper_queue, node.shipper_queue);
+        assert_eq!(cluster.sender_capacity, node.sender_capacity);
+        assert_eq!(cluster.overload_hold_down, node.overload_hold_down);
+        assert_eq!(cluster.max_batch_bytes, node.max_batch_bytes);
+        assert_eq!(cluster.fault_seed, node.fault_seed);
+
+        // So is every key a sparse config file leaves out.
+        let sparse = r#"{"topology": "t.json", "node": "NYC", "listen": "127.0.0.1:0"}"#;
+        let file = NodeFileConfig::from_json(sparse).unwrap().resolve(&graph).unwrap();
+        assert_eq!((file.node, file.listen), (node.node, node.listen));
+        assert!(file.peers.is_empty());
+        assert_eq!(file.hello_interval, node.hello_interval);
+        assert_eq!(file.link_state_interval, node.link_state_interval);
+        assert_eq!(file.link_state_max_age, node.link_state_max_age);
+        assert_eq!(file.digest_interval, node.digest_interval);
+        assert_eq!(file.flap_hold_down, node.flap_hold_down);
+        assert_eq!(file.watchdog_stale_after, node.watchdog_stale_after);
+        assert_eq!(file.shipper_queue, node.shipper_queue);
+        assert_eq!(file.sender_capacity, node.sender_capacity);
+        assert_eq!(file.overload_hold_down, node.overload_hold_down);
+        assert_eq!(file.max_batch_bytes, node.max_batch_bytes);
+        assert_eq!(file.fault_seed, node.fault_seed);
     }
 
     #[test]
-    fn builder_rejects_bad_resilience_knobs() {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let bad =
-            NodeConfig::builder(NodeId::new(5), listen).lsa_retransmit_timeout(Duration::ZERO);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(5), listen).digest_interval(Duration::ZERO);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(5), listen).flap_suppress_threshold(1.0);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad =
-            NodeConfig::builder(NodeId::new(5), listen).flap_penalty_half_life(Duration::ZERO);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(5), listen).nack_rerequest_after(Duration::ZERO);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(5), listen)
-            .watchdog_stale_after(Duration::from_millis(60));
-        assert!(
-            matches!(bad.build(), Err(OverlayError::InvalidConfig(_))),
-            "watchdog horizon must outlast hello ticks"
-        );
-        // A hold-down of zero is legal: it disables damping's window.
-        let ok = NodeConfig::builder(NodeId::new(5), listen).flap_hold_down(Duration::ZERO).build();
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_bad_overload_knobs() {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let bad = NodeConfig::builder(NodeId::new(7), listen).sender_capacity(0);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(7), listen).overload_enter_depth(1.0);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let bad = NodeConfig::builder(NodeId::new(7), listen)
-            .overload_enter_depth(0.3)
-            .overload_exit_depth(0.3);
-        assert!(
-            matches!(bad.build(), Err(OverlayError::InvalidConfig(_))),
-            "exit depth must sit strictly below enter depth"
-        );
-        let bad = NodeConfig::builder(NodeId::new(7), listen).overload_hold_down(Duration::ZERO);
-        assert!(matches!(bad.build(), Err(OverlayError::InvalidConfig(_))));
-        let ok = NodeConfig::builder(NodeId::new(7), listen)
-            .sender_capacity(2)
-            .overload_enter_depth(0.6)
-            .overload_exit_depth(0.1)
-            .overload_hold_down(Duration::from_millis(300))
-            .build()
-            .unwrap();
-        assert_eq!(ok.sender_capacity, 2);
-        assert_eq!(ok.overload_hold_down, Duration::from_millis(300));
-    }
-
-    #[test]
-    fn resilience_defaults_validate_and_apply() {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let cfg = NodeConfig::builder(NodeId::new(6), listen)
-            .lsa_max_retransmits(7)
-            .digest_interval(Duration::from_millis(400))
-            .flap_hold_down(Duration::from_millis(900))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.lsa_max_retransmits, 7);
-        assert_eq!(cfg.digest_interval, Duration::from_millis(400));
-        assert_eq!(cfg.flap_hold_down, Duration::from_millis(900));
-        assert!(cfg.lsa_retransmit_timeout > Duration::ZERO);
-        assert!(cfg.flap_suppress_threshold > 1.0);
-        assert!(cfg.watchdog_stale_after > cfg.hello_interval * 2);
+    fn validate_names_the_broken_rule() {
+        let ok = || NodeConfig::new(NodeId::new(3), listen());
+        let ms = Duration::from_millis;
+        let broken: [(NodeConfig, &str); 10] = [
+            (NodeConfig { hello_interval: Duration::ZERO, ..ok() }, "hello_interval"),
+            (NodeConfig { link_state_interval: Duration::ZERO, ..ok() }, "link_state_interval"),
+            (NodeConfig { hello_interval: ms(2_000), ..ok() }, "10x link_state_interval"),
+            (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
+            (NodeConfig { digest_interval: Duration::ZERO, ..ok() }, "digest_interval"),
+            (NodeConfig { watchdog_stale_after: ms(100), ..ok() }, "watchdog_stale_after"),
+            (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
+            (NodeConfig { sender_capacity: 0, ..ok() }, "sender_capacity"),
+            (NodeConfig { overload_hold_down: Duration::ZERO, ..ok() }, "overload_hold_down"),
+            (NodeConfig { max_batch_bytes: 0, ..ok() }, "max_batch_bytes"),
+        ];
+        for (config, rule) in broken {
+            match config.validate() {
+                Err(OverlayError::InvalidConfig(said)) => {
+                    assert!(said.contains(rule), "{rule}: rejected as {said:?}");
+                }
+                other => panic!("{rule}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // Boundaries: the strict rules hold at equality, and a zero flap
+        // hold-down is legal (it disables damping's window).
+        let edge = NodeConfig {
+            hello_interval: ms(25),
+            link_state_max_age: ms(401),
+            watchdog_stale_after: ms(51),
+            flap_hold_down: Duration::ZERO,
+            ..ok()
+        };
+        edge.validate().expect("just inside every bound");
     }
 
     #[test]
@@ -656,55 +360,43 @@ mod tests {
         let graph = dg_topology::presets::north_america_12();
         let mut file = NodeFileConfig::new("topo.json", "NYC", "127.0.0.1:7100".parse().unwrap());
         file.peers.insert("CHI".into(), "127.0.0.1:7101".parse().unwrap());
+        file.hello_interval_ms = Some(25);
+        file.link_state_interval_ms = Some(100);
+        file.digest_interval_ms = Some(300);
         file.link_state_max_age_ms = Some(15_000);
-        file.flap_hold_down_ms = Some(600);
+        file.fault_seed = Some(42);
         let parsed = NodeFileConfig::from_json(&file.to_json()).unwrap();
-        assert_eq!(parsed, file);
+        assert_eq!(parsed, file, "every key the struct writes is one it accepts");
 
         let cfg = parsed.resolve(&graph).expect("resolves against the preset");
         assert_eq!(cfg.node, graph.node_by_name("NYC").unwrap());
         assert_eq!(cfg.peers[&graph.node_by_name("CHI").unwrap()], file.peers["CHI"]);
+        assert_eq!(cfg.hello_interval, Duration::from_millis(25));
+        assert_eq!(cfg.link_state_interval, Duration::from_millis(100));
+        assert_eq!(cfg.digest_interval, Duration::from_millis(300));
         assert_eq!(cfg.link_state_max_age, Duration::from_secs(15));
-        assert_eq!(cfg.flap_hold_down, Duration::from_millis(600));
-        assert_eq!(cfg.hello_interval, Duration::from_millis(50), "defaults survive");
+        assert_eq!(cfg.fault_seed, 42);
+        cfg.validate().expect("the soak cadences validate");
     }
 
     #[test]
-    fn file_config_resolution_names_the_offender() {
+    fn file_config_errors_name_the_offender() {
         let graph = dg_topology::presets::north_america_12();
-        let file = NodeFileConfig::new("topo.json", "ATLANTIS", "127.0.0.1:0".parse().unwrap());
+        let file = NodeFileConfig::new("topo.json", "ATLANTIS", listen());
         assert!(file.resolve(&graph).unwrap_err().contains("ATLANTIS"));
 
-        let mut file = NodeFileConfig::new("topo.json", "NYC", "127.0.0.1:0".parse().unwrap());
+        let mut file = NodeFileConfig::new("topo.json", "NYC", listen());
         file.peers.insert("MORDOR".into(), "127.0.0.1:1".parse().unwrap());
         assert!(file.resolve(&graph).unwrap_err().contains("MORDOR"));
 
-        // Tuning overrides flow through the builder's validation.
-        let mut file = NodeFileConfig::new("topo.json", "NYC", "127.0.0.1:0".parse().unwrap());
-        file.link_state_max_age_ms = Some(100);
-        assert!(file.resolve(&graph).unwrap_err().contains("link_state_max_age"));
-
-        // Sparse JSON parses: only identity fields are mandatory.
-        let sparse = r#"{"topology": "t.json", "node": "NYC", "listen": "127.0.0.1:0"}"#;
-        let parsed = NodeFileConfig::from_json(sparse).unwrap();
-        assert!(parsed.peers.is_empty());
-        assert_eq!(parsed.hello_interval_ms, 50);
-        assert!(parsed.link_state_max_age_ms.is_none());
-    }
-
-    #[test]
-    fn builder_setters_apply() {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let cfg = NodeConfig::builder(NodeId::new(4), listen)
-            .hello_interval(Duration::from_millis(25))
-            .retransmit_buffer(512)
-            .fault_seed(42)
-            .max_batch_bytes(60_000)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.hello_interval, Duration::from_millis(25));
-        assert_eq!(cfg.retransmit_buffer, 512);
-        assert_eq!(cfg.fault_seed, 42);
-        assert_eq!(cfg.max_batch_bytes, 60_000);
+        // A key the daemon does not read — a typo, a retired override —
+        // is an error, not a run at defaults.
+        for key in ["hello_intervall_ms", "flap_hold_down_ms", "link_down_intervals"] {
+            let json = format!(
+                r#"{{"topology": "t.json", "node": "NYC", "listen": "127.0.0.1:0", "{key}": 5}}"#
+            );
+            let err = NodeFileConfig::from_json(&json).unwrap_err().to_string();
+            assert!(err.contains("unknown key") && err.contains(key), "{key}: {err}");
+        }
     }
 }

@@ -28,7 +28,8 @@ pub enum OverlayError {
         /// Maximum allowed.
         max: usize,
     },
-    /// A configuration builder was given internally inconsistent knobs.
+    /// A node configuration breaks the named rule: its values are
+    /// inconsistent with each other or do not fit the topology.
     InvalidConfig(&'static str),
     /// The node refused a new sender session: it is already at its
     /// configured capacity (see `NodeConfig::sender_capacity`).

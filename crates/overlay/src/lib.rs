@@ -69,7 +69,7 @@ pub mod sla;
 pub mod wire;
 
 pub use clock::now_us;
-pub use config::{NodeConfig, NodeConfigBuilder, NodeFileConfig};
+pub use config::{NodeConfig, NodeFileConfig};
 pub use error::OverlayError;
 pub use metrics::{ClusterMetricsReport, MetricsSnapshot, NodeCounters, NodeThread};
 pub use node::{OverlayHandle, OverlayNode};

@@ -21,8 +21,17 @@
 //!   replacement process is accepted.
 
 use crate::wire::{DigestEntry, LinkStateUpdate};
+use dg_core::scheme::SchemeParams;
 use dg_topology::{EdgeId, Graph, Micros};
 use dg_trace::{LinkCondition, NetworkState};
+
+/// How long a flooded report waits for a neighbour's ack before it is
+/// retransmitted (doubles per retry).
+pub const LSA_RETRANSMIT_TIMEOUT: Micros = Micros::from_millis(100);
+
+/// Retransmission budget per (neighbour, origin) link-state report; an
+/// exhausted report is abandoned and left to anti-entropy.
+pub const LSA_MAX_RETRANSMITS: u32 = 4;
 
 /// The condition assumed for edges whose reporter has gone silent:
 /// fully lossy, so routing schemes steer clear until fresh evidence.
@@ -76,21 +85,22 @@ pub struct LinkStateDb {
     /// Reports older than this expire back to [`pessimistic`]; `MAX`
     /// disables aging.
     max_age: Micros,
-    /// Loss at which routing schemes count a link as a problem.
+    /// Loss at which routing schemes count a link as a problem
+    /// ([`SchemeParams::problem_loss_threshold`]).
     problem_threshold: f64,
 }
 
 impl LinkStateDb {
     /// An empty database for `graph` (all links presumed clean), aging
     /// out origins silent for longer than `max_age` and telling
-    /// [`LinkStateDb::apply`]'s callers when an edge crosses
-    /// `problem_threshold`.
-    pub fn new(graph: &Graph, max_age: Micros, problem_threshold: f64) -> Self {
+    /// [`LinkStateDb::apply`]'s callers when an edge crosses the
+    /// schemes' problem threshold.
+    pub fn new(graph: &Graph, max_age: Micros) -> Self {
         LinkStateDb {
             origins: (0..graph.node_count()).map(|_| None).collect(),
             conditions: vec![LinkCondition::CLEAN; graph.edge_count()],
             max_age,
-            problem_threshold,
+            problem_threshold: SchemeParams::default().problem_loss_threshold,
         }
     }
 
@@ -238,7 +248,7 @@ mod tests {
     }
 
     fn db() -> LinkStateDb {
-        LinkStateDb::new(&presets::north_america_12(), Micros::from_secs(10), 0.05)
+        LinkStateDb::new(&presets::north_america_12(), Micros::from_secs(10))
     }
 
     #[test]

@@ -380,6 +380,10 @@ pub enum NodeThread {
     Ticker,
 }
 
+/// Events a node's journal holds before the oldest is evicted (and
+/// counted in `events_dropped`).
+pub const JOURNAL_CAPACITY: usize = 1_024;
+
 /// Bounded ring buffer of [`Event`]s.
 #[derive(Debug)]
 pub(crate) struct EventJournal {

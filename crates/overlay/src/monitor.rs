@@ -47,6 +47,23 @@ pub const SPAN_FLOOR_TICKS: u64 = 4;
 /// was.
 pub const SAMPLE_TARGET: u64 = 200;
 
+/// Hello ticks per loss-estimation window as the node runs it (the
+/// span's cap): one second of evidence at the default 50 ms hellos.
+pub const WINDOW_TICKS: usize = 20;
+
+/// Hello silence longer than this many hello intervals declares the
+/// incoming link down (flooded via link state).
+pub const LINK_DOWN_INTERVALS: u64 = 5;
+
+/// Half-life of the route-flap damper's instability penalty as the
+/// node runs it.
+pub const FLAP_PENALTY_HALF_LIFE: Micros = Micros::from_secs(2);
+
+/// Penalty above which the node considers a link flapping: its
+/// transitions stay suppressed until the penalty decays. Three admitted
+/// transitions inside a half-life reach it.
+pub const FLAP_SUPPRESS_THRESHOLD: f64 = 3.0;
+
 /// Per-neighbour monitoring state.
 #[derive(Debug, Default)]
 struct NeighborStats {
@@ -82,9 +99,6 @@ impl NeighborStats {
 pub struct LinkMonitor {
     window: u64,
     hello_interval: Micros,
-    /// Hello silence longer than this many intervals declares the
-    /// incoming link down.
-    down_after: u64,
     neighbors: HashMap<NodeId, NeighborStats>,
     /// Neighbours whose incoming link is currently flagged lossy.
     triggered: HashSet<NodeId>,
@@ -94,21 +108,19 @@ pub struct LinkMonitor {
 
 impl LinkMonitor {
     /// Creates a monitor estimating loss over at most the last `window`
-    /// hello ticks, charging silence as loss at one hello per
-    /// `hello_interval` and declaring a link down after `down_after`
-    /// silent intervals.
+    /// hello ticks (the node passes [`WINDOW_TICKS`]), charging silence
+    /// as loss at one hello per `hello_interval` and declaring a link
+    /// down after [`LINK_DOWN_INTERVALS`] silent intervals.
     ///
     /// # Panics
     ///
-    /// Panics if `window`, `hello_interval`, or `down_after` is zero.
-    pub fn new(window: usize, hello_interval: Micros, down_after: u64) -> Self {
+    /// Panics if `window` or `hello_interval` is zero.
+    pub fn new(window: usize, hello_interval: Micros) -> Self {
         assert!(window > 0, "monitor window must be positive");
         assert!(hello_interval > Micros::ZERO, "hello interval must be positive");
-        assert!(down_after > 0, "down-after must be positive");
         LinkMonitor {
             window: window as u64,
             hello_interval,
-            down_after,
             neighbors: HashMap::new(),
             triggered: HashSet::new(),
             down: HashSet::new(),
@@ -123,7 +135,7 @@ impl LinkMonitor {
         let Some(last_heard) = self.neighbors.get(&neighbor).and_then(|s| s.last_heard) else {
             return false;
         };
-        now.saturating_sub(last_heard) > self.hello_interval.saturating_mul(self.down_after)
+        now.saturating_sub(last_heard) > self.hello_interval.saturating_mul(LINK_DOWN_INTERVALS)
     }
 
     /// Re-evaluates the down declaration for `neighbor`. Returns
@@ -391,7 +403,7 @@ mod tests {
     const TICK: Micros = Micros::from_millis(50);
 
     fn monitor() -> LinkMonitor {
-        LinkMonitor::new(10, TICK, 5)
+        LinkMonitor::new(10, TICK)
     }
 
     fn at(i: u64) -> Micros {
@@ -507,10 +519,10 @@ mod tests {
         for seq in 0..5 {
             m.record_hello(n, seq, Micros::ZERO, at(seq));
         }
-        // Quiet for fewer than down_after intervals: still up.
+        // Quiet for fewer than LINK_DOWN_INTERVALS intervals: still up.
         assert!(!m.is_down(n, at(8)));
         assert_eq!(m.down_transition(n, at(8)), None);
-        // Past the timeout (down_after = 5 intervals after last hello
+        // Past the timeout (five intervals after last hello
         // at tick 4): declared down exactly once.
         assert!(m.is_down(n, at(11)));
         assert_eq!(m.down_transition(n, at(11)), Some(true));
@@ -522,9 +534,9 @@ mod tests {
         assert_eq!(m.down_transition(n, at(13)), None);
     }
 
-    /// A 20-hello window, as the node defaults to.
+    /// The window the node runs.
     fn busy_monitor() -> LinkMonitor {
-        LinkMonitor::new(20, TICK, 5)
+        LinkMonitor::new(WINDOW_TICKS, TICK)
     }
 
     /// One hello tick on the link from `n`: hello `i` arrives, and the
@@ -674,8 +686,8 @@ mod tests {
         for i in 0..10 {
             tick(&mut m, n, i, PER_TICK, PER_TICK);
         }
-        // Six hellos in a row are lost (down_after is five) while data
-        // keeps arriving: the link is lossy, not down.
+        // Six hellos in a row are lost (LINK_DOWN_INTERVALS is five)
+        // while data keeps arriving: the link is lossy, not down.
         for i in 10..16 {
             m.record_data_tick(n, PER_TICK, PER_TICK / 2, at(i));
             assert!(!m.is_down(n, at(i)));
@@ -695,19 +707,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
-        LinkMonitor::new(0, TICK, 5);
+        LinkMonitor::new(0, TICK);
     }
 
     #[test]
     #[should_panic(expected = "interval")]
     fn zero_interval_panics() {
-        LinkMonitor::new(10, Micros::ZERO, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "down-after")]
-    fn zero_down_after_panics() {
-        LinkMonitor::new(10, TICK, 0);
+        LinkMonitor::new(10, Micros::ZERO);
     }
 
     #[test]

@@ -4,14 +4,20 @@
 use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::fault::{corrupt_in_place, FaultPlan};
-use crate::linkstate::{Applied, LinkStateDb};
-use crate::metrics::{EventKind, MetricsRegistry, MetricsSnapshot, NodeThread};
-use crate::monitor::{FlapDamper, LinkMonitor};
+use crate::linkstate::{Applied, LinkStateDb, LSA_MAX_RETRANSMITS, LSA_RETRANSMIT_TIMEOUT};
+use crate::metrics::{EventKind, MetricsRegistry, MetricsSnapshot, NodeThread, JOURNAL_CAPACITY};
+use crate::monitor::{
+    FlapDamper, LinkMonitor, FLAP_PENALTY_HALF_LIFE, FLAP_SUPPRESS_THRESHOLD, WINDOW_TICKS,
+};
 use crate::overload::{OverloadConfig, OverloadDetector, OverloadTransition};
 use crate::pool::{BufferPool, ScratchVecPool};
-use crate::recovery::{retransmit_worthwhile, GapTracker, SendBuffer};
+use crate::recovery::{
+    retransmit_worthwhile, GapTracker, SendBuffer, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER,
+};
 use crate::runtime::NodeThreads;
-use crate::session::{Delivery, FlowGroup, FlowReceiver, FlowSender, Route, Session, SessionSlot};
+use crate::session::{
+    Delivery, FlowGroup, FlowReceiver, FlowSender, Route, Session, SessionSlot, DELIVERY_QUEUE,
+};
 use crate::shard::ShardedMap;
 use crate::wire::{
     self, DataPacket, DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message,
@@ -35,6 +41,9 @@ use std::time::{Duration, Instant};
 /// Constructor namespace for overlay nodes; see [`OverlayNode::spawn`].
 #[derive(Debug)]
 pub struct OverlayNode;
+
+/// Flow-level duplicate-suppression window (packets).
+const DEDUP_WINDOW: usize = 16_384;
 
 struct DedupCache {
     seen: HashSet<(Flow, u64)>,
@@ -469,7 +478,7 @@ impl Shared {
             let mut links = self.send_links.lock();
             let link = links.entry(neighbor).or_insert_with(|| SendLink {
                 next_seq: 0,
-                buffer: SendBuffer::new(self.config.retransmit_buffer),
+                buffer: SendBuffer::new(RETRANSMIT_BUFFER),
             });
             let first = link.next_seq;
             link.next_seq += packets.len() as u64;
@@ -529,6 +538,14 @@ impl Shared {
     pub(crate) fn handle_datagram(&self, datagram: &[u8]) {
         self.metrics.counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
         self.metrics.counters.bytes_received.fetch_add(datagram.len() as u64, Ordering::Relaxed);
+        // A checksum proves a frame intact, not who sent it, and
+        // everything below keeps state per sender: only an id this node
+        // holds a peer address for gets any (or costs a decode).
+        let stranger = |from| !self.config.peers.contains_key(&from);
+        if wire::claimed_sender(datagram).is_some_and(stranger) {
+            self.metrics.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         // Data frames are copied once out of the receive scratch buffer
         // into a shared frame, and their masks/payloads decode as
         // zero-copy slices of it; control frames decode straight off the
@@ -707,12 +724,12 @@ impl Shared {
         self.metrics.counters.data_received.fetch_add(1, Ordering::Relaxed);
         let now = now_us();
         // Hop-by-hop recovery: detect gaps on this incoming link.
-        let missing = self
-            .recv_links
-            .lock()
-            .entry(from)
-            .or_insert_with(|| GapTracker::with_reset_horizon(self.config.retransmit_buffer as u64))
-            .observe_packet(packet.link_seq, now, packet.sent_at, packet.deadline);
+        let missing = self.recv_links.lock().entry(from).or_default().observe_packet(
+            packet.link_seq,
+            now,
+            packet.sent_at,
+            packet.deadline,
+        );
         if !missing.is_empty() {
             self.metrics.counters.nack_messages_sent.fetch_add(1, Ordering::Relaxed);
             self.metrics
@@ -792,7 +809,6 @@ impl Shared {
     /// Records that `neighbor` owes an ack for `update`, superseding
     /// any older pending advertisement from the same origin.
     fn register_pending(&self, neighbor: NodeId, update: &LinkStateUpdate, now: Micros) {
-        let timeout = Micros::from_micros(self.config.lsa_retransmit_timeout.as_micros() as u64);
         let mut pending = self.pending_lsa.lock();
         let per_origin = pending.entry(neighbor).or_default();
         if per_origin
@@ -805,9 +821,9 @@ impl Shared {
             update.origin,
             PendingLsa {
                 update: update.clone(),
-                next_retry: now.saturating_add(timeout),
-                backoff: timeout,
-                retries_left: self.config.lsa_max_retransmits,
+                next_retry: now.saturating_add(LSA_RETRANSMIT_TIMEOUT),
+                backoff: LSA_RETRANSMIT_TIMEOUT,
+                retries_left: LSA_MAX_RETRANSMITS,
             },
         );
     }
@@ -879,7 +895,6 @@ impl Shared {
     /// longer be met, when asking again only buys a retransmission
     /// that is suppressed, missed, or expires on arrival.
     fn service_recv_links(&self, now: Micros) {
-        let silence = Micros::from_micros(self.config.nack_rerequest_after.as_micros() as u64);
         let mut skipped = 0;
         let due: Vec<(NodeId, Vec<u64>)> = {
             // The only place that holds both locks: trackers, then monitor.
@@ -891,7 +906,7 @@ impl Shared {
                     let (expected, received) = tracker.take_evidence();
                     monitor.record_data_tick(neighbor, expected, received, now);
                     let (due, hopeless) =
-                        tracker.due_rerequests(now, silence, monitor.rtt_to(neighbor));
+                        tracker.due_rerequests(now, NACK_REREQUEST_AFTER, monitor.rtt_to(neighbor));
                     skipped += hopeless;
                     (!due.is_empty()).then_some((neighbor, due))
                 })
@@ -931,9 +946,9 @@ impl Shared {
             // delivered at least one hello; a never-heard link reads
             // as 100% loss and would trigger spuriously at startup.
             if monitor.heard_from(neighbor) {
-                let _ = monitor.detect(neighbor, loss, self.config.detector_loss_threshold);
+                let _ = monitor.detect(neighbor, loss, self.scheme_params.problem_loss_threshold);
             }
-            // Hello silence past the configured horizon declares the
+            // Hello silence past the monitor's horizon declares the
             // link down outright — flooded so every scheme routes
             // around it rather than waiting for loss estimates to
             // decay.
@@ -1393,7 +1408,8 @@ impl OverlayNode {
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::Io`] when the socket cannot be bound.
+    /// As [`OverlayNode::spawn_with_socket`], plus [`OverlayError::Io`]
+    /// when the socket cannot be bound.
     pub fn spawn(config: NodeConfig, graph: Arc<Graph>) -> Result<OverlayHandle, OverlayError> {
         let socket = UdpSocket::bind(config.listen)?;
         OverlayNode::spawn_with_socket(config, graph, socket)
@@ -1404,13 +1420,33 @@ impl OverlayNode {
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::Io`] when socket options cannot be set
-    /// or a thread cannot be started.
+    /// Returns [`OverlayError::InvalidConfig`] naming the rule when the
+    /// configuration breaks one of [`NodeConfig::validate`]'s or does
+    /// not fit `graph`, and [`OverlayError::Io`] when socket options
+    /// cannot be set or a thread cannot be started.
     pub fn spawn_with_socket(
         config: NodeConfig,
         graph: Arc<Graph>,
         socket: UdpSocket,
     ) -> Result<OverlayHandle, OverlayError> {
+        config.validate()?;
+        let me = config.node;
+        // CORRECTNESS: The node must be a site of the topology; every
+        // duty indexes the graph by it.
+        if me.index() >= graph.node_count() {
+            return Err(OverlayError::InvalidConfig("node must be a site of the topology"));
+        }
+        // CORRECTNESS: Every peer must share a link with the node, in
+        // either direction; a peer entry is what admits a frame's sender.
+        let adjacent = |p: NodeId| {
+            p.index() < graph.node_count()
+                && (graph.edge_between(me, p).is_some() || graph.edge_between(p, me).is_some())
+        };
+        if !config.peers.keys().all(|&p| adjacent(p)) {
+            return Err(OverlayError::InvalidConfig(
+                "every peer must be an overlay neighbour of node",
+            ));
+        }
         let (shared, timers) = build_shared(config, graph, socket);
         let threads = NodeThreads::spawn(&shared, timers)?;
         Ok(OverlayHandle { shared, threads })
@@ -1421,50 +1457,33 @@ impl OverlayNode {
 fn build_shared(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> (Arc<Shared>, Timers) {
     let (shipper_tx, shipper_rx) = channel::bounded(config.shipper_queue);
     let (control_tx, control_rx) = channel::unbounded();
+    let micros = |d: Duration| Micros::from_micros(d.as_micros() as u64);
     let overload = OverloadDetector::new(OverloadConfig {
         queue_bound: config.shipper_queue as u64,
-        enter_depth: config.overload_enter_depth,
-        exit_depth: config.overload_exit_depth,
         hold_down: config.overload_hold_down,
     });
-    let monitor_window = config.monitor_window;
-    let dedup_window = config.dedup_window;
-    let hello_interval = config.hello_interval;
-    let journal_capacity = config.journal_capacity;
-    let link_down_intervals = config.link_down_intervals;
-    let max_age = Micros::from_micros(config.link_state_max_age.as_micros() as u64);
-    let fault_seed = config.fault_seed;
-    let flap_hold_down = Micros::from_micros(config.flap_hold_down.as_micros() as u64);
-    let flap_half_life = Micros::from_micros(config.flap_penalty_half_life.as_micros() as u64);
-    let flap_threshold = config.flap_suppress_threshold;
-    let scheme_params = SchemeParams {
-        problem_loss_threshold: config.detector_loss_threshold,
-        ..SchemeParams::default()
-    };
+    // The one problem threshold: the detector, the link-state database
+    // and the graph cache all read the schemes' default.
+    let scheme_params = SchemeParams::default();
     let timers = Timers::new(&config, shipper_rx, control_rx);
     let shared = Arc::new(Shared {
-        config,
         graph: Arc::clone(&graph),
         socket,
         running: AtomicBool::new(true),
         timer: OnceLock::new(),
-        faults: FaultPlan::with_seed(fault_seed),
-        monitor: Mutex::new(LinkMonitor::new(
-            monitor_window,
-            Micros::from_micros(hello_interval.as_micros() as u64),
-            link_down_intervals,
-        )),
-        linkstate: Mutex::new(LinkStateDb::new(
-            &graph,
-            max_age,
-            scheme_params.problem_loss_threshold,
-        )),
+        faults: FaultPlan::with_seed(config.fault_seed),
+        monitor: Mutex::new(LinkMonitor::new(WINDOW_TICKS, micros(config.hello_interval))),
+        linkstate: Mutex::new(LinkStateDb::new(&graph, micros(config.link_state_max_age))),
         graph_cache: GraphCache::new(Arc::clone(&graph), scheme_params),
         pending_lsa: Mutex::new(HashMap::new()),
-        damper: Mutex::new(FlapDamper::new(flap_hold_down, flap_half_life, flap_threshold)),
+        damper: Mutex::new(FlapDamper::new(
+            micros(config.flap_hold_down),
+            FLAP_PENALTY_HALF_LIFE,
+            FLAP_SUPPRESS_THRESHOLD,
+        )),
         advertised: Mutex::new(HashMap::new()),
         supervision: Supervision::new(now_us()),
-        dedup: Mutex::new(DedupCache::new(dedup_window)),
+        dedup: Mutex::new(DedupCache::new(DEDUP_WINDOW)),
         send_links: Mutex::new(HashMap::new()),
         recv_links: Mutex::new(HashMap::new()),
         receivers: ShardedMap::new(),
@@ -1477,11 +1496,12 @@ fn build_shared(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> (Ar
         overload: Mutex::new(overload),
         scheme_params,
         shipment_order: AtomicU64::new(0),
-        metrics: MetricsRegistry::new(journal_capacity),
+        metrics: MetricsRegistry::new(JOURNAL_CAPACITY),
         hello_seq: AtomicU64::new(0),
         ls_seq: AtomicU64::new(0),
         ls_epoch: now_us().as_micros(),
         originations_paused: AtomicBool::new(false),
+        config,
     });
     (shared, timers)
 }
@@ -1524,7 +1544,7 @@ impl OverlayHandle {
     /// Returns [`OverlayError::UnknownNode`] when the scheme's flow does
     /// not originate here, and [`OverlayError::AdmissionDenied`] when
     /// the node is at its configured sender capacity
-    /// ([`crate::NodeConfigBuilder::sender_capacity`]).
+    /// ([`NodeConfig::sender_capacity`]).
     pub fn open_sender_with_class(
         &self,
         scheme: Box<dyn RoutingScheme>,
@@ -1611,7 +1631,7 @@ impl OverlayHandle {
             return Err(OverlayError::UnknownNode(source));
         }
         let flow = Flow::group(source, group_id);
-        let (tx, rx) = channel::bounded(self.shared.config.delivery_queue);
+        let (tx, rx) = channel::bounded(DELIVERY_QUEUE);
         self.shared.receivers.insert(flow, tx);
         Ok(FlowReceiver::new(rx))
     }
@@ -1628,7 +1648,7 @@ impl OverlayHandle {
         if flow.destination != self.node_id() {
             return Err(OverlayError::UnknownNode(flow.destination));
         }
-        let (tx, rx) = channel::bounded(self.shared.config.delivery_queue);
+        let (tx, rx) = channel::bounded(DELIVERY_QUEUE);
         self.shared.receivers.insert(flow, tx);
         Ok(FlowReceiver::new(rx))
     }
@@ -1805,9 +1825,7 @@ mod tests {
 
     #[test]
     fn fresh_timers_fire_hellos_first() {
-        let config = NodeConfig::builder(NodeId::new(0), "127.0.0.1:0".parse().unwrap())
-            .build()
-            .expect("default config validates");
+        let config = NodeConfig::new(NodeId::new(0), "127.0.0.1:0".parse().unwrap());
         let (_, data_rx) = channel::bounded(1);
         let (_, control_rx) = channel::unbounded();
         let timers = Timers::new(&config, data_rx, control_rx);

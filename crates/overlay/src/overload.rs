@@ -40,28 +40,25 @@ pub const MAX_LEVEL: u8 = 2;
 /// every node: the hold-down, not the smoothing, is the tuning knob.
 const DEPTH_ALPHA: f64 = 0.3;
 
-/// Tunables of the [`OverloadDetector`] (derived from `NodeConfig`).
+/// Smoothed-depth fraction of the queue bound at which pressure is
+/// declared (redundancy downgrades begin).
+pub const ENTER_DEPTH: f64 = 0.5;
+
+/// Smoothed-depth fraction of the queue bound below which — with zero
+/// sheds — the node counts as quiet. Well under [`ENTER_DEPTH`]:
+/// hysteresis needs a gap.
+pub const EXIT_DEPTH: f64 = 0.125;
+
+/// What the [`OverloadDetector`] takes from `NodeConfig`
+/// (`shipper_queue`, `overload_hold_down`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
     /// Capacity of the outbound data queue the depth signal is measured
     /// against.
     pub queue_bound: u64,
-    /// Smoothed-depth fraction of `queue_bound` at which pressure is
-    /// declared.
-    pub enter_depth: f64,
-    /// Smoothed-depth fraction below which (with zero sheds) the node
-    /// counts as quiet.
-    pub exit_depth: f64,
     /// Minimum dwell between transitions, and the sustained-quiet
     /// horizon required before exit.
     pub hold_down: Duration,
-}
-
-impl OverloadConfig {
-    /// A small-queue test configuration.
-    pub fn new(queue_bound: u64, hold_down: Duration) -> Self {
-        OverloadConfig { queue_bound, enter_depth: 0.5, exit_depth: 0.125, hold_down }
-    }
 }
 
 /// A state change reported by [`OverloadDetector::observe`].
@@ -140,8 +137,8 @@ impl OverloadDetector {
         self.last_shed_total = shed_total;
 
         let bound = self.config.queue_bound as f64;
-        let pressured = shed_delta > 0 || self.depth_ewma >= self.config.enter_depth * bound;
-        let quiet = shed_delta == 0 && self.depth_ewma <= self.config.exit_depth * bound;
+        let pressured = shed_delta > 0 || self.depth_ewma >= ENTER_DEPTH * bound;
+        let quiet = shed_delta == 0 && self.depth_ewma <= EXIT_DEPTH * bound;
 
         // Track the quiet streak regardless of the hold-down: exit
         // requires quiet to have *persisted*, not merely to coincide
@@ -190,7 +187,10 @@ mod tests {
     }
 
     fn detector() -> OverloadDetector {
-        OverloadDetector::new(OverloadConfig::new(100, Duration::from_millis(100)))
+        OverloadDetector::new(OverloadConfig {
+            queue_bound: 100,
+            hold_down: Duration::from_millis(100),
+        })
     }
 
     #[test]

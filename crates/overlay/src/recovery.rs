@@ -32,6 +32,15 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// link was effectively down and recovery would be useless anyway.
 const MAX_NACK: u64 = 64;
 
+/// Packets the node keeps per out-link for retransmission — and so how
+/// far below its expectation a receiver still reads an arrival as a
+/// retransmission rather than a restarted sender.
+pub const RETRANSMIT_BUFFER: usize = 2_048;
+
+/// How long a NACKed sequence may stay silent before the node re-issues
+/// the NACK (once).
+pub const NACK_REREQUEST_AFTER: Micros = Micros::from_millis(250);
+
 /// Sender side: recent transmissions kept for possible retransmission.
 ///
 /// Generic over the stored representation: the node keeps decoded
@@ -71,9 +80,8 @@ impl<T> SendBuffer<T> {
 
     /// Takes the datagram for `link_seq`, removing it so a second NACK
     /// for the same sequence cannot trigger a second retransmission.
-    /// Binary search over the sequence-sorted ring: O(log n) against a
-    /// 2048-deep default buffer, where the old linear scan made a burst
-    /// NACK O(n) per requested sequence.
+    /// Binary search over the sequence-sorted ring: O(log n) against
+    /// the node's [`RETRANSMIT_BUFFER`]-deep buffer.
     pub fn take(&mut self, link_seq: u64) -> Option<T> {
         let idx = self.entries.binary_search_by_key(&link_seq, |(s, _)| *s).ok()?;
         self.entries.remove(idx).map(|(_, d)| d)
@@ -101,7 +109,7 @@ struct Pending {
 }
 
 /// Receiver side: detects sequence gaps on one incoming link.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GapTracker {
     next_expected: Option<u64>,
     /// Sequences already NACKed, so reordering cannot double-request.
@@ -110,10 +118,6 @@ pub struct GapTracker {
     /// or a timed re-request; a sequence leaves when either happens,
     /// which is what makes the re-request single.
     pending: HashMap<u64, Pending>,
-    /// An arrival further below the expectation than the sender can
-    /// still hold for retransmission is no retransmission: the sender
-    /// restarted and numbers the link from zero again.
-    reset_horizon: u64,
     /// `(expected, received)` since the last [`GapTracker::take_evidence`]:
     /// how far the stream advanced, and how many of those sequences
     /// arrived first time. A retransmission is not evidence that the
@@ -121,30 +125,11 @@ pub struct GapTracker {
     evidence: (u64, u64),
 }
 
-impl Default for GapTracker {
-    fn default() -> Self {
-        // The default `retransmit_buffer`.
-        GapTracker::with_reset_horizon(2_048)
-    }
-}
-
 impl GapTracker {
     /// A tracker that synchronizes on the first observed sequence
     /// (equivalent to `GapTracker::default()`).
     pub fn new() -> Self {
         GapTracker::default()
-    }
-
-    /// A tracker for a link whose sender keeps `reset_horizon` packets
-    /// for retransmission (its `retransmit_buffer`).
-    pub fn with_reset_horizon(reset_horizon: u64) -> Self {
-        GapTracker {
-            next_expected: None,
-            requested: HashSet::new(),
-            pending: HashMap::new(),
-            reset_horizon,
-            evidence: (0, 0),
-        }
     }
 
     /// [`GapTracker::observe_packet`] for a stream without deadlines:
@@ -166,14 +151,17 @@ impl GapTracker {
     ) -> Vec<u64> {
         let expected = match self.next_expected {
             Some(expected) if link_seq >= expected => expected,
-            Some(expected) if expected - link_seq <= self.reset_horizon => {
-                // A retransmission or reordering; no new information, and
-                // the sequence is no longer outstanding.
+            Some(expected) if expected - link_seq <= RETRANSMIT_BUFFER as u64 => {
+                // Within what the sender still holds: a retransmission
+                // or reordering; no new information, and the sequence
+                // is no longer outstanding.
                 self.requested.remove(&link_seq);
                 self.pending.remove(&link_seq);
                 return Vec::new();
             }
-            // The first packet on this link, or of a restarted sender:
+            // The first packet on this link, or — further below the
+            // expectation than any retransmission could be — of a
+            // restarted sender numbering the link from zero again:
             // synchronize, nothing to recover (anything earlier predates
             // our knowledge of the stream).
             _ => {
@@ -372,7 +360,7 @@ mod tests {
 
     #[test]
     fn restarted_sender_resynchronises_the_tracker() {
-        let mut t = GapTracker::with_reset_horizon(2_048);
+        let mut t = GapTracker::new();
         for seq in 0..5_000 {
             assert!(t.observe(seq, Micros::ZERO).is_empty());
         }

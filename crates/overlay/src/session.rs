@@ -414,6 +414,10 @@ impl FlowGroup {
     }
 }
 
+/// Bound on each receiver session's delivery queue (packets); overflow
+/// is dropped and counted in `delivery_drops`.
+pub const DELIVERY_QUEUE: usize = 16_384;
+
 /// A receiving session: yields [`Delivery`] records for one flow.
 #[derive(Debug)]
 pub struct FlowReceiver {

@@ -253,6 +253,14 @@ pub(crate) fn is_data_frame(datagram: &[u8]) -> bool {
     matches!(datagram.get(2), Some(&T_DATA) | Some(&T_DATA_BATCH))
 }
 
+/// The sender id a raw datagram claims (peeks the prelude; verifies
+/// nothing). The receive path turns away a frame from an id it holds
+/// no peer address for before paying for its copy and decode.
+pub(crate) fn claimed_sender(datagram: &[u8]) -> Option<NodeId> {
+    let id = datagram.get(3..CHECKSUM_OFFSET)?;
+    Some(NodeId::new(u32::from_be_bytes(id.try_into().expect("four bytes"))))
+}
+
 /// Appends the prelude with a zeroed checksum; returns the offset the
 /// envelope starts at (so the checksum can be patched after the body).
 fn put_prelude<B: BufMut + std::ops::DerefMut<Target = [u8]>>(
@@ -649,6 +657,8 @@ mod tests {
         let bytes = env.encode();
         let back = Envelope::decode(&bytes).unwrap();
         assert_eq!(env, back);
+        assert_eq!(claimed_sender(&bytes), Some(env.from), "the peek reads what decode reads");
+        assert_eq!(claimed_sender(&bytes[..6]), None, "a prelude cut short names nobody");
     }
 
     #[test]

@@ -220,6 +220,22 @@ fn bad_inputs_exit_one_with_file_naming_diagnostics() {
     assert_eq!(code, Some(1), "stderr: {err}");
     assert!(err.contains("ATLANTIS"), "diagnostic names the offender: {err}");
 
+    // Config with a key the daemon does not read (here a typo): an
+    // error naming the key, not a run at defaults.
+    let typo = dir.join("typo.json");
+    std::fs::write(
+        &typo,
+        format!(
+            r#"{{"topology": "{}", "node": "NYC", "listen": "127.0.0.1:0",
+                "hello_intervall_ms": 20}}"#,
+            topo.display()
+        ),
+    )
+    .unwrap();
+    let (code, err) = run(&["--config", typo.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "stderr: {err}");
+    assert!(err.contains("typo.json") && err.contains("hello_intervall_ms"), "{err}");
+
     // Valid config, corrupt chaos schedule.
     let chaos = dir.join("chaos.json");
     std::fs::write(&chaos, "[]").unwrap();

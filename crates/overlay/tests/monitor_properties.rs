@@ -15,7 +15,7 @@
 //!   coin flips over fifty packets brings 25 ± 3.5), never clears while
 //!   it lasts, and clears within five whole ticks of clean data.
 
-use dg_overlay::monitor::LinkMonitor;
+use dg_overlay::monitor::{LinkMonitor, WINDOW_TICKS};
 use dg_overlay::recovery::GapTracker;
 use dg_topology::{Micros, NodeId};
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ impl Link {
         Link {
             neighbor: NodeId::new(1),
             tracker: GapTracker::new(),
-            monitor: LinkMonitor::new(20, TICK, 5),
+            monitor: LinkMonitor::new(WINDOW_TICKS, TICK),
             next_seq: 0,
             ticks: 0,
         }

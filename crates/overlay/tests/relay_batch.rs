@@ -11,7 +11,7 @@ use dg_core::{DisseminationGraph, Flow, ServiceRequirement, SlaClass};
 use dg_overlay::fault::LinkFault;
 use dg_overlay::session::{Delivery, FlowReceiver, FlowSender};
 use dg_overlay::wire::{DataPacket, Envelope, Message};
-use dg_overlay::{now_us, NodeConfig, NodeConfigBuilder, NodeCounters, OverlayHandle, OverlayNode};
+use dg_overlay::{now_us, NodeConfig, NodeCounters, OverlayError, OverlayHandle, OverlayNode};
 use dg_topology::{Graph, GraphBuilder, Micros, NodeId};
 use dg_trace::NetworkState;
 use std::collections::HashMap;
@@ -75,7 +75,7 @@ impl Net {
         graph: Graph,
         budget: impl Fn(NodeId) -> usize,
         taps: &[NodeId],
-        tune: impl Fn(NodeConfigBuilder) -> NodeConfigBuilder,
+        tune: impl Fn(NodeConfig) -> NodeConfig,
     ) -> Net {
         let graph = Arc::new(graph);
         let sockets: Vec<UdpSocket> =
@@ -92,13 +92,11 @@ impl Net {
             }
             let peers: HashMap<_, _> =
                 graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect();
-            let config = tune(
-                NodeConfig::builder(node, addrs[node.index()])
-                    .max_batch_bytes(budget(node))
-                    .peers(peers),
-            )
-            .build()
-            .expect("config validates");
+            let config = tune(NodeConfig {
+                max_batch_bytes: budget(node),
+                peers,
+                ..NodeConfig::new(node, addrs[node.index()])
+            });
             let handle = OverlayNode::spawn_with_socket(config, Arc::clone(&graph), socket)
                 .expect("node spawns");
             nodes.push(Some(handle));
@@ -515,13 +513,13 @@ fn a_delayed_control_frame_leaves_at_its_departure_time() {
         graph,
         |_| BIG_BUDGET,
         &[n[1]],
-        |config| {
-            config
-                .hello_interval(cadence)
-                .link_state_interval(cadence)
-                .digest_interval(cadence)
-                .link_state_max_age(cadence * 4)
-                .watchdog_stale_after(cadence * 4)
+        |config| NodeConfig {
+            hello_interval: cadence,
+            link_state_interval: cadence,
+            digest_interval: cadence,
+            link_state_max_age: cadence * 4,
+            watchdog_stale_after: cadence * 4,
+            ..config
         },
     );
     let delay = Duration::from_millis(5);
@@ -548,4 +546,68 @@ fn a_delayed_control_frame_leaves_at_its_departure_time() {
         );
     }
     net.shutdown();
+}
+
+/// A checksum-valid frame proves nothing about who sent it: one from a
+/// node id the receiver holds no peer address for is dropped before it
+/// can mint per-neighbour state — a monitor entry, a gap tracker, a
+/// link-metrics cell — or draw an ack addressed to nobody.
+#[test]
+fn frames_from_unknown_node_ids_are_dropped_before_any_state() {
+    let (graph, n) = topology(&["A", "B"], &[(0, 1)]);
+    let net = Net::launch(graph, |_| BIG_BUDGET, &[n[1]]);
+    wait_until("A's first hello to B", || net.counters(n[0]).hellos_sent > 0);
+    const STRANGERS: u64 = 1_000;
+    for id in 0..STRANGERS {
+        let from = NodeId::new(1_000 + id as u32);
+        let frame = Envelope { from, message: Message::Hello { seq: id, sent_at: now_us() } };
+        net.tap(n[1]).send_to(&frame.encode(), net.addrs[0]).expect("inject");
+        // In bursts the socket buffer holds, so the kernel drops none.
+        if (id + 1) % 100 == 0 {
+            wait_until("the burst to be turned away", || net.counters(n[0]).malformed > id);
+        }
+    }
+    // A hello from the real neighbour, sent last, is answered as ever.
+    net.inject(n[1], n[0], Message::Hello { seq: 0, sent_at: now_us() });
+    wait_until("the neighbour's hello to be echoed", || net.counters(n[0]).hellos_echoed >= 1);
+    let snapshot = net.node(n[0]).metrics_snapshot();
+    assert_eq!(snapshot.counters.malformed, STRANGERS);
+    let links: Vec<NodeId> = snapshot.links.iter().map(|l| l.neighbor).collect();
+    assert_eq!(links, [n[1]], "one link cell, for the one neighbour");
+    net.shutdown();
+}
+
+/// `spawn` is the boundary every configuration crosses: a literal
+/// `NodeConfig` that breaks a rule, or does not fit the topology it is
+/// spawned on, is refused there with the rule named.
+#[test]
+fn spawn_rejects_a_config_that_breaks_a_rule_or_the_topology() {
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let graph = Arc::new(graph);
+    let listen: SocketAddr = "127.0.0.1:0".parse().expect("address");
+    let ok =
+        || NodeConfig { peers: HashMap::from([(n[1], listen)]), ..NodeConfig::new(n[0], listen) };
+    let ms = Duration::from_millis;
+    let broken = [
+        (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
+        (NodeConfig { watchdog_stale_after: ms(100), ..ok() }, "watchdog_stale_after"),
+        (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
+        (NodeConfig { node: NodeId::new(3), ..ok() }, "site of the topology"),
+        // C exists, but shares no link with A.
+        (NodeConfig { peers: HashMap::from([(n[2], listen)]), ..ok() }, "neighbour"),
+        (NodeConfig { peers: HashMap::from([(NodeId::new(9), listen)]), ..ok() }, "neighbour"),
+    ];
+    for (config, rule) in broken {
+        match OverlayNode::spawn(config, Arc::clone(&graph)) {
+            Err(OverlayError::InvalidConfig(said)) => {
+                assert!(said.contains(rule), "{rule}: refused as {said:?}");
+            }
+            Ok(handle) => {
+                handle.shutdown();
+                panic!("{rule}: spawned");
+            }
+            Err(other) => panic!("{rule}: expected InvalidConfig, got {other}"),
+        }
+    }
+    OverlayNode::spawn(ok(), graph).expect("the unbroken config spawns").shutdown();
 }

@@ -50,7 +50,7 @@ pub use dg_core::SlaClass;
 pub use dg_overlay::chaos::ChaosSchedule;
 pub use dg_overlay::cluster::Cluster;
 pub use dg_overlay::metrics::MetricsSnapshot;
-pub use dg_overlay::{NodeConfig, NodeConfigBuilder, OverlayHandle};
+pub use dg_overlay::{NodeConfig, OverlayHandle};
 
 /// The types most programs need, importable in one line.
 pub mod prelude {
@@ -59,7 +59,7 @@ pub mod prelude {
     pub use dg_overlay::chaos::ChaosSchedule;
     pub use dg_overlay::cluster::{Cluster, ClusterConfig};
     pub use dg_overlay::metrics::MetricsSnapshot;
-    pub use dg_overlay::{NodeConfig, NodeConfigBuilder, OverlayHandle};
+    pub use dg_overlay::{NodeConfig, OverlayHandle};
     pub use dg_sim::{run_flow, run_flows, FlowJob, PlaybackConfig};
     pub use dg_topology::{self as topology, Graph, Micros, NodeId};
     pub use dg_trace::gen::SyntheticWanConfig;

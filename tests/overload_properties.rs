@@ -4,6 +4,7 @@
 //! [`OverloadDetector`] and an independently written reference state
 //! machine over the same observation trace and cross-checks them.
 
+use dissemination_graphs::overlay::overload::{ENTER_DEPTH, EXIT_DEPTH};
 use dissemination_graphs::overlay::{
     OverloadConfig, OverloadDetector, OverloadTransition, MAX_LEVEL,
 };
@@ -45,8 +46,8 @@ impl Reference {
     fn step(&mut self, depth: u16, shed_delta: u8, dt_us: u64, config: &OverloadConfig) -> RefStep {
         self.ewma = DEPTH_ALPHA * f64::from(depth) + (1.0 - DEPTH_ALPHA) * self.ewma;
         let bound = config.queue_bound as f64;
-        let pressured = shed_delta > 0 || self.ewma >= config.enter_depth * bound;
-        let quiet = shed_delta == 0 && self.ewma <= config.exit_depth * bound;
+        let pressured = shed_delta > 0 || self.ewma >= ENTER_DEPTH * bound;
+        let quiet = shed_delta == 0 && self.ewma <= EXIT_DEPTH * bound;
         // The streak includes the time elapsed *since* the observation
         // that started it, matching a timestamped `quiet_since` marker:
         // the starting observation contributes no elapsed time itself.
@@ -74,8 +75,10 @@ impl Reference {
 }
 
 fn arb_config() -> impl Strategy<Value = OverloadConfig> {
-    (16u64..=256, 50u64..=300)
-        .prop_map(|(bound, hold_ms)| OverloadConfig::new(bound, Duration::from_millis(hold_ms)))
+    (16u64..=256, 50u64..=300).prop_map(|(queue_bound, hold_ms)| OverloadConfig {
+        queue_bound,
+        hold_down: Duration::from_millis(hold_ms),
+    })
 }
 
 fn arb_trace() -> impl Strategy<Value = Vec<Step>> {
