@@ -94,10 +94,11 @@ fn main() {
     }
     let deadline_ms = spec.default_deadline(&graph, &flows).as_millis();
 
-    // Flow endpoints are protected from process-level chaos: a
-    // restarted source would replay sequence numbers its destination's
-    // dedup window already suppressed, turning a transport property
-    // into a false verdict.
+    // Flow endpoints are protected from process-level chaos: a source
+    // restarted before its flow has left its first dedup window would
+    // replay sequence numbers its destination already suppressed (only
+    // a whole window below the top does a sequence read as a new
+    // life), turning a transport property into a false verdict.
     let protected: Vec<_> =
         BTreeSet::from_iter(flows.iter().flat_map(|&(s, t)| [s, t])).into_iter().collect();
     let schedule = match matches.value("schedule") {

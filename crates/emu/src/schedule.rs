@@ -6,10 +6,12 @@
 //! port, while a *different* relay is partitioned from the overlay
 //! (every incident link blackholed — the paper's "problem around a
 //! node" taken to totality) and healed again. Flow endpoints are
-//! protected: the flow-level dedup window means a restarted *source*
-//! would replay sequence numbers its destination already suppressed, so
-//! kills target relays — exactly the nodes whose death forces the
-//! routing to react.
+//! protected: a *source* restarted inside its flow's first
+//! duplicate-suppression window (16 384 sequences — every flow of a
+//! soak this short) would replay sequence numbers its destination
+//! already suppressed; only past a whole window does a replay read as
+//! a new life. So kills target relays — exactly the nodes whose death
+//! forces the routing to react.
 //!
 //! Schedules are relative to "chaos starts" at t=0; the deployment
 //! harness shifts them past its convergence warm-up

@@ -3,6 +3,7 @@
 
 use crate::clock::now_us;
 use crate::config::NodeConfig;
+use crate::dedup::{DedupWindows, DEDUP_IDLE};
 use crate::fault::{corrupt_in_place, FaultPlan};
 use crate::linkstate::{Applied, LinkStateDb, LSA_MAX_RETRANSMITS, LSA_RETRANSMIT_TIMEOUT};
 use crate::metrics::{EventKind, MetricsRegistry, MetricsSnapshot, NodeThread, JOURNAL_CAPACITY};
@@ -32,7 +33,7 @@ use dg_core::{
 use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::NetworkState;
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -41,39 +42,6 @@ use std::time::{Duration, Instant};
 /// Constructor namespace for overlay nodes; see [`OverlayNode::spawn`].
 #[derive(Debug)]
 pub struct OverlayNode;
-
-/// Flow-level duplicate-suppression window (packets).
-const DEDUP_WINDOW: usize = 16_384;
-
-struct DedupCache {
-    seen: HashSet<(Flow, u64)>,
-    order: VecDeque<(Flow, u64)>,
-    capacity: usize,
-}
-
-impl DedupCache {
-    fn new(capacity: usize) -> Self {
-        DedupCache {
-            seen: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Returns `true` when the key is new.
-    fn insert(&mut self, key: (Flow, u64)) -> bool {
-        if !self.seen.insert(key) {
-            return false;
-        }
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        self.order.push_back(key);
-        true
-    }
-}
 
 struct SendLink {
     next_seq: u64,
@@ -209,7 +177,9 @@ pub(crate) struct Shared {
     /// suppressions).
     advertised: Mutex<HashMap<NodeId, AdvertisedLink>>,
     supervision: Supervision,
-    dedup: Mutex<DedupCache>,
+    /// Per-flow duplicate-suppression windows; the receive thread holds
+    /// the lock for a frame at a time, the ticker to reclaim idle ones.
+    dedup: Mutex<DedupWindows>,
     send_links: Mutex<HashMap<NodeId, SendLink>>,
     recv_links: Mutex<HashMap<NodeId, GapTracker>>,
     /// Sharded so concurrent deliveries for unrelated flows don't
@@ -410,13 +380,17 @@ impl Shared {
     /// `queue_drops` aggregate is derived from the per-cause counters
     /// at read time; nothing counts into it here.)
     fn shed(&self, class: SlaClass, count: u64) {
-        let cell = match class {
+        self.shed_cell(class).fetch_add(count, Ordering::Relaxed);
+        self.metrics.counters.shipper_drops.fetch_add(count, Ordering::Relaxed);
+    }
+
+    /// The shed counter of `class`.
+    fn shed_cell(&self, class: SlaClass) -> &AtomicU64 {
+        match class {
             SlaClass::Bulk => &self.metrics.counters.shed_bulk,
             SlaClass::Timely => &self.metrics.counters.shed_timely,
             SlaClass::Surgical => &self.metrics.counters.shed_surgical,
-        };
-        cell.fetch_add(count, Ordering::Relaxed);
-        self.metrics.counters.shipper_drops.fetch_add(count, Ordering::Relaxed);
+        }
     }
 
     /// Priority admission of a run of data packets against the class
@@ -692,45 +666,35 @@ impl Shared {
                     });
                 }
             }
-            Message::Data(packet) => self.handle_data(from, std::slice::from_ref(&packet)),
-            Message::DataBatch(packets) => self.handle_data(from, &packets),
+            Message::Data(packet) => {
+                self.handle_data(from, now_us(), std::slice::from_ref(&packet));
+            }
+            Message::DataBatch(packets) => self.handle_data(from, now_us(), &packets),
         }
     }
 
     /// Handles the data packets of one incoming frame (a DATA frame is
-    /// a frame of one): each packet is accepted on its own, and the
-    /// survivors leave as they arrived — every maximal run of
-    /// consecutive accepted packets sharing one `(flow, class, mask)`
-    /// is forwarded as one batch per out-neighbour.
-    fn handle_data(&self, from: NodeId, packets: &[DataPacket]) {
-        // `packets[start..i]` is the pending run: accepted, one
-        // `(flow, class, mask)`, not yet forwarded.
-        let mut start = 0;
-        for (i, packet) in packets.iter().enumerate() {
-            let accepted = self.accept_data(from, packet);
-            if !accepted || (start < i && !same_run(&packets[start], packet)) {
-                self.disseminate_batch(&packets[start..i]);
-                start = if accepted { i } else { i + 1 };
-            }
-        }
-        self.disseminate_batch(&packets[start..]);
-    }
-
-    /// The per-packet receive checks: gap tracking (and a NACK for any
-    /// gap this arrival exposes), flow-level duplicate suppression,
-    /// local delivery, expiry. Returns whether the packet is to be
-    /// forwarded along its mask.
-    fn accept_data(&self, from: NodeId, packet: &DataPacket) -> bool {
-        self.metrics.counters.data_received.fetch_add(1, Ordering::Relaxed);
-        let now = now_us();
-        // Hop-by-hop recovery: detect gaps on this incoming link.
-        let missing = self.recv_links.lock().entry(from).or_default().observe_packet(
-            packet.link_seq,
-            now,
-            packet.sent_at,
-            packet.deadline,
-        );
-        if !missing.is_empty() {
+    /// a frame of one), all of them arrived at `now`. Every packet has
+    /// its own outcome — a gap it exposes is NACKed, a copy already seen
+    /// is suppressed, a packet for this node is delivered on time or
+    /// late, an expired one goes no further — and the survivors leave as
+    /// they arrived: every maximal run of consecutive accepted packets
+    /// sharing one `(flow, class, mask)` is forwarded as one batch per
+    /// out-neighbour. What does not depend on the packet is done once:
+    /// the clock is read per frame, the in-link's tracker and the
+    /// duplicate windows are locked per frame, and a flow's window,
+    /// metrics cells and receiver are looked up — and the counters added
+    /// — per stretch of consecutive packets of one flow.
+    fn handle_data(&self, from: NodeId, now: Micros, packets: &[DataPacket]) {
+        // Hop-by-hop recovery: the frame's link sequences against this
+        // in-link's tracker. NACKs leave before anything is delivered.
+        let gaps = self
+            .recv_links
+            .lock()
+            .entry(from)
+            .or_default()
+            .observe_run(now, packets.iter().map(|p| (p.link_seq, p.sent_at, p.deadline)));
+        for missing in gaps {
             self.metrics.counters.nack_messages_sent.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .counters
@@ -743,53 +707,99 @@ impl Shared {
             let nack = Envelope { from: self.me(), message: Message::Nack { missing } };
             self.transmit(from, nack.encode(), None);
         }
-        // Flow-level duplicate suppression.
-        if !self.dedup.lock().insert((packet.flow, packet.flow_seq)) {
-            self.metrics.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let mut dedup = self.dedup.lock();
+        for stretch in packets.chunk_by(|a, b| a.flow == b.flow) {
+            self.accept_stretch(now, stretch, &mut dedup);
         }
-        let on_time = !packet.expired(now);
+    }
+
+    /// Whether `flow` can exist on this overlay. Flow ids arrive
+    /// unvalidated off the wire and key per-flow state (metrics cells, a
+    /// duplicate window), so one that names no site gets none. A group
+    /// flow's tagged id cannot be checked; the windows' idle reclaim
+    /// bounds those.
+    fn plausible(&self, flow: Flow) -> bool {
+        let sites = self.graph.node_count();
+        flow.source.index() < sites && (flow.is_group() || flow.destination.index() < sites)
+    }
+
+    /// The receive checks for a frame's stretch of consecutive packets
+    /// of one flow: duplicate suppression and expiry decide each
+    /// packet's verdict, the stretch is counted, and then its packets
+    /// are delivered and its surviving runs forwarded.
+    fn accept_stretch(&self, now: Micros, stretch: &[DataPacket], dedup: &mut DedupWindows) {
+        let add = |cell: &AtomicU64, n: usize| {
+            if n > 0 {
+                cell.fetch_add(n as u64, Ordering::Relaxed);
+            }
+        };
+        let counters = &self.metrics.counters;
+        let first = &stretch[0];
+        let flow = first.flow;
+        if !self.plausible(flow) {
+            add(&counters.malformed, stretch.len());
+            add(&counters.data_received, stretch.len());
+            return;
+        }
+        // A packet's verdict: `None` for a copy already seen, else
+        // whether its deadline still holds.
+        let window = dedup.flow(flow, first.flow_seq, now);
+        let verdicts: Vec<Option<bool>> =
+            stretch.iter().map(|p| window.accept(p.flow_seq).then(|| !p.expired(now))).collect();
+        let fresh = verdicts.iter().flatten().count();
+        let on_time = verdicts.iter().flatten().filter(|&&on_time| on_time).count();
+        let late = fresh - on_time;
         // Unicast delivers at the flow's destination; a group flow
         // delivers at every node with an open receiver session for it
         // (group membership is not wire-visible — the mask is).
-        let deliver_here = packet.flow.destination == self.me()
-            || (packet.flow.is_group() && self.receivers.with(&packet.flow, |_| ()).is_some());
-        if deliver_here {
-            let flow_cells = self.metrics.flow(packet.flow);
-            if on_time {
-                self.metrics.counters.delivered_on_time.fetch_add(1, Ordering::Relaxed);
-                flow_cells.packets_on_time.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.metrics.counters.delivered_late.fetch_add(1, Ordering::Relaxed);
-                flow_cells.packets_late.fetch_add(1, Ordering::Relaxed);
+        let unicast_here = flow.destination == self.me();
+        let receiver =
+            if unicast_here || flow.is_group() { self.receivers.get(&flow) } else { None };
+        // Counted before anything is delivered or forwarded, and
+        // `data_received` last: whoever sees a delivery, or that counter
+        // move, sees everything these packets were counted as.
+        if unicast_here || receiver.is_some() {
+            let cells = self.metrics.flow(flow);
+            add(&cells.packets_on_time, on_time);
+            add(&cells.packets_late, late);
+            add(&counters.delivered_on_time, on_time);
+            add(&counters.delivered_late, late);
+        }
+        add(&counters.duplicates, stretch.len() - fresh);
+        add(&counters.expired, late);
+        add(&counters.data_received, stretch.len());
+        // `stretch[start..i]` is the pending run: accepted, one
+        // `(flow, class, mask)`, not yet forwarded.
+        let mut start = 0;
+        for (i, (packet, verdict)) in stretch.iter().zip(verdicts).enumerate() {
+            if let (Some(tx), Some(on_time)) = (&receiver, verdict) {
+                self.deliver(tx, packet, now, on_time);
             }
-            let delivery = Delivery {
-                flow: packet.flow,
-                flow_seq: packet.flow_seq,
-                payload: packet.payload.clone(),
-                sent_at: packet.sent_at,
-                delivered_at: now,
-                on_time,
-            };
-            {
-                // The delivery queue is bounded: an application that
-                // stops draining sheds load instead of wedging the node.
-                let sent = self.receivers.with(&packet.flow, |tx| tx.try_send(delivery));
-                if let Some(Err(TrySendError::Full(_))) = sent {
-                    let shed_cell = match packet.class {
-                        SlaClass::Bulk => &self.metrics.counters.shed_bulk,
-                        SlaClass::Timely => &self.metrics.counters.shed_timely,
-                        SlaClass::Surgical => &self.metrics.counters.shed_surgical,
-                    };
-                    shed_cell.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counters.delivery_drops.fetch_add(1, Ordering::Relaxed);
-                }
+            let accepted = verdict == Some(true);
+            if !accepted || (start < i && !same_run(&stretch[start], packet)) {
+                self.disseminate_batch(&stretch[start..i]);
+                start = if accepted { i } else { i + 1 };
             }
         }
-        if !on_time {
-            self.metrics.counters.expired.fetch_add(1, Ordering::Relaxed);
+        self.disseminate_batch(&stretch[start..]);
+    }
+
+    /// Hands one packet to its receiver session. The delivery queue is
+    /// bounded: an application that stops draining sheds load instead
+    /// of wedging the node.
+    fn deliver(&self, tx: &Sender<Delivery>, packet: &DataPacket, now: Micros, on_time: bool) {
+        let delivery = Delivery {
+            flow: packet.flow,
+            flow_seq: packet.flow_seq,
+            payload: packet.payload.clone(),
+            sent_at: packet.sent_at,
+            delivered_at: now,
+            on_time,
+        };
+        if let Err(TrySendError::Full(_)) = tx.try_send(delivery) {
+            self.shed_cell(packet.class).fetch_add(1, Ordering::Relaxed);
+            self.metrics.counters.delivery_drops.fetch_add(1, Ordering::Relaxed);
         }
-        on_time
     }
 
     fn flood_link_state(&self, update: &LinkStateUpdate, except: Option<NodeId>) {
@@ -1350,11 +1360,11 @@ impl Shared {
 
     /// Fires whichever periodic duties are due: hello probes plus the
     /// per-tick housekeeping (overload observation, LSA retransmits,
-    /// loss evidence and NACK re-requests, the problem detector) on the
-    /// hello cadence, link-state origination and scheme refresh on the
-    /// link-state cadence, anti-entropy digests on theirs. A flag the
-    /// detector moves does not wait for the link-state cadence: it is
-    /// originated on the tick it happens.
+    /// loss evidence and NACK re-requests, idle duplicate windows, the
+    /// problem detector) on the hello cadence, link-state origination
+    /// and scheme refresh on the link-state cadence, anti-entropy
+    /// digests on theirs. A flag the detector moves does not wait for
+    /// the link-state cadence: it is originated on the tick it happens.
     pub(crate) fn service_ticker(&self, timers: &mut Timers) {
         let tick = Instant::now();
         let hello_due = tick >= timers.next_hello;
@@ -1366,6 +1376,7 @@ impl Shared {
             self.observe_overload(now);
             self.retransmit_pending_lsas(now);
             self.service_recv_links(now);
+            self.dedup.lock().reclaim_idle(now, DEDUP_IDLE);
         }
         if hello_due || ls_due {
             let transitioned = self.evaluate_links(now_us());
@@ -1483,7 +1494,7 @@ fn build_shared(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> (Ar
         )),
         advertised: Mutex::new(HashMap::new()),
         supervision: Supervision::new(now_us()),
-        dedup: Mutex::new(DedupCache::new(DEDUP_WINDOW)),
+        dedup: Mutex::new(DedupWindows::default()),
         send_links: Mutex::new(HashMap::new()),
         recv_links: Mutex::new(HashMap::new()),
         receivers: ShardedMap::new(),
@@ -1729,6 +1740,12 @@ impl OverlayHandle {
         self.shared.send_links.lock().values().map(|l| l.buffer.len()).sum()
     }
 
+    /// Flows this node currently holds a duplicate-suppression window
+    /// for (idle ones are reclaimed on the ticker).
+    pub fn dedup_flows(&self) -> usize {
+        self.shared.dedup.lock().len()
+    }
+
     /// The node's current overload degradation level (0 = full
     /// redundancy on every class; see `docs/RESILIENCE.md`).
     pub fn overload_level(&self) -> u8 {
@@ -1767,17 +1784,6 @@ impl OverlayHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dedup_cache_evicts_in_order() {
-        let f = Flow::new(NodeId::new(0), NodeId::new(1));
-        let mut cache = DedupCache::new(2);
-        assert!(cache.insert((f, 1)));
-        assert!(!cache.insert((f, 1)));
-        assert!(cache.insert((f, 2)));
-        assert!(cache.insert((f, 3))); // evicts seq 1
-        assert!(cache.insert((f, 1)), "evicted key is fresh again");
-    }
 
     fn timers_at(tick: Instant) -> Timers {
         let (_, data_rx) = channel::bounded(1);

@@ -49,7 +49,9 @@ pub const NACK_REREQUEST_AFTER: Micros = Micros::from_millis(250);
 #[derive(Debug)]
 pub struct SendBuffer<T> {
     capacity: usize,
-    entries: VecDeque<(u64, T)>,
+    /// The last `capacity` sequences pushed, oldest first; a slot is
+    /// emptied in place when its datagram is taken.
+    entries: VecDeque<(u64, Option<T>)>,
 }
 
 impl<T> SendBuffer<T> {
@@ -75,26 +77,28 @@ impl<T> SendBuffer<T> {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
-        self.entries.push_back((link_seq, datagram));
+        self.entries.push_back((link_seq, Some(datagram)));
     }
 
-    /// Takes the datagram for `link_seq`, removing it so a second NACK
-    /// for the same sequence cannot trigger a second retransmission.
-    /// Binary search over the sequence-sorted ring: O(log n) against
-    /// the node's [`RETRANSMIT_BUFFER`]-deep buffer.
+    /// Takes the datagram for `link_seq`, emptying its slot so a second
+    /// NACK for the same sequence cannot trigger a second
+    /// retransmission. Binary search over the sequence-sorted ring and
+    /// nothing moved: O(log n) against the node's
+    /// [`RETRANSMIT_BUFFER`]-deep buffer.
     pub fn take(&mut self, link_seq: u64) -> Option<T> {
         let idx = self.entries.binary_search_by_key(&link_seq, |(s, _)| *s).ok()?;
-        self.entries.remove(idx).map(|(_, d)| d)
+        self.entries[idx].1.take()
     }
 
-    /// Number of buffered datagrams.
+    /// Number of buffered datagrams (a diagnostic: it counts the slots
+    /// still full).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().filter(|(_, datagram)| datagram.is_some()).count()
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -190,6 +194,34 @@ impl GapTracker {
         }
         self.next_expected = Some(link_seq + 1);
         missing
+    }
+
+    /// Observes the packets of one frame, each `(link_seq, sent_at,
+    /// deadline)`, all arriving at `now`: exactly
+    /// [`GapTracker::observe_packet`] on each in turn, returning the
+    /// non-empty gaps in order. A frame that continues the stream —
+    /// consecutive sequences starting at the expectation, which is what
+    /// a sender's batch is unless the link lost or reordered something
+    /// — exposes no gap and costs one addition, not one call a packet.
+    pub fn observe_run(
+        &mut self,
+        now: Micros,
+        packets: impl ExactSizeIterator<Item = (u64, Micros, Micros)> + Clone,
+    ) -> Vec<Vec<u64>> {
+        let n = packets.len() as u64;
+        if let Some((expected, end)) = self.next_expected.and_then(|e| Some((e, e.checked_add(n)?)))
+        {
+            if packets.clone().map(|(seq, ..)| seq).eq(expected..end) {
+                self.evidence.0 += n;
+                self.evidence.1 += n;
+                self.next_expected = Some(end);
+                return Vec::new();
+            }
+        }
+        packets
+            .map(|(seq, sent_at, deadline)| self.observe_packet(seq, now, sent_at, deadline))
+            .filter(|missing| !missing.is_empty())
+            .collect()
     }
 
     /// Sequences NACKed at least `silence` ago that have still not

@@ -237,19 +237,28 @@ impl Session {
         }
         let mask = self.slot.lock().mask();
         let sent_at = now_us();
+        // The run's payloads are copied once, into one buffer the
+        // packets slice (as a relay's packets slice the frame they
+        // arrived in): one allocation a call, not one a packet.
+        let copied = Bytes::from(payloads.concat());
+        let mut end = 0;
         // Pooled scratch: the send path otherwise allocates (and frees)
         // one `Vec<DataPacket>` per call.
         let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| DataPacket {
-            flow: self.flow,
-            flow_seq,
-            sent_at,
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: mask.clone(),
-            payload: Bytes::copy_from_slice(p),
+        packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| {
+            let start = end;
+            end += p.len();
+            DataPacket {
+                flow: self.flow,
+                flow_seq,
+                sent_at,
+                deadline: self.deadline,
+                link_seq: 0, // assigned per link at transmission
+                retransmission: false,
+                class: self.class,
+                mask: mask.clone(),
+                payload: copied.slice(start..end),
+            }
         }));
         self.shared.disseminate_batch(&packets);
         self.shared.put_packet_scratch(packets);

@@ -11,8 +11,12 @@
 //! - **Buffer agreement**: [`SendBuffer::take`] (a binary search over
 //!   the sequence-sorted ring) agrees exactly with a naive model, and
 //!   never serves the same sequence twice.
+//! - **Frame agreement**: [`GapTracker::observe_run`] on a frame is the
+//!   loop of [`GapTracker::observe_packet`] over its packets — same
+//!   NACKs in the same order, same evidence, same bookkeeping —
+//!   wherever the frame starts and whatever its sequences do.
 
-use dg_overlay::recovery::{GapTracker, SendBuffer};
+use dg_overlay::recovery::{GapTracker, SendBuffer, RETRANSMIT_BUFFER};
 use dg_topology::Micros;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -139,5 +143,75 @@ proptest! {
         }
         prop_assert_eq!(buffer.len(), model.len());
         prop_assert_eq!(buffer.is_empty(), model.is_empty());
+    }
+
+    /// A frame handed to the tracker whole leaves it exactly as the
+    /// same packets handed over one by one do, and asks for the same
+    /// sequences — for frames that continue the stream, jump ahead of
+    /// it, fall back inside the sender's buffer, fall a restart's
+    /// distance back, repeat a sequence or skip some.
+    #[test]
+    fn observe_run_is_the_loop_of_observe_packet(
+        frames in proptest::collection::vec(
+            (0u8..5, 1u64..100, any::<bool>(), proptest::collection::vec(0u64..4, 1..40)),
+            1..40,
+        ),
+    ) {
+        let ms = Micros::from_millis;
+        let horizon = RETRANSMIT_BUFFER as u64;
+        // What both trackers expect next, by the tracker's own rule.
+        let mut expect = 3 * horizon;
+        let (mut by_run, mut by_packet) = (GapTracker::new(), GapTracker::new());
+        by_run.observe(expect - 1, Micros::ZERO);
+        by_packet.observe(expect - 1, Micros::ZERO);
+        for (i, (start, delta, consecutive, steps)) in frames.iter().enumerate() {
+            let now = ms(10 * (i as u64 + 1));
+            let mut seq = match start {
+                0 | 1 => expect,
+                2 => expect + delta,
+                3 => expect.saturating_sub(*delta),
+                _ => expect.saturating_sub(horizon + delta),
+            };
+            // Every other frame's budget is spent by the time anyone
+            // could ask twice.
+            let deadline = if i.is_multiple_of(2) { ms(15) } else { Micros::MAX };
+            let packets: Vec<(u64, Micros, Micros)> = steps
+                .iter()
+                .map(|&step| {
+                    let packet = (seq, now.saturating_sub(ms(1)), deadline);
+                    seq += if *consecutive { 1 } else { step };
+                    packet
+                })
+                .collect();
+            let whole = by_run.observe_run(now, packets.iter().copied());
+            let one_by_one: Vec<Vec<u64>> = packets
+                .iter()
+                .map(|&(seq, sent_at, deadline)| by_packet.observe_packet(seq, now, sent_at, deadline))
+                .filter(|missing| !missing.is_empty())
+                .collect();
+            prop_assert_eq!(whole, one_by_one, "frame {} from {}", i, packets[0].0);
+            prop_assert_eq!(by_run.outstanding(), by_packet.outstanding());
+            for &(seq, ..) in &packets {
+                if seq >= expect || expect - seq > horizon {
+                    expect = seq + 1;
+                }
+            }
+            if i % 3 == 2 {
+                prop_assert_eq!(by_run.take_evidence(), by_packet.take_evidence());
+                prop_assert_eq!(
+                    by_run.due_rerequests(now, ms(20), Some(ms(4))),
+                    by_packet.due_rerequests(now, ms(20), Some(ms(4)))
+                );
+            }
+        }
+        // The next in-order packet finds both at the same expectation.
+        prop_assert_eq!(by_run.observe(expect, Micros::ZERO), by_packet.observe(expect, Micros::ZERO));
+        prop_assert_eq!(by_run.take_evidence(), by_packet.take_evidence());
+        let end = ms(10_000);
+        prop_assert_eq!(
+            by_run.due_rerequests(end, Micros::ZERO, None),
+            by_packet.due_rerequests(end, Micros::ZERO, None)
+        );
+        prop_assert_eq!(by_run.outstanding(), 0);
     }
 }

@@ -435,6 +435,105 @@ fn a_mixed_batch_is_split_into_runs_along_each_mask() {
 }
 
 #[test]
+fn a_sequence_carried_twice_in_one_frame_is_delivered_once() {
+    let (graph, n) = topology(&["A", "B"], &[(0, 1)]);
+    let net = Net::launch(graph, |_| BIG_BUDGET, &[n[0]]);
+    let flow = Flow::new(n[0], n[1]);
+    let rx = net.node(n[1]).open_receiver(flow).expect("receiver opens");
+    let mask = net.mask(flow, &[(n[0], n[1])]);
+    let packets =
+        [0, 1, 1, 2].iter().zip(0..).map(|(&seq, link_seq)| packet(flow, seq, link_seq, &mask));
+    net.inject(n[0], n[1], Message::DataBatch(packets.collect()));
+    let got = collect(&rx, 3);
+    assert!(got.iter().map(|d| d.flow_seq).eq(0..3), "each sequence once, in order");
+    let b = net.counters(n[1]);
+    assert_eq!((b.data_received, b.delivered_on_time, b.duplicates), (4, 3, 1));
+    assert!(rx.try_recv().is_none(), "the second copy went nowhere");
+    net.shutdown();
+}
+
+#[test]
+fn a_frame_alternating_two_flows_is_deduplicated_per_flow() {
+    let (graph, n) = topology(&["S", "R", "X", "Y"], &[(0, 1), (1, 2), (1, 3)]);
+    let (s, r, x, y) = (n[0], n[1], n[2], n[3]);
+    let net = Net::launch(graph, |_| BIG_BUDGET, &[s, x, y]);
+    let (to_x, to_y) = (Flow::new(s, x), Flow::new(s, y));
+    let mask_x = net.mask(to_x, &[(s, r), (r, x)]);
+    let mask_y = net.mask(to_y, &[(s, r), (r, y)]);
+    // Both flows use the same sequence numbers, and each repeats one.
+    let plan =
+        [(to_x, 0), (to_y, 0), (to_x, 1), (to_y, 1), (to_x, 1), (to_y, 0), (to_x, 2), (to_y, 2)];
+    let packets = plan
+        .iter()
+        .enumerate()
+        .map(|(i, &(flow, seq))| {
+            packet(flow, seq, i as u64, if flow == to_x { &mask_x } else { &mask_y })
+        })
+        .collect();
+    net.inject(s, r, Message::DataBatch(packets));
+    for (tap, flow) in [(x, to_x), (y, to_y)] {
+        let frames = net.tap_data(tap, 3);
+        // Every stretch of the frame is one packet long, so is every run.
+        assert!(frames.iter().all(|(raw, ps)| raw[2] == 0 && ps.len() == 1 && ps[0].flow == flow));
+        assert!(frames.iter().map(|(_, ps)| (ps[0].flow_seq, ps[0].link_seq)).eq([
+            (0, 0),
+            (1, 1),
+            (2, 2)
+        ]));
+        assert_eq!(net.transmissions(r, flow), 3);
+    }
+    let c = net.counters(r);
+    assert_eq!((c.data_received, c.data_sent, c.duplicates), (8, 6, 2));
+    assert_eq!(net.node(r).dedup_flows(), 2);
+    net.shutdown();
+}
+
+/// Flow ids cross the wire unvalidated, and a node keeps state per
+/// flow: one that names a site the overlay does not have is dropped
+/// before it can mint any — a metrics cell, a duplicate window.
+#[test]
+fn packets_of_flows_between_no_sites_are_dropped_before_any_state() {
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let net = Net::launch(graph, |_| BIG_BUDGET, &[n[0], n[2]]);
+    let flow = Flow::new(n[0], n[2]);
+    let mask = net.mask(flow, &[(n[0], n[1]), (n[1], n[2])]);
+    // A real packet first: the state a real flow leaves is the baseline.
+    net.inject(n[0], n[1], Message::Data(packet(flow, 0, 0, &mask)));
+    net.tap_data(n[2], 1);
+    let cells = |node| -> Vec<Flow> {
+        net.node(node).metrics_snapshot().flows.iter().map(|f| f.flow).collect()
+    };
+    assert_eq!((cells(n[1]), net.node(n[1]).dedup_flows()), (vec![flow], 1));
+    const INVENTED: u64 = 1_000;
+    let invented = |i: u64| {
+        let nowhere = NodeId::new(5_000 + i as u32);
+        // From no site, or from a real one to no site.
+        if i.is_multiple_of(2) {
+            Flow::new(nowhere, n[2])
+        } else {
+            Flow::new(n[0], nowhere)
+        }
+    };
+    for frame in 0..10 {
+        let packets = (frame * 100..(frame + 1) * 100)
+            .map(|i| DataPacket { payload: Bytes::new(), ..packet(invented(i), i, 1 + i, &mask) })
+            .collect();
+        net.inject(n[0], n[1], Message::DataBatch(packets));
+    }
+    // A real packet behind them is forwarded as ever.
+    net.inject(n[0], n[1], Message::Data(packet(flow, 1, 1 + INVENTED, &mask)));
+    let frames = net.tap_data(n[2], 1);
+    assert_eq!((frames[0].1[0].flow, frames[0].1[0].flow_seq), (flow, 1));
+    let b = net.counters(n[1]);
+    assert_eq!(b.malformed, INVENTED);
+    assert_eq!((b.data_received, b.data_sent), (INVENTED + 2, 2));
+    assert_eq!(b.nack_messages_sent, 0, "their link sequences were still seen");
+    assert_eq!(cells(n[1]), [flow], "no cell for an invented flow");
+    assert_eq!(net.node(n[1]).dedup_flows(), 1, "and no window");
+    net.shutdown();
+}
+
+#[test]
 fn single_packets_stay_plain_data_frames() {
     let (graph, n) = topology(&["A", "B"], &[(0, 1)]);
     let net = Net::launch(graph, |_| BIG_BUDGET, &[n[1]]);
