@@ -402,14 +402,18 @@ impl Cluster {
         )
     }
 
-    /// Stops every node: all are asked to stop before any is waited
-    /// for, so the cluster stops in the time its slowest node takes.
-    pub fn shutdown(self) {
+    /// Stops every node and waits for them — the explicit form of
+    /// dropping the cluster.
+    pub fn shutdown(self) {}
+}
+
+impl Drop for Cluster {
+    /// All nodes are asked to stop before any is waited for (dropping
+    /// a handle joins it), so the cluster stops in the time its slowest
+    /// node takes.
+    fn drop(&mut self) {
         for h in self.handles.iter().flatten() {
             h.request_stop();
-        }
-        for h in self.handles.into_iter().flatten() {
-            h.shutdown();
         }
     }
 }

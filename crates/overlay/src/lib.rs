@@ -53,6 +53,7 @@ pub mod chaos;
 mod clock;
 pub mod cluster;
 mod config;
+mod core;
 pub mod dedup;
 mod error;
 pub mod fault;

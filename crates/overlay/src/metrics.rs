@@ -13,7 +13,6 @@
 //! `dg-sim`'s `FlowRunStats` so simulator and overlay reports can be
 //! compared field-for-field.
 
-use crate::clock::now_us;
 use crate::shard::ShardedMap;
 use dg_core::scheme::SchemeKind;
 use dg_core::{Flow, GraphCacheStats, SlaClass};
@@ -260,7 +259,8 @@ pub struct Event {
     /// Monotone per-node event number (counts events ever recorded, so
     /// gaps reveal ring-buffer evictions).
     pub seq: u64,
-    /// When it happened ([`crate::now_us`]).
+    /// When it happened, on the [`crate::now_us`] clock: the instant of
+    /// the datagram, timer pass or send the node was handling.
     pub at: Micros,
     /// What happened.
     pub kind: EventKind,
@@ -423,6 +423,14 @@ impl EventJournal {
     }
 }
 
+/// Adds `n` to a counter cell (statistics publish no other data, so the
+/// ordering is relaxed); a zero costs no atomic operation.
+pub(crate) fn add(cell: &AtomicU64, n: u64) {
+    if n > 0 {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 /// One node's full observability state.
 ///
 /// The flow and link tables are sharded ([`crate::shard::ShardedMap`])
@@ -458,9 +466,27 @@ impl MetricsRegistry {
         self.links.get_or_insert_with(&neighbor, Arc::default)
     }
 
-    /// Records a journal event stamped with the current overlay clock.
-    pub(crate) fn record(&self, kind: EventKind) {
-        self.journal.record(now_us(), kind);
+    /// Records a journal event that happened at `at`: the instant its
+    /// recorder was told, not a second clock read.
+    pub(crate) fn record_at(&self, at: Micros, kind: EventKind) {
+        self.journal.record(at, kind);
+    }
+
+    /// The shed counter of `class`.
+    pub(crate) fn shed_cell(&self, class: SlaClass) -> &AtomicU64 {
+        match class {
+            SlaClass::Bulk => &self.counters.shed_bulk,
+            SlaClass::Timely => &self.counters.shed_timely,
+            SlaClass::Surgical => &self.counters.shed_surgical,
+        }
+    }
+
+    /// Data packets shed so far, all classes.
+    pub(crate) fn shed_total(&self) -> u64 {
+        [SlaClass::Bulk, SlaClass::Timely, SlaClass::Surgical]
+            .iter()
+            .map(|&class| self.shed_cell(class).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// A serializable copy of everything, with flows and links sorted
@@ -735,12 +761,17 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json() {
         let registry = MetricsRegistry::new(4);
-        registry.record(EventKind::RouteChange {
-            flow: flow(1, 2),
-            scheme: SchemeKind::TargetedRedundancy,
-            edges: 7,
-        });
-        registry.record(EventKind::DetectorTriggered { neighbor: NodeId::new(3), loss: 0.25 });
+        let at = Micros::from_millis(5);
+        registry.record_at(
+            at,
+            EventKind::RouteChange {
+                flow: flow(1, 2),
+                scheme: SchemeKind::TargetedRedundancy,
+                edges: 7,
+            },
+        );
+        registry
+            .record_at(at, EventKind::DetectorTriggered { neighbor: NodeId::new(3), loss: 0.25 });
         registry.flow(flow(1, 2)).transmissions.fetch_add(4, Ordering::Relaxed);
         let snap = registry.snapshot(NodeId::new(1));
         let json = serde_json::to_string(&snap).expect("serializes");

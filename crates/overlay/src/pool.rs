@@ -72,49 +72,6 @@ impl Default for BufferPool {
     }
 }
 
-/// How many scratch vectors a [`ScratchVecPool`] retains.
-const SCRATCH_POOL_CAPACITY: usize = 16;
-
-/// Elements beyond this are truncated away before pooling so one giant
-/// batch cannot pin its capacity forever.
-const MAX_POOLED_ELEMENTS: usize = 4096;
-
-/// A bounded freelist of reusable typed scratch vectors for the batch
-/// send path, which otherwise allocates a fresh `Vec<DataPacket>` (and
-/// a `Vec<u64>` of link sequences) per call. Elements are dropped on
-/// return; only the allocation is retained.
-#[derive(Debug)]
-pub struct ScratchVecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> ScratchVecPool<T> {
-    /// Takes an empty vector from the pool, or allocates a fresh one.
-    pub fn get(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a vector to the pool, dropping its elements. Oversized
-    /// vectors and overflow beyond the pool bound are simply dropped.
-    pub fn put(&mut self, mut v: Vec<T>) {
-        v.clear();
-        if self.free.len() < SCRATCH_POOL_CAPACITY && v.capacity() <= MAX_POOLED_ELEMENTS {
-            self.free.push(v);
-        }
-    }
-
-    /// Number of idle vectors currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
-impl<T> Default for ScratchVecPool<T> {
-    fn default() -> Self {
-        ScratchVecPool { free: Vec::new() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,22 +99,6 @@ mod tests {
         let mut pool = BufferPool::new(4);
         pool.put(Vec::with_capacity(MAX_POOLED_CAPACITY * 2));
         assert_eq!(pool.idle(), 0, "oversized buffers are not pooled");
-    }
-
-    #[test]
-    fn scratch_pool_reuses_allocations() {
-        let mut pool: ScratchVecPool<u64> = ScratchVecPool::default();
-        let mut v = pool.get();
-        v.extend_from_slice(&[1, 2, 3]);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.idle(), 1);
-        let v = pool.get();
-        assert!(v.is_empty(), "returned scratch is cleared");
-        assert_eq!(v.capacity(), cap);
-        let huge: Vec<u64> = Vec::with_capacity(MAX_POOLED_ELEMENTS + 1);
-        pool.put(huge);
-        assert_eq!(pool.idle(), 0, "oversized scratch is not pooled");
     }
 
     #[test]

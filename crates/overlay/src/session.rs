@@ -1,18 +1,13 @@
 //! Application-facing sending and receiving sessions.
 
-use crate::clock::now_us;
-use crate::node::Shared;
-use crate::wire::{DataPacket, MAX_PAYLOAD};
+use crate::core::{Route, SessionId, SessionSlot};
+use crate::runtime::Driver;
+use crate::wire::MAX_PAYLOAD;
 use crate::OverlayError;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use dg_core::scheme::RoutingScheme;
-use dg_core::{
-    DisseminationGraph, Flow, MulticastGraph, MulticastKind, ServiceRequirement, SlaClass,
-};
+use dg_core::{DisseminationGraph, Flow, MulticastGraph, SlaClass};
 use dg_topology::{Micros, NodeId};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,117 +85,32 @@ impl DeliveryStats {
     }
 }
 
-/// What decides a sending session's dissemination graph.
-pub(crate) enum Route {
-    /// A routing scheme, shown every link-state update.
-    Scheme(Box<dyn RoutingScheme>),
-    /// A several-receiver graph interned in the node's graph cache and
-    /// fetched again when link-state flips evict it.
-    Group { graph: Arc<DisseminationGraph>, kind: MulticastKind, requirement: ServiceRequirement },
-}
-
-/// The per-session routing state: the route plus its current
-/// dissemination graph pre-encoded as a wire bitmask, and — under
-/// overload — a cheaper override mask that temporarily replaces it.
-pub(crate) struct SessionSlot {
-    pub(crate) route: Route,
-    pub(crate) flow: Flow,
-    pub(crate) class: SlaClass,
-    mask: Bytes,
-    /// Downgraded dissemination mask applied while the node is
-    /// overloaded; `None` means the route's full graph is in force.
-    downgrade: Option<Bytes>,
-    /// The overload level the current downgrade was computed at (0
-    /// when no downgrade is active), so re-applying the same level is
-    /// a no-op.
-    pub(crate) downgrade_level: u8,
-}
-
-impl SessionSlot {
-    pub(crate) fn new(route: Route, flow: Flow, class: SlaClass, edge_count: usize) -> Self {
-        let mut slot = SessionSlot {
-            route,
-            flow,
-            class,
-            mask: Bytes::new(),
-            downgrade: None,
-            downgrade_level: 0,
-        };
-        slot.refresh_mask(edge_count);
-        slot
-    }
-
-    /// The graph the route currently selects.
-    pub(crate) fn graph(&self) -> &DisseminationGraph {
-        match &self.route {
-            Route::Scheme(scheme) => scheme.current(),
-            Route::Group { graph, .. } => graph,
-        }
-    }
-
-    /// Re-stamps the wire mask after the route changed its graph.
-    pub(crate) fn refresh_mask(&mut self, edge_count: usize) {
-        self.mask = Bytes::from(self.graph().to_bitmask(edge_count));
-    }
-
-    /// Replaces the stamped mask with a downgraded graph (overload).
-    pub(crate) fn set_downgrade(&mut self, mask: Bytes, level: u8) {
-        self.downgrade = Some(mask);
-        self.downgrade_level = level;
-    }
-
-    /// Restores the route's full graph.
-    pub(crate) fn clear_downgrade(&mut self) {
-        self.downgrade = None;
-        self.downgrade_level = 0;
-    }
-
-    pub(crate) fn is_downgraded(&self) -> bool {
-        self.downgrade.is_some()
-    }
-
-    fn mask(&self) -> Bytes {
-        self.downgrade.as_ref().unwrap_or(&self.mask).clone()
-    }
-}
-
-/// What [`FlowSender`] and [`FlowGroup`] are both made of: a flow, its
-/// sequence counter, and the slot whose mask is stamped onto every
-/// packet before it is injected at the source node.
+/// What [`FlowSender`] and [`FlowGroup`] are both made of: the node and
+/// the id of the slot there that stamps this flow's packets. Dropping
+/// it closes the slot, which gives the node its admission slot back.
+#[derive(Debug)]
 pub(crate) struct Session {
-    shared: Arc<Shared>,
-    slot: Arc<Mutex<SessionSlot>>,
+    driver: Arc<Driver>,
+    id: SessionId,
     flow: Flow,
-    deadline: Micros,
     class: SlaClass,
-    next_seq: AtomicU64,
-    /// This flow's metrics cells, resolved once so the hot send path
-    /// skips the registry lookup.
-    cells: Arc<crate::metrics::FlowCells>,
 }
 
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("flow", &self.flow)
-            .field("deadline", &self.deadline)
-            .field("class", &self.class)
-            .finish()
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.driver.with_core(|core| core.close_session(self.id));
     }
 }
 
 impl Session {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        slot: Arc<Mutex<SessionSlot>>,
-        deadline: Micros,
-    ) -> Self {
-        let (flow, class) = {
-            let slot = slot.lock();
-            (slot.flow, slot.class)
-        };
-        let cells = shared.metrics.flow(flow);
-        Session { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
+    /// Wraps session `id`, just opened at `driver`'s node for `flow`.
+    pub(crate) fn new(driver: Arc<Driver>, id: SessionId, flow: Flow, class: SlaClass) -> Self {
+        Session { driver, id, flow, class }
+    }
+
+    /// Reads the session's slot under the node's lock.
+    fn with_slot<R>(&self, read: impl FnOnce(&SessionSlot) -> R) -> R {
+        self.driver.with_core(|core| read(core.slot(self.id)))
     }
 
     fn check(payloads: &[&[u8]]) -> Result<(), OverlayError> {
@@ -212,56 +122,16 @@ impl Session {
 
     fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
         Self::check(payloads)?;
-        let n = payloads.len() as u64;
-        let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
-        self.cells.packets_sent.fetch_add(n, Ordering::Relaxed);
-        self.disseminate(first, payloads);
-        Ok(first)
+        Ok(self
+            .driver
+            .event(|core, now, backlog, out| core.send(now, self.id, payloads, backlog, out)))
     }
 
     fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
         Self::check(&[payload])?;
-        let next = self.next_seq.load(Ordering::Relaxed);
-        if next == 0 {
-            return Ok(false);
-        }
-        self.disseminate(next - 1, &[payload]);
-        Ok(true)
-    }
-
-    /// Stamps `payloads` as consecutive packets from `first_seq` — one
-    /// timestamp, the slot's current mask — and injects them as one run.
-    fn disseminate(&self, first_seq: u64, payloads: &[&[u8]]) {
-        if payloads.is_empty() {
-            return;
-        }
-        let mask = self.slot.lock().mask();
-        let sent_at = now_us();
-        // The run's payloads are copied once, into one buffer the
-        // packets slice (as a relay's packets slice the frame they
-        // arrived in): one allocation a call, not one a packet.
-        let copied = Bytes::from(payloads.concat());
-        let mut end = 0;
-        // Pooled scratch: the send path otherwise allocates (and frees)
-        // one `Vec<DataPacket>` per call.
-        let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| {
-            let start = end;
-            end += p.len();
-            DataPacket {
-                flow: self.flow,
-                flow_seq,
-                sent_at,
-                deadline: self.deadline,
-                link_seq: 0, // assigned per link at transmission
-                retransmission: false,
-                class: self.class,
-                mask: mask.clone(),
-                payload: copied.slice(start..end),
-            }
-        }));
-        self.shared.disseminate_batch(&packets);
-        self.shared.put_packet_scratch(packets);
+        Ok(self
+            .driver
+            .event(|core, now, backlog, out| core.tail_probe(now, self.id, payload, backlog, out)))
     }
 }
 
@@ -284,7 +154,7 @@ impl FlowSender {
     /// True while the node has replaced this flow's dissemination graph
     /// with a cheaper one under overload (see `docs/RESILIENCE.md`).
     pub fn is_downgraded(&self) -> bool {
-        self.0.slot.lock().is_downgraded()
+        self.0.with_slot(SessionSlot::is_downgraded)
     }
 
     /// Sends one application packet; returns its flow sequence number.
@@ -343,7 +213,7 @@ impl FlowSender {
 
     /// The dissemination graph currently stamped onto packets.
     pub fn current_graph(&self) -> DisseminationGraph {
-        self.0.slot.lock().graph().clone()
+        self.0.with_slot(|slot| slot.graph().clone())
     }
 }
 
@@ -373,7 +243,7 @@ impl FlowGroup {
 
     /// The canonical receiver set of the group.
     pub fn receivers(&self) -> Vec<NodeId> {
-        self.0.slot.lock().graph().receivers().to_vec()
+        self.0.with_slot(|slot| slot.graph().receivers().to_vec())
     }
 
     /// Sends one application packet to every receiver of the group;
@@ -416,10 +286,10 @@ impl FlowGroup {
 
     /// The several-receiver graph currently stamped onto packets.
     pub fn current_graph(&self) -> Arc<MulticastGraph> {
-        match &self.0.slot.lock().route {
+        self.0.with_slot(|slot| match &slot.route {
             Route::Group { graph, .. } => Arc::clone(graph),
             Route::Scheme(scheme) => Arc::new(scheme.current().clone()),
-        }
+        })
     }
 }
 
@@ -428,14 +298,25 @@ impl FlowGroup {
 pub const DELIVERY_QUEUE: usize = 16_384;
 
 /// A receiving session: yields [`Delivery`] records for one flow.
+/// Dropping it closes the session: the node stops delivering the flow
+/// (and, for a group flow, counting it as delivered there).
 #[derive(Debug)]
 pub struct FlowReceiver {
     rx: Receiver<Delivery>,
+    driver: Arc<Driver>,
+    flow: Flow,
+    id: u64,
+}
+
+impl Drop for FlowReceiver {
+    fn drop(&mut self) {
+        self.driver.close_receiver(self.flow, self.id);
+    }
 }
 
 impl FlowReceiver {
-    pub(crate) fn new(rx: Receiver<Delivery>) -> Self {
-        FlowReceiver { rx }
+    pub(crate) fn new(rx: Receiver<Delivery>, driver: Arc<Driver>, flow: Flow, id: u64) -> Self {
+        FlowReceiver { rx, driver, flow, id }
     }
 
     /// Blocks up to `timeout` for the next delivery.

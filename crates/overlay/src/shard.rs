@@ -38,15 +38,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         self.shard(&key).lock().insert(key, value)
     }
 
-    /// Clones the value for `key`, if any. Locks only one shard.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().get(key).cloned()
-    }
-
     /// Applies `f` to the value for `key` under the shard lock, or
-    /// returns `None` when the key is absent. Unlike [`ShardedMap::get`]
-    /// this never clones the value — the per-packet delivery path uses
-    /// it to reach a receiver's channel without refcount traffic.
+    /// returns `None` when the key is absent; never clones the value.
     pub fn with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         self.shard(key).lock().get(key).map(f)
     }
@@ -55,11 +48,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> V) -> V {
         let mut shard = self.shard(key).lock();
         shard.entry(key.clone()).or_insert_with(make).clone()
-    }
-
-    /// Removes and returns the value for `key`, if any.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().remove(key)
     }
 
     /// Snapshots every entry. Locks shards one at a time, so the result
@@ -71,16 +59,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             out.extend(guard.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         out
-    }
-
-    /// Total number of entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -95,14 +73,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn insert_replaces_and_with_reads() {
         let map: ShardedMap<u64, String> = ShardedMap::new();
-        assert!(map.is_empty());
+        assert!(map.entries().is_empty());
         assert_eq!(map.insert(7, "seven".into()), None);
         assert_eq!(map.insert(7, "VII".into()), Some("seven".into()));
-        assert_eq!(map.get(&7), Some("VII".into()));
-        assert_eq!(map.remove(&7), Some("VII".into()));
-        assert_eq!(map.get(&7), None);
+        assert_eq!(map.with(&7, String::len), Some(3));
+        assert_eq!(map.with(&8, String::len), None);
     }
 
     #[test]
@@ -111,7 +88,6 @@ mod tests {
         for k in 0..100 {
             map.insert(k, k * 2);
         }
-        assert_eq!(map.len(), 100);
         let mut entries = map.entries();
         entries.sort_unstable();
         assert_eq!(entries.len(), 100);
@@ -149,7 +125,7 @@ mod tests {
                     for i in 0..KEYS_PER_WRITER {
                         let key = w * KEYS_PER_WRITER + i;
                         map.insert(key, key * 3);
-                        assert_eq!(map.get(&key), Some(key * 3));
+                        assert_eq!(map.with(&key, |v| *v), Some(key * 3));
                     }
                     // All writers race on one shared key; only the
                     // first may run the initializer.
@@ -173,8 +149,8 @@ mod tests {
             }
         });
 
-        assert_eq!(map.len() as u64, WRITERS * KEYS_PER_WRITER + 1);
+        assert_eq!(map.entries().len() as u64, WRITERS * KEYS_PER_WRITER + 1);
         assert_eq!(initializations.load(Ordering::SeqCst), 1, "initializer ran more than once");
-        assert_eq!(map.get(&u64::MAX), Some(42));
+        assert_eq!(map.with(&u64::MAX, |v| *v), Some(42));
     }
 }

@@ -780,31 +780,101 @@ fn groups_and_unicast_senders_share_one_admission_count() {
         Cluster::launch(&graph, ClusterConfig { sender_capacity: 2, ..Default::default() })
             .expect("cluster launches");
     let flow = nyc_sjc(&cluster);
-    for group_id in 0..2 {
-        cluster
-            .open_group_sender(
-                flow.source,
-                &[flow.destination],
-                group_id,
-                MulticastKind::Tree,
-                ServiceRequirement::default(),
-                SlaClass::Timely,
-            )
-            .expect("within capacity");
-    }
+    let open_group = |group_id| {
+        cluster.open_group_sender(
+            flow.source,
+            &[flow.destination],
+            group_id,
+            MulticastKind::Tree,
+            ServiceRequirement::default(),
+            SlaClass::Timely,
+        )
+    };
+    // Held, not dropped on the spot: a closed session gives its slot back.
+    let _groups =
+        [open_group(0).expect("within capacity"), open_group(1).expect("within capacity")];
     // Two open groups fill a capacity of two, whichever kind asks next.
     let denied = |e| matches!(e, OverlayError::AdmissionDenied { active: 2, capacity: 2 });
     let unicast =
         cluster.open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
     assert!(unicast.is_err_and(denied), "two open groups must deny a third session");
-    let group = cluster.open_group_sender(
-        flow.source,
-        &[flow.destination],
-        2,
-        MulticastKind::Tree,
-        ServiceRequirement::default(),
-        SlaClass::Timely,
-    );
-    assert!(group.is_err_and(denied));
+    assert!(open_group(2).is_err_and(denied));
     cluster.shutdown();
+}
+
+/// A closed sender gives its admission slot back and leaves the scheme
+/// refresh: a node that opened and closed senders all day is not at
+/// capacity with none alive.
+#[test]
+fn a_closed_sender_returns_its_admission_slot() {
+    use dg_overlay::OverlayError;
+
+    let graph = presets::north_america_12();
+    let cluster =
+        Cluster::launch(&graph, ClusterConfig { sender_capacity: 2, ..Default::default() })
+            .expect("cluster launches");
+    let flow = nyc_sjc(&cluster);
+    let open =
+        || cluster.open_sender(flow, SchemeKind::DynamicSinglePath, ServiceRequirement::default());
+    let (first, second) = (open().expect("one"), open().expect("two"));
+    let denied = |e| matches!(e, OverlayError::AdmissionDenied { active: 2, capacity: 2 });
+    assert!(open().is_err_and(denied), "two open senders fill a capacity of two");
+    drop(first);
+    let third = open().expect("the dropped sender's slot is free again");
+    drop((second, third));
+    // With no session left the scheme refresh (every 200 ms) has no
+    // slot to visit: the node's graph cache sees no more lookups.
+    let lookups = || {
+        let live = cluster.node(flow.source).graph_cache_stats().live;
+        live.hits + live.misses
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    let settled = lookups();
+    std::thread::sleep(Duration::from_millis(700));
+    assert_eq!(lookups(), settled, "closed sessions are still being refreshed");
+}
+
+/// A dropped receiver closes its session: the node stops counting the
+/// group's packets as delivered there.
+#[test]
+fn a_dropped_receiver_is_no_longer_delivered_to() {
+    use dg_core::{MulticastKind, SlaClass};
+
+    let cluster = na_cluster();
+    let flow = nyc_sjc(&cluster);
+    let (tx, mut sessions) = cluster
+        .open_group_sender(
+            flow.source,
+            &[flow.destination],
+            9,
+            MulticastKind::Tree,
+            ServiceRequirement::default(),
+            SlaClass::Timely,
+        )
+        .unwrap();
+    let (_, rx) = sessions.pop().expect("one receiver");
+    let delivered = || cluster.node(flow.destination).metrics_snapshot().counters.delivered_on_time;
+    tx.send(b"heard").unwrap();
+    assert!(rx.recv_timeout(Duration::from_millis(500)).is_some(), "the open session delivers");
+    assert_eq!(delivered(), 1);
+    drop(rx);
+    tx.send(b"unheard").unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let snap = cluster.node(flow.destination).metrics_snapshot();
+    assert_eq!(snap.counters.data_received, 2, "the second packet did arrive");
+    assert_eq!(delivered(), 1, "and was delivered to nobody");
+}
+
+/// Dropping a cluster stops it: every node's threads are joined and its
+/// socket closed, so the ports can be bound again at once.
+#[test]
+fn a_dropped_cluster_stops_and_frees_its_ports() {
+    let graph = presets::ring(4, Micros::from_millis(2));
+    let cluster = Cluster::launch(&graph, ClusterConfig::default()).expect("cluster launches");
+    let addrs: Vec<_> = graph.nodes().map(|n| cluster.node(n).local_addr()).collect();
+    assert!(std::net::UdpSocket::bind(addrs[0]).is_err(), "a running node holds its port");
+    drop(cluster);
+    for addr in addrs {
+        std::net::UdpSocket::bind(addr).expect("a stopped node's port is free");
+    }
 }

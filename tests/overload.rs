@@ -299,6 +299,13 @@ fn saturated_data_plane_never_fakes_link_down() {
         report.totals.shipper_drops + report.totals.delivery_drops,
         "queue_drops must stay the exact sum of its per-cause parts"
     );
+    // A shed frame is not a transmission. No link here loses anything,
+    // so every datagram on the books as sent was received by somebody,
+    // give or take the few in flight while the snapshots were taken —
+    // two orders of magnitude fewer than the packets shed.
+    assert!(report.totals.shipper_drops > 500, "{} shed", report.totals.shipper_drops);
+    let (sent, received) = (report.totals.datagrams_sent, report.totals.datagrams_received);
+    assert!(sent.abs_diff(received) <= 100, "sent {sent}, received {received}");
     cluster.shutdown();
 }
 
