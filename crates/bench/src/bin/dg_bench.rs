@@ -1,11 +1,9 @@
 //! `dg-bench` — the repo's performance harness.
 //!
-//! Two hot paths plus one resilience scenario, one stable JSON schema
-//! per result so CI can diff runs:
+//! The simulator's hot paths plus one resilience scenario, one stable
+//! JSON schema per result so CI can diff runs (the overlay's data path
+//! is measured by `dg-perf`, `benchmark/`):
 //!
-//! * **forwarding** — a two-node loopback overlay cluster forwarding
-//!   batched application traffic; reports sustained delivered packets
-//!   per second, Gbps, and p50/p99/p999 end-to-end latency.
 //! * **sim** — trace playback of the two most expensive routing schemes
 //!   over the evaluation topology; reports simulated packets per
 //!   wall-clock second and, per scheme, where the packets went (the
@@ -40,14 +38,13 @@
 //! through the event heap.
 //!
 //! Usage: `cargo run --release -p dg-bench --bin dg-bench --
-//! [--quick] [--only forwarding|sim|sim-parallel|overload|many-flow]
+//! [--quick] [--only sim|sim-parallel|overload|many-flow]
 //! [--overload] [--parallel] [--flows N]
 //! [--topo us|global|ring|waxman] [--nodes N]
 //! [--check docs/bench_baseline]`
 //!
 //! `--topo`/`--nodes` swap the sim bench's topology for a generated
-//! overlay (see `dg_topology::generate`); the forwarding bench is
-//! topology-independent.
+//! overlay (see `dg_topology::generate`).
 
 use dg_bench::cli::Cli;
 use dg_bench::{cores, git_rev, topo_cli, topo_from_matches};
@@ -56,7 +53,7 @@ use dg_core::{Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequireme
 use dg_overlay::cluster::{Cluster, ClusterConfig};
 use dg_sim::{
     group_flows, run_flow_full_with, run_flows, run_groups, FlowJob, FlowRunStats, GroupJob,
-    LatencyHistogram, PlaybackConfig, ReplayCounters, SimScratch,
+    PlaybackConfig, ReplayCounters, SimScratch,
 };
 use dg_topology::generate::TopoSpec;
 use dg_topology::{GraphBuilder, Micros};
@@ -74,28 +71,6 @@ const SCHEMA_VERSION: u32 = 1;
 /// field (both legs now run the same playback function, so comparing
 /// them said nothing).
 const MANY_FLOW_SCHEMA_VERSION: u32 = 2;
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ForwardingResult {
-    bench: String,
-    schema_version: u32,
-    mode: String,
-    seconds: u64,
-    payload_bytes: usize,
-    batch: usize,
-    sent: u64,
-    delivered: u64,
-    pps: f64,
-    gbps: f64,
-    latency_us: LatencyQuantiles,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct LatencyQuantiles {
-    p50: Option<u64>,
-    p99: Option<u64>,
-    p999: Option<u64>,
-}
 
 #[derive(Debug, Serialize, Deserialize)]
 struct SimResult {
@@ -321,89 +296,6 @@ fn overload_bench(secs: u64, mode: &str) -> OverloadResult {
         shed_surgical: counters.shed_surgical,
         peak_level,
         recovery_ms,
-    }
-}
-
-fn forwarding_bench(secs: u64, payload_len: usize, batch: usize, mode: &str) -> ForwardingResult {
-    let mut b = GraphBuilder::new();
-    let a = b.add_node("A");
-    let z = b.add_node("B");
-    b.add_link(a, z, Micros::from_millis(1), 1).expect("two-node link");
-    let graph = b.build();
-
-    let config = ClusterConfig {
-        // Loopback: measure the forwarding path itself, not emulated
-        // propagation delay, and coalesce aggressively (the loopback
-        // MTU is 64 KiB, not a WAN's 1500 B).
-        latency_scale: 0.0,
-        max_batch_bytes: 60_000,
-        ..ClusterConfig::default()
-    };
-    let cluster = Cluster::launch(&graph, config).expect("cluster launches");
-    let flow = Flow::new(a, z);
-    let rx = cluster.open_receiver(flow).expect("receiver opens");
-    let tx = cluster
-        .open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default())
-        .expect("sender opens");
-
-    let payload = vec![0xABu8; payload_len];
-    let burst: Vec<&[u8]> = (0..batch).map(|_| payload.as_slice()).collect();
-    let mut hist = LatencyHistogram::new();
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(secs);
-    while Instant::now() < deadline {
-        tx.send_batch(&burst).expect("batch send succeeds");
-        sent += batch as u64;
-        while let Some(d) = rx.try_recv() {
-            delivered += 1;
-            hist.record(d.latency());
-        }
-        // Cap outstanding so we measure sustainable throughput, not
-        // queue growth.
-        while sent - delivered > 1024 {
-            match rx.recv_timeout(Duration::from_millis(5)) {
-                Some(d) => {
-                    delivered += 1;
-                    hist.record(d.latency());
-                }
-                None => break,
-            }
-        }
-    }
-    let drain_deadline = Instant::now() + Duration::from_millis(500);
-    while Instant::now() < drain_deadline && delivered < sent {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Some(d) => {
-                delivered += 1;
-                hist.record(d.latency());
-            }
-            None => break,
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    println!("{}", cache_stats_line(&cluster.node(a).metrics_snapshot().graph_cache));
-    cluster.shutdown();
-
-    let pps = delivered as f64 / wall;
-    let quantile = |q| hist.quantile(q).map(|v| v.as_micros());
-    ForwardingResult {
-        bench: "forwarding".to_string(),
-        schema_version: SCHEMA_VERSION,
-        mode: mode.to_string(),
-        seconds: secs,
-        payload_bytes: payload_len,
-        batch,
-        sent,
-        delivered,
-        pps,
-        gbps: pps * payload_len as f64 * 8.0 / 1e9,
-        latency_us: LatencyQuantiles {
-            p50: quantile(0.5),
-            p99: quantile(0.99),
-            p999: quantile(0.999),
-        },
     }
 }
 
@@ -751,32 +643,25 @@ fn load_json<T: Deserialize>(path: &Path) -> Option<T> {
 }
 
 fn main() {
-    let cli = topo_cli(Cli::new("dg-bench", "hot-path performance harness (forwarding + sim)"))
-        .switch("quick", "abbreviated CI-smoke run (1s forwarding, 20s trace)")
+    let cli = topo_cli(Cli::new("dg-bench", "hot-path performance harness (sim + overload)"))
+        .switch("quick", "abbreviated CI-smoke run (20s trace)")
         .switch("overload", "also run the overload-resilience scenario")
         .switch("parallel", "also run the parallel-simulator scaling scenario")
-        .flag_default("seconds", "N", "forwarding bench duration", "5")
-        .flag_default("payload", "BYTES", "application payload size", "512")
-        .flag_default("batch", "N", "application packets per send_batch call", "32")
         .flag_default("sim-seconds", "N", "simulated trace duration", "60")
         .flag_default("rate", "PPS", "sim application packet rate", "2000")
         .flag("flows", "N", "many-flow bench population (default 10000, quick 100)")
-        .flag("only", "forwarding|sim|sim-parallel|overload|many-flow", "run a single bench")
+        .flag("only", "sim|sim-parallel|overload|many-flow", "run a single bench")
         .flag("out", "DIR", "output directory (default: results/)")
         .flag("check", "DIR", "compare against baseline BENCH_*.json in DIR")
         .flag_default("tolerance", "F", "allowed throughput regression for --check", "0.2");
     let matches = cli.parse_env();
     let quick = matches.is_set("quick");
     let mode = if quick { "quick" } else { "full" };
-    let secs: u64 =
-        if quick { 1 } else { matches.get_or("seconds", 5).unwrap_or_else(|e| cli.exit_with(&e)) };
     let sim_secs: u64 = if quick {
         20
     } else {
         matches.get_or("sim-seconds", 60).unwrap_or_else(|e| cli.exit_with(&e))
     };
-    let payload: usize = matches.get_or("payload", 512).unwrap_or_else(|e| cli.exit_with(&e));
-    let batch: usize = matches.get_or("batch", 32).unwrap_or_else(|e| cli.exit_with(&e));
     let rate: u32 = matches.get_or("rate", 2_000).unwrap_or_else(|e| cli.exit_with(&e));
     let tolerance: f64 = matches.get_or("tolerance", 0.2).unwrap_or_else(|e| cli.exit_with(&e));
     let flows: usize = matches
@@ -785,32 +670,17 @@ fn main() {
         .unwrap_or(if quick { 100 } else { 10_000 });
     let only = matches.value("only");
     if let Some(o) = only {
-        if o != "forwarding"
-            && o != "sim"
-            && o != "sim-parallel"
-            && o != "overload"
-            && o != "many-flow"
-        {
+        if !["sim", "sim-parallel", "overload", "many-flow"].contains(&o) {
             cli.exit_with(&dg_bench::cli::CliError::BadValue {
                 flag: "only".to_string(),
                 value: o.to_string(),
-                expected: "forwarding, sim, sim-parallel, overload, or many-flow",
+                expected: "sim, sim-parallel, overload, or many-flow",
             });
         }
     }
     let out_dir = matches.value("out").map_or_else(dg_bench::results_dir, PathBuf::from);
     let spec = topo_from_matches(&matches).unwrap_or_else(|e| cli.exit_with(&e));
 
-    let forwarding = (only.is_none() || only == Some("forwarding")).then(|| {
-        let r = forwarding_bench(secs, payload, batch, mode);
-        println!(
-            "forwarding: {} delivered / {} sent in {}s -> {:.0} pps, {:.4} Gbps (p50 {:?} p99 {:?} p999 {:?} us)",
-            r.delivered, r.sent, r.seconds, r.pps, r.gbps,
-            r.latency_us.p50, r.latency_us.p99, r.latency_us.p999
-        );
-        write_result(&out_dir, "forwarding", &r);
-        r
-    });
     let sim = (only.is_none() || only == Some("sim")).then(|| {
         let r = sim_bench(sim_secs, rate, mode, &spec);
         println!(
@@ -891,18 +761,6 @@ fn main() {
     let Some(baseline_dir) = matches.value("check") else { return };
     let baseline_dir = PathBuf::from(baseline_dir);
     let mut failures = Vec::new();
-    if let Some(current) = forwarding {
-        match load_json::<ForwardingResult>(&baseline_dir.join("BENCH_forwarding.json")) {
-            Some(base) => match check_metric("forwarding pps", base.pps, current.pps, tolerance) {
-                Ok(line) => println!("check {line}"),
-                Err(line) => failures.push(line),
-            },
-            None => failures.push(format!(
-                "no readable baseline at {}/BENCH_forwarding.json",
-                baseline_dir.display()
-            )),
-        }
-    }
     if let Some(current) = sim {
         match load_json::<SimResult>(&baseline_dir.join("BENCH_sim.json")) {
             Some(base) => match check_metric(

@@ -5,7 +5,7 @@
 
 use super::{Cx, NodeCore};
 use crate::linkstate::{Applied, LSA_MAX_RETRANSMITS, LSA_RETRANSMIT_TIMEOUT};
-use crate::metrics::{add, EventKind};
+use crate::metrics::EventKind;
 use crate::wire::{DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message};
 use dg_topology::{Micros, NodeId};
 
@@ -37,14 +37,14 @@ impl NodeCore {
         let seq = self.hello_seq;
         self.hello_seq += 1;
         for &(_, neighbor) in &self.out_links {
-            add(&self.metrics.counters.hellos_sent, 1);
+            self.stats.counters.hellos_sent += 1;
             cx.control(self.config.node, neighbor, Message::Hello { seq, sent_at: cx.now });
         }
     }
 
     pub(super) fn handle_hello(&mut self, cx: &mut Cx, from: NodeId, seq: u64, sent_at: Micros) {
         self.monitor.record_hello(from, seq, cx.now.saturating_sub(sent_at), cx.now);
-        add(&self.metrics.counters.hellos_echoed, 1);
+        self.stats.counters.hellos_echoed += 1;
         cx.control(self.me(), from, Message::HelloAck { echo_seq: seq, echo_sent_at: sent_at });
     }
 
@@ -56,14 +56,14 @@ impl NodeCore {
     ) {
         // Ack unconditionally — even a stale or duplicate update
         // must stop the sender's retransmissions.
-        add(&self.metrics.counters.lsa_acks_sent, 1);
+        self.stats.counters.lsa_acks_sent += 1;
         let ack = Message::LsaAck { origin: update.origin, epoch: update.epoch, seq: update.seq };
         cx.control(self.me(), from, ack);
         self.take_link_state(cx, update, Some(from));
     }
 
     pub(super) fn handle_lsa_ack(&mut self, from: NodeId, origin: NodeId, epoch: u64, seq: u64) {
-        add(&self.metrics.counters.lsa_acks_received, 1);
+        self.stats.counters.lsa_acks_received += 1;
         let Some(per_origin) = self.pending_lsa.get_mut(&from) else { return };
         // An ack for a newer stamp covers the pending one; an ack for
         // an older stamp does not.
@@ -79,9 +79,9 @@ impl NodeCore {
     /// knows more about than the digesting neighbour, each tracked for
     /// acknowledgement like a flood.
     pub(super) fn handle_digest(&mut self, cx: &mut Cx, from: NodeId, entries: &[DigestEntry]) {
-        add(&self.metrics.counters.digests_received, 1);
+        self.stats.counters.digests_received += 1;
         let repairs = self.linkstate.updates_newer_than(entries);
-        add(&self.metrics.counters.lsa_repairs_sent, repairs.len() as u64);
+        self.stats.counters.lsa_repairs_sent += repairs.len() as u64;
         for update in repairs {
             self.register_pending(from, &update, cx.now);
             cx.control(self.me(), from, Message::LinkState(update));
@@ -95,7 +95,7 @@ impl NodeCore {
             let neighbor = self.out_links[i].1;
             if Some(neighbor) != except {
                 self.register_pending(neighbor, update, cx.now);
-                add(&self.metrics.counters.link_state_flooded, 1);
+                self.stats.counters.link_state_flooded += 1;
                 cx.frame(neighbor, bytes.clone(), None);
             }
         }
@@ -127,20 +127,20 @@ impl NodeCore {
     /// abandoned (the periodic digest exchange repairs whatever was
     /// lost for good).
     pub(super) fn retransmit_pending_lsas(&mut self, cx: &mut Cx) {
-        let (me, counters) = (self.config.node, &self.metrics.counters);
+        let (me, counters) = (self.config.node, &mut self.stats.counters);
         for (&neighbor, per_origin) in &mut self.pending_lsa {
             per_origin.retain(|_, p| {
                 if p.next_retry > cx.now {
                     return true;
                 }
                 if p.retries_left == 0 {
-                    add(&counters.lsa_retransmits_abandoned, 1);
+                    counters.lsa_retransmits_abandoned += 1;
                     return false;
                 }
                 p.retries_left -= 1;
                 p.backoff = p.backoff.saturating_add(p.backoff);
                 p.next_retry = cx.now.saturating_add(p.backoff);
-                add(&counters.lsa_retransmits, 1);
+                counters.lsa_retransmits += 1;
                 cx.control(me, neighbor, Message::LinkState(p.update.clone()));
                 true
             });
@@ -155,7 +155,7 @@ impl NodeCore {
         let entries = self.linkstate.digest();
         let bytes = Envelope { from: self.me(), message: Message::Digest { entries } }.encode();
         for &(_, neighbor) in &self.out_links {
-            add(&self.metrics.counters.digests_sent, 1);
+            self.stats.counters.digests_sent += 1;
             cx.frame(neighbor, bytes.clone(), None);
         }
     }
@@ -166,7 +166,7 @@ impl NodeCore {
     /// damper. Returns whether an advertised flag changed, which is
     /// worth an origination of its own.
     pub(super) fn evaluate_links(&mut self, now: Micros) -> bool {
-        let (monitor, damper, metrics) = (&mut self.monitor, &mut self.damper, &self.metrics);
+        let (monitor, damper, stats) = (&mut self.monitor, &mut self.damper, &mut self.stats);
         let mut transitioned = false;
         for &(_, neighbor, baseline) in &self.in_links {
             let extra =
@@ -213,18 +213,18 @@ impl NodeCore {
                 // — flags *and* measurements — so an oscillating link
                 // cannot thrash every scheme in the network.
                 if !std::mem::replace(&mut adv.withheld, true) {
-                    add(&metrics.counters.flap_suppressions, 1);
+                    stats.counters.flap_suppressions += 1;
                     let penalty = damper.penalty(neighbor, now) as f32;
-                    metrics.record_at(now, EventKind::FlapSuppressed { neighbor, penalty });
+                    stats.record_at(now, EventKind::FlapSuppressed { neighbor, penalty });
                 }
                 continue;
             }
             if raw.down != adv.down {
                 if raw.down {
-                    add(&metrics.counters.links_declared_down, 1);
-                    metrics.record_at(now, EventKind::LinkDown { neighbor });
+                    stats.counters.links_declared_down += 1;
+                    stats.record_at(now, EventKind::LinkDown { neighbor });
                 } else {
-                    metrics.record_at(now, EventKind::LinkUp { neighbor });
+                    stats.record_at(now, EventKind::LinkUp { neighbor });
                 }
             }
             if raw.triggered != adv.triggered {
@@ -233,7 +233,7 @@ impl NodeCore {
                 } else {
                     EventKind::DetectorCleared { neighbor, loss: raw.loss }
                 };
-                metrics.record_at(now, kind);
+                stats.record_at(now, kind);
             }
             *adv = raw;
             transitioned = true;
@@ -258,7 +258,7 @@ impl NodeCore {
                 }
             })
             .collect();
-        add(&self.metrics.counters.link_state_originated, 1);
+        self.stats.counters.link_state_originated += 1;
         self.ls_seq += 1;
         let update =
             LinkStateUpdate { origin: self.me(), epoch: self.ls_epoch, seq: self.ls_seq, entries };

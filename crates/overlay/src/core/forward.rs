@@ -3,14 +3,13 @@
 //! hop-by-hop recovery (NACK service and re-requests).
 
 use super::{Cx, NodeCore, SessionId};
-use crate::metrics::{add, EventKind};
+use crate::metrics::EventKind;
 use crate::recovery::{retransmit_worthwhile, SendBuffer, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER};
 use crate::session::Delivery;
 use crate::wire::{self, DataPacket, Message};
 use bytes::Bytes;
 use dg_core::{Flow, SlaClass};
 use dg_topology::NodeId;
-use std::sync::atomic::AtomicU64;
 
 pub(super) struct SendLink {
     next_seq: u64,
@@ -76,7 +75,7 @@ impl NodeCore {
     /// surgical up to the full bound — so under pressure bulk sheds
     /// first, then timely, and surgical last. Returns `false` (and
     /// counts the shed) when the run must be dropped.
-    fn admit_data(&self, backlog: u64, class: SlaClass, count: u64) -> bool {
+    fn admit_data(&mut self, backlog: u64, class: SlaClass, count: u64) -> bool {
         let bound = self.config.shipper_queue as u64;
         let band = match class {
             SlaClass::Bulk => bound / 2,
@@ -89,8 +88,8 @@ impl NodeCore {
         // The per-class shed counter plus the shipper-side drop cause
         // (`queue_drops` is derived from the per-cause counters at read
         // time; nothing counts into it here).
-        add(self.metrics.shed_cell(class), count);
-        add(&self.metrics.counters.shipper_drops, count);
+        self.stats.shed(class, count);
+        self.stats.counters.shipper_drops += count;
         false
     }
 
@@ -111,9 +110,10 @@ impl NodeCore {
     /// DATA frame; see [`wire::encode_data_frame`]).
     ///
     /// A run shares one `(flow, class, mask)` ([`same_run`]): admission
-    /// and per-flow accounting are charged once for the whole run.
-    fn send_data_batch(&mut self, cx: &mut Cx, neighbor: NodeId, packets: &[DataPacket]) {
-        let Some(first) = packets.first() else { return };
+    /// is charged once for the whole run. Returns whether the run was
+    /// admitted (its transmissions are the caller's to count).
+    fn send_data_batch(&mut self, cx: &mut Cx, neighbor: NodeId, packets: &[DataPacket]) -> bool {
+        let Some(first) = packets.first() else { return false };
         debug_assert!(
             packets.iter().all(|p| same_run(first, p)),
             "a run shares one (flow, class, mask)"
@@ -122,7 +122,7 @@ impl NodeCore {
         // buffer: a shed packet must not open a gap the neighbour
         // would NACK for. The whole run is admitted or shed as a unit.
         if !self.admit_data(cx.backlog, first.class, packets.len() as u64) {
-            return;
+            return false;
         }
         let link = self.send_links.entry(neighbor).or_insert_with(|| SendLink {
             next_seq: 0,
@@ -133,9 +133,6 @@ impl NodeCore {
         for (p, seq) in packets.iter().zip(first_seq..) {
             link.buffer.push(seq, p.clone());
         }
-        let n = packets.len() as u64;
-        add(&self.metrics.counters.data_sent, n);
-        add(&self.metrics.flow(first.flow).transmissions, n);
         // Chunk so no datagram exceeds the configured batch budget
         // (always at least one packet per datagram).
         let budget = self.config.max_batch_bytes;
@@ -154,18 +151,26 @@ impl NodeCore {
             self.frame_data(cx, neighbor, &packets[start..end], first_seq + start as u64);
             start = end;
         }
+        true
     }
 
     /// Disseminates a run of packets (one `(flow, class, mask)`; a
     /// single packet is a run of one) from this node along the mask's
-    /// out-edges, batching the per-neighbour sends.
+    /// out-edges, batching the per-neighbour sends; the run's
+    /// transmissions are counted once, for all the links that took it.
     fn disseminate_batch(&mut self, cx: &mut Cx, packets: &[DataPacket]) {
         let Some(first) = packets.first() else { return };
+        let mut links = 0;
         for i in 0..self.out_links.len() {
             let (edge, neighbor) = self.out_links[i];
-            if first.mask_contains(edge) {
-                self.send_data_batch(cx, neighbor, packets);
+            if first.mask_contains(edge) && self.send_data_batch(cx, neighbor, packets) {
+                links += 1;
             }
+        }
+        if links > 0 {
+            let transmissions = links * packets.len() as u64;
+            self.stats.counters.data_sent += transmissions;
+            self.stats.flow(first.flow).transmissions += transmissions;
         }
     }
 
@@ -173,9 +178,8 @@ impl NodeCore {
     /// link's buffer is retransmitted once, unless it can no longer
     /// make its deadline.
     pub(super) fn handle_nack(&mut self, cx: &mut Cx, from: NodeId, missing: Vec<u64>) {
-        let counters = &self.metrics.counters;
         let requested = missing.len() as u64;
-        add(&counters.retransmit_requests_received, requested);
+        self.stats.counters.retransmit_requests_received += requested;
         let link = self.send_links.get_mut(&from);
         let mut resends: Vec<(u64, DataPacket)> = link.map_or_else(Vec::new, |link| {
             missing.into_iter().filter_map(|seq| Some((seq, link.buffer.take(seq)?))).collect()
@@ -190,15 +194,15 @@ impl NodeCore {
         let served = resends.len() as u64;
         let suppressed = found - served;
         let missed = requested - found;
-        add(&counters.retransmits_suppressed, suppressed);
+        self.stats.counters.retransmits_suppressed += suppressed;
         if served > 0 {
-            add(&counters.retransmissions_served, served);
-            self.metrics
+            self.stats.counters.retransmissions_served += served;
+            self.stats
                 .record_at(cx.now, EventKind::RecoveryServed { neighbor: from, packets: served });
         }
         if missed > 0 {
-            add(&counters.retransmit_misses, missed);
-            self.metrics
+            self.stats.counters.retransmit_misses += missed;
+            self.stats
                 .record_at(cx.now, EventKind::RecoveryMissed { neighbor: from, packets: missed });
         }
         for (seq, packet) in resends {
@@ -207,7 +211,7 @@ impl NodeCore {
             // retransmissions). This path only runs on loss, so
             // re-encoding here keeps the hot path free of frame
             // clones.
-            add(&self.metrics.flow(packet.flow).transmissions, 1);
+            self.stats.flow(packet.flow).transmissions += 1;
             self.frame_data(cx, from, std::slice::from_ref(&packet), seq);
         }
     }
@@ -220,7 +224,7 @@ impl NodeCore {
     /// as they arrived: every maximal run of consecutive accepted
     /// packets sharing one `(flow, class, mask)` is forwarded as one
     /// batch per out-neighbour. What does not depend on the packet is
-    /// done once a frame, and a flow's window, metrics cells and
+    /// done once a frame, and a flow's window, counters and
     /// receiver are looked up — and the counters added — per stretch of
     /// consecutive packets of one flow.
     pub(super) fn handle_data(&mut self, cx: &mut Cx, from: NodeId, packets: &[DataPacket]) {
@@ -233,10 +237,9 @@ impl NodeCore {
             .observe_run(cx.now, packets.iter().map(|p| (p.link_seq, p.sent_at, p.deadline)));
         for missing in gaps {
             let packets = missing.len() as u64;
-            add(&self.metrics.counters.nack_messages_sent, 1);
-            add(&self.metrics.counters.retransmit_requests_issued, packets);
-            self.metrics
-                .record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
+            self.stats.counters.nack_messages_sent += 1;
+            self.stats.counters.retransmit_requests_issued += packets;
+            self.stats.record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
             cx.control(self.me(), from, Message::Nack { missing });
         }
         for stretch in packets.chunk_by(|a, b| a.flow == b.flow) {
@@ -245,7 +248,7 @@ impl NodeCore {
     }
 
     /// Whether `flow` can exist on this overlay. Flow ids arrive
-    /// unvalidated off the wire and key per-flow state (metrics cells, a
+    /// unvalidated off the wire and key per-flow state (its counters, a
     /// duplicate window), so one that names no site gets none. A group
     /// flow's tagged id cannot be checked; the windows' idle reclaim
     /// bounds those.
@@ -259,13 +262,12 @@ impl NodeCore {
     /// packet's verdict, the stretch is counted, and then its packets
     /// are delivered and its surviving runs forwarded.
     fn accept_stretch(&mut self, cx: &mut Cx, stretch: &[DataPacket]) {
-        let count = |cell: &AtomicU64, n: usize| add(cell, n as u64);
-        let counters = &self.metrics.counters;
         let first = &stretch[0];
         let flow = first.flow;
+        let received = stretch.len() as u64;
+        self.stats.counters.data_received += received;
         if !self.plausible(flow) {
-            count(&counters.malformed, stretch.len());
-            count(&counters.data_received, stretch.len());
+            self.stats.counters.malformed += received;
             return;
         }
         // A packet's verdict: `None` for a copy already seen, else
@@ -275,27 +277,23 @@ impl NodeCore {
         verdicts.clear();
         verdicts
             .extend(stretch.iter().map(|p| window.accept(p.flow_seq).then(|| !p.expired(cx.now))));
-        let fresh = verdicts.iter().flatten().count();
-        let on_time = verdicts.iter().flatten().filter(|&&on_time| on_time).count();
+        let fresh = verdicts.iter().flatten().count() as u64;
+        let on_time = verdicts.iter().flatten().filter(|&&on_time| on_time).count() as u64;
         let late = fresh - on_time;
         // Unicast delivers at the flow's destination; a group flow
         // delivers at every node with an open receiver session for it
         // (group membership is not wire-visible — the mask is).
         let unicast_here = flow.destination == self.me();
         let receiver = (unicast_here || flow.is_group()) && self.receivers.contains(&flow);
-        // A packet's counters before its delivery, `data_received`
-        // last: whoever sees that counter move sees everything these
-        // packets were counted as.
         if unicast_here || receiver {
-            let cells = self.metrics.flow(flow);
-            count(&cells.packets_on_time, on_time);
-            count(&cells.packets_late, late);
-            count(&counters.delivered_on_time, on_time);
-            count(&counters.delivered_late, late);
+            let counts = self.stats.flow(flow);
+            counts.packets_on_time += on_time;
+            counts.packets_late += late;
+            self.stats.counters.delivered_on_time += on_time;
+            self.stats.counters.delivered_late += late;
         }
-        count(&counters.duplicates, stretch.len() - fresh);
-        count(&counters.expired, late);
-        count(&counters.data_received, stretch.len());
+        self.stats.counters.duplicates += received - fresh;
+        self.stats.counters.expired += late;
         // `stretch[start..i]` is the pending run: accepted, one
         // `(flow, class, mask)`, not yet forwarded.
         let mut start = 0;
@@ -332,16 +330,16 @@ impl NodeCore {
     /// longer be met, when asking again only buys a retransmission
     /// that is suppressed, missed, or expires on arrival.
     pub(super) fn service_recv_links(&mut self, cx: &mut Cx) {
-        let counters = &self.metrics.counters;
+        let counters = &mut self.stats.counters;
         for (&neighbor, tracker) in &mut self.recv_links {
             let (expected, received) = tracker.take_evidence();
             self.monitor.record_data_tick(neighbor, expected, received, cx.now);
             let (missing, hopeless) =
                 tracker.due_rerequests(cx.now, NACK_REREQUEST_AFTER, self.monitor.rtt_to(neighbor));
-            add(&counters.nack_rerequests_skipped, hopeless);
+            counters.nack_rerequests_skipped += hopeless;
             if !missing.is_empty() {
-                add(&counters.nack_rerequests, missing.len() as u64);
-                add(&counters.nack_messages_sent, 1);
+                counters.nack_rerequests += missing.len() as u64;
+                counters.nack_messages_sent += 1;
                 cx.control(self.config.node, neighbor, Message::Nack { missing });
             }
         }

@@ -32,7 +32,7 @@ pub(crate) use sessions::{Route, SessionId, SessionSlot};
 use crate::config::NodeConfig;
 use crate::dedup::DedupWindows;
 use crate::linkstate::LinkStateDb;
-use crate::metrics::{add, MetricsRegistry};
+use crate::metrics::{MetricsSnapshot, NodeStats, JOURNAL_CAPACITY};
 use crate::monitor::{
     FlapDamper, LinkMonitor, FLAP_PENALTY_HALF_LIFE, FLAP_SUPPRESS_THRESHOLD, WINDOW_TICKS,
 };
@@ -93,9 +93,10 @@ pub(crate) struct NodeCore {
     /// This node's in-edges, the neighbour each comes from, and its
     /// baseline latency.
     in_links: Vec<(EdgeId, NodeId, Micros)>,
-    /// Shared with the driver and the handle: counters are atomics so a
-    /// snapshot needs no round trip through the core.
-    metrics: Arc<MetricsRegistry>,
+    /// Counters, per-flow and per-link counts and the journal. The
+    /// driver counts what only the carrier sees (wire sends, fault
+    /// verdicts, parked and delivery sheds) into the same block.
+    pub(crate) stats: NodeStats,
     scheme_params: SchemeParams,
     /// Precomputed dissemination graphs for this node's flows, fed by
     /// link-state reports: entries are invalidated only when a report
@@ -160,12 +161,7 @@ impl NodeCore {
     /// A node born at `now`. Hello duties fire immediately (a fresh node
     /// introduces itself right away); link-state and digest origination
     /// wait one full interval.
-    pub(crate) fn new(
-        config: Arc<NodeConfig>,
-        graph: Arc<Graph>,
-        metrics: Arc<MetricsRegistry>,
-        now: Micros,
-    ) -> Self {
+    pub(crate) fn new(config: Arc<NodeConfig>, graph: Arc<Graph>, now: Micros) -> Self {
         let me = config.node;
         // The one problem threshold: the detector, the link-state
         // database and the graph cache all read the schemes' default.
@@ -177,7 +173,7 @@ impl NodeCore {
                 .iter()
                 .map(|&e| (e, graph.edge(e).src, graph.edge(e).latency))
                 .collect(),
-            metrics,
+            stats: NodeStats::new(JOURNAL_CAPACITY),
             scheme_params,
             graph_cache: GraphCache::new(Arc::clone(&graph), scheme_params),
             send_links: BTreeMap::new(),
@@ -226,15 +222,14 @@ impl NodeCore {
         out: &mut Actions,
     ) {
         let cx = &mut Cx { now, backlog, out };
-        let counters = &self.metrics.counters;
-        add(&counters.datagrams_received, 1);
-        add(&counters.bytes_received, datagram.len() as u64);
+        self.stats.counters.datagrams_received += 1;
+        self.stats.counters.bytes_received += datagram.len() as u64;
         // A checksum proves a frame intact, not who sent it, and
         // everything below keeps state per sender: only an id this node
         // holds a peer address for gets any (or costs a decode).
         let stranger = |from| !self.config.peers.contains_key(&from);
         if wire::claimed_sender(datagram).is_some_and(stranger) {
-            add(&counters.malformed, 1);
+            self.stats.counters.malformed += 1;
             return;
         }
         // Data frames are copied once out of the receive scratch buffer
@@ -247,13 +242,13 @@ impl NodeCore {
             Envelope::decode(datagram)
         };
         let Ok(Envelope { from, message }) = decoded else {
-            add(&counters.malformed, 1);
+            self.stats.counters.malformed += 1;
             return;
         };
         match message {
             Message::Hello { seq, sent_at } => self.handle_hello(cx, from, seq, sent_at),
             Message::HelloAck { echo_sent_at, .. } => {
-                add(&counters.hello_acks_received, 1);
+                self.stats.counters.hello_acks_received += 1;
                 self.monitor.record_rtt(from, now.saturating_sub(echo_sent_at));
             }
             Message::LinkState(update) => self.handle_link_state(cx, from, &update),
@@ -302,6 +297,16 @@ impl NodeCore {
         self.next_hello.min(self.next_ls).min(self.next_digest)
     }
 
+    /// The node at this instant: its statistics, its link-state digest
+    /// and its graph cache's counters. (`degraded` is the driver's to
+    /// say.)
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.stats.snapshot(self.me());
+        snap.link_state = self.linkstate.digest();
+        snap.graph_cache = self.graph_cache.stats();
+        snap
+    }
+
     /// Sends `payloads` on `session` as one run of consecutive flow
     /// sequences sharing one timestamp and mask; returns the first
     /// sequence.
@@ -314,9 +319,9 @@ impl NodeCore {
         out: &mut Actions,
     ) -> u64 {
         let slot = self.slot_mut(session);
-        let first = slot.next_seq;
+        let (flow, first) = (slot.flow, slot.next_seq);
         slot.next_seq += payloads.len() as u64;
-        add(&slot.cells.packets_sent, payloads.len() as u64);
+        self.stats.flow(flow).packets_sent += payloads.len() as u64;
         self.inject(&mut Cx { now, backlog, out }, session, first, payloads);
         first
     }

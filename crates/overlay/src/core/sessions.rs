@@ -3,7 +3,7 @@
 //! per-class redundancy downgrade under overload.
 
 use super::{Cx, NodeCore};
-use crate::metrics::{add, EventKind, FlowCells};
+use crate::metrics::EventKind;
 use crate::overload::OverloadTransition;
 use crate::OverlayError;
 use bytes::Bytes;
@@ -38,9 +38,6 @@ pub(crate) struct SessionSlot {
     pub(super) deadline: Micros,
     /// The next flow sequence to mint.
     pub(super) next_seq: u64,
-    /// This flow's metrics cells, resolved once so the hot send path
-    /// skips the registry lookup.
-    pub(super) cells: Arc<FlowCells>,
     mask: Bytes,
     /// The cheaper mask applied while the node is overloaded, with the
     /// effective level it was computed at (so re-applying the same
@@ -93,11 +90,12 @@ impl NodeCore {
             class,
             deadline,
             next_seq: 0,
-            cells: self.metrics.flow(flow),
             mask: Bytes::new(),
             downgrade: None,
         };
         slot.refresh_mask(self.graph.edge_count());
+        // An open session's flow is reported from the start, at zero.
+        self.stats.flow(flow);
         let id = self.sessions.iter().position(Option::is_none).unwrap_or_else(|| {
             self.sessions.push(None);
             self.sessions.len() - 1
@@ -131,7 +129,7 @@ impl NodeCore {
                 Route::Scheme(scheme) => {
                     let changed = scheme.update(&self.graph, &state);
                     if changed {
-                        self.metrics.record_at(
+                        self.stats.record_at(
                             now,
                             EventKind::RouteChange {
                                 flow,
@@ -178,8 +176,8 @@ impl NodeCore {
             };
             if changed {
                 slot.refresh_mask(self.graph.edge_count());
-                add(&self.metrics.counters.graph_changes, 1);
-                add(&slot.cells.graph_changes, 1);
+                self.stats.counters.graph_changes += 1;
+                self.stats.flow(flow).graph_changes += 1;
             }
         }
         // An ongoing overload episode keeps its downgrade masks in step
@@ -195,7 +193,7 @@ impl NodeCore {
     /// hello tick) and, when a damped transition is admitted, journals
     /// the episode and adjusts per-class redundancy.
     pub(super) fn observe_overload(&mut self, cx: &mut Cx) {
-        let shed_total = self.metrics.shed_total();
+        let shed_total = self.stats.shed_total();
         let (event, level) = match self.overload.observe(cx.now, cx.backlog, shed_total) {
             Some(OverloadTransition::Enter { level })
             | Some(OverloadTransition::Escalate { level }) => {
@@ -206,7 +204,7 @@ impl NodeCore {
             }
             None => return,
         };
-        self.metrics.record_at(cx.now, event);
+        self.stats.record_at(cx.now, event);
         if self.sessions.iter().flatten().next().is_some() {
             let state = self.linkstate.network_state(cx.now);
             self.apply_overload(cx.now, level, &state);
@@ -261,7 +259,7 @@ impl NodeCore {
                 let was = slot.downgrade.replace((effective, mask));
                 if was.map(|(level, _)| level) != Some(effective) {
                     let edges = graph.len() as u64;
-                    self.metrics.record_at(now, EventKind::ClassDowngraded { flow, class, edges });
+                    self.stats.record_at(now, EventKind::ClassDowngraded { flow, class, edges });
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! `Actions` between a few cores on a hand-advanced clock.
 
 use super::*;
-use crate::metrics::{EventKind, MetricsSnapshot, NodeCounters, JOURNAL_CAPACITY};
+use crate::metrics::{EventKind, NodeCounters};
 use dg_core::scheme::{build_scheme, SchemeKind};
 use dg_core::ServiceRequirement;
 use dg_topology::GraphBuilder;
@@ -24,7 +24,6 @@ struct Net {
     now: Micros,
     graph: Arc<Graph>,
     cores: Vec<NodeCore>,
-    metrics: Vec<Arc<MetricsRegistry>>,
     /// Each core's next protocol deadline, as `poll_timers` returned it.
     deadlines: Vec<Micros>,
     /// Frames in flight with their arrival instants; one latency
@@ -49,23 +48,19 @@ impl Net {
         }
         let graph = Arc::new(b.build());
         let nowhere = "127.0.0.1:0".parse().expect("an address");
-        let metrics: Vec<_> =
-            ids.iter().map(|_| Arc::new(MetricsRegistry::new(JOURNAL_CAPACITY))).collect();
         let cores = ids
             .iter()
-            .zip(&metrics)
-            .map(|(&node, metrics)| {
+            .map(|&node| {
                 let mut config = NodeConfig::new(node, nowhere);
                 config.peers = graph.neighbors(node).map(|n| (n, nowhere)).collect();
                 tune(&mut config);
-                NodeCore::new(Arc::new(config), Arc::clone(&graph), Arc::clone(metrics), T0)
+                NodeCore::new(Arc::new(config), Arc::clone(&graph), T0)
             })
             .collect();
         Net {
             now: T0,
             graph,
             cores,
-            metrics,
             deadlines: vec![T0; sites as usize],
             wire: VecDeque::new(),
             sent: Vec::new(),
@@ -143,15 +138,11 @@ impl Net {
     }
 
     fn counters(&self, node: usize) -> NodeCounters {
-        self.metrics[node].counters.snapshot()
-    }
-
-    fn snapshots(&self) -> Vec<MetricsSnapshot> {
-        self.metrics.iter().zip(0..).map(|(m, i)| m.snapshot(NodeId::new(i))).collect()
+        self.cores[node].snapshot().counters
     }
 
     fn transmissions(&self, node: usize, flow: Flow) -> u64 {
-        let snap = self.metrics[node].snapshot(NodeId::new(node as u32));
+        let snap = self.cores[node].snapshot();
         snap.flows.iter().find(|f| f.flow == flow).map_or(0, |f| f.transmissions)
     }
 
@@ -269,7 +260,7 @@ fn hello_silence_declares_the_link_down_and_the_source_routes_around_it() {
     let session = net.open(flow(0, 2), SchemeKind::DynamicSinglePath, SlaClass::Timely, ms(65));
     let direct = net.graph.edge_between(NodeId::new(0), NodeId::new(2)).expect("linked");
     let at = |node: usize, net: &Net, wanted: fn(&EventKind) -> bool| -> Vec<Micros> {
-        let events = net.metrics[node].snapshot(NodeId::new(node as u32)).events;
+        let events = net.cores[node].snapshot().events;
         events.iter().filter(|e| wanted(&e.kind)).map(|e| e.at.saturating_sub(T0)).collect()
     };
     net.run_until(T0.saturating_add(ms(505)));
@@ -316,7 +307,8 @@ fn backlog_sheds_bulk_then_timely_and_surgical_last() {
 }
 
 /// (f) The same inputs twice: byte-identical frames in the same order,
-/// equal deliveries, equal counters and journals.
+/// equal deliveries, and every core's whole snapshot — counters, flows,
+/// links, journal, link-state digest, graph-cache counters — equal.
 #[test]
 fn replay_is_deterministic() {
     let (one, two) =
@@ -324,7 +316,11 @@ fn replay_is_deterministic() {
     assert!(one.sent.len() > 100, "hellos, link state, data, a NACK: {}", one.sent.len());
     assert_eq!(one.sent, two.sent);
     assert_eq!(one.delivered, two.delivered);
-    assert_eq!(one.snapshots(), two.snapshots());
+    let snapshots = |net: &Net| net.cores.iter().map(NodeCore::snapshot).collect::<Vec<_>>();
+    let (one, two) = (snapshots(&one), snapshots(&two));
+    assert_eq!(one, two);
+    assert!(one.iter().all(|s| !s.flows.is_empty() && !s.link_state.is_empty()));
+    assert!(one[..2].iter().all(|s| !s.events.is_empty()), "the NACK and its service");
 }
 
 /// `poll_timers` returns the earliest of the three cadences, and a

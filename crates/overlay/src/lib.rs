@@ -14,7 +14,7 @@
 //!   floods link-state updates so sources can react to problems,
 //! - exposes a [`session::FlowSender`]/[`session::FlowReceiver`] API to
 //!   applications,
-//! - keeps lock-cheap counters and a bounded event journal of route
+//! - counts what it does and keeps a bounded event journal of route
 //!   changes, detector transitions, and recovery outcomes
 //!   ([`metrics::MetricsSnapshot`], [`cluster::Cluster::metrics_report`]).
 //!
@@ -66,6 +66,7 @@ pub mod pool;
 pub mod recovery;
 mod runtime;
 pub mod session;
+#[doc(hidden)]
 pub mod shard;
 pub mod sla;
 pub mod wire;

@@ -1,57 +1,37 @@
-//! Overlay observability: lock-cheap counters and a bounded event
+//! Overlay observability: a node's counters and its bounded event
 //! journal.
 //!
-//! Every node owns a [`MetricsRegistry`]: a block of node-wide atomic
-//! counters, per-flow and per-link counter cells, and a ring-buffer
-//! [`EventJournal`] of structured, clock-stamped events (route changes,
-//! detector transitions, recovery outcomes). The forwarding hot path
-//! only touches relaxed atomics — the registry's maps are locked
-//! briefly to look up a cell, never while counting.
+//! A node's statistics are part of its state: `NodeStats` is a field of
+//! the node core — a [`NodeCounters`] block counted into with `+=`, one
+//! [`FlowMetrics`] per flow and one [`LinkMetrics`] per out-link in
+//! ordinary maps, and a ring buffer of structured, clock-stamped
+//! [`Event`]s (route changes, detector transitions, recovery outcomes).
+//! Whoever holds the node holds them, so a snapshot is the node at one
+//! instant.
 //!
 //! Snapshots ([`MetricsSnapshot`], [`ClusterMetricsReport`]) are plain
 //! serde-serializable data, with per-flow fields named after
 //! `dg-sim`'s `FlowRunStats` so simulator and overlay reports can be
 //! compared field-for-field.
 
-use crate::shard::ShardedMap;
 use dg_core::scheme::SchemeKind;
 use dg_core::{Flow, GraphCacheStats, SlaClass};
 use dg_topology::{Micros, NodeId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Declares the node counter block in two sections: `live` fields are
-/// backed by one atomic each and counted on the hot paths; `derived`
-/// fields have no atomic — they are computed from the live fields at
-/// snapshot time, but still appear in [`NodeCounters`] (and its serde
-/// form), so removing a counter's atomic does not break readers of
-/// serialized snapshots.
+/// counted on the node's paths; `derived` fields are counted nowhere —
+/// they are computed from the live fields at snapshot time, but still
+/// appear in [`NodeCounters`] (and its serde form), so a counter that
+/// stops being counted does not break readers of serialized snapshots.
 macro_rules! declare_counters {
     (
         live { $($(#[$doc:meta])* $field:ident),+ $(,)? }
         derived { $($(#[$ddoc:meta])* $dfield:ident = $dexpr:expr),+ $(,)? }
     ) => {
-        /// The node-wide atomic counter block.
-        #[derive(Debug, Default)]
-        pub(crate) struct AtomicCounters {
-            $(pub(crate) $field: AtomicU64,)+
-        }
-
-        impl AtomicCounters {
-            pub(crate) fn snapshot(&self) -> NodeCounters {
-                let mut snap = NodeCounters {
-                    $($field: self.$field.load(Ordering::Relaxed),)+
-                    $($dfield: 0,)+
-                };
-                $(snap.$dfield = ($dexpr)(&snap);)+
-                snap
-            }
-        }
-
-        /// A consistent-enough copy of one node's counters.
+        /// One node's counters: the block the node counts into, and
+        /// (with the derived fields filled in) a copy of it.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
         #[serde(default)]
         pub struct NodeCounters {
@@ -68,6 +48,12 @@ macro_rules! declare_counters {
             pub fn merge(&mut self, other: &NodeCounters) {
                 $(self.$field = self.$field.wrapping_add(other.$field);)+
                 $(self.$dfield = self.$dfield.wrapping_add(other.$dfield);)+
+            }
+
+            /// A copy with the derived fields computed.
+            fn derived(mut self) -> NodeCounters {
+                $(self.$dfield = ($dexpr)(&self);)+
+                self
             }
         }
     };
@@ -177,28 +163,11 @@ declare_counters! {
     derived {
     /// Datagrams dropped because a bounded internal queue was full —
     /// always exactly `shipper_drops + delivery_drops`. The 0.2.0
-    /// aggregate atomic was removed in 0.3.0; the field is derived at
+    /// aggregate counter was removed in 0.3.0; the field is derived at
     /// snapshot time so serialized snapshots stay readable by older
     /// consumers.
     queue_drops = |c: &NodeCounters| c.shipper_drops.wrapping_add(c.delivery_drops),
     }
-}
-
-/// Per-flow atomic cells; field names mirror `dg-sim`'s `FlowRunStats`.
-#[derive(Debug, Default)]
-pub(crate) struct FlowCells {
-    pub(crate) packets_sent: AtomicU64,
-    pub(crate) packets_on_time: AtomicU64,
-    pub(crate) packets_late: AtomicU64,
-    pub(crate) transmissions: AtomicU64,
-    pub(crate) graph_changes: AtomicU64,
-}
-
-/// Per-out-link atomic cells for cost accounting.
-#[derive(Debug, Default)]
-pub(crate) struct LinkCells {
-    pub(crate) datagrams: AtomicU64,
-    pub(crate) bytes: AtomicU64,
 }
 
 /// One flow's counters as observed by a single node.
@@ -384,147 +353,96 @@ pub enum NodeThread {
 /// counted in `events_dropped`).
 pub const JOURNAL_CAPACITY: usize = 1_024;
 
-/// Bounded ring buffer of [`Event`]s.
+/// One node's statistics, owned by its core.
 #[derive(Debug)]
-pub(crate) struct EventJournal {
-    ring: Mutex<VecDeque<Event>>,
-    capacity: usize,
-    next_seq: AtomicU64,
-    dropped: AtomicU64,
+pub(crate) struct NodeStats {
+    /// Derived fields are left zero here; [`NodeStats::snapshot`] fills
+    /// them in.
+    pub(crate) counters: NodeCounters,
+    flows: HashMap<Flow, FlowMetrics>,
+    links: BTreeMap<NodeId, LinkMetrics>,
+    /// The journal: a ring of the last `journal_capacity` events.
+    events: VecDeque<Event>,
+    journal_capacity: usize,
+    /// Events ever recorded — the next event's `seq`.
+    next_seq: u64,
+    events_dropped: u64,
 }
 
-impl EventJournal {
-    pub(crate) fn new(capacity: usize) -> Self {
-        EventJournal {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1_024))),
-            capacity,
-            next_seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn record(&self, at: Micros, kind: EventKind) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if self.capacity == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(Event { seq, at, kind });
-    }
-
-    fn snapshot(&self) -> (Vec<Event>, u64) {
-        let events = self.ring.lock().iter().copied().collect();
-        (events, self.dropped.load(Ordering::Relaxed))
-    }
-}
-
-/// Adds `n` to a counter cell (statistics publish no other data, so the
-/// ordering is relaxed); a zero costs no atomic operation.
-pub(crate) fn add(cell: &AtomicU64, n: u64) {
-    if n > 0 {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// One node's full observability state.
-///
-/// The flow and link tables are sharded ([`crate::shard::ShardedMap`])
-/// because the data path resolves cells per packet; unrelated flows
-/// must not serialize on one registry lock.
-#[derive(Debug)]
-pub(crate) struct MetricsRegistry {
-    pub(crate) counters: AtomicCounters,
-    flows: ShardedMap<Flow, Arc<FlowCells>>,
-    links: ShardedMap<NodeId, Arc<LinkCells>>,
-    journal: EventJournal,
-}
-
-impl MetricsRegistry {
+impl NodeStats {
     pub(crate) fn new(journal_capacity: usize) -> Self {
-        MetricsRegistry {
-            counters: AtomicCounters::default(),
-            flows: ShardedMap::new(),
-            links: ShardedMap::new(),
-            journal: EventJournal::new(journal_capacity),
+        NodeStats {
+            counters: NodeCounters::default(),
+            flows: HashMap::new(),
+            links: BTreeMap::new(),
+            events: VecDeque::with_capacity(journal_capacity.min(JOURNAL_CAPACITY)),
+            journal_capacity,
+            next_seq: 0,
+            events_dropped: 0,
         }
     }
 
-    /// The counter cell for `flow` (created on first use). Only the
-    /// flow's shard locks for the lookup; increments happen on the
-    /// returned cell without any lock.
-    pub(crate) fn flow(&self, flow: Flow) -> Arc<FlowCells> {
-        self.flows.get_or_insert_with(&flow, Arc::default)
+    /// The counters of `flow` (created on first use).
+    pub(crate) fn flow(&mut self, flow: Flow) -> &mut FlowMetrics {
+        self.flows.entry(flow).or_insert(FlowMetrics {
+            flow,
+            packets_sent: 0,
+            packets_on_time: 0,
+            packets_late: 0,
+            transmissions: 0,
+            graph_changes: 0,
+        })
     }
 
-    /// The counter cell for the out-link toward `neighbor`.
-    pub(crate) fn link(&self, neighbor: NodeId) -> Arc<LinkCells> {
-        self.links.get_or_insert_with(&neighbor, Arc::default)
+    /// The counters of the out-link toward `neighbor`.
+    pub(crate) fn link(&mut self, neighbor: NodeId) -> &mut LinkMetrics {
+        self.links.entry(neighbor).or_insert(LinkMetrics { neighbor, datagrams: 0, bytes: 0 })
     }
 
     /// Records a journal event that happened at `at`: the instant its
-    /// recorder was told, not a second clock read.
-    pub(crate) fn record_at(&self, at: Micros, kind: EventKind) {
-        self.journal.record(at, kind);
+    /// recorder was told, not a second clock read. A full ring evicts
+    /// its oldest event.
+    pub(crate) fn record_at(&mut self, at: Micros, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.journal_capacity == 0 {
+            self.events_dropped += 1;
+            return;
+        }
+        if self.events.len() == self.journal_capacity {
+            self.events.pop_front();
+            self.events_dropped += 1;
+        }
+        self.events.push_back(Event { seq, at, kind });
     }
 
-    /// The shed counter of `class`.
-    pub(crate) fn shed_cell(&self, class: SlaClass) -> &AtomicU64 {
-        match class {
-            SlaClass::Bulk => &self.counters.shed_bulk,
-            SlaClass::Timely => &self.counters.shed_timely,
-            SlaClass::Surgical => &self.counters.shed_surgical,
-        }
+    /// Counts `n` data packets of `class` shed.
+    pub(crate) fn shed(&mut self, class: SlaClass, n: u64) {
+        *match class {
+            SlaClass::Bulk => &mut self.counters.shed_bulk,
+            SlaClass::Timely => &mut self.counters.shed_timely,
+            SlaClass::Surgical => &mut self.counters.shed_surgical,
+        } += n;
     }
 
     /// Data packets shed so far, all classes.
     pub(crate) fn shed_total(&self) -> u64 {
-        [SlaClass::Bulk, SlaClass::Timely, SlaClass::Surgical]
-            .iter()
-            .map(|&class| self.shed_cell(class).load(Ordering::Relaxed))
-            .sum()
+        self.counters.shed_bulk + self.counters.shed_timely + self.counters.shed_surgical
     }
 
     /// A serializable copy of everything, with flows and links sorted
-    /// for deterministic output.
+    /// for deterministic output. What is not statistics — `degraded`,
+    /// `link_state`, `graph_cache` — is left for the caller to fill.
     pub(crate) fn snapshot(&self, node: NodeId) -> MetricsSnapshot {
-        let mut flows: Vec<FlowMetrics> = self
-            .flows
-            .entries()
-            .into_iter()
-            .map(|(flow, cells)| FlowMetrics {
-                flow,
-                packets_sent: cells.packets_sent.load(Ordering::Relaxed),
-                packets_on_time: cells.packets_on_time.load(Ordering::Relaxed),
-                packets_late: cells.packets_late.load(Ordering::Relaxed),
-                transmissions: cells.transmissions.load(Ordering::Relaxed),
-                graph_changes: cells.graph_changes.load(Ordering::Relaxed),
-            })
-            .collect();
+        let mut flows: Vec<FlowMetrics> = self.flows.values().copied().collect();
         flows.sort_by_key(|f| (f.flow.source.index(), f.flow.destination.index()));
-        let mut links: Vec<LinkMetrics> = self
-            .links
-            .entries()
-            .into_iter()
-            .map(|(neighbor, cells)| LinkMetrics {
-                neighbor,
-                datagrams: cells.datagrams.load(Ordering::Relaxed),
-                bytes: cells.bytes.load(Ordering::Relaxed),
-            })
-            .collect();
-        links.sort_by_key(|l| l.neighbor.index());
-        let (events, events_dropped) = self.journal.snapshot();
         MetricsSnapshot {
             node,
-            counters: self.counters.snapshot(),
+            counters: self.counters.derived(),
             flows,
-            links,
-            events,
-            events_dropped,
+            links: self.links.values().copied().collect(),
+            events: self.events.iter().copied().collect(),
+            events_dropped: self.events_dropped,
             degraded: false,
             link_state: Vec::new(),
             graph_cache: GraphCacheStats::default(),
@@ -674,68 +592,73 @@ mod tests {
 
     #[test]
     fn journal_ring_evicts_oldest_and_counts_drops() {
-        let journal = EventJournal::new(2);
+        let mut stats = NodeStats::new(2);
         for i in 0..5u64 {
-            journal.record(
+            stats.record_at(
                 Micros::from_micros(i),
                 EventKind::RecoveryServed { neighbor: NodeId::new(1), packets: i },
             );
         }
-        let (events, dropped) = journal.snapshot();
-        assert_eq!(dropped, 3);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].seq, 3);
-        assert_eq!(events[1].seq, 4);
-        assert!(events[0].at <= events[1].at);
+        let snap = stats.snapshot(NodeId::new(0));
+        assert_eq!(snap.events_dropped, 3);
+        assert_eq!(snap.events.len(), 2);
+        assert_eq!(snap.events[0].seq, 3);
+        assert_eq!(snap.events[1].seq, 4);
+        assert!(snap.events[0].at <= snap.events[1].at);
     }
 
     #[test]
     fn zero_capacity_journal_refuses_everything() {
-        let journal = EventJournal::new(0);
-        journal.record(
+        let mut stats = NodeStats::new(0);
+        stats.record_at(
             Micros::ZERO,
             EventKind::DetectorTriggered { neighbor: NodeId::new(0), loss: 0.5 },
         );
-        let (events, dropped) = journal.snapshot();
-        assert!(events.is_empty());
-        assert_eq!(dropped, 1);
+        let snap = stats.snapshot(NodeId::new(0));
+        assert!(snap.events.is_empty());
+        assert_eq!(snap.events_dropped, 1);
     }
 
     #[test]
-    fn registry_snapshot_sorts_flows_and_links() {
-        let registry = MetricsRegistry::new(8);
-        registry.flow(flow(5, 1)).packets_sent.fetch_add(2, Ordering::Relaxed);
-        registry.flow(flow(0, 3)).packets_sent.fetch_add(7, Ordering::Relaxed);
-        registry.link(NodeId::new(9)).bytes.fetch_add(100, Ordering::Relaxed);
-        registry.link(NodeId::new(2)).bytes.fetch_add(50, Ordering::Relaxed);
-        let snap = registry.snapshot(NodeId::new(0));
+    fn snapshot_sorts_flows_and_links_and_derives_queue_drops() {
+        let mut stats = NodeStats::new(8);
+        stats.flow(flow(5, 1)).packets_sent += 2;
+        stats.flow(flow(0, 3)).packets_sent += 7;
+        stats.link(NodeId::new(9)).bytes += 100;
+        stats.link(NodeId::new(2)).bytes += 50;
+        stats.shed(SlaClass::Bulk, 3);
+        stats.counters.shipper_drops += 3;
+        stats.counters.delivery_drops += 1;
+        let snap = stats.snapshot(NodeId::new(0));
         assert_eq!(snap.flows[0].flow, flow(0, 3));
         assert_eq!(snap.flows[0].packets_sent, 7);
         assert_eq!(snap.flows[1].flow, flow(5, 1));
         assert_eq!(snap.links[0].neighbor, NodeId::new(2));
         assert_eq!(snap.links[1].bytes, 100);
+        assert_eq!((snap.counters.shed_bulk, stats.shed_total()), (3, 3));
+        assert_eq!(snap.counters.queue_drops, 4, "derived at snapshot time");
+        assert_eq!(stats.counters.queue_drops, 0, "and counted nowhere");
     }
 
     #[test]
     fn aggregate_folds_flows_across_nodes() {
-        let registry_a = MetricsRegistry::new(4);
-        let registry_b = MetricsRegistry::new(4);
+        let (mut stats_a, mut stats_b) = (NodeStats::new(4), NodeStats::new(4));
         let f = flow(0, 2);
         // Source node: sent + its own transmissions.
-        let cells = registry_a.flow(f);
-        cells.packets_sent.fetch_add(10, Ordering::Relaxed);
-        cells.transmissions.fetch_add(10, Ordering::Relaxed);
+        let cells = stats_a.flow(f);
+        cells.packets_sent += 10;
+        cells.transmissions += 10;
         // Destination node: deliveries + relay transmissions.
-        let cells = registry_b.flow(f);
-        cells.packets_on_time.fetch_add(8, Ordering::Relaxed);
-        cells.packets_late.fetch_add(1, Ordering::Relaxed);
-        cells.transmissions.fetch_add(5, Ordering::Relaxed);
-        registry_a.counters.data_sent.fetch_add(10, Ordering::Relaxed);
-        registry_b.counters.data_sent.fetch_add(5, Ordering::Relaxed);
+        let cells = stats_b.flow(f);
+        cells.packets_on_time += 8;
+        cells.packets_late += 1;
+        cells.transmissions += 5;
+        stats_a.counters.data_sent += 10;
+        stats_b.counters.data_sent += 5;
 
         let report = ClusterMetricsReport::aggregate(vec![
-            registry_b.snapshot(NodeId::new(2)),
-            registry_a.snapshot(NodeId::new(0)),
+            stats_b.snapshot(NodeId::new(2)),
+            stats_a.snapshot(NodeId::new(0)),
         ]);
         assert_eq!(report.nodes[0].node, NodeId::new(0), "sorted by node id");
         assert_eq!(report.totals.data_sent, 15);
@@ -760,9 +683,9 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let registry = MetricsRegistry::new(4);
+        let mut stats = NodeStats::new(4);
         let at = Micros::from_millis(5);
-        registry.record_at(
+        stats.record_at(
             at,
             EventKind::RouteChange {
                 flow: flow(1, 2),
@@ -770,10 +693,9 @@ mod tests {
                 edges: 7,
             },
         );
-        registry
-            .record_at(at, EventKind::DetectorTriggered { neighbor: NodeId::new(3), loss: 0.25 });
-        registry.flow(flow(1, 2)).transmissions.fetch_add(4, Ordering::Relaxed);
-        let snap = registry.snapshot(NodeId::new(1));
+        stats.record_at(at, EventKind::DetectorTriggered { neighbor: NodeId::new(3), loss: 0.25 });
+        stats.flow(flow(1, 2)).transmissions += 4;
+        let snap = stats.snapshot(NodeId::new(1));
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(snap, back);

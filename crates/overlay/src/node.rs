@@ -243,14 +243,12 @@ impl OverlayHandle {
     }
 
     /// Full observability snapshot: node-wide counters, per-flow and
-    /// per-link counters, the event journal, and the degradation flag.
-    /// Serde-serializable.
+    /// per-link counters, the event journal, the link-state digest and
+    /// the graph cache's counters — all read under one hold of the
+    /// node's lock, so they describe the node at one instant — and the
+    /// degradation flag. Serde-serializable.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.driver.metrics.snapshot(self.node_id());
-        snap.degraded = self.driver.degraded();
-        (snap.link_state, snap.graph_cache) =
-            self.driver.with_core(|core| (core.linkstate.digest(), core.graph_cache.stats()));
-        snap
+        self.driver.snapshot()
     }
 
     /// True while the node runs without a full complement of healthy

@@ -14,7 +14,7 @@ use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::core::{Actions, NodeCore};
 use crate::fault::{corrupt_in_place, FaultPlan};
-use crate::metrics::{add, EventKind, MetricsRegistry, NodeThread, JOURNAL_CAPACITY};
+use crate::metrics::{EventKind, MetricsSnapshot, NodeStats, NodeThread};
 use crate::session::{Delivery, FlowReceiver, DELIVERY_QUEUE};
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender, TrySendError};
@@ -83,6 +83,15 @@ fn next_wake(
     wake.map(|at| Duration::from_micros(at.saturating_sub(now).as_micros()))
 }
 
+/// Accounts one wire transmission, node-wide and on its link.
+fn account_send(stats: &mut NodeStats, to: NodeId, len: usize) {
+    stats.counters.datagrams_sent += 1;
+    stats.counters.bytes_sent += len as u64;
+    let link = stats.link(to);
+    link.datagrams += 1;
+    link.bytes += len as u64;
+}
+
 /// What the node's one lock guards: the core, and what the driver needs
 /// to carry its actions out.
 struct Driven {
@@ -115,7 +124,6 @@ pub(crate) struct Driver {
     /// crash, giving operators a visible window even when the restart
     /// is instant.
     degraded_until: AtomicU64,
-    pub(crate) metrics: Arc<MetricsRegistry>,
     state: Mutex<Driven>,
 }
 
@@ -128,7 +136,6 @@ impl std::fmt::Debug for Driver {
 impl Driver {
     pub(crate) fn new(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> Driver {
         let config = Arc::new(config);
-        let metrics = Arc::new(MetricsRegistry::new(JOURNAL_CAPACITY));
         let now = now_us();
         let beat = || AtomicU64::new(now.as_micros());
         Driver {
@@ -140,18 +147,12 @@ impl Driver {
             panic_requests: Default::default(),
             degraded_until: AtomicU64::new(0),
             state: Mutex::new(Driven {
-                core: NodeCore::new(
-                    Arc::clone(&config),
-                    Arc::clone(&graph),
-                    Arc::clone(&metrics),
-                    now,
-                ),
+                core: NodeCore::new(Arc::clone(&config), Arc::clone(&graph), now),
                 actions: Actions::default(),
                 parked: Departures::default(),
                 receivers: HashMap::new(),
                 receivers_opened: 0,
             }),
-            metrics,
             graph,
             config,
         }
@@ -178,21 +179,31 @@ impl Driver {
         f(&mut self.state.lock().core)
     }
 
+    /// The node at one instant — everything the core reports, read under
+    /// one hold of the lock — plus the degradation flag.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.with_core(|core| core.snapshot());
+        snap.degraded = self.degraded();
+        snap
+    }
+
     /// Carries the pending actions out: each frame through the fault
     /// plan to the wire or the departure queue, then each delivery to
-    /// its session's queue.
+    /// its session's queue. What only the carrier sees — a wire send, a
+    /// fault verdict, a parked or delivery shed — is counted into the
+    /// core's statistics here.
     fn flush(&self, st: &mut Driven, now: Micros) {
         let Driven { core, actions, parked, receivers, .. } = st;
-        let (counters, shipper_queue) = (&self.metrics.counters, self.config.shipper_queue as u64);
+        let (stats, shipper_queue) = (&mut core.stats, self.config.shipper_queue as u64);
         let head = parked.head();
         for (to, datagram, class) in actions.frames.drain(..) {
             let verdict = self.faults.decide(to);
             if verdict.drop {
-                add(&counters.fault_drops, 1);
+                stats.counters.fault_drops += 1;
                 continue;
             }
             let datagram = if verdict.corrupt {
-                add(&counters.fault_corruptions, 1);
+                stats.counters.fault_corruptions += 1;
                 let mut bytes = datagram.to_vec();
                 corrupt_in_place(&mut bytes, verdict.corrupt_seed);
                 Bytes::from(bytes)
@@ -202,7 +213,7 @@ impl Driver {
             // The hot path: no delay, so no queue and no context
             // switch — the frame leaves on the calling thread.
             if verdict.delay == Micros::ZERO && !verdict.duplicate {
-                self.account_send(to, datagram.len());
+                account_send(stats, to, datagram.len());
                 self.send_now(to, &datagram);
                 core.frame_pool.recycle(datagram);
                 continue;
@@ -212,20 +223,20 @@ impl Driver {
             // against its class, uncounted. Control frames (no class)
             // never are: data cannot starve hellos into a link-down.
             let depart_at = now.saturating_add(verdict.delay);
-            let mut park = |datagram: Bytes| {
+            let mut park = |stats: &mut NodeStats, datagram: Bytes| {
                 if let Some(class) = class.filter(|_| parked.data >= shipper_queue) {
-                    add(self.metrics.shed_cell(class), 1);
-                    add(&counters.shipper_drops, 1);
+                    stats.shed(class, 1);
+                    stats.counters.shipper_drops += 1;
                     return;
                 }
-                self.account_send(to, datagram.len());
+                account_send(stats, to, datagram.len());
                 parked.push(to, datagram, depart_at, class.is_some());
             };
             if verdict.duplicate {
-                add(&counters.fault_duplicates, 1);
-                park(datagram.clone());
+                stats.counters.fault_duplicates += 1;
+                park(stats, datagram.clone());
             }
-            park(datagram);
+            park(stats, datagram);
         }
         // The timer thread computed its wait from the old head.
         if parked.head().is_some_and(|at| head.is_none_or(|was| at < was)) {
@@ -242,19 +253,10 @@ impl Driver {
             // The delivery queue is bounded: an application that stops
             // draining sheds load instead of wedging the node.
             if let Err(TrySendError::Full(_)) = tx.try_send(delivery) {
-                add(self.metrics.shed_cell(class), 1);
-                add(&counters.delivery_drops, 1);
+                stats.shed(class, 1);
+                stats.counters.delivery_drops += 1;
             }
         }
-    }
-
-    /// Accounts one wire transmission in the node and per-link counters.
-    fn account_send(&self, to: NodeId, len: usize) {
-        add(&self.metrics.counters.datagrams_sent, 1);
-        add(&self.metrics.counters.bytes_sent, len as u64);
-        let link = self.metrics.link(to);
-        add(&link.datagrams, 1);
-        add(&link.bytes, len as u64);
     }
 
     fn send_now(&self, to: NodeId, datagram: &[u8]) {
@@ -356,8 +358,10 @@ impl Driver {
     /// not dead.
     fn note_thread_crash(&self, thread: NodeThread) {
         let now = now_us();
-        add(&self.metrics.counters.thread_crashes, 1);
-        self.metrics.record_at(now, EventKind::ThreadCrash { thread });
+        self.with_core(|core| {
+            core.stats.counters.thread_crashes += 1;
+            core.stats.record_at(now, EventKind::ThreadCrash { thread });
+        });
         let until =
             now.as_micros().saturating_add(self.config.watchdog_stale_after.as_micros() as u64);
         self.degraded_until.fetch_max(until, Ordering::Relaxed);
@@ -560,7 +564,7 @@ mod tests {
             out.frames.push((peer, frame.clone(), None));
             out.frames.push((peer, frame.clone(), Some(SlaClass::Surgical)));
         });
-        let counters = driver.metrics.counters.snapshot();
+        let counters = driver.snapshot().counters;
         assert_eq!(driver.backlog(), 2, "the bound holds");
         assert_eq!((counters.shed_bulk, counters.shed_surgical, counters.shipper_drops), (1, 1, 2));
         assert_eq!(counters.datagrams_sent, 3, "two data frames and the control frame");

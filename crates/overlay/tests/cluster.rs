@@ -878,3 +878,70 @@ fn a_dropped_cluster_stops_and_frees_its_ports() {
         std::net::UdpSocket::bind(addr).expect("a stopped node's port is free");
     }
 }
+
+/// A snapshot is the node at one instant. The destination of a loaded
+/// four-node chain is snapshotted over a thousand times against its
+/// running receive thread, and in every snapshot the counters add up:
+/// each data packet received so far was a duplicate or was delivered,
+/// and the flow's deliveries are the node's.
+#[test]
+fn a_snapshot_is_one_instant() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = ["A", "B", "C", "D"].iter().map(|n| b.add_node(n)).collect();
+    for pair in ids.windows(2) {
+        b.add_link(pair[0], pair[1], Micros::from_millis(2), 1).unwrap();
+    }
+    let graph = b.build();
+    let config = ClusterConfig { latency_scale: 0.0, ..ClusterConfig::default() };
+    let cluster = Cluster::launch(&graph, config).expect("cluster launches");
+    let flow = Flow::new(ids[0], ids[3]);
+    let rx = cluster.open_receiver(flow).unwrap();
+    let tx = cluster
+        .open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default())
+        .unwrap();
+    let done = AtomicBool::new(false);
+    let sink = cluster.node(flow.destination);
+    // Takes snapshots until there are enough, and enough of them with
+    // traffic in between; `Err` names the first that does not add up.
+    let check = || -> Result<(), String> {
+        let (mut taken, mut moved, mut last) = (0u32, 0u32, 0);
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while taken < 1_000 || moved < 200 {
+            if std::time::Instant::now() > give_up {
+                return Err(format!("only {taken} snapshots, {moved} under load"));
+            }
+            let snap = sink.metrics_snapshot();
+            let c = snap.counters;
+            let delivered = c.delivered_on_time + c.delivered_late;
+            let counted = snap.flows.iter().find(|f| f.flow == flow);
+            let of_flow = counted.map_or(0, |f| f.packets_on_time + f.packets_late);
+            if c.data_received != c.duplicates + delivered || of_flow != delivered {
+                return Err(format!("snapshot {taken}: flow delivered {of_flow}, node {c:?}"));
+            }
+            taken += 1;
+            moved += u32::from(c.data_received != last);
+            last = c.data_received;
+        }
+        Ok(())
+    };
+    let verdict = std::thread::scope(|scope| {
+        // The load, a closed loop: a batch out, its deliveries back.
+        scope.spawn(|| {
+            let batch = [&[0u8; 64][..]; 32];
+            while !done.load(Ordering::Relaxed) {
+                tx.send_batch(&batch).unwrap();
+                for _ in 0..batch.len() {
+                    if rx.recv_timeout(Duration::from_millis(5)).is_none() {
+                        break;
+                    }
+                }
+            }
+        });
+        let verdict = check();
+        done.store(true, Ordering::Relaxed);
+        verdict
+    });
+    assert_eq!(verdict, Ok(()));
+}
