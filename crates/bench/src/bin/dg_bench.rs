@@ -243,8 +243,7 @@ fn overload_bench(secs: u64, mode: &str) -> OverloadResult {
     // Park synthetic pressure between the timely band (3/4 of the
     // bound) and the surgical band (the bound itself) for the whole
     // measured window, then offer multiples of the admissible load.
-    cluster.inject_overload(
-        src,
+    cluster.node(src).inject_overload(
         queue_bound * 13 / 16,
         Duration::from_secs(secs) + Duration::from_millis(200),
     );

@@ -114,6 +114,10 @@ fn main() {
         }
         None => kill_heal_schedule(&graph, &protected, seed, &KillHealProfile::default()),
     };
+    if let Err(e) = schedule.validate(&graph) {
+        eprintln!("dg-emu: {e}");
+        std::process::exit(2);
+    }
     if let Some(path) = matches.value("emit-schedule") {
         std::fs::write(path, schedule.to_json()).unwrap_or_else(|e| {
             eprintln!("dg-emu: cannot write {path}: {e}");

@@ -38,13 +38,14 @@
 //! post-heal deltas from cumulative counters.
 //!
 //! `--chaos-json PATH` replays a [`dg_overlay::chaos::ChaosSchedule`]
-//! against this node's own out-links: edge impairments whose source is
-//! this node (and node-wide impairments naming it) are applied at their
-//! scheduled offsets; events aimed at other nodes are skipped, and
-//! crash/restart events are warned about and ignored — killing a
-//! standalone daemon is the operator's job, not its own (`dg-emu` uses
-//! `ChaosSchedule::shard_for_node` to pre-slice schedules so daemons
-//! only ever see their own events).
+//! against this node's own out-links: impairments of edges whose source
+//! is this node (a node-wide one is every edge incident to the node
+//! named, so this node's edge toward a neighbour counts) are applied at
+//! their scheduled offsets; other nodes' edges are theirs to impair, and
+//! crash/restart events are ignored — killing a daemon is the operator's
+//! job (`dg-emu` pre-slices schedules with `shard_for_node`). A schedule
+//! naming an edge or site the topology lacks, or a probability outside
+//! [0, 1], is refused at startup like any other bad input.
 //!
 //! `--sla-json PATH` loads an [`dg_overlay::SlaPlan`] and opens a
 //! sending session for every flow in it that originates at this node,
@@ -76,7 +77,7 @@
 //! ```
 
 use dg_cli::Cli;
-use dg_overlay::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
+use dg_overlay::chaos::{ChaosRunner, ChaosSchedule};
 use dg_overlay::session::FlowSender;
 use dg_overlay::{MetricsSnapshot, NodeFileConfig, OverlayHandle, OverlayNode, SlaPlan};
 use dg_topology::{Graph, NodeId};
@@ -203,33 +204,26 @@ fn run(config_path: &str, options: Options) {
     };
     let me = config.node;
 
-    let mut chaos: Vec<ChaosEvent> = match &options.chaos_json {
-        Some(path) => {
-            let raw = read_file("chaos schedule", path);
-            match ChaosSchedule::from_json(&raw) {
-                Ok(schedule) => {
-                    let mut events = schedule.events;
-                    events.sort_by_key(|e| e.at_ms);
-                    events
-                }
-                Err(e) => fail!("bad chaos schedule {path}: {e}"),
-            }
+    let mut chaos: Option<ChaosRunner> = options.chaos_json.as_ref().map(|path| {
+        let schedule = match ChaosSchedule::from_json(&read_file("chaos schedule", path)) {
+            Ok(schedule) => schedule,
+            Err(e) => fail!("bad chaos schedule {path}: {e}"),
+        };
+        match ChaosRunner::new(&schedule, &graph) {
+            Ok(runner) => runner,
+            Err(e) => fail!("bad chaos schedule {path}: {e}"),
         }
-        None => Vec::new(),
-    };
-    let sla_plan: Option<SlaPlan> = match &options.sla_json {
-        Some(path) => {
-            let raw = read_file("sla plan", path);
-            match SlaPlan::from_json(&raw) {
-                Ok(plan) => Some(plan),
+    });
+    let sla_plan: Option<SlaPlan> =
+        options.sla_json.as_ref().map(|path| {
+            match SlaPlan::from_json(&read_file("sla plan", path)) {
+                Ok(plan) => plan,
                 Err(e) => fail!("bad sla plan {path}: {e}"),
             }
-        }
-        None => None,
-    };
+        });
 
     let graph = Arc::new(graph);
-    let handle = match OverlayNode::spawn(config, Arc::clone(&graph)) {
+    let mut handle = match OverlayNode::spawn(config, Arc::clone(&graph)) {
         Ok(handle) => handle,
         Err(e) => fail!("{config_path}: cannot start node {}: {e}", file.node),
     };
@@ -335,9 +329,11 @@ fn run(config_path: &str, options: Options) {
             break;
         }
         // Fire everything due at this instant.
-        let due = chaos.iter().take_while(|e| e.at_ms as u128 <= elapsed.as_millis()).count();
-        for event in chaos.drain(..due) {
-            apply_chaos_to_self(&handle, &graph, me, &event.action);
+        if let Some(runner) = &mut chaos {
+            let fired = runner.poll(&mut handle, elapsed).expect("a daemon restarts nobody");
+            if fired > 0 {
+                println!("chaos: {fired} event(s) due at {} ms", elapsed.as_millis());
+            }
         }
         if baseline_due.is_some_and(|at| elapsed >= at) {
             baseline_due = None;
@@ -366,8 +362,8 @@ fn run(config_path: &str, options: Options) {
         }
         // Sleep until the nearest future deadline.
         let mut nap = next_stats.saturating_sub(elapsed);
-        if let Some(event) = chaos.first() {
-            nap = nap.min(Duration::from_millis(event.at_ms).saturating_sub(elapsed));
+        if let Some(at_ms) = chaos.as_ref().and_then(ChaosRunner::next_due_ms) {
+            nap = nap.min(Duration::from_millis(at_ms).saturating_sub(elapsed));
         }
         for at in [baseline_due, quiesce_due, options.run_limit].into_iter().flatten() {
             nap = nap.min(at.saturating_sub(elapsed));
@@ -448,71 +444,4 @@ fn open_sla_senders(
         }
     }
     senders
-}
-
-/// Applies the slice of a chaos action this daemon can enact: faults on
-/// its own out-links. Everything else is another node's business (or,
-/// for crash/restart, the operator's) and is skipped with a warning
-/// where that could surprise.
-fn apply_chaos_to_self(handle: &OverlayHandle, graph: &Graph, me: NodeId, action: &ChaosAction) {
-    match *action {
-        ChaosAction::InjectEdge { edge, fault } => {
-            if edge.index() >= graph.edge_count() {
-                eprintln!("chaos: ignoring impairment of unknown edge {edge:?}");
-                return;
-            }
-            let info = graph.edge(edge);
-            if info.src == me {
-                println!("chaos: impairing link to {}", graph.node(info.dst).name);
-                handle.faults().set(info.dst, fault);
-            }
-        }
-        ChaosAction::HealEdge { edge } => {
-            if edge.index() >= graph.edge_count() {
-                eprintln!("chaos: ignoring heal of unknown edge {edge:?}");
-                return;
-            }
-            let info = graph.edge(edge);
-            if info.src == me {
-                println!("chaos: healing link to {}", graph.node(info.dst).name);
-                handle.faults().clear(info.dst);
-            }
-        }
-        ChaosAction::ImpairNode { node, fault } => {
-            if node == me {
-                println!("chaos: impairing all out-links");
-                for &e in graph.out_edges(me) {
-                    handle.faults().set(graph.edge(e).dst, fault);
-                }
-            }
-        }
-        ChaosAction::HealNode { node } => {
-            if node == me {
-                println!("chaos: healing all out-links");
-                for &e in graph.out_edges(me) {
-                    handle.faults().clear(graph.edge(e).dst);
-                }
-            }
-        }
-        ChaosAction::CrashNode { node } | ChaosAction::RestartNode { node } => {
-            if node == me {
-                eprintln!(
-                    "chaos: ignoring crash/restart for this node — \
-                     kill or relaunch the daemon process instead"
-                );
-            }
-        }
-        ChaosAction::PanicThread { node, thread } => {
-            if node == me {
-                println!("chaos: injecting panic into {thread:?} thread");
-                handle.inject_thread_panic(thread);
-            }
-        }
-        ChaosAction::Overload { node, shipments, dwell_ms } => {
-            if node == me {
-                println!("chaos: flooding outbound queue with {shipments} shipments");
-                handle.inject_overload(shipments, Duration::from_millis(dwell_ms));
-            }
-        }
-    }
 }

@@ -1,13 +1,15 @@
-//! Seeded chaos schedules: scripted fault storms against a [`Cluster`].
+//! Seeded chaos schedules: scripted fault storms against whatever runs
+//! the nodes.
 //!
 //! A [`ChaosSchedule`] is a time-ordered list of fault events — link
 //! impairments and heals, node-wide impairments, node crashes and
-//! restarts — replayed against a running cluster by a [`ChaosRunner`].
+//! restarts — replayed by a [`ChaosRunner`] against a [`ChaosTarget`]
+//! (a `Cluster`, the stepped `simnet::Net`, one `dg-node` daemon).
 //! Schedules are plain serde data (loadable from JSON for the `dg-node`
-//! CLI) and can be generated deterministically from a seed, so a chaos
-//! soak is reproducible: the same seed yields the same storm.
+//! CLI), checked against the topology where they are loaded, and can be
+//! generated deterministically from a seed, so a chaos soak is
+//! reproducible: the same seed yields the same storm.
 
-use crate::cluster::Cluster;
 use crate::fault::{splitmix64, unit, BurstLoss, LinkFault};
 use crate::metrics::NodeThread;
 use crate::OverlayError;
@@ -192,6 +194,55 @@ impl ChaosSchedule {
         ChaosSchedule { seed, events }
     }
 
+    /// Checks the schedule against the topology it is to be replayed on
+    /// — it crosses a trust boundary (a JSON file, a generator), and
+    /// [`ChaosAction::apply`] indexes the graph by what the events name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OverlayError::InvalidChaos`] naming the first offending
+    /// event (its index in [`ChaosSchedule::events`]) and the rule.
+    pub fn validate(&self, graph: &Graph) -> Result<(), OverlayError> {
+        let unit = |p: f64| (0.0..=1.0).contains(&p);
+        for (event, ChaosEvent { action, .. }) in self.events.iter().enumerate() {
+            let (edge, node, fault) = match *action {
+                ChaosAction::InjectEdge { edge, fault } => (Some(edge), None, Some(fault)),
+                ChaosAction::HealEdge { edge } => (Some(edge), None, None),
+                ChaosAction::ImpairNode { node, fault } => (None, Some(node), Some(fault)),
+                ChaosAction::HealNode { node }
+                | ChaosAction::CrashNode { node }
+                | ChaosAction::RestartNode { node }
+                | ChaosAction::PanicThread { node, .. }
+                | ChaosAction::Overload { node, .. } => (None, Some(node), None),
+            };
+            let fault = fault.unwrap_or_default();
+            let probabilities = [fault.loss, fault.reorder, fault.duplicate, fault.corrupt];
+            let burst =
+                fault.burst.map_or([0.0; 4], |b| [b.p_enter, b.p_exit, b.good_loss, b.bad_loss]);
+            // CORRECTNESS: A named edge must be an edge of the topology;
+            // applying the event reads its endpoints.
+            let rule = if edge.is_some_and(|e| e.index() >= graph.edge_count()) {
+                "edge must be an edge of the topology"
+            // CORRECTNESS: A named node must be a site of the topology;
+            // applying the event walks its incident edges.
+            } else if node.is_some_and(|n| n.index() >= graph.node_count()) {
+                "node must be a site of the topology"
+            // CORRECTNESS: `loss`, `reorder`, `duplicate` and `corrupt`
+            // are probabilities: uniform draws in [0, 1) are compared
+            // against them (a NaN would silently never fire).
+            } else if !probabilities.into_iter().all(unit) {
+                "loss, reorder, duplicate and corrupt must lie in [0, 1]"
+            // CORRECTNESS: So are the four Gilbert–Elliott parameters.
+            } else if !burst.into_iter().all(unit) {
+                "burst probabilities must lie in [0, 1]"
+            } else {
+                continue;
+            };
+            return Err(OverlayError::InvalidChaos { event, rule });
+        }
+        Ok(())
+    }
+
     /// Parses a schedule from JSON.
     ///
     /// # Errors
@@ -228,20 +279,6 @@ impl ChaosSchedule {
         ChaosSchedule { seed: self.seed, events }
     }
 
-    /// The schedule as seen by a process that joins `elapsed_ms` into
-    /// the run (a restarted daemon): events already in the past are
-    /// dropped, the rest keep their absolute position by firing
-    /// `elapsed_ms` earlier on the newcomer's own clock.
-    pub fn rebased(&self, elapsed_ms: u64) -> ChaosSchedule {
-        let events = self
-            .events
-            .iter()
-            .filter(|e| e.at_ms >= elapsed_ms)
-            .map(|e| ChaosEvent { at_ms: e.at_ms - elapsed_ms, action: e.action.clone() })
-            .collect();
-        ChaosSchedule { seed: self.seed, events }
-    }
-
     /// Just the process-level events — crashes and restarts, sorted by
     /// fire time. A multi-process harness executes these itself (kill
     /// and respawn the daemon); they are exactly the events
@@ -262,58 +299,26 @@ impl ChaosSchedule {
     /// The slice of this schedule one daemon can enact on itself — the
     /// per-node `--chaos-json` file a multi-process harness distributes.
     ///
-    /// A standalone daemon controls only its own *out*-links, so
-    /// cluster-wide actions lower to that vantage point:
-    ///
-    /// - edge events survive where the edge's source is `me` (edges
-    ///   out of range for the topology are dropped rather than trusted);
-    /// - `ImpairNode`/`HealNode` against `me` survive as-is (the daemon
-    ///   impairs all of its out-links), and against a *neighbour* they
-    ///   lower to edge events on the `me → node` edge — so the union of
-    ///   every daemon's shard reproduces the cluster semantics of
-    ///   impairing both directions of every incident link;
-    /// - thread panics and overloads survive where they name `me`;
-    /// - crashes and restarts are excluded entirely: killing a process
-    ///   is the harness's job (see [`ChaosSchedule::process_events`]),
-    ///   not the victim's.
+    /// A standalone daemon controls only its own *out*-links, so it
+    /// needs the events [`ChaosAction::apply`] turns into a call on one
+    /// of them: edge events whose source is `me` (edges out of range are
+    /// dropped rather than trusted), node-wide impairments of `me` or of
+    /// a neighbour — the union of every daemon's shard is then both
+    /// directions of every incident link, as on a cluster — and thread
+    /// panics and overloads that name `me`. Crashes and restarts are the
+    /// harness's ([`ChaosSchedule::process_events`]), not the victim's.
     pub fn shard_for_node(&self, graph: &Graph, me: NodeId) -> ChaosSchedule {
-        let edge_to =
-            |node: NodeId| graph.out_edges(me).iter().copied().find(|&e| graph.edge(e).dst == node);
-        let mut events = Vec::new();
-        for event in &self.events {
-            let lowered = match event.action {
-                ChaosAction::InjectEdge { edge, fault } => (edge.index() < graph.edge_count()
-                    && graph.edge(edge).src == me)
-                    .then_some(ChaosAction::InjectEdge { edge, fault }),
-                ChaosAction::HealEdge { edge } => (edge.index() < graph.edge_count()
-                    && graph.edge(edge).src == me)
-                    .then_some(ChaosAction::HealEdge { edge }),
-                ChaosAction::ImpairNode { node, fault } => {
-                    if node == me {
-                        Some(ChaosAction::ImpairNode { node, fault })
-                    } else {
-                        edge_to(node).map(|edge| ChaosAction::InjectEdge { edge, fault })
-                    }
-                }
-                ChaosAction::HealNode { node } => {
-                    if node == me {
-                        Some(ChaosAction::HealNode { node })
-                    } else {
-                        edge_to(node).map(|edge| ChaosAction::HealEdge { edge })
-                    }
-                }
-                ChaosAction::CrashNode { .. } | ChaosAction::RestartNode { .. } => None,
-                ChaosAction::PanicThread { node, thread } => {
-                    (node == me).then_some(ChaosAction::PanicThread { node, thread })
-                }
-                ChaosAction::Overload { node, shipments, dwell_ms } => {
-                    (node == me).then_some(ChaosAction::Overload { node, shipments, dwell_ms })
-                }
-            };
-            if let Some(action) = lowered {
-                events.push(ChaosEvent { at_ms: event.at_ms, action });
+        let mine = |edge: EdgeId| edge.index() < graph.edge_count() && graph.edge(edge).src == me;
+        let near = |node: NodeId| node == me || graph.edge_between(me, node).is_some();
+        let enactable = |event: &&ChaosEvent| match event.action {
+            ChaosAction::InjectEdge { edge, .. } | ChaosAction::HealEdge { edge } => mine(edge),
+            ChaosAction::ImpairNode { node, .. } | ChaosAction::HealNode { node } => near(node),
+            ChaosAction::CrashNode { .. } | ChaosAction::RestartNode { .. } => false,
+            ChaosAction::PanicThread { node, .. } | ChaosAction::Overload { node, .. } => {
+                node == me
             }
-        }
+        };
+        let mut events: Vec<ChaosEvent> = self.events.iter().filter(enactable).cloned().collect();
         events.sort_by_key(|e| e.at_ms);
         ChaosSchedule { seed: self.seed, events }
     }
@@ -347,12 +352,72 @@ fn random_fault(rng: &mut u64) -> LinkFault {
     }
 }
 
-/// Replays a [`ChaosSchedule`] against a cluster.
-///
-/// Poll-driven: the caller owns the clock and calls
-/// [`ChaosRunner::poll`] with the elapsed run time; every event whose
-/// `at_ms` has passed is applied, in order. This keeps the runner free
-/// of threads and lets tests drive it from their own pacing loop.
+/// What a schedule is replayed against: whatever runs the nodes. The
+/// mapping from [`ChaosAction`]s to these primitives is
+/// [`ChaosAction::apply`], the same for every target; each is a no-op on
+/// a node the target does not run or that is down.
+pub trait ChaosTarget {
+    /// The topology the target runs.
+    fn graph(&self) -> &Graph;
+
+    /// Impairs (`Some`) or restores to its baseline (`None`) one
+    /// directed edge, in its source's fault plan.
+    fn set_edge(&mut self, edge: EdgeId, fault: Option<LinkFault>);
+
+    /// Stops `node` entirely (`up` false) or restarts it as a fresh
+    /// incarnation; a no-op if it is already so.
+    ///
+    /// # Errors
+    ///
+    /// Whatever starting a node can fail with (re-binding its port).
+    fn set_running(&mut self, node: NodeId, up: bool) -> Result<(), OverlayError>;
+
+    /// Makes one of `node`'s protocol threads panic, if it has any.
+    fn panic_thread(&mut self, node: NodeId, thread: NodeThread);
+
+    /// Parks `shipments` synthetic data shipments in `node`'s outbound
+    /// queue for `dwell`.
+    fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration);
+}
+
+impl ChaosAction {
+    /// Applies the action to `target`; a node-wide impairment is every
+    /// edge incident to the node, both directions.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ChaosTarget::set_running`]'s.
+    pub fn apply(&self, target: &mut impl ChaosTarget) -> Result<(), OverlayError> {
+        fn around(target: &mut impl ChaosTarget, node: NodeId, fault: Option<LinkFault>) {
+            for edge in incident_edges(target.graph(), node) {
+                target.set_edge(edge, fault);
+            }
+        }
+        match *self {
+            ChaosAction::InjectEdge { edge, fault } => target.set_edge(edge, Some(fault)),
+            ChaosAction::HealEdge { edge } => target.set_edge(edge, None),
+            ChaosAction::ImpairNode { node, fault } => around(target, node, Some(fault)),
+            ChaosAction::HealNode { node } => around(target, node, None),
+            ChaosAction::CrashNode { node } => target.set_running(node, false)?,
+            ChaosAction::RestartNode { node } => target.set_running(node, true)?,
+            ChaosAction::PanicThread { node, thread } => target.panic_thread(node, thread),
+            ChaosAction::Overload { node, shipments, dwell_ms } => {
+                target.overload(node, shipments, Duration::from_millis(dwell_ms));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Every edge incident to `node`, out-edges first.
+pub(crate) fn incident_edges(graph: &Graph, node: NodeId) -> Vec<EdgeId> {
+    graph.out_edges(node).iter().chain(graph.in_edges(node)).copied().collect()
+}
+
+/// Replays a [`ChaosSchedule`] against a [`ChaosTarget`]. Poll-driven:
+/// the caller owns the clock and calls [`ChaosRunner::poll`] with the
+/// elapsed run time; every event whose `at_ms` has passed is applied,
+/// in order.
 #[derive(Debug)]
 pub struct ChaosRunner {
     events: Vec<ChaosEvent>,
@@ -360,11 +425,17 @@ pub struct ChaosRunner {
 }
 
 impl ChaosRunner {
-    /// A runner over `schedule`, sorted by fire time.
-    pub fn new(schedule: &ChaosSchedule) -> ChaosRunner {
+    /// A runner over `schedule`, checked against the topology it will
+    /// be replayed on and sorted by fire time.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChaosSchedule::validate`].
+    pub fn new(schedule: &ChaosSchedule, graph: &Graph) -> Result<ChaosRunner, OverlayError> {
+        schedule.validate(graph)?;
         let mut events = schedule.events.clone();
         events.sort_by_key(|e| e.at_ms);
-        ChaosRunner { events, next: 0 }
+        Ok(ChaosRunner { events, next: 0 })
     }
 
     /// Applies every event due at `elapsed`; returns how many fired.
@@ -375,16 +446,15 @@ impl ChaosRunner {
     /// its port; earlier events in the batch stay applied.
     pub fn poll(
         &mut self,
-        cluster: &mut Cluster,
+        target: &mut impl ChaosTarget,
         elapsed: Duration,
     ) -> Result<usize, OverlayError> {
         let now_ms = elapsed.as_millis() as u64;
         let mut fired = 0;
         while self.next < self.events.len() && self.events[self.next].at_ms <= now_ms {
-            let event = self.events[self.next].clone();
             self.next += 1;
             fired += 1;
-            apply(cluster, &event.action)?;
+            self.events[self.next - 1].action.clone().apply(target)?;
         }
         Ok(fired)
     }
@@ -393,50 +463,6 @@ impl ChaosRunner {
     pub fn next_due_ms(&self) -> Option<u64> {
         self.events.get(self.next).map(|e| e.at_ms)
     }
-
-    /// True when every event has fired.
-    pub fn finished(&self) -> bool {
-        self.next >= self.events.len()
-    }
-}
-
-/// Applies one action to the cluster. Crash/restart of an
-/// already-dead/alive node is a no-op, so schedules compose safely.
-fn apply(cluster: &mut Cluster, action: &ChaosAction) -> Result<(), OverlayError> {
-    match *action {
-        ChaosAction::InjectEdge { edge, fault } => cluster.set_link_impairment(edge, fault),
-        ChaosAction::HealEdge { edge } => cluster.clear_link_fault(edge),
-        ChaosAction::ImpairNode { node, fault } => {
-            for edge in incident_edges(cluster, node) {
-                cluster.set_link_impairment(edge, fault);
-            }
-        }
-        ChaosAction::HealNode { node } => {
-            for edge in incident_edges(cluster, node) {
-                cluster.clear_link_fault(edge);
-            }
-        }
-        ChaosAction::CrashNode { node } => {
-            if cluster.is_alive(node) {
-                cluster.kill_node(node);
-            }
-        }
-        ChaosAction::RestartNode { node } => {
-            if !cluster.is_alive(node) {
-                cluster.restart_node(node)?;
-            }
-        }
-        ChaosAction::PanicThread { node, thread } => cluster.panic_thread(node, thread),
-        ChaosAction::Overload { node, shipments, dwell_ms } => {
-            cluster.inject_overload(node, shipments, Duration::from_millis(dwell_ms));
-        }
-    }
-    Ok(())
-}
-
-fn incident_edges(cluster: &Cluster, node: NodeId) -> Vec<EdgeId> {
-    let graph = cluster.graph();
-    graph.out_edges(node).iter().chain(graph.in_edges(node)).copied().collect()
 }
 
 #[cfg(test)]
@@ -525,112 +551,104 @@ mod tests {
         let den = graph.node_by_name("DEN").unwrap();
         let nyc_out = graph.out_edges(nyc)[0];
         let fault = LinkFault { loss: 0.5, ..LinkFault::default() };
-        let schedule = ChaosSchedule {
-            seed: 1,
-            events: vec![
-                ChaosEvent { at_ms: 10, action: ChaosAction::InjectEdge { edge: nyc_out, fault } },
-                ChaosEvent { at_ms: 20, action: ChaosAction::ImpairNode { node: den, fault } },
-                ChaosEvent { at_ms: 30, action: ChaosAction::HealNode { node: den } },
-                ChaosEvent { at_ms: 40, action: ChaosAction::CrashNode { node: den } },
-                ChaosEvent { at_ms: 50, action: ChaosAction::RestartNode { node: den } },
-                ChaosEvent { at_ms: 60, action: ChaosAction::HealEdge { edge: nyc_out } },
-            ],
-        };
-
+        let actions = [
+            ChaosAction::InjectEdge { edge: nyc_out, fault },
+            ChaosAction::ImpairNode { node: den, fault },
+            ChaosAction::HealNode { node: den },
+            ChaosAction::CrashNode { node: den },
+            ChaosAction::RestartNode { node: den },
+            ChaosAction::HealEdge { edge: nyc_out },
+        ];
+        let events = actions.iter().cloned().zip((10..).step_by(10));
+        let events = events.map(|(action, at_ms)| ChaosEvent { at_ms, action }).collect();
+        let schedule = ChaosSchedule { seed: 1, events };
         // Process-level events are the harness's, never a daemon's.
-        let process: Vec<_> = schedule.process_events();
-        assert_eq!(process.len(), 2);
+        assert_eq!(schedule.process_events().len(), 2);
         for me in graph.nodes() {
-            for event in &schedule.shard_for_node(&graph, me).events {
-                assert!(
-                    !matches!(
-                        event.action,
-                        ChaosAction::CrashNode { .. } | ChaosAction::RestartNode { .. }
-                    ),
-                    "process event leaked into a shard"
-                );
-            }
+            let shard = schedule.shard_for_node(&graph, me);
+            let holds = |action: &ChaosAction| shard.events.iter().any(|e| &e.action == action);
+            assert!(
+                !holds(&actions[3]) && !holds(&actions[4]),
+                "process event leaked into a shard"
+            );
+            // NYC's own out-edge events stay; nobody else sees them.
+            assert_eq!(holds(&actions[0]), me == nyc);
+            assert_eq!(holds(&actions[5]), me == nyc);
+            // A problem around DEN is DEN's out-links and each
+            // neighbour's link toward it — together exactly the
+            // cluster's incident edges, both directions.
+            let around_den =
+                me == den || graph.in_edges(den).iter().any(|&e| graph.edge(e).src == me);
+            assert_eq!(holds(&actions[1]), around_den, "{}", graph.node(me).name);
+            assert_eq!(holds(&actions[2]), around_den);
         }
-
-        // NYC's own out-edge events stay; nobody else sees them.
-        let nyc_shard = schedule.shard_for_node(&graph, nyc);
-        assert!(nyc_shard
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::InjectEdge { edge, .. } if edge == nyc_out)));
-        let sjc = graph.node_by_name("SJC").unwrap();
-        assert!(!schedule
-            .shard_for_node(&graph, sjc)
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::InjectEdge { edge, .. } if edge == nyc_out)));
-
-        // ImpairNode{DEN} lowers to: DEN impairing its own out-links,
-        // plus each neighbour impairing its edge toward DEN — together
-        // exactly the cluster's incident_edges (both directions).
-        let den_shard = schedule.shard_for_node(&graph, den);
-        assert!(den_shard
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::ImpairNode { node, .. } if node == den)));
-        let mut lowered_in_edges = Vec::new();
-        for me in graph.nodes() {
-            if me == den {
-                continue;
-            }
-            for event in &schedule.shard_for_node(&graph, me).events {
-                if let ChaosAction::InjectEdge { edge, .. } = event.action {
-                    let info = graph.edge(edge);
-                    if info.dst == den {
-                        assert_eq!(info.src, me, "a daemon can only impair its own out-links");
-                        lowered_in_edges.push(edge);
-                    }
-                }
-            }
-        }
-        lowered_in_edges.sort_by_key(|e| e.index());
-        let mut expected: Vec<EdgeId> = graph.in_edges(den).to_vec();
-        expected.sort_by_key(|e| e.index());
-        assert_eq!(lowered_in_edges, expected, "every in-edge of DEN is covered by a neighbour");
     }
 
     #[test]
-    fn shift_and_rebase_preserve_absolute_fire_times() {
-        let schedule = ChaosSchedule {
-            seed: 0,
-            events: vec![
-                ChaosEvent { at_ms: 100, action: ChaosAction::HealEdge { edge: EdgeId::new(0) } },
-                ChaosEvent { at_ms: 400, action: ChaosAction::HealEdge { edge: EdgeId::new(1) } },
-            ],
+    fn shifting_delays_every_event_alike() {
+        let heal = |at_ms, edge| ChaosEvent {
+            at_ms,
+            action: ChaosAction::HealEdge { edge: EdgeId::new(edge) },
         };
+        let schedule = ChaosSchedule { seed: 0, events: vec![heal(100, 0), heal(400, 1)] };
         let shifted = schedule.shifted(2_000);
-        assert_eq!(shifted.events[0].at_ms, 2_100);
-        assert_eq!(shifted.events[1].at_ms, 2_400);
-
-        // A daemon respawned 2.2 s into the run sees only the future
-        // event, 200 ms away on its own clock — the same wall-clock
-        // instant the original schedule intended.
-        let rebased = shifted.rebased(2_200);
-        assert_eq!(rebased.events.len(), 1);
-        assert_eq!(rebased.events[0].at_ms, 200);
-
-        assert_eq!(schedule.end_ms(), 400);
+        assert_eq!(shifted.events, [heal(2_100, 0), heal(2_400, 1)]);
+        assert_eq!((schedule.end_ms(), shifted.end_ms()), (400, 2_400));
         assert_eq!(ChaosSchedule { seed: 0, events: vec![] }.end_ms(), 0);
     }
 
-    #[test]
-    fn runner_fires_events_in_time_order() {
-        // Pure sequencing test: no due events before their time, all
-        // fired once past the end.
-        let schedule = ChaosSchedule {
-            seed: 0,
-            events: vec![
-                ChaosEvent { at_ms: 50, action: ChaosAction::HealEdge { edge: EdgeId::new(1) } },
-                ChaosEvent { at_ms: 10, action: ChaosAction::HealEdge { edge: EdgeId::new(0) } },
-            ],
+    /// The rule `validate` — and so `ChaosRunner::new` — refuses a
+    /// schedule on a three-site ring for, with `action` its second event.
+    fn refusal(action: ChaosAction) -> &'static str {
+        let graph = dg_topology::presets::ring(3, Micros::from_millis(1));
+        let edge = EdgeId::new(graph.edge_count() as u32 - 1);
+        let burst = Some(BurstLoss { p_enter: 0.0, p_exit: 1.0, good_loss: 0.5, bad_loss: 0.5 });
+        let sound = ChaosAction::InjectEdge {
+            edge,
+            fault: LinkFault { loss: 1.0, burst, ..LinkFault::default() },
         };
-        let runner = ChaosRunner::new(&schedule);
-        assert_eq!(runner.next_due_ms(), Some(10), "events are sorted");
-        assert!(!runner.finished());
+        let events = [sound.clone(), sound, action].map(|action| ChaosEvent { at_ms: 0, action });
+        let mut schedule = ChaosSchedule { seed: 0, events: events.into() };
+        assert!(ChaosRunner::new(&schedule, &graph).is_err());
+        let Err(OverlayError::InvalidChaos { event: 2, rule }) = schedule.validate(&graph) else {
+            panic!("{:?} was not refused by its index", schedule.events[2]);
+        };
+        schedule.events.pop();
+        assert!(ChaosRunner::new(&schedule, &graph).is_ok(), "the sound events alone validate");
+        rule
+    }
+
+    #[test]
+    fn an_edge_the_topology_lacks_is_refused() {
+        let edge = EdgeId::new(6);
+        assert!(refusal(ChaosAction::HealEdge { edge }).starts_with("edge must"));
+        assert!(refusal(ChaosAction::InjectEdge { edge, fault: LinkFault::default() })
+            .starts_with("edge must"));
+    }
+
+    #[test]
+    fn a_site_the_topology_lacks_is_refused() {
+        let node = NodeId::new(3);
+        assert!(refusal(ChaosAction::CrashNode { node }).starts_with("node must"));
+        assert!(refusal(ChaosAction::ImpairNode { node, fault: LinkFault::default() })
+            .starts_with("node must"));
+    }
+
+    #[test]
+    fn a_probability_outside_the_unit_interval_is_refused() {
+        let (edge, node) = (EdgeId::new(0), NodeId::new(0));
+        let too_lossy = LinkFault { loss: 1.5, ..LinkFault::default() };
+        let corrupt_nan = LinkFault { corrupt: f64::NAN, ..LinkFault::default() };
+        assert!(refusal(ChaosAction::InjectEdge { edge, fault: too_lossy }).starts_with("loss, "));
+        assert!(refusal(ChaosAction::ImpairNode { node, fault: corrupt_nan }).starts_with("loss, "));
+    }
+
+    #[test]
+    fn a_burst_parameter_outside_the_unit_interval_is_refused() {
+        let burst = Some(BurstLoss { p_enter: 0.1, p_exit: -0.2, good_loss: 0.0, bad_loss: 1.0 });
+        let fault = LinkFault { burst, ..LinkFault::default() };
+        assert!(
+            refusal(ChaosAction::InjectEdge { edge: EdgeId::new(0), fault }).starts_with("burst")
+        );
     }
 }

@@ -6,19 +6,16 @@
 //! the full transport service, including its monitoring and recovery
 //! protocols, runs with realistic WAN timing on one machine.
 
+use crate::chaos::{incident_edges, ChaosTarget};
 use crate::config::NodeConfig;
-use crate::fault::LinkFault;
+use crate::fault::{FaultPlan, LinkFault};
 use crate::metrics::{ClusterMetricsReport, NodeThread};
 use crate::node::{OverlayHandle, OverlayNode};
 use crate::runtime::Runtime;
 use crate::session::{FlowGroup, FlowReceiver, FlowSender};
-use crate::wire::DigestEntry;
 use crate::OverlayError;
 use dg_core::scheme::{SchemeKind, SchemeParams};
-use dg_core::{
-    build_scheme_cached, Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequirement,
-    SlaClass,
-};
+use dg_core::{build_scheme_cached, Flow, GraphCache, MulticastKind, ServiceRequirement, SlaClass};
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
@@ -83,17 +80,75 @@ impl Default for ClusterConfig {
     }
 }
 
+/// What a whole overlay is launched from, over sockets ([`Cluster`]) or
+/// stepped ([`crate::simnet::Net`]): node configurations, restarts and
+/// edge impairments are derived here, once, for both.
+#[derive(Debug)]
+pub(crate) struct Emulation {
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) config: ClusterConfig,
+    /// Baseline emulated delay per edge, so injected faults compose.
+    base_delay: Vec<Micros>,
+    /// Shared precomputed dissemination graphs for sender setup, so
+    /// many flows over the same topology intern one computation.
+    pub(crate) scheme_cache: GraphCache,
+}
+
+impl Emulation {
+    pub(crate) fn new(graph: &Graph, config: ClusterConfig) -> Emulation {
+        let graph = Arc::new(graph.clone());
+        let scaled = |latency: Micros| (latency.as_micros() as f64 * config.latency_scale) as u64;
+        let base_delay =
+            graph.edges().map(|e| Micros::from_micros(scaled(graph.edge(e).latency))).collect();
+        let scheme_cache = GraphCache::new(Arc::clone(&graph), SchemeParams::default());
+        Emulation { graph, config, base_delay, scheme_cache }
+    }
+
+    /// One node's configuration under the cluster-wide settings. A
+    /// restart uses the same derivation as the launch, so a node's
+    /// fault-RNG seed and peer table survive its death.
+    pub(crate) fn node_config(&self, addrs: &[SocketAddr], node: NodeId) -> NodeConfig {
+        let config = &self.config;
+        NodeConfig {
+            peers: self.graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect(),
+            hello_interval: config.hello_interval,
+            link_state_interval: config.link_state_interval,
+            fault_seed: config.fault_seed
+                ^ (node.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            max_batch_bytes: config.max_batch_bytes,
+            digest_interval: config.digest_interval,
+            flap_hold_down: config.flap_hold_down,
+            watchdog_stale_after: config.watchdog_stale_after,
+            shipper_queue: config.shipper_queue,
+            sender_capacity: config.sender_capacity,
+            overload_hold_down: config.overload_hold_down,
+            ..NodeConfig::new(node, addrs[node.index()])
+        }
+    }
+
+    /// Impairs (`Some`) or restores to its emulated baseline (`None`)
+    /// the directed `edge` in `faults`, its source's plan; an
+    /// impairment's delay composes on top of the propagation delay.
+    pub(crate) fn set_edge(&self, faults: &FaultPlan, edge: EdgeId, fault: Option<LinkFault>) {
+        let fault = fault.unwrap_or_default();
+        let delay = self.base_delay[edge.index()].saturating_add(fault.delay);
+        faults.set(self.graph.edge(edge).dst, LinkFault { delay, ..fault });
+    }
+
+    /// Emulates propagation delay on each of `node`'s out-links, in
+    /// `faults`, a fresh plan of that node.
+    pub(crate) fn apply_base_delays(&self, faults: &FaultPlan, node: NodeId) {
+        for &e in self.graph.out_edges(node) {
+            self.set_edge(faults, e, None);
+        }
+    }
+}
+
 /// A running localhost overlay: one node per topology site.
 #[derive(Debug)]
 pub struct Cluster {
-    graph: Arc<Graph>,
+    emu: Emulation,
     handles: Vec<Option<OverlayHandle>>,
-    config: ClusterConfig,
-    /// Shared precomputed dissemination graphs for sender setup, so
-    /// many flows over the same topology intern one computation.
-    scheme_cache: GraphCache,
-    /// Baseline emulated delay per edge, so injected faults compose.
-    base_delay: Vec<Micros>,
     /// Every node's bound address, kept so a killed node can restart on
     /// the same port and its peers need no reconfiguration.
     addrs: Vec<SocketAddr>,
@@ -108,32 +163,27 @@ impl Cluster {
     /// [`OverlayError::InvalidConfig`] when `config` breaks one of
     /// [`NodeConfig::validate`]'s rules.
     pub fn launch(graph: &Graph, config: ClusterConfig) -> Result<Cluster, OverlayError> {
-        let graph = Arc::new(graph.clone());
+        let emu = Emulation::new(graph, config);
         // Bind every socket first so all peer addresses are known.
         let sockets: Vec<UdpSocket> = (0..graph.node_count())
             .map(|_| UdpSocket::bind("127.0.0.1:0"))
             .collect::<Result<_, _>>()?;
         let addrs: Vec<SocketAddr> =
             sockets.iter().map(|s| s.local_addr()).collect::<Result<_, _>>()?;
-
-        let base_delay: Vec<Micros> = graph
-            .edges()
-            .map(|e| {
-                Micros::from_micros(
-                    (graph.edge(e).latency.as_micros() as f64 * config.latency_scale) as u64,
-                )
-            })
-            .collect();
-
-        let mut handles = Vec::with_capacity(graph.node_count());
+        let mut cluster = Cluster { emu, handles: Vec::new(), addrs };
         for (socket, node) in sockets.into_iter().zip(graph.nodes()) {
-            let node_config = make_node_config(&graph, &addrs, &config, node);
-            let handle = OverlayNode::spawn_with_socket(node_config, Arc::clone(&graph), socket)?;
-            apply_base_delays(&handle, &graph, &base_delay, node);
-            handles.push(Some(handle));
+            let handle = cluster.spawn(node, socket)?;
+            cluster.handles.push(Some(handle));
         }
-        let scheme_cache = GraphCache::new(Arc::clone(&graph), SchemeParams::default());
-        Ok(Cluster { graph, handles, config, scheme_cache, base_delay, addrs })
+        Ok(cluster)
+    }
+
+    /// Starts `node` over `socket` with its emulated link delays.
+    fn spawn(&self, node: NodeId, socket: UdpSocket) -> Result<OverlayHandle, OverlayError> {
+        let config = self.emu.node_config(&self.addrs, node);
+        let handle = OverlayNode::spawn_with_socket(config, Arc::clone(&self.emu.graph), socket)?;
+        self.emu.apply_base_delays(handle.faults(), node);
+        Ok(handle)
     }
 
     /// [`Cluster::launch`] under the name `benchmark/` calls it by; goes
@@ -153,7 +203,7 @@ impl Cluster {
 
     /// The topology this cluster runs.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.emu.graph
     }
 
     /// The node handle for `node`.
@@ -180,23 +230,6 @@ impl Cluster {
         self.handles[node.index()].is_some()
     }
 
-    /// Makes one protocol thread of `node` panic at its next checkpoint
-    /// — the supervisor catches it, journals the crash, and restarts
-    /// the thread. A no-op if the node has been killed.
-    pub fn panic_thread(&self, node: NodeId, thread: NodeThread) {
-        if let Some(handle) = &self.handles[node.index()] {
-            handle.inject_thread_panic(thread);
-        }
-    }
-
-    /// The per-origin `(epoch, seq)` link-state digest of one node, or
-    /// an empty digest for a killed node. Two nodes with identical
-    /// digests hold identical link-state databases — the convergence
-    /// check partition tests poll.
-    pub fn link_state_digest(&self, node: NodeId) -> Vec<DigestEntry> {
-        self.handles[node.index()].as_ref().map_or_else(Vec::new, OverlayHandle::link_state_digest)
-    }
-
     /// Restarts a previously killed node on its original port. The
     /// replacement process mints a fresh link-state epoch, so its reset
     /// sequence numbers are accepted by peers that remember the old
@@ -213,10 +246,7 @@ impl Cluster {
     pub fn restart_node(&mut self, node: NodeId) -> Result<(), OverlayError> {
         assert!(self.handles[node.index()].is_none(), "restarting a live node");
         let socket = UdpSocket::bind(self.addrs[node.index()])?;
-        let node_config = make_node_config(&self.graph, &self.addrs, &self.config, node);
-        let handle = OverlayNode::spawn_with_socket(node_config, Arc::clone(&self.graph), socket)?;
-        apply_base_delays(&handle, &self.graph, &self.base_delay, node);
-        self.handles[node.index()] = Some(handle);
+        self.handles[node.index()] = Some(self.spawn(node, socket)?);
         Ok(())
     }
 
@@ -231,7 +261,7 @@ impl Cluster {
         kind: SchemeKind,
         requirement: ServiceRequirement,
     ) -> Result<FlowSender, OverlayError> {
-        let scheme = build_scheme_cached(kind, &self.scheme_cache, flow, requirement)?;
+        let scheme = build_scheme_cached(kind, &self.emu.scheme_cache, flow, requirement)?;
         self.node(flow.source).open_sender(scheme, requirement)
     }
 
@@ -248,7 +278,7 @@ impl Cluster {
         requirement: ServiceRequirement,
         class: SlaClass,
     ) -> Result<FlowSender, OverlayError> {
-        let scheme = build_scheme_cached(kind, &self.scheme_cache, flow, requirement)?;
+        let scheme = build_scheme_cached(kind, &self.emu.scheme_cache, flow, requirement)?;
         self.node(flow.source).open_sender_with_class(scheme, requirement, class)
     }
 
@@ -292,20 +322,6 @@ impl Cluster {
         Ok((group, sessions))
     }
 
-    /// Floods `node`'s outbound data queue with synthetic bulk-class
-    /// pressure (see [`OverlayHandle::inject_overload`]). A no-op on a
-    /// killed node.
-    pub fn inject_overload(&self, node: NodeId, shipments: usize, dwell: Duration) {
-        if let Some(handle) = self.handles[node.index()].as_ref() {
-            handle.inject_overload(shipments, dwell);
-        }
-    }
-
-    /// Counters of the cluster's shared scheme-construction cache.
-    pub fn scheme_cache_stats(&self) -> GraphCacheStats {
-        self.scheme_cache.stats()
-    }
-
     /// Opens a receiver at the flow's destination.
     ///
     /// # Errors
@@ -334,13 +350,13 @@ impl Cluster {
     ///
     /// Panics if `edge` is out of range.
     pub fn set_link_impairment(&self, edge: EdgeId, fault: LinkFault) {
-        let info = self.graph.edge(edge);
-        let Some(handle) = self.handles[info.src.index()].as_ref() else {
-            return;
-        };
-        let composed =
-            LinkFault { delay: self.base_delay[edge.index()].saturating_add(fault.delay), ..fault };
-        handle.faults().set(info.dst, composed);
+        self.set_edge(edge, Some(fault));
+    }
+
+    fn set_edge(&self, edge: EdgeId, fault: Option<LinkFault>) {
+        if let Some(handle) = self.handles[self.emu.graph.edge(edge).src.index()].as_ref() {
+            self.emu.set_edge(handle.faults(), edge, fault);
+        }
     }
 
     /// Restores a directed edge to its emulated baseline. Killed source
@@ -350,23 +366,20 @@ impl Cluster {
     ///
     /// Panics if `edge` is out of range.
     pub fn clear_link_fault(&self, edge: EdgeId) {
-        let info = self.graph.edge(edge);
-        if let Some(handle) = self.handles[info.src.index()].as_ref() {
-            handle.faults().set(info.dst, LinkFault::delayed(self.base_delay[edge.index()]));
-        }
+        self.set_edge(edge, None);
     }
 
     /// Impairs every link incident to `node` (both directions) — the
     /// paper's "problem around a node".
     pub fn impair_node(&self, node: NodeId, loss: f64, extra_delay: Micros) {
-        for &e in self.graph.out_edges(node).iter().chain(self.graph.in_edges(node)) {
+        for e in incident_edges(&self.emu.graph, node) {
             self.set_link_fault(e, loss, extra_delay);
         }
     }
 
     /// Clears impairments on every link incident to `node`.
     pub fn heal_node(&self, node: NodeId) {
-        for &e in self.graph.out_edges(node).iter().chain(self.graph.in_edges(node)) {
+        for e in incident_edges(&self.emu.graph, node) {
             self.clear_link_fault(e);
         }
     }
@@ -381,7 +394,7 @@ impl Cluster {
                 .handles
                 .iter()
                 .flatten()
-                .all(|h| h.link_state_origins() == self.graph.node_count());
+                .all(|h| h.link_state_origins() == self.emu.graph.node_count());
             if converged {
                 return true;
             }
@@ -418,34 +431,33 @@ impl Drop for Cluster {
     }
 }
 
-/// One node's configuration under cluster-wide settings. Restart uses
-/// the same derivation as launch, so a node's fault-RNG seed and peer
-/// table survive its death.
-fn make_node_config(
-    graph: &Graph,
-    addrs: &[SocketAddr],
-    config: &ClusterConfig,
-    node: NodeId,
-) -> NodeConfig {
-    NodeConfig {
-        peers: graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect(),
-        hello_interval: config.hello_interval,
-        link_state_interval: config.link_state_interval,
-        fault_seed: config.fault_seed ^ (node.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        max_batch_bytes: config.max_batch_bytes,
-        digest_interval: config.digest_interval,
-        flap_hold_down: config.flap_hold_down,
-        watchdog_stale_after: config.watchdog_stale_after,
-        shipper_queue: config.shipper_queue,
-        sender_capacity: config.sender_capacity,
-        overload_hold_down: config.overload_hold_down,
-        ..NodeConfig::new(node, addrs[node.index()])
+impl ChaosTarget for Cluster {
+    fn graph(&self) -> &Graph {
+        &self.emu.graph
     }
-}
 
-/// Emulates propagation delay on each of `node`'s out-links.
-fn apply_base_delays(handle: &OverlayHandle, graph: &Graph, base_delay: &[Micros], node: NodeId) {
-    for &e in graph.out_edges(node) {
-        handle.faults().set(graph.edge(e).dst, LinkFault::delayed(base_delay[e.index()]));
+    fn set_edge(&mut self, edge: EdgeId, fault: Option<LinkFault>) {
+        Cluster::set_edge(self, edge, fault);
+    }
+
+    fn set_running(&mut self, node: NodeId, up: bool) -> Result<(), OverlayError> {
+        match (self.is_alive(node), up) {
+            (true, false) => self.kill_node(node),
+            (false, true) => self.restart_node(node)?,
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn panic_thread(&mut self, node: NodeId, thread: NodeThread) {
+        if let Some(handle) = &self.handles[node.index()] {
+            handle.inject_thread_panic(thread);
+        }
+    }
+
+    fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration) {
+        if let Some(handle) = &self.handles[node.index()] {
+            handle.inject_overload(shipments, dwell);
+        }
     }
 }

@@ -31,6 +31,14 @@ pub enum OverlayError {
     /// A node configuration breaks the named rule: its values are
     /// inconsistent with each other or do not fit the topology.
     InvalidConfig(&'static str),
+    /// A chaos schedule breaks the named rule against the topology it
+    /// is to be replayed on (see `ChaosSchedule::validate`).
+    InvalidChaos {
+        /// Index of the offending event in the schedule's list.
+        event: usize,
+        /// The rule it breaks.
+        rule: &'static str,
+    },
     /// The node refused a new sender session: it is already at its
     /// configured capacity (see `NodeConfig::sender_capacity`).
     AdmissionDenied {
@@ -54,6 +62,9 @@ impl fmt::Display for OverlayError {
                 write!(f, "payload too large: {got} bytes exceeds {max}")
             }
             OverlayError::InvalidConfig(rule) => write!(f, "invalid configuration: {rule}"),
+            OverlayError::InvalidChaos { event, rule } => {
+                write!(f, "invalid chaos schedule: event {event}: {rule}")
+            }
             OverlayError::AdmissionDenied { active, capacity } => {
                 write!(f, "admission denied: {active} senders open, capacity {capacity}")
             }

@@ -121,6 +121,11 @@ impl FaultVerdict {
     fn clean(delay: Micros) -> Self {
         FaultVerdict { drop: false, delay, duplicate: false, corrupt: false, corrupt_seed: 0 }
     }
+
+    /// The datagram is lost.
+    fn dropped() -> Self {
+        FaultVerdict { drop: true, ..FaultVerdict::clean(Micros::ZERO) }
+    }
 }
 
 /// SplitMix64 step: advances the state and returns a 64-bit draw.
@@ -202,11 +207,6 @@ impl FaultPlan {
         self.links.lock().remove(&neighbor);
     }
 
-    /// Current impairment toward `neighbor` (default: none).
-    pub fn get(&self, neighbor: NodeId) -> LinkFault {
-        self.links.lock().get(&neighbor).map(|e| e.fault).unwrap_or_default()
-    }
-
     /// Decides the fate of one datagram toward `neighbor`, advancing
     /// the link's deterministic RNG and burst state.
     pub fn decide(&self, neighbor: NodeId) -> FaultVerdict {
@@ -216,13 +216,7 @@ impl FaultPlan {
         };
         let fault = entry.fault;
         if fault.blackhole {
-            return FaultVerdict {
-                drop: true,
-                delay: Micros::ZERO,
-                duplicate: false,
-                corrupt: false,
-                corrupt_seed: 0,
-            };
+            return FaultVerdict::dropped();
         }
         // Work on local copies of the mutable state so the borrow of
         // `entry` stays simple; write back before returning.
@@ -249,13 +243,7 @@ impl FaultPlan {
             drop = true;
         }
         let verdict = if drop {
-            FaultVerdict {
-                drop: true,
-                delay: Micros::ZERO,
-                duplicate: false,
-                corrupt: false,
-                corrupt_seed: 0,
-            }
+            FaultVerdict::dropped()
         } else {
             let mut delay = fault.delay;
             if fault.jitter > Micros::ZERO {
@@ -306,17 +294,16 @@ mod tests {
     }
 
     #[test]
-    fn set_get_clear() {
+    fn set_impairs_one_neighbour_until_cleared() {
         let plan = FaultPlan::new();
-        let n = NodeId::new(4);
-        assert_eq!(plan.get(n), LinkFault::default());
-        let f = LinkFault::lossy(0.25, Micros::from_millis(9));
-        plan.set(n, f);
-        assert_eq!(plan.get(n), f);
+        let (n, other) = (NodeId::new(4), NodeId::new(5));
+        let delayed = FaultVerdict::clean(Micros::from_millis(9));
+        plan.set(n, LinkFault::delayed(delayed.delay));
+        assert_eq!(plan.decide(n), delayed);
         // Other neighbours are untouched.
-        assert_eq!(plan.get(NodeId::new(5)), LinkFault::default());
+        assert_eq!(plan.decide(other), FaultVerdict::clean(Micros::ZERO));
         plan.clear(n);
-        assert_eq!(plan.get(n), LinkFault::default());
+        assert_eq!(plan.decide(n), FaultVerdict::clean(Micros::ZERO));
     }
 
     #[test]

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod carrier;
 pub mod chaos;
 mod clock;
 pub mod cluster;
@@ -68,6 +69,8 @@ mod runtime;
 pub mod session;
 #[doc(hidden)]
 pub mod shard;
+#[doc(hidden)]
+pub mod simnet;
 pub mod sla;
 pub mod wire;
 

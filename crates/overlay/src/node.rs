@@ -3,18 +3,18 @@
 //! [`crate::core`]; threads, the socket, the clock and fault injection
 //! are [`crate::runtime`].
 
+use crate::chaos::ChaosTarget;
 use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::core::Route;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, LinkFault};
 use crate::metrics::{MetricsSnapshot, NodeThread};
 use crate::runtime::{spawn_threads, Driver};
 use crate::session::{FlowGroup, FlowReceiver, FlowSender, Session};
-use crate::wire::DigestEntry;
 use crate::OverlayError;
 use dg_core::scheme::RoutingScheme;
-use dg_core::{Flow, GraphCacheStats, MulticastKind, ServiceRequirement, SlaClass};
-use dg_topology::{Graph, NodeId};
+use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
+use dg_topology::{EdgeId, Graph, NodeId};
 use dg_trace::NetworkState;
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -231,12 +231,6 @@ impl OverlayHandle {
         self.driver.with_core(|core| core.linkstate.network_state(now_us()))
     }
 
-    /// Counters of this node's precomputed-graph cache (hits, misses,
-    /// link-state invalidations).
-    pub fn graph_cache_stats(&self) -> GraphCacheStats {
-        self.driver.with_core(|core| core.graph_cache.stats())
-    }
-
     /// How many origins have reported link state so far.
     pub fn link_state_origins(&self) -> usize {
         self.driver.with_core(|core| core.linkstate.origins_heard())
@@ -265,12 +259,6 @@ impl OverlayHandle {
         self.driver.request_panic(thread);
     }
 
-    /// Per-origin `(epoch, seq)` summary of this node's link-state
-    /// database — the same digest the anti-entropy exchange advertises.
-    pub fn link_state_digest(&self) -> Vec<DigestEntry> {
-        self.driver.with_core(|core| core.linkstate.digest())
-    }
-
     /// Pauses (or resumes) this node's link-state origination. While
     /// paused the node stops minting new `(epoch, seq)` stamps but
     /// keeps probing hellos, answering digests, and flooding other
@@ -280,12 +268,6 @@ impl OverlayHandle {
     /// across nodes; forwarding is unaffected.
     pub fn set_origination_paused(&self, paused: bool) {
         self.driver.with_core(|core| core.originations_paused = paused);
-    }
-
-    /// Flows this node currently holds a duplicate-suppression window
-    /// for (idle ones are reclaimed on the ticker).
-    pub fn dedup_flows(&self) -> usize {
-        self.driver.with_core(|core| core.dedup.len())
     }
 
     /// The node's current overload degradation level (0 = full
@@ -319,4 +301,39 @@ impl OverlayHandle {
     /// shutdown returned means flushed. (The explicit form of dropping
     /// the handle.)
     pub fn shutdown(self) {}
+}
+
+/// One node as a chaos target: it enacts what is its own — faults on
+/// its out-links (unscaled: a deployed link has its real delay), its
+/// threads, its queue — and leaves the rest alone, a crash or restart of
+/// itself included: stopping a process is its owner's job.
+impl ChaosTarget for OverlayHandle {
+    fn graph(&self) -> &Graph {
+        &self.driver.graph
+    }
+
+    fn set_edge(&mut self, edge: EdgeId, fault: Option<LinkFault>) {
+        let info = self.driver.graph.edge(edge);
+        match fault {
+            _ if info.src != self.node_id() => {}
+            Some(fault) => self.faults().set(info.dst, fault),
+            None => self.faults().clear(info.dst),
+        }
+    }
+
+    fn set_running(&mut self, _node: NodeId, _up: bool) -> Result<(), OverlayError> {
+        Ok(())
+    }
+
+    fn panic_thread(&mut self, node: NodeId, thread: NodeThread) {
+        if node == self.node_id() {
+            self.inject_thread_panic(thread);
+        }
+    }
+
+    fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration) {
+        if node == self.node_id() {
+            self.inject_overload(shipments, dwell);
+        }
+    }
 }

@@ -5,23 +5,25 @@
 //! lock, takes it once per event — a datagram, a timer pass, a session's
 //! send, a handle's query — reads the clock once, lets the core say what
 //! should happen, and carries those [`Actions`] out before letting go,
-//! so a link's wire order is its sequence order. The fault plan is
-//! applied here, to frames on their way out; one it delays parks in the
-//! departure queue under the same lock. A panic in a core call unwinds
+//! so a link's wire order is its sequence order. Frames go out through
+//! the node's [`Carrier`], which applies the fault plan and parks what
+//! it delays, under the same lock. A panic in a core call unwinds
 //! through the guard without poisoning it, into the duty's supervision.
 
+use crate::carrier::Carrier;
 use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::core::{Actions, NodeCore};
-use crate::fault::{corrupt_in_place, FaultPlan};
-use crate::metrics::{EventKind, MetricsSnapshot, NodeStats, NodeThread};
+use crate::fault::FaultPlan;
+use crate::metrics::{EventKind, MetricsSnapshot, NodeThread};
+use crate::pool::BufferPool;
 use crate::session::{Delivery, FlowReceiver, DELIVERY_QUEUE};
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender, TrySendError};
 use dg_core::Flow;
 use dg_topology::{Graph, Micros, NodeId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::UdpSocket;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,45 +31,8 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Most datagrams the receive thread drains per socket wakeup before
-/// re-arming the blocking wait, so a burst costs one timeout cycle.
-const RX_BATCH: usize = 32;
-
 /// How long the receive thread blocks before re-checking for shutdown.
 const RECV_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// The departure queue: frames the fault plan delayed, keyed by
-/// departure instant and then by arrival, so the first entry leaves
-/// first and an instant's frames leave in the order they came.
-#[derive(Default)]
-struct Departures {
-    /// `(to, datagram, counts as data)` per departure.
-    queue: BTreeMap<(Micros, u64), (NodeId, Bytes, bool)>,
-    /// Data frames queued — the `backlog` the core's shed bands and
-    /// overload detector are told. Control frames do not count.
-    data: u64,
-    pushed: u64,
-}
-
-impl Departures {
-    fn push(&mut self, to: NodeId, datagram: Bytes, depart_at: Micros, data: bool) {
-        self.data += u64::from(data);
-        self.pushed += 1;
-        self.queue.insert((depart_at, self.pushed), (to, datagram, data));
-    }
-
-    /// When the earliest parked frame leaves.
-    fn head(&self) -> Option<Micros> {
-        self.queue.first_key_value().map(|(&(at, _), _)| at)
-    }
-
-    /// Takes the earliest parked frame if it is due.
-    fn pop_due(&mut self, now: Micros) -> Option<(NodeId, Bytes)> {
-        let (to, datagram, data) = self.queue.first_entry().filter(|e| e.key().0 <= now)?.remove();
-        self.data -= u64::from(data);
-        Some((to, datagram))
-    }
-}
 
 /// How long the timer thread may park at `now`: until the earliest
 /// parked departure (`head`) or the core's next protocol `deadline`. A
@@ -83,21 +48,12 @@ fn next_wake(
     wake.map(|at| Duration::from_micros(at.saturating_sub(now).as_micros()))
 }
 
-/// Accounts one wire transmission, node-wide and on its link.
-fn account_send(stats: &mut NodeStats, to: NodeId, len: usize) {
-    stats.counters.datagrams_sent += 1;
-    stats.counters.bytes_sent += len as u64;
-    let link = stats.link(to);
-    link.datagrams += 1;
-    link.bytes += len as u64;
-}
-
 /// What the node's one lock guards: the core, and what the driver needs
 /// to carry its actions out.
 struct Driven {
     core: NodeCore,
     actions: Actions,
-    parked: Departures,
+    carrier: Carrier,
     /// The delivery queue of each open receiving session, with the id
     /// that tells a replaced session's close from its successor's.
     receivers: HashMap<Flow, (u64, Sender<Delivery>)>,
@@ -149,7 +105,7 @@ impl Driver {
             state: Mutex::new(Driven {
                 core: NodeCore::new(Arc::clone(&config), Arc::clone(&graph), now),
                 actions: Actions::default(),
-                parked: Departures::default(),
+                carrier: Carrier::default(),
                 receivers: HashMap::new(),
                 receivers_opened: 0,
             }),
@@ -168,7 +124,7 @@ impl Driver {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let now = now_us();
-        let result = f(&mut st.core, now, st.parked.data, &mut st.actions);
+        let result = f(&mut st.core, now, st.carrier.backlog(), &mut st.actions);
         self.flush(st, now);
         result
     }
@@ -187,59 +143,19 @@ impl Driver {
         snap
     }
 
-    /// Carries the pending actions out: each frame through the fault
-    /// plan to the wire or the departure queue, then each delivery to
-    /// its session's queue. What only the carrier sees — a wire send, a
-    /// fault verdict, a parked or delivery shed — is counted into the
-    /// core's statistics here.
+    /// Carries the pending actions out: the frames through the carrier
+    /// to the socket, then each delivery to its session's queue (a full
+    /// one sheds, counted here).
     fn flush(&self, st: &mut Driven, now: Micros) {
-        let Driven { core, actions, parked, receivers, .. } = st;
-        let (stats, shipper_queue) = (&mut core.stats, self.config.shipper_queue as u64);
-        let head = parked.head();
-        for (to, datagram, class) in actions.frames.drain(..) {
-            let verdict = self.faults.decide(to);
-            if verdict.drop {
-                stats.counters.fault_drops += 1;
-                continue;
-            }
-            let datagram = if verdict.corrupt {
-                stats.counters.fault_corruptions += 1;
-                let mut bytes = datagram.to_vec();
-                corrupt_in_place(&mut bytes, verdict.corrupt_seed);
-                Bytes::from(bytes)
-            } else {
-                datagram
-            };
-            // The hot path: no delay, so no queue and no context
-            // switch — the frame leaves on the calling thread.
-            if verdict.delay == Micros::ZERO && !verdict.duplicate {
-                account_send(stats, to, datagram.len());
-                self.send_now(to, &datagram);
-                core.frame_pool.recycle(datagram);
-                continue;
-            }
-            // A delayed frame parks and is accounted as sent — or, a
-            // data frame finding `shipper_queue` of them parked, is shed
-            // against its class, uncounted. Control frames (no class)
-            // never are: data cannot starve hellos into a link-down.
-            let depart_at = now.saturating_add(verdict.delay);
-            let mut park = |stats: &mut NodeStats, datagram: Bytes| {
-                if let Some(class) = class.filter(|_| parked.data >= shipper_queue) {
-                    stats.shed(class, 1);
-                    stats.counters.shipper_drops += 1;
-                    return;
-                }
-                account_send(stats, to, datagram.len());
-                parked.push(to, datagram, depart_at, class.is_some());
-            };
-            if verdict.duplicate {
-                stats.counters.fault_duplicates += 1;
-                park(stats, datagram.clone());
-            }
-            park(stats, datagram);
-        }
+        let Driven { core, actions, carrier, receivers, .. } = st;
+        let NodeCore { stats, frame_pool, .. } = core;
+        let head = carrier.head();
+        let shipper_queue = self.config.shipper_queue as u64;
+        carrier.carry(now, &mut actions.frames, &self.faults, stats, shipper_queue, |to, frame| {
+            self.send_now(frame_pool, to, frame)
+        });
         // The timer thread computed its wait from the old head.
-        if parked.head().is_some_and(|at| head.is_none_or(|was| at < was)) {
+        if carrier.head().is_some_and(|at| head.is_none_or(|was| at < was)) {
             self.wake_timer();
         }
         // A frame's deliveries are mostly one flow's: look its queue up
@@ -259,40 +175,33 @@ impl Driver {
         }
     }
 
-    fn send_now(&self, to: NodeId, datagram: &[u8]) {
+    /// Puts `frame` on the wire to `to` and hands its buffer back.
+    fn send_now(&self, pool: &mut BufferPool, to: NodeId, frame: Bytes) {
         if let Some(addr) = self.config.peers.get(&to) {
-            let _ = self.socket.send_to(datagram, addr);
+            let _ = self.socket.send_to(&frame, addr);
         }
+        pool.recycle(frame);
     }
 
     /// The shipper duty: sends every parked frame that is due.
     fn service_departures(&self) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let now = now_us();
-        while let Some((to, datagram)) = st.parked.pop_due(now) {
-            self.send_now(to, &datagram);
-            st.core.frame_pool.recycle(datagram);
-        }
+        let Driven { core, carrier, .. } = st;
+        carrier.service(now_us(), |to, frame| self.send_now(&mut core.frame_pool, to, frame));
     }
 
-    /// Parks `shipments` synthetic bulk-class frames addressed to no
-    /// peer (they evaporate at departure, `dwell` from now):
-    /// deterministic backlog for chaos and soak tests, past the bound so
-    /// the injection itself is never shed.
+    /// Parks synthetic backlog that evaporates `dwell` from now (see
+    /// [`Carrier::inject_overload`]).
     pub(crate) fn inject_overload(&self, shipments: usize, dwell: Duration) {
         let depart_at = now_us().saturating_add(Micros::from_micros(dwell.as_micros() as u64));
-        let mut st = self.state.lock();
-        for _ in 0..shipments {
-            st.parked.push(NodeId::new(u32::MAX), Bytes::new(), depart_at, true);
-        }
-        drop(st);
+        self.state.lock().carrier.inject_overload(shipments, depart_at);
         self.wake_timer();
     }
 
     /// Data frames parked toward the wire.
     pub(crate) fn backlog(&self) -> u64 {
-        self.state.lock().parked.data
+        self.state.lock().carrier.backlog()
     }
 
     /// Opens `flow`'s receiving session, replacing any earlier one.
@@ -408,41 +317,20 @@ pub(crate) fn spawn_threads(driver: &Arc<Driver>) -> std::io::Result<[JoinHandle
 
 fn receive_loop(driver: &Driver) {
     let mut buf = vec![0u8; 65_536];
-    let handle = |datagram: &[u8]| {
-        driver.event(|core, now, backlog, out| core.handle_datagram(now, datagram, backlog, out));
-    };
-    // A panic mid-drain can leave the socket non-blocking; restore
-    // blocking mode so a restarted loop does not spin.
-    let _ = driver.socket.set_nonblocking(false);
     while driver.is_running() {
         driver.beat(NodeThread::Receive);
         driver.maybe_injected_panic(NodeThread::Receive);
-        // Block (bounded by the socket read timeout) for the first
-        // datagram of a burst...
+        // Blocks for at most the socket's read timeout; with a datagram
+        // already queued it returns at once, so a burst is read back to
+        // back with no mode switch in between.
         match driver.socket.recv_from(&mut buf) {
-            Ok((len, _addr)) => handle(&buf[..len]),
+            Ok((len, _addr)) => driver.event(|core, now, backlog, out| {
+                core.handle_datagram(now, &buf[..len], backlog, out)
+            }),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(_) => break,
-        }
-        // ...then opportunistically drain the rest of it without
-        // blocking. The read timeout only applies in blocking mode, so
-        // toggling non-blocking on and off preserves it.
-        if driver.socket.set_nonblocking(true).is_err() {
-            continue;
-        }
-        for _ in 1..RX_BATCH {
-            match driver.socket.recv_from(&mut buf) {
-                Ok((len, _addr)) => handle(&buf[..len]),
-                Err(_) => break,
-            }
-        }
-        if driver.socket.set_nonblocking(false).is_err() {
-            break;
         }
     }
 }
@@ -480,7 +368,7 @@ fn timer_loop(driver: &Driver) {
         // A frame parked ahead of the head since (the ticker's own
         // hellos included) left an unpark token: the park returns at
         // once and the next pass picks it up.
-        let head = driver.state.lock().parked.head();
+        let head = driver.state.lock().carrier.head();
         match next_wake(running, now_us(), head, deadline) {
             Some(wait) => std::thread::park_timeout(wait),
             None => return,
@@ -510,9 +398,6 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::LinkFault;
-    use dg_core::SlaClass;
-    use dg_topology::presets;
 
     #[test]
     fn next_wake_is_the_earliest_departure_or_protocol_deadline() {
@@ -526,49 +411,5 @@ mod tests {
         // A stopping node waits for departures only, then for nothing.
         assert_eq!(next_wake(false, now, Some(at(3)), at(1)), wait(3));
         assert_eq!(next_wake(false, now, None, at(1)), None);
-    }
-
-    #[test]
-    fn the_queue_head_is_the_earliest_departure_and_data_counts_as_backlog() {
-        let mut parked = Departures::default();
-        assert_eq!(parked.head(), None);
-        parked.push(NodeId::new(1), Bytes::new(), Micros::from_millis(7), true);
-        parked.push(NodeId::new(2), Bytes::new(), Micros::from_millis(3), false);
-        parked.push(NodeId::new(3), Bytes::new(), Micros::from_millis(7), true);
-        assert_eq!((parked.head(), parked.data), (Some(Micros::from_millis(3)), 2));
-        assert!(parked.pop_due(Micros::from_millis(2)).is_none());
-        let due: Vec<u32> = std::iter::from_fn(|| parked.pop_due(Micros::from_millis(7)))
-            .map(|(to, _)| to.index() as u32)
-            .collect();
-        assert_eq!(due, [2, 1, 3], "earliest first, FIFO within an instant");
-        assert_eq!((parked.head(), parked.data), (None, 0));
-    }
-
-    /// A delayed data frame finding the queue full is shed against its
-    /// class and is not on the books as a transmission; control frames
-    /// are parked regardless.
-    #[test]
-    fn a_shed_frame_is_not_counted_sent() {
-        let graph = Arc::new(presets::ring(3, Micros::from_millis(2)));
-        let socket = UdpSocket::bind("127.0.0.1:0").expect("binds");
-        let (me, peer) = (NodeId::new(0), NodeId::new(1));
-        let mut config = NodeConfig::new(me, socket.local_addr().expect("bound"));
-        config.peers.insert(peer, config.listen);
-        config.shipper_queue = 2;
-        let driver = Driver::new(config, graph, socket);
-        driver.faults.set(peer, LinkFault::delayed(Micros::from_secs(60)));
-        let frame = Bytes::from_static(b"frame");
-        driver.event(|_, _, backlog, out| {
-            assert_eq!(backlog, 0);
-            out.frames.extend([Some(SlaClass::Bulk); 3].map(|class| (peer, frame.clone(), class)));
-            out.frames.push((peer, frame.clone(), None));
-            out.frames.push((peer, frame.clone(), Some(SlaClass::Surgical)));
-        });
-        let counters = driver.snapshot().counters;
-        assert_eq!(driver.backlog(), 2, "the bound holds");
-        assert_eq!((counters.shed_bulk, counters.shed_surgical, counters.shipper_drops), (1, 1, 2));
-        assert_eq!(counters.datagrams_sent, 3, "two data frames and the control frame");
-        assert_eq!(counters.bytes_sent, 3 * frame.len() as u64);
-        driver.event(|_, _, backlog, _| assert_eq!(backlog, 2, "and is what the core is told"));
     }
 }

@@ -244,6 +244,22 @@ fn bad_inputs_exit_one_with_file_naming_diagnostics() {
     assert_eq!(code, Some(1), "stderr: {err}");
     assert!(err.contains("chaos.json") && err.contains("bad chaos schedule"), "{err}");
 
+    // Valid config, well-formed chaos schedules the topology (60 edges,
+    // 12 sites) cannot carry, or with a probability that is none.
+    for (action, rule) in [
+        (r#"{"HealEdge": {"edge": 60}}"#, "event 1: edge must be an edge"),
+        (r#"{"CrashNode": {"node": 12}}"#, "event 1: node must be a site"),
+        (r#"{"ImpairNode": {"node": 0, "fault": {"loss": 1.5}}}"#, "event 1: loss, reorder"),
+    ] {
+        let sound = r#"{"at_ms": 0, "action": {"HealNode": {"node": 11}}}"#;
+        let events = format!(r#"[{sound}, {{"at_ms": 10, "action": {action}}}]"#);
+        std::fs::write(&chaos, format!(r#"{{"seed": 1, "events": {events}}}"#)).unwrap();
+        let config = valid_config.to_str().unwrap();
+        let (code, err) = run(&["--config", config, "--chaos-json", chaos.to_str().unwrap()]);
+        assert_eq!(code, Some(1), "{action}: stderr: {err}");
+        assert!(err.contains("chaos.json") && err.contains(rule), "{action}: {err}");
+    }
+
     // Valid config, corrupt SLA plan.
     let sla = dir.join("sla.json");
     std::fs::write(&sla, "3").unwrap();

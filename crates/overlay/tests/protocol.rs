@@ -1,0 +1,541 @@
+//! End-to-end protocol behaviour of whole overlays, on the virtual clock.
+//!
+//! These step real multi-node overlays (`simnet::Net`: a real core,
+//! carrier and seeded fault plan per site, emulated link latency; no
+//! socket, thread or sleep) and verify the behaviours the paper depends
+//! on: timely delivery, hop-by-hop recovery, disjoint-path survival,
+//! link-state convergence, and targeted-redundancy switching — with the
+//! bounds read off the virtual clock, not off a host's scheduler. What
+//! needs an operating system (sockets, threads, `Drop`) is `cluster.rs`.
+
+use dg_core::scheme::SchemeKind;
+use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
+use dg_overlay::cluster::ClusterConfig;
+use dg_overlay::metrics::EventKind;
+use dg_overlay::session::{Delivery, DeliveryStats};
+use dg_overlay::simnet::{env_seed, Net, SimSender};
+use dg_topology::{presets, Graph, GraphBuilder, Micros, NodeId};
+use std::time::Duration;
+
+fn ms(n: u64) -> Micros {
+    Micros::from_millis(n)
+}
+
+fn cadences(hello_ms: u64, link_state_ms: u64) -> ClusterConfig {
+    ClusterConfig {
+        hello_interval: Duration::from_millis(hello_ms),
+        link_state_interval: Duration::from_millis(link_state_ms),
+        fault_seed: env_seed(),
+        ..ClusterConfig::default()
+    }
+}
+
+/// The 12-site US overlay, converged.
+fn na_net() -> Net {
+    let mut net = Net::launch(&presets::north_america_12(), cadences(20, 80)).expect("launches");
+    net.run_for(ms(1_000));
+    assert!(net.link_state_converged(), "link state flooding never converged");
+    net
+}
+
+fn by_name(graph: &Graph, name: &str) -> NodeId {
+    graph.node_by_name(name).unwrap()
+}
+
+fn nyc_sjc(net: &Net) -> Flow {
+    Flow::new(by_name(net.graph(), "NYC"), by_name(net.graph(), "SJC"))
+}
+
+/// Opens both ends of `flow` on a scheme of `kind`.
+fn open(net: &mut Net, flow: Flow, kind: SchemeKind, requirement: ServiceRequirement) -> SimSender {
+    net.open_receiver(flow);
+    net.open_sender(flow, kind, requirement).expect("sender opens")
+}
+
+/// Sends `count` small packets `gap` apart, lets `settle` pass, and
+/// takes what the flow delivered.
+fn stream(net: &mut Net, tx: SimSender, count: u64, gap: Micros, settle: Micros) -> Vec<Delivery> {
+    for i in 0..count {
+        net.send(tx, format!("m{i}").as_bytes());
+        net.run_for(gap);
+    }
+    net.run_for(settle);
+    net.take_deliveries(tx.flow())
+}
+
+/// The first edge the session's graph leaves the source on.
+fn first_hop(net: &Net, tx: SimSender) -> dg_topology::EdgeId {
+    let graph = net.current_graph(tx);
+    let hop = graph.forwarding_edges(net.graph(), tx.flow().source).next();
+    hop.expect("the graph leaves its source")
+}
+
+#[test]
+fn clean_network_delivers_on_time() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+    let path = net.current_graph(tx);
+    let one_way = path
+        .edges()
+        .iter()
+        .fold(Micros::ZERO, |sum, &e| sum.saturating_add(net.graph().edge(e).latency));
+    // Cross-country one-way sits in the tens of milliseconds.
+    assert!(ms(20) < one_way && one_way < ms(65), "path latency {one_way}");
+    let got = stream(&mut net, tx, 20, ms(5), ms(500));
+    assert_eq!(got.len(), 20, "all packets delivered");
+    for d in &got {
+        assert!(d.on_time, "seq {} late: {}", d.flow_seq, d.latency());
+        assert_eq!(d.latency(), one_way, "a packet takes its path's latency and nothing more");
+    }
+    assert_eq!(got[0].payload.as_ref(), b"m0");
+}
+
+#[test]
+fn recovery_rescues_moderate_loss() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+    // 30% loss on the path's first hop.
+    let lossy = first_hop(&net, tx);
+    net.set_link_fault(lossy, 0.3, Micros::ZERO);
+    let total = 150u64;
+    let got = stream(&mut net, tx, total, ms(4), ms(300));
+    // Without recovery ~30% would vanish; with one retransmission the
+    // expected residual loss is ~9%.
+    assert!(got.len() as u64 >= total * 80 / 100, "only {}/{total} delivered", got.len());
+    let nyc = net.snapshot(flow.source).counters;
+    assert!(nyc.retransmissions_served > 0, "recovery never fired");
+    let chi_like = net.snapshot(net.graph().edge(lossy).dst).counters;
+    assert!(chi_like.nack_messages_sent > 0, "receiver never detected gaps");
+}
+
+#[test]
+fn disjoint_pair_survives_a_dead_path() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let tx = open(&mut net, flow, SchemeKind::StaticTwoDisjoint, ServiceRequirement::default());
+    // Kill the primary path's first hop completely.
+    let dead = first_hop(&net, tx);
+    net.set_link_fault(dead, 1.0, Micros::ZERO);
+    let got = stream(&mut net, tx, 30, ms(5), ms(300));
+    assert_eq!(got.len(), 30, "the second disjoint path must deliver everything");
+    assert!(got.iter().all(|d| d.on_time));
+}
+
+#[test]
+fn link_state_converges_and_reports_loss() {
+    let mut net = na_net();
+    // Inject heavy loss on one edge and wait for a remote node to see it.
+    let graph = net.graph().clone();
+    let edge = graph.edge_between(by_name(&graph, "CHI"), by_name(&graph, "DEN")).unwrap();
+    net.set_link_fault(edge, 0.8, Micros::ZERO);
+    let observer = by_name(&graph, "MIA");
+    let learned = net
+        .wait_until(ms(6_000), |net| net.network_state(observer).condition(edge).loss_rate > 0.3);
+    assert!(learned.is_some(), "MIA never learned about the CHI->DEN problem");
+}
+
+/// The source's `RouteChange`s for `flow` stamped at or after `since`,
+/// as `(when, edges of the new graph)`.
+fn route_changes(net: &Net, flow: Flow, since: Micros) -> Vec<(Micros, u64)> {
+    let events = net.snapshot(flow.source).events;
+    let changes = events.iter().filter_map(|e| match e.kind {
+        EventKind::RouteChange { flow: f, edges, .. } if f == flow && e.at >= since => {
+            Some((e.at, edges))
+        }
+        _ => None,
+    });
+    changes.collect()
+}
+
+/// Sends one small packet every 3 ms until `done` says to stop (asked
+/// after every send) or `limit` packets have gone.
+fn send_until(net: &mut Net, tx: SimSender, limit: u64, mut done: impl FnMut(&Net) -> bool) {
+    for i in 0..limit {
+        net.send(tx, format!("m{i}").as_bytes());
+        net.run_for(ms(3));
+        if done(net) {
+            return;
+        }
+    }
+}
+
+/// The paper's premise on the real node code: the precomputed problem
+/// graph engages when the problem is seen and is in force while it
+/// lasts and no longer. The bounds are read off the source's journal on
+/// the clock the impairment was stamped with.
+#[test]
+fn targeted_redundancy_escalates_and_releases() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let graph = net.graph().clone();
+    let tx = open(&mut net, flow, SchemeKind::TargetedRedundancy, ServiceRequirement::default());
+    let out_degree =
+        |net: &Net| net.current_graph(tx).forwarding_edges(&graph, flow.source).count();
+    assert_eq!(out_degree(&net), 2, "starts on the disjoint pair");
+
+    // Half a second of traffic gives every link of the pair a history.
+    send_until(&mut net, tx, 170, |_| false);
+
+    // A problem around the source: 40% loss on every NYC link, while
+    // the flow keeps sending.
+    let impaired_at = net.now();
+    net.impair_node(flow.source, 0.4, Micros::ZERO);
+    let full_degree = graph.out_edges(flow.source).len();
+    send_until(&mut net, tx, 330, |net| out_degree(net) == full_degree);
+    assert_eq!(out_degree(&net), full_degree, "never escalated to the source-problem graph");
+    let escalations = route_changes(&net, flow, impaired_at);
+    let &(escalated_at, _) = escalations.first().expect("the escalation is journalled");
+    assert!(
+        escalated_at.saturating_sub(impaired_at) <= ms(250),
+        "escalated {} after the impairment",
+        escalated_at.saturating_sub(impaired_at)
+    );
+
+    // The problem graph masks the problem: of 400 packets sent into a
+    // 40% loss around the source, (nearly) all arrive.
+    net.take_deliveries(flow);
+    send_until(&mut net, tx, 400, |_| false);
+    net.run_for(ms(300));
+    let got = net.take_deliveries(flow).len();
+    assert!(got >= 392, "source-problem graph should mask a 40% source-area loss, got {got}/400");
+    assert_eq!(out_degree(&net), full_degree, "released while the problem lasted");
+    let escalated_edges = net.current_graph(tx).len() as u64;
+
+    // Heal, keep sending, and the source's extra branches are gone
+    // within the clear's span.
+    let healed_at = net.now();
+    net.heal_node(flow.source);
+    send_until(&mut net, tx, 660, |net| out_degree(net) == 2);
+    assert_eq!(out_degree(&net), 2, "never de-escalated after healing");
+    let released = route_changes(&net, flow, healed_at);
+    let &(released_at, _) = released
+        .iter()
+        .find(|&&(_, edges)| edges < escalated_edges)
+        .expect("the release is journalled");
+    assert!(
+        released_at.saturating_sub(healed_at) <= ms(600),
+        "released {} after the heal",
+        released_at.saturating_sub(healed_at)
+    );
+}
+
+/// A restarted node numbers its hellos and its links from zero again.
+/// Its neighbours must take that for what it is — not prune the new
+/// hellos as ancient and file the new data as retransmissions for as
+/// long as the node had been up before.
+#[test]
+fn restarted_neighbour_is_tracked_from_its_first_packet() {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = ["A", "B", "C"].iter().map(|n| b.add_node(n)).collect();
+    for pair in ids.windows(2) {
+        b.add_link(pair[0], pair[1], ms(2), 1).unwrap();
+    }
+    let graph = b.build();
+    let (relay, sink) = (ids[1], ids[2]);
+    let flow = Flow::new(ids[0], sink);
+    let mut net = Net::launch(&graph, cadences(20, 80)).unwrap();
+    net.run_for(ms(500));
+    assert!(net.link_state_converged());
+    let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::new(ms(500)));
+
+    // The relay's first life: long enough that its link sequence toward
+    // the sink is past anything a retransmit buffer (2048) could hold,
+    // and its hello sequence past the sink's window (20).
+    let payload = [0u8; 32];
+    let batch: Vec<&[u8]> = vec![&payload; 32];
+    for _ in 0..100 {
+        net.send_batch(tx, &batch);
+        net.run_for(ms(8));
+    }
+    net.run_for(ms(100));
+    assert_eq!(net.take_deliveries(flow).len(), 3_200, "the first life forwards");
+
+    net.kill_node(relay);
+    net.restart_node(relay);
+    net.run_for(ms(500));
+    assert!(net.link_state_converged(), "the relay rejoins");
+    let before = net.snapshot(sink).counters;
+
+    // Its second life's link to the sink loses 30%.
+    let impaired_at = net.now();
+    net.set_link_fault(graph.edge_between(relay, sink).unwrap(), 0.3, Micros::ZERO);
+    send_until(&mut net, tx, 600, |_| false);
+    net.run_for(ms(200));
+    let sink_snapshot = net.snapshot(sink);
+
+    let nacked =
+        sink_snapshot.counters.retransmit_requests_issued - before.retransmit_requests_issued;
+    assert!(nacked >= 100, "the sink NACKed {nacked} of some 180 losses from the restarted relay");
+    let triggered = sink_snapshot.events.iter().find(|e| {
+        e.at >= impaired_at
+            && matches!(e.kind, EventKind::DetectorTriggered { neighbor, .. } if neighbor == relay)
+    });
+    let triggered = triggered.expect("the sink's detector never saw the restarted relay's loss");
+    assert!(
+        triggered.at.saturating_sub(impaired_at) <= ms(500),
+        "the detector took {} to see a 30% loss",
+        triggered.at.saturating_sub(impaired_at)
+    );
+    let delivered = net.take_deliveries(flow).len();
+    assert!(delivered >= 500, "recovery repairs most of a 30% loss, delivered {delivered}/600");
+}
+
+#[test]
+fn expired_packets_are_not_delivered() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    // A 5ms deadline cannot cross the country (~30ms).
+    let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::new(ms(5)));
+    assert!(stream(&mut net, tx, 10, ms(3), ms(500)).is_empty());
+    // The first node along the path dropped them as expired.
+    assert_eq!(net.metrics_report().totals.expired, 10);
+}
+
+#[test]
+fn flooding_reaches_most_of_the_network() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let requirement = ServiceRequirement::default();
+    let tx = open(&mut net, flow, SchemeKind::TimeConstrainedFlooding, requirement);
+    let graph_size = net.current_graph(tx).len() as u64;
+    assert!(graph_size > 20, "flooding graph should span the mesh");
+    let got = stream(&mut net, tx, 10, ms(5), ms(500));
+    assert_eq!(got.len(), 10);
+    assert!(got.iter().all(|d| d.on_time));
+    // Network-wide transmissions reflect flooding's cost; duplicates
+    // were suppressed at joins.
+    let totals = net.metrics_report().totals;
+    assert!(totals.data_sent >= 10 * (graph_size / 2), "sent {}", totals.data_sent);
+    assert!(totals.duplicates > 0, "flooding must produce suppressed duplicates");
+}
+
+#[test]
+fn dynamic_routing_survives_a_node_death() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let graph = net.graph().clone();
+    let tx = open(&mut net, flow, SchemeKind::DynamicTwoDisjoint, ServiceRequirement::default());
+
+    // Find a transit node the current pair routes through and kill it.
+    let transit = net
+        .current_graph(tx)
+        .edges()
+        .iter()
+        .map(|&e| graph.edge(e).dst)
+        .find(|&n| n != flow.destination && n != flow.source);
+    let victim = transit.expect("pair has a transit node");
+    net.kill_node(victim);
+    assert!(!net.is_alive(victim));
+
+    // Hello silence pushes the dead node's links toward full loss; the
+    // dynamic scheme must re-route around it.
+    let avoids = |net: &mut Net| {
+        let touches =
+            |&e: &dg_topology::EdgeId| graph.edge(e).dst == victim || graph.edge(e).src == victim;
+        !net.current_graph(tx).edges().iter().any(touches)
+    };
+    let rerouted = net.wait_until(ms(10_000), avoids);
+    assert!(rerouted.is_some(), "never rerouted around the dead {}", graph.node(victim).name);
+
+    // Traffic flows normally on the new pair.
+    let got = stream(&mut net, tx, 30, ms(5), ms(300));
+    assert!(got.len() >= 29, "only {}/30 delivered after reroute", got.len());
+}
+
+#[test]
+fn reordering_from_unequal_delays_is_tolerated() {
+    // A small ring where we give the two hops of the primary route very
+    // different injected delays, so retransmissions and hellos arrive
+    // interleaved and out of order relative to data.
+    let graph = presets::ring(4, ms(5));
+    let mut net = Net::launch(&graph, cadences(15, 60)).unwrap();
+    let flow = Flow::new(by_name(&graph, "R0"), by_name(&graph, "R2"));
+    let tx = open(&mut net, flow, SchemeKind::StaticTwoDisjoint, ServiceRequirement::new(ms(80)));
+    // Wildly different delays + moderate loss on both directions of the
+    // ring: packets race each other and recovery interleaves.
+    for e in graph.edges() {
+        net.set_link_fault(e, 0.15, ms(u64::from(e.index() as u32 % 7) * 3));
+    }
+    let total = 120u64;
+    let got = stream(&mut net, tx, total, ms(3), ms(500));
+    // Two disjoint paths at 15% loss each, with recovery: residual loss
+    // per path ~2%, joint ~0.05% — essentially everything arrives.
+    assert!(got.len() as u64 >= total * 95 / 100, "got {}/{total}", got.len());
+    // No duplicate deliveries despite retransmissions and dual paths.
+    let mut seqs: Vec<u64> = got.iter().map(|d| d.flow_seq).collect();
+    let before = seqs.len();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), before, "duplicate deliveries leaked through");
+}
+
+#[test]
+fn latency_scale_shrinks_observed_latency() {
+    let graph = presets::north_america_12();
+    let run_with_scale = |scale: f64| {
+        let config = ClusterConfig { latency_scale: scale, ..ClusterConfig::default() };
+        let mut net = Net::launch(&graph, config).unwrap();
+        let flow = nyc_sjc(&net);
+        let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+        let got = stream(&mut net, tx, 10, ms(5), ms(300));
+        assert_eq!(got.len(), 10);
+        DeliveryStats::from_deliveries(&got).mean_latency()
+    };
+    let full = run_with_scale(1.0);
+    let tenth = run_with_scale(0.1);
+    assert!(full > ms(20), "full-scale latency {full}");
+    // A tenth of the propagation delay, to each hop's rounding.
+    assert!(tenth.as_micros().abs_diff(full.as_micros() / 10) <= 10, "scaled latency {tenth}");
+}
+
+#[test]
+fn four_concurrent_flows_share_the_overlay() {
+    let mut net = na_net();
+    let graph = net.graph().clone();
+    let pairs = [("NYC", "SJC"), ("WAS", "SEA"), ("BOS", "LAX"), ("JHU", "DEN")];
+    let flows = pairs.map(|(s, t)| Flow::new(by_name(&graph, s), by_name(&graph, t)));
+    let requirement = ServiceRequirement::default();
+    let senders = flows.map(|f| open(&mut net, f, SchemeKind::TargetedRedundancy, requirement));
+    let per_flow = 60u64;
+    for i in 0..per_flow {
+        for tx in senders {
+            net.send(tx, format!("m{i}").as_bytes());
+        }
+        net.run_for(ms(4));
+    }
+    net.run_for(ms(400));
+    for f in flows {
+        // Taken by flow: deliveries belong to the right one.
+        let got = net.take_deliveries(f);
+        assert_eq!(got.len() as u64, per_flow, "{} delivered {}", f.label(&graph), got.len());
+        assert!(got.iter().all(|d| d.on_time), "{} had late packets", f.label(&graph));
+    }
+    assert!(net.deliveries().is_empty(), "nothing was delivered that no flow sent");
+}
+
+#[test]
+fn global_overlay_delivers_intercontinentally() {
+    let graph = presets::global_16();
+    let mut net = Net::launch(&graph, cadences(25, 100)).unwrap();
+    let flow = Flow::new(by_name(&graph, "LON"), by_name(&graph, "SJC"));
+    let tx = open(&mut net, flow, SchemeKind::TargetedRedundancy, ServiceRequirement::new(ms(110)));
+    let got = stream(&mut net, tx, 20, ms(5), ms(400));
+    assert_eq!(got.len(), 20);
+    for d in &got {
+        assert!(d.on_time, "seq {} took {}", d.flow_seq, d.latency());
+        // Trans-Atlantic plus cross-country: 60-110 ms one way.
+        assert!(d.latency() > ms(55), "latency {}", d.latency());
+    }
+}
+
+#[test]
+fn tail_probe_repairs_a_silently_lost_stream_tail() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let tx = open(&mut net, flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+    // A probe before anything was sent is a no-op.
+    assert!(!net.tail_probe(tx, b"nothing yet"), "probe with no history sent something");
+
+    // Establish the stream, then lose its final packet completely:
+    // hop-by-hop recovery is gap-triggered, so with nothing sent behind
+    // it the loss is silent and permanent.
+    for i in 0..3u64 {
+        net.send(tx, format!("m{i}").as_bytes());
+        net.run_for(ms(5));
+    }
+    let lossy = first_hop(&net, tx);
+    net.set_link_fault(lossy, 1.0, Micros::ZERO);
+    let tail_seq = net.send(tx, b"the tail");
+    net.run_for(ms(200));
+    net.clear_link_fault(lossy);
+    net.run_for(ms(200));
+    let before = net.take_deliveries(flow);
+    assert_eq!(before.len(), 3, "the tail was lost with no gap to expose it");
+    assert!(before.iter().all(|d| d.flow_seq != tail_seq));
+
+    // The probe re-offers the same flow sequence over the healed path.
+    assert!(net.tail_probe(tx, b"the tail"));
+    net.run_for(ms(500));
+    let recovered = net.take_deliveries(flow);
+    assert_eq!(recovered.len(), 1, "probe delivered the tail");
+    assert_eq!(
+        (recovered[0].flow_seq, recovered[0].payload.as_ref()),
+        (tail_seq, &b"the tail"[..])
+    );
+
+    // Probing an already-delivered tail is suppressed as a duplicate,
+    // and probes never mint sequence numbers or inflate packets_sent.
+    assert!(net.tail_probe(tx, b"the tail"));
+    net.run_for(ms(200));
+    assert!(net.take_deliveries(flow).is_empty(), "duplicate probe was delivered twice");
+    let cells = net.snapshot(flow.source);
+    let flow_cell = cells.flows.iter().find(|f| f.flow == flow).expect("flow has metrics");
+    assert_eq!(flow_cell.packets_sent, 4, "probes do not inflate packets_sent");
+    assert_eq!(net.send(tx, b"next"), tail_seq + 1, "probes do not consume sequences");
+}
+
+#[test]
+fn group_sender_reaches_every_receiver() {
+    let mut net = na_net();
+    let graph = net.graph().clone();
+    let src = by_name(&graph, "NYC");
+    let receivers = ["SJC", "LAX", "MIA"].map(|n| by_name(&graph, n));
+    let (kind, requirement) = (MulticastKind::Targeted, ServiceRequirement::default());
+    let tx =
+        net.open_group_sender(src, &receivers, 7, kind, requirement, SlaClass::Timely).unwrap();
+    assert!(tx.flow().is_group());
+    assert_eq!(tx.flow().group_id(), Some(7));
+
+    // One send per packet reaches the whole receiver set.
+    for i in 0..10u64 {
+        assert_eq!(net.send(tx, format!("group {i}").as_bytes()), i);
+        net.run_for(ms(5));
+    }
+    // And one encoded batch fans out the same way.
+    assert_eq!(net.send_batch(tx, &[b"batch a".as_ref(), b"batch b".as_ref()]), 10);
+    net.run_for(ms(500));
+
+    for node in receivers {
+        let mut got: Vec<&Delivery> =
+            net.deliveries().iter().filter(|(at, _)| *at == node).map(|(_, d)| d).collect();
+        assert_eq!(got.len(), 12, "receiver {node:?} missed packets");
+        got.sort_by_key(|d| d.flow_seq);
+        assert_eq!(got[0].payload.as_ref(), b"group 0");
+        assert_eq!(got[11].payload.as_ref(), b"batch b");
+        for d in &got {
+            assert!(d.on_time, "receiver {node:?} seq {} late: {}", d.flow_seq, d.latency());
+        }
+    }
+    assert_eq!(net.deliveries().len(), 36, "and nobody else heard them");
+
+    // The multicast tier interned the group graph, and the counters
+    // surface through the node's metrics snapshot.
+    let stats = net.snapshot(src).graph_cache;
+    assert!(stats.multicast.misses >= 1, "group graph was constructed");
+}
+
+#[test]
+fn group_and_unicast_flows_do_not_collide() {
+    let mut net = na_net();
+    let flow = nyc_sjc(&net);
+    let (src, dst) = (flow.source, flow.destination);
+    let requirement = ServiceRequirement::default();
+    let uni_tx = open(&mut net, flow, SchemeKind::StaticSinglePath, requirement);
+    let grp_tx = net
+        .open_group_sender(src, &[dst], 1, MulticastKind::Tree, requirement, SlaClass::Timely)
+        .unwrap();
+
+    net.send(uni_tx, b"unicast");
+    net.send(grp_tx, b"grouped");
+    net.run_for(ms(500));
+
+    // Each session saw exactly its own stream.
+    let uni = net.take_deliveries(flow);
+    assert_eq!(uni.len(), 1, "unicast delivered, and no group packet leaked into it");
+    assert_eq!(uni[0].payload.as_ref(), b"unicast");
+    let grp = net.take_deliveries(grp_tx.flow());
+    assert_eq!(grp.len(), 1, "group delivered, and no unicast packet leaked into it");
+    assert_eq!(grp[0].payload.as_ref(), b"grouped");
+}

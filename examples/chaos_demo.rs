@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("chaos schedule ({} events):", schedule.events.len());
     println!("{}", schedule.to_json());
 
-    let mut runner = ChaosRunner::new(&schedule);
+    let mut runner = ChaosRunner::new(&schedule, &graph)?;
     let started = Instant::now();
     let mut sent = 0u64;
     while started.elapsed() < Duration::from_millis(profile.duration_ms) {

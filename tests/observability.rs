@@ -1,61 +1,121 @@
 //! Observability-layer integration tests: the overlay's metrics report
 //! must tell the same story as the simulator for the same topology and
-//! fault schedule, the two report schemas must stay field-compatible,
-//! and the fixed-seed Table 2 comparison must keep the paper's scheme
-//! ordering.
+//! fault schedule — packet by packet where nothing is lost — the two
+//! report schemas must stay field-compatible, and the fixed-seed Table 2
+//! comparison must keep the paper's scheme ordering.
+//!
+//! The overlay side is real node code on the virtual clock
+//! (`simnet::Net`: no socket, thread or sleep), so what the two stacks
+//! are allowed to differ by is the model's coarseness, not a host's
+//! scheduler.
 
-use dissemination_graphs::overlay::cluster::{Cluster, ClusterConfig};
+use dissemination_graphs::overlay::metrics::EventKind;
+use dissemination_graphs::overlay::simnet::{env_seed, Net};
 use dissemination_graphs::prelude::*;
 use dissemination_graphs::sim::experiment::{run_comparison, tabulate, ExperimentConfig};
+use dissemination_graphs::sim::{simulate_packet, RecoveryModel};
 use dissemination_graphs::topology::EdgeId;
 use dissemination_graphs::trace::gen::{self};
 use dissemination_graphs::trace::LinkCondition;
+use std::collections::HashMap;
 use std::time::Duration;
-
-/// The cluster tests spin up full UDP overlays on localhost and assert
-/// wall-clock-sensitive delivery rates; the golden Table 2 test
-/// saturates every core with simulation work. Running them concurrently
-/// starves the clusters' sockets, so the heavy tests serialize on this
-/// lock.
-static CLUSTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn nyc_sjc(graph: &Graph) -> Flow {
     Flow::new(graph.node_by_name("NYC").unwrap(), graph.node_by_name("SJC").unwrap())
 }
 
+fn ms(n: u64) -> Micros {
+    Micros::from_millis(n)
+}
+
+/// A converged overlay on `graph`, on the sweep's seed.
+fn launch(graph: &Graph, config: ClusterConfig) -> Net {
+    let config = ClusterConfig { fault_seed: env_seed(), ..config };
+    let mut net = Net::launch(graph, config).unwrap();
+    net.run_for(Micros::from_secs(3));
+    assert!(net.link_state_converged(), "overlay never converged");
+    net
+}
+
+/// Model vs real, first step: with no loss scheduled, `dg_sim`'s
+/// per-packet propagation and the real node code agree on every packet
+/// — delivered, on time, its one-way latency to the microsecond, and
+/// the link transmissions it cost — for a static single path, a static
+/// disjoint pair and targeted redundancy, NYC→SJC on the US-12 preset.
+#[test]
+fn model_and_overlay_agree_packet_by_packet_without_loss() {
+    let graph = topology::presets::north_america_12();
+    let flow = nyc_sjc(&graph);
+    let requirement = ServiceRequirement::default();
+    let clean = TraceSet::clean(graph.edge_count(), 1, Micros::from_secs(10)).unwrap();
+    for kind in [
+        SchemeKind::StaticSinglePath,
+        SchemeKind::StaticTwoDisjoint,
+        SchemeKind::TargetedRedundancy,
+    ] {
+        let mut net = launch(&graph, ClusterConfig::default());
+        net.open_receiver(flow);
+        let tx = net.open_sender(flow, kind, requirement).unwrap();
+        let dgraph = net.current_graph(tx);
+        let since = net.now();
+        for i in 0..50u64 {
+            assert_eq!(net.send(tx, format!("{i}").as_bytes()), i);
+            net.run_for(ms(10));
+        }
+        net.run_for(ms(300));
+        assert_eq!(net.current_graph(tx), dgraph, "{kind}: a clean network changes no graph");
+
+        // Transmissions per packet: every copy of it that reached the wire.
+        let mut copies: HashMap<u64, u64> = HashMap::new();
+        for packet in net.wire().iter().flat_map(|frame| frame.data()) {
+            *copies.entry(packet.flow_seq).or_default() += 1;
+        }
+        let delivered = net.take_deliveries(flow);
+        assert_eq!(delivered.len(), 50, "{kind}: each packet once");
+        for d in delivered {
+            let sent = d.sent_at.saturating_sub(since);
+            let model = simulate_packet(
+                &graph,
+                &dgraph,
+                &clean,
+                sent,
+                requirement.deadline,
+                &RecoveryModel::default(),
+                0,
+                d.flow_seq,
+            );
+            let model_latency = model.delivered_at.map(|at| at.saturating_sub(sent));
+            let seq = d.flow_seq;
+            assert_eq!(Some(d.latency()), model_latency, "{kind} seq {seq}: latency");
+            assert_eq!(d.on_time, model.on_time, "{kind} seq {seq}: on time");
+            assert_eq!(copies[&seq], model.transmissions, "{kind} seq {seq}: transmissions");
+        }
+        let report = net.metrics_report();
+        let fr = report.flow(flow).expect("flow was active");
+        assert_eq!(fr.transmissions, copies.values().sum::<u64>(), "{kind}: the counters' cost");
+    }
+}
+
 /// Satellite: the same topology and fault schedule (30% loss on the
 /// static path's first hop), driven once through the playback simulator
-/// and once through the real UDP overlay, must agree on delivery, loss,
+/// and once through the real node code, must agree on delivery, loss,
 /// and cost within tolerance — and the overlay's own conservation
 /// identity must hold exactly.
 #[test]
 fn overlay_metrics_report_agrees_with_simulator() {
-    let _cluster_serial = CLUSTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let graph = topology::presets::north_america_12();
     let flow = nyc_sjc(&graph);
-    let scheme = build_scheme(
-        SchemeKind::StaticSinglePath,
-        &graph,
-        flow,
-        ServiceRequirement::default(),
-        &SchemeParams::default(),
-    )
-    .unwrap();
-    let first_hop = scheme.current().forwarding_edges(&graph, flow.source).next().unwrap();
+    let requirement = ServiceRequirement::default();
+    let params = SchemeParams::default();
+    let mut sim_scheme =
+        build_scheme(SchemeKind::StaticSinglePath, &graph, flow, requirement, &params).unwrap();
+    let first_hop = sim_scheme.current().forwarding_edges(&graph, flow.source).next().unwrap();
 
     // Simulator side: 30% loss on the first hop for the whole run.
     let mut traces = TraceSet::clean(graph.edge_count(), 3, Micros::from_secs(10)).unwrap();
     for i in 0..3 {
         traces.set_condition(first_hop, i, LinkCondition::new(0.3, Micros::ZERO));
     }
-    let mut sim_scheme = build_scheme(
-        SchemeKind::StaticSinglePath,
-        &graph,
-        flow,
-        ServiceRequirement::default(),
-        &SchemeParams::default(),
-    )
-    .unwrap();
     let sim = dissemination_graphs::sim::run_flow(
         &graph,
         &traces,
@@ -66,31 +126,26 @@ fn overlay_metrics_report_agrees_with_simulator() {
     assert_eq!(sim.packets_sent, sim.packets_delivered + sim.packets_lost);
 
     // Overlay side: identical fault on the same edge.
-    let cluster = Cluster::launch(
+    let mut net = launch(
         &graph,
         ClusterConfig { hello_interval: Duration::from_millis(25), ..Default::default() },
-    )
-    .unwrap();
-    let rx = cluster.open_receiver(flow).unwrap();
-    let tx = cluster
-        .open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default())
-        .unwrap();
-    cluster.set_link_fault(first_hop, 0.3, Micros::ZERO);
+    );
+    net.open_receiver(flow);
+    let tx = net.open_sender(flow, SchemeKind::StaticSinglePath, requirement).unwrap();
+    net.set_link_fault(first_hop, 0.3, Micros::ZERO);
     let total = 200u64;
     for i in 0..total {
-        tx.send(format!("{i}").as_bytes()).unwrap();
-        std::thread::sleep(Duration::from_millis(3));
+        net.send(tx, format!("{i}").as_bytes());
+        net.run_for(ms(3));
     }
-    // Give recovery time to settle, then snapshot before shutdown.
-    std::thread::sleep(Duration::from_millis(500));
-    drop(rx.drain());
-    let report = cluster.metrics_report();
+    // Give recovery time to settle.
+    net.run_for(ms(500));
+    let report = net.metrics_report();
 
     // The fault schedule must have left its trace in the journals: the
     // first hop's receiving node saw loss cross the detector threshold.
     let lossy_dst = graph.edge(first_hop).dst;
     let dst_snapshot = report.nodes.iter().find(|n| n.node == lossy_dst).unwrap();
-    use dissemination_graphs::overlay::metrics::EventKind;
     assert!(
         dst_snapshot
             .events
@@ -103,28 +158,22 @@ fn overlay_metrics_report_agrees_with_simulator() {
         dst_snapshot.events.iter().any(|e| matches!(e.kind, EventKind::RecoveryRequested { .. })),
         "30% loss produced no recovery requests"
     );
-    cluster.shutdown();
 
     let fr = *report.flow(flow).expect("flow was active");
     assert_eq!(fr.packets_sent, total);
-    // Conservation at snapshot time: everything sent is delivered or
-    // counted lost (in-flight included) — exactly, not approximately.
+    // Conservation: everything sent is delivered or counted lost —
+    // exactly, not approximately.
     assert_eq!(fr.packets_sent, fr.packets_delivered + fr.packets_lost);
 
     // Agreement within tolerance (both stacks implement the same
     // single-retransmission recovery; the analytic delivery rate is
-    // 1 - 0.3^2 = 91%).
+    // 1 - 0.3^2 = 91%). The two draw their losses from different
+    // streams, so what is left is binomial noise over 200 packets.
     let sim_delivered = sim.packets_delivered as f64 / sim.packets_sent as f64;
     let overlay_delivered = fr.packets_delivered as f64 / fr.packets_sent as f64;
     assert!(
         (sim_delivered - overlay_delivered).abs() < 0.1,
         "delivery disagrees: sim {sim_delivered:.3} vs overlay {overlay_delivered:.3}"
-    );
-    let sim_lost = sim.packets_lost as f64 / sim.packets_sent as f64;
-    let overlay_lost = fr.packets_lost as f64 / fr.packets_sent as f64;
-    assert!(
-        (sim_lost - overlay_lost).abs() < 0.1,
-        "loss disagrees: sim {sim_lost:.3} vs overlay {overlay_lost:.3}"
     );
     // Cost: path length plus ~0.3 retransmissions per packet in both.
     let (sim_cost, overlay_cost) = (sim.average_cost(), fr.average_cost());
@@ -137,28 +186,25 @@ fn overlay_metrics_report_agrees_with_simulator() {
 /// The agreement above, for the scheme the paper is about: the same
 /// NYC→SJC flow under targeted redundancy and the same clean / loss
 /// around the source / clean / loss around the destination schedule,
-/// through the playback simulator and through the real overlay. They
+/// through the playback simulator and through the real node code. They
 /// must agree on delivery — and on *cost*. The simulator's schemes see
 /// each interval's conditions one detection lag (a second) after its
 /// boundary, in and out alike, so each of its problem graphs serves
 /// for as long as its problem lasts; an overlay that keeps a problem
 /// graph in force long after the problem has gone, or holds two at
-/// once, parts from it here. Phases of two seconds at 250 packets a
-/// second make the two-core CI host's scheduling noise against them.
+/// once, parts from it here.
 #[test]
 fn overlay_agrees_with_simulator_on_targeted_redundancy_cost() {
-    let _cluster_serial = CLUSTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let graph = topology::presets::north_america_12();
     let flow = nyc_sjc(&graph);
-    let phase = Duration::from_secs(2);
+    let phase = Micros::from_secs(2);
     let around = |node: NodeId| -> Vec<EdgeId> {
         graph.out_edges(node).iter().chain(graph.in_edges(node)).copied().collect()
     };
     let (around_src, around_dst) = (around(flow.source), around(flow.destination));
 
     // Simulator side: a four-interval trace.
-    let phase_us = Micros::from_micros(phase.as_micros() as u64);
-    let mut traces = TraceSet::clean(graph.edge_count(), 4, phase_us).unwrap();
+    let mut traces = TraceSet::clean(graph.edge_count(), 4, phase).unwrap();
     for (interval, edges) in [(1, &around_src), (3, &around_dst)] {
         for &e in edges {
             traces.set_condition(e, interval, LinkCondition::new(0.5, Micros::ZERO));
@@ -181,45 +227,36 @@ fn overlay_agrees_with_simulator_on_targeted_redundancy_cost() {
     );
     assert_eq!(sim.packets_sent, sim.packets_delivered + sim.packets_lost);
 
-    // Overlay side: the same schedule on the wall clock, every packet
-    // sent when it is due.
-    let cluster = Cluster::launch(&graph, ClusterConfig::default()).unwrap();
-    assert!(cluster.wait_for_link_state(Duration::from_secs(10)), "cluster never converged");
-    let rx = cluster.open_receiver(flow).unwrap();
-    let tx = cluster
+    // Overlay side: the same schedule on the virtual clock, every
+    // packet sent at the instant it is due.
+    let mut net = launch(&graph, ClusterConfig::default());
+    net.open_receiver(flow);
+    let tx = net
         .open_sender(flow, SchemeKind::TargetedRedundancy, ServiceRequirement::default())
         .unwrap();
-    let spacing = Duration::from_secs(1) / pps;
-    let total = 4 * phase.as_secs() * u64::from(pps);
-    let started = std::time::Instant::now();
-    let mut entered = 0;
-    for i in 0..total {
-        let due = spacing * i as u32;
-        std::thread::sleep(due.saturating_sub(started.elapsed()));
-        let now_in = (started.elapsed().as_micros() / phase.as_micros()).min(3);
-        while entered < now_in {
-            entered += 1;
-            match entered {
-                1 => cluster.impair_node(flow.source, 0.5, Micros::ZERO),
-                2 => cluster.heal_node(flow.source),
-                _ => cluster.impair_node(flow.destination, 0.5, Micros::ZERO),
+    let per_phase = phase.as_micros() / 1_000_000 * u64::from(pps);
+    for i in 0..4 * per_phase {
+        if i % per_phase == 0 {
+            match i / per_phase {
+                1 => net.impair_node(flow.source, 0.5, Micros::ZERO),
+                2 => net.heal_node(flow.source),
+                3 => net.impair_node(flow.destination, 0.5, Micros::ZERO),
+                _ => {}
             }
         }
-        tx.send(format!("{i}").as_bytes()).unwrap();
+        net.send(tx, format!("{i}").as_bytes());
+        net.run_for(Micros::from_micros(1_000_000 / u64::from(pps)));
     }
-    std::thread::sleep(Duration::from_millis(500));
-    drop(rx.drain());
-    let report = cluster.metrics_report();
-    cluster.shutdown();
+    net.run_for(ms(500));
+    let report = net.metrics_report();
 
     let fr = *report.flow(flow).expect("flow was active");
-    assert_eq!(fr.packets_sent, total);
     assert_eq!(fr.packets_sent, sim.packets_sent, "both stacks sent the same schedule");
     assert_eq!(fr.packets_sent, fr.packets_delivered + fr.packets_lost);
     let sim_delivered = sim.packets_delivered as f64 / sim.packets_sent as f64;
     let overlay_delivered = fr.packets_delivered as f64 / fr.packets_sent as f64;
     assert!(
-        (sim_delivered - overlay_delivered).abs() < 0.1,
+        (sim_delivered - overlay_delivered).abs() < DELIVERY_TOLERANCE,
         "delivery disagrees: sim {sim_delivered:.3} vs overlay {overlay_delivered:.3}"
     );
     // Cost: the 6-edge pair, the 12-edge source-problem graph for a
@@ -228,10 +265,25 @@ fn overlay_agrees_with_simulator_on_targeted_redundancy_cost() {
     // lossy phases lose.
     let (sim_cost, overlay_cost) = (sim.average_cost(), fr.average_cost());
     assert!(
-        (sim_cost - overlay_cost).abs() / sim_cost < 0.15,
+        (sim_cost - overlay_cost).abs() / sim_cost < COST_TOLERANCE,
         "cost disagrees: sim {sim_cost:.3} vs overlay {overlay_cost:.3}"
     );
 }
+
+/// What the four-phase comparison tolerates with the scheduler out of
+/// it (through real UDP it was 0.10 and 0.15). The two stacks knowingly
+/// differ in when a problem graph is in force: the model's engages and
+/// releases exactly one detection lag (1 s) after a phase boundary; the
+/// overlay's detector engages it ≈100 ms after the losses begin and
+/// releases it ≈300 ms after they end (docs/PROTOCOL.md §4b). Over this
+/// schedule the overlay therefore serves the run's last phase on the
+/// 10-edge destination-problem graph for ≈0.9 s longer than the model
+/// does, which is what its 3–4 % higher cost is (8.80–8.90 against
+/// 8.54 transmissions a packet over seeds 1–8), and both lose the same
+/// packets' worth before their graphs engage (0.983–0.987 against
+/// 0.984 delivered).
+const DELIVERY_TOLERANCE: f64 = 0.01;
+const COST_TOLERANCE: f64 = 0.06;
 
 /// Satellite: the overlay's per-flow report intentionally reuses the
 /// simulator's `FlowRunStats` field names, so the two JSON encodings
@@ -300,7 +352,6 @@ fn flow_report_schema_matches_flow_run_stats() {
 /// the paper's qualitative orderings are asserted on top.
 #[test]
 fn golden_table2_ordering_is_stable_for_fixed_seed() {
-    let _cluster_serial = CLUSTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let graph = topology::presets::north_america_12();
     let mut wan = SyntheticWanConfig::calibrated(42);
     wan.duration = Micros::from_secs(600);
@@ -363,32 +414,25 @@ const GOLDEN_FLOODING: u64 = 48;
 /// Satellite: the sim↔overlay agreement holds on a *generated* overlay
 /// too, not just the hand-built 12-site preset. A 50-node
 /// ring-of-cliques topology (the scale experiments' family) driven
-/// through both stacks with the same two-disjoint scheme: delivery and
-/// loss must agree within tolerance, conservation must hold exactly,
-/// and the overlay side routes through the shared `GraphCache`. (The
-/// fault-response agreement is the preset test's job above; a 50-node
-/// debug-build cluster under a loss-driven link-state storm is too
-/// scheduling-sensitive to assert tight deliver rates on.)
+/// through both stacks with the same two-disjoint scheme on a clean
+/// network: both deliver every packet at the same cost, conservation
+/// holds exactly, and the overlay side routes through the shared
+/// `GraphCache`. (The fault-response agreement is the preset tests' job
+/// above.)
 #[test]
 fn overlay_agrees_with_simulator_on_generated_topology() {
     use dissemination_graphs::topology::generate::{
         feasible_deadline, representative_flows, GeneratorConfig,
     };
 
-    let _cluster_serial = CLUSTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let graph = GeneratorConfig::ring_of_cliques(50, 2017).generate();
     let (src, dst) = *representative_flows(&graph, 1, 2017)
         .first()
         .expect("generated overlays have disjoint-routable flows");
     let flow = Flow::new(src, dst);
-    // The generated-topology deadline (~2x shortest path, tens of ms)
-    // is an *emulated-time* budget; the overlay enforces deadlines in
-    // wall-clock time, where a 50-node debug-build cluster's scheduling
-    // noise would expire packets mid-path and skew the delivered/lost
-    // comparison (which is deadline-independent in the simulator). Use
-    // a generous real-time budget for both stacks instead.
-    assert!(feasible_deadline(&graph, &[(src, dst)], 2.0) < Micros::from_millis(500));
-    let requirement = ServiceRequirement::new(Micros::from_millis(500));
+    // The generated-topology deadline: ~2x the shortest path.
+    let requirement = ServiceRequirement::new(feasible_deadline(&graph, &[(src, dst)], 2.0));
+    assert!(requirement.deadline < ms(500));
 
     let mut sim_scheme = build_scheme(
         SchemeKind::StaticTwoDisjoint,
@@ -411,13 +455,10 @@ fn overlay_agrees_with_simulator_on_generated_topology() {
     );
     assert_eq!(sim.packets_sent, sim.packets_delivered + sim.packets_lost);
 
-    // Overlay side: 50 real UDP nodes, same topology and scheme. The
-    // default control-plane cadences are tuned for a 12-node cluster;
-    // at 50 nodes on a small CI machine they produce tens of thousands
-    // of reliably-flooded link-state messages per second, which starves
-    // the data path at the sockets. Relax them — this test measures
-    // forwarding agreement, not detector reaction time.
-    let cluster = Cluster::launch(
+    // Overlay side: 50 real nodes, same topology and scheme, at calm
+    // control-plane cadences — this test measures forwarding agreement,
+    // not detector reaction time.
+    let mut net = launch(
         &graph,
         ClusterConfig {
             hello_interval: Duration::from_millis(500),
@@ -426,39 +467,24 @@ fn overlay_agrees_with_simulator_on_generated_topology() {
             watchdog_stale_after: Duration::from_secs(5),
             ..Default::default()
         },
-    )
-    .unwrap();
-    assert!(cluster.wait_for_link_state(Duration::from_secs(10)), "cluster never converged");
-    let rx = cluster.open_receiver(flow).unwrap();
-    let tx = cluster.open_sender(flow, SchemeKind::StaticTwoDisjoint, requirement).unwrap();
+    );
+    net.open_receiver(flow);
+    let tx = net.open_sender(flow, SchemeKind::StaticTwoDisjoint, requirement).unwrap();
     let total = 150u64;
     for i in 0..total {
-        tx.send(format!("{i}").as_bytes()).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
+        net.send(tx, format!("{i}").as_bytes());
+        net.run_for(ms(5));
     }
-    // Let hop-by-hop recovery finish repairing any socket-level drops.
-    std::thread::sleep(Duration::from_millis(1_500));
-    drop(rx.drain());
-    let report = cluster.metrics_report();
-    // The sender went through the cluster's shared scheme cache.
-    assert!(cluster.scheme_cache_stats().baseline.misses >= 1);
-    cluster.shutdown();
+    net.run_for(ms(500));
+    let report = net.metrics_report();
+    // The sender went through the shared scheme cache.
+    assert!(net.scheme_cache_stats().baseline.misses >= 1);
 
     let fr = *report.flow(flow).expect("flow was active");
     assert_eq!(fr.packets_sent, total);
     assert_eq!(fr.packets_sent, fr.packets_delivered + fr.packets_lost);
-
-    let sim_delivered = sim.packets_delivered as f64 / sim.packets_sent as f64;
-    let overlay_delivered = fr.packets_delivered as f64 / fr.packets_sent as f64;
-    assert!(
-        (sim_delivered - overlay_delivered).abs() < 0.15,
-        "delivery disagrees on generated topology: \
-         sim {sim_delivered:.3} vs overlay {overlay_delivered:.3}"
-    );
-    let sim_lost = sim.packets_lost as f64 / sim.packets_sent as f64;
-    let overlay_lost = fr.packets_lost as f64 / fr.packets_sent as f64;
-    assert!(
-        (sim_lost - overlay_lost).abs() < 0.15,
-        "loss disagrees on generated topology: sim {sim_lost:.3} vs overlay {overlay_lost:.3}"
-    );
+    // Nothing is lost on either side, and a packet costs both the same.
+    assert_eq!((sim.packets_lost, fr.packets_lost), (0, 0));
+    assert_eq!(fr.packets_on_time, total, "every packet inside the generated deadline");
+    assert_eq!(sim.average_cost(), fr.average_cost());
 }
