@@ -3,10 +3,10 @@
 //!
 //! A [`Carrier`] reads no clock and owns no socket: it is told the
 //! instant, shown the node's [`FaultPlan`] and statistics, and handed a
-//! sink that puts bytes on the wire. A verdict of the fault plan is
-//! acted on here and nowhere else, so the UDP driver
-//! ([`crate::runtime`]) and the stepped harness ([`crate::simnet`])
-//! cannot disagree about it.
+//! sink that puts bytes on the wire and says whether it took them. A
+//! verdict of the fault plan is acted on here and nowhere else, so the
+//! UDP driver ([`crate::runtime`]) and the stepped harness
+//! ([`crate::simnet`]) cannot disagree about it.
 
 use crate::fault::{corrupt_in_place, FaultPlan};
 use crate::metrics::NodeStats;
@@ -49,7 +49,7 @@ impl Carrier {
         faults: &FaultPlan,
         stats: &mut NodeStats,
         shipper_queue: u64,
-        mut wire: impl FnMut(NodeId, Bytes),
+        mut wire: impl FnMut(NodeId, Bytes) -> bool,
     ) {
         for (to, datagram, class) in frames.drain(..) {
             let verdict = faults.decide(to);
@@ -68,8 +68,13 @@ impl Carrier {
             // The hot path: no delay, so no queue and no context
             // switch — the frame leaves on the calling thread.
             if verdict.delay == Micros::ZERO && !verdict.duplicate {
-                account_send(stats, to, datagram.len());
-                wire(to, datagram);
+                // A datagram the wire refuses was not sent.
+                let len = datagram.len();
+                if wire(to, datagram) {
+                    account_send(stats, to, len);
+                } else {
+                    stats.counters.send_errors += 1;
+                }
                 continue;
             }
             // A delayed frame parks and is accounted as sent — or, a
@@ -100,13 +105,20 @@ impl Carrier {
         self.queue.insert((depart_at, self.pushed), (to, datagram, data));
     }
 
-    /// Puts every parked frame due at `now` on the wire.
-    pub(crate) fn service(&mut self, now: Micros, mut wire: impl FnMut(NodeId, Bytes)) {
+    /// Puts every parked frame due at `now` on the wire; returns how
+    /// many of them it refused (they were accounted when they parked).
+    pub(crate) fn service(
+        &mut self,
+        now: Micros,
+        mut wire: impl FnMut(NodeId, Bytes) -> bool,
+    ) -> u64 {
+        let mut refused = 0;
         while let Some(entry) = self.queue.first_entry().filter(|e| e.key().0 <= now) {
             let (to, datagram, data) = entry.remove();
             self.data -= u64::from(data);
-            wire(to, datagram);
+            refused += u64::from(!wire(to, datagram));
         }
+        refused
     }
 
     /// When the earliest parked frame leaves.
@@ -145,11 +157,31 @@ mod tests {
         carrier.park(NodeId::new(3), Bytes::new(), Micros::from_millis(7), true);
         assert_eq!((carrier.head(), carrier.backlog()), (Some(Micros::from_millis(3)), 2));
         let mut due = Vec::new();
-        carrier.service(Micros::from_millis(2), |to, _| due.push(to.index()));
-        assert!(due.is_empty());
-        carrier.service(Micros::from_millis(7), |to, _| due.push(to.index()));
+        carrier.service(Micros::from_millis(2), |_, _| panic!("nothing is due"));
+        // The wire refuses the frame for node 1: said, and gone all the same.
+        let refused = carrier.service(Micros::from_millis(7), |to, _| {
+            due.push(to.index());
+            to.index() != 1
+        });
+        assert_eq!(refused, 1);
         assert_eq!(due, [2, 1, 3], "earliest first, FIFO within an instant");
         assert_eq!((carrier.head(), carrier.backlog()), (None, 0));
+    }
+
+    /// A frame the wire refuses (`send_to` failed) is an error, not a
+    /// transmission.
+    #[test]
+    fn a_refused_frame_is_not_counted_sent() {
+        let (peer, other) = (NodeId::new(1), NodeId::new(2));
+        let faults = FaultPlan::with_seed(0);
+        let (mut carrier, mut stats) = (Carrier::default(), NodeStats::new(JOURNAL_CAPACITY));
+        let frame = Bytes::from_static(b"frame");
+        let mut frames = vec![(peer, frame.clone(), None), (other, frame.clone(), None)];
+        carrier.carry(Micros::ZERO, &mut frames, &faults, &mut stats, 2, |to, _| to == peer);
+        let snap = stats.snapshot(NodeId::new(0));
+        assert_eq!((snap.counters.datagrams_sent, snap.counters.send_errors), (1, 1));
+        assert_eq!(snap.counters.bytes_sent, frame.len() as u64);
+        assert_eq!(snap.links.len(), 1, "no link cell for the refused frame's link");
     }
 
     /// A delayed data frame finding the queue full is shed against its

@@ -55,9 +55,10 @@ pub struct NodeConfig {
     /// the same hold-down idea as route-flap damping.
     pub overload_hold_down: Duration,
     /// Budget for coalescing batched sends into one wire datagram
-    /// (bytes of packet bodies). The WAN-safe default stays near a
-    /// common 1500-byte MTU; loopback benchmarks raise it to pack more
-    /// packets per syscall.
+    /// (bytes of packet records, behind the 22-byte frame header). The
+    /// WAN-safe default stays near a common 1500-byte MTU; loopback
+    /// benchmarks raise it to pack more packets per syscall, up to what
+    /// one UDP datagram holds (65 485).
     pub max_batch_bytes: usize,
     /// Seed for the node's deterministic fault-injection RNG.
     pub fault_seed: u64,
@@ -129,6 +130,16 @@ impl NodeConfig {
         }
         if self.max_batch_bytes == 0 {
             return Err(OverlayError::InvalidConfig("max_batch_bytes must be positive"));
+        }
+        // CORRECTNESS: a frame filled to the budget must fit one UDP
+        // datagram, or every full frame fails `send_to` with EMSGSIZE
+        // (and, well before that, the frame's 16-bit packet count would
+        // wrap).
+        if self.max_batch_bytes > crate::wire::MAX_DATA_BODY {
+            return Err(OverlayError::InvalidConfig(
+                "max_batch_bytes must leave room for the frame header in one UDP datagram \
+                 (at most 65485)",
+            ));
         }
         Ok(())
     }
@@ -323,7 +334,7 @@ mod tests {
     fn validate_names_the_broken_rule() {
         let ok = || NodeConfig::new(NodeId::new(3), listen());
         let ms = Duration::from_millis;
-        let broken: [(NodeConfig, &str); 10] = [
+        let broken: [(NodeConfig, &str); 11] = [
             (NodeConfig { hello_interval: Duration::ZERO, ..ok() }, "hello_interval"),
             (NodeConfig { link_state_interval: Duration::ZERO, ..ok() }, "link_state_interval"),
             (NodeConfig { hello_interval: ms(2_000), ..ok() }, "10x link_state_interval"),
@@ -334,6 +345,8 @@ mod tests {
             (NodeConfig { sender_capacity: 0, ..ok() }, "sender_capacity"),
             (NodeConfig { overload_hold_down: Duration::ZERO, ..ok() }, "overload_hold_down"),
             (NodeConfig { max_batch_bytes: 0, ..ok() }, "max_batch_bytes"),
+            // One byte past what a UDP datagram holds behind the header.
+            (NodeConfig { max_batch_bytes: 65_486, ..ok() }, "one UDP datagram"),
         ];
         for (config, rule) in broken {
             match config.validate() {
@@ -350,6 +363,7 @@ mod tests {
             link_state_max_age: ms(401),
             watchdog_stale_after: ms(51),
             flap_hold_down: Duration::ZERO,
+            max_batch_bytes: 65_485,
             ..ok()
         };
         edge.validate().expect("just inside every bound");

@@ -6,10 +6,11 @@ use super::{Cx, NodeCore, SessionId};
 use crate::metrics::EventKind;
 use crate::recovery::{retransmit_worthwhile, SendBuffer, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER};
 use crate::session::Delivery;
-use crate::wire::{self, DataPacket, Message};
+use crate::wire::{self, DataFrame, DataPacket, HopHeader, Message};
 use bytes::Bytes;
 use dg_core::{Flow, SlaClass};
 use dg_topology::NodeId;
+use std::ops::Range;
 
 pub(super) struct SendLink {
     next_seq: u64,
@@ -18,6 +19,14 @@ pub(super) struct SendLink {
     /// demand, so the hot path never clones an encoded frame just for
     /// the buffer.
     buffer: SendBuffer<DataPacket>,
+}
+
+/// One datagram's worth of a run, in wire form: how many of the run's
+/// packets, their records, and the hash state over those.
+pub(super) struct Chunk {
+    packets: usize,
+    body: Bytes,
+    state: u64,
 }
 
 /// Whether two packets may share a forwarding run: same flow, same SLA
@@ -42,29 +51,38 @@ impl NodeCore {
             return;
         }
         let slot = self.slot_mut(session);
-        let (flow, class, deadline, mask) = (slot.flow, slot.class, slot.deadline, slot.mask());
-        // The run's payloads are copied once, into one buffer the
-        // packets slice (as a relay's packets slice the frame they
-        // arrived in): one allocation a call, not one a packet.
-        let copied = Bytes::from(payloads.concat());
+        let mut stamp = DataPacket {
+            flow: slot.flow,
+            flow_seq: first_seq,
+            sent_at: cx.now,
+            deadline: slot.deadline,
+            link_seq: 0, // the frame's, assigned per link at transmission
+            retransmission: false,
+            class: slot.class,
+            mask: slot.mask(),
+            payload: Bytes::new(),
+        };
+        // The caller's payloads are copied once, into the records the
+        // run leaves as on every link, and the packets slice that body
+        // (as a relay's packets slice the frame they arrived in): one
+        // allocation and one copy a call.
+        let mask_len = stamp.mask.len();
+        let mut body =
+            Vec::with_capacity(payloads.iter().map(|p| wire::record_len(mask_len, p.len())).sum());
+        for payload in payloads {
+            wire::put_record(&mut body, &stamp, payload);
+            stamp.flow_seq += 1;
+        }
+        let body = Bytes::from(body);
         let mut end = 0;
         let mut packets = std::mem::take(&mut self.packet_scratch);
         packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| {
-            let start = end;
-            end += p.len();
-            DataPacket {
-                flow,
-                flow_seq,
-                sent_at: cx.now,
-                deadline,
-                link_seq: 0, // assigned per link at transmission
-                retransmission: false,
-                class,
-                mask: mask.clone(),
-                payload: copied.slice(start..end),
-            }
+            // A record ends with its payload.
+            end += wire::record_len(mask_len, p.len());
+            let (mask, payload) = (stamp.mask.clone(), body.slice(end - p.len()..end));
+            DataPacket { flow_seq, mask, payload, ..stamp }
         }));
-        self.disseminate_batch(cx, &packets);
+        self.disseminate_batch(cx, &packets, &body, None);
         packets.clear();
         self.packet_scratch = packets;
     }
@@ -93,80 +111,122 @@ impl NodeCore {
         false
     }
 
-    /// Encodes `packets` from link sequence `seq` into a pooled buffer
-    /// and queues the frame for `neighbor`.
-    fn frame_data(&mut self, cx: &mut Cx, neighbor: NodeId, packets: &[DataPacket], seq: u64) {
-        let mut buf = self.frame_pool.get();
-        wire::encode_data_frame(self.me(), packets, seq, &mut buf);
-        cx.frame(neighbor, Bytes::from(buf), Some(packets[0].class));
-    }
-
-    /// Sends a run of data packets toward `neighbor`: assigns them
-    /// consecutive per-link sequences, buffers them for recovery, and
-    /// coalesces them into as few datagrams as
-    /// [`crate::NodeConfig::max_batch_bytes`] allows — one syscall, one
-    /// checksum, one fault verdict per wire datagram instead of per
-    /// packet (one that ends up carrying a single packet is a plain
-    /// DATA frame; see [`wire::encode_data_frame`]).
-    ///
-    /// A run shares one `(flow, class, mask)` ([`same_run`]): admission
-    /// is charged once for the whole run. Returns whether the run was
-    /// admitted (its transmissions are the caller's to count).
-    fn send_data_batch(&mut self, cx: &mut Cx, neighbor: NodeId, packets: &[DataPacket]) -> bool {
-        let Some(first) = packets.first() else { return false };
-        debug_assert!(
-            packets.iter().all(|p| same_run(first, p)),
-            "a run shares one (flow, class, mask)"
-        );
-        // Shed before touching the link sequence or the retransmit
-        // buffer: a shed packet must not open a gap the neighbour
-        // would NACK for. The whole run is admitted or shed as a unit.
-        if !self.admit_data(cx.backlog, first.class, packets.len() as u64) {
-            return false;
-        }
-        let link = self.send_links.entry(neighbor).or_insert_with(|| SendLink {
-            next_seq: 0,
-            buffer: SendBuffer::new(RETRANSMIT_BUFFER),
-        });
-        let first_seq = link.next_seq;
-        link.next_seq += packets.len() as u64;
-        for (p, seq) in packets.iter().zip(first_seq..) {
-            link.buffer.push(seq, p.clone());
-        }
-        // Chunk so no datagram exceeds the configured batch budget
-        // (always at least one packet per datagram).
+    /// Cuts a run into the datagrams it leaves as — as few as
+    /// [`crate::NodeConfig::max_batch_bytes`] allows, always at least one
+    /// packet each — and says each one's hash state: `state` when the
+    /// run fits one datagram and its state is known (a frame forwarded
+    /// as it arrived), else a pass over the chunk's bytes.
+    fn chunk_run(
+        &self,
+        packets: &[DataPacket],
+        body: &Bytes,
+        state: Option<u64>,
+        chunks: &mut Vec<Chunk>,
+    ) {
         let budget = self.config.max_batch_bytes;
-        let mut start = 0;
+        let (mut start, mut at) = (0, 0);
         while start < packets.len() {
             let mut end = start + 1;
-            let mut size = wire::data_body_len(&packets[start]);
+            let mut size = packets[start].record_len();
             while end < packets.len() {
-                let next = wire::data_body_len(&packets[end]);
+                let next = packets[end].record_len();
                 if size + next > budget {
                     break;
                 }
                 size += next;
                 end += 1;
             }
-            self.frame_data(cx, neighbor, &packets[start..end], first_seq + start as u64);
-            start = end;
+            let bytes = body.slice(at..at + size);
+            let state = match state {
+                Some(known) if size == body.len() => known,
+                _ => wire::body_state(&bytes),
+            };
+            chunks.push(Chunk { packets: end - start, body: bytes, state });
+            (start, at) = (end, at + size);
         }
-        true
+        debug_assert_eq!(at, body.len(), "the body is the packets' records");
+    }
+
+    /// Sends a run of data packets toward `neighbor`: assigns them
+    /// consecutive per-link sequences, buffers them for recovery, and
+    /// frames each of the run's `chunks` — a 22-byte header, a copy of
+    /// the chunk's records, the sum finished from its state: one
+    /// syscall and one fault verdict per wire datagram instead of per
+    /// packet, and no pass over the bytes per link (one that ends up
+    /// carrying a single packet is a plain DATA frame).
+    ///
+    /// A run shares one `(flow, class, mask)` ([`same_run`]) and was
+    /// admitted as a unit; its transmissions are the caller's to count.
+    fn send_data_batch(
+        &mut self,
+        cx: &mut Cx,
+        neighbor: NodeId,
+        packets: &[DataPacket],
+        chunks: &[Chunk],
+    ) {
+        let link = self.send_links.entry(neighbor).or_insert_with(|| SendLink {
+            next_seq: 0,
+            buffer: SendBuffer::new(RETRANSMIT_BUFFER),
+        });
+        let mut seq = link.next_seq;
+        link.next_seq += packets.len() as u64;
+        for (p, seq) in packets.iter().zip(seq..) {
+            link.buffer.push(seq, p.clone());
+        }
+        for chunk in chunks {
+            let header = HopHeader {
+                from: self.config.node,
+                first_link_seq: seq,
+                retransmission: false,
+                count: chunk.packets,
+            };
+            let mut buf = self.frame_pool.get();
+            wire::put_data_frame(header, &chunk.body, chunk.state, &mut buf);
+            cx.frame(neighbor, Bytes::from(buf), Some(packets[0].class));
+            seq += chunk.packets as u64;
+        }
     }
 
     /// Disseminates a run of packets (one `(flow, class, mask)`; a
     /// single packet is a run of one) from this node along the mask's
-    /// out-edges, batching the per-neighbour sends; the run's
-    /// transmissions are counted once, for all the links that took it.
-    fn disseminate_batch(&mut self, cx: &mut Cx, packets: &[DataPacket]) {
+    /// out-edges. `body` is the run in wire form — its packets' records
+    /// back to back — and `state` the hash state over it where somebody
+    /// already knows it; the run is cut into datagrams and hashed at
+    /// most once, for all the links that take it, and its transmissions
+    /// are counted once.
+    fn disseminate_batch(
+        &mut self,
+        cx: &mut Cx,
+        packets: &[DataPacket],
+        body: &Bytes,
+        state: Option<u64>,
+    ) {
         let Some(first) = packets.first() else { return };
+        debug_assert!(
+            packets.iter().all(|p| same_run(first, p)),
+            "a run shares one (flow, class, mask)"
+        );
+        let mut chunks = std::mem::take(&mut self.chunk_scratch);
         let mut links = 0;
         for i in 0..self.out_links.len() {
             let (edge, neighbor) = self.out_links[i];
-            if first.mask_contains(edge) && self.send_data_batch(cx, neighbor, packets) {
-                links += 1;
+            // Shed before touching the link sequence or the retransmit
+            // buffer: a shed packet must not open a gap the neighbour
+            // would NACK for. The whole run is admitted or shed as a
+            // unit, link by link.
+            if !first.mask_contains(edge)
+                || !self.admit_data(cx.backlog, first.class, packets.len() as u64)
+            {
+                continue;
             }
+            if chunks.is_empty() {
+                self.chunk_run(packets, body, state, &mut chunks);
+            }
+            self.send_data_batch(cx, neighbor, packets, &chunks);
+            links += 1;
         }
+        chunks.clear();
+        self.chunk_scratch = chunks;
         if links > 0 {
             let transmissions = links * packets.len() as u64;
             self.stats.counters.data_sent += transmissions;
@@ -212,7 +272,17 @@ impl NodeCore {
             // re-encoding here keeps the hot path free of frame
             // clones.
             self.stats.flow(packet.flow).transmissions += 1;
-            self.frame_data(cx, from, std::slice::from_ref(&packet), seq);
+            // The one place the hop's retransmission bit is set: the
+            // packet leaves again alone, under the sequence it had.
+            let header = HopHeader {
+                from: self.config.node,
+                first_link_seq: seq,
+                retransmission: true,
+                count: 1,
+            };
+            let mut buf = self.frame_pool.get();
+            wire::encode_data_frame(header, std::slice::from_ref(&packet), &mut buf);
+            cx.frame(from, Bytes::from(buf), Some(packet.class));
         }
     }
 
@@ -226,8 +296,11 @@ impl NodeCore {
     /// batch per out-neighbour. What does not depend on the packet is
     /// done once a frame, and a flow's window, counters and
     /// receiver are looked up — and the counters added — per stretch of
-    /// consecutive packets of one flow.
-    pub(super) fn handle_data(&mut self, cx: &mut Cx, from: NodeId, packets: &[DataPacket]) {
+    /// consecutive packets of one flow. A run that is the whole frame —
+    /// every frame on an undisturbed link — leaves with the body and the
+    /// hash state it arrived with.
+    pub(super) fn handle_data(&mut self, cx: &mut Cx, frame: &DataFrame) {
+        let (from, packets) = (frame.from, &frame.packets);
         // Hop-by-hop recovery: the frame's link sequences against this
         // in-link's tracker. NACKs leave before anything is delivered.
         let gaps = self
@@ -242,9 +315,27 @@ impl NodeCore {
             self.stats.record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
             cx.control(self.me(), from, Message::Nack { missing });
         }
+        // Where in the frame's body the next stretch's records begin.
+        let mut at = 0;
         for stretch in packets.chunk_by(|a, b| a.flow == b.flow) {
-            self.accept_stretch(cx, stretch);
+            at = self.accept_stretch(cx, frame, stretch, at);
         }
+    }
+
+    /// Forwards the run of `frame` whose records are `records` of its
+    /// body.
+    fn forward_run(
+        &mut self,
+        cx: &mut Cx,
+        frame: &DataFrame,
+        run: &[DataPacket],
+        records: Range<usize>,
+    ) {
+        if run.is_empty() {
+            return;
+        }
+        let whole = records.len() == frame.body.len();
+        self.disseminate_batch(cx, run, &frame.body.slice(records), whole.then_some(frame.state));
     }
 
     /// Whether `flow` can exist on this overlay. Flow ids arrive
@@ -260,15 +351,23 @@ impl NodeCore {
     /// The receive checks for a frame's stretch of consecutive packets
     /// of one flow: duplicate suppression and expiry decide each
     /// packet's verdict, the stretch is counted, and then its packets
-    /// are delivered and its surviving runs forwarded.
-    fn accept_stretch(&mut self, cx: &mut Cx, stretch: &[DataPacket]) {
+    /// are delivered and its surviving runs forwarded. The stretch's
+    /// records begin `at` bytes into `frame`'s body; returns where they
+    /// end.
+    fn accept_stretch(
+        &mut self,
+        cx: &mut Cx,
+        frame: &DataFrame,
+        stretch: &[DataPacket],
+        mut at: usize,
+    ) -> usize {
         let first = &stretch[0];
         let flow = first.flow;
         let received = stretch.len() as u64;
         self.stats.counters.data_received += received;
         if !self.plausible(flow) {
             self.stats.counters.malformed += received;
-            return;
+            return at + stretch.iter().map(DataPacket::record_len).sum::<usize>();
         }
         // A packet's verdict: `None` for a copy already seen, else
         // whether its deadline still holds.
@@ -295,8 +394,9 @@ impl NodeCore {
         self.stats.counters.duplicates += received - fresh;
         self.stats.counters.expired += late;
         // `stretch[start..i]` is the pending run: accepted, one
-        // `(flow, class, mask)`, not yet forwarded.
-        let mut start = 0;
+        // `(flow, class, mask)`, not yet forwarded; its records begin
+        // `run_at` bytes into the body, packet `i`'s `at` bytes in.
+        let (mut start, mut run_at) = (0, at);
         for (i, (packet, &verdict)) in stretch.iter().zip(&verdicts).enumerate() {
             if let (true, Some(on_time)) = (receiver, verdict) {
                 cx.out.deliveries.push((
@@ -312,13 +412,16 @@ impl NodeCore {
                 ));
             }
             let accepted = verdict == Some(true);
+            let next = at + packet.record_len();
             if !accepted || (start < i && !same_run(&stretch[start], packet)) {
-                self.disseminate_batch(cx, &stretch[start..i]);
-                start = if accepted { i } else { i + 1 };
+                self.forward_run(cx, frame, &stretch[start..i], run_at..at);
+                (start, run_at) = if accepted { (i, at) } else { (i + 1, next) };
             }
+            at = next;
         }
-        self.disseminate_batch(cx, &stretch[start..]);
+        self.forward_run(cx, frame, &stretch[start..], run_at..at);
         self.verdict_scratch = verdicts;
+        at
     }
 
     /// The hello tick's pass over the in-links' gap trackers. Each hands

@@ -114,6 +114,7 @@ pub(crate) struct NodeCore {
     /// Reusable encode buffers; the carrier hands sent frames back.
     pub(crate) frame_pool: BufferPool,
     packet_scratch: Vec<DataPacket>,
+    chunk_scratch: Vec<forward::Chunk>,
     verdict_scratch: Vec<Option<bool>>,
 
     // Control plane (`control.rs`).
@@ -182,6 +183,7 @@ impl NodeCore {
             receivers: HashSet::new(),
             frame_pool: BufferPool::default(),
             packet_scratch: Vec::new(),
+            chunk_scratch: Vec::new(),
             verdict_scratch: Vec::new(),
             monitor: LinkMonitor::new(WINDOW_TICKS, micros(config.hello_interval)),
             damper: FlapDamper::new(
@@ -232,16 +234,19 @@ impl NodeCore {
             self.stats.counters.malformed += 1;
             return;
         }
-        // Data frames are copied once out of the receive scratch buffer
-        // into a shared frame, and their masks/payloads decode as
-        // zero-copy slices of it; control frames decode straight off the
+        // A data frame is copied once out of the receive scratch buffer
+        // into a shared frame of its own size; its masks and payloads
+        // decode as zero-copy slices of it, and its body leaves again
+        // as that same slice. Control frames decode straight off the
         // scratch buffer with no allocation at all.
-        let decoded = if wire::is_data_frame(datagram) {
-            Envelope::decode_shared(&Bytes::copy_from_slice(datagram))
-        } else {
-            Envelope::decode(datagram)
-        };
-        let Ok(Envelope { from, message }) = decoded else {
+        if wire::is_data_frame(datagram) {
+            match wire::decode_data_frame(&Bytes::copy_from_slice(datagram)) {
+                Ok(frame) => self.handle_data(cx, &frame),
+                Err(_) => self.stats.counters.malformed += 1,
+            }
+            return;
+        }
+        let Ok(Envelope { from, message }) = Envelope::decode(datagram) else {
             self.stats.counters.malformed += 1;
             return;
         };
@@ -255,8 +260,7 @@ impl NodeCore {
             Message::LsaAck { origin, epoch, seq } => self.handle_lsa_ack(from, origin, epoch, seq),
             Message::Digest { entries } => self.handle_digest(cx, from, &entries),
             Message::Nack { missing } => self.handle_nack(cx, from, missing),
-            Message::Data(packet) => self.handle_data(cx, from, std::slice::from_ref(&packet)),
-            Message::DataBatch(packets) => self.handle_data(cx, from, &packets),
+            Message::Data(_) | Message::DataBatch(_) => unreachable!("a data frame, handled above"),
         }
     }
 

@@ -61,7 +61,8 @@ macro_rules! declare_counters {
 
 declare_counters! {
     live {
-    /// UDP datagrams handed to the shipper (after fault filtering).
+    /// UDP datagrams put on the wire (after fault filtering; one the
+    /// fault plan delays is counted when it parks).
     datagrams_sent,
     /// UDP datagrams received on the socket.
     datagrams_received,
@@ -159,6 +160,9 @@ declare_counters! {
     nack_rerequests_skipped,
     /// Supervised node threads restarted after a panic.
     thread_crashes,
+    /// Datagrams the socket refused (`send_to` failed): not on the
+    /// books as sent.
+    send_errors,
     }
     derived {
     /// Datagrams dropped because a bounded internal queue was full —

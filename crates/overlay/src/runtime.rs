@@ -175,12 +175,16 @@ impl Driver {
         }
     }
 
-    /// Puts `frame` on the wire to `to` and hands its buffer back.
-    fn send_now(&self, pool: &mut BufferPool, to: NodeId, frame: Bytes) {
-        if let Some(addr) = self.config.peers.get(&to) {
-            let _ = self.socket.send_to(&frame, addr);
-        }
+    /// Puts `frame` on the wire to `to` and hands its buffer back;
+    /// `false` when the socket refused it. (A frame for a neighbour with
+    /// no address here evaporates, as synthetic backlog does.)
+    fn send_now(&self, pool: &mut BufferPool, to: NodeId, frame: Bytes) -> bool {
+        let sent = match self.config.peers.get(&to) {
+            Some(addr) => self.socket.send_to(&frame, addr).is_ok(),
+            None => true,
+        };
         pool.recycle(frame);
+        sent
     }
 
     /// The shipper duty: sends every parked frame that is due.
@@ -188,7 +192,9 @@ impl Driver {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let Driven { core, carrier, .. } = st;
-        carrier.service(now_us(), |to, frame| self.send_now(&mut core.frame_pool, to, frame));
+        let NodeCore { stats, frame_pool, .. } = core;
+        stats.counters.send_errors +=
+            carrier.service(now_us(), |to, frame| self.send_now(frame_pool, to, frame));
     }
 
     /// Parks synthetic backlog that evaporates `dwell` from now (see

@@ -117,12 +117,13 @@ fn wire_from<'a>(
     sites: usize,
     at: Micros,
     from: NodeId,
-) -> impl FnMut(NodeId, Bytes) + 'a {
+) -> impl FnMut(NodeId, Bytes) -> bool + 'a {
     move |to, bytes| {
         if to.index() < sites {
             wire.push(WireFrame { at, from, to, bytes: bytes.clone() });
             arrivals.push_back((to, bytes));
         }
+        true
     }
 }
 
@@ -511,7 +512,13 @@ impl Net {
     /// Puts a hand-built frame on the wire to `to` as if `from` had sent
     /// it (for a site that is down: a tap).
     pub fn inject(&mut self, from: NodeId, to: NodeId, message: Message) {
-        self.arrivals.push_back((to, Envelope { from, message }.encode()));
+        self.inject_bytes(to, Envelope { from, message }.encode());
+    }
+
+    /// Puts `datagram` on the wire to `to`, whatever it holds (a frame
+    /// of another protocol version, a captured one, noise).
+    pub fn inject_bytes(&mut self, to: NodeId, datagram: Bytes) {
+        self.arrivals.push_back((to, datagram));
         self.settle();
     }
 

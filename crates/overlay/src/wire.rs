@@ -7,11 +7,18 @@
 //! routing state — the source alone decides the routing, per the
 //! paper's architecture.
 //!
-//! The prelude checksum (a word-at-a-time 64-bit FNV-1a over every
-//! byte except the checksum field itself, folded to 32 bits) turns
+//! The prelude checksum (64-bit FNV-1a over every byte except the
+//! checksum field itself, folded to 32 bits; see [`body_state`]) turns
 //! in-flight corruption into a clean decode error: a corrupted
 //! datagram only ever increments the `malformed` counter, it can never
 //! deliver a flipped payload or poison protocol state.
+//!
+//! A data frame is a *per-hop header* (the prelude, the first link
+//! sequence, a hop-flags byte, the packet count) followed by a
+//! *hop-invariant body* (one record a packet). The sum hashes the body
+//! first and the header last, so a node that forwards a body as it
+//! arrived — or fans one out to several neighbours — hashes it once
+//! and finishes the sum per frame in three words.
 //!
 //! Two encode/decode surfaces exist: the classic allocating pair
 //! ([`Envelope::encode`]/[`Envelope::decode`]) and the pooled-buffer
@@ -31,8 +38,10 @@ pub const MAGIC: u8 = 0xDC;
 /// link-state origin epoch, and per-entry link-down flags; version 3
 /// added batched data frames and the word-folded checksum; version 4
 /// turned the data-body retransmission byte into a flags byte carrying
-/// the SLA service class (bits 1–2).
-pub const VERSION: u8 = 4;
+/// the SLA service class (bits 1–2); version 5 split a data frame into
+/// a per-hop header and a hop-invariant body and hashes the body first,
+/// in four lanes.
+pub const VERSION: u8 = 5;
 /// Maximum application payload per packet, chosen to keep the whole
 /// datagram under a typical 1500-byte MTU.
 pub const MAX_PAYLOAD: usize = 1200;
@@ -52,8 +61,10 @@ pub enum Message {
     /// An application packet being disseminated.
     Data(DataPacket),
     /// Several application packets coalesced into one datagram (one
-    /// syscall, one checksum). Each item keeps its own per-link
-    /// sequence number, so hop-by-hop recovery still works per packet.
+    /// syscall, one checksum). The frame carries the first packet's
+    /// link sequence and retransmission bit; packet `i` travels as
+    /// sequence `first + i`, so hop-by-hop recovery still works per
+    /// packet. (Encoding reads both from the first packet.)
     DataBatch(Vec<DataPacket>),
     /// A hop-by-hop recovery request for lost link sequence numbers.
     Nack {
@@ -129,9 +140,11 @@ pub struct DataPacket {
     pub sent_at: Micros,
     /// One-way delivery deadline (duration, not an instant).
     pub deadline: Micros,
-    /// Per-link sequence number assigned by the transmitting node.
+    /// Per-link sequence number assigned by the transmitting node: the
+    /// frame's first link sequence plus the packet's place in it.
     pub link_seq: u64,
-    /// True for hop-by-hop retransmissions (they are not recovered again).
+    /// True for hop-by-hop retransmissions (they are not recovered
+    /// again): the frame's hop flag, the same for all its packets.
     pub retransmission: bool,
     /// The flow's SLA service class, stamped by the source and carried
     /// end to end so every hop sheds in the same priority order.
@@ -147,6 +160,11 @@ impl DataPacket {
     pub fn mask_contains(&self, edge: EdgeId) -> bool {
         let i = edge.index();
         self.mask.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0)
+    }
+
+    /// Serialized size of the packet's record in a data frame's body.
+    pub(crate) fn record_len(&self) -> usize {
+        record_len(self.mask.len(), self.payload.len())
     }
 
     /// True when, at time `now`, this packet can no longer be delivered
@@ -194,55 +212,110 @@ const T_DATA_BATCH: u8 = 5;
 const T_LSA_ACK: u8 = 6;
 const T_DIGEST: u8 = 7;
 
-/// Fixed part of a data body: flow (8), flow_seq (8), sent_at (8),
-/// deadline (8), link_seq (8), flags (1), mask length (2), payload
-/// length (2).
-const DATA_FIXED_LEN: usize = 45;
-
-/// Bit 0 of a data body's flags byte: hop-by-hop retransmission.
-const FLAG_RETRANSMISSION: u8 = 0x01;
-/// Bits 1–2 of a data body's flags byte: the SLA class.
-const CLASS_SHIFT: u8 = 1;
-const CLASS_MASK: u8 = 0b0000_0110;
-
 /// Byte offset of the prelude checksum field.
 const CHECKSUM_OFFSET: usize = 7;
 /// Total prelude size: magic, version, type, sender, checksum.
 const PRELUDE_LEN: usize = 11;
+/// A data frame's per-hop header: the prelude, the first link sequence
+/// (8), the hop-flags byte (1) and the packet count (2).
+pub(crate) const DATA_HEADER_LEN: usize = PRELUDE_LEN + 11;
+/// The most body bytes one data frame can carry: what a UDP datagram
+/// over IPv4 holds (65 507) less the per-hop header.
+pub(crate) const MAX_DATA_BODY: usize = 65_507 - DATA_HEADER_LEN;
+/// Fixed part of a data record: flow (8), flow_seq (8), sent_at (8),
+/// deadline (8), class (1), mask length (2), payload length (2).
+const RECORD_FIXED_LEN: usize = 37;
+
+/// Bit 0 of a data frame's hop-flags byte: hop-by-hop retransmission.
+const HOP_RETRANSMISSION: u8 = 0x01;
+/// Bits 0–1 of a data record's class byte: the SLA class.
+const CLASS_MASK: u8 = 0b0000_0011;
 /// Bit 0 of a link-state entry's flags byte: link declared down.
 const FLAG_LINK_DOWN: u8 = 0x01;
 
-/// Integrity checksum over every datagram byte except the checksum
-/// field itself: 64-bit FNV-1a consumed eight bytes per step (short
-/// tails are zero-padded and length-tagged), folded to 32 bits. The
-/// word-wise walk breaks FNV's one-multiply-per-byte dependency chain,
-/// which matters now that batching produces multi-kilobyte datagrams
-/// that are checksummed twice per hop (seal + verify).
-fn checksum(datagram: &[u8]) -> u32 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            hash ^= u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
-            hash = hash.wrapping_mul(PRIME);
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// One FNV-1a step over a 64-bit word.
+#[inline(always)]
+fn step(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// The hash state after a frame's body (everything behind its header):
+/// four FNV-1a-64 lanes over the 32-byte blocks — word `j` of a block
+/// (little-endian) into lane `j`, every lane from the offset basis —
+/// folded in lane order into one state from the offset basis, then the
+/// remaining whole words, then the last `< 8` bytes zero-padded to a
+/// word (if any), then the body's length. One multiply chain a word
+/// caps a hash at a word per ≈ 3 cycles; four independent chains keep
+/// the multiplier busy, and a frame of tens of kilobytes is hashed once
+/// per node it crosses.
+///
+/// Every step is a bijection of the state for a fixed word and of the
+/// word for a fixed state, so a change confined to one word always
+/// changes the result.
+pub(crate) fn body_state(body: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut blocks = body.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, le_word(word));
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            // Tag the pad with the tail length so trailing zero bytes
-            // and an absent tail cannot alias.
-            tail[7] = rem.len() as u8;
-            hash ^= u64::from_le_bytes(tail);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    eat(&datagram[..CHECKSUM_OFFSET.min(datagram.len())]);
-    if datagram.len() > PRELUDE_LEN {
-        eat(&datagram[PRELUDE_LEN..]);
     }
+    let mut hash = lanes.into_iter().fold(FNV_OFFSET, step);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = step(hash, le_word(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        hash = step(hash, u64::from_le_bytes(padded));
+    }
+    step(hash, body.len() as u64)
+}
+
+/// How many bytes of a frame of `msg_type` are its header.
+fn header_len(msg_type: u8) -> usize {
+    match msg_type {
+        T_DATA | T_DATA_BATCH => DATA_HEADER_LEN,
+        _ => PRELUDE_LEN,
+    }
+}
+
+/// Continues a body's hash `state` over the frame's header — its
+/// `header_len` bytes with the checksum field cut out, zero-padded to
+/// whole words: one word for a control frame's 7 bytes, three for a
+/// data frame's 18 — and folds the result to the 32 bits the prelude
+/// carries. (The words are picked out of the datagram where they lie;
+/// the tests' reference splices and pads.)
+fn finish(state: u64, datagram: &[u8], header_len: usize) -> u32 {
+    // Bytes 0..7, the eighth zero.
+    let head = le_word(&datagram[..8]) & 0x00FF_FFFF_FFFF_FFFF;
+    let hash = if header_len == DATA_HEADER_LEN {
+        // Bytes 0..7 and 11; 12..20; 20..22 and six zeros.
+        let first = head | u64::from(datagram[PRELUDE_LEN]) << 56;
+        let second = le_word(&datagram[PRELUDE_LEN + 1..PRELUDE_LEN + 9]);
+        let third =
+            u16::from_le_bytes([datagram[DATA_HEADER_LEN - 2], datagram[DATA_HEADER_LEN - 1]]);
+        step(step(step(state, first), second), u64::from(third))
+    } else {
+        step(state, head)
+    };
     (hash ^ (hash >> 32)) as u32
+}
+
+/// Integrity checksum of a whole datagram (at least a header long):
+/// the body's state, finished over the header.
+fn checksum(datagram: &[u8]) -> u32 {
+    let header_len = header_len(datagram[2]);
+    finish(body_state(&datagram[header_len..]), datagram, header_len)
 }
 
 /// Whether a raw datagram is a data or data-batch frame (peeks the
@@ -273,62 +346,124 @@ fn put_prelude<B: BufMut + std::ops::DerefMut<Target = [u8]>>(
     buf.put_u8(VERSION);
     buf.put_u8(msg_type);
     buf.put_u32(from.index() as u32);
-    buf.put_u32(0); // checksum placeholder, patched by seal()
+    buf.put_u32(0); // checksum placeholder, patched once the sum is known
     base
+}
+
+/// A data frame's per-hop header: everything about the frame that
+/// changes from one link to the next.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HopHeader {
+    /// The transmitting node.
+    pub(crate) from: NodeId,
+    /// The link sequence of the frame's first packet; packet `i`
+    /// travels as `first_link_seq + i`.
+    pub(crate) first_link_seq: u64,
+    /// Whether the frame answers a NACK.
+    pub(crate) retransmission: bool,
+    /// How many packets the frame carries.
+    pub(crate) count: usize,
+}
+
+impl HopHeader {
+    /// The header `packets` travel under as a frame from `from`: the
+    /// first link sequence and the retransmission bit are the first
+    /// packet's.
+    fn of(from: NodeId, packets: &[DataPacket]) -> HopHeader {
+        let first = packets.first();
+        HopHeader {
+            from,
+            first_link_seq: first.map_or(0, |d| d.link_seq),
+            retransmission: first.is_some_and(|d| d.retransmission),
+            count: packets.len(),
+        }
+    }
+
+    /// Appends the fields behind the prelude.
+    fn put_fields<B: BufMut>(&self, buf: &mut B) {
+        buf.put_u64(self.first_link_seq);
+        buf.put_u8(if self.retransmission { HOP_RETRANSMISSION } else { 0 });
+        buf.put_u16(self.count as u16);
+    }
+
+    /// Appends the whole header, checksum zeroed, and returns the
+    /// offset it starts at. A single packet is framed as plain
+    /// `T_DATA`, never as a `T_DATA_BATCH` of one, so single-packet
+    /// traffic looks the same on the wire whether or not the sender
+    /// batches.
+    fn put(&self, buf: &mut Vec<u8>) -> usize {
+        let msg_type = if self.count == 1 { T_DATA } else { T_DATA_BATCH };
+        let base = put_prelude(buf, msg_type, self.from);
+        self.put_fields(buf);
+        base
+    }
+}
+
+/// Appends the records of `packets`, back to back.
+fn put_records<B: BufMut>(buf: &mut B, packets: &[DataPacket]) {
+    for d in packets {
+        put_record(buf, d, &d.payload);
+    }
+}
+
+/// Patches `sum` into the envelope starting at `base`.
+fn patch_sum(buf: &mut [u8], base: usize, sum: u32) {
+    buf[base + CHECKSUM_OFFSET..base + PRELUDE_LEN].copy_from_slice(&sum.to_be_bytes());
 }
 
 /// Computes and patches the checksum of the envelope starting at `base`.
 fn seal(buf: &mut [u8], base: usize) {
     let sum = checksum(&buf[base..]);
-    buf[base + CHECKSUM_OFFSET..base + PRELUDE_LEN].copy_from_slice(&sum.to_be_bytes());
+    patch_sum(buf, base, sum);
 }
 
-/// Serialized size of one data body (without the prelude).
-pub(crate) fn data_body_len(d: &DataPacket) -> usize {
-    DATA_FIXED_LEN + d.mask.len() + d.payload.len()
+/// Serialized size of the record of a packet with a mask and a payload
+/// this long.
+pub(crate) fn record_len(mask: usize, payload: usize) -> usize {
+    RECORD_FIXED_LEN + mask + payload
 }
 
-fn put_data_body<B: BufMut>(buf: &mut B, d: &DataPacket, link_seq: u64) {
+/// Appends `d`'s record carrying `payload`, its last field. (The
+/// source encodes a run's records before the packets, which slice them,
+/// exist; everybody else passes `&d.payload`.)
+pub(crate) fn put_record<B: BufMut>(buf: &mut B, d: &DataPacket, payload: &[u8]) {
     buf.put_u32(d.flow.source.index() as u32);
     buf.put_u32(d.flow.destination.index() as u32);
     buf.put_u64(d.flow_seq);
     buf.put_u64(d.sent_at.as_micros());
     buf.put_u64(d.deadline.as_micros());
-    buf.put_u64(link_seq);
-    buf.put_u8((d.class.to_bits() << CLASS_SHIFT) | u8::from(d.retransmission));
+    buf.put_u8(d.class.to_bits());
     buf.put_u16(d.mask.len() as u16);
     buf.put_slice(&d.mask);
-    buf.put_u16(d.payload.len() as u16);
-    buf.put_slice(&d.payload);
+    buf.put_u16(payload.len() as u16);
+    buf.put_slice(payload);
 }
 
-/// Appends one data frame carrying `packets` (at least one) with their
-/// per-link sequences overridden to count up from `first_link_seq` (a
-/// run always occupies consecutive sequences on its link), without
-/// cloning the packets; the node's transmit path pairs this with a
-/// pooled buffer. A single packet is framed as plain `T_DATA`, never
-/// as a `T_DATA_BATCH` of one, so single-packet traffic looks the same
-/// on the wire whether or not the sender batches.
-pub(crate) fn encode_data_frame(
-    from: NodeId,
-    packets: &[DataPacket],
-    first_link_seq: u64,
-    buf: &mut Vec<u8>,
-) {
+/// Appends one data frame carrying `packets` (at least one) under
+/// `header`, whose count is theirs, field by field: the NACK path's
+/// encoder (a buffered packet leaves again alone, under its old
+/// sequence). A forwarded or originated run goes through
+/// [`put_data_frame`] instead, which copies a body that already exists.
+pub(crate) fn encode_data_frame(header: HopHeader, packets: &[DataPacket], buf: &mut Vec<u8>) {
+    debug_assert_eq!(header.count, packets.len(), "the header counts the packets");
     debug_assert!(!packets.is_empty(), "a data frame carries at least one packet");
-    let body: usize = packets.iter().map(data_body_len).sum();
-    buf.reserve(PRELUDE_LEN + 2 + body);
-    let base = if packets.len() == 1 {
-        put_prelude(buf, T_DATA, from)
-    } else {
-        let base = put_prelude(buf, T_DATA_BATCH, from);
-        buf.put_u16(packets.len() as u16);
-        base
-    };
-    for (d, seq) in packets.iter().zip(first_link_seq..) {
-        put_data_body(buf, d, seq);
-    }
+    buf.reserve(DATA_HEADER_LEN + packets.iter().map(DataPacket::record_len).sum::<usize>());
+    let base = header.put(buf);
+    put_records(buf, packets);
     seal(buf, base);
+}
+
+/// Appends one data frame made of `header` and a `body` that already
+/// exists in wire form — `header.count` records, hashed to `state` by
+/// whoever verified or encoded them: the header is written, the body
+/// copied, and the sum finished from `state` over the header. The body
+/// is not read a second time, on however many links it leaves.
+pub(crate) fn put_data_frame(header: HopHeader, body: &[u8], state: u64, buf: &mut Vec<u8>) {
+    buf.reserve(DATA_HEADER_LEN + body.len());
+    let base = header.put(buf);
+    buf.extend_from_slice(body);
+    let sum = finish(state, &buf[base..], DATA_HEADER_LEN);
+    patch_sum(buf, base, sum);
 }
 
 /// How `decode` materializes mask/payload bytes: by copying out of the
@@ -347,26 +482,28 @@ impl Materialize<'_> {
     }
 }
 
-fn decode_data_body(
+/// Parses one record off `buf`, a suffix of `datagram`, as the packet
+/// travelling under `link_seq`.
+fn decode_record(
     datagram: &[u8],
     buf: &mut &[u8],
     materialize: &Materialize<'_>,
+    link_seq: u64,
+    retransmission: bool,
 ) -> Result<DataPacket, OverlayError> {
-    if buf.remaining() < DATA_FIXED_LEN {
-        return Err(OverlayError::Malformed("short data header"));
+    if buf.remaining() < RECORD_FIXED_LEN {
+        return Err(OverlayError::Malformed("short data record"));
     }
     let flow = Flow::new(NodeId::new(buf.get_u32()), NodeId::new(buf.get_u32()));
     let flow_seq = buf.get_u64();
     let sent_at = Micros::from_micros(buf.get_u64());
     let deadline = Micros::from_micros(buf.get_u64());
-    let link_seq = buf.get_u64();
-    let flags = buf.get_u8();
-    if flags & !(FLAG_RETRANSMISSION | CLASS_MASK) != 0 {
-        return Err(OverlayError::Malformed("unknown data flags"));
+    let class = buf.get_u8();
+    if class & !CLASS_MASK != 0 {
+        return Err(OverlayError::Malformed("unknown record class bits"));
     }
-    let retransmission = flags & FLAG_RETRANSMISSION != 0;
-    let class = SlaClass::from_bits((flags & CLASS_MASK) >> CLASS_SHIFT)
-        .ok_or(OverlayError::Malformed("reserved sla class bits"))?;
+    let class =
+        SlaClass::from_bits(class).ok_or(OverlayError::Malformed("reserved sla class bits"))?;
     let mask_len = buf.get_u16() as usize;
     if buf.remaining() < mask_len + 2 {
         return Err(OverlayError::Malformed("short mask"));
@@ -392,7 +529,66 @@ fn decode_data_body(
     })
 }
 
-fn decode_with(datagram: &[u8], materialize: Materialize<'_>) -> Result<Envelope, OverlayError> {
+/// Parses the packets of a data frame of `msg_type` whose checksum
+/// held. What the hop header claims is checked before anything is
+/// built from it.
+fn decode_packets(
+    datagram: &[u8],
+    msg_type: u8,
+    materialize: &Materialize<'_>,
+) -> Result<Vec<DataPacket>, OverlayError> {
+    let mut buf = &datagram[PRELUDE_LEN..];
+    let first_link_seq = buf.get_u64();
+    let hop_flags = buf.get_u8();
+    let count = buf.get_u16() as usize;
+    // CORRECTNESS: only bit 0 of the hop-flags byte is assigned. A
+    // frame with another bit set speaks a protocol this node does not,
+    // and is not guessed at.
+    if hop_flags & !HOP_RETRANSMISSION != 0 {
+        return Err(OverlayError::Malformed("unknown hop flags"));
+    }
+    // CORRECTNESS: a data frame carries at least one packet, and a DATA
+    // frame exactly one (the type byte and the count never disagree).
+    if count == 0 {
+        return Err(OverlayError::Malformed("empty data frame"));
+    }
+    if msg_type == T_DATA && count != 1 {
+        return Err(OverlayError::Malformed("data frame of several"));
+    }
+    // CORRECTNESS: packet `i` travels as `first_link_seq + i`; the gap
+    // tracker is never shown a sequence that wrapped.
+    let Some(_) = first_link_seq.checked_add(count as u64) else {
+        return Err(OverlayError::Malformed("link sequence overflow"));
+    };
+    // CORRECTNESS: the count is believed only as far as the bytes that
+    // arrived could hold that many records — it sizes an allocation.
+    if buf.remaining() < count * RECORD_FIXED_LEN {
+        return Err(OverlayError::Malformed("short data body"));
+    }
+    let retransmission = hop_flags & HOP_RETRANSMISSION != 0;
+    let mut packets = Vec::with_capacity(count);
+    for link_seq in first_link_seq..first_link_seq + count as u64 {
+        packets.push(decode_record(datagram, &mut buf, materialize, link_seq, retransmission)?);
+    }
+    // CORRECTNESS: the body is exactly its records. A relay forwards a
+    // whole frame's body as it arrived; bytes behind the last record
+    // would travel on unread.
+    if buf.has_remaining() {
+        return Err(OverlayError::Malformed("bytes behind the last record"));
+    }
+    Ok(packets)
+}
+
+/// What the prelude says and the checksum vouches for.
+struct Verified {
+    msg_type: u8,
+    from: NodeId,
+    /// The hash state over everything behind the header.
+    state: u64,
+}
+
+/// Checks a datagram's prelude and its checksum.
+fn verify(datagram: &[u8]) -> Result<Verified, OverlayError> {
     let mut buf = datagram;
     if buf.remaining() < PRELUDE_LEN {
         return Err(OverlayError::Malformed("short prelude"));
@@ -406,28 +602,49 @@ fn decode_with(datagram: &[u8], materialize: Materialize<'_>) -> Result<Envelope
     let msg_type = buf.get_u8();
     let from = NodeId::new(buf.get_u32());
     let claimed = buf.get_u32();
-    if claimed != checksum(datagram) {
+    let header_len = header_len(msg_type);
+    if datagram.len() < header_len {
+        return Err(OverlayError::Malformed("short data header"));
+    }
+    let state = body_state(&datagram[header_len..]);
+    if claimed != finish(state, datagram, header_len) {
         return Err(OverlayError::Malformed("bad checksum"));
     }
+    Ok(Verified { msg_type, from, state })
+}
+
+/// A received data frame as the node handles it: its packets, and the
+/// body they were parsed from with the hash state the checksum vouched
+/// for — what forwarding the frame's packets on needs, with no second
+/// pass over their bytes.
+#[derive(Debug)]
+pub(crate) struct DataFrame {
+    pub(crate) from: NodeId,
+    /// The packets, their masks and payloads slices of `body`.
+    pub(crate) packets: Vec<DataPacket>,
+    /// The hop-invariant body: the packets' records, back to back.
+    pub(crate) body: Bytes,
+    /// [`body_state`] of `body`.
+    pub(crate) state: u64,
+}
+
+/// Parses a DATA or DATA-BATCH frame (see [`is_data_frame`]) out of a
+/// shared receive buffer.
+pub(crate) fn decode_data_frame(frame: &Bytes) -> Result<DataFrame, OverlayError> {
+    let Verified { msg_type, from, state } = verify(frame)?;
+    let packets = decode_packets(frame, msg_type, &Materialize::Share(frame))?;
+    Ok(DataFrame { from, packets, body: frame.slice(DATA_HEADER_LEN..frame.len()), state })
+}
+
+fn decode_with(datagram: &[u8], materialize: Materialize<'_>) -> Result<Envelope, OverlayError> {
+    let Verified { msg_type, from, .. } = verify(datagram)?;
+    let mut buf = &datagram[PRELUDE_LEN..];
     let message = match msg_type {
-        T_DATA => Message::Data(decode_data_body(datagram, &mut buf, &materialize)?),
-        T_DATA_BATCH => {
-            if buf.remaining() < 2 {
-                return Err(OverlayError::Malformed("short batch"));
-            }
-            let count = buf.get_u16() as usize;
-            if count == 0 {
-                return Err(OverlayError::Malformed("empty batch"));
-            }
-            if buf.remaining() < count * DATA_FIXED_LEN {
-                return Err(OverlayError::Malformed("short batch body"));
-            }
-            let mut packets = Vec::with_capacity(count);
-            for _ in 0..count {
-                packets.push(decode_data_body(datagram, &mut buf, &materialize)?);
-            }
-            Message::DataBatch(packets)
+        T_DATA => {
+            let mut packets = decode_packets(datagram, msg_type, &materialize)?;
+            Message::Data(packets.pop().expect("a DATA frame carries one packet"))
         }
+        T_DATA_BATCH => Message::DataBatch(decode_packets(datagram, msg_type, &materialize)?),
         T_NACK => {
             if buf.remaining() < 2 {
                 return Err(OverlayError::Malformed("short nack"));
@@ -511,10 +728,13 @@ impl Envelope {
     /// Exact serialized size of this envelope, so callers can reserve
     /// buffer space once instead of growing incrementally.
     pub fn encoded_len(&self) -> usize {
+        const HOP_LEN: usize = DATA_HEADER_LEN - PRELUDE_LEN;
         PRELUDE_LEN
             + match &self.message {
-                Message::Data(d) => data_body_len(d),
-                Message::DataBatch(ps) => 2 + ps.iter().map(data_body_len).sum::<usize>(),
+                Message::Data(d) => HOP_LEN + d.record_len(),
+                Message::DataBatch(ps) => {
+                    HOP_LEN + ps.iter().map(DataPacket::record_len).sum::<usize>()
+                }
                 Message::Nack { missing } => 2 + 8 * missing.len(),
                 Message::Hello { .. } | Message::HelloAck { .. } => 16,
                 Message::LinkState(u) => 22 + 13 * u.entries.len(),
@@ -557,12 +777,13 @@ impl Envelope {
         };
         let base = put_prelude(buf, msg_type, self.from);
         match &self.message {
-            Message::Data(d) => put_data_body(buf, d, d.link_seq),
+            Message::Data(d) => {
+                HopHeader::of(self.from, std::slice::from_ref(d)).put_fields(buf);
+                put_records(buf, std::slice::from_ref(d));
+            }
             Message::DataBatch(ps) => {
-                buf.put_u16(ps.len() as u16);
-                for d in ps {
-                    put_data_body(buf, d, d.link_seq);
-                }
+                HopHeader::of(self.from, ps).put_fields(buf);
+                put_records(buf, ps);
             }
             Message::Nack { missing } => {
                 buf.put_u16(missing.len() as u16);
@@ -663,7 +884,16 @@ mod tests {
 
     #[test]
     fn all_types_round_trip() {
-        let envs = vec![
+        for env in all_control() {
+            let bytes = env.encode();
+            assert_eq!(bytes.len(), env.encoded_len(), "{env:?}");
+            assert_eq!(Envelope::decode(&bytes).unwrap(), env, "{env:?}");
+        }
+    }
+
+    /// One envelope of every control type (two digests: one empty).
+    fn all_control() -> Vec<Envelope> {
+        vec![
             Envelope { from: NodeId::new(1), message: Message::Nack { missing: vec![5, 6, 9] } },
             Envelope {
                 from: NodeId::new(2),
@@ -716,12 +946,7 @@ mod tests {
                     ],
                 },
             },
-        ];
-        for env in envs {
-            let bytes = env.encode();
-            assert_eq!(bytes.len(), env.encoded_len(), "{env:?}");
-            assert_eq!(Envelope::decode(&bytes).unwrap(), env, "{env:?}");
-        }
+        ]
     }
 
     #[test]
@@ -790,14 +1015,26 @@ mod tests {
     #[test]
     fn single_byte_corruption_is_always_detected() {
         let good = sample_data().encode();
-        for pos in 0..good.len() {
-            for xor in [0x01u8, 0x80, 0xFF] {
-                let mut bytes = good.to_vec();
-                bytes[pos] ^= xor;
-                assert!(
-                    Envelope::decode(&bytes).is_err(),
-                    "flip {xor:#04x} at byte {pos} went undetected"
-                );
+        let every = (0..good.len()).collect::<Vec<_>>();
+        // A frame as `fwd_sat_1200` fills them: every offset of the
+        // header and of the first and last blocks, and a stride through
+        // the rest that visits every lane and every byte of a word.
+        let big = big_batch().encode();
+        let sampled = (0..big.len())
+            .filter(|&pos| pos < 128 || pos >= big.len() - 128 || pos % 37 == 0)
+            .collect::<Vec<_>>();
+        for (good, offsets) in [(good, every), (big, sampled)] {
+            let mut bytes = good.to_vec();
+            for pos in offsets {
+                for xor in [0x01u8, 0x80, 0xFF] {
+                    bytes[pos] ^= xor;
+                    assert!(
+                        Envelope::decode(&bytes).is_err(),
+                        "flip {xor:#04x} at byte {pos} of {} went undetected",
+                        good.len()
+                    );
+                    bytes[pos] ^= xor;
+                }
             }
         }
     }
@@ -810,13 +1047,274 @@ mod tests {
                 sent_at: Micros::from_micros(2_000_000 + i as u64),
                 deadline: Micros::from_millis(65),
                 link_seq: 500 + i as u64,
-                retransmission: i % 2 == 1,
+                retransmission: true,
                 class: SlaClass::ALL[i % SlaClass::ALL.len()],
                 mask: Bytes::from_static(&[0b0000_0011]),
                 payload: Bytes::copy_from_slice(format!("payload-{i}").as_bytes()),
             })
             .collect();
         Envelope { from: NodeId::new(3), message: Message::DataBatch(packets) }
+    }
+
+    /// Thirty-two 1200-byte packets under a one-byte mask.
+    fn big_batch() -> Envelope {
+        let mut bytes = Lcg(0x2017);
+        let packets = (0..32)
+            .map(|i| DataPacket {
+                flow: Flow::new(NodeId::new(0), NodeId::new(3)),
+                flow_seq: i,
+                sent_at: Micros::from_micros(1_700_000_000_000_000),
+                deadline: Micros::from_millis(65),
+                link_seq: 9_000 + i,
+                retransmission: false,
+                class: SlaClass::Timely,
+                mask: Bytes::from_static(&[0b0001_0101]),
+                payload: Bytes::from(bytes.take(MAX_PAYLOAD)),
+            })
+            .collect();
+        Envelope { from: NodeId::new(1), message: Message::DataBatch(packets) }
+    }
+
+    /// A fixed byte stream for the vectors below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn take(&mut self, n: usize) -> Vec<u8> {
+            let next = |state: &mut u64| {
+                *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (*state >> 56) as u8
+            };
+            (0..n).map(|_| next(&mut self.0)).collect()
+        }
+    }
+
+    /// The sum's definition (docs/PROTOCOL.md §1) written the plain way:
+    /// one byte-indexed pass, no blocks, no iterators.
+    fn reference_body_state(body: &[u8]) -> u64 {
+        let word = |at: usize| {
+            let mut w = 0u64;
+            for k in 0..8 {
+                if at + k < body.len() {
+                    w |= u64::from(body[at + k]) << (8 * k);
+                }
+            }
+            w
+        };
+        let blocks = body.len() / 32;
+        let mut lanes = [FNV_OFFSET; 4];
+        for block in 0..blocks {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                *lane = (*lane ^ word(32 * block + 8 * j)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        let mut hash = FNV_OFFSET;
+        for lane in lanes {
+            hash = (hash ^ lane).wrapping_mul(FNV_PRIME);
+        }
+        let mut at = 32 * blocks;
+        while at < body.len() {
+            hash = (hash ^ word(at)).wrapping_mul(FNV_PRIME);
+            at += 8;
+        }
+        (hash ^ body.len() as u64).wrapping_mul(FNV_PRIME)
+    }
+
+    /// [`reference_body_state`] continued over the header as §1 says:
+    /// the header without its checksum field, a word at a time.
+    fn reference_checksum(datagram: &[u8]) -> u32 {
+        let header_len = if datagram[2] == 0 || datagram[2] == 5 { 22 } else { 11 };
+        let mut head = datagram[..7].to_vec();
+        head.extend_from_slice(&datagram[11..header_len]);
+        head.resize(head.len().next_multiple_of(8), 0);
+        let mut hash = reference_body_state(&datagram[header_len..]);
+        for word in head.chunks(8) {
+            hash = (hash ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(FNV_PRIME);
+        }
+        (hash ^ (hash >> 32)) as u32
+    }
+
+    #[test]
+    fn the_sum_matches_its_definition_and_its_known_answers() {
+        let bytes = Lcg(5).take(39_885);
+        // Every tail length around one and two blocks, and the two frame
+        // sizes the per-byte workloads ship.
+        for len in (0..=72).chain([3_533, 39_885]) {
+            let body = &bytes[..len];
+            assert_eq!(body_state(body), reference_body_state(body), "{len} bytes");
+        }
+        // Known answers: a change to the definition has to change these.
+        assert_eq!(body_state(&[]), KNOWN_EMPTY);
+        assert_eq!(body_state(&bytes[..40]), KNOWN_40);
+        assert_eq!(body_state(&bytes[..3_533]), KNOWN_3533);
+        assert_eq!(body_state(&bytes), KNOWN_39885);
+        for env in [sample_data(), sample_batch(4), big_batch()].into_iter().chain(all_control()) {
+            let frame = env.encode();
+            let claimed = u32::from_be_bytes(frame[7..11].try_into().unwrap());
+            assert_eq!(claimed, reference_checksum(&frame), "{} bytes", frame.len());
+        }
+        assert_eq!(big_batch().encode()[7..11], KNOWN_BIG_BATCH_SUM);
+    }
+
+    // (Checked once against an implementation in another language.)
+    const KNOWN_EMPTY: u64 = 0x7f6e_4d21_b650_a5a3;
+    const KNOWN_40: u64 = 0x41b7_8f5c_83c3_dad1;
+    const KNOWN_3533: u64 = 0x67a3_7d57_da1c_101f;
+    const KNOWN_39885: u64 = 0x2bbd_b3d7_752b_020a;
+    const KNOWN_BIG_BATCH_SUM: [u8; 4] = [69, 48, 197, 99];
+
+    /// A single-bit flip anywhere moves the 64-bit state (before the
+    /// fold to 32 bits, which is where a collision could hide).
+    #[test]
+    fn every_single_bit_flip_moves_the_body_state() {
+        let mut body = Lcg(7).take(32 * 3 + 19);
+        let good = body_state(&body);
+        for bit in 0..body.len() * 8 {
+            body[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(body_state(&body), good, "bit {bit}");
+            body[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// A body that already exists in wire form is framed without being
+    /// read again, to the same bytes the field-wise encoder writes.
+    #[test]
+    fn a_reused_body_frames_to_the_same_bytes() {
+        for env in [sample_data(), sample_batch(3), big_batch()] {
+            let fieldwise = env.encode();
+            let DataFrame { from, packets, body, state } = decode_data_frame(&fieldwise).unwrap();
+            assert_eq!(body.as_ref(), &fieldwise[DATA_HEADER_LEN..]);
+            assert_eq!(state, body_state(&body));
+            let header = HopHeader::of(from, &packets);
+            let mut reused = Vec::new();
+            put_data_frame(header, &body, state, &mut reused);
+            // (A DATA-BATCH of one is an envelope's to write; the node
+            // frames one packet as DATA.)
+            if packets.len() > 1 || fieldwise[2] == T_DATA {
+                assert_eq!(reused, fieldwise.as_ref());
+            }
+            // The same body under another hop's header verifies too.
+            let onward = HopHeader { from: NodeId::new(9), first_link_seq: 77, ..header };
+            let mut next = Vec::new();
+            put_data_frame(onward, &body, state, &mut next);
+            let forwarded = decode_data_frame(&Bytes::from(next)).expect("the next hop verifies");
+            assert_eq!(forwarded.body, body);
+            assert_eq!((forwarded.from, forwarded.packets[0].link_seq), (NodeId::new(9), 77));
+        }
+    }
+
+    /// A sealed data frame whose hop header and body are `hop` and
+    /// `body` (whatever they say).
+    fn sealed(msg_type: u8, hop: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_prelude(&mut bytes, msg_type, NodeId::new(3));
+        bytes.extend_from_slice(hop);
+        bytes.extend_from_slice(body);
+        seal(&mut bytes, 0);
+        bytes
+    }
+
+    fn hop(first_link_seq: u64, flags: u8, count: u16) -> Vec<u8> {
+        let mut hop = first_link_seq.to_be_bytes().to_vec();
+        hop.push(flags);
+        hop.extend_from_slice(&count.to_be_bytes());
+        hop
+    }
+
+    fn rejected(frame: &[u8]) -> &'static str {
+        let shared = decode_data_frame(&Bytes::copy_from_slice(frame)).map(|_| ());
+        match (Envelope::decode(frame), shared) {
+            (Err(OverlayError::Malformed(a)), Err(OverlayError::Malformed(b))) if a == b => a,
+            other => panic!("expected one Malformed from both decoders, got {other:?}"),
+        }
+    }
+
+    /// Two records, as a well-formed frame would carry them.
+    fn two_records() -> Vec<u8> {
+        sample_batch(2).encode()[DATA_HEADER_LEN..].to_vec()
+    }
+
+    #[test]
+    fn a_well_formed_hand_built_frame_decodes() {
+        let frame = sealed(T_DATA_BATCH, &hop(500, 1, 2), &two_records());
+        assert_eq!(frame, sample_batch(2).encode().as_ref());
+    }
+
+    #[test]
+    fn link_sequences_that_would_wrap_are_rejected() {
+        let frame = sealed(T_DATA_BATCH, &hop(u64::MAX - 1, 0, 2), &two_records());
+        assert_eq!(rejected(&frame), "link sequence overflow");
+        let frame = sealed(T_DATA_BATCH, &hop(u64::MAX - 2, 0, 2), &two_records());
+        let last = Envelope::decode(&frame).expect("the last sequences there are");
+        let Message::DataBatch(packets) = last.message else { panic!("a batch") };
+        assert_eq!(packets[1].link_seq, u64::MAX - 1);
+    }
+
+    #[test]
+    fn unassigned_hop_flag_bits_are_rejected() {
+        for bit in 1..8 {
+            let frame = sealed(T_DATA_BATCH, &hop(0, 1 << bit, 2), &two_records());
+            assert_eq!(rejected(&frame), "unknown hop flags", "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn a_count_of_zero_is_rejected() {
+        assert_eq!(rejected(&sealed(T_DATA_BATCH, &hop(0, 0, 0), &[])), "empty data frame");
+        assert_eq!(rejected(&sealed(T_DATA, &hop(0, 0, 0), &[])), "empty data frame");
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_rejected() {
+        let records = two_records();
+        let frame = sealed(T_DATA_BATCH, &hop(0, 0, u16::MAX), &records);
+        assert_eq!(rejected(&frame), "short data body");
+        // One more than there is: caught by the count while the bytes
+        // cannot hold three records' fixed parts, by the third record
+        // itself once they can.
+        assert_eq!(rejected(&sealed(T_DATA_BATCH, &hop(0, 0, 3), &records)), "short data body");
+        let mut padded = records.clone();
+        padded.extend_from_slice(&[0; RECORD_FIXED_LEN - 1]);
+        assert_eq!(rejected(&sealed(T_DATA_BATCH, &hop(0, 0, 3), &padded)), "short data record");
+        // One fewer: the second record is bytes nobody parsed.
+        let frame = sealed(T_DATA_BATCH, &hop(0, 0, 1), &records);
+        assert_eq!(rejected(&frame), "bytes behind the last record");
+    }
+
+    #[test]
+    fn a_data_frame_carries_exactly_one_packet() {
+        let frame = sealed(T_DATA, &hop(0, 0, 2), &two_records());
+        assert_eq!(rejected(&frame), "data frame of several");
+    }
+
+    #[test]
+    fn a_header_cut_short_is_rejected_before_it_is_read() {
+        let good = sample_data().encode();
+        for cut in PRELUDE_LEN..DATA_HEADER_LEN {
+            assert_eq!(rejected(&good[..cut]), "short data header", "cut at {cut}");
+        }
+    }
+
+    /// A DATA-BATCH as a version-4 node put it on the wire (captured
+    /// from the parent revision): two 8-byte packets of flow 0 → 2.
+    const V4_DATA_BATCH: &str = "dc040500000000f808d3f9000200000000000000020000000000000000\
+        000000003b9aca00000000000000fde80000000000000000020001050008a0a0a0a0a0a0a0a0000000000000000200\
+        00000000000001000000003b9aca00000000000000fde80000000000000001020001050008a1a1a1a1a1a1a1a1";
+
+    #[test]
+    fn a_version_4_frame_is_refused_not_misread() {
+        let v4: Vec<u8> = (0..V4_DATA_BATCH.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V4_DATA_BATCH[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(v4.len(), 121);
+        assert_eq!(rejected(&v4), "unsupported version");
+        // Nor does it pass for a version-5 frame with the byte changed.
+        let mut relabelled = v4.clone();
+        relabelled[1] = VERSION;
+        assert_eq!(rejected(&relabelled), "bad checksum");
+        // Even sealed as version 5, its old layout is no frame.
+        seal(&mut relabelled, 0);
+        assert!(Envelope::decode(&relabelled).is_err());
     }
 
     #[test]
@@ -854,7 +1352,8 @@ mod tests {
         let from = NodeId::new(3);
         for n in [1, 3] {
             let mut buf = Vec::new();
-            encode_data_frame(from, &packets[..n], 500, &mut buf);
+            let header = HopHeader { from, first_link_seq: 500, retransmission: true, count: n };
+            encode_data_frame(header, &packets[..n], &mut buf);
             let message = match n {
                 1 => Message::Data(packets[0].clone()),
                 _ => Message::DataBatch(packets.clone()),
@@ -895,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn sla_class_round_trips_in_flags_byte() {
+    fn sla_class_and_hop_flag_round_trip() {
         for class in SlaClass::ALL {
             for retransmission in [false, true] {
                 let mut env = sample_data();
@@ -916,16 +1415,16 @@ mod tests {
 
     #[test]
     fn reserved_class_bits_are_rejected() {
-        // The flags byte sits after the prelude and the five fixed u64/
-        // u32 fields of the data body.
-        const FLAGS_OFFSET: usize = PRELUDE_LEN + 4 + 4 + 8 + 8 + 8 + 8;
+        // The class byte sits after the header and the record's four
+        // fixed fields (flow, flow_seq, sent_at, deadline).
+        const CLASS_OFFSET: usize = DATA_HEADER_LEN + 8 + 8 + 8 + 8;
         let mut bytes = sample_data().encode().to_vec();
-        bytes[FLAGS_OFFSET] = 0b0000_0110; // class bits = 3 (reserved)
+        bytes[CLASS_OFFSET] = 0b0000_0011; // class bits = 3 (reserved)
         seal(&mut bytes, 0);
-        assert!(Envelope::decode(&bytes).is_err(), "reserved class bits must not decode");
-        bytes[FLAGS_OFFSET] = 0b0000_1000; // unknown high flag bit
+        assert_eq!(rejected(&bytes), "reserved sla class bits");
+        bytes[CLASS_OFFSET] = 0b0000_0100; // a bit no class uses
         seal(&mut bytes, 0);
-        assert!(Envelope::decode(&bytes).is_err(), "unknown flag bits must not decode");
+        assert_eq!(rejected(&bytes), "unknown record class bits");
     }
 
     #[test]

@@ -106,8 +106,16 @@ fn recovery_rescues_moderate_loss() {
     assert!(got.len() as u64 >= total * 80 / 100, "only {}/{total} delivered", got.len());
     let nyc = net.snapshot(flow.source).counters;
     assert!(nyc.retransmissions_served > 0, "recovery never fired");
-    let chi_like = net.snapshot(net.graph().edge(lossy).dst).counters;
+    let next = net.graph().edge(lossy).dst;
+    let chi_like = net.snapshot(next).counters;
     assert!(chi_like.nack_messages_sent > 0, "receiver never detected gaps");
+    // The retransmission bit is set on what NYC served those NACKs with
+    // (less what the lossy hop ate again) and nowhere else: a relay
+    // forwards a recovered packet as any other.
+    let marked = net.wire().iter().filter(|f| f.data().first().is_some_and(|p| p.retransmission));
+    let marked: Vec<_> = marked.collect();
+    assert!(!marked.is_empty() && marked.len() as u64 <= nyc.retransmissions_served);
+    assert!(marked.iter().all(|f| (f.from, f.to) == (flow.source, next) && f.data().len() == 1));
 }
 
 #[test]

@@ -19,6 +19,9 @@ use dg_topology::{Graph, GraphBuilder, Micros, NodeId};
 use dg_trace::NetworkState;
 
 const BATCH: usize = 32;
+/// A data frame's per-hop header: prelude (11), first link sequence
+/// (8), hop flags (1), count (2). The records follow.
+const HEADER: usize = 22;
 /// A budget that takes a whole 32-packet batch in one datagram.
 const BIG_BUDGET: usize = 60_000;
 /// Longer than any of these topologies takes to go quiet.
@@ -134,6 +137,15 @@ fn inject(net: &mut Net, from: NodeId, to: NodeId, message: Message) {
     net.run_for(SETTLE);
 }
 
+/// Injects `packets` as one frame from the tap `from`; returns the
+/// frame as it was on the wire.
+fn inject_frame(net: &mut Net, from: NodeId, to: NodeId, packets: Vec<DataPacket>) -> Bytes {
+    let frame = Envelope { from, message: Message::DataBatch(packets) }.encode();
+    net.inject_bytes(to, frame.clone());
+    net.run_for(SETTLE);
+    frame
+}
+
 /// Lets the network go quiet and takes what `flow` delivered meanwhile.
 fn collect(net: &mut Net, flow: Flow) -> Vec<Delivery> {
     net.run_for(SETTLE);
@@ -192,22 +204,134 @@ fn relay_rechunks_inside_its_own_budget() {
     let mask = mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]);
     let packets: Vec<DataPacket> =
         (0..BATCH as u64).map(|i| packet(&net, flow, i, i, &mask)).collect();
-    inject(&mut net, n[0], n[1], Message::DataBatch(packets));
+    let arrived = inject_frame(&mut net, n[0], n[1], packets);
     let frames = data_frames(&net, n[1], n[2]);
-    // 64 B payloads under a 1-byte mask are 110 B bodies: 12 fit.
+    // 64 B payloads under a 1-byte mask are 102 B records: 13 fit.
     let sizes: Vec<usize> = frames.iter().map(|(_, packets)| packets.len()).collect();
-    assert_eq!(sizes, [12, 12, 8]);
+    assert_eq!(sizes, [13, 13, 6], "every chunk verified, or it would not have decoded");
     for (raw, _) in &frames {
         assert!(
-            raw.len() <= RELAY_BUDGET + 13,
+            raw.len() <= RELAY_BUDGET + HEADER,
             "frame of {} B breaks the relay's budget",
             raw.len()
         );
     }
+    // The chunks are the frame's body, cut and otherwise untouched.
+    let left: Vec<u8> = frames.iter().flat_map(|(raw, _)| raw[HEADER..].to_vec()).collect();
+    assert_eq!(left, &arrived[HEADER..]);
     assert_eq!(seqs_by_frame(&frames).concat(), (0..BATCH as u64).collect::<Vec<_>>());
     let link_seqs = link_seqs(&frames);
     assert!(link_seqs.windows(2).all(|w| w[1] == w[0] + 1), "one run, consecutive link sequences");
     assert_eq!(counters(&net, n[1]).data_sent, BATCH as u64);
+}
+
+/// A relay forwarding a frame whole sends the body it received: what it
+/// puts on the wire differs from what arrived in the header alone (the
+/// sender, the link sequence, the sum).
+#[test]
+fn a_forwarded_frame_differs_from_the_received_one_only_in_its_header() {
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let mut net = launch(&graph, BIG_BUDGET, &[n[0], n[2]]);
+    let flow = Flow::new(n[0], n[2]);
+    let mask = mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]);
+    // A's link sequences start at 700; B's own toward C start at 0.
+    let packets = (0..BATCH as u64).map(|i| packet(&net, flow, i, 700 + i, &mask)).collect();
+    let arrived = inject_frame(&mut net, n[0], n[1], packets);
+    let frames = data_frames(&net, n[1], n[2]);
+    assert_eq!(frames.len(), 1, "a whole frame is one run");
+    let (left, packets) = &frames[0];
+    assert_eq!(left[HEADER..], arrived[HEADER..], "the body is byte-identical");
+    assert_ne!(left[..HEADER], arrived[..HEADER]);
+    assert!(packets.iter().map(|p| p.link_seq).eq(0..BATCH as u64), "B's own sequences");
+    assert!(packets.iter().all(|p| !p.retransmission));
+}
+
+/// A source fanning a run out frames one body per neighbour: the frames
+/// differ in their headers, not in a byte behind them.
+#[test]
+fn a_source_frames_one_body_for_every_neighbour() {
+    let (graph, n) = topology(&["S", "A", "B", "D"], &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+    let mut net = launch(&graph, BIG_BUDGET, &[n[1], n[2], n[3]]);
+    // A first flow over S→A alone, so the two links' sequences differ.
+    let aside = open(&mut net, Flow::new(n[0], n[1]), &[(n[0], n[1])]);
+    net.send(aside, &payload(0));
+    let flow = Flow::new(n[0], n[3]);
+    let tx = open(&mut net, flow, &[(n[0], n[1]), (n[0], n[2]), (n[1], n[3]), (n[2], n[3])]);
+    send_batch(&mut net, tx, 0);
+    net.run_for(SETTLE);
+    let to_a = data_frames(&net, n[0], n[1]);
+    let to_b = data_frames(&net, n[0], n[2]);
+    let (via_a, via_b) = (&to_a[1], &to_b[0]);
+    assert_eq!((via_a.1.len(), via_b.1.len()), (BATCH, BATCH), "both verify");
+    assert_eq!(via_a.0[HEADER..], via_b.0[HEADER..], "one body");
+    assert_eq!((via_a.1[0].link_seq, via_b.1[0].link_seq), (1, 0));
+    assert_ne!(via_a.0[..HEADER], via_b.0[..HEADER]);
+    // The payloads the caller handed over are in it as they were.
+    assert!(via_b.1.iter().zip(0..).all(|(p, i)| p.payload.as_ref() == payload(i).as_slice()));
+}
+
+/// A duplicate in the middle of a frame splits it into two runs; each
+/// leaves as the slice of the body it arrived in, under a sum of its
+/// own.
+#[test]
+fn a_frame_split_by_a_duplicate_forwards_two_runs_that_verify() {
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let mut net = launch(&graph, BIG_BUDGET, &[n[0], n[2]]);
+    let flow = Flow::new(n[0], n[2]);
+    let mask = mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]);
+    let packets: Vec<DataPacket> = [0, 1, 2, 1, 3, 4]
+        .iter()
+        .zip(0..)
+        .map(|(&seq, link_seq)| packet(&net, flow, seq, link_seq, &mask))
+        .collect();
+    let arrived = inject_frame(&mut net, n[0], n[1], packets);
+    let frames = data_frames(&net, n[1], n[2]);
+    assert_eq!(seqs_by_frame(&frames), [vec![0, 1, 2], vec![3, 4]], "both runs decode");
+    assert_eq!(link_seqs(&frames), [0, 1, 2, 3, 4]);
+    // 102-byte records: the first run is records 0..3, the second 4..6.
+    let body = &arrived[HEADER..];
+    assert_eq!(frames[0].0[HEADER..], body[..3 * 102]);
+    assert_eq!(frames[1].0[HEADER..], body[4 * 102..]);
+    let b = counters(&net, n[1]);
+    assert_eq!((b.data_received, b.duplicates, b.data_sent), (6, 1, 5));
+}
+
+/// A frame of the previous wire version (captured from the parent
+/// revision: a DATA-BATCH of two 8-byte packets, flow 0 → 2, sent at
+/// the harness's T0, 65 ms deadline, mask over both chain edges) is
+/// turned away by a version-5 node as malformed: nothing of it is
+/// delivered, forwarded, counted as data or remembered.
+#[test]
+fn a_version_4_frame_is_counted_malformed_and_never_misread() {
+    const V4_DATA_BATCH: &str = "dc040500000000f808d3f9000200000000000000020000000000000000\
+        000000003b9aca00000000000000fde80000000000000000020001050008a0a0a0a0a0a0a0a0000000000000000200\
+        00000000000001000000003b9aca00000000000000fde80000000000000001020001050008a1a1a1a1a1a1a1a1";
+    let v4: Vec<u8> = (0..V4_DATA_BATCH.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&V4_DATA_BATCH[i..i + 2], 16).expect("hex"))
+        .collect();
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let mut net = launch(&graph, BIG_BUDGET, &[n[0], n[2]]);
+    let flow = Flow::new(n[0], n[2]);
+    assert_eq!(mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]).as_ref(), [0b0101]);
+    // The same frame with the version byte alone changed, too.
+    let mut relabelled = v4.clone();
+    relabelled[1] = 5;
+    for frame in [v4, relabelled] {
+        net.inject_bytes(n[1], Bytes::from(frame));
+    }
+    net.run_for(SETTLE);
+    let b = counters(&net, n[1]);
+    assert_eq!((b.malformed, b.datagrams_received), (2, 2));
+    assert_eq!((b.data_received, b.data_sent, b.nack_messages_sent), (0, 0, 0));
+    assert!(data_frames(&net, n[1], n[2]).is_empty(), "nothing forwarded");
+    assert_eq!(net.dedup_flows(n[1]), 0, "no window for a flow it never read");
+    assert!(net.snapshot(n[1]).flows.is_empty());
+    // A version-5 frame of the same packets is forwarded as ever.
+    let mask = mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]);
+    let packets = (0..2).map(|i| packet(&net, flow, i, i, &mask)).collect();
+    inject_frame(&mut net, n[0], n[1], packets);
+    assert_eq!(seqs_by_frame(&data_frames(&net, n[1], n[2])), [[0, 1]]);
 }
 
 #[test]
@@ -265,6 +389,16 @@ fn a_lost_batch_is_one_gap_one_nack_and_fully_recovered() {
     assert_eq!(at_c.retransmit_requests_issued, batch);
     let at_b = counters(&net, b);
     assert_eq!((at_b.retransmissions_served, at_b.retransmit_misses), (batch, 0));
+    // The retransmission bit tells the truth: set on the 32 frames B
+    // served the NACK with — each one packet, under its old sequence —
+    // and on no frame anybody forwarded, theirs onward included.
+    let retransmitted = |from, to| -> Vec<u64> {
+        let frames = data_frames(&net, from, to);
+        let marked = frames.iter().filter(|(_, ps)| ps[0].retransmission);
+        marked.map(|(_, ps)| (ps.len() == 1).then_some(ps[0].link_seq).expect("alone")).collect()
+    };
+    assert_eq!(retransmitted(b, c), (batch..2 * batch).collect::<Vec<_>>());
+    assert!(retransmitted(n[0], b).is_empty() && retransmitted(c, d).is_empty());
     let at_d = counters(&net, d);
     assert_eq!((at_d.delivered_on_time, at_d.duplicates, at_d.expired), (3 * batch, 0, 0));
 }

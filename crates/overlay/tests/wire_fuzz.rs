@@ -11,6 +11,7 @@ use dg_overlay::wire::{
 use dg_topology::{EdgeId, Micros, NodeId};
 use proptest::prelude::*;
 
+/// A packet's record: everything but what its frame's header says.
 fn arb_packet() -> impl Strategy<Value = DataPacket> {
     (
         0u32..64,
@@ -18,29 +19,41 @@ fn arb_packet() -> impl Strategy<Value = DataPacket> {
         any::<u64>(),
         any::<u64>(),
         0u64..1_000_000_000,
-        any::<u64>(),
-        any::<bool>(),
         0u8..3,
         proptest::collection::vec(any::<u8>(), 0..16),
         proptest::collection::vec(any::<u8>(), 0..64),
     )
-        .prop_map(|(s, d, seq, sent, dl, lseq, retx, class, mask, payload)| DataPacket {
+        .prop_map(|(s, d, seq, sent, dl, class, mask, payload)| DataPacket {
             flow: Flow::new(NodeId::new(s), NodeId::new(d)),
             flow_seq: seq,
             sent_at: Micros::from_micros(sent),
             deadline: Micros::from_micros(dl),
-            link_seq: lseq,
-            retransmission: retx,
+            link_seq: 0,
+            retransmission: false,
             class: SlaClass::from_bits(class).expect("0..3 are the assigned class patterns"),
             mask: Bytes::from(mask),
             payload: Bytes::from(payload),
         })
 }
 
+/// The packets of one data frame: one first link sequence and one hop
+/// flag a frame, packet `i` travelling as `first + i` (anywhere the
+/// last of them still fits a `u64`).
+fn arb_frame(packets: std::ops::Range<usize>) -> impl Strategy<Value = Vec<DataPacket>> {
+    (proptest::collection::vec(arb_packet(), packets), 0..=u64::MAX - 8, any::<bool>()).prop_map(
+        |(mut packets, first, retransmission)| {
+            for (packet, link_seq) in packets.iter_mut().zip(first..) {
+                (packet.link_seq, packet.retransmission) = (link_seq, retransmission);
+            }
+            packets
+        },
+    )
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        arb_packet().prop_map(Message::Data),
-        proptest::collection::vec(arb_packet(), 1..8).prop_map(Message::DataBatch),
+        arb_frame(1..2).prop_map(|mut one| Message::Data(one.remove(0))),
+        arb_frame(1..8).prop_map(Message::DataBatch),
         proptest::collection::vec(any::<u64>(), 0..64)
             .prop_map(|missing| Message::Nack { missing }),
         (any::<u64>(), any::<u64>())
