@@ -13,10 +13,9 @@
 //!   only flush when the topology epoch advances.
 //! - **Live graphs** ([`GraphCache::live`]): usability-aware variants
 //!   computed over the subgraph of links whose reported loss is below
-//!   the unusable threshold. Each entry records the edges its
-//!   computation *selected* plus every edge that was unusable at
-//!   compute time; a usability flip on any of those edges — and only
-//!   those — evicts it ([`GraphCache::note_loss`]).
+//!   the unusable threshold. Each entry records the edges it depends on
+//!   (the dependency rule below); a usability flip on any of those
+//!   edges — and only those — evicts it ([`GraphCache::note_loss`]).
 //! - **Multicast graphs** ([`GraphCache::multicast`]): several-receiver
 //!   graphs ([`MulticastKind`]) over the same usable subgraph, interned
 //!   across flows by `(source, receiver set, kind, deadline)` and
@@ -26,26 +25,62 @@
 //! graphs — a disjoint pair against a shortest-path tree — so a
 //! one-receiver multicast lookup does not alias a live one.
 //!
-//! The live dependency rule is what makes incremental invalidation
-//! sound: a *usable but unselected* edge can change condition freely
-//! without invalidating, because (a) the computation never reads
-//! condition values, only the usable/unusable partition, and (b)
-//! removing an edge that an optimal solution does not use cannot
-//! change that optimum. To keep (b) airtight under latency ties, every
-//! internal shortest-path/disjoint-pair search runs on tie-broken
-//! weights (`latency × 2⁴² + hash(edge)`), making the optimum unique,
-//! so the cached value is a pure function of the usable-edge
-//! partition. The `cache_properties` proptest drives random flap
-//! sequences against [`GraphCache::compute_uncached`] as a
-//! from-scratch oracle to enforce exactly this.
+//! # The dependency rule
+//!
+//! A live or multicast graph depends on the edges it **selects**, plus
+//! the **unusable edges some step of its construction would have
+//! used** — not on every edge that was unusable when it was computed.
+//! After each usability-filtered search the construction asks the
+//! workspace about each unusable edge ([`SearchWorkspace::relaxes`]):
+//!
+//! - the disjoint pair: could the edge's arc, priced by reduced cost
+//!   against the last Bhandari round's distances, close a cheaper flow —
+//!   and (when a reach pass is at hand) is a pair through it,
+//!   `d(s,u) + lat + d(v,t)` beside `d(s,t)` over the full graph, no
+//!   heavier than the pair's latency;
+//! - a source-side continuation (stopped at the destination): could the
+//!   edge improve a distance, and reach the destination within its
+//!   distance given the reach pass's distance on from the edge's head;
+//! - the destination-side tree: the same, against the heaviest branch
+//!   read off it (its farthest read in-neighbour of the destination,
+//!   plus the link in);
+//! - the multicast tree: the same, against its farthest receiver.
+//!
+//! An unusable link at a problem endpoint that could meet the deadline
+//! is a branch its heal adds, and always a dependency; so is every receiver in-edge of a
+//! [`MulticastKind::Targeted`] graph, whose problem classification reads
+//! them. Two fallbacks depend on the whole unusable set: a pair taken
+//! from the full topology because the usable subgraph has none, and a
+//! multicast tree with a receiver the usable subgraph cuts off — any
+//! heal may bring the usable route back.
+//!
+//! **Why it is sound.** Every search runs on tie-broken weights
+//! (`latency × 2⁴² + hash(edge)`, [`tie_broken_weight`]), so each
+//! optimum is unique and the cached value is a pure function of the
+//! usable-edge partition. Each test above is a sufficient condition for
+//! "healing this edge leaves the step's output unchanged", and healing
+//! any set of such edges together moves none of the step's distances
+//! (the first healed edge on any new route fails its test, so the route
+//! is no better than one without it). Taking down a usable edge that no
+//! step selected never changes an optimum either. So a resident entry
+//! equals a fresh computation for every usable set reached without a
+//! flip of one of its dependencies. The bounds are formed from latency
+//! clamped as the weights clamp it ([`LATENCY_CLAMP_US`]). The
+//! `cache::differential` battery checks the rule directly — healing an
+//! unusable edge outside an entry's dependencies rebuilds the same
+//! graph — and `cache_properties`, `multicast_properties` and
+//! `flap_replay` drive flap sequences against
+//! [`GraphCache::compute_uncached`] and
+//! [`GraphCache::compute_multicast_uncached`] as from-scratch oracles.
 
 use crate::dgraph::canonical_receivers;
-use crate::scheme::targeted::{problem_branches, Scratch, Side};
+use crate::scheme::targeted::{problem_branches, AfterSearch, Scratch, Side};
 use crate::scheme::{
     build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticTwoDisjoint, TargetedGraphs,
     TargetedRedundancy,
 };
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
+use dg_topology::algo::SearchWorkspace;
 use dg_topology::cache::{CacheStats, EdgeSet, PrecomputeCache};
 use dg_topology::{EdgeId, Graph, Micros, NodeId, TopologyError};
 use serde::{Deserialize, Serialize};
@@ -435,8 +470,9 @@ impl GraphCache {
     }
 
     /// Computes the live graph and its dependency set against an
-    /// explicit usability partition (see the module docs for why the
-    /// dependency set is `selected edges ∪ unusable edges`).
+    /// explicit usability partition: the edges it selects, and the
+    /// unusable edges some step of it would have used (see the module
+    /// docs for the rule and why it is sound).
     fn compute_live(
         &self,
         scratch: &mut Scratch,
@@ -446,18 +482,32 @@ impl GraphCache {
         unusable: &EdgeSet,
     ) -> Result<(DisseminationGraph, EdgeSet), CoreError> {
         let g = &*self.graph;
-        // Healing any currently-unusable edge must recompute: the edge
-        // was excluded, so its return can only improve the optimum.
-        let mut deps = unusable.clone();
+        let (s, t) = (flow.source, flow.destination);
+        let mut deps = EdgeSet::new();
         let mut pair = |usable_only: bool| {
-            let (s, t) = (flow.source, flow.destination);
             scratch.ws.k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
                 (!usable_only || !unusable.contains(e)).then(|| self.weights[e.index()] as i64)
             })
         };
-        // Not enough usable disjoint routes: fall back to the full
-        // topology rather than failing the flow.
-        let paths = pair(true).or_else(|_| pair(false))?;
+        // The unusable edges whose arc, admitted, could join a cheaper
+        // pair: reduced cost against the last round's distances, then
+        // (below, once the reach pass is in) a latency floor.
+        let mut pair_heals = Vec::new();
+        let paths = match pair(true) {
+            Ok(paths) => {
+                let ws = &scratch.ws;
+                let relaxes = |&e: &EdgeId| ws.relaxes(g, e, self.weights[e.index()], 0);
+                pair_heals.extend(unusable.iter().filter(relaxes));
+                paths
+            }
+            // Not enough usable disjoint routes: fall back to the full
+            // topology rather than failing the flow. Any heal may bring
+            // a usable pair back.
+            Err(_) => {
+                deps.clone_from(unusable);
+                pair(false)?
+            }
+        };
         let mut edges: Vec<EdgeId> = paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
         let sides: &[Side] = match kind {
             CachedGraphKind::TwoDisjoint => &[],
@@ -466,22 +516,37 @@ impl GraphCache {
             CachedGraphKind::Robust => &[Side::Source, Side::Destination],
         };
         if !sides.is_empty() {
-            scratch.ws.reach_from(g, flow.source)?;
+            scratch.ws.reach_from(g, s)?;
             let deadline = requirement.deadline;
-            let branches = self.live_branches(scratch, flow, sides, &edges, deadline, unusable)?;
+            let branches =
+                self.live_branches(scratch, flow, sides, &edges, deadline, unusable, &mut deps)?;
+            // A pair through `(u, v)` is no lighter than the full
+            // graph's `d(s,u) + lat + d(v,t)` beside `d(s,t)`.
+            let reach = |n: NodeId| scratch.ws.reach_distances(n);
+            let pair_us: u64 = edges.iter().map(|&e| clamped_latency(g, e)).sum();
+            pair_heals.retain(|&e| {
+                let info = g.edge(e);
+                let floor = clamped(reach(info.src).0)
+                    + clamped_latency(g, e)
+                    + clamped(reach(info.dst).1)
+                    + clamped(reach(s).1);
+                floor <= pair_us
+            });
             edges.extend(branches);
         }
-        for &e in &edges {
+        for e in pair_heals.into_iter().chain(edges.iter().copied()) {
             deps.insert(e);
         }
-        let graph = DisseminationGraph::new(g, flow.source, flow.destination, edges)?;
+        let graph = DisseminationGraph::new(g, s, t, edges)?;
         Ok((graph, deps))
     }
 
     /// The usability-filtered problem branches of `flow` on each of
     /// `sides` (see [`problem_branches`]), every side branching off
     /// `base`: only deadline-feasible, currently-usable edges,
-    /// continuations chosen canonically (tie-broken weights).
+    /// continuations chosen canonically (tie-broken weights). Adds to
+    /// `deps` the unusable links at each side's endpoint and the
+    /// unusable edges a continuation search could have taken.
     ///
     /// The caller has run `reach_from(flow.source)` on the scratch
     /// workspace: feasibility is that source pass plus a pass of the
@@ -492,6 +557,7 @@ impl GraphCache {
     ///
     /// [`CoreError::DeadlineInfeasible`] when no edge can meet the
     /// deadline.
+    #[allow(clippy::too_many_arguments)]
     fn live_branches(
         &self,
         scratch: &mut Scratch,
@@ -500,43 +566,84 @@ impl GraphCache {
         base: &[EdgeId],
         deadline: Micros,
         unusable: &EdgeSet,
+        deps: &mut EdgeSet,
     ) -> Result<Vec<EdgeId>, CoreError> {
+        let g = &*self.graph;
         let Scratch { ws, feasible } = scratch;
-        ws.time_constrained_edges_to(&self.graph, flow.destination, deadline, feasible)?;
+        ws.time_constrained_edges_to(g, flow.destination, deadline, feasible)?;
         if feasible.is_empty() {
             return Err(CoreError::DeadlineInfeasible {
                 source: flow.source,
                 destination: flow.destination,
             });
         }
+        let feasible = &*feasible;
         let weight = |e: EdgeId| {
             (feasible.contains(e) && !unusable.contains(e)).then(|| self.weights[e.index()])
         };
         let limit = self.params.problem_branch_limit;
         let mut branches = Vec::new();
         for &side in sides {
+            let (endpoint, links) = side.endpoint_links(g, flow);
+            // An unusable link at the endpoint is a branch its heal adds.
+            for &link in links {
+                if unusable.contains(link) && feasible.contains(link) {
+                    deps.insert(link);
+                }
+            }
+            // Of the other unusable edges, those a continuation could
+            // take: feasible, clear of the endpoint, and able to shorten
+            // a route the search was read for. A route on from an
+            // edge's head weighs at least the reach pass's distance to
+            // the destination.
+            let mut heals = |ws: &SearchWorkspace, bound: u64| {
+                for e in unusable.iter() {
+                    let info = g.edge(e);
+                    if !feasible.contains(e) || info.src == endpoint || info.dst == endpoint {
+                        continue;
+                    }
+                    let lb = weight_floor(ws.reach_distances(info.dst).1);
+                    if self.could_shorten(ws, e, lb, bound) {
+                        deps.insert(e);
+                    }
+                }
+            };
+            let after_search = (!unusable.is_empty()).then_some(&mut heals as AfterSearch<'_>);
             branches.extend(problem_branches(
                 ws,
-                &self.graph,
+                g,
                 flow,
                 side,
                 base,
                 deadline,
                 limit,
                 weight,
+                after_search,
             ));
         }
         Ok(branches)
     }
 
+    /// Whether admitting the unusable edge `e` could shorten a route the
+    /// workspace's last search was read for: it relaxes (see
+    /// [`SearchWorkspace::relaxes`]; `lb` bounds a route on from `e`'s
+    /// head) and a route through it, at `lb` beyond, is within `bound`.
+    fn could_shorten(&self, ws: &SearchWorkspace, e: EdgeId, lb: u64, bound: u64) -> bool {
+        let info = self.graph.edge(e);
+        let w = self.weights[e.index()];
+        ws.relaxes(&self.graph, e, w, lb)
+            && ws
+                .distance_to(info.src)
+                .is_some_and(|d| d.saturating_add(w).saturating_add(lb) <= bound)
+    }
+
     /// Computes the multicast graph and its dependency set against an
-    /// explicit usability partition. The soundness argument is the
-    /// live tier's, extended to sets: the computation reads only the
-    /// usable/unusable partition, every search runs on tie-broken
-    /// weights (unique optima), and the dependency set is `selected
-    /// edges ∪ unusable edges` — plus, for [`MulticastKind::Targeted`],
+    /// explicit usability partition, by the live tier's rule: the edges
+    /// it selects, and the unusable edges the tree search or a graft's
+    /// searches would have used — plus, for [`MulticastKind::Targeted`],
     /// every receiver's in-edges, because the problem *classification*
-    /// of a receiver reads their usability too.
+    /// of a receiver reads their usability too. A receiver the usable
+    /// subgraph cuts off makes it depend on every unusable edge.
     fn compute_multicast(
         &self,
         scratch: &mut Scratch,
@@ -547,7 +654,7 @@ impl GraphCache {
         unusable: &EdgeSet,
     ) -> Result<(DisseminationGraph, EdgeSet), CoreError> {
         let g = &*self.graph;
-        let mut deps = unusable.clone();
+        let mut deps = EdgeSet::new();
         let usable = |e: EdgeId| !unusable.contains(e);
 
         // The shared tree: the tie-broken shortest usable path to every
@@ -563,7 +670,16 @@ impl GraphCache {
             .copied()
             .filter(|&r| !scratch.ws.append_path_to(g, r, &mut edges))
             .collect();
-        if !cut_off.is_empty() {
+        if cut_off.is_empty() {
+            // Only the paths to the receivers were read off the tree.
+            let ws = &scratch.ws;
+            let farthest = receivers.iter().filter_map(|&r| ws.distance_to(r)).max();
+            let bound = farthest.unwrap_or(0);
+            for e in unusable.iter().filter(|&e| self.could_shorten(ws, e, 0, bound)) {
+                deps.insert(e);
+            }
+        } else {
+            deps.clone_from(unusable);
             scratch.ws.search_from(g, source, None, |e| Some(self.weights[e.index()]))?;
             for r in cut_off {
                 g.check_node(r)?;
@@ -608,6 +724,7 @@ impl GraphCache {
                     tree,
                     deadline,
                     unusable,
+                    &mut deps,
                 ) {
                     edges.extend(branches);
                 }
@@ -621,15 +738,48 @@ impl GraphCache {
     }
 }
 
+/// The latency, in µs, at which [`tie_broken_weight`] clamps a link's:
+/// 2²¹ − 1 µs, about 2.1 s. A longer link weighs as one this long.
+const LATENCY_CLAMP_US: u64 = (1 << 21) - 1;
+
+/// Where the latency sits in a tie-broken weight.
+const LATENCY_SHIFT: u32 = 42;
+
 /// Latency with an edge-unique tie-break:
-/// `min(latency, ~2.1 s) × 2⁴² + hash₃₂(edge)`. Latency dominates (a
-/// 1 µs difference outweighs any hash sum over paths up to 1024 hops),
-/// and latency ties resolve by hash sums that virtually never collide
-/// — so every internal search has a unique optimum and cached results
-/// are reproducible functions of the usable-edge partition.
+/// `min(latency, LATENCY_CLAMP_US) × 2⁴² + hash₃₂(edge)`. Latency
+/// dominates (a 1 µs difference outweighs any hash sum over paths up to
+/// 1024 hops), and latency ties resolve by hash sums that virtually
+/// never collide — so every internal search has a unique optimum and
+/// cached results are reproducible functions of the usable-edge
+/// partition.
+///
+/// The clamp is silent: the weight of a link longer than
+/// [`LATENCY_CLAMP_US`] does not grow with its latency. So every lower
+/// bound the dependency rule prices a route against is formed from
+/// clamped latency ([`clamped`], [`weight_floor`]), never from a plain
+/// sum of latencies.
 fn tie_broken_weight(graph: &Graph, e: EdgeId) -> u64 {
-    let lat = graph.edge(e).latency.as_micros().min((1 << 21) - 1);
-    (lat << 42) + (splitmix64(e.index() as u64 + 1) >> 32)
+    (clamped_latency(graph, e) << LATENCY_SHIFT) + (splitmix64(e.index() as u64 + 1) >> 32)
+}
+
+/// `us` clamped as a link latency is in [`tie_broken_weight`]. For a
+/// plain-latency distance `D`, `clamped(D)` bounds the clamped latency
+/// summed along any route of plain latency at least `D` from below: a
+/// route with a link past the clamp sums to at least the clamp, one
+/// without sums to its plain latency.
+fn clamped(us: u64) -> u64 {
+    us.min(LATENCY_CLAMP_US)
+}
+
+/// The clamped latency of `e`, in µs.
+fn clamped_latency(graph: &Graph, e: EdgeId) -> u64 {
+    clamped(graph.edge(e).latency.as_micros())
+}
+
+/// A lower bound on the tie-broken weight of any route whose plain
+/// latency is at least `us` (see [`clamped`]).
+fn weight_floor(us: u64) -> u64 {
+    clamped(us) << LATENCY_SHIFT
 }
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
@@ -744,9 +894,10 @@ mod tests {
             cache.compute_uncached(flow, CachedGraphKind::TwoDisjoint, req).unwrap()
         );
 
-        // Healing it flips back and invalidates again (the edge is in
-        // the entry's unusable-dependency set).
+        // Healing it flips back and invalidates again: the pair it left
+        // was the cheaper one, so the detour depends on its return.
         assert!(cache.note_loss(dead, 0.0));
+        assert_eq!(cache.stats().live.invalidated, 2);
         let healed = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
         assert_eq!(*healed, *normal);
     }
@@ -768,6 +919,20 @@ mod tests {
         // And the cached value still equals the oracle under the new
         // partition.
         assert_eq!(*again, cache.compute_uncached(flow, CachedGraphKind::Robust, req).unwrap());
+
+        // Graphs computed while it is down do not depend on it either:
+        // its heal evicts nothing.
+        let later = ServiceRequirement::new(Micros::from_millis(70));
+        let during: Vec<_> = CachedGraphKind::ALL
+            .into_iter()
+            .map(|kind| cache.live(flow, kind, later).unwrap())
+            .collect();
+        assert!(cache.note_loss(far, 0.0));
+        assert_eq!(cache.stats().live.invalidated, 0, "unrelated heal must not evict");
+        for (kind, graph) in CachedGraphKind::ALL.into_iter().zip(&during) {
+            assert!(Arc::ptr_eq(graph, &cache.live(flow, kind, later).unwrap()));
+            assert_eq!(**graph, cache.compute_uncached(flow, kind, later).unwrap());
+        }
     }
 
     #[test]
@@ -854,8 +1019,10 @@ mod tests {
             *rerouted,
             cache.compute_multicast_uncached(src, &rs, MulticastKind::Tree, req).unwrap()
         );
-        // Healing flips back (the edge is in the unusable snapshot).
+        // Healing flips back: the edge shortens the tree's route again,
+        // so the rerouted tree depends on it.
         assert!(cache.note_loss(dead, 0.0));
+        assert_eq!(cache.stats().multicast.invalidated, 2);
         let healed = cache.multicast(src, &rs, MulticastKind::Tree, req).unwrap();
         assert_eq!(*healed, *tree);
     }
@@ -916,6 +1083,62 @@ mod tests {
         let uni = mg.unicast_view(&g, flow.destination).unwrap();
         assert_eq!(uni.edges(), mg.edges());
         assert_eq!(mg.receivers(), &[flow.destination]);
+    }
+
+    #[test]
+    fn a_link_past_the_latency_clamp_flaps_without_a_stale_graph() {
+        // One-way links. The pair is S→A→T and S→B→T; the source's third
+        // neighbour X reaches T only over a link past the clamp, from Y
+        // or from Z, and X→Y is down. Healing X→Y moves the source-side
+        // branch from X→Z→T to X→Y→T, which the search from X prices as
+        // "X→Y, then at least the reach pass's distance from Y to T" —
+        // 3 s plain, but a route over a 3 s link weighs as the clamp. A
+        // bound formed from plain latency would call X→Y irrelevant and
+        // keep the stale branch.
+        let ms = Micros::from_millis;
+        let mut b = dg_topology::GraphBuilder::new();
+        let [s, a, bb, x, y, z, t] = ["S", "A", "B", "X", "Y", "Z", "T"].map(|n| b.add_node(n));
+        let mut link = |u, v, latency| b.add_edge(u, v, latency, 1).unwrap();
+        for (u, v) in [(s, a), (a, t), (s, bb), (bb, t), (s, x), (x, z)] {
+            link(u, v, ms(10));
+        }
+        let heals = link(x, y, ms(5));
+        let long = [link(y, t, ms(3_000)), link(z, t, ms(3_000))];
+        let g = b.build();
+        assert!(long.iter().all(|&e| g.edge(e).latency.as_micros() > LATENCY_CLAMP_US));
+
+        let req = ServiceRequirement::new(Micros::from_secs(10));
+        let cache = GraphCache::new(g.clone(), SchemeParams::default());
+        let flow = Flow::new(s, t);
+        let groups = [vec![t], vec![y, z], vec![t, y]];
+        let check = |when: &str| {
+            for kind in CachedGraphKind::ALL {
+                let served = cache.live(flow, kind, req).map(|g| (*g).clone());
+                assert_eq!(served, cache.compute_uncached(flow, kind, req), "{kind:?} {when}");
+            }
+            for receivers in &groups {
+                for kind in MulticastKind::ALL {
+                    let served = cache.multicast(s, receivers, kind, req).map(|g| (*g).clone());
+                    let oracle = cache.compute_multicast_uncached(s, receivers, kind, req);
+                    assert_eq!(served, oracle, "{kind} to {receivers:?} {when}");
+                }
+            }
+        };
+        let branch_via =
+            |e: EdgeId| cache.live(flow, CachedGraphKind::SourceProblem, req).unwrap().contains(e);
+        assert!(cache.note_loss(heals, 0.9));
+        check("with X→Y down");
+        assert!(!branch_via(heals));
+        assert!(cache.note_loss(heals, 0.0));
+        check("after X→Y healed");
+        assert!(branch_via(heals), "the healed branch is the shorter one");
+        for (edge, loss) in [(long[0], 0.9), (heals, 0.9), (long[0], 0.0), (heals, 0.0)]
+            .into_iter()
+            .chain(long.iter().flat_map(|&e| [(e, 0.9), (e, 0.0)]))
+        {
+            assert!(cache.note_loss(edge, loss));
+            check(&format!("after {edge:?} at loss {loss}"));
+        }
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! Latencies are small integers, so equal-cost routes — where a search
 //! run in another direction or stopped at another moment would diverge
 //! — are the common case rather than the rare one.
+//!
+//! Every live and multicast entry is also held to the dependency rule
+//! (`check_rule`): it depends on what it selects and otherwise only on
+//! unusable edges, and healing any unusable edge it does not depend on
+//! rebuilds the identical graph — on these small graphs and on generated
+//! overlays of 20–100 nodes.
 
 use super::*;
 use dg_topology::algo::disjoint::{k_disjoint_paths_weighted, Disjointness};
+use dg_topology::generate::{feasible_deadline, representative_flows, GeneratorConfig};
 use dg_topology::GraphBuilder;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -288,9 +295,8 @@ impl GraphCache {
         kind: CachedGraphKind,
         requirement: ServiceRequirement,
         unusable: &EdgeSet,
-    ) -> Result<(Parts, EdgeSet), CoreError> {
+    ) -> Result<Parts, CoreError> {
         let g = &*self.graph;
-        let mut deps = unusable.clone();
         let pair = |usable_only: bool| {
             let (s, t) = (flow.source, flow.destination);
             k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
@@ -310,11 +316,7 @@ impl GraphCache {
                 self.reference_live_branches(flow, sides, &edges, requirement, unusable)?;
             edges.extend(branches);
         }
-        for &e in &edges {
-            deps.insert(e);
-        }
-        let graph = normalized(g, flow.source, vec![flow.destination], edges)?;
-        Ok((graph, deps))
+        normalized(g, flow.source, vec![flow.destination], edges)
     }
 
     fn reference_multicast(
@@ -324,9 +326,8 @@ impl GraphCache {
         kind: MulticastKind,
         requirement: ServiceRequirement,
         unusable: &EdgeSet,
-    ) -> Result<(Parts, EdgeSet), CoreError> {
+    ) -> Result<Parts, CoreError> {
         let g = &*self.graph;
-        let mut deps = unusable.clone();
         let usable = |e: EdgeId| !unusable.contains(e);
         let mut edges: Vec<EdgeId> = Vec::new();
         for &r in receivers {
@@ -339,13 +340,8 @@ impl GraphCache {
         if kind != MulticastKind::Tree {
             let tree_len = edges.len();
             for &r in receivers {
-                if kind == MulticastKind::Targeted {
-                    for &e in g.in_edges(r) {
-                        deps.insert(e);
-                    }
-                    if g.in_edges(r).iter().all(|&e| usable(e)) {
-                        continue;
-                    }
+                if kind == MulticastKind::Targeted && g.in_edges(r).iter().all(|&e| usable(e)) {
+                    continue;
                 }
                 let flow = Flow::new(source, r);
                 let tree = &edges[..tree_len];
@@ -360,21 +356,143 @@ impl GraphCache {
                 }
             }
         }
-        for &e in &edges {
-            deps.insert(e);
-        }
-        let graph = normalized(g, source, receivers.to_vec(), edges)?;
-        Ok((graph, deps))
+        normalized(g, source, receivers.to_vec(), edges)
     }
 }
 
-/// Dependency sets compare by membership: a set that once held a high
-/// edge keeps the storage for it.
-fn members(set: &EdgeSet) -> Vec<EdgeId> {
-    set.iter().collect()
+/// One cache entry of a case: a live kind of its flow, or a multicast
+/// kind from its flow's source to its receivers.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Live(CachedGraphKind),
+    Multicast(MulticastKind),
 }
 
-/// One case's inputs, all drawn from `seed`.
+/// What a case's entries are for.
+struct Request {
+    flow: Flow,
+    /// Canonical; empty when the case's receivers reduce to none.
+    receivers: Vec<NodeId>,
+    requirement: ServiceRequirement,
+}
+
+impl Request {
+    fn new(flow: Flow, receivers: Vec<NodeId>, requirement: ServiceRequirement) -> Self {
+        let receivers = canonical_receivers(flow.source, receivers).unwrap_or_default();
+        Request { flow, receivers, requirement }
+    }
+
+    fn entries(&self) -> Vec<Entry> {
+        let multicast = MulticastKind::ALL.map(Entry::Multicast);
+        let multicast = multicast.into_iter().filter(|_| !self.receivers.is_empty());
+        CachedGraphKind::ALL.map(Entry::Live).into_iter().chain(multicast).collect()
+    }
+}
+
+impl GraphCache {
+    /// `entry` built on the workspace under `down`: its graph and its
+    /// dependency set.
+    fn build(
+        &self,
+        scratch: &mut Scratch,
+        entry: Entry,
+        request: &Request,
+        down: &EdgeSet,
+    ) -> Result<(Parts, EdgeSet), CoreError> {
+        let Request { flow, receivers, requirement } = request;
+        let built = match entry {
+            Entry::Live(kind) => self.compute_live(scratch, *flow, kind, *requirement, down),
+            Entry::Multicast(kind) => {
+                self.compute_multicast(scratch, flow.source, receivers, kind, *requirement, down)
+            }
+        };
+        built.map(|(graph, deps)| (parts(&graph), deps))
+    }
+
+    fn reference(
+        &self,
+        entry: Entry,
+        request: &Request,
+        down: &EdgeSet,
+    ) -> Result<Parts, CoreError> {
+        let Request { flow, receivers, requirement } = request;
+        match entry {
+            Entry::Live(kind) => self.reference_live(*flow, kind, *requirement, down),
+            Entry::Multicast(kind) => {
+                self.reference_multicast(flow.source, receivers, kind, *requirement, down)
+            }
+        }
+    }
+
+    /// What the cache serves for `entry` under the usability it has
+    /// been told of.
+    fn served(&self, entry: Entry, request: &Request) -> Result<Parts, CoreError> {
+        let Request { flow, receivers, requirement } = request;
+        match entry {
+            Entry::Live(kind) => self.compute_uncached(*flow, kind, *requirement),
+            Entry::Multicast(kind) => {
+                self.compute_multicast_uncached(flow.source, receivers, kind, *requirement)
+            }
+        }
+        .map(|graph| parts(&graph))
+    }
+}
+
+/// The dependency rule's obligations for `entry` built under `down`:
+///
+/// 1. the graph is the reference construction's;
+/// 2. `selected ⊆ deps ⊆ selected ∪ down` (a targeted multicast graph
+///    also depends on its receivers' in-edges, which its problem
+///    classification reads);
+/// 3. healing any edge of `down` outside `deps` — one at a time, and
+///    all of them at once — and building again gives the same graph.
+fn check_rule(
+    cache: &GraphCache,
+    scratch: &mut Scratch,
+    entry: Entry,
+    request: &Request,
+    down: &EdgeSet,
+) -> Result<(), TestCaseError> {
+    let built = cache.build(scratch, entry, request, down);
+    let reference = cache.reference(entry, request, down);
+    prop_assert_eq!(built.as_ref().map(|(graph, _)| graph), reference.as_ref(), "{:?}", entry);
+    let Ok((graph, deps)) = built else { return Ok(()) };
+    let selected = &graph.2;
+    let classified = |e: EdgeId| {
+        matches!(entry, Entry::Multicast(MulticastKind::Targeted))
+            && request.receivers.contains(&cache.graph.edge(e).dst)
+    };
+    prop_assert!(
+        selected.iter().all(|&e| deps.contains(e)),
+        "{:?}: selects an edge it does not depend on",
+        entry
+    );
+    prop_assert!(
+        deps.iter().all(|e| selected.contains(&e) || down.contains(e) || classified(e)),
+        "{:?}: depends on a usable edge it neither selects nor classifies by",
+        entry
+    );
+    let free: Vec<EdgeId> = down.iter().filter(|&e| !deps.contains(e)).collect();
+    let all_at_once = (free.len() > 1).then_some(&free[..]);
+    for healed in free.chunks(1).chain(all_at_once) {
+        let mut now = down.clone();
+        for &e in healed {
+            now.remove(e);
+        }
+        let again = cache.build(scratch, entry, request, &now).map(|(graph, _)| graph);
+        prop_assert_eq!(
+            again.as_ref(),
+            Ok::<_, &CoreError>(&graph),
+            "{:?}: healing {:?}, outside its dependencies, changed it",
+            entry,
+            healed
+        );
+    }
+    Ok(())
+}
+
+/// One small case's inputs, all drawn from `seed`: latencies are small
+/// integers, so equal-cost routes are the common case.
 struct Case {
     graph: Graph,
     unusable: Vec<EdgeId>,
@@ -414,11 +532,15 @@ fn case(seed: u64) -> Case {
         flow: Flow::new(source, destination),
         receivers,
         requirement: ServiceRequirement::new(Micros::from_millis(2 + below(9))),
-        params: SchemeParams {
-            disjointness: [Disjointness::Node, Disjointness::Edge][below(2) as usize],
-            problem_branch_limit: [None, Some(0), Some(1), Some(2)][below(4) as usize],
-            ..SchemeParams::default()
-        },
+        params: random_params(&mut below),
+    }
+}
+
+fn random_params(below: &mut impl FnMut(u64) -> u64) -> SchemeParams {
+    SchemeParams {
+        disjointness: [Disjointness::Node, Disjointness::Edge][below(2) as usize],
+        problem_branch_limit: [None, Some(0), Some(1), Some(2)][below(4) as usize],
+        ..SchemeParams::default()
     }
 }
 
@@ -439,34 +561,60 @@ proptest! {
             cache.note_loss(e, 0.9);
         }
         let down: EdgeSet = unusable.iter().copied().collect();
+        let request = Request::new(flow, receivers, requirement);
         // One scratch across every construction of the case, as the
         // cache has it.
         let mut scratch = Scratch::default();
-        for kind in CachedGraphKind::ALL {
-            let ours = cache
-                .compute_live(&mut scratch, flow, kind, requirement, &down)
-                .map(|(graph, deps)| (parts(&graph), members(&deps)));
-            let reference = cache
-                .reference_live(flow, kind, requirement, &down)
-                .map(|(graph, deps)| (graph, members(&deps)));
-            prop_assert_eq!(&ours, &reference, "{:?}", kind);
-            let served = cache.compute_uncached(flow, kind, requirement).map(|g| parts(&g));
-            prop_assert_eq!(served, reference.map(|(graph, _)| graph), "{:?}", kind);
+        for entry in request.entries() {
+            check_rule(&cache, &mut scratch, entry, &request, &down)?;
+            let served = cache.served(entry, &request);
+            prop_assert_eq!(served, cache.reference(entry, &request, &down), "{:?}", entry);
         }
-        if let Ok(canonical) = canonical_receivers(flow.source, receivers.clone()) {
-            for kind in MulticastKind::ALL {
-                let ours = cache
-                    .compute_multicast(&mut scratch, flow.source, &canonical, kind, requirement, &down)
-                    .map(|(graph, deps)| (parts(&graph), members(&deps)));
-                let reference = cache
-                    .reference_multicast(flow.source, &canonical, kind, requirement, &down)
-                    .map(|(graph, deps)| (graph, members(&deps)));
-                prop_assert_eq!(&ours, &reference, "{}", kind);
-                let served = cache
-                    .compute_multicast_uncached(flow.source, &receivers, kind, requirement)
-                    .map(|g| parts(&g));
-                prop_assert_eq!(served, reference.map(|(graph, _)| graph), "{}", kind);
+    }
+
+    /// The same obligations on generated Waxman and ring-of-cliques
+    /// overlays of 20–100 nodes, with 1–7 links down. Links drawn at
+    /// random from a 100-node overlay rarely touch a given graph, so
+    /// they are drawn from the edges the entries select when nothing is
+    /// down: each is a link whose loss moves some entry, and whose heal
+    /// may or may not.
+    #[test]
+    fn the_dependency_rule_holds_on_generated_topologies(seed in 0u64..u64::MAX) {
+        let mut state = seed;
+        let mut below = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        let nodes = 20 + below(81) as usize;
+        let graph = match below(2) {
+            0 => GeneratorConfig::waxman(nodes, seed),
+            _ => GeneratorConfig::ring_of_cliques(nodes, seed),
+        }
+        .generate();
+        let flows = representative_flows(&graph, 4, seed);
+        prop_assume!(!flows.is_empty());
+        let (s, t) = flows[below(flows.len() as u64) as usize];
+        let n = graph.node_count() as u64;
+        let receivers = (0..1 + below(6)).map(|_| NodeId::new(below(n) as u32)).collect();
+        let requirement = ServiceRequirement::new(feasible_deadline(&graph, &flows, 2.0));
+        let request = Request::new(Flow::new(s, t), receivers, requirement);
+        let cache = GraphCache::new(graph, random_params(&mut below));
+        let mut scratch = Scratch::default();
+
+        let mut selected: Vec<EdgeId> = Vec::new();
+        for entry in request.entries() {
+            if let Ok((graph, _)) = cache.build(&mut scratch, entry, &request, &EdgeSet::new()) {
+                selected.extend(graph.2);
             }
+        }
+        selected.sort();
+        selected.dedup();
+        prop_assume!(!selected.is_empty());
+        let picks = 1 + below(7);
+        let down: EdgeSet =
+            (0..picks).map(|_| selected[below(selected.len() as u64) as usize]).collect();
+        for entry in request.entries() {
+            check_rule(&cache, &mut scratch, entry, &request, &down)?;
         }
     }
 }

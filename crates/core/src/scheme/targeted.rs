@@ -25,7 +25,7 @@ use crate::{
 };
 use dg_topology::algo::SearchWorkspace;
 use dg_topology::cache::EdgeSet;
-use dg_topology::{EdgeId, Graph, Micros};
+use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use dg_trace::NetworkState;
 use std::sync::Arc;
 
@@ -154,6 +154,7 @@ impl TargetedGraphs {
                 requirement.deadline,
                 params.problem_branch_limit,
                 |e| feasible.contains(e).then(|| topology.edge(e).latency.as_micros()),
+                None,
             ));
             DisseminationGraph::new(topology, flow.source, flow.destination, edges)
         };
@@ -236,6 +237,21 @@ pub(crate) enum Side {
     Destination,
 }
 
+impl Side {
+    /// The problem endpoint of `flow` on this side and its links to its
+    /// neighbours (out of the source, into the destination).
+    pub(crate) fn endpoint_links(self, g: &Graph, flow: Flow) -> (NodeId, &[EdgeId]) {
+        match self {
+            Side::Source => (flow.source, g.out_edges(flow.source)),
+            Side::Destination => (flow.destination, g.in_edges(flow.destination)),
+        }
+    }
+}
+
+/// Called by [`problem_branches`] after each search with the workspace
+/// holding it and a bound (see there).
+pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&SearchWorkspace, u64);
+
 /// The redundancy branches a problem graph adds around one endpoint of
 /// `flow`, flattened into one edge list.
 ///
@@ -258,6 +274,17 @@ pub(crate) enum Side {
 /// bundle, the cache's usability-filtered live graphs, and the
 /// per-receiver grafts of multicast graphs (a receiver is the
 /// destination of `flow` there).
+///
+/// `after_search`, when given, is called after every search, while the
+/// workspace still holds it, with a bound on what the search was read
+/// for: a route under `weight` from the search's origin to the far
+/// endpoint (through the connecting link, on the destination side)
+/// heavier than the bound cannot change a branch. A source-side search
+/// stops at the far endpoint, which bounds it already, and passes
+/// `u64::MAX`; the destination-side tree passes its heaviest branch
+/// read, or `u64::MAX` when a neighbour read was out of reach. The
+/// cache asks here which unusable edges a construction depends on; the
+/// baseline bundle passes `None`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn problem_branches(
     ws: &mut SearchWorkspace,
@@ -268,11 +295,9 @@ pub(crate) fn problem_branches(
     deadline: Micros,
     limit: Option<u8>,
     weight: impl Fn(EdgeId) -> Option<u64>,
+    mut after_search: Option<AfterSearch<'_>>,
 ) -> Vec<EdgeId> {
-    let (endpoint, connecting) = match side {
-        Side::Source => (flow.source, g.out_edges(flow.source)),
-        Side::Destination => (flow.destination, g.in_edges(flow.destination)),
-    };
+    let (endpoint, connecting) = side.endpoint_links(g, flow);
     // An edge's ends as (nearer the problem endpoint, farther from it).
     let ends = |e: EdgeId| match side {
         Side::Source => (g.edge(e).src, g.edge(e).dst),
@@ -291,10 +316,13 @@ pub(crate) fn problem_branches(
         Side::Destination => flow.source,
     };
     let mut tree_built = false;
+    // The heaviest branch read off the destination-side tree.
+    let mut heaviest_read = 0u64;
     let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
     for &link in connecting {
         let neighbor = ends(link).1;
-        if weight(link).is_none() || base.iter().any(|&e| ends(e) == (endpoint, neighbor)) {
+        let Some(link_weight) = weight(link) else { continue };
+        if base.iter().any(|&e| ends(e) == (endpoint, neighbor)) {
             continue;
         }
         if neighbor == far {
@@ -306,14 +334,19 @@ pub(crate) fn problem_branches(
         let reached = match side {
             Side::Source => {
                 branch.push(link);
-                ws.search_from(g, neighbor, Some(far), onward).is_ok()
-                    && ws.append_path_to(g, far, &mut branch)
+                let searched = ws.search_from(g, neighbor, Some(far), onward).is_ok();
+                if let (true, Some(after)) = (searched, after_search.as_mut()) {
+                    after(ws, u64::MAX);
+                }
+                searched && ws.append_path_to(g, far, &mut branch)
             }
             Side::Destination => {
                 if !tree_built {
                     tree_built = ws.search_from(g, far, None, onward).is_ok();
                 }
                 let reached = tree_built && ws.append_path_to(g, neighbor, &mut branch);
+                let read = ws.distance_to(neighbor).map(|d| d.saturating_add(link_weight));
+                heaviest_read = heaviest_read.max(read.unwrap_or(u64::MAX));
                 branch.push(link);
                 reached
             }
@@ -322,6 +355,9 @@ pub(crate) fn problem_branches(
         if reached && latency <= deadline {
             candidates.push((latency, branch));
         }
+    }
+    if let (true, Some(after)) = (tree_built, after_search) {
+        after(ws, heaviest_read);
     }
     candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
     let limit = limit.map_or(usize::MAX, usize::from);

@@ -25,14 +25,27 @@ enum Op {
     /// Serve a (flow, kind) from the cache and check it against the
     /// oracle (indices modulo the flow/kind counts).
     Lookup(usize, usize),
+    /// Take down an edge the (flow, kind) graph served now selects
+    /// (indices modulo the counts): a link whose heal may matter.
+    Cut(usize, usize, usize),
+    /// Bring back one of the links now down (index modulo their count).
+    Heal(usize),
     /// Flush everything (routing-epoch advance).
     AdvanceEpoch,
 }
 
+/// Heal-heavy: a link brought back is what tests the dependency rule's
+/// unusable side, and one cut from a served graph is one whose heal can
+/// matter; lookups between them keep stale entries resident. Arms are
+/// drawn uniformly, so a repeated arm is drawn twice as often.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..10_000, 0.0f64..1.0).prop_map(|(e, l)| Op::SetLoss(e, l)),
         (0usize..10_000, 0usize..10_000).prop_map(|(f, k)| Op::Lookup(f, k)),
+        (0usize..10_000, 0usize..10_000).prop_map(|(f, k)| Op::Lookup(f, k)),
+        (0usize..10_000, 0usize..10_000, 0usize..10_000).prop_map(|(f, k, i)| Op::Cut(f, k, i)),
+        (0usize..10_000).prop_map(Op::Heal),
+        (0usize..10_000).prop_map(Op::Heal),
         (0usize..50).prop_map(|_| Op::AdvanceEpoch),
     ]
 }
@@ -100,6 +113,19 @@ proptest! {
                     let flow = flows[f % flows.len()];
                     let kind = CachedGraphKind::ALL[k % CachedGraphKind::ALL.len()];
                     check_lookup(&cache, flow, kind, req)?;
+                }
+                Op::Cut(f, k, i) => {
+                    let flow = flows[f % flows.len()];
+                    let kind = CachedGraphKind::ALL[k % CachedGraphKind::ALL.len()];
+                    if let Ok(served) = cache.live(flow, kind, req) {
+                        cache.note_loss(served.edges()[i % served.len()], 0.9);
+                    }
+                }
+                Op::Heal(i) => {
+                    let down: Vec<EdgeId> = graph.edges().filter(|&e| !cache.is_usable(e)).collect();
+                    if !down.is_empty() {
+                        cache.note_loss(down[i % down.len()], 0.0);
+                    }
                 }
                 Op::AdvanceEpoch => cache.advance_epoch(),
             }

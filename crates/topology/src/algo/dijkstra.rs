@@ -6,6 +6,7 @@
 //! it allocates nothing. The free functions below are that loop on a
 //! workspace of their own, for callers with one search to run.
 
+use crate::algo::workspace::LastSearch;
 use crate::algo::SearchWorkspace;
 use crate::{EdgeId, Graph, Micros, NodeId, Path, TopologyError};
 use std::cmp::Reverse;
@@ -226,8 +227,13 @@ impl SearchWorkspace {
         // An edge is relaxed at most once: the frontier never outgrows
         // this, so it never reallocates mid-search.
         self.heap.reserve(graph.edge_count() + 1);
-        // Only a forward search leaves a tree to read paths off.
+        // Only a forward search leaves a tree to read paths off, and
+        // only a forward search is asked what it would have relaxed.
         self.origin = matches!(direction, Direction::Forward).then_some(origin);
+        self.last = match direction {
+            Direction::Forward => LastSearch::Forward { target },
+            Direction::Backward => LastSearch::Other,
+        };
         self.dist[origin.index()] = 0;
         self.heap.push(Reverse((0, origin)));
         while let Some(Reverse((d, u))) = self.heap.pop() {

@@ -23,9 +23,12 @@
 //! the arc was last scanned, which is exactly when the scan can relax.
 //! The union of the paths is then split back into paths taking, at
 //! every node, the lowest-numbered arc first, so the result is a
-//! function of the graph, the endpoints and the weights alone.
+//! function of the graph, the endpoints and the weights alone. Sums are
+//! checked: a route whose weight would leave `i64`'s range is out of
+//! reach, never wrapped.
 
 use crate::algo::bellman_ford::Arc;
+use crate::algo::workspace::LastSearch;
 use crate::algo::SearchWorkspace;
 use crate::{EdgeId, Graph, NodeId, Path, TopologyError};
 
@@ -250,6 +253,8 @@ impl SearchWorkspace {
         let layout = Layout { graph, mode };
         let (s, t) = split_endpoints(src, dst, mode);
         self.load_arcs(layout, weight);
+        self.last = LastSearch::Other;
+        self.arc_overflow = false;
         for round in 0..k {
             if !self.augment(layout, s, t) {
                 return Err(TopologyError::InsufficientDisjointPaths {
@@ -257,6 +262,12 @@ impl SearchWorkspace {
                     available: round,
                 });
             }
+        }
+        // `arc_dist` holds the last round's distances: what `relaxes`
+        // prices an excluded arc against — unless a route ran out of
+        // range, which leaves them no potential to price by.
+        if !self.arc_overflow {
+            self.last = LastSearch::Disjoint(mode);
         }
 
         // A used arc sits reversed in `arcs`.
@@ -331,7 +342,12 @@ impl SearchWorkspace {
                     if arc.weight == EXCLUDED {
                         continue;
                     }
-                    let nd = self.arc_dist[arc.from] + arc.weight;
+                    // A route past i64's range (a path of links past
+                    // the clamp of tie-broken weights) is out of reach.
+                    let Some(nd) = self.arc_dist[arc.from].checked_add(arc.weight) else {
+                        self.arc_overflow = true;
+                        continue;
+                    };
                     if nd < self.arc_dist[arc.to] {
                         self.arc_dist[arc.to] = nd;
                         self.arc_prev[arc.to] = i;
@@ -589,6 +605,32 @@ mod tests {
             let (p1, p2) = disjoint_pair(&g, s, bos, Disjointness::Node).unwrap();
             assert_eq!((p1.display(&g).as_str(), p2.display(&g).as_str()), (first, second));
         }
+    }
+
+    #[test]
+    fn a_route_past_the_range_of_the_sums_is_out_of_reach() {
+        // A→B→Z weighs more than i64 holds; A→C→Z does not.
+        let mut b = GraphBuilder::new();
+        let [a, bb, c, z] = ["A", "B", "C", "Z"].map(|n| b.add_node(n));
+        for (u, v) in [(a, bb), (bb, z), (a, c), (c, z)] {
+            b.add_edge(u, v, Micros::from_millis(1), 1).unwrap();
+        }
+        let g = b.build();
+        let heavy = |e: EdgeId| match g.edge(e).src == bb || g.edge(e).dst == bb {
+            true => Some(i64::MAX / 2 + 1),
+            false => Some(1),
+        };
+        let mut ws = SearchWorkspace::new();
+        let one = ws.k_disjoint_paths_weighted(&g, a, z, 1, Disjointness::Edge, heavy).unwrap();
+        assert_eq!(one[0].display(&g), "A -> C -> Z");
+        assert_eq!(
+            ws.k_disjoint_paths_weighted(&g, a, z, 2, Disjointness::Node, heavy),
+            Err(TopologyError::InsufficientDisjointPaths { requested: 2, available: 1 })
+        );
+        // Nor can the rounds price an excluded edge against a potential
+        // that some route ran out of.
+        ws.k_disjoint_paths_weighted(&g, a, z, 1, Disjointness::Edge, heavy).unwrap();
+        assert!(g.edges().all(|e| ws.relaxes(&g, e, 1, 0)));
     }
 
     /// The algorithm as it stood before the workspace: a fresh residual

@@ -7,6 +7,7 @@
 //! route `v -> destination` fits within the deadline.
 
 use crate::algo::dijkstra::{self, latency_where, Direction};
+use crate::algo::workspace::LastSearch;
 use crate::algo::SearchWorkspace;
 use crate::cache::EdgeSet;
 use crate::{EdgeId, Graph, Micros, NodeId, TopologyError};
@@ -78,8 +79,19 @@ impl SearchWorkspace {
         std::mem::swap(&mut self.dist, &mut self.from_src);
         // What `dist` took in exchange belongs to no search.
         self.origin = None;
+        self.last = LastSearch::Other;
         self.reach_src = Some(src);
         Ok(())
+    }
+
+    /// The last reach pass's plain-latency distances, in µs, from its
+    /// source to `node` and from `node` to its destination
+    /// ([`u64::MAX`] where there is no route). The destination side is
+    /// that of the last [`SearchWorkspace::time_constrained_edges_to`];
+    /// other searches in between leave both in place.
+    pub fn reach_distances(&self, node: NodeId) -> (u64, u64) {
+        let at = |side: &[u64]| side.get(node.index()).copied().unwrap_or(u64::MAX);
+        (at(&self.from_src), at(&self.to_dst))
     }
 
     /// The destination pass and the filter of
@@ -105,7 +117,7 @@ impl SearchWorkspace {
         Ok(())
     }
 
-    /// Leaves distances to `dst` in `dist`, beside `from_src`.
+    /// Leaves distances to `dst` in `to_dst`, beside `from_src`.
     fn reach_to(&mut self, graph: &Graph, dst: NodeId) -> Result<(), TopologyError> {
         graph.check_node(dst)?;
         let src = self.reach_src.expect("reach_from runs before the destination pass");
@@ -114,6 +126,7 @@ impl SearchWorkspace {
             return Err(TopologyError::NoRoute(src, dst));
         }
         self.search(graph, dst, Direction::Backward, None, latency_where(graph, |_| true));
+        std::mem::swap(&mut self.dist, &mut self.to_dst);
         Ok(())
     }
 
@@ -122,7 +135,7 @@ impl SearchWorkspace {
     fn in_time(&self, graph: &Graph, e: EdgeId, deadline: Micros) -> bool {
         let info = graph.edge(e);
         let head = self.from_src[info.src.index()];
-        let tail = self.dist[info.dst.index()];
+        let tail = self.to_dst[info.dst.index()];
         if head == u64::MAX || tail == u64::MAX {
             return false;
         }

@@ -11,10 +11,31 @@
 //! [`disjoint`](super::disjoint) — as `impl SearchWorkspace` blocks;
 //! the free functions are wrappers that run on a workspace of their
 //! own.
+//!
+//! A workspace also answers one question about the search it ran last
+//! ([`SearchWorkspace::relaxes`]): could an edge the search's weight
+//! excluded have changed what it found? That is what lets a cache of
+//! constructions depend on the excluded edges that matter to them
+//! rather than on all of them.
 
-use crate::{EdgeId, NodeId};
+use crate::algo::disjoint::{split_endpoints, Disjointness};
+use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// The search [`SearchWorkspace::relaxes`] answers about.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) enum LastSearch {
+    /// None yet, or one that leaves nothing to ask about (a backward
+    /// pass, Bhandari's rounds when one failed or some route's sum left
+    /// i64's range).
+    #[default]
+    Other,
+    /// A forward Dijkstra search, stopped once `target` was settled.
+    Forward { target: Option<NodeId> },
+    /// Bhandari's rounds, on the arc layout of this mode.
+    Disjoint(Disjointness),
+}
 
 /// Dense scratch storage shared by the searches of
 /// [`crate::algo`]: hold one per thread of construction work and pass
@@ -34,14 +55,19 @@ pub struct SearchWorkspace {
     pub(super) prev: Vec<Option<EdgeId>>,
     pub(super) heap: BinaryHeap<Reverse<(u64, NodeId)>>,
     pub(super) origin: Option<NodeId>,
-    // Deadline reachability (`reach.rs`): the source-side distances,
-    // kept while `dist` takes the destination side.
+    // What the last search was, for `relaxes`.
+    pub(super) last: LastSearch,
+    // Deadline reachability (`reach.rs`): the source-side and the
+    // destination-side distances, kept while `dist` serves later
+    // searches.
     pub(super) from_src: Vec<u64>,
+    pub(super) to_dst: Vec<u64>,
     pub(super) reach_src: Option<NodeId>,
     // Bhandari (`disjoint.rs`): the residual arcs, flipped in place as
     // paths are found, which arcs the solution uses, Bellman–Ford's
     // distance and predecessor arc per (split) node, the arcs to scan
-    // in this pass and the next, and the solution's arcs in index order.
+    // in this pass and the next, the solution's arcs in index order, and
+    // whether some route's sum left i64's range.
     pub(super) arcs: Vec<super::bellman_ford::Arc>,
     pub(super) used: Vec<bool>,
     pub(super) arc_dist: Vec<i64>,
@@ -49,6 +75,7 @@ pub struct SearchWorkspace {
     pub(super) scan_now: Vec<u64>,
     pub(super) scan_next: Vec<u64>,
     pub(super) selected: Vec<usize>,
+    pub(super) arc_overflow: bool,
 }
 
 impl SearchWorkspace {
@@ -56,12 +83,61 @@ impl SearchWorkspace {
     pub fn new() -> Self {
         SearchWorkspace::default()
     }
+
+    /// Whether the last search could have found something else had it
+    /// also admitted `e` — an edge its weight excluded — at weight `w`.
+    /// `lb` is a lower bound on every route from `e`'s head to the
+    /// target of a search stopped early (0 when none is known).
+    ///
+    /// - After a forward search ([`SearchWorkspace::search_from`],
+    ///   [`SearchWorkspace::shortest_path_weighted`]): `e`'s tail was
+    ///   reached, `d(tail) + w ≤ d(head)`, and, when the search stopped
+    ///   at a target `T`, `d(tail) + w + lb ≤ d(T)`.
+    /// - After [`SearchWorkspace::k_disjoint_paths_weighted`]: `e`'s
+    ///   arc has a reduced cost of at most 0 against the last round's
+    ///   distances, or either end was out of that round's reach. Those
+    ///   distances are a potential for the final residual graph, so an
+    ///   arc of positive reduced cost closes no negative cycle.
+    /// - After any other search, or rounds in which a route's sum left
+    ///   i64's range: `true`.
+    ///
+    /// `false` means the search's result stands with `e` admitted —
+    /// also with any set of such edges admitted together, since none of
+    /// them moves a distance the search found — provided every weight
+    /// is positive and its optimum unique, as under tie-broken weights.
+    /// (Where a search stopped early, a route whose first admitted edge
+    /// fails the bound already outweighs `d(T)`; one whose first admitted
+    /// edge fails the relaxation test is no shorter than one with that
+    /// edge replaced by the route the search found.)
+    pub fn relaxes(&self, graph: &Graph, e: EdgeId, w: u64, lb: u64) -> bool {
+        let info = graph.edge(e);
+        match self.last {
+            LastSearch::Forward { target } => {
+                let tail = self.dist[info.src.index()];
+                if tail == u64::MAX {
+                    return false;
+                }
+                let via = tail.saturating_add(w);
+                via <= self.dist[info.dst.index()]
+                    && target.is_none_or(|t| via.saturating_add(lb) <= self.dist[t.index()])
+            }
+            LastSearch::Disjoint(mode) => {
+                let (from, to) = split_endpoints(info.src, info.dst, mode);
+                let (tail, head) = (self.arc_dist[from], self.arc_dist[to]);
+                tail == i64::MAX
+                    || head == i64::MAX
+                    || i128::from(tail) + i128::from(w) <= i128::from(head)
+            }
+            LastSearch::Other => true,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::disjoint::{k_disjoint_paths_weighted, Disjointness};
+    use crate::algo::dijkstra::Direction;
+    use crate::algo::disjoint::k_disjoint_paths_weighted;
     use crate::algo::{dijkstra, reach};
     use crate::cache::EdgeSet;
     use crate::generate::GeneratorConfig;
@@ -74,6 +150,7 @@ mod tests {
             + ws.prev.capacity()
             + ws.heap.capacity()
             + ws.from_src.capacity()
+            + ws.to_dst.capacity()
             + ws.arcs.capacity()
             + ws.used.capacity()
             + ws.arc_dist.capacity()
@@ -145,6 +222,113 @@ mod tests {
         }
     }
 
+    /// The searches `relaxes` answers about.
+    #[derive(Debug, Clone, Copy)]
+    enum Run {
+        Tree,
+        Stopped,
+        Pair(Disjointness),
+    }
+
+    /// What `run` found from `s`: the path to every node (`Tree`), to
+    /// `t` (`Stopped`), or the pair to `t`; `None` where there is none.
+    fn run(
+        ws: &mut SearchWorkspace,
+        g: &Graph,
+        run: Run,
+        (s, t): (NodeId, NodeId),
+        weight: impl Fn(EdgeId) -> Option<u64>,
+    ) -> Vec<Option<Vec<EdgeId>>> {
+        let path_to = |ws: &SearchWorkspace, v: NodeId| {
+            let mut edges = Vec::new();
+            ws.append_path_to(g, v, &mut edges).then_some(edges)
+        };
+        match run {
+            Run::Tree => {
+                ws.search_from(g, s, None, weight).unwrap();
+                g.nodes().map(|v| path_to(ws, v)).collect()
+            }
+            Run::Stopped => {
+                ws.search_from(g, s, Some(t), weight).unwrap();
+                vec![path_to(ws, t)]
+            }
+            Run::Pair(mode) => {
+                let pair =
+                    ws.k_disjoint_paths_weighted(g, s, t, 2, mode, |e| weight(e).map(|w| w as i64));
+                match pair {
+                    Ok(paths) => paths.iter().map(|p| Some(p.edges().to_vec())).collect(),
+                    Err(_) => vec![None],
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn admitting_excluded_edges_that_do_not_relax_changes_no_search() {
+        let mut state = 0x2025u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        let (mut quiet, mut relaxing) = (0, 0);
+        for case in 0..300 {
+            let n = 6 + below(14) as usize;
+            let mut b = crate::GraphBuilder::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if below(100) < 35 {
+                        b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1)
+                            .unwrap();
+                    }
+                }
+            }
+            let g = b.build();
+            // Latency first, an edge hash to break ties: unique optima.
+            let weights: Vec<u64> =
+                g.edges().map(|e| (g.edge(e).latency.as_micros() << 32) + below(1 << 32)).collect();
+            let excluded: EdgeSet = g.edges().filter(|_| below(100) < 25).collect();
+            let (s, t) = (nodes[0], nodes[n - 1]);
+            // A lower bound for the search stopped at `t`: the whole
+            // graph's distance on to it.
+            ws.search(&g, t, Direction::Backward, None, |e| Some(weights[e.index()]));
+            let to_t = ws.dist.clone();
+            for search in [
+                Run::Tree,
+                Run::Stopped,
+                Run::Pair(Disjointness::Edge),
+                Run::Pair(Disjointness::Node),
+            ] {
+                let admitted = |healed: &[EdgeId]| {
+                    let excluded = &excluded;
+                    let weights = &weights;
+                    let healed = healed.to_vec();
+                    move |e: EdgeId| {
+                        (!excluded.contains(e) || healed.contains(&e)).then(|| weights[e.index()])
+                    }
+                };
+                let found = run(&mut ws, &g, search, (s, t), admitted(&[]));
+                let lb = |e: EdgeId| match search {
+                    Run::Stopped => to_t[g.edge(e).dst.index()],
+                    _ => 0,
+                };
+                let free: Vec<EdgeId> = excluded
+                    .iter()
+                    .filter(|&e| !ws.relaxes(&g, e, weights[e.index()], lb(e)))
+                    .collect();
+                quiet += free.len();
+                relaxing += excluded.len() - free.len();
+                let all = (free.len() > 1).then_some(&free[..]);
+                for healed in free.chunks(1).chain(all) {
+                    let again = run(&mut ws, &g, search, (s, t), admitted(healed));
+                    assert_eq!(again, found, "case {case} {search:?}: admitting {healed:?}");
+                }
+            }
+        }
+        assert!(quiet > 1_000 && relaxing > 1_000, "{quiet} quiet, {relaxing} relaxing");
+    }
+
     #[test]
     fn no_search_allocates_after_the_first_on_a_graph_of_that_size() {
         let g = GeneratorConfig::waxman(80, 3).generate();
@@ -161,6 +345,9 @@ mod tests {
         ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, |e| Some(latency(e) as i64))
             .unwrap();
         ws.time_constrained_edges(&g, s, t, Micros::from_millis(40), &mut EdgeSet::new()).unwrap();
+        // The reach pass keeps both its sides: a search after it takes a
+        // third distance array.
+        ws.shortest_path_weighted(&g, s, t, |e| Some(latency(e))).unwrap();
         let held = capacity(&ws);
         assert!(held > 0);
         for s in 0..n {

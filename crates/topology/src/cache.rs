@@ -25,10 +25,27 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 /// A compact set of [`EdgeId`]s (bitset over the dense edge index).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two sets are equal when they hold the same edges: a set that once
+/// held a high edge keeps the storage for it, and that storage does not
+/// count.
+#[derive(Debug, Clone, Default)]
 pub struct EdgeSet {
     bits: Vec<u64>,
 }
+
+impl PartialEq for EdgeSet {
+    fn eq(&self, other: &EdgeSet) -> bool {
+        let (short, long) = if self.bits.len() <= other.bits.len() {
+            (&self.bits, &other.bits)
+        } else {
+            (&other.bits, &self.bits)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for EdgeSet {}
 
 impl EdgeSet {
     /// An empty set.
@@ -84,12 +101,18 @@ impl EdgeSet {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// Iterates the member edges in index order.
+    /// Iterates the member edges in index order, a step per member
+    /// rather than per bit.
     pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.bits.iter().enumerate().flat_map(|(word, &w)| {
-            (0..64)
-                .filter(move |bit| w & (1 << bit) != 0)
-                .map(move |bit| EdgeId::new((word * 64 + bit) as u32))
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    EdgeId::new((word * 64 + bit) as u32)
+                })
+            })
         })
     }
 }
@@ -246,6 +269,37 @@ mod tests {
         assert!(s.remove(e(3)));
         assert!(!s.remove(e(3)));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn edge_sets_compare_by_members() {
+        let mut grown: EdgeSet = [e(3), e(200)].into_iter().collect();
+        grown.remove(e(200));
+        let fresh: EdgeSet = [e(3)].into_iter().collect();
+        assert_eq!(grown, fresh, "storage for a removed high edge is not a member");
+        assert_eq!(fresh, grown);
+        let mut emptied = grown.clone();
+        emptied.clear();
+        assert_eq!(emptied, EdgeSet::new());
+        assert_ne!(fresh, EdgeSet::new());
+        assert_ne!(grown, [e(3), e(4)].into_iter().collect::<EdgeSet>());
+        assert_ne!([e(130)].into_iter().collect::<EdgeSet>(), fresh);
+    }
+
+    #[test]
+    fn edge_set_iter_yields_exactly_the_members_in_order() {
+        let members = [0, 1, 63, 64, 65, 127, 128, 191, 400];
+        let mut set: EdgeSet = members.iter().map(|&i| e(i)).collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), members.map(e).to_vec());
+        // A full word and an emptied one.
+        for i in 192..256 {
+            set.insert(e(i));
+        }
+        set.remove(e(400));
+        let expected: Vec<EdgeId> = members[..8].iter().copied().chain(192..256).map(e).collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(set.iter().count(), set.len());
+        assert_eq!(EdgeSet::new().iter().next(), None);
     }
 
     #[test]
