@@ -35,12 +35,12 @@
 //!
 //! - the disjoint pair: could the edge's arc, priced by reduced cost
 //!   against the last Bhandari round's distances, close a cheaper flow —
-//!   and (when a reach pass is at hand) is a pair through it,
-//!   `d(s,u) + lat + d(v,t)` beside `d(s,t)` over the full graph, no
-//!   heavier than the pair's latency;
-//! - a source-side continuation (stopped at the destination): could the
-//!   edge improve a distance, and reach the destination within its
-//!   distance given the reach pass's distance on from the edge's head;
+//!   and is a pair through it, `d(s,u) + lat + d(v,t)` beside `d(s,t)`
+//!   over the full graph, no heavier than the pair's latency;
+//! - a source-side continuation (aimed at the destination and stopped
+//!   there): could the edge improve a distance, and reach the
+//!   destination within its distance given the reach pass's distance on
+//!   from the edge's head;
 //! - the destination-side tree: the same, against the heaviest branch
 //!   read off it (its farthest read in-neighbour of the destination,
 //!   plus the link in);
@@ -65,13 +65,45 @@
 //! step selected never changes an optimum either. So a resident entry
 //! equals a fresh computation for every usable set reached without a
 //! flip of one of its dependencies. The bounds are formed from latency
-//! clamped as the weights clamp it ([`LATENCY_CLAMP_US`]). The
+//! clamped as the weights clamp it ([`LATENCY_CLAMP_US`]).
+//!
+//! A continuation aimed at the destination stops having popped only the
+//! nodes whose key — distance plus the floor on the way still to go —
+//! is below the destination's distance `d(T)`, so it leaves unreached
+//! tails a plain search would have settled. An unreached tail still
+//! proves its edge irrelevant: every route through the edge passes a
+//! node that was reached but never popped, whose key was at least
+//! `d(T)`, and since the floor bounds the rest of the route over the
+//! full graph, the edge included, the route weighs at least `d(T)`. For
+//! a tail that was popped the tests read final distances, and with the
+//! same floor as `lb` they select exactly the edges they select after a
+//! plain search ([`SearchWorkspace::relaxes`]). The pair's goal-directed
+//! first round changes no dependency either: its path is the one
+//! Bellman–Ford finds, and the reduced costs are priced against the
+//! second round, which is Bellman–Ford as before. The
 //! `cache::differential` battery checks the rule directly — healing an
 //! unusable edge outside an entry's dependencies rebuilds the same
 //! graph — and `cache_properties`, `multicast_properties` and
 //! `flap_replay` drive flap sequences against
 //! [`GraphCache::compute_uncached`] and
 //! [`GraphCache::compute_multicast_uncached`] as from-scratch oracles.
+//!
+//! # What a construction costs
+//!
+//! Every construction starts from its flow's reach pass ([`Reach`]):
+//! plain-latency distances over the full topology from the source and
+//! to the destination. They depend on the topology alone, so the cache
+//! computes each endpoint's side once and keeps it until the epoch
+//! advances ([`ReachMemo`]). Deadline feasibility reads them, the
+//! dependency rule's bounds read them, and in the live tier they aim the
+//! searches that end at the destination: a tie-broken weight is at least
+//! its clamped latency scaled ([`weight_floor`]), so the scaled distance
+//! on to the destination is a consistent lower bound, and the
+//! source-side continuations and the pair's first round run as A*
+//! under it. Tie-broken weights make every optimum unique, so an aimed
+//! search finds what the plain one finds. The baseline tier keeps plain
+//! Dijkstra and Bellman–Ford: its plain-latency weights tie, and the
+//! committed results pin how those ties fall.
 
 use crate::dgraph::canonical_receivers;
 use crate::scheme::targeted::{problem_branches, AfterSearch, Scratch, Side};
@@ -80,6 +112,8 @@ use crate::scheme::{
     TargetedRedundancy,
 };
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
+use dg_topology::algo::dijkstra::Direction;
+use dg_topology::algo::reach::Reach;
 use dg_topology::algo::SearchWorkspace;
 use dg_topology::cache::{CacheStats, EdgeSet, PrecomputeCache};
 use dg_topology::{EdgeId, Graph, Micros, NodeId, TopologyError};
@@ -205,9 +239,56 @@ struct Inner {
     live: PrecomputeCache<(Flow, CachedGraphKind, Micros), DisseminationGraph>,
     multicast: PrecomputeCache<(NodeId, u64, MulticastKind, Micros), DisseminationGraph>,
     unusable: EdgeSet,
-    /// Search storage every miss computes on, reused from one to the
-    /// next under the lock that serialises them anyway.
+    work: Work,
+}
+
+/// What every miss computes on, reused from one to the next under the
+/// lock that serialises them anyway: search storage, and the reach
+/// passes of the endpoints asked about so far.
+#[derive(Default)]
+struct Work {
     scratch: Scratch,
+    reach: ReachMemo,
+}
+
+/// The reach passes ([`Reach`]) of the endpoints constructions have
+/// asked about: each endpoint's plain-latency distances over the full
+/// topology, from it as a source and to it as a destination. They
+/// depend on the topology alone, so each side is computed on first need
+/// and kept until the epoch advances: 8 B a node, a side, an endpoint.
+#[derive(Default)]
+struct ReachMemo {
+    /// By node index: the distances from the node, once computed.
+    from: Vec<Option<Box<[u64]>>>,
+    /// By node index: the distances to the node, once computed.
+    to: Vec<Option<Box<[u64]>>>,
+}
+
+impl ReachMemo {
+    /// The reach pass of `src` → `dst` over `g`, either side computed on
+    /// `ws` if this is its first need.
+    fn reach(
+        &mut self,
+        ws: &mut SearchWorkspace,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<Reach<'_>, TopologyError> {
+        for (sides, node, direction) in
+            [(&mut self.from, src, Direction::Forward), (&mut self.to, dst, Direction::Backward)]
+        {
+            g.check_node(node)?;
+            sides.resize_with(g.node_count(), || None);
+            let side = &mut sides[node.index()];
+            if side.is_none() {
+                *side = Some(ws.reach_pass(g, node, direction)?.into());
+            }
+        }
+        fn side(sides: &[Option<Box<[u64]>>], node: NodeId) -> &[u64] {
+            sides[node.index()].as_deref().expect("computed above")
+        }
+        Ok(Reach { from_src: side(&self.from, src), to_dst: side(&self.to, dst) })
+    }
 }
 
 /// Shared, thread-safe cache of precomputed dissemination graphs for
@@ -252,7 +333,7 @@ impl GraphCache {
                 live: PrecomputeCache::new(),
                 multicast: PrecomputeCache::new(),
                 unusable: EdgeSet::new(),
-                scratch: Scratch::default(),
+                work: Work::default(),
             }),
         }
     }
@@ -292,6 +373,7 @@ impl GraphCache {
         inner.baseline.advance_epoch();
         inner.live.advance_epoch();
         inner.multicast.advance_epoch();
+        inner.work.reach = ReachMemo::default();
     }
 
     /// The interned baseline bundle for `flow` under `requirement`,
@@ -311,12 +393,15 @@ impl GraphCache {
         if let Some(bundle) = inner.baseline.get(&key) {
             return Ok(bundle);
         }
+        let Work { scratch, reach } = &mut inner.work;
+        let reach = reach.reach(&mut scratch.ws, &self.graph, flow.source, flow.destination)?;
         let bundle = TargetedGraphs::compute_on(
-            &mut inner.scratch,
+            scratch,
             &self.graph,
             flow,
             requirement,
             &self.params,
+            reach,
         )?;
         Ok(inner.baseline.insert(key, bundle, EdgeSet::new()))
     }
@@ -364,8 +449,8 @@ impl GraphCache {
         if let Some(graph) = inner.live.get(&key) {
             return Ok(graph);
         }
-        let Inner { scratch, unusable, .. } = &mut *inner;
-        let (graph, deps) = self.compute_live(scratch, flow, kind, requirement, unusable)?;
+        let Inner { work, unusable, .. } = &mut *inner;
+        let (graph, deps) = self.compute_live(work, flow, kind, requirement, unusable)?;
         Ok(inner.live.insert(key, graph, deps))
     }
 
@@ -383,8 +468,8 @@ impl GraphCache {
         requirement: ServiceRequirement,
     ) -> Result<DisseminationGraph, CoreError> {
         let mut inner = self.inner.lock().expect("cache lock");
-        let Inner { scratch, unusable, .. } = &mut *inner;
-        self.compute_live(scratch, flow, kind, requirement, unusable).map(|(g, _)| g)
+        let Inner { work, unusable, .. } = &mut *inner;
+        self.compute_live(work, flow, kind, requirement, unusable).map(|(g, _)| g)
     }
 
     /// The interned multicast graph for `source` → `receivers` under
@@ -422,9 +507,9 @@ impl GraphCache {
         if let Some(graph) = resident.as_ref().filter(|g| g.receivers() == canonical) {
             return Ok(Arc::clone(graph));
         }
-        let Inner { scratch, unusable, .. } = &mut *inner;
+        let Inner { work, unusable, .. } = &mut *inner;
         let (graph, deps) =
-            self.compute_multicast(scratch, source, &canonical, kind, requirement, unusable)?;
+            self.compute_multicast(work, source, &canonical, kind, requirement, unusable)?;
         Ok(match resident {
             // Digest collision: serve the fresh computation without
             // evicting the resident entry.
@@ -450,8 +535,8 @@ impl GraphCache {
     ) -> Result<DisseminationGraph, CoreError> {
         let canonical = canonical_receivers(source, receivers.to_vec())?;
         let mut inner = self.inner.lock().expect("cache lock");
-        let Inner { scratch, unusable, .. } = &mut *inner;
-        self.compute_multicast(scratch, source, &canonical, kind, requirement, unusable)
+        let Inner { work, unusable, .. } = &mut *inner;
+        self.compute_multicast(work, source, &canonical, kind, requirement, unusable)
             .map(|(g, _)| g)
     }
 
@@ -475,7 +560,7 @@ impl GraphCache {
     /// docs for the rule and why it is sound).
     fn compute_live(
         &self,
-        scratch: &mut Scratch,
+        work: &mut Work,
         flow: Flow,
         kind: CachedGraphKind,
         requirement: ServiceRequirement,
@@ -483,21 +568,36 @@ impl GraphCache {
     ) -> Result<(DisseminationGraph, EdgeSet), CoreError> {
         let g = &*self.graph;
         let (s, t) = (flow.source, flow.destination);
+        let Work { scratch, reach } = work;
+        let reach = reach.reach(&mut scratch.ws, g, s, t)?;
         let mut deps = EdgeSet::new();
+        let mode = self.params.disjointness;
         let mut pair = |usable_only: bool| {
-            scratch.ws.k_disjoint_paths_weighted(g, s, t, 2, self.params.disjointness, |e| {
+            let weight = |e: EdgeId| {
                 (!usable_only || !unusable.contains(e)).then(|| self.weights[e.index()] as i64)
-            })
+            };
+            scratch.ws.k_disjoint_paths_toward(g, s, t, 2, mode, weight, to_go(reach))
         };
-        // The unusable edges whose arc, admitted, could join a cheaper
-        // pair: reduced cost against the last round's distances, then
-        // (below, once the reach pass is in) a latency floor.
-        let mut pair_heals = Vec::new();
         let paths = match pair(true) {
             Ok(paths) => {
+                // The unusable edges whose arc, admitted, could join a
+                // cheaper pair: reduced cost against the last round's
+                // distances, and a latency floor — a pair through
+                // `(u, v)` is no lighter than the full graph's
+                // `d(s,u) + lat + d(v,t)` beside `d(s,t)`.
+                let pair_us: u64 =
+                    paths.iter().flat_map(|p| p.edges()).map(|&e| clamped_latency(g, e)).sum();
                 let ws = &scratch.ws;
-                let relaxes = |&e: &EdgeId| ws.relaxes(g, e, self.weights[e.index()], 0);
-                pair_heals.extend(unusable.iter().filter(relaxes));
+                for e in unusable.iter() {
+                    let info = g.edge(e);
+                    let floor = clamped(reach.from_src[info.src.index()])
+                        + clamped_latency(g, e)
+                        + clamped(reach.to_dst[info.dst.index()])
+                        + clamped(reach.to_dst[s.index()]);
+                    if floor <= pair_us && ws.relaxes(g, e, self.weights[e.index()], 0) {
+                        deps.insert(e);
+                    }
+                }
                 paths
             }
             // Not enough usable disjoint routes: fall back to the full
@@ -516,25 +616,13 @@ impl GraphCache {
             CachedGraphKind::Robust => &[Side::Source, Side::Destination],
         };
         if !sides.is_empty() {
-            scratch.ws.reach_from(g, s)?;
             let deadline = requirement.deadline;
-            let branches =
-                self.live_branches(scratch, flow, sides, &edges, deadline, unusable, &mut deps)?;
-            // A pair through `(u, v)` is no lighter than the full
-            // graph's `d(s,u) + lat + d(v,t)` beside `d(s,t)`.
-            let reach = |n: NodeId| scratch.ws.reach_distances(n);
-            let pair_us: u64 = edges.iter().map(|&e| clamped_latency(g, e)).sum();
-            pair_heals.retain(|&e| {
-                let info = g.edge(e);
-                let floor = clamped(reach(info.src).0)
-                    + clamped_latency(g, e)
-                    + clamped(reach(info.dst).1)
-                    + clamped(reach(s).1);
-                floor <= pair_us
-            });
+            let branches = self.live_branches(
+                scratch, reach, flow, sides, &edges, deadline, unusable, &mut deps,
+            )?;
             edges.extend(branches);
         }
-        for e in pair_heals.into_iter().chain(edges.iter().copied()) {
+        for &e in &edges {
             deps.insert(e);
         }
         let graph = DisseminationGraph::new(g, s, t, edges)?;
@@ -548,10 +636,8 @@ impl GraphCache {
     /// `deps` the unusable links at each side's endpoint and the
     /// unusable edges a continuation search could have taken.
     ///
-    /// The caller has run `reach_from(flow.source)` on the scratch
-    /// workspace: feasibility is that source pass plus a pass of the
-    /// flow's own from its destination, so flows that share a source
-    /// share the first.
+    /// `reach` is the flow's reach pass: feasibility reads it, and it
+    /// aims the source-side continuations at the destination.
     ///
     /// # Errors
     ///
@@ -561,6 +647,7 @@ impl GraphCache {
     fn live_branches(
         &self,
         scratch: &mut Scratch,
+        reach: Reach<'_>,
         flow: Flow,
         sides: &[Side],
         base: &[EdgeId],
@@ -570,7 +657,7 @@ impl GraphCache {
     ) -> Result<Vec<EdgeId>, CoreError> {
         let g = &*self.graph;
         let Scratch { ws, feasible } = scratch;
-        ws.time_constrained_edges_to(g, flow.destination, deadline, feasible)?;
+        reach.in_time_edges(g, deadline, feasible);
         if feasible.is_empty() {
             return Err(CoreError::DeadlineInfeasible {
                 source: flow.source,
@@ -582,6 +669,7 @@ impl GraphCache {
             (feasible.contains(e) && !unusable.contains(e)).then(|| self.weights[e.index()])
         };
         let limit = self.params.problem_branch_limit;
+        let floor = to_go(reach);
         let mut branches = Vec::new();
         for &side in sides {
             let (endpoint, links) = side.endpoint_links(g, flow);
@@ -594,16 +682,14 @@ impl GraphCache {
             // Of the other unusable edges, those a continuation could
             // take: feasible, clear of the endpoint, and able to shorten
             // a route the search was read for. A route on from an
-            // edge's head weighs at least the reach pass's distance to
-            // the destination.
+            // edge's head weighs at least the floor there.
             let mut heals = |ws: &SearchWorkspace, bound: u64| {
                 for e in unusable.iter() {
                     let info = g.edge(e);
                     if !feasible.contains(e) || info.src == endpoint || info.dst == endpoint {
                         continue;
                     }
-                    let lb = weight_floor(ws.reach_distances(info.dst).1);
-                    if self.could_shorten(ws, e, lb, bound) {
+                    if self.could_shorten(ws, e, floor(info.dst), bound) {
                         deps.insert(e);
                     }
                 }
@@ -618,6 +704,7 @@ impl GraphCache {
                 deadline,
                 limit,
                 weight,
+                floor,
                 after_search,
             ));
         }
@@ -646,7 +733,7 @@ impl GraphCache {
     /// subgraph cuts off makes it depend on every unusable edge.
     fn compute_multicast(
         &self,
-        scratch: &mut Scratch,
+        work: &mut Work,
         source: NodeId,
         receivers: &[NodeId],
         kind: MulticastKind,
@@ -654,6 +741,7 @@ impl GraphCache {
         unusable: &EdgeSet,
     ) -> Result<(DisseminationGraph, EdgeSet), CoreError> {
         let g = &*self.graph;
+        let Work { scratch, reach } = work;
         let mut deps = EdgeSet::new();
         let usable = |e: EdgeId| !unusable.contains(e);
 
@@ -694,9 +782,6 @@ impl GraphCache {
             // receivers' grafts, so construction order cannot leak into
             // the result.
             let tree_len = edges.len();
-            // Every receiver's feasible edges start from the same
-            // source-side distances: one pass, on first need.
-            let mut source_pass_done = false;
             for &r in receivers {
                 if kind == MulticastKind::Targeted {
                     // The classification itself reads every in-edge's
@@ -711,14 +796,12 @@ impl GraphCache {
                 // Destination-problem branches into this receiver. One
                 // whose deadline admits no feasible edges keeps its
                 // plain tree path instead of failing the whole group.
-                if !source_pass_done {
-                    scratch.ws.reach_from(g, source)?;
-                    source_pass_done = true;
-                }
+                let reach = reach.reach(&mut scratch.ws, g, source, r)?;
                 let (flow, tree) = (Flow::new(source, r), &edges[..tree_len]);
                 let deadline = requirement.deadline;
                 if let Ok(branches) = self.live_branches(
                     scratch,
+                    reach,
                     flow,
                     &[Side::Destination],
                     tree,
@@ -780,6 +863,16 @@ fn clamped_latency(graph: &Graph, e: EdgeId) -> u64 {
 /// latency is at least `us` (see [`clamped`]).
 fn weight_floor(us: u64) -> u64 {
     clamped(us) << LATENCY_SHIFT
+}
+
+/// The floor the live tier aims a search at a flow's destination by: a
+/// lower bound on the tie-broken weight of any route from a node on to
+/// the destination, read off the flow's reach pass. It is consistent —
+/// along an edge it falls by no more than the edge weighs — because
+/// plain-latency distances obey the triangle inequality and clamping a
+/// sum never exceeds the sum of the clamped parts.
+fn to_go(reach: Reach<'_>) -> impl Fn(NodeId) -> u64 + Copy + '_ {
+    move |v| weight_floor(reach.to_dst[v.index()])
 }
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.

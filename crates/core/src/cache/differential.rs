@@ -394,16 +394,16 @@ impl GraphCache {
     /// dependency set.
     fn build(
         &self,
-        scratch: &mut Scratch,
+        work: &mut Work,
         entry: Entry,
         request: &Request,
         down: &EdgeSet,
     ) -> Result<(Parts, EdgeSet), CoreError> {
         let Request { flow, receivers, requirement } = request;
         let built = match entry {
-            Entry::Live(kind) => self.compute_live(scratch, *flow, kind, *requirement, down),
+            Entry::Live(kind) => self.compute_live(work, *flow, kind, *requirement, down),
             Entry::Multicast(kind) => {
-                self.compute_multicast(scratch, flow.source, receivers, kind, *requirement, down)
+                self.compute_multicast(work, flow.source, receivers, kind, *requirement, down)
             }
         };
         built.map(|(graph, deps)| (parts(&graph), deps))
@@ -448,12 +448,12 @@ impl GraphCache {
 ///    all of them at once — and building again gives the same graph.
 fn check_rule(
     cache: &GraphCache,
-    scratch: &mut Scratch,
+    work: &mut Work,
     entry: Entry,
     request: &Request,
     down: &EdgeSet,
 ) -> Result<(), TestCaseError> {
-    let built = cache.build(scratch, entry, request, down);
+    let built = cache.build(work, entry, request, down);
     let reference = cache.reference(entry, request, down);
     prop_assert_eq!(built.as_ref().map(|(graph, _)| graph), reference.as_ref(), "{:?}", entry);
     let Ok((graph, deps)) = built else { return Ok(()) };
@@ -479,7 +479,7 @@ fn check_rule(
         for &e in healed {
             now.remove(e);
         }
-        let again = cache.build(scratch, entry, request, &now).map(|(graph, _)| graph);
+        let again = cache.build(work, entry, request, &now).map(|(graph, _)| graph);
         prop_assert_eq!(
             again.as_ref(),
             Ok::<_, &CoreError>(&graph),
@@ -562,11 +562,11 @@ proptest! {
         }
         let down: EdgeSet = unusable.iter().copied().collect();
         let request = Request::new(flow, receivers, requirement);
-        // One scratch across every construction of the case, as the
-        // cache has it.
-        let mut scratch = Scratch::default();
+        // One scratch and reach memo across every construction of the
+        // case, as the cache has them.
+        let mut work = Work::default();
         for entry in request.entries() {
-            check_rule(&cache, &mut scratch, entry, &request, &down)?;
+            check_rule(&cache, &mut work, entry, &request, &down)?;
             let served = cache.served(entry, &request);
             prop_assert_eq!(served, cache.reference(entry, &request, &down), "{:?}", entry);
         }
@@ -599,11 +599,11 @@ proptest! {
         let requirement = ServiceRequirement::new(feasible_deadline(&graph, &flows, 2.0));
         let request = Request::new(Flow::new(s, t), receivers, requirement);
         let cache = GraphCache::new(graph, random_params(&mut below));
-        let mut scratch = Scratch::default();
+        let mut work = Work::default();
 
         let mut selected: Vec<EdgeId> = Vec::new();
         for entry in request.entries() {
-            if let Ok((graph, _)) = cache.build(&mut scratch, entry, &request, &EdgeSet::new()) {
+            if let Ok((graph, _)) = cache.build(&mut work, entry, &request, &EdgeSet::new()) {
                 selected.extend(graph.2);
             }
         }
@@ -614,7 +614,7 @@ proptest! {
         let down: EdgeSet =
             (0..picks).map(|_| selected[below(selected.len() as u64) as usize]).collect();
         for entry in request.entries() {
-            check_rule(&cache, &mut scratch, entry, &request, &down)?;
+            check_rule(&cache, &mut work, entry, &request, &down)?;
         }
     }
 }

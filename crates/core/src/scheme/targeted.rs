@@ -23,6 +23,8 @@ use crate::scheme::{RoutingScheme, SchemeKind, SchemeParams};
 use crate::{
     CoreError, DisseminationGraph, Flow, ProblemDetector, ProblemStatus, ServiceRequirement,
 };
+use dg_topology::algo::dijkstra::Direction;
+use dg_topology::algo::reach::Reach;
 use dg_topology::algo::SearchWorkspace;
 use dg_topology::cache::EdgeSet;
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
@@ -103,16 +105,23 @@ impl TargetedGraphs {
         requirement: ServiceRequirement,
         params: &SchemeParams,
     ) -> Result<Self, CoreError> {
-        Self::compute_on(&mut Scratch::default(), topology, flow, requirement, params)
+        let mut scratch = Scratch::default();
+        let ws = &mut scratch.ws;
+        let from_src = ws.reach_pass(topology, flow.source, Direction::Forward)?.to_vec();
+        let to_dst = ws.reach_pass(topology, flow.destination, Direction::Backward)?.to_vec();
+        let reach = Reach { from_src: &from_src, to_dst: &to_dst };
+        Self::compute_on(&mut scratch, topology, flow, requirement, params, reach)
     }
 
-    /// [`TargetedGraphs::compute`] on the caller's scratch storage.
+    /// [`TargetedGraphs::compute`] on the caller's scratch storage and
+    /// the flow's reach pass over `topology`.
     pub(crate) fn compute_on(
         scratch: &mut Scratch,
         topology: &Graph,
         flow: Flow,
         requirement: ServiceRequirement,
         params: &SchemeParams,
+        reach: Reach<'_>,
     ) -> Result<Self, CoreError> {
         let Scratch { ws, feasible } = scratch;
         let pair = ws.k_disjoint_paths_weighted(
@@ -127,13 +136,7 @@ impl TargetedGraphs {
 
         // Edges that can still meet the deadline; branches outside this
         // set could never deliver on time, so they are never added.
-        ws.time_constrained_edges(
-            topology,
-            flow.source,
-            flow.destination,
-            requirement.deadline,
-            feasible,
-        )?;
+        reach.in_time_edges(topology, requirement.deadline, feasible);
         if feasible.is_empty() {
             return Err(CoreError::DeadlineInfeasible {
                 source: flow.source,
@@ -142,7 +145,8 @@ impl TargetedGraphs {
         }
 
         // The baseline bundle reads topology only: every feasible edge
-        // is usable and continuations minimise plain latency.
+        // is usable and continuations minimise plain latency, unaimed,
+        // so that they settle ties as the committed results have them.
         let mut problem_graph = |side| {
             let mut edges = normal.edges().to_vec();
             edges.extend(problem_branches(
@@ -154,6 +158,7 @@ impl TargetedGraphs {
                 requirement.deadline,
                 params.problem_branch_limit,
                 |e| feasible.contains(e).then(|| topology.edge(e).latency.as_micros()),
+                |_| 0,
                 None,
             ));
             DisseminationGraph::new(topology, flow.source, flow.destination, edges)
@@ -268,7 +273,11 @@ pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&SearchWorkspace, u64);
 /// decides which of several equal-cost routes it returns. Into the
 /// destination they all leave `flow.source` under one weight, so they
 /// are read off one shortest-path tree; out of the source each starts
-/// at its own neighbour and stops once the destination is settled.
+/// at its own neighbour and stops once the destination is settled,
+/// aimed at it by `floor` ([`SearchWorkspace::search_toward`]): a
+/// consistent lower bound on the weight of any route on to the
+/// destination. Where `weight` leaves ties, only a zero floor keeps the
+/// plain search's choice among them.
 ///
 /// Every problem graph in the crate is built from this: the baseline
 /// bundle, the cache's usability-filtered live graphs, and the
@@ -295,6 +304,7 @@ pub(crate) fn problem_branches(
     deadline: Micros,
     limit: Option<u8>,
     weight: impl Fn(EdgeId) -> Option<u64>,
+    floor: impl Fn(NodeId) -> u64,
     mut after_search: Option<AfterSearch<'_>>,
 ) -> Vec<EdgeId> {
     let (endpoint, connecting) = side.endpoint_links(g, flow);
@@ -334,7 +344,7 @@ pub(crate) fn problem_branches(
         let reached = match side {
             Side::Source => {
                 branch.push(link);
-                let searched = ws.search_from(g, neighbor, Some(far), onward).is_ok();
+                let searched = ws.search_toward(g, neighbor, far, onward, &floor).is_ok();
                 if let (true, Some(after)) = (searched, after_search.as_mut()) {
                     after(ws, u64::MAX);
                 }

@@ -2,9 +2,11 @@
 //!
 //! There is one search loop, [`SearchWorkspace::search`]'s, and it runs
 //! on a [`SearchWorkspace`]: a search stops as soon as its target is
-//! settled, and after the workspace's first use on a graph of some size
-//! it allocates nothing. The free functions below are that loop on a
-//! workspace of their own, for callers with one search to run.
+//! settled, a caller with a lower bound on the way still to go may aim
+//! it at that target ([`SearchWorkspace::search_toward`]), and after the
+//! workspace's first use on a graph of some size it allocates nothing.
+//! The free functions below are that loop on a workspace of their own,
+//! unaimed, for callers with one search to run.
 
 use crate::algo::workspace::LastSearch;
 use crate::algo::SearchWorkspace;
@@ -61,7 +63,7 @@ where
     F: Fn(EdgeId) -> bool,
 {
     let mut ws = SearchWorkspace::new();
-    ws.search(graph, src, Direction::Forward, None, latency_where(graph, usable));
+    ws.search(graph, src, Direction::Forward, None, latency_where(graph, usable), |_| 0);
     ws.dist.into_iter().map(Micros::from_micros).collect()
 }
 
@@ -73,7 +75,7 @@ where
     F: Fn(EdgeId) -> bool,
 {
     let mut ws = SearchWorkspace::new();
-    ws.search(graph, dst, Direction::Backward, None, latency_where(graph, usable));
+    ws.search(graph, dst, Direction::Backward, None, latency_where(graph, usable), |_| 0);
     ws.dist.into_iter().map(Micros::from_micros).collect()
 }
 
@@ -109,7 +111,7 @@ pub(super) fn latency_where<'g>(
 
 /// Which way a search follows edges.
 #[derive(Debug, Clone, Copy)]
-pub(super) enum Direction {
+pub enum Direction {
     /// Out of the origin: distances *from* it.
     Forward,
     /// Into the origin, over reversed edges: distances *to* it.
@@ -141,7 +143,7 @@ impl SearchWorkspace {
         if src == dst {
             return Err(TopologyError::NoRoute(src, dst));
         }
-        self.search(graph, src, Direction::Forward, Some(dst), weight);
+        self.search(graph, src, Direction::Forward, Some(dst), weight, |_| 0);
         let mut edges = Vec::new();
         if !self.append_path_to(graph, dst, &mut edges) {
             return Err(TopologyError::NoRoute(src, dst));
@@ -171,8 +173,62 @@ impl SearchWorkspace {
         W: Fn(EdgeId) -> Option<u64>,
     {
         graph.check_node(src)?;
-        self.search(graph, src, Direction::Forward, until, weight);
+        self.search(graph, src, Direction::Forward, until, weight, |_| 0);
         Ok(())
+    }
+
+    /// [`SearchWorkspace::search_from`] stopped at `target`, aimed at
+    /// it: the frontier is ordered by `d + floor(v)` rather than by `d`
+    /// (A*), so the search spends its pops near the way to `target`
+    /// instead of on every node closer to `src` than `target` is.
+    ///
+    /// `floor(v)` must be a consistent lower bound on the weight of
+    /// every route from `v` to `target`: `floor(target) = 0`, and
+    /// `floor(u) ≤ weight(e) + floor(v)` for every edge `e = u → v`
+    /// (a scaled distance to `target` over the full graph, say). The
+    /// distance to `target` is then the shortest, and where the shortest
+    /// route is unique the path read off is the one
+    /// [`SearchWorkspace::search_from`] reads; which of several tied
+    /// routes it returns is not otherwise fixed. A zero floor is
+    /// `search_from` itself.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::UnknownNode`] for an out-of-range `src`.
+    pub fn search_toward<W, H>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        target: NodeId,
+        weight: W,
+        floor: H,
+    ) -> Result<(), TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<u64>,
+        H: Fn(NodeId) -> u64,
+    {
+        graph.check_node(src)?;
+        self.search(graph, src, Direction::Forward, Some(target), weight, floor);
+        Ok(())
+    }
+
+    /// One side of a reach pass ([`crate::algo::reach::Reach`]): the
+    /// plain-latency distance, in µs, over the whole of `graph` from
+    /// `node` (forward) or to it (backward), [`u64::MAX`] where there is
+    /// no route. The slice is the workspace's: copy what is kept.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::UnknownNode`] for an out-of-range `node`.
+    pub fn reach_pass(
+        &mut self,
+        graph: &Graph,
+        node: NodeId,
+        direction: Direction,
+    ) -> Result<&[u64], TopologyError> {
+        graph.check_node(node)?;
+        self.search(graph, node, direction, None, latency_where(graph, |_| true), |_| 0);
+        Ok(&self.dist)
     }
 
     /// Distance of `node` in the last [`SearchWorkspace::search_from`],
@@ -203,20 +259,25 @@ impl SearchWorkspace {
     }
 
     /// The one Dijkstra loop: distances (and, forward, tree edges) from
-    /// `origin` under `weight`, stopping once `target` is settled.
+    /// `origin` under `weight`, stopping once `target` is settled. A
+    /// node waits on the frontier keyed by its distance plus
+    /// `floor(node)`: with a zero floor that is Dijkstra's order, with a
+    /// consistent one A*'s (see [`SearchWorkspace::search_toward`]).
     ///
-    /// Equal distances pop in node order and a tree edge is replaced
-    /// only by a strictly shorter route, so the tree is a function of
-    /// the graph and the weights alone.
-    pub(super) fn search<W>(
+    /// Equal keys pop in node order and a tree edge is replaced only by
+    /// a strictly shorter route, so the tree is a function of the graph,
+    /// the weights and the floor alone.
+    pub(super) fn search<W, H>(
         &mut self,
         graph: &Graph,
         origin: NodeId,
         direction: Direction,
         target: Option<NodeId>,
         weight: W,
+        floor: H,
     ) where
         W: Fn(EdgeId) -> Option<u64>,
+        H: Fn(NodeId) -> u64,
     {
         let n = graph.node_count();
         self.dist.clear();
@@ -235,9 +296,12 @@ impl SearchWorkspace {
             Direction::Backward => LastSearch::Other,
         };
         self.dist[origin.index()] = 0;
-        self.heap.push(Reverse((0, origin)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u.index()] {
+        self.heap.push(Reverse((floor(origin), origin.index() as u32)));
+        while let Some(Reverse((key, u))) = self.heap.pop() {
+            let u = NodeId::new(u);
+            let d = self.dist[u.index()];
+            // Pushed before a shorter route to `u` was found.
+            if key > d.saturating_add(floor(u)) {
                 continue;
             }
             if Some(u) == target {
@@ -258,7 +322,7 @@ impl SearchWorkspace {
                 if nd < self.dist[v.index()] {
                     self.dist[v.index()] = nd;
                     self.prev[v.index()] = Some(e);
-                    self.heap.push(Reverse((nd, v)));
+                    self.heap.push(Reverse((nd.saturating_add(floor(v)), v.index() as u32)));
                 }
             }
         }

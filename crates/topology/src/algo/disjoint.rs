@@ -26,11 +26,21 @@
 //! function of the graph, the endpoints and the weights alone. Sums are
 //! checked: a route whose weight would leave `i64`'s range is out of
 //! reach, never wrapped.
+//!
+//! A caller whose weights make every optimum unique — the graph cache's
+//! tie-broken weights — has no tie for the scan order to settle, and may
+//! aim the first round at the destination instead
+//! ([`SearchWorkspace::k_disjoint_paths_toward`]): a goal-directed
+//! Dijkstra search under a lower bound on the distance still to go,
+//! which finds the same path while touching a corridor of the graph
+//! rather than all of it. The free functions and the plain-latency
+//! callers keep whole Bellman–Ford rounds.
 
 use crate::algo::bellman_ford::Arc;
 use crate::algo::workspace::LastSearch;
 use crate::algo::SearchWorkspace;
 use crate::{EdgeId, Graph, NodeId, Path, TopologyError};
+use std::cmp::Reverse;
 
 /// Which resources the paths must not share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -245,6 +255,63 @@ impl SearchWorkspace {
     where
         W: Fn(EdgeId) -> Option<i64>,
     {
+        self.bhandari(graph, src, dst, k, mode, weight, None::<fn(NodeId) -> u64>)
+    }
+
+    /// [`SearchWorkspace::k_disjoint_paths_weighted`] with its first
+    /// round aimed at `dst`: nothing is in the solution yet, so the
+    /// residual graph has no negative arc and round one is a
+    /// goal-directed Dijkstra search (A*, keyed `d + floor(v)` at both
+    /// copies of a split node `v`) instead of Bellman–Ford. The rounds
+    /// after it are Bellman–Ford as always, so with two rounds or more
+    /// [`SearchWorkspace::relaxes`] prices against the same distances.
+    ///
+    /// Every weight must be non-negative and `floor` a consistent lower
+    /// bound on the weight of every route on to `dst` (see
+    /// [`SearchWorkspace::search_toward`]). Round one then finds a
+    /// shortest path, and where that is unique — as under tie-broken
+    /// weights — the one Bellman–Ford finds, so the result is
+    /// [`SearchWorkspace::k_disjoint_paths_weighted`]'s. Under tied
+    /// weights it may be another optimum: the scan order the module docs
+    /// pin is Bellman–Ford's.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`k_disjoint_paths`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn k_disjoint_paths_toward<W, H>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        mode: Disjointness,
+        weight: W,
+        floor: H,
+    ) -> Result<Vec<Path>, TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<i64>,
+        H: Fn(NodeId) -> u64,
+    {
+        self.bhandari(graph, src, dst, k, mode, weight, Some(floor))
+    }
+
+    /// Bhandari's rounds, the first goal-directed when `floor` is given.
+    #[allow(clippy::too_many_arguments)]
+    fn bhandari<W, H>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        mode: Disjointness,
+        weight: W,
+        floor: Option<H>,
+    ) -> Result<Vec<Path>, TopologyError>
+    where
+        W: Fn(EdgeId) -> Option<i64>,
+        H: Fn(NodeId) -> u64,
+    {
         graph.check_node(src)?;
         graph.check_node(dst)?;
         if src == dst || k == 0 {
@@ -256,7 +323,11 @@ impl SearchWorkspace {
         self.last = LastSearch::Other;
         self.arc_overflow = false;
         for round in 0..k {
-            if !self.augment(layout, s, t) {
+            let found = match &floor {
+                Some(floor) if round == 0 => self.augment_toward(layout, s, t, floor),
+                _ => self.augment(layout, s, t),
+            };
+            if !found {
                 return Err(TopologyError::InsufficientDisjointPaths {
                     requested: k,
                     available: round,
@@ -265,8 +336,10 @@ impl SearchWorkspace {
         }
         // `arc_dist` holds the last round's distances: what `relaxes`
         // prices an excluded arc against — unless a route ran out of
-        // range, which leaves them no potential to price by.
-        if !self.arc_overflow {
+        // range, which leaves them no potential to price by, or the last
+        // round was the goal-directed one, which stopped short of a
+        // potential.
+        if !self.arc_overflow && (floor.is_none() || k > 1) {
             self.last = LastSearch::Disjoint(mode);
         }
 
@@ -364,6 +437,74 @@ impl SearchWorkspace {
                 break;
             }
         }
+        self.flip_path(s, t)
+    }
+
+    /// Round one as a goal-directed Dijkstra search over the arcs (see
+    /// [`SearchWorkspace::k_disjoint_paths_toward`]): `floor` of a split
+    /// node's overlay node keys the frontier, the search stops once `t`
+    /// is settled, and the path found is flipped as
+    /// [`SearchWorkspace::augment`] flips its own. Sums are checked as
+    /// there: a route past i64's range is out of reach and marks the
+    /// rounds as having had one.
+    fn augment_toward(
+        &mut self,
+        layout: Layout<'_>,
+        s: usize,
+        t: usize,
+        floor: impl Fn(NodeId) -> u64,
+    ) -> bool {
+        let nodes = layout.node_count();
+        self.arc_dist.clear();
+        self.arc_dist.resize(nodes, i64::MAX);
+        self.arc_prev.resize(nodes, 0);
+        self.heap.clear();
+        self.heap.reserve(self.arcs.len() + 1);
+        let key = |x: usize, d: i64| {
+            let v = match layout.mode {
+                Disjointness::Edge => x,
+                Disjointness::Node => x / 2,
+            };
+            // Round one's distances are sums of non-negative weights.
+            (d as u64).saturating_add(floor(NodeId::new(v as u32)))
+        };
+
+        self.arc_dist[s] = 0;
+        self.heap.push(Reverse((key(s, 0), s as u32)));
+        while let Some(Reverse((popped, x))) = self.heap.pop() {
+            let x = x as usize;
+            let d = self.arc_dist[x];
+            if popped > key(x, d) {
+                continue;
+            }
+            if x == t {
+                break;
+            }
+            layout.for_each_residual_out_arc(&self.used, x, |i| {
+                let arc = self.arcs[i];
+                if arc.weight == EXCLUDED {
+                    return;
+                }
+                debug_assert!(arc.weight >= 0, "a goal-directed round needs weights of at least 0");
+                let Some(nd) = d.checked_add(arc.weight) else {
+                    self.arc_overflow = true;
+                    return;
+                };
+                if nd < self.arc_dist[arc.to] {
+                    self.arc_dist[arc.to] = nd;
+                    self.arc_prev[arc.to] = i;
+                    self.heap.push(Reverse((key(arc.to, nd), arc.to as u32)));
+                }
+            });
+        }
+        self.flip_path(s, t)
+    }
+
+    /// Flips the path the round just found from `s` to `t` (read back
+    /// along `arc_prev`) into the arc list: an unused arc joins the
+    /// solution and now runs backwards at negated weight, a used one
+    /// leaves it. `false`, and nothing flipped, when `t` is out of reach.
+    fn flip_path(&mut self, s: usize, t: usize) -> bool {
         if self.arc_dist[t] == i64::MAX {
             return false;
         }
@@ -733,5 +874,120 @@ mod tests {
             }
         }
         assert!(found > 400, "too few routable cases to mean anything: {found}");
+    }
+
+    #[test]
+    fn an_aimed_first_round_matches_whole_passes_under_unique_weights() {
+        use crate::algo::dijkstra::Direction;
+        let mut rng = 0x2026u64;
+        let mut ws = SearchWorkspace::new();
+        let (mut found, mut priced) = (0, 0);
+        for case in 0..400u64 {
+            let g = tied_graph(&mut rng);
+            let excluded = case % 7;
+            let admitted = |e: EdgeId| excluded == 0 || e.index() as u64 % 7 != excluded;
+            // Latency first, a distinct 32-bit hash of the edge after it:
+            // every optimum unique.
+            let hash = |e: EdgeId| (e.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            let weight_of = |e: EdgeId| ((g.edge(e).latency.as_micros() << 32) + hash(e)) as i64;
+            let weight = |e: EdgeId| admitted(e).then(|| weight_of(e));
+            let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
+            // The floor: plain latency on to `t` over the whole graph,
+            // scaled as the weights scale it.
+            let floor: Vec<u64> = ws
+                .reach_pass(&g, t, Direction::Backward)
+                .unwrap()
+                .iter()
+                .map(|&us| us.saturating_mul(1 << 32))
+                .collect();
+            let prices = |ws: &SearchWorkspace| -> Vec<bool> {
+                let outside = g.edges().filter(|&e| !admitted(e));
+                outside.map(|e| ws.relaxes(&g, e, weight_of(e) as u64, 0)).collect()
+            };
+            for mode in [Disjointness::Edge, Disjointness::Node] {
+                for k in 1..=3 {
+                    let plain = ws.k_disjoint_paths_weighted(&g, s, t, k, mode, weight);
+                    let plain_prices = prices(&ws);
+                    let aimed =
+                        ws.k_disjoint_paths_toward(&g, s, t, k, mode, weight, |v| floor[v.index()]);
+                    let aimed_prices = prices(&ws);
+                    let theirs = reference_union(&g, s, t, k, mode, weight);
+                    let at = format!("case {case} {mode:?} k={k}");
+                    assert_eq!(aimed, plain, "{at}");
+                    match (aimed, theirs) {
+                        (Ok(paths), Ok(union)) => {
+                            found += 1;
+                            let mut edges: Vec<EdgeId> =
+                                paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
+                            edges.sort();
+                            assert_eq!(edges, union, "{at}");
+                            // The last round is Bellman–Ford either way;
+                            // with one round it is the aimed one, which
+                            // leaves no potential and prices nothing.
+                            if k > 1 {
+                                priced += aimed_prices.len();
+                                assert_eq!(aimed_prices, plain_prices, "{at}");
+                            } else {
+                                assert!(aimed_prices.iter().all(|&r| r), "{at}");
+                            }
+                        }
+                        (
+                            Err(TopologyError::InsufficientDisjointPaths { requested, available }),
+                            Err(round),
+                        ) => assert_eq!((requested, available), (k, round)),
+                        (ours, theirs) => panic!("{at}: {ours:?} / {theirs:?}"),
+                    }
+                }
+            }
+        }
+        assert!(found > 400 && priced > 400, "too few cases to mean anything: {found}, {priced}");
+    }
+
+    #[test]
+    fn an_aimed_first_round_past_the_range_of_the_sums_is_out_of_reach() {
+        // A→B→Z is the only route, and it weighs more than i64 holds.
+        let mut b = GraphBuilder::new();
+        let [a, bb, c, z] = ["A", "B", "C", "Z"].map(|n| b.add_node(n));
+        for (u, v) in [(a, bb), (bb, z)] {
+            b.add_edge(u, v, Micros::from_millis(1), 1).unwrap();
+        }
+        let g = b.build();
+        let heavy = |_: EdgeId| Some(i64::MAX / 2 + 1);
+        let mut ws = SearchWorkspace::new();
+        for k in [1, 2] {
+            let mode = Disjointness::Edge;
+            assert_eq!(
+                ws.k_disjoint_paths_toward(&g, a, z, k, mode, heavy, |_| 0),
+                Err(TopologyError::InsufficientDisjointPaths { requested: k, available: 0 })
+            );
+            assert!(ws.arc_overflow, "k={k}: the aimed round saw the sum leave the range");
+            assert!(g.edges().all(|e| ws.relaxes(&g, e, 1, 0)));
+        }
+
+        // Beside a route in range (A→C→Z), round one takes that one and
+        // the second round runs out of range on A→B→Z: one path, and
+        // nothing priced.
+        let mut b = GraphBuilder::new();
+        for name in ["A", "B", "C", "Z"] {
+            b.add_node(name);
+        }
+        for (u, v) in [(a, bb), (bb, z), (a, c), (c, z)] {
+            b.add_edge(u, v, Micros::from_millis(1), 1).unwrap();
+        }
+        let g = b.build();
+        let weight = |e: EdgeId| match g.edge(e).src == bb || g.edge(e).dst == bb {
+            true => Some(i64::MAX / 2 + 1),
+            false => Some(1),
+        };
+        let one =
+            ws.k_disjoint_paths_toward(&g, a, z, 1, Disjointness::Edge, weight, |_| 0).unwrap();
+        assert_eq!(one[0].display(&g), "A -> C -> Z");
+        assert!(g.edges().all(|e| ws.relaxes(&g, e, 1, 0)));
+        assert_eq!(
+            ws.k_disjoint_paths_toward(&g, a, z, 2, Disjointness::Node, weight, |_| 0),
+            Err(TopologyError::InsufficientDisjointPaths { requested: 2, available: 1 })
+        );
+        assert!(ws.arc_overflow);
+        assert!(g.edges().all(|e| ws.relaxes(&g, e, 1, 0)));
     }
 }

@@ -6,8 +6,7 @@
 //! fastest route `source -> u`, plus the edge itself, plus the fastest
 //! route `v -> destination` fits within the deadline.
 
-use crate::algo::dijkstra::{self, latency_where, Direction};
-use crate::algo::workspace::LastSearch;
+use crate::algo::dijkstra::{self, Direction};
 use crate::algo::SearchWorkspace;
 use crate::cache::EdgeSet;
 use crate::{EdgeId, Graph, Micros, NodeId, TopologyError};
@@ -41,95 +40,34 @@ pub fn time_constrained_edges(
     deadline: Micros,
 ) -> Result<Vec<EdgeId>, TopologyError> {
     let mut ws = SearchWorkspace::new();
-    ws.reach_from(graph, src)?;
-    ws.reach_to(graph, dst)?;
-    Ok(graph.edges().filter(|&e| ws.in_time(graph, e, deadline)).collect())
+    let from_src = ws.reach_pass(graph, src, Direction::Forward)?.to_vec();
+    let to_dst = ws.reach_pass(graph, dst, Direction::Backward)?;
+    if src == dst {
+        return Err(TopologyError::NoRoute(src, dst));
+    }
+    let reach = Reach { from_src: &from_src, to_dst };
+    Ok(graph.edges().filter(|&e| reach.in_time(graph, e, deadline)).collect())
 }
 
-impl SearchWorkspace {
-    /// [`time_constrained_edges`] on this workspace, as a bitmap:
-    /// `out` is cleared and then holds exactly the qualifying edges.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`time_constrained_edges`].
-    pub fn time_constrained_edges(
-        &mut self,
-        graph: &Graph,
-        src: NodeId,
-        dst: NodeId,
-        deadline: Micros,
-        out: &mut EdgeSet,
-    ) -> Result<(), TopologyError> {
-        self.reach_from(graph, src)?;
-        self.time_constrained_edges_to(graph, dst, deadline, out)
-    }
+/// A flow's reach pass: the plain-latency distance, in µs, over the
+/// whole graph from its source to every node (`from_src`) and from every
+/// node to its destination (`to_dst`), [`u64::MAX`] where there is no
+/// route. Each side is one [`SearchWorkspace::reach_pass`].
+///
+/// It depends on the topology alone — not on link state, deadlines or
+/// the other endpoint — so a caller building many graphs on one
+/// topology computes each endpoint's side once and keeps it. The
+/// distances are also lower bounds on any route over a subgraph, which
+/// is what makes them floors for goal-directed searches.
+#[derive(Debug, Clone, Copy)]
+pub struct Reach<'a> {
+    /// Distance from the source, by node index.
+    pub from_src: &'a [u64],
+    /// Distance to the destination, by node index.
+    pub to_dst: &'a [u64],
+}
 
-    /// The source pass of [`SearchWorkspace::time_constrained_edges`]
-    /// alone: flows that share `src` run it once and then call
-    /// [`SearchWorkspace::time_constrained_edges_to`] per destination.
-    /// Other searches on the workspace in between leave it in place.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::UnknownNode`] for an out-of-range `src`.
-    pub fn reach_from(&mut self, graph: &Graph, src: NodeId) -> Result<(), TopologyError> {
-        graph.check_node(src)?;
-        self.search(graph, src, Direction::Forward, None, latency_where(graph, |_| true));
-        std::mem::swap(&mut self.dist, &mut self.from_src);
-        // What `dist` took in exchange belongs to no search.
-        self.origin = None;
-        self.last = LastSearch::Other;
-        self.reach_src = Some(src);
-        Ok(())
-    }
-
-    /// The last reach pass's plain-latency distances, in µs, from its
-    /// source to `node` and from `node` to its destination
-    /// ([`u64::MAX`] where there is no route). The destination side is
-    /// that of the last [`SearchWorkspace::time_constrained_edges_to`];
-    /// other searches in between leave both in place.
-    pub fn reach_distances(&self, node: NodeId) -> (u64, u64) {
-        let at = |side: &[u64]| side.get(node.index()).copied().unwrap_or(u64::MAX);
-        (at(&self.from_src), at(&self.to_dst))
-    }
-
-    /// The destination pass and the filter of
-    /// [`SearchWorkspace::time_constrained_edges`], against the source
-    /// pass the last [`SearchWorkspace::reach_from`] on `graph` left.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`time_constrained_edges`].
-    ///
-    /// # Panics
-    ///
-    /// When no source pass over a graph of this size is in place.
-    pub fn time_constrained_edges_to(
-        &mut self,
-        graph: &Graph,
-        dst: NodeId,
-        deadline: Micros,
-        out: &mut EdgeSet,
-    ) -> Result<(), TopologyError> {
-        self.reach_to(graph, dst)?;
-        self.collect_in_time(graph, deadline, out);
-        Ok(())
-    }
-
-    /// Leaves distances to `dst` in `to_dst`, beside `from_src`.
-    fn reach_to(&mut self, graph: &Graph, dst: NodeId) -> Result<(), TopologyError> {
-        graph.check_node(dst)?;
-        let src = self.reach_src.expect("reach_from runs before the destination pass");
-        assert_eq!(self.from_src.len(), graph.node_count(), "source pass is of another graph");
-        if src == dst {
-            return Err(TopologyError::NoRoute(src, dst));
-        }
-        self.search(graph, dst, Direction::Backward, None, latency_where(graph, |_| true));
-        std::mem::swap(&mut self.dist, &mut self.to_dst);
-        Ok(())
-    }
-
+impl Reach<'_> {
     /// Whether `e` fits: fastest route to its tail, the edge itself and
     /// the fastest route on from its head, against `deadline`.
     fn in_time(&self, graph: &Graph, e: EdgeId, deadline: Micros) -> bool {
@@ -142,7 +80,9 @@ impl SearchWorkspace {
         head.saturating_add(info.latency.as_micros()).saturating_add(tail) <= deadline.as_micros()
     }
 
-    fn collect_in_time(&self, graph: &Graph, deadline: Micros, out: &mut EdgeSet) {
+    /// [`time_constrained_edges`] as a bitmap: `out` is cleared and then
+    /// holds exactly the edges that fit.
+    pub fn in_time_edges(&self, graph: &Graph, deadline: Micros, out: &mut EdgeSet) {
         out.clear();
         for e in graph.edges().filter(|&e| self.in_time(graph, e, deadline)) {
             out.insert(e);

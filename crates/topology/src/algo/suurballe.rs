@@ -8,6 +8,13 @@
 //! Two independent implementations of the same optimization problem
 //! make an excellent cross-check — the property suite asserts they
 //! agree on every random graph.
+//!
+//! It is a test reference, not a faster path. Its second search is a
+//! Dijkstra run over every arc the first one reached, where Bhandari's
+//! second round on the search workspace rescans only the arcs whose
+//! tail's distance fell; on Waxman-100 Suurballe-style rounds over
+//! reduced costs measured slower a pair than those Bellman–Ford rounds
+//! (ROADMAP item 6). Nothing outside the tests calls it.
 
 use crate::algo::disjoint::{decompose, split_endpoints, Disjointness};
 use crate::{EdgeId, Graph, NodeId, Path, TopologyError};

@@ -43,26 +43,23 @@ pub(super) enum LastSearch {
 ///
 /// Every search resets what it reads, so nothing carries over from one
 /// to the next except what a method says it leaves for a later call
-/// (the tree of `search_from`, the source pass of `reach_from`). A
-/// workspace may be used on graphs of different sizes in turn; it grows
-/// to the largest.
+/// (the tree of `search_from`). A workspace keeps no result across
+/// searches: what depends on the topology alone, such as a reach pass,
+/// is the caller's to keep. A workspace may be used on graphs of
+/// different sizes in turn; it grows to the largest.
 #[derive(Debug, Default)]
 pub struct SearchWorkspace {
     // Dijkstra (`dijkstra.rs`): tentative distance and tree edge per
-    // node, the frontier, and the origin the tree edges lead back to
-    // (`None` after a backward search, which leaves no tree).
+    // node, the frontier as (key, node index), and the origin the tree
+    // edges lead back to (`None` after a backward search, which leaves
+    // no tree). Bhandari's goal-directed first round keys its frontier
+    // of split nodes here too.
     pub(super) dist: Vec<u64>,
     pub(super) prev: Vec<Option<EdgeId>>,
-    pub(super) heap: BinaryHeap<Reverse<(u64, NodeId)>>,
+    pub(super) heap: BinaryHeap<Reverse<(u64, u32)>>,
     pub(super) origin: Option<NodeId>,
     // What the last search was, for `relaxes`.
     pub(super) last: LastSearch,
-    // Deadline reachability (`reach.rs`): the source-side and the
-    // destination-side distances, kept while `dist` serves later
-    // searches.
-    pub(super) from_src: Vec<u64>,
-    pub(super) to_dst: Vec<u64>,
-    pub(super) reach_src: Option<NodeId>,
     // Bhandari (`disjoint.rs`): the residual arcs, flipped in place as
     // paths are found, which arcs the solution uses, Bellman–Ford's
     // distance and predecessor arc per (split) node, the arcs to scan
@@ -90,14 +87,18 @@ impl SearchWorkspace {
     /// target of a search stopped early (0 when none is known).
     ///
     /// - After a forward search ([`SearchWorkspace::search_from`],
+    ///   [`SearchWorkspace::search_toward`],
     ///   [`SearchWorkspace::shortest_path_weighted`]): `e`'s tail was
     ///   reached, `d(tail) + w ≤ d(head)`, and, when the search stopped
     ///   at a target `T`, `d(tail) + w + lb ≤ d(T)`.
-    /// - After [`SearchWorkspace::k_disjoint_paths_weighted`]: `e`'s
-    ///   arc has a reduced cost of at most 0 against the last round's
-    ///   distances, or either end was out of that round's reach. Those
-    ///   distances are a potential for the final residual graph, so an
-    ///   arc of positive reduced cost closes no negative cycle.
+    /// - After [`SearchWorkspace::k_disjoint_paths_weighted`] or
+    ///   [`SearchWorkspace::k_disjoint_paths_toward`] with two rounds or
+    ///   more: `e`'s arc has a reduced cost of at most 0 against the last
+    ///   round's distances, or either end was out of that round's reach.
+    ///   Those distances are a potential for the final residual graph,
+    ///   so an arc of positive reduced cost closes no negative cycle. The
+    ///   last round is always a whole Bellman–Ford run; a goal-directed
+    ///   first round only decides which path the second starts from.
     /// - After any other search, or rounds in which a route's sum left
     ///   i64's range: `true`.
     ///
@@ -109,6 +110,22 @@ impl SearchWorkspace {
     /// fails the bound already outweighs `d(T)`; one whose first admitted
     /// edge fails the relaxation test is no shorter than one with that
     /// edge replaced by the route the search found.)
+    ///
+    /// A goal-directed search ([`SearchWorkspace::search_toward`]) stops
+    /// having popped only the nodes keyed `d(v) + floor(v)` below `d(T)`,
+    /// so it leaves tails unreached, and tails reached but never popped,
+    /// that a plain search would have settled. Either still proves `e`
+    /// irrelevant. Follow any route from the origin through `e` to the
+    /// first node `x` on it that was never popped: `x`'s predecessor on
+    /// the route was, so `x` was reached at no more than the route's
+    /// weight up to it, and `x` still waiting means its key was at least
+    /// `d(T)`. The rest of the route, `e` included, weighs at least
+    /// `floor(x)`, because the floor bounds routes over the full graph.
+    /// So the route weighs at least `d(T)`, and under unique optima is
+    /// not the one found: it cannot displace it. For a tail that was
+    /// popped, its distance is final and the tests above apply as after
+    /// a plain search; with `lb` the same floor at `e`'s head they pass
+    /// and fail for exactly the edges they do after one.
     pub fn relaxes(&self, graph: &Graph, e: EdgeId, w: u64, lb: u64) -> bool {
         let info = graph.edge(e);
         match self.last {
@@ -149,8 +166,6 @@ mod tests {
         ws.dist.capacity()
             + ws.prev.capacity()
             + ws.heap.capacity()
-            + ws.from_src.capacity()
-            + ws.to_dst.capacity()
             + ws.arcs.capacity()
             + ws.used.capacity()
             + ws.arc_dist.capacity()
@@ -168,6 +183,8 @@ mod tests {
         tree_path: Vec<EdgeId>,
         in_time: Vec<EdgeId>,
         pair: Option<Vec<Path>>,
+        aimed_path: Vec<EdgeId>,
+        aimed_pair: Option<Vec<Path>>,
     }
 
     /// Every kind of search a workspace runs, for one flow, on `ws`.
@@ -178,14 +195,22 @@ mod tests {
         let tree = g.nodes().map(|v| ws.distance_to(v)).collect();
         let mut tree_path = Vec::new();
         ws.append_path_to(g, t, &mut tree_path);
+        let from_src = ws.reach_pass(g, s, Direction::Forward).unwrap().to_vec();
+        let to_dst = ws.reach_pass(g, t, Direction::Backward).unwrap().to_vec();
         let mut feasible = EdgeSet::new();
-        ws.time_constrained_edges(g, s, t, Micros::from_millis(40), &mut feasible).unwrap();
-        let pair = ws
-            .k_disjoint_paths_weighted(g, s, t, 2, Disjointness::Node, |e| {
-                Some(g.edge(e).latency.as_micros() as i64)
-            })
-            .ok();
-        Found { path, tree, tree_path, in_time: feasible.iter().collect(), pair }
+        let reach = reach::Reach { from_src: &from_src, to_dst: &to_dst };
+        reach.in_time_edges(g, Micros::from_millis(40), &mut feasible);
+        let pair_weight = |e: EdgeId| Some(g.edge(e).latency.as_micros() as i64);
+        let pair = ws.k_disjoint_paths_weighted(g, s, t, 2, Disjointness::Node, pair_weight).ok();
+        // Aimed by the plain-latency distance on to `t`.
+        let floor = |v: NodeId| to_dst[v.index()];
+        ws.search_toward(g, s, t, latency, floor).unwrap();
+        let mut aimed_path = Vec::new();
+        ws.append_path_to(g, t, &mut aimed_path);
+        let aimed_pair =
+            ws.k_disjoint_paths_toward(g, s, t, 2, Disjointness::Node, pair_weight, floor).ok();
+        let in_time = feasible.iter().collect();
+        Found { path, tree, tree_path, in_time, pair, aimed_path, aimed_pair }
     }
 
     #[test]
@@ -227,17 +252,21 @@ mod tests {
     enum Run {
         Tree,
         Stopped,
+        /// Stopped at `t`, aimed at it by the floor `run` is given.
+        Aimed,
         Pair(Disjointness),
     }
 
     /// What `run` found from `s`: the path to every node (`Tree`), to
-    /// `t` (`Stopped`), or the pair to `t`; `None` where there is none.
+    /// `t` (`Stopped`, `Aimed`), or the pair to `t`; `None` where there
+    /// is none.
     fn run(
         ws: &mut SearchWorkspace,
         g: &Graph,
         run: Run,
         (s, t): (NodeId, NodeId),
         weight: impl Fn(EdgeId) -> Option<u64>,
+        floor: &[u64],
     ) -> Vec<Option<Vec<EdgeId>>> {
         let path_to = |ws: &SearchWorkspace, v: NodeId| {
             let mut edges = Vec::new();
@@ -250,6 +279,10 @@ mod tests {
             }
             Run::Stopped => {
                 ws.search_from(g, s, Some(t), weight).unwrap();
+                vec![path_to(ws, t)]
+            }
+            Run::Aimed => {
+                ws.search_toward(g, s, t, weight, |v| floor[v.index()]).unwrap();
                 vec![path_to(ws, t)]
             }
             Run::Pair(mode) => {
@@ -290,13 +323,24 @@ mod tests {
                 g.edges().map(|e| (g.edge(e).latency.as_micros() << 32) + below(1 << 32)).collect();
             let excluded: EdgeSet = g.edges().filter(|_| below(100) < 25).collect();
             let (s, t) = (nodes[0], nodes[n - 1]);
-            // A lower bound for the search stopped at `t`: the whole
+            // A lower bound for the searches stopped at `t`: the whole
             // graph's distance on to it.
-            ws.search(&g, t, Direction::Backward, None, |e| Some(weights[e.index()]));
+            ws.search(&g, t, Direction::Backward, None, |e| Some(weights[e.index()]), |_| 0);
             let to_t = ws.dist.clone();
+            // The aimed search's floor, from a backward pass over the
+            // whole graph: its plain latency on to `t`, scaled as the
+            // weights scale latency — consistent, since a weight is at
+            // least its latency so scaled.
+            let floor: Vec<u64> = ws
+                .reach_pass(&g, t, Direction::Backward)
+                .unwrap()
+                .iter()
+                .map(|&us| us.saturating_mul(1 << 32))
+                .collect();
             for search in [
                 Run::Tree,
                 Run::Stopped,
+                Run::Aimed,
                 Run::Pair(Disjointness::Edge),
                 Run::Pair(Disjointness::Node),
             ] {
@@ -308,9 +352,9 @@ mod tests {
                         (!excluded.contains(e) || healed.contains(&e)).then(|| weights[e.index()])
                     }
                 };
-                let found = run(&mut ws, &g, search, (s, t), admitted(&[]));
+                let found = run(&mut ws, &g, search, (s, t), admitted(&[]), &floor);
                 let lb = |e: EdgeId| match search {
-                    Run::Stopped => to_t[g.edge(e).dst.index()],
+                    Run::Stopped | Run::Aimed => to_t[g.edge(e).dst.index()],
                     _ => 0,
                 };
                 let free: Vec<EdgeId> = excluded
@@ -321,7 +365,7 @@ mod tests {
                 relaxing += excluded.len() - free.len();
                 let all = (free.len() > 1).then_some(&free[..]);
                 for healed in free.chunks(1).chain(all) {
-                    let again = run(&mut ws, &g, search, (s, t), admitted(healed));
+                    let again = run(&mut ws, &g, search, (s, t), admitted(healed), &floor);
                     assert_eq!(again, found, "case {case} {search:?}: admitting {healed:?}");
                 }
             }
@@ -341,13 +385,12 @@ mod tests {
         let t = g.edge(g.out_edges(s)[0]).dst;
         let latency = |e: EdgeId| g.edge(e).latency.as_micros();
         ws.shortest_path_weighted(&g, s, t, |e| Some(latency(e))).unwrap();
+        let pair_weight = |e: EdgeId| Some(latency(e) as i64);
+        ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, pair_weight).unwrap();
+        // An aimed first round's frontier holds split nodes: it sizes the
+        // frontier for every search after it.
+        ws.k_disjoint_paths_toward(&g, s, t, 1, Disjointness::Node, pair_weight, |_| 0).unwrap();
         let frontier = ws.heap.capacity();
-        ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, |e| Some(latency(e) as i64))
-            .unwrap();
-        ws.time_constrained_edges(&g, s, t, Micros::from_millis(40), &mut EdgeSet::new()).unwrap();
-        // The reach pass keeps both its sides: a search after it takes a
-        // third distance array.
-        ws.shortest_path_weighted(&g, s, t, |e| Some(latency(e))).unwrap();
         let held = capacity(&ws);
         assert!(held > 0);
         for s in 0..n {
@@ -357,6 +400,101 @@ mod tests {
                 assert_eq!(capacity(&ws), held, "a search from N{s} grew the workspace");
             }
         }
-        assert_eq!(ws.heap.capacity(), frontier, "the frontier grew after that first early stop");
+        assert_eq!(ws.heap.capacity(), frontier, "the frontier grew after those first early stops");
+    }
+
+    /// The loop as it stood before it took a floor, stopped at `target`:
+    /// distances and tree edges as it left them.
+    fn unaimed_reference(
+        g: &Graph,
+        origin: NodeId,
+        target: NodeId,
+        weight: impl Fn(EdgeId) -> Option<u64>,
+    ) -> (Vec<u64>, Vec<Option<EdgeId>>) {
+        let mut dist = vec![u64::MAX; g.node_count()];
+        let mut prev = vec![None; g.node_count()];
+        let mut heap = BinaryHeap::new();
+        dist[origin.index()] = 0;
+        heap.push(Reverse((0, origin)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u.index()] {
+                continue;
+            }
+            if u == target {
+                break;
+            }
+            for &e in g.out_edges(u) {
+                let Some(w) = weight(e) else { continue };
+                let v = g.edge(e).dst;
+                let nd = d.saturating_add(w);
+                if nd < dist[v.index()] {
+                    dist[v.index()] = nd;
+                    prev[v.index()] = Some(e);
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        (dist, prev)
+    }
+
+    #[test]
+    fn a_zero_floor_is_the_plain_search_and_an_aimed_one_finds_its_path() {
+        // Dense random graphs of 1–3 ms links: most pairs tie on latency.
+        let mut state = 0x2026u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        let mut aimed_pairs = 0;
+        for _ in 0..40 {
+            let n = 6 + below(14) as usize;
+            let mut b = crate::GraphBuilder::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if below(100) < 40 {
+                        b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1)
+                            .unwrap();
+                    }
+                }
+            }
+            let g = b.build();
+            let latency = |e: EdgeId| Some(g.edge(e).latency.as_micros());
+            // Latency first, an edge hash after it: unique optima.
+            let hashes: Vec<u64> = g.edges().map(|_| below(1 << 32)).collect();
+            let unique =
+                |e: EdgeId| Some((g.edge(e).latency.as_micros() << 32) + hashes[e.index()]);
+            for &t in &nodes {
+                // Plain latency on to `t` over the whole graph, scaled as
+                // `unique` scales it: a consistent floor.
+                let floor: Vec<u64> = ws
+                    .reach_pass(&g, t, Direction::Backward)
+                    .unwrap()
+                    .iter()
+                    .map(|&us| us.saturating_mul(1 << 32))
+                    .collect();
+                for &s in nodes.iter().filter(|&&s| s != t) {
+                    // A zero floor leaves exactly what the loop left
+                    // before it took one. (A fresh workspace: tree edges
+                    // of nodes a search did not reach are never read,
+                    // and so not reset.)
+                    let mut fresh = SearchWorkspace::new();
+                    fresh.search_toward(&g, s, t, latency, |_| 0).unwrap();
+                    assert_eq!((fresh.dist, fresh.prev), unaimed_reference(&g, s, t, latency));
+
+                    let read = |ws: &SearchWorkspace| {
+                        let mut edges = Vec::new();
+                        ws.append_path_to(&g, t, &mut edges).then_some(edges)
+                    };
+                    ws.search_from(&g, s, Some(t), unique).unwrap();
+                    let plain = read(&ws);
+                    ws.search_toward(&g, s, t, unique, |v| floor[v.index()]).unwrap();
+                    assert_eq!(read(&ws), plain, "{s}->{t}");
+                    aimed_pairs += usize::from(plain.is_some());
+                }
+            }
+        }
+        assert!(aimed_pairs > 1_000, "too few routable pairs to mean anything: {aimed_pairs}");
     }
 }
