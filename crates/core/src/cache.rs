@@ -69,7 +69,7 @@
 //!
 //! A continuation aimed at the destination stops having popped only the
 //! nodes whose key — distance plus the floor on the way still to go —
-//! is below the destination's distance `d(T)`, so it leaves unreached
+//! is at most the destination's distance `d(T)`, so it leaves unreached
 //! tails a plain search would have settled. An unreached tail still
 //! proves its edge irrelevant: every route through the edge passes a
 //! node that was reached but never popped, whose key was at least
@@ -95,15 +95,18 @@
 //! to the destination. They depend on the topology alone, so the cache
 //! computes each endpoint's side once and keeps it until the epoch
 //! advances ([`ReachMemo`]). Deadline feasibility reads them, the
-//! dependency rule's bounds read them, and in the live tier they aim the
-//! searches that end at the destination: a tie-broken weight is at least
-//! its clamped latency scaled ([`weight_floor`]), so the scaled distance
-//! on to the destination is a consistent lower bound, and the
-//! source-side continuations and the pair's first round run as A*
-//! under it. Tie-broken weights make every optimum unique, so an aimed
-//! search finds what the plain one finds. The baseline tier keeps plain
-//! Dijkstra and Bellman–Ford: its plain-latency weights tie, and the
-//! committed results pin how those ties fall.
+//! dependency rule's bounds read them, and they aim the searches that end
+//! at the destination — the source-side continuations and the pair's
+//! first round run as A* under a consistent lower bound on the way still
+//! to go. In the live tier that is the distance on to the destination
+//! scaled ([`weight_floor`]), since a tie-broken weight is at least its
+//! clamped latency scaled. In the baseline tier, whose weights are plain
+//! latency, it is the distance itself. Those weights tie, and the
+//! committed results pin how the ties fall; an aimed search settles them
+//! as plain Dijkstra and Bellman–Ford do
+//! ([`SearchWorkspace::search_toward`],
+//! [`SearchWorkspace::k_disjoint_paths_toward`]), so the bundles are the
+//! ones the unaimed searches built.
 
 use crate::dgraph::canonical_receivers;
 use crate::scheme::targeted::{problem_branches, AfterSearch, Scratch, Side};

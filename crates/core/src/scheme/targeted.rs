@@ -124,13 +124,18 @@ impl TargetedGraphs {
         reach: Reach<'_>,
     ) -> Result<Self, CoreError> {
         let Scratch { ws, feasible } = scratch;
-        let pair = ws.k_disjoint_paths_weighted(
+        // The searches that end at the destination are aimed at it by the
+        // reach pass's distance on to it, a consistent lower bound on the
+        // latency of any route there; they settle ties as unaimed ones do.
+        let to_dst = |v: NodeId| reach.to_dst[v.index()];
+        let pair = ws.k_disjoint_paths_toward(
             topology,
             flow.source,
             flow.destination,
             2,
             params.disjointness,
             |e| Some(topology.edge(e).latency.as_micros() as i64),
+            to_dst,
         )?;
         let normal = DisseminationGraph::from_paths(topology, &pair)?;
 
@@ -145,8 +150,7 @@ impl TargetedGraphs {
         }
 
         // The baseline bundle reads topology only: every feasible edge
-        // is usable and continuations minimise plain latency, unaimed,
-        // so that they settle ties as the committed results have them.
+        // is usable and continuations minimise plain latency.
         let mut problem_graph = |side| {
             let mut edges = normal.edges().to_vec();
             edges.extend(problem_branches(
@@ -158,7 +162,7 @@ impl TargetedGraphs {
                 requirement.deadline,
                 params.problem_branch_limit,
                 |e| feasible.contains(e).then(|| topology.edge(e).latency.as_micros()),
-                |_| 0,
+                to_dst,
                 None,
             ));
             DisseminationGraph::new(topology, flow.source, flow.destination, edges)
@@ -276,8 +280,8 @@ pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&SearchWorkspace, u64);
 /// at its own neighbour and stops once the destination is settled,
 /// aimed at it by `floor` ([`SearchWorkspace::search_toward`]): a
 /// consistent lower bound on the weight of any route on to the
-/// destination. Where `weight` leaves ties, only a zero floor keeps the
-/// plain search's choice among them.
+/// destination. Aimed or not, a search settles ties as the unaimed one
+/// does wherever `weight` is positive.
 ///
 /// Every problem graph in the crate is built from this: the baseline
 /// bundle, the cache's usability-filtered live graphs, and the
@@ -412,6 +416,9 @@ impl RoutingScheme for TargetedRedundancy {
         self.mode != previous
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -120,10 +120,10 @@ pub enum Direction {
 
 impl SearchWorkspace {
     /// Shortest path under `weight`, as [`shortest_path_weighted`], on
-    /// this workspace. The search stops once `dst` is settled: tree
-    /// edges only change while a node's distance still falls, and every
-    /// node on the way to a settled node settled before it, so the path
-    /// is the one a full run returns.
+    /// this workspace. The search stops once `dst` is settled: every
+    /// node on the way to it, and every tail tying into one of those,
+    /// is nearer and settled before it, so the path is the one a full
+    /// run returns.
     ///
     /// # Errors
     ///
@@ -185,12 +185,17 @@ impl SearchWorkspace {
     /// `floor(v)` must be a consistent lower bound on the weight of
     /// every route from `v` to `target`: `floor(target) = 0`, and
     /// `floor(u) ≤ weight(e) + floor(v)` for every edge `e = u → v`
-    /// (a scaled distance to `target` over the full graph, say). The
-    /// distance to `target` is then the shortest, and where the shortest
-    /// route is unique the path read off is the one
-    /// [`SearchWorkspace::search_from`] reads; which of several tied
-    /// routes it returns is not otherwise fixed. A zero floor is
-    /// `search_from` itself.
+    /// (a distance to `target` over the full graph, say, scaled as the
+    /// weights scale it). The distance to `target` is then the shortest.
+    ///
+    /// Where every weight is positive the path read off is also the one
+    /// [`SearchWorkspace::search_from`] reads, ties included. The search
+    /// goes on popping after `target` while keys equal `d(target)`, so
+    /// every node on a shortest route to `target` is popped — its key is
+    /// at most `d(target)`, by consistency — and of the tails that tie
+    /// into a node it keeps the one plain Dijkstra pops first (see the
+    /// search loop). With zero weights the path is a shortest one, not
+    /// necessarily that one. A zero floor is `search_from` itself.
     ///
     /// # Errors
     ///
@@ -259,14 +264,20 @@ impl SearchWorkspace {
     }
 
     /// The one Dijkstra loop: distances (and, forward, tree edges) from
-    /// `origin` under `weight`, stopping once `target` is settled. A
-    /// node waits on the frontier keyed by its distance plus
-    /// `floor(node)`: with a zero floor that is Dijkstra's order, with a
-    /// consistent one A*'s (see [`SearchWorkspace::search_toward`]).
+    /// `origin` under `weight`, stopping once `target` is settled and
+    /// every node keyed as low as it has been popped too. A node waits on
+    /// the frontier keyed by its distance plus `floor(node)`: with a zero
+    /// floor that is Dijkstra's order, with a consistent one A*'s (see
+    /// [`SearchWorkspace::search_toward`]).
     ///
-    /// Equal keys pop in node order and a tree edge is replaced only by
-    /// a strictly shorter route, so the tree is a function of the graph,
-    /// the weights and the floor alone.
+    /// A tree edge is replaced by a strictly shorter route, or by an
+    /// equally short one over a positive weight whose tail has the lower
+    /// `(distance, node index)` — the tail plain Dijkstra pops first,
+    /// since with positive weights it pops in that order. So once every
+    /// tail of a node's shortest routes has been popped, its tree edge
+    /// is the one a zero floor finds, in whatever order the floor popped
+    /// them. (A zero weight never displaces a tree edge: two of them into
+    /// equally distant nodes could otherwise point at each other.)
     pub(super) fn search<W, H>(
         &mut self,
         graph: &Graph,
@@ -295,9 +306,21 @@ impl SearchWorkspace {
             Direction::Forward => LastSearch::Forward { target },
             Direction::Backward => LastSearch::Other,
         };
+        // The end a search reaches a node from over `e`.
+        let tail = |e: EdgeId| match direction {
+            Direction::Forward => graph.edge(e).src,
+            Direction::Backward => graph.edge(e).dst,
+        };
         self.dist[origin.index()] = 0;
         self.heap.push(Reverse((floor(origin), origin.index() as u32)));
+        // The target's key, once it is settled: the nodes keyed no higher
+        // are popped before the search stops, so that every tail a route
+        // to the target could tie through has been popped.
+        let mut last_key = u64::MAX;
         while let Some(Reverse((key, u))) = self.heap.pop() {
+            if key > last_key {
+                break;
+            }
             let u = NodeId::new(u);
             let d = self.dist[u.index()];
             // Pushed before a shorter route to `u` was found.
@@ -305,7 +328,11 @@ impl SearchWorkspace {
                 continue;
             }
             if Some(u) == target {
-                break;
+                if self.heap.peek().is_none_or(|&Reverse((next, _))| next > key) {
+                    break;
+                }
+                last_key = key;
+                continue;
             }
             let edges = match direction {
                 Direction::Forward => graph.out_edges(u),
@@ -319,10 +346,17 @@ impl SearchWorkspace {
                     Direction::Backward => info.src,
                 };
                 let nd = d.saturating_add(w);
-                if nd < self.dist[v.index()] {
+                let was = self.dist[v.index()];
+                if nd < was {
                     self.dist[v.index()] = nd;
                     self.prev[v.index()] = Some(e);
                     self.heap.push(Reverse((nd.saturating_add(floor(v)), v.index() as u32)));
+                } else if nd == was && w > 0 && nd != u64::MAX {
+                    // A tie: keep the tail plain Dijkstra pops first.
+                    let held = tail(self.prev[v.index()].expect("reached node has a tree edge"));
+                    if (d, u.index()) < (self.dist[held.index()], held.index()) {
+                        self.prev[v.index()] = Some(e);
+                    }
                 }
             }
         }

@@ -27,14 +27,24 @@
 //! checked: a route whose weight would leave `i64`'s range is out of
 //! reach, never wrapped.
 //!
-//! A caller whose weights make every optimum unique — the graph cache's
-//! tie-broken weights — has no tie for the scan order to settle, and may
-//! aim the first round at the destination instead
-//! ([`SearchWorkspace::k_disjoint_paths_toward`]): a goal-directed
-//! Dijkstra search under a lower bound on the distance still to go,
-//! which finds the same path while touching a corridor of the graph
-//! rather than all of it. The free functions and the plain-latency
-//! callers keep whole Bellman–Ford rounds.
+//! A caller with a lower bound on the distance still to go may aim the
+//! first round at the destination
+//! ([`SearchWorkspace::k_disjoint_paths_toward`]): nothing is in the
+//! solution yet, so it is a goal-directed Dijkstra search, which touches
+//! a corridor of the graph rather than all of it. It still returns the
+//! path the scan order picks, ties included, because that choice can be
+//! read off the distances alone. Round one's arcs are scanned in this
+//! order: a node is settled by the scan of its tree arc, at some (pass,
+//! arc index); arc `j` out of a node settled at `(pass, i)` is due
+//! again from that moment, so it is next scanned at `(pass, j)` if
+//! `j > i` and at `(pass + 1, j)` otherwise; the source is settled at
+//! `(0, −1)`. A node keeps the first arc that reaches it at its final
+//! distance: of its tight arcs (tail distance plus weight equal to the
+//! head's), the one whose scan after its tail settled comes first, and
+//! that scan settles it. The aimed round replays exactly that over
+//! the tight arcs into the destination, which are the arcs of its
+//! shortest routes. The free functions keep whole Bellman–Ford rounds;
+//! the rounds after the first are Bellman–Ford for every caller.
 
 use crate::algo::bellman_ford::Arc;
 use crate::algo::workspace::LastSearch;
@@ -235,6 +245,66 @@ impl Layout<'_> {
             }
         }
     }
+
+    /// The `k`th arc into node `x` of the arc graph as laid out, before
+    /// any path is flipped into it; `None` past the last.
+    fn in_arc(self, x: usize, k: usize) -> Option<usize> {
+        let g = self.graph;
+        let edge_arcs = |v: usize, offset: usize| {
+            g.in_edges(NodeId::new(v as u32)).get(k).map(|e| offset + e.index())
+        };
+        match self.mode {
+            Disjointness::Edge => edge_arcs(x, 0),
+            Disjointness::Node if x.is_multiple_of(2) => edge_arcs(x / 2, g.node_count()),
+            // A node's out-copy is entered by its internal arc alone.
+            Disjointness::Node => (k == 0).then_some(x / 2),
+        }
+    }
+}
+
+/// The replay's settling time (`SearchWorkspace::settled_at`) of a node
+/// it has not settled, or found no settled tail for.
+const UNSETTLED: u64 = u64::MAX;
+
+/// The replay's settling time of a node on its stack.
+const SETTLING: u64 = u64::MAX - 1;
+
+/// When round one scans arc `i` out of a tail settled at `tail`: in the
+/// same pass if `i` comes after the arc that settled the tail, else in
+/// the next (module docs). A time packs `(pass, arc index + 1)` into one
+/// word, so times order as the scans do and the source, settled before
+/// pass 0's first arc, is 0.
+fn scan_time(tail: u64, i: usize) -> u64 {
+    let (pass, after) = (tail >> 32, tail & u64::from(u32::MAX));
+    let at = i as u64 + 1;
+    let pass = if at > after { pass } else { pass + 1 };
+    (pass << 32) | at
+}
+
+/// A node on the replay's stack (see
+/// [`SearchWorkspace::replay_scan_order`]): which of its in-arcs to look
+/// at next, the earliest scan of a tight one found so far, and the arc
+/// out of it that the node below on the stack waits on.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Settling {
+    node: usize,
+    next: usize,
+    first: u64,
+    first_arc: usize,
+    waited_on_by: usize,
+}
+
+impl Settling {
+    fn new(node: usize, waited_on_by: usize) -> Self {
+        Settling { node, next: 0, first: UNSETTLED, first_arc: 0, waited_on_by }
+    }
+
+    /// A tight in-arc `i`, scanned at `time`.
+    fn offer(&mut self, i: usize, time: u64) {
+        if time < self.first {
+            (self.first, self.first_arc) = (time, i);
+        }
+    }
 }
 
 impl SearchWorkspace {
@@ -269,11 +339,15 @@ impl SearchWorkspace {
     /// Every weight must be non-negative and `floor` a consistent lower
     /// bound on the weight of every route on to `dst` (see
     /// [`SearchWorkspace::search_toward`]). Round one then finds a
-    /// shortest path, and where that is unique — as under tie-broken
-    /// weights — the one Bellman–Ford finds, so the result is
-    /// [`SearchWorkspace::k_disjoint_paths_weighted`]'s. Under tied
-    /// weights it may be another optimum: the scan order the module docs
-    /// pin is Bellman–Ford's.
+    /// shortest path. The search goes on popping after `dst` while keys
+    /// equal its distance, so every arc of a shortest route has its final
+    /// distances at both ends, and then replays Bellman–Ford's scan order
+    /// over those arcs (module docs) to pick the path Bellman–Ford picks.
+    /// Where every edge's weight is positive the result is therefore
+    /// [`SearchWorkspace::k_disjoint_paths_weighted`]'s, ties included.
+    /// Zero weights can close a cycle of tight arcs, which the replay
+    /// steps around: the pair is then of minimum total but not
+    /// necessarily the one the scan order picks.
     ///
     /// # Errors
     ///
@@ -442,8 +516,11 @@ impl SearchWorkspace {
 
     /// Round one as a goal-directed Dijkstra search over the arcs (see
     /// [`SearchWorkspace::k_disjoint_paths_toward`]): `floor` of a split
-    /// node's overlay node keys the frontier, the search stops once `t`
-    /// is settled, and the path found is flipped as
+    /// node's overlay node keys the frontier, and the search stops once
+    /// `t` is settled and the nodes keyed as low are popped too. Where two
+    /// arcs reached a node at one distance,
+    /// [`SearchWorkspace::replay_scan_order`] then picks the tree arcs
+    /// Bellman–Ford would; the path is flipped as
     /// [`SearchWorkspace::augment`] flips its own. Sums are checked as
     /// there: a route past i64's range is out of reach and marks the
     /// rounds as having had one.
@@ -460,6 +537,13 @@ impl SearchWorkspace {
         self.arc_prev.resize(nodes, 0);
         self.heap.clear();
         self.heap.reserve(self.arcs.len() + 1);
+        // The replay's memo and stack (its stack holds a node once at
+        // most), sized whether or not a tie calls for it, so that no later
+        // round allocates.
+        self.settled_at.clear();
+        self.settled_at.reserve(nodes);
+        self.settling.clear();
+        self.settling.reserve(nodes);
         let key = |x: usize, d: i64| {
             let v = match layout.mode {
                 Disjointness::Edge => x,
@@ -471,14 +555,29 @@ impl SearchWorkspace {
 
         self.arc_dist[s] = 0;
         self.heap.push(Reverse((key(s, 0), s as u32)));
+        // As in the Dijkstra loop: once `t` is settled, the nodes keyed no
+        // higher are popped too, so that every node on a shortest route to
+        // `t` has its final distance for the replay.
+        let mut last_key = u64::MAX;
+        // Whether some relaxation reached a node as short as it already
+        // was. Without one, every node has a single tight in-arc, the one
+        // the search took, and there is no tie for the replay to settle.
+        let mut tied = false;
         while let Some(Reverse((popped, x))) = self.heap.pop() {
+            if popped > last_key {
+                break;
+            }
             let x = x as usize;
             let d = self.arc_dist[x];
             if popped > key(x, d) {
                 continue;
             }
             if x == t {
-                break;
+                if self.heap.peek().is_none_or(|&Reverse((next, _))| next > popped) {
+                    break;
+                }
+                last_key = popped;
+                continue;
             }
             layout.for_each_residual_out_arc(&self.used, x, |i| {
                 let arc = self.arcs[i];
@@ -490,14 +589,71 @@ impl SearchWorkspace {
                     self.arc_overflow = true;
                     return;
                 };
-                if nd < self.arc_dist[arc.to] {
+                let was = self.arc_dist[arc.to];
+                if nd < was {
                     self.arc_dist[arc.to] = nd;
                     self.arc_prev[arc.to] = i;
                     self.heap.push(Reverse((key(arc.to, nd), arc.to as u32)));
+                } else if nd == was {
+                    tied = true;
                 }
             });
         }
+        if tied {
+            self.replay_scan_order(layout, s, t);
+        }
         self.flip_path(s, t)
+    }
+
+    /// Bellman–Ford's tree arcs on the shortest routes from `s` to `t`,
+    /// replayed from round one's final distances (module docs, "Which
+    /// optimum"): walking back from `t` over tight arcs, each node is
+    /// settled by its tight in-arc scanned first, which needs its tails'
+    /// settling times first — memoised in `settled_at`, with `settling`
+    /// as the stack, so each node is settled once. The arcs land in
+    /// `arc_prev` for [`SearchWorkspace::flip_path`] to read.
+    ///
+    /// A node on the stack is never entered again. Only a cycle of tight
+    /// arcs leads back to one, and that needs zero-weight edges; a node
+    /// whose tight tails were all on the stack is left unsettled, to be
+    /// tried again from another.
+    fn replay_scan_order(&mut self, layout: Layout<'_>, s: usize, t: usize) {
+        self.settled_at.resize(layout.node_count(), UNSETTLED);
+        if self.arc_dist[t] == i64::MAX {
+            return;
+        }
+        self.settled_at[s] = 0;
+        self.settled_at[t] = SETTLING;
+        self.settling.push(Settling::new(t, 0));
+        while let Some(top) = self.settling.last_mut() {
+            let x = top.node;
+            let Some(i) = layout.in_arc(x, top.next) else {
+                // Every in-arc looked at: `x` is settled by its first.
+                let done = *top;
+                self.settling.pop();
+                self.settled_at[x] = done.first;
+                if done.first != UNSETTLED {
+                    self.arc_prev[x] = done.first_arc;
+                    if let Some(below) = self.settling.last_mut() {
+                        below.offer(done.waited_on_by, scan_time(done.first, done.waited_on_by));
+                    }
+                }
+                continue;
+            };
+            top.next += 1;
+            let arc = self.arcs[i];
+            if self.arc_dist[arc.from].checked_add(arc.weight) != Some(self.arc_dist[x]) {
+                continue;
+            }
+            match self.settled_at[arc.from] {
+                SETTLING => {}
+                UNSETTLED => {
+                    self.settled_at[arc.from] = SETTLING;
+                    self.settling.push(Settling::new(arc.from, i));
+                }
+                tail => top.offer(i, scan_time(tail, i)),
+            }
+        }
     }
 
     /// Flips the path the round just found from `s` to `t` (read back
@@ -837,6 +993,40 @@ mod tests {
         b.build()
     }
 
+    /// The sorted union of `paths`' edges.
+    fn union_of(paths: &[Path]) -> Vec<EdgeId> {
+        let mut edges: Vec<EdgeId> = paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
+        edges.sort();
+        edges
+    }
+
+    /// Holds `ours` to [`reference_union`]'s answer for the same request
+    /// of `k` paths: unions that are `same`, or a failure in the same
+    /// round. Returns the paths, if there are any.
+    fn against_reference(
+        ours: Result<Vec<Path>, TopologyError>,
+        theirs: Result<Vec<EdgeId>, usize>,
+        k: usize,
+        at: &str,
+        same: impl Fn(&[EdgeId], &[EdgeId]) -> bool,
+    ) -> Option<Vec<Path>> {
+        match (ours, theirs) {
+            (Ok(paths), Ok(union)) => {
+                let ours = union_of(&paths);
+                assert!(same(&ours, &union), "{at}: {ours:?} / {union:?}");
+                Some(paths)
+            }
+            (
+                Err(TopologyError::InsufficientDisjointPaths { requested, available }),
+                Err(round),
+            ) => {
+                assert_eq!((requested, available), (k, round), "{at}");
+                None
+            }
+            (ours, theirs) => panic!("{at}: {ours:?} / {theirs:?}"),
+        }
+    }
+
     #[test]
     fn rounds_on_the_workspace_match_whole_passes() {
         let mut rng = 0x2017u64;
@@ -854,22 +1044,10 @@ mod tests {
                 for k in 1..=3 {
                     let ours = ws.k_disjoint_paths_weighted(&g, s, t, k, mode, weight);
                     let theirs = reference_union(&g, s, t, k, mode, weight);
-                    match (ours, theirs) {
-                        (Ok(paths), Ok(union)) => {
-                            found += 1;
-                            let mut edges: Vec<EdgeId> =
-                                paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
-                            edges.sort();
-                            assert_eq!(edges, union, "case {case} {mode:?} k={k}");
-                        }
-                        (
-                            Err(TopologyError::InsufficientDisjointPaths { requested, available }),
-                            Err(round),
-                        ) => assert_eq!((requested, available), (k, round)),
-                        (ours, theirs) => {
-                            panic!("case {case} {mode:?} k={k}: {ours:?} / {theirs:?}")
-                        }
-                    }
+                    let at = format!("case {case} {mode:?} k={k}");
+                    found += usize::from(
+                        against_reference(ours, theirs, k, &at, <[EdgeId]>::eq).is_some(),
+                    );
                 }
             }
         }
@@ -914,33 +1092,107 @@ mod tests {
                     let theirs = reference_union(&g, s, t, k, mode, weight);
                     let at = format!("case {case} {mode:?} k={k}");
                     assert_eq!(aimed, plain, "{at}");
-                    match (aimed, theirs) {
-                        (Ok(paths), Ok(union)) => {
-                            found += 1;
-                            let mut edges: Vec<EdgeId> =
-                                paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
-                            edges.sort();
-                            assert_eq!(edges, union, "{at}");
-                            // The last round is Bellman–Ford either way;
-                            // with one round it is the aimed one, which
-                            // leaves no potential and prices nothing.
-                            if k > 1 {
-                                priced += aimed_prices.len();
-                                assert_eq!(aimed_prices, plain_prices, "{at}");
-                            } else {
-                                assert!(aimed_prices.iter().all(|&r| r), "{at}");
-                            }
-                        }
-                        (
-                            Err(TopologyError::InsufficientDisjointPaths { requested, available }),
-                            Err(round),
-                        ) => assert_eq!((requested, available), (k, round)),
-                        (ours, theirs) => panic!("{at}: {ours:?} / {theirs:?}"),
+                    if against_reference(aimed, theirs, k, &at, <[EdgeId]>::eq).is_none() {
+                        continue;
+                    }
+                    found += 1;
+                    // The last round is Bellman–Ford either way; with one
+                    // round it is the aimed one, which leaves no potential
+                    // and prices nothing.
+                    if k > 1 {
+                        priced += aimed_prices.len();
+                        assert_eq!(aimed_prices, plain_prices, "{at}");
+                    } else {
+                        assert!(aimed_prices.iter().all(|&r| r), "{at}");
                     }
                 }
             }
         }
         assert!(found > 400 && priced > 400, "too few cases to mean anything: {found}, {priced}");
+    }
+
+    #[test]
+    fn an_aimed_first_round_matches_whole_passes_under_tied_weights() {
+        use crate::algo::dijkstra::Direction;
+        let mut rng = 0x2028u64;
+        let mut ws = SearchWorkspace::new();
+        let mut found = 0;
+        for case in 0..3_000u32 {
+            let g = tied_graph(&mut rng);
+            let excluded = case % 7;
+            let weight = |e: EdgeId| {
+                (excluded == 0 || e.index() as u32 % 7 != excluded)
+                    .then(|| g.edge(e).latency.as_micros() as i64)
+            };
+            // Four endpoint pairs a graph: first to last, back, and two
+            // that move with the case.
+            let n = g.node_count() as u32;
+            let pairs =
+                [(0, n - 1), (n - 1, 0), (case * 5 + 1, case * 3 + 2), (case + 3, case * 7 + 1)]
+                    .map(|(s, t)| (NodeId::new(s % n), NodeId::new(t % n)));
+            for (s, t) in pairs.into_iter().filter(|(s, t)| s != t) {
+                // The floor: plain latency on to `t` over the whole graph.
+                let to_t = ws.reach_pass(&g, t, Direction::Backward).unwrap().to_vec();
+                let floor = |v: NodeId| to_t[v.index()];
+                for mode in [Disjointness::Edge, Disjointness::Node] {
+                    for k in 1..=3 {
+                        let at = format!("case {case} {s}->{t} {mode:?} k={k}");
+                        let aimed = ws.k_disjoint_paths_toward(&g, s, t, k, mode, weight, floor);
+                        let plain = k_disjoint_paths_weighted(&g, s, t, k, mode, weight);
+                        assert_eq!(aimed, plain, "{at}");
+                        let theirs = reference_union(&g, s, t, k, mode, weight);
+                        found += usize::from(
+                            against_reference(aimed, theirs, k, &at, <[EdgeId]>::eq).is_some(),
+                        );
+                    }
+                }
+            }
+        }
+        assert!(found > 35_000, "too few routable cases to mean anything: {found}");
+    }
+
+    #[test]
+    fn zero_weights_end_and_find_a_pair_of_minimum_total() {
+        // Zero-weight edges close cycles of tight arcs, which the replay
+        // must step around rather than follow. All weights zero, then a
+        // mix of 0, 1 and 2, against whole Bellman–Ford passes.
+        let mut rng = 0x0000u64;
+        let mut ws = SearchWorkspace::new();
+        let mut found = 0;
+        for case in 0..300u64 {
+            let g = tied_graph(&mut rng);
+            let weight = |e: EdgeId| {
+                let w = (e.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62;
+                Some(if case % 2 == 0 { 0 } else { w.min(2) as i64 })
+            };
+            let total = |edges: &[EdgeId]| edges.iter().map(|&e| weight(e).unwrap()).sum::<i64>();
+            let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
+            for mode in [Disjointness::Edge, Disjointness::Node] {
+                for k in 1..=3 {
+                    let at = format!("case {case} {mode:?} k={k}");
+                    let aimed = ws.k_disjoint_paths_toward(&g, s, t, k, mode, weight, |_| 0);
+                    let theirs = reference_union(&g, s, t, k, mode, weight);
+                    let same_total =
+                        |ours: &[EdgeId], theirs: &[EdgeId]| total(ours) == total(theirs);
+                    let Some(paths) = against_reference(aimed, theirs, k, &at, same_total) else {
+                        continue;
+                    };
+                    found += 1;
+                    assert_eq!(paths.len(), k, "{at}");
+                    for (i, p) in paths.iter().enumerate() {
+                        assert_eq!((p.source(), p.destination()), (s, t), "{at}");
+                        for q in &paths[i + 1..] {
+                            let apart = match mode {
+                                Disjointness::Edge => p.is_edge_disjoint(q),
+                                Disjointness::Node => p.is_node_disjoint(&g, q),
+                            };
+                            assert!(apart, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found > 300, "too few routable cases to mean anything: {found}");
     }
 
     #[test]

@@ -73,6 +73,11 @@ pub struct SearchWorkspace {
     pub(super) scan_next: Vec<u64>,
     pub(super) selected: Vec<usize>,
     pub(super) arc_overflow: bool,
+    // An aimed first round's replay of Bellman–Ford's scan order: when
+    // the plain round would have settled each (split) node, memoised,
+    // and the nodes being settled.
+    pub(super) settled_at: Vec<u64>,
+    pub(super) settling: Vec<super::disjoint::Settling>,
 }
 
 impl SearchWorkspace {
@@ -111,21 +116,23 @@ impl SearchWorkspace {
     /// edge fails the relaxation test is no shorter than one with that
     /// edge replaced by the route the search found.)
     ///
-    /// A goal-directed search ([`SearchWorkspace::search_toward`]) stops
-    /// having popped only the nodes keyed `d(v) + floor(v)` below `d(T)`,
-    /// so it leaves tails unreached, and tails reached but never popped,
+    /// A search stopped at `T` pops the nodes keyed `d(v) + floor(v)` up
+    /// to `d(T)` — those keyed `d(T)` too, after `T` itself — and no
+    /// others. A goal-directed one ([`SearchWorkspace::search_toward`])
+    /// so leaves tails unreached, and tails reached but never popped,
     /// that a plain search would have settled. Either still proves `e`
     /// irrelevant. Follow any route from the origin through `e` to the
     /// first node `x` on it that was never popped: `x`'s predecessor on
     /// the route was, so `x` was reached at no more than the route's
     /// weight up to it, and `x` still waiting means its key was at least
-    /// `d(T)`. The rest of the route, `e` included, weighs at least
-    /// `floor(x)`, because the floor bounds routes over the full graph.
-    /// So the route weighs at least `d(T)`, and under unique optima is
-    /// not the one found: it cannot displace it. For a tail that was
-    /// popped, its distance is final and the tests above apply as after
-    /// a plain search; with `lb` the same floor at `e`'s head they pass
-    /// and fail for exactly the edges they do after one.
+    /// `d(T)` (above it, since the keys equal to it were drained). The
+    /// rest of the route, `e` included, weighs at least `floor(x)`,
+    /// because the floor bounds routes over the full graph. So the route
+    /// weighs at least `d(T)`, and under unique optima is not the one
+    /// found: it cannot displace it. For a tail that was popped, its
+    /// distance is final and the tests above apply as after a plain
+    /// search; with `lb` the same floor at `e`'s head they pass and fail
+    /// for exactly the edges they do after one.
     pub fn relaxes(&self, graph: &Graph, e: EdgeId, w: u64, lb: u64) -> bool {
         let info = graph.edge(e);
         match self.last {
@@ -173,6 +180,8 @@ mod tests {
             + ws.scan_now.capacity()
             + ws.scan_next.capacity()
             + ws.selected.capacity()
+            + ws.settled_at.capacity()
+            + ws.settling.capacity()
     }
 
     /// What the searches of one flow found.
@@ -268,22 +277,18 @@ mod tests {
         weight: impl Fn(EdgeId) -> Option<u64>,
         floor: &[u64],
     ) -> Vec<Option<Vec<EdgeId>>> {
-        let path_to = |ws: &SearchWorkspace, v: NodeId| {
-            let mut edges = Vec::new();
-            ws.append_path_to(g, v, &mut edges).then_some(edges)
-        };
         match run {
             Run::Tree => {
                 ws.search_from(g, s, None, weight).unwrap();
-                g.nodes().map(|v| path_to(ws, v)).collect()
+                g.nodes().map(|v| path_to(ws, g, v)).collect()
             }
             Run::Stopped => {
                 ws.search_from(g, s, Some(t), weight).unwrap();
-                vec![path_to(ws, t)]
+                vec![path_to(ws, g, t)]
             }
             Run::Aimed => {
                 ws.search_toward(g, s, t, weight, |v| floor[v.index()]).unwrap();
-                vec![path_to(ws, t)]
+                vec![path_to(ws, g, t)]
             }
             Run::Pair(mode) => {
                 let pair =
@@ -306,23 +311,12 @@ mod tests {
         let mut ws = SearchWorkspace::new();
         let (mut quiet, mut relaxing) = (0, 0);
         for case in 0..300 {
-            let n = 6 + below(14) as usize;
-            let mut b = crate::GraphBuilder::new();
-            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if below(100) < 35 {
-                        b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1)
-                            .unwrap();
-                    }
-                }
-            }
-            let g = b.build();
+            let g = dense_graph(&mut below, 35);
             // Latency first, an edge hash to break ties: unique optima.
             let weights: Vec<u64> =
                 g.edges().map(|e| (g.edge(e).latency.as_micros() << 32) + below(1 << 32)).collect();
             let excluded: EdgeSet = g.edges().filter(|_| below(100) < 25).collect();
-            let (s, t) = (nodes[0], nodes[n - 1]);
+            let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
             // A lower bound for the searches stopped at `t`: the whole
             // graph's distance on to it.
             ws.search(&g, t, Direction::Backward, None, |e| Some(weights[e.index()]), |_| 0);
@@ -388,7 +382,7 @@ mod tests {
         let pair_weight = |e: EdgeId| Some(latency(e) as i64);
         ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, pair_weight).unwrap();
         // An aimed first round's frontier holds split nodes: it sizes the
-        // frontier for every search after it.
+        // frontier for every search after it, and the replay's storage.
         ws.k_disjoint_paths_toward(&g, s, t, 1, Disjointness::Node, pair_weight, |_| 0).unwrap();
         let frontier = ws.heap.capacity();
         let held = capacity(&ws);
@@ -404,15 +398,17 @@ mod tests {
     }
 
     /// The loop as it stood before it took a floor, stopped at `target`:
-    /// distances and tree edges as it left them.
+    /// the distance of every node it settled, and the path it found to
+    /// `target`.
     fn unaimed_reference(
         g: &Graph,
         origin: NodeId,
         target: NodeId,
         weight: impl Fn(EdgeId) -> Option<u64>,
-    ) -> (Vec<u64>, Vec<Option<EdgeId>>) {
+    ) -> (Vec<Option<u64>>, Option<Vec<EdgeId>>) {
         let mut dist = vec![u64::MAX; g.node_count()];
         let mut prev = vec![None; g.node_count()];
+        let mut settled = vec![None; g.node_count()];
         let mut heap = BinaryHeap::new();
         dist[origin.index()] = 0;
         heap.push(Reverse((0, origin)));
@@ -420,6 +416,7 @@ mod tests {
             if d > dist[u.index()] {
                 continue;
             }
+            settled[u.index()] = Some(d);
             if u == target {
                 break;
             }
@@ -434,12 +431,44 @@ mod tests {
                 }
             }
         }
-        (dist, prev)
+        let path = settled[target.index()].map(|_| {
+            let mut edges = Vec::new();
+            let mut at = target;
+            while at != origin {
+                let e = prev[at.index()].expect("a settled node has a tree edge");
+                edges.push(e);
+                at = g.edge(e).src;
+            }
+            edges.reverse();
+            edges
+        });
+        (settled, path)
+    }
+
+    /// A random graph of `6..20` nodes, each pair linked with chance
+    /// `percent` % at 1–3 ms: dense, and most pairs tie on latency.
+    fn dense_graph(below: &mut impl FnMut(u64) -> u64, percent: u64) -> Graph {
+        let n = 6 + below(14) as usize;
+        let mut b = crate::GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if below(100) < percent {
+                    b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The path the last forward search found to `t`, if it reached it.
+    fn path_to(ws: &SearchWorkspace, g: &Graph, t: NodeId) -> Option<Vec<EdgeId>> {
+        let mut edges = Vec::new();
+        ws.append_path_to(g, t, &mut edges).then_some(edges)
     }
 
     #[test]
     fn a_zero_floor_is_the_plain_search_and_an_aimed_one_finds_its_path() {
-        // Dense random graphs of 1–3 ms links: most pairs tie on latency.
         let mut state = 0x2026u64;
         let mut below = |bound: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -448,24 +477,13 @@ mod tests {
         let mut ws = SearchWorkspace::new();
         let mut aimed_pairs = 0;
         for _ in 0..40 {
-            let n = 6 + below(14) as usize;
-            let mut b = crate::GraphBuilder::new();
-            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(&format!("N{i}"))).collect();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if below(100) < 40 {
-                        b.add_link(nodes[i], nodes[j], Micros::from_millis(1 + below(3)), 1)
-                            .unwrap();
-                    }
-                }
-            }
-            let g = b.build();
+            let g = dense_graph(&mut below, 40);
             let latency = |e: EdgeId| Some(g.edge(e).latency.as_micros());
             // Latency first, an edge hash after it: unique optima.
             let hashes: Vec<u64> = g.edges().map(|_| below(1 << 32)).collect();
             let unique =
                 |e: EdgeId| Some((g.edge(e).latency.as_micros() << 32) + hashes[e.index()]);
-            for &t in &nodes {
+            for t in g.nodes() {
                 // Plain latency on to `t` over the whole graph, scaled as
                 // `unique` scales it: a consistent floor.
                 let floor: Vec<u64> = ws
@@ -474,27 +492,73 @@ mod tests {
                     .iter()
                     .map(|&us| us.saturating_mul(1 << 32))
                     .collect();
-                for &s in nodes.iter().filter(|&&s| s != t) {
-                    // A zero floor leaves exactly what the loop left
-                    // before it took one. (A fresh workspace: tree edges
-                    // of nodes a search did not reach are never read,
-                    // and so not reset.)
-                    let mut fresh = SearchWorkspace::new();
-                    fresh.search_toward(&g, s, t, latency, |_| 0).unwrap();
-                    assert_eq!((fresh.dist, fresh.prev), unaimed_reference(&g, s, t, latency));
+                for s in g.nodes().filter(|&s| s != t) {
+                    // A zero floor finds the path the loop found before it
+                    // took one, and the same distance at every node that
+                    // loop settled. (It also pops the nodes keyed `d(t)`
+                    // after `t`, so their distances may be final where the
+                    // old loop's were not.)
+                    ws.search_toward(&g, s, t, latency, |_| 0).unwrap();
+                    let (settled, path) = unaimed_reference(&g, s, t, latency);
+                    assert_eq!(path_to(&ws, &g, t), path, "{s}->{t}");
+                    for v in g.nodes() {
+                        if let Some(d) = settled[v.index()] {
+                            assert_eq!(ws.distance_to(v), Some(d), "{s}->{t} at {v}");
+                        }
+                    }
 
-                    let read = |ws: &SearchWorkspace| {
-                        let mut edges = Vec::new();
-                        ws.append_path_to(&g, t, &mut edges).then_some(edges)
-                    };
                     ws.search_from(&g, s, Some(t), unique).unwrap();
-                    let plain = read(&ws);
+                    let plain = path_to(&ws, &g, t);
                     ws.search_toward(&g, s, t, unique, |v| floor[v.index()]).unwrap();
-                    assert_eq!(read(&ws), plain, "{s}->{t}");
+                    assert_eq!(path_to(&ws, &g, t), plain, "{s}->{t}");
                     aimed_pairs += usize::from(plain.is_some());
                 }
             }
         }
         assert!(aimed_pairs > 1_000, "too few routable pairs to mean anything: {aimed_pairs}");
+    }
+
+    #[test]
+    fn an_aimed_search_settles_ties_as_the_plain_one_does() {
+        // Plain latency, where routes tie: the aimed path is the plain
+        // search's, with the reach pass as floor and with a zero one.
+        let mut state = 0x2028u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        let (mut pairs, mut tied) = (0, 0);
+        for _ in 0..300 {
+            let g = dense_graph(&mut below, 40);
+            let latency = |e: EdgeId| Some(g.edge(e).latency.as_micros());
+            let floors: Vec<Vec<u64>> = g
+                .nodes()
+                .map(|t| ws.reach_pass(&g, t, Direction::Backward).unwrap().to_vec())
+                .collect();
+            let zero = vec![0; g.node_count()];
+            for s in g.nodes() {
+                let from_s = ws.reach_pass(&g, s, Direction::Forward).unwrap().to_vec();
+                // Whether more than one edge enters `v` at its distance.
+                let ties_into = |v: NodeId| {
+                    let at = |e: &&EdgeId| {
+                        let u = g.edge(**e).src;
+                        from_s[u.index()].saturating_add(latency(**e).unwrap()) == from_s[v.index()]
+                    };
+                    g.in_edges(v).iter().filter(at).count() > 1
+                };
+                for t in g.nodes().filter(|&t| t != s) {
+                    ws.search_from(&g, s, Some(t), latency).unwrap();
+                    let Some(plain) = path_to(&ws, &g, t) else { continue };
+                    for floor in [&floors[t.index()], &zero] {
+                        ws.search_toward(&g, s, t, latency, |v| floor[v.index()]).unwrap();
+                        assert_eq!(path_to(&ws, &g, t).as_ref(), Some(&plain), "{s}->{t}");
+                    }
+                    pairs += 1;
+                    tied += usize::from(plain.iter().any(|&e| ties_into(g.edge(e).dst)));
+                }
+            }
+        }
+        assert!(pairs > 40_000 && tied > pairs / 5, "{pairs} pairs, {tied} of them tied");
     }
 }

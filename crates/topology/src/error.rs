@@ -18,6 +18,9 @@ pub enum TopologyError {
     DuplicateEdge(NodeId, NodeId),
     /// An edge connected a node to itself.
     SelfLoop(NodeId),
+    /// An edge had no latency. Every route's latency grows with each
+    /// link it takes, which is what the searches' tie rules rely on.
+    ZeroLatency(NodeId, NodeId),
     /// No route exists between the requested endpoints.
     NoRoute(NodeId, NodeId),
     /// Fewer disjoint paths exist than were requested.
@@ -41,6 +44,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "duplicate edge {u} -> {v}")
             }
             TopologyError::SelfLoop(n) => write!(f, "self loop on node {n}"),
+            TopologyError::ZeroLatency(u, v) => write!(f, "zero-latency edge {u} -> {v}"),
             TopologyError::NoRoute(s, t) => write!(f, "no route from {s} to {t}"),
             TopologyError::InsufficientDisjointPaths { requested, available } => {
                 write!(f, "requested {requested} disjoint paths but only {available} exist")
@@ -63,6 +67,7 @@ mod tests {
             TopologyError::DuplicateNodeName("NYC".into()).to_string(),
             TopologyError::DuplicateEdge(NodeId::new(0), NodeId::new(1)).to_string(),
             TopologyError::SelfLoop(NodeId::new(3)).to_string(),
+            TopologyError::ZeroLatency(NodeId::new(0), NodeId::new(1)).to_string(),
             TopologyError::NoRoute(NodeId::new(0), NodeId::new(1)).to_string(),
             TopologyError::InsufficientDisjointPaths { requested: 2, available: 1 }.to_string(),
         ];

@@ -241,8 +241,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown endpoints, self loops, or a duplicate
-    /// directed edge between the same endpoints.
+    /// Returns an error for unknown endpoints, self loops, a zero
+    /// latency, or a duplicate directed edge between the same endpoints.
     pub fn add_edge(
         &mut self,
         src: NodeId,
@@ -258,6 +258,13 @@ impl GraphBuilder {
         }
         if src == dst {
             return Err(TopologyError::SelfLoop(src));
+        }
+        // CORRECTNESS: a route's latency grows with every link it takes.
+        // The searches rely on it: with positive weights, Dijkstra pops in
+        // (distance, node) order and tied routes resolve the same way
+        // whichever search runs (`algo::dijkstra`, `algo::disjoint`).
+        if latency == Micros::ZERO {
+            return Err(TopologyError::ZeroLatency(src, dst));
         }
         if self.edges.iter().any(|e| e.src == src && e.dst == dst) {
             return Err(TopologyError::DuplicateEdge(src, dst));
@@ -377,13 +384,16 @@ mod tests {
         let mut b = GraphBuilder::new();
         let a = b.add_node("A");
         let c = b.add_node("B");
-        assert_eq!(b.add_edge(a, a, Micros::ZERO, 1), Err(TopologyError::SelfLoop(a)));
+        let us = Micros::from_micros(1);
+        assert_eq!(b.add_edge(a, a, us, 1), Err(TopologyError::SelfLoop(a)));
         assert_eq!(
-            b.add_edge(a, NodeId::new(99), Micros::ZERO, 1),
+            b.add_edge(a, NodeId::new(99), us, 1),
             Err(TopologyError::UnknownNode(NodeId::new(99)))
         );
-        b.add_edge(a, c, Micros::ZERO, 1).unwrap();
-        assert_eq!(b.add_edge(a, c, Micros::ZERO, 1), Err(TopologyError::DuplicateEdge(a, c)));
+        assert_eq!(b.add_edge(a, c, Micros::ZERO, 1), Err(TopologyError::ZeroLatency(a, c)));
+        assert_eq!(b.add_link(c, a, Micros::ZERO, 1), Err(TopologyError::ZeroLatency(c, a)));
+        b.add_edge(a, c, us, 1).unwrap();
+        assert_eq!(b.add_edge(a, c, us, 1), Err(TopologyError::DuplicateEdge(a, c)));
     }
 
     #[test]
