@@ -6,7 +6,7 @@ use super::{Cx, NodeCore, SessionId};
 use crate::metrics::EventKind;
 use crate::recovery::{retransmit_worthwhile, SendBuffer, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER};
 use crate::session::Delivery;
-use crate::wire::{self, DataFrame, DataPacket, HopHeader, Message};
+use crate::wire::{self, DataFrame, HopHeader, Message, Record};
 use bytes::Bytes;
 use dg_core::{Flow, SlaClass};
 use dg_topology::NodeId;
@@ -14,26 +14,30 @@ use std::ops::Range;
 
 pub(super) struct SendLink {
     next_seq: u64,
-    /// Recently sent packets, kept decoded: clones are cheap
-    /// (reference-counted mask/payload) and the NACK path re-encodes on
-    /// demand, so the hot path never clones an encoded frame just for
-    /// the buffer.
-    buffer: SendBuffer<DataPacket>,
+    /// The data frames sent on the link, each held once, as it went on
+    /// the wire, under the sequences of its records: the NACK path
+    /// copies a record out of one. Exactly the last
+    /// [`RETRANSMIT_BUFFER`] sequences are served, once each, and a
+    /// frame is held until its last sequence leaves that window — so a
+    /// link pins at most ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1
+    /// frames (65 of 32 records) — then its buffer goes back to the
+    /// node's frame pool.
+    pub(super) buffer: SendBuffer<Bytes>,
 }
 
-/// One datagram's worth of a run, in wire form: how many of the run's
-/// packets, their records, and the hash state over those.
+/// One datagram's worth of a run: how many of its records, their span
+/// of the body, and the hash state over that span.
 pub(super) struct Chunk {
-    packets: usize,
-    body: Bytes,
+    records: usize,
+    span: Range<usize>,
     state: u64,
 }
 
-/// Whether two packets may share a forwarding run: same flow, same SLA
-/// class, same dissemination mask — everything admission, accounting
-/// and the out-neighbour choice depend on.
-fn same_run(a: &DataPacket, b: &DataPacket) -> bool {
-    a.flow == b.flow && a.class == b.class && a.mask == b.mask
+/// Whether two records of `body` may share a forwarding run: same flow,
+/// same SLA class, same dissemination mask — everything admission,
+/// accounting and the out-neighbour choice depend on.
+fn same_run(body: &[u8], a: &Record, b: &Record) -> bool {
+    a.flow == b.flow && a.class == b.class && body[a.mask()] == body[b.mask()]
 }
 
 impl NodeCore {
@@ -51,40 +55,22 @@ impl NodeCore {
             return;
         }
         let slot = self.slot_mut(session);
-        let mut stamp = DataPacket {
-            flow: slot.flow,
-            flow_seq: first_seq,
-            sent_at: cx.now,
-            deadline: slot.deadline,
-            link_seq: 0, // the frame's, assigned per link at transmission
-            retransmission: false,
-            class: slot.class,
-            mask: slot.mask(),
-            payload: Bytes::new(),
-        };
+        let (mask, mut fields) =
+            (slot.mask(), Record::new(slot.flow, first_seq, cx.now, slot.deadline, slot.class));
         // The caller's payloads are copied once, into the records the
-        // run leaves as on every link, and the packets slice that body
-        // (as a relay's packets slice the frame they arrived in): one
-        // allocation and one copy a call.
-        let mask_len = stamp.mask.len();
-        let mut body =
-            Vec::with_capacity(payloads.iter().map(|p| wire::record_len(mask_len, p.len())).sum());
+        // run leaves as on every link, each located as it is written: a
+        // pooled buffer and one copy a call.
+        let mut body = self.frame_pool.get();
+        body.reserve(payloads.iter().map(|p| wire::record_len(mask.len(), p.len())).sum());
+        let mut records = std::mem::take(&mut self.record_scratch);
         for payload in payloads {
-            wire::put_record(&mut body, &stamp, payload);
-            stamp.flow_seq += 1;
+            records.push(wire::put_record(&mut body, fields, &mask, payload));
+            fields.flow_seq += 1;
         }
-        let body = Bytes::from(body);
-        let mut end = 0;
-        let mut packets = std::mem::take(&mut self.packet_scratch);
-        packets.extend(payloads.iter().zip(first_seq..).map(|(p, flow_seq)| {
-            // A record ends with its payload.
-            end += wire::record_len(mask_len, p.len());
-            let (mask, payload) = (stamp.mask.clone(), body.slice(end - p.len()..end));
-            DataPacket { flow_seq, mask, payload, ..stamp }
-        }));
-        self.disseminate_batch(cx, &packets, &body, None);
-        packets.clear();
-        self.packet_scratch = packets;
+        self.disseminate_batch(cx, &records, &body, None);
+        records.clear();
+        self.record_scratch = records;
+        self.frame_pool.put(body);
     }
 
     /// Priority admission of a run of data packets against the class
@@ -111,49 +97,40 @@ impl NodeCore {
         false
     }
 
-    /// Cuts a run into the datagrams it leaves as — as few as
-    /// [`crate::NodeConfig::max_batch_bytes`] allows, always at least one
-    /// packet each — and says each one's hash state: `state` when the
-    /// run fits one datagram and its state is known (a frame forwarded
-    /// as it arrived), else a pass over the chunk's bytes.
-    fn chunk_run(
-        &self,
-        packets: &[DataPacket],
-        body: &Bytes,
-        state: Option<u64>,
-        chunks: &mut Vec<Chunk>,
-    ) {
+    /// Cuts a run of `body`'s records into the datagrams it leaves as —
+    /// as few as [`crate::NodeConfig::max_batch_bytes`] allows, always
+    /// at least one record each — and says each one's hash state:
+    /// `state`, the whole body's where it is known (a frame forwarded as
+    /// it arrived), for a chunk that is the whole body, else a pass over
+    /// the chunk's bytes.
+    fn chunk_run(&self, run: &[Record], body: &[u8], state: Option<u64>, chunks: &mut Vec<Chunk>) {
         let budget = self.config.max_batch_bytes;
-        let (mut start, mut at) = (0, 0);
-        while start < packets.len() {
+        let mut start = 0;
+        while start < run.len() {
+            // A run's records lie back to back.
+            let from = run[start].at;
             let mut end = start + 1;
-            let mut size = packets[start].record_len();
-            while end < packets.len() {
-                let next = packets[end].record_len();
-                if size + next > budget {
-                    break;
-                }
-                size += next;
+            while end < run.len() && run[end].end() - from <= budget {
                 end += 1;
             }
-            let bytes = body.slice(at..at + size);
+            let span = from..run[end - 1].end();
             let state = match state {
-                Some(known) if size == body.len() => known,
-                _ => wire::body_state(&bytes),
+                Some(known) if span == (0..body.len()) => known,
+                _ => wire::body_state(&body[span.clone()]),
             };
-            chunks.push(Chunk { packets: end - start, body: bytes, state });
-            (start, at) = (end, at + size);
+            chunks.push(Chunk { records: end - start, span, state });
+            start = end;
         }
-        debug_assert_eq!(at, body.len(), "the body is the packets' records");
     }
 
-    /// Sends a run of data packets toward `neighbor`: assigns them
-    /// consecutive per-link sequences, buffers them for recovery, and
-    /// frames each of the run's `chunks` — a 22-byte header, a copy of
-    /// the chunk's records, the sum finished from its state: one
-    /// syscall and one fault verdict per wire datagram instead of per
-    /// packet, and no pass over the bytes per link (one that ends up
-    /// carrying a single packet is a plain DATA frame).
+    /// Sends a run of `count` records of `body` toward `neighbor`:
+    /// assigns them consecutive per-link sequences, and frames each of
+    /// the run's `chunks` — a 22-byte header in a pooled buffer, a copy
+    /// of the chunk's records, the sum finished from its state — and
+    /// keeps the frame in the link's retransmit buffer: one syscall and
+    /// one fault verdict per wire datagram instead of per packet, no
+    /// pass over the bytes per link, and one reference a frame (one
+    /// that ends up carrying a single record is a plain DATA frame).
     ///
     /// A run shares one `(flow, class, mask)` ([`same_run`]) and was
     /// admitted as a unit; its transmissions are the caller's to count.
@@ -161,7 +138,9 @@ impl NodeCore {
         &mut self,
         cx: &mut Cx,
         neighbor: NodeId,
-        packets: &[DataPacket],
+        count: usize,
+        class: SlaClass,
+        body: &[u8],
         chunks: &[Chunk],
     ) {
         let link = self.send_links.entry(neighbor).or_insert_with(|| SendLink {
@@ -169,43 +148,37 @@ impl NodeCore {
             buffer: SendBuffer::new(RETRANSMIT_BUFFER),
         });
         let mut seq = link.next_seq;
-        link.next_seq += packets.len() as u64;
-        for (p, seq) in packets.iter().zip(seq..) {
-            link.buffer.push(seq, p.clone());
-        }
+        link.next_seq += count as u64;
         for chunk in chunks {
             let header = HopHeader {
                 from: self.config.node,
                 first_link_seq: seq,
                 retransmission: false,
-                count: chunk.packets,
+                count: chunk.records,
             };
             let mut buf = self.frame_pool.get();
-            wire::put_data_frame(header, &chunk.body, chunk.state, &mut buf);
-            cx.frame(neighbor, Bytes::from(buf), Some(packets[0].class));
-            seq += chunk.packets as u64;
+            wire::put_data_frame(header, &body[chunk.span.clone()], chunk.state, &mut buf);
+            let frame = Bytes::from(buf);
+            let pool = &mut self.frame_pool;
+            link.buffer.push_run(seq, chunk.records, frame.clone(), |old| pool.recycle(old));
+            cx.frame(neighbor, frame, Some(class));
+            seq += chunk.records as u64;
         }
     }
 
-    /// Disseminates a run of packets (one `(flow, class, mask)`; a
-    /// single packet is a run of one) from this node along the mask's
-    /// out-edges. `body` is the run in wire form — its packets' records
-    /// back to back — and `state` the hash state over it where somebody
-    /// already knows it; the run is cut into datagrams and hashed at
-    /// most once, for all the links that take it, and its transmissions
-    /// are counted once.
-    fn disseminate_batch(
-        &mut self,
-        cx: &mut Cx,
-        packets: &[DataPacket],
-        body: &Bytes,
-        state: Option<u64>,
-    ) {
-        let Some(first) = packets.first() else { return };
+    /// Disseminates a run of `body`'s records (one `(flow, class,
+    /// mask)`; a single record is a run of one; the records lie back to
+    /// back) from this node along the mask's out-edges. `state` is the
+    /// hash state over the whole body where somebody already knows it;
+    /// the run is cut into datagrams and hashed at most once, for all
+    /// the links that take it, and its transmissions are counted once.
+    fn disseminate_batch(&mut self, cx: &mut Cx, run: &[Record], body: &[u8], state: Option<u64>) {
+        let Some(first) = run.first() else { return };
         debug_assert!(
-            packets.iter().all(|p| same_run(first, p)),
+            run.iter().all(|r| same_run(body, first, r)),
             "a run shares one (flow, class, mask)"
         );
+        let mask = &body[first.mask()];
         let mut chunks = std::mem::take(&mut self.chunk_scratch);
         let mut links = 0;
         for i in 0..self.out_links.len() {
@@ -214,21 +187,21 @@ impl NodeCore {
             // buffer: a shed packet must not open a gap the neighbour
             // would NACK for. The whole run is admitted or shed as a
             // unit, link by link.
-            if !first.mask_contains(edge)
-                || !self.admit_data(cx.backlog, first.class, packets.len() as u64)
+            if !wire::mask_contains(mask, edge)
+                || !self.admit_data(cx.backlog, first.class, run.len() as u64)
             {
                 continue;
             }
             if chunks.is_empty() {
-                self.chunk_run(packets, body, state, &mut chunks);
+                self.chunk_run(run, body, state, &mut chunks);
             }
-            self.send_data_batch(cx, neighbor, packets, &chunks);
+            self.send_data_batch(cx, neighbor, run.len(), first.class, body, &chunks);
             links += 1;
         }
         chunks.clear();
         self.chunk_scratch = chunks;
         if links > 0 {
-            let transmissions = links * packets.len() as u64;
+            let transmissions = links * run.len() as u64;
             self.stats.counters.data_sent += transmissions;
             self.stats.flow(first.flow).transmissions += transmissions;
         }
@@ -240,20 +213,43 @@ impl NodeCore {
     pub(super) fn handle_nack(&mut self, cx: &mut Cx, from: NodeId, missing: Vec<u64>) {
         let requested = missing.len() as u64;
         self.stats.counters.retransmit_requests_received += requested;
-        let link = self.send_links.get_mut(&from);
-        let mut resends: Vec<(u64, DataPacket)> = link.map_or_else(Vec::new, |link| {
-            missing.into_iter().filter_map(|seq| Some((seq, link.buffer.take(seq)?))).collect()
-        });
-        // Deadline-aware recovery: a retransmission that cannot
-        // reach the neighbour before the packet's deadline only
-        // burns bandwidth. Suppressed packets stay consumed from
-        // the buffer — the NACK was their one recovery chance.
         let rtt = self.monitor.rtt_to(from);
-        let found = resends.len() as u64;
-        resends.retain(|(_, p)| retransmit_worthwhile(p.sent_at, p.deadline, cx.now, rtt));
-        let served = resends.len() as u64;
-        let suppressed = found - served;
-        let missed = requested - found;
+        let (mut found, mut served) = (0, 0);
+        if let Some(link) = self.send_links.get_mut(&from) {
+            for seq in missing {
+                let Some((frame, place)) = link.buffer.take(seq) else { continue };
+                found += 1;
+                let body = &frame[wire::DATA_HEADER_LEN..];
+                let record = wire::nth_record(body, place);
+                // Deadline-aware recovery: a retransmission that cannot
+                // reach the neighbour before the packet's deadline only
+                // burns bandwidth. A suppressed sequence stays served —
+                // the NACK was its one recovery chance.
+                if !retransmit_worthwhile(record.sent_at, record.deadline, cx.now, rtt) {
+                    continue;
+                }
+                served += 1;
+                // Attribute the retransmission to its flow so cost
+                // accounting matches the simulator (originals +
+                // retransmissions).
+                self.stats.flow(record.flow).transmissions += 1;
+                // The one place the hop's retransmission bit is set: the
+                // record leaves again alone, byte for byte, under the
+                // sequence it had. This path only runs on loss; it
+                // hashes the one record.
+                let header = HopHeader {
+                    from: self.config.node,
+                    first_link_seq: seq,
+                    retransmission: true,
+                    count: 1,
+                };
+                let bytes = &body[record.span()];
+                let mut buf = self.frame_pool.get();
+                wire::put_data_frame(header, bytes, wire::body_state(bytes), &mut buf);
+                cx.frame(from, Bytes::from(buf), Some(record.class));
+            }
+        }
+        let (suppressed, missed) = (found - served, requested - found);
         self.stats.counters.retransmits_suppressed += suppressed;
         if served > 0 {
             self.stats.counters.retransmissions_served += served;
@@ -265,49 +261,32 @@ impl NodeCore {
             self.stats
                 .record_at(cx.now, EventKind::RecoveryMissed { neighbor: from, packets: missed });
         }
-        for (seq, packet) in resends {
-            // Attribute the retransmission to its flow so cost
-            // accounting matches the simulator (originals +
-            // retransmissions). This path only runs on loss, so
-            // re-encoding here keeps the hot path free of frame
-            // clones.
-            self.stats.flow(packet.flow).transmissions += 1;
-            // The one place the hop's retransmission bit is set: the
-            // packet leaves again alone, under the sequence it had.
-            let header = HopHeader {
-                from: self.config.node,
-                first_link_seq: seq,
-                retransmission: true,
-                count: 1,
-            };
-            let mut buf = self.frame_pool.get();
-            wire::encode_data_frame(header, std::slice::from_ref(&packet), &mut buf);
-            cx.frame(from, Bytes::from(buf), Some(packet.class));
-        }
     }
 
-    /// Handles the data packets of one incoming frame (a DATA frame is
-    /// a frame of one), all of them arrived at `cx.now`. Every packet
-    /// has its own outcome — a gap it exposes is NACKed, a copy already
-    /// seen is suppressed, a packet for this node is delivered on time
-    /// or late, an expired one goes no further — and the survivors leave
-    /// as they arrived: every maximal run of consecutive accepted
-    /// packets sharing one `(flow, class, mask)` is forwarded as one
-    /// batch per out-neighbour. What does not depend on the packet is
-    /// done once a frame, and a flow's window, counters and
-    /// receiver are looked up — and the counters added — per stretch of
-    /// consecutive packets of one flow. A run that is the whole frame —
-    /// every frame on an undisturbed link — leaves with the body and the
-    /// hash state it arrived with.
-    pub(super) fn handle_data(&mut self, cx: &mut Cx, frame: &DataFrame) {
-        let (from, packets) = (frame.from, &frame.packets);
+    /// Handles the `records` of one incoming frame (a DATA frame is a
+    /// frame of one), all of them arrived at `cx.now`. Every packet has
+    /// its own outcome — a gap it exposes is NACKed, a copy already seen
+    /// is suppressed, a packet for this node is delivered on time or
+    /// late, an expired one goes no further — and the survivors leave as
+    /// they arrived: every maximal run of consecutive accepted records
+    /// sharing one `(flow, class, mask)` is forwarded as one batch per
+    /// out-neighbour. Everything is read off the frame's body where it
+    /// lies. What does not depend on the packet is done once a frame,
+    /// and a flow's window, counters and receiver are looked up — and
+    /// the counters added — per stretch of consecutive records of one
+    /// flow. A run that is the whole frame — every frame on an
+    /// undisturbed link — leaves with the body and the hash state it
+    /// arrived with.
+    pub(super) fn handle_data(&mut self, cx: &mut Cx, frame: &DataFrame, records: &[Record]) {
+        let (from, first) = (frame.hop.from, frame.hop.first_link_seq);
         // Hop-by-hop recovery: the frame's link sequences against this
         // in-link's tracker. NACKs leave before anything is delivered.
+        let sequenced = records.iter().enumerate();
         let gaps = self
             .recv_links
             .entry(from)
             .or_default()
-            .observe_run(cx.now, packets.iter().map(|p| (p.link_seq, p.sent_at, p.deadline)));
+            .observe_run(cx.now, sequenced.map(|(i, r)| (first + i as u64, r.sent_at, r.deadline)));
         for missing in gaps {
             let packets = missing.len() as u64;
             self.stats.counters.nack_messages_sent += 1;
@@ -315,27 +294,14 @@ impl NodeCore {
             self.stats.record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
             cx.control(self.me(), from, Message::Nack { missing });
         }
-        // Where in the frame's body the next stretch's records begin.
-        let mut at = 0;
-        for stretch in packets.chunk_by(|a, b| a.flow == b.flow) {
-            at = self.accept_stretch(cx, frame, stretch, at);
+        for stretch in records.chunk_by(|a, b| a.flow == b.flow) {
+            self.accept_stretch(cx, frame, stretch);
         }
     }
 
-    /// Forwards the run of `frame` whose records are `records` of its
-    /// body.
-    fn forward_run(
-        &mut self,
-        cx: &mut Cx,
-        frame: &DataFrame,
-        run: &[DataPacket],
-        records: Range<usize>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        let whole = records.len() == frame.body.len();
-        self.disseminate_batch(cx, run, &frame.body.slice(records), whole.then_some(frame.state));
+    /// Forwards a run of `frame`'s records.
+    fn forward_run(&mut self, cx: &mut Cx, frame: &DataFrame, run: &[Record]) {
+        self.disseminate_batch(cx, run, &frame.body, Some(frame.state));
     }
 
     /// Whether `flow` can exist on this overlay. Flow ids arrive
@@ -348,26 +314,18 @@ impl NodeCore {
         flow.source.index() < sites && (flow.is_group() || flow.destination.index() < sites)
     }
 
-    /// The receive checks for a frame's stretch of consecutive packets
+    /// The receive checks for a frame's stretch of consecutive records
     /// of one flow: duplicate suppression and expiry decide each
     /// packet's verdict, the stretch is counted, and then its packets
-    /// are delivered and its surviving runs forwarded. The stretch's
-    /// records begin `at` bytes into `frame`'s body; returns where they
-    /// end.
-    fn accept_stretch(
-        &mut self,
-        cx: &mut Cx,
-        frame: &DataFrame,
-        stretch: &[DataPacket],
-        mut at: usize,
-    ) -> usize {
+    /// are delivered and its surviving runs forwarded.
+    fn accept_stretch(&mut self, cx: &mut Cx, frame: &DataFrame, stretch: &[Record]) {
         let first = &stretch[0];
         let flow = first.flow;
         let received = stretch.len() as u64;
         self.stats.counters.data_received += received;
         if !self.plausible(flow) {
             self.stats.counters.malformed += received;
-            return at + stretch.iter().map(DataPacket::record_len).sum::<usize>();
+            return;
         }
         // A packet's verdict: `None` for a copy already seen, else
         // whether its deadline still holds.
@@ -375,7 +333,7 @@ impl NodeCore {
         let mut verdicts = std::mem::take(&mut self.verdict_scratch);
         verdicts.clear();
         verdicts
-            .extend(stretch.iter().map(|p| window.accept(p.flow_seq).then(|| !p.expired(cx.now))));
+            .extend(stretch.iter().map(|r| window.accept(r.flow_seq).then(|| !r.expired(cx.now))));
         let fresh = verdicts.iter().flatten().count() as u64;
         let on_time = verdicts.iter().flatten().filter(|&&on_time| on_time).count() as u64;
         let late = fresh - on_time;
@@ -394,34 +352,31 @@ impl NodeCore {
         self.stats.counters.duplicates += received - fresh;
         self.stats.counters.expired += late;
         // `stretch[start..i]` is the pending run: accepted, one
-        // `(flow, class, mask)`, not yet forwarded; its records begin
-        // `run_at` bytes into the body, packet `i`'s `at` bytes in.
-        let (mut start, mut run_at) = (0, at);
-        for (i, (packet, &verdict)) in stretch.iter().zip(&verdicts).enumerate() {
+        // `(flow, class, mask)`, not yet forwarded.
+        let mut start = 0;
+        for (i, (record, &verdict)) in stretch.iter().zip(&verdicts).enumerate() {
             if let (true, Some(on_time)) = (receiver, verdict) {
                 cx.out.deliveries.push((
-                    packet.class,
+                    record.class,
                     Delivery {
                         flow,
-                        flow_seq: packet.flow_seq,
-                        payload: packet.payload.clone(),
-                        sent_at: packet.sent_at,
+                        flow_seq: record.flow_seq,
+                        // The one reference a packet takes of its frame.
+                        payload: frame.body.slice(record.payload()),
+                        sent_at: record.sent_at,
                         delivered_at: cx.now,
                         on_time,
                     },
                 ));
             }
             let accepted = verdict == Some(true);
-            let next = at + packet.record_len();
-            if !accepted || (start < i && !same_run(&stretch[start], packet)) {
-                self.forward_run(cx, frame, &stretch[start..i], run_at..at);
-                (start, run_at) = if accepted { (i, at) } else { (i + 1, next) };
+            if !accepted || (start < i && !same_run(&frame.body, &stretch[start], record)) {
+                self.forward_run(cx, frame, &stretch[start..i]);
+                start = if accepted { i } else { i + 1 };
             }
-            at = next;
         }
-        self.forward_run(cx, frame, &stretch[start..], run_at..at);
+        self.forward_run(cx, frame, &stretch[start..]);
         self.verdict_scratch = verdicts;
-        at
     }
 
     /// The hello tick's pass over the in-links' gap trackers. Each hands

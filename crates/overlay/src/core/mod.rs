@@ -40,7 +40,7 @@ use crate::overload::{OverloadConfig, OverloadDetector};
 use crate::pool::BufferPool;
 use crate::recovery::GapTracker;
 use crate::session::Delivery;
-use crate::wire::{self, DataPacket, Envelope, Message};
+use crate::wire::{self, Envelope, Message, Record};
 use bytes::Bytes;
 use dg_core::scheme::SchemeParams;
 use dg_core::{Flow, GraphCache, SlaClass};
@@ -111,9 +111,13 @@ pub(crate) struct NodeCore {
     /// Flows with an open receiving session here: their packets are
     /// delivered (and, for a group flow, counted as delivered) here.
     pub(crate) receivers: HashSet<Flow>,
-    /// Reusable encode buffers; the carrier hands sent frames back.
+    /// The node's data-frame buffers: a received data datagram is
+    /// copied into one, a frame sent is framed in one (and held by its
+    /// link's retransmit buffer until that releases it), and both come
+    /// back here.
     pub(crate) frame_pool: BufferPool,
-    packet_scratch: Vec<DataPacket>,
+    /// The records of the frame being handled or sent.
+    record_scratch: Vec<Record>,
     chunk_scratch: Vec<forward::Chunk>,
     verdict_scratch: Vec<Option<bool>>,
 
@@ -182,7 +186,7 @@ impl NodeCore {
             dedup: DedupWindows::default(),
             receivers: HashSet::new(),
             frame_pool: BufferPool::default(),
-            packet_scratch: Vec::new(),
+            record_scratch: Vec::new(),
             chunk_scratch: Vec::new(),
             verdict_scratch: Vec::new(),
             monitor: LinkMonitor::new(WINDOW_TICKS, micros(config.hello_interval)),
@@ -235,15 +239,23 @@ impl NodeCore {
             return;
         }
         // A data frame is copied once out of the receive scratch buffer
-        // into a shared frame of its own size; its masks and payloads
-        // decode as zero-copy slices of it, and its body leaves again
-        // as that same slice. Control frames decode straight off the
-        // scratch buffer with no allocation at all.
+        // into a pooled buffer and read where it lies: its records are
+        // located in it, not copied out, a delivery's payload is a slice
+        // of it, and its body leaves again from it. Once handled it goes
+        // back to the pool — unless a delivery still holds a slice.
+        // Control frames decode straight off the scratch buffer.
         if wire::is_data_frame(datagram) {
-            match wire::decode_data_frame(&Bytes::copy_from_slice(datagram)) {
-                Ok(frame) => self.handle_data(cx, &frame),
+            let mut buf = self.frame_pool.get();
+            buf.extend_from_slice(datagram);
+            let frame = Bytes::from(buf);
+            let mut records = std::mem::take(&mut self.record_scratch);
+            match wire::decode_data_frame(&frame, &mut records) {
+                Ok(data) => self.handle_data(cx, &data, &records),
                 Err(_) => self.stats.counters.malformed += 1,
             }
+            records.clear();
+            self.record_scratch = records;
+            self.frame_pool.recycle(frame);
             return;
         }
         let Ok(Envelope { from, message }) = Envelope::decode(datagram) else {

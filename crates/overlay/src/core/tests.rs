@@ -220,6 +220,37 @@ fn backlog_sheds_bulk_then_timely_and_surgical_last() {
     assert_eq!(counters.data_sent, 9);
 }
 
+/// The retransmit buffer's memory bound: a link holds the frames whose
+/// sequences are among the last [`RETRANSMIT_BUFFER`], so at most
+/// ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1 of them — after 200
+/// frames of 32 through a relay, 65 at the most, on its in-link's
+/// sender as on its own out-link.
+#[test]
+fn a_link_pins_one_window_of_frames() {
+    use crate::recovery::RETRANSMIT_BUFFER;
+    const RECORDS: usize = 32;
+    let mut net =
+        launch(3, &CHAIN, ClusterConfig { max_batch_bytes: 60_000, ..Default::default() });
+    let flow = flow(0, 2);
+    net.open_receiver(flow);
+    let session = open(&mut net, flow, SchemeKind::StaticSinglePath, SlaClass::Timely, ms(65));
+    let payloads = [[7u8; 64]; RECORDS];
+    let payloads: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+    for _ in 0..200 {
+        net.send_batch(session, &payloads);
+        net.run_for(ms(1));
+    }
+    net.run_for(ms(100));
+    assert_eq!(data_frames(&net, 1, 2), 200, "each frame forwarded whole");
+    assert_eq!(net.deliveries().len(), 200 * RECORDS);
+    let bound = RETRANSMIT_BUFFER.div_ceil(RECORDS) + 1;
+    for (from, to) in [(0, 1), (1, 2)] {
+        let pinned = net.core(node(from)).send_links[&node(to)].buffer.len();
+        assert!(pinned <= bound, "{from} → {to} pins {pinned} frames, over {bound}");
+        assert!(pinned >= RETRANSMIT_BUFFER / RECORDS, "and holds the whole window");
+    }
+}
+
 /// (f) The same inputs twice: byte-identical frames on the wire in the
 /// same order at the same instants, equal deliveries, and every core's
 /// whole snapshot — counters, flows, links, journal, link-state digest,

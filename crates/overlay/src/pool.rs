@@ -8,14 +8,24 @@
 //! [`BufferPool::recycle`] when the buffer went through [`Bytes`] and
 //! may be shared). Buffers keep their grown capacity, so steady-state
 //! traffic allocates nothing.
+//!
+//! A node has one pool, and a data frame is one of its buffers a hop:
+//! a received data datagram is copied into one and handed back once
+//! handled (unless a delivery still slices it), and a frame sent is
+//! held by its link's retransmit buffer and handed back when that
+//! releases it. Only what the pool lent comes back — control frames are
+//! encoded fresh and not taken in — so on a steady stream it lends and
+//! takes back alike and holds a few buffers idle. What it can hold idle
+//! is bounded in any case: at most [`DEFAULT_POOL_CAPACITY`] buffers of
+//! at most 64 KiB each.
 
 use bytes::Bytes;
 
 /// Default number of buffers a pool retains.
 pub const DEFAULT_POOL_CAPACITY: usize = 64;
 
-/// Buffers larger than this are dropped rather than pooled, so one
-/// jumbo frame cannot pin memory forever.
+/// Buffers larger than this (64 KiB) are dropped rather than pooled, so
+/// one jumbo frame cannot pin memory forever.
 const MAX_POOLED_CAPACITY: usize = 1 << 16;
 
 /// A bounded freelist of reusable byte buffers.

@@ -4,9 +4,9 @@
 //! Every data transmission on an overlay link carries a per-link
 //! sequence number. The receiving side detects gaps when a later
 //! sequence arrives and NACKs the missing ones; the sending side keeps
-//! recent datagrams in a ring buffer and retransmits each **once** —
-//! the paper's single-retransmission discipline, which bounds the
-//! latency a recovered packet can accumulate.
+//! the frames it sent recently ([`SendBuffer`]) and retransmits each
+//! sequence **once** — the paper's single-retransmission discipline,
+//! which bounds the latency a recovered packet can accumulate.
 //!
 //! Two deadline-awareness refinements on top of the basic discipline:
 //!
@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// link was effectively down and recovery would be useless anyway.
 const MAX_NACK: u64 = 64;
 
-/// Packets the node keeps per out-link for retransmission — and so how
+/// Link sequences the node can retransmit per out-link — and so how
 /// far below its expectation a receiver still reads an arrival as a
 /// retransmission rather than a restarted sender.
 pub const RETRANSMIT_BUFFER: usize = 2_048;
@@ -41,64 +41,126 @@ pub const RETRANSMIT_BUFFER: usize = 2_048;
 /// the NACK (once).
 pub const NACK_REREQUEST_AFTER: Micros = Micros::from_millis(250);
 
-/// Sender side: recent transmissions kept for possible retransmission.
+/// Sender side: recent transmissions kept for possible retransmission,
+/// serving exactly the last `capacity` link sequences pushed, each at
+/// most once.
 ///
-/// Generic over the stored representation: the node keeps decoded
-/// packets (cheap reference-counted clones, re-encoded only on the rare
-/// NACK path) while tests may store raw frames.
+/// An item holds a run of consecutive sequences — the node pushes each
+/// data frame it sends once, under the sequences of its records, and
+/// copies a record out of it on the rare NACK — and is held until the
+/// last of them leaves the window. So with `r` sequences an item at
+/// most `⌈capacity / r⌉ + 1` items are held, and an item released is
+/// handed back to the caller (the node returns the frame's buffer to its
+/// pool).
 #[derive(Debug)]
 pub struct SendBuffer<T> {
     capacity: usize,
-    /// The last `capacity` sequences pushed, oldest first; a slot is
-    /// emptied in place when its datagram is taken.
-    entries: VecDeque<(u64, Option<T>)>,
+    /// The items held, oldest first, each with the first sequence it
+    /// holds and how many.
+    items: VecDeque<(u64, u64, T)>,
+    /// One bit a sequence, at `seq` modulo the power of two at or above
+    /// `capacity` (so no two sequences of the window share one): set
+    /// once the sequence has been served. A push clears the bits of its
+    /// sequences, which belonged to ones long out of the window.
+    served: Vec<u64>,
+    /// The newest sequence pushed.
+    newest: Option<u64>,
 }
 
 impl<T> SendBuffer<T> {
-    /// A buffer holding up to `capacity` recent datagrams.
+    /// A buffer serving the last `capacity` sequences pushed.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "send buffer capacity must be positive");
-        SendBuffer { capacity, entries: VecDeque::with_capacity(capacity) }
+        SendBuffer {
+            capacity,
+            items: VecDeque::new(),
+            served: vec![0; capacity.next_power_of_two().div_ceil(64)],
+            newest: None,
+        }
     }
 
-    /// Stores a transmitted datagram under its link sequence number.
-    /// Sequences must be pushed in increasing order (the per-link
-    /// counter guarantees it), which is what lets [`SendBuffer::take`]
-    /// binary-search instead of scanning.
-    pub fn push(&mut self, link_seq: u64, datagram: T) {
+    /// Stores a transmission of one sequence ([`SendBuffer::push_run`]
+    /// of one, dropping whatever it releases).
+    pub fn push(&mut self, link_seq: u64, item: T) {
+        self.push_run(link_seq, 1, item, drop);
+    }
+
+    /// Stores `item` under the `count` consecutive sequences from
+    /// `first` and hands every older item whose last sequence has left
+    /// the window to `release`. Sequences must be pushed in increasing
+    /// order (the per-link counter guarantees it), which is what lets
+    /// [`SendBuffer::take`] binary-search instead of scanning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
+    pub fn push_run(&mut self, first: u64, count: usize, item: T, mut release: impl FnMut(T)) {
+        assert!(count > 0, "an item holds at least one sequence");
         debug_assert!(
-            self.entries.back().is_none_or(|(s, _)| *s < link_seq),
+            self.newest.is_none_or(|newest| newest < first),
             "link sequences must be pushed in increasing order"
         );
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+        // As many consecutive sequences as there are bits cover them all.
+        let bits = self.capacity.next_power_of_two();
+        for seq in first..first + count.min(bits) as u64 {
+            let (word, mask) = self.bit(seq);
+            self.served[word] &= !mask;
         }
-        self.entries.push_back((link_seq, Some(datagram)));
+        let last = first + (count as u64 - 1);
+        self.newest = Some(last);
+        self.items.push_back((first, count as u64, item));
+        while let Some(&(oldest, held, _)) = self.items.front() {
+            if last - (oldest + held - 1) < self.capacity as u64 {
+                break;
+            }
+            let (_, _, item) = self.items.pop_front().expect("the front was just read");
+            release(item);
+        }
     }
 
-    /// Takes the datagram for `link_seq`, emptying its slot so a second
-    /// NACK for the same sequence cannot trigger a second
-    /// retransmission. Binary search over the sequence-sorted ring and
-    /// nothing moved: O(log n) against the node's
-    /// [`RETRANSMIT_BUFFER`]-deep buffer.
-    pub fn take(&mut self, link_seq: u64) -> Option<T> {
-        let idx = self.entries.binary_search_by_key(&link_seq, |(s, _)| *s).ok()?;
-        self.entries[idx].1.take()
+    /// Serves `link_seq`: the item holding it and the sequence's place
+    /// in that item — once. `None` for a sequence never pushed, older
+    /// than the window, or served already, so a second NACK for the
+    /// same sequence cannot trigger a second retransmission. Binary
+    /// search over the sequence-sorted items and nothing moved.
+    pub fn take(&mut self, link_seq: u64) -> Option<(&T, usize)> {
+        let newest = self.newest?;
+        if link_seq > newest || newest - link_seq >= self.capacity as u64 {
+            return None;
+        }
+        let idx = self.items.partition_point(|&(first, ..)| first <= link_seq).checked_sub(1)?;
+        let (first, held, item) = &self.items[idx];
+        let place = link_seq - first;
+        if place >= *held {
+            return None;
+        }
+        let (word, mask) = self.bit(link_seq);
+        if self.served[word] & mask != 0 {
+            return None;
+        }
+        self.served[word] |= mask;
+        Some((item, place as usize))
     }
 
-    /// Number of buffered datagrams (a diagnostic: it counts the slots
-    /// still full).
+    /// Where `seq`'s served bit is: its word and the mask within it.
+    fn bit(&self, seq: u64) -> (usize, u64) {
+        let at = seq as usize & (self.capacity.next_power_of_two() - 1);
+        (at / 64, 1 << (at % 64))
+    }
+
+    /// Number of items held (a diagnostic: an item is held until its
+    /// last sequence leaves the window, served or not).
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|(_, datagram)| datagram.is_some()).count()
+        self.items.len()
     }
 
-    /// True when nothing is buffered.
+    /// True when nothing is held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.items.is_empty()
     }
 }
 
@@ -291,7 +353,13 @@ pub fn retransmit_worthwhile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::BufferPool;
     use bytes::Bytes;
+
+    /// What `take` served, owned.
+    fn served(b: &mut SendBuffer<Bytes>, seq: u64) -> Option<(Bytes, usize)> {
+        b.take(seq).map(|(item, place)| (item.clone(), place))
+    }
 
     #[test]
     fn buffer_stores_and_takes_once() {
@@ -300,9 +368,9 @@ mod tests {
         b.push(1, Bytes::from_static(b"one"));
         b.push(2, Bytes::from_static(b"two"));
         assert_eq!(b.len(), 2);
-        assert_eq!(b.take(1), Some(Bytes::from_static(b"one")));
-        assert_eq!(b.take(1), None, "single retransmission only");
-        assert_eq!(b.take(99), None);
+        assert_eq!(served(&mut b, 1), Some((Bytes::from_static(b"one"), 0)));
+        assert_eq!(served(&mut b, 1), None, "single retransmission only");
+        assert_eq!(served(&mut b, 99), None);
     }
 
     #[test]
@@ -311,9 +379,80 @@ mod tests {
         b.push(1, Bytes::from_static(b"a"));
         b.push(2, Bytes::from_static(b"b"));
         b.push(3, Bytes::from_static(b"c"));
-        assert_eq!(b.take(1), None, "evicted");
+        assert_eq!(served(&mut b, 1), None, "evicted");
         assert!(b.take(2).is_some());
         assert!(b.take(3).is_some());
+    }
+
+    /// Each sequence of a frame is served once, with its place in the
+    /// frame; the frame itself stays for its other sequences.
+    #[test]
+    fn every_sequence_of_a_frame_is_served_once() {
+        let mut b = SendBuffer::new(RETRANSMIT_BUFFER);
+        let frame = Bytes::from_static(b"thirty-two records");
+        b.push_run(100, 32, frame.clone(), |_| panic!("nothing leaves the window"));
+        for seq in [116, 100, 131, 101] {
+            assert_eq!(served(&mut b, seq), Some((frame.clone(), (seq - 100) as usize)));
+            assert_eq!(served(&mut b, seq), None, "sequence {seq} a second time");
+        }
+        assert_eq!(b.len(), 1, "held for the sequences not yet asked for");
+        let rest =
+            (102..131).filter(|&seq| seq != 116).filter(|&seq| b.take(seq).is_some()).count();
+        assert_eq!(rest, 28);
+    }
+
+    /// Nothing is served that was never pushed — before, between or
+    /// after the frames — or that is older than the newest sequence
+    /// less the window, whatever frame still holds it.
+    #[test]
+    fn only_pushed_sequences_inside_the_window_are_served() {
+        let mut b = SendBuffer::new(64);
+        assert_eq!(served(&mut b, 0), None, "nothing pushed yet");
+        b.push_run(10, 20, Bytes::from_static(b"first"), drop);
+        // A gap at 30..40: a shed run took no sequences, say.
+        b.push_run(40, 40, Bytes::from_static(b"second"), drop);
+        let newest = 79;
+        for seq in [0, 9, 30, 39, 80, 1_000] {
+            assert_eq!(served(&mut b, seq), None, "{seq} was never pushed");
+        }
+        // The window is 16..=79: the first frame still holds 10..30, yet
+        // only its sequences from newest − 64 + 1 on are served.
+        assert_eq!(b.len(), 2);
+        for seq in 10..16 {
+            assert_eq!(served(&mut b, seq), None, "{seq} left the window");
+        }
+        assert_eq!(served(&mut b, newest + 1 - 64).map(|(_, place)| place), Some(6));
+        assert_eq!(served(&mut b, newest).map(|(_, place)| place), Some(39));
+    }
+
+    /// The oldest frame is held until its last sequence falls out of the
+    /// window — not when its first does — and then leaves, and its
+    /// buffer is back in the pool.
+    #[test]
+    fn the_oldest_frame_leaves_with_its_last_sequence_and_its_buffer_is_pooled() {
+        let mut pool = BufferPool::default();
+        let mut b = SendBuffer::new(64);
+        let push = |b: &mut SendBuffer<Bytes>, pool: &mut BufferPool, first: u64, count| {
+            let mut buf = pool.get();
+            buf.extend_from_slice(&first.to_be_bytes());
+            b.push_run(first, count, Bytes::from(buf), |released| pool.recycle(released));
+        };
+        push(&mut b, &mut pool, 0, 32);
+        push(&mut b, &mut pool, 32, 32);
+        assert_eq!((b.len(), pool.idle()), (2, 0), "the window is exactly the two frames");
+        // One sequence more and frame 0's first sequence leaves; its 31
+        // others are still in the window.
+        push(&mut b, &mut pool, 64, 1);
+        assert_eq!((b.len(), pool.idle()), (3, 0));
+        assert!(b.take(1).is_some() && b.take(0).is_none());
+        // 30 more, and 31 is still in; one after, and sequence 31, the
+        // frame's last, leaves — and so does the frame.
+        push(&mut b, &mut pool, 65, 30);
+        assert_eq!((b.len(), pool.idle()), (4, 0));
+        push(&mut b, &mut pool, 95, 1);
+        assert_eq!(b.len(), 4, "frame 0 left");
+        assert_eq!(pool.idle(), 1, "and its buffer is the pool's again");
+        assert_eq!(served(&mut b, 32).map(|(frame, place)| (frame[7], place)), Some((32, 0)));
     }
 
     #[test]
@@ -481,11 +620,11 @@ mod tests {
             b.push(seq, Bytes::from(seq.to_be_bytes().to_vec()));
         }
         assert_eq!(b.len(), 8);
-        assert_eq!(b.take(11), None, "evicted");
+        assert_eq!(served(&mut b, 11), None, "evicted");
         for seq in (12..20).rev() {
             assert!(b.take(seq).is_some(), "seq {seq} present");
             assert!(b.take(seq).is_none(), "seq {seq} single-shot");
         }
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 8, "served, yet held until the window moves past them");
     }
 }

@@ -18,6 +18,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{EventKind, MetricsSnapshot, NodeThread};
 use crate::pool::BufferPool;
 use crate::session::{Delivery, FlowReceiver, DELIVERY_QUEUE};
+use crate::wire;
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender, TrySendError};
 use dg_core::Flow;
@@ -175,15 +176,20 @@ impl Driver {
         }
     }
 
-    /// Puts `frame` on the wire to `to` and hands its buffer back;
-    /// `false` when the socket refused it. (A frame for a neighbour with
-    /// no address here evaporates, as synthetic backlog does.)
+    /// Puts `frame` on the wire to `to` and, a data frame, hands its
+    /// buffer back; `false` when the socket refused it. (A frame for a
+    /// neighbour with no address here evaporates, as synthetic backlog
+    /// does.) Only data frames are framed in pooled buffers; a control
+    /// frame's few bytes taken in would leave the pool full of buffers
+    /// that data frames then grow and strand idle.
     fn send_now(&self, pool: &mut BufferPool, to: NodeId, frame: Bytes) -> bool {
         let sent = match self.config.peers.get(&to) {
             Some(addr) => self.socket.send_to(&frame, addr).is_ok(),
             None => true,
         };
-        pool.recycle(frame);
+        if wire::is_data_frame(&frame) {
+            pool.recycle(frame);
+        }
         sent
     }
 

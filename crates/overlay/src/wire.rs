@@ -24,13 +24,16 @@
 //! ([`Envelope::encode`]/[`Envelope::decode`]) and the pooled-buffer
 //! pair ([`Envelope::encode_into`]/[`Envelope::decode_shared`]). The
 //! latter appends into a caller-supplied buffer and parses data packets
-//! as zero-copy slices of the received frame, so the forwarding hot
-//! path performs no per-packet copies of mask or payload bytes.
+//! as zero-copy slices of the received frame. The node itself builds no
+//! packets: it reads a data frame as records located in its one buffer
+//! (`decode_data_frame`), parsed by the same record parser the envelope
+//! decoders build their [`DataPacket`]s from.
 
 use crate::OverlayError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dg_core::{Flow, SlaClass};
 use dg_topology::{EdgeId, Micros, NodeId};
+use std::ops::{Deref, Range};
 
 /// First byte of every overlay datagram.
 pub const MAGIC: u8 = 0xDC;
@@ -158,19 +161,113 @@ pub struct DataPacket {
 impl DataPacket {
     /// True when the dissemination graph includes `edge`.
     pub fn mask_contains(&self, edge: EdgeId) -> bool {
-        let i = edge.index();
-        self.mask.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0)
+        mask_contains(&self.mask, edge)
     }
 
     /// Serialized size of the packet's record in a data frame's body.
-    pub(crate) fn record_len(&self) -> usize {
+    fn record_len(&self) -> usize {
         record_len(self.mask.len(), self.payload.len())
     }
 
     /// True when, at time `now`, this packet can no longer be delivered
     /// within its deadline.
     pub fn expired(&self, now: Micros) -> bool {
-        now > self.sent_at.saturating_add(self.deadline)
+        expired(self.sent_at, self.deadline, now)
+    }
+
+    /// The packet's record fields (located nowhere).
+    fn fields(&self) -> Record {
+        Record::new(self.flow, self.flow_seq, self.sent_at, self.deadline, self.class)
+    }
+}
+
+/// True when the edge bitmask `mask` (LSB-first over dense edge ids)
+/// includes `edge`.
+pub(crate) fn mask_contains(mask: &[u8], edge: EdgeId) -> bool {
+    let i = edge.index();
+    mask.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0)
+}
+
+fn expired(sent_at: Micros, deadline: Micros, now: Micros) -> bool {
+    now > sent_at.saturating_add(deadline)
+}
+
+/// One data record located in the body it lies in: its fixed fields
+/// parsed, its mask and payload left in place as ranges of that body.
+/// This is how the node holds a packet; a [`DataPacket`] is the
+/// envelope's shape of the same record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record {
+    pub(crate) flow: Flow,
+    pub(crate) flow_seq: u64,
+    pub(crate) sent_at: Micros,
+    pub(crate) deadline: Micros,
+    pub(crate) class: SlaClass,
+    /// Where the record starts in its body.
+    pub(crate) at: usize,
+    mask_len: u16,
+    payload_len: u16,
+}
+
+impl Record {
+    /// A record's fixed fields, not yet located in any body.
+    pub(crate) fn new(
+        flow: Flow,
+        flow_seq: u64,
+        sent_at: Micros,
+        deadline: Micros,
+        class: SlaClass,
+    ) -> Record {
+        Record { flow, flow_seq, sent_at, deadline, class, at: 0, mask_len: 0, payload_len: 0 }
+    }
+
+    /// Where the record ends in its body.
+    pub(crate) fn end(&self) -> usize {
+        self.at + record_len(usize::from(self.mask_len), usize::from(self.payload_len))
+    }
+
+    /// The whole record's range of its body.
+    pub(crate) fn span(&self) -> Range<usize> {
+        self.at..self.end()
+    }
+
+    /// The mask's range of the body.
+    pub(crate) fn mask(&self) -> Range<usize> {
+        let start = self.at + MASK_OFFSET;
+        start..start + usize::from(self.mask_len)
+    }
+
+    /// The payload's range of the body: a record ends with it.
+    pub(crate) fn payload(&self) -> Range<usize> {
+        let end = self.end();
+        end - usize::from(self.payload_len)..end
+    }
+
+    /// True when, at time `now`, the packet can no longer be delivered
+    /// within its deadline.
+    pub(crate) fn expired(&self, now: Micros) -> bool {
+        expired(self.sent_at, self.deadline, now)
+    }
+
+    /// The packet the record is when it travels as `link_seq`, its mask
+    /// and payload made by `take` out of their ranges of the body.
+    fn packet(
+        &self,
+        link_seq: u64,
+        retransmission: bool,
+        take: impl Fn(Range<usize>) -> Bytes,
+    ) -> DataPacket {
+        DataPacket {
+            flow: self.flow,
+            flow_seq: self.flow_seq,
+            sent_at: self.sent_at,
+            deadline: self.deadline,
+            link_seq,
+            retransmission,
+            class: self.class,
+            mask: take(self.mask()),
+            payload: take(self.payload()),
+        }
     }
 }
 
@@ -225,6 +322,9 @@ pub(crate) const MAX_DATA_BODY: usize = 65_507 - DATA_HEADER_LEN;
 /// Fixed part of a data record: flow (8), flow_seq (8), sent_at (8),
 /// deadline (8), class (1), mask length (2), payload length (2).
 const RECORD_FIXED_LEN: usize = 37;
+/// Where a record's mask starts: behind every fixed field but the
+/// payload length, which follows the mask.
+const MASK_OFFSET: usize = RECORD_FIXED_LEN - 2;
 
 /// Bit 0 of a data frame's hop-flags byte: hop-by-hop retransmission.
 const HOP_RETRANSMISSION: u8 = 0x01;
@@ -400,9 +500,9 @@ impl HopHeader {
 }
 
 /// Appends the records of `packets`, back to back.
-fn put_records<B: BufMut>(buf: &mut B, packets: &[DataPacket]) {
+fn put_records<B: BufMut + Deref<Target = [u8]>>(buf: &mut B, packets: &[DataPacket]) {
     for d in packets {
-        put_record(buf, d, &d.payload);
+        put_record(buf, d.fields(), &d.mask, &d.payload);
     }
 }
 
@@ -423,41 +523,35 @@ pub(crate) fn record_len(mask: usize, payload: usize) -> usize {
     RECORD_FIXED_LEN + mask + payload
 }
 
-/// Appends `d`'s record carrying `payload`, its last field. (The
-/// source encodes a run's records before the packets, which slice them,
-/// exist; everybody else passes `&d.payload`.)
-pub(crate) fn put_record<B: BufMut>(buf: &mut B, d: &DataPacket, payload: &[u8]) {
-    buf.put_u32(d.flow.source.index() as u32);
-    buf.put_u32(d.flow.destination.index() as u32);
-    buf.put_u64(d.flow_seq);
-    buf.put_u64(d.sent_at.as_micros());
-    buf.put_u64(d.deadline.as_micros());
-    buf.put_u8(d.class.to_bits());
-    buf.put_u16(d.mask.len() as u16);
-    buf.put_slice(&d.mask);
+/// Appends a record of `fields` carrying `mask` and `payload` and
+/// returns it located where it landed in `buf`.
+pub(crate) fn put_record<B: BufMut + Deref<Target = [u8]>>(
+    buf: &mut B,
+    fields: Record,
+    mask: &[u8],
+    payload: &[u8],
+) -> Record {
+    let at = buf.len();
+    buf.put_u32(fields.flow.source.index() as u32);
+    buf.put_u32(fields.flow.destination.index() as u32);
+    buf.put_u64(fields.flow_seq);
+    buf.put_u64(fields.sent_at.as_micros());
+    buf.put_u64(fields.deadline.as_micros());
+    buf.put_u8(fields.class.to_bits());
+    buf.put_u16(mask.len() as u16);
+    buf.put_slice(mask);
     buf.put_u16(payload.len() as u16);
     buf.put_slice(payload);
-}
-
-/// Appends one data frame carrying `packets` (at least one) under
-/// `header`, whose count is theirs, field by field: the NACK path's
-/// encoder (a buffered packet leaves again alone, under its old
-/// sequence). A forwarded or originated run goes through
-/// [`put_data_frame`] instead, which copies a body that already exists.
-pub(crate) fn encode_data_frame(header: HopHeader, packets: &[DataPacket], buf: &mut Vec<u8>) {
-    debug_assert_eq!(header.count, packets.len(), "the header counts the packets");
-    debug_assert!(!packets.is_empty(), "a data frame carries at least one packet");
-    buf.reserve(DATA_HEADER_LEN + packets.iter().map(DataPacket::record_len).sum::<usize>());
-    let base = header.put(buf);
-    put_records(buf, packets);
-    seal(buf, base);
+    Record { at, mask_len: mask.len() as u16, payload_len: payload.len() as u16, ..fields }
 }
 
 /// Appends one data frame made of `header` and a `body` that already
 /// exists in wire form — `header.count` records, hashed to `state` by
 /// whoever verified or encoded them: the header is written, the body
 /// copied, and the sum finished from `state` over the header. The body
-/// is not read a second time, on however many links it leaves.
+/// is not read a second time, on however many links it leaves. (A
+/// retransmission is one such frame: a buffered record, byte for byte,
+/// behind a header with the retransmission bit set.)
 pub(crate) fn put_data_frame(header: HopHeader, body: &[u8], state: u64, buf: &mut Vec<u8>) {
     buf.reserve(DATA_HEADER_LEN + body.len());
     let base = header.put(buf);
@@ -466,81 +560,85 @@ pub(crate) fn put_data_frame(header: HopHeader, body: &[u8], state: u64, buf: &m
     patch_sum(buf, base, sum);
 }
 
-/// How `decode` materializes mask/payload bytes: by copying out of the
-/// datagram, or by slicing a shared receive frame (zero-copy).
-enum Materialize<'a> {
-    Copy,
-    Share(&'a Bytes),
+fn be_u64(bytes: &[u8]) -> u64 {
+    u64::from_be_bytes(bytes.try_into().expect("eight bytes"))
 }
 
-impl Materialize<'_> {
-    fn take(&self, datagram: &[u8], offset: usize, len: usize) -> Bytes {
-        match self {
-            Materialize::Copy => Bytes::copy_from_slice(&datagram[offset..offset + len]),
-            Materialize::Share(frame) => frame.slice(offset..offset + len),
-        }
-    }
+fn be_u32(bytes: &[u8]) -> u32 {
+    u32::from_be_bytes(bytes.try_into().expect("four bytes"))
 }
 
-/// Parses one record off `buf`, a suffix of `datagram`, as the packet
-/// travelling under `link_seq`.
-fn decode_record(
-    datagram: &[u8],
-    buf: &mut &[u8],
-    materialize: &Materialize<'_>,
-    link_seq: u64,
-    retransmission: bool,
-) -> Result<DataPacket, OverlayError> {
-    if buf.remaining() < RECORD_FIXED_LEN {
+fn be_u16(bytes: &[u8]) -> usize {
+    usize::from(u16::from_be_bytes(bytes.try_into().expect("two bytes")))
+}
+
+/// Parses the record that starts `at` bytes into `body` — the one
+/// record parser: the node reads its frames with it, and the envelope
+/// decoders build their packets from what it returns.
+fn parse_record(body: &[u8], at: usize) -> Result<Record, OverlayError> {
+    let Some(fixed) = body.get(at..at + RECORD_FIXED_LEN) else {
         return Err(OverlayError::Malformed("short data record"));
-    }
-    let flow = Flow::new(NodeId::new(buf.get_u32()), NodeId::new(buf.get_u32()));
-    let flow_seq = buf.get_u64();
-    let sent_at = Micros::from_micros(buf.get_u64());
-    let deadline = Micros::from_micros(buf.get_u64());
-    let class = buf.get_u8();
+    };
+    let class = fixed[32];
     if class & !CLASS_MASK != 0 {
         return Err(OverlayError::Malformed("unknown record class bits"));
     }
     let class =
         SlaClass::from_bits(class).ok_or(OverlayError::Malformed("reserved sla class bits"))?;
-    let mask_len = buf.get_u16() as usize;
-    if buf.remaining() < mask_len + 2 {
+    let mask_len = be_u16(&fixed[33..MASK_OFFSET]);
+    // Behind the mask: the payload length, then the payload.
+    let after_mask = at + MASK_OFFSET + mask_len;
+    let Some(len) = body.get(after_mask..after_mask + 2) else {
         return Err(OverlayError::Malformed("short mask"));
-    }
-    let mask = materialize.take(datagram, datagram.len() - buf.remaining(), mask_len);
-    buf.advance(mask_len);
-    let payload_len = buf.get_u16() as usize;
-    if buf.remaining() < payload_len {
+    };
+    let payload_len = be_u16(len);
+    if body.len() - (after_mask + 2) < payload_len {
         return Err(OverlayError::Malformed("short payload"));
     }
-    let payload = materialize.take(datagram, datagram.len() - buf.remaining(), payload_len);
-    buf.advance(payload_len);
-    Ok(DataPacket {
-        flow,
-        flow_seq,
-        sent_at,
-        deadline,
-        link_seq,
-        retransmission,
+    Ok(Record {
+        flow: Flow::new(NodeId::new(be_u32(&fixed[..4])), NodeId::new(be_u32(&fixed[4..8]))),
+        flow_seq: be_u64(&fixed[8..16]),
+        sent_at: Micros::from_micros(be_u64(&fixed[16..24])),
+        deadline: Micros::from_micros(be_u64(&fixed[24..32])),
         class,
-        mask,
-        payload,
+        at,
+        mask_len: mask_len as u16,
+        payload_len: payload_len as u16,
     })
 }
 
-/// Parses the packets of a data frame of `msg_type` whose checksum
-/// held. What the hop header claims is checked before anything is
-/// built from it.
-fn decode_packets(
-    datagram: &[u8],
-    msg_type: u8,
-    materialize: &Materialize<'_>,
-) -> Result<Vec<DataPacket>, OverlayError> {
-    let mut buf = &datagram[PRELUDE_LEN..];
-    let first_link_seq = buf.get_u64();
-    let hop_flags = buf.get_u8();
-    let count = buf.get_u16() as usize;
+/// Parses `count` records off `body` in order, handing each to `each`
+/// as it is parsed.
+fn parse_body(body: &[u8], count: usize, mut each: impl FnMut(Record)) -> Result<(), OverlayError> {
+    let mut at = 0;
+    for _ in 0..count {
+        let record = parse_record(body, at)?;
+        at = record.end();
+        each(record);
+    }
+    // CORRECTNESS: the body is exactly its records. A relay forwards a
+    // whole frame's body as it arrived; bytes behind the last record
+    // would travel on unread.
+    if at != body.len() {
+        return Err(OverlayError::Malformed("bytes behind the last record"));
+    }
+    Ok(())
+}
+
+/// The record of `body` (well-formed: a frame this node built) that
+/// travels `index`-th.
+pub(crate) fn nth_record(body: &[u8], index: usize) -> Record {
+    let parse = |at| parse_record(body, at).expect("a body this node built");
+    (0..index).fold(parse(0), |record, _| parse(record.end()))
+}
+
+/// Reads and checks the hop header of a data frame of `msg_type` from
+/// `from` whose checksum held. What it claims is checked before
+/// anything is built from it.
+fn parse_hop(datagram: &[u8], msg_type: u8, from: NodeId) -> Result<HopHeader, OverlayError> {
+    let first_link_seq = be_u64(&datagram[PRELUDE_LEN..PRELUDE_LEN + 8]);
+    let hop_flags = datagram[PRELUDE_LEN + 8];
+    let count = be_u16(&datagram[PRELUDE_LEN + 9..DATA_HEADER_LEN]);
     // CORRECTNESS: only bit 0 of the hop-flags byte is assigned. A
     // frame with another bit set speaks a protocol this node does not,
     // and is not guessed at.
@@ -557,25 +655,52 @@ fn decode_packets(
     }
     // CORRECTNESS: packet `i` travels as `first_link_seq + i`; the gap
     // tracker is never shown a sequence that wrapped.
-    let Some(_) = first_link_seq.checked_add(count as u64) else {
+    if first_link_seq.checked_add(count as u64).is_none() {
         return Err(OverlayError::Malformed("link sequence overflow"));
-    };
+    }
     // CORRECTNESS: the count is believed only as far as the bytes that
     // arrived could hold that many records — it sizes an allocation.
-    if buf.remaining() < count * RECORD_FIXED_LEN {
+    if datagram.len() - DATA_HEADER_LEN < count * RECORD_FIXED_LEN {
         return Err(OverlayError::Malformed("short data body"));
     }
     let retransmission = hop_flags & HOP_RETRANSMISSION != 0;
-    let mut packets = Vec::with_capacity(count);
-    for link_seq in first_link_seq..first_link_seq + count as u64 {
-        packets.push(decode_record(datagram, &mut buf, materialize, link_seq, retransmission)?);
+    Ok(HopHeader { from, first_link_seq, retransmission, count })
+}
+
+/// How `decode` materializes mask/payload bytes: by copying out of the
+/// datagram, or by slicing a shared receive frame (zero-copy).
+enum Materialize<'a> {
+    Copy,
+    Share(&'a Bytes),
+}
+
+impl Materialize<'_> {
+    fn take(&self, datagram: &[u8], range: Range<usize>) -> Bytes {
+        match self {
+            Materialize::Copy => Bytes::copy_from_slice(&datagram[range]),
+            Materialize::Share(frame) => frame.slice(range),
+        }
     }
-    // CORRECTNESS: the body is exactly its records. A relay forwards a
-    // whole frame's body as it arrived; bytes behind the last record
-    // would travel on unread.
-    if buf.has_remaining() {
-        return Err(OverlayError::Malformed("bytes behind the last record"));
-    }
+}
+
+/// Parses the packets of a data frame of `msg_type` from `from` whose
+/// checksum held: each built from its record as the record is parsed.
+fn decode_packets(
+    datagram: &[u8],
+    msg_type: u8,
+    from: NodeId,
+    materialize: &Materialize<'_>,
+) -> Result<Vec<DataPacket>, OverlayError> {
+    let hop = parse_hop(datagram, msg_type, from)?;
+    let mut packets = Vec::with_capacity(hop.count);
+    let mut link_seq = hop.first_link_seq;
+    let take = |range: Range<usize>| {
+        materialize.take(datagram, DATA_HEADER_LEN + range.start..DATA_HEADER_LEN + range.end)
+    };
+    parse_body(&datagram[DATA_HEADER_LEN..], hop.count, |record| {
+        packets.push(record.packet(link_seq, hop.retransmission, take));
+        link_seq += 1;
+    })?;
     Ok(packets)
 }
 
@@ -613,27 +738,52 @@ fn verify(datagram: &[u8]) -> Result<Verified, OverlayError> {
     Ok(Verified { msg_type, from, state })
 }
 
-/// A received data frame as the node handles it: its packets, and the
-/// body they were parsed from with the hash state the checksum vouched
-/// for — what forwarding the frame's packets on needs, with no second
-/// pass over their bytes.
+/// A received data frame as the node handles it: its hop header, and
+/// the body its records lie in with the hash state the checksum vouched
+/// for — what forwarding the records on needs, with no second pass over
+/// their bytes.
 #[derive(Debug)]
 pub(crate) struct DataFrame {
-    pub(crate) from: NodeId,
-    /// The packets, their masks and payloads slices of `body`.
-    pub(crate) packets: Vec<DataPacket>,
-    /// The hop-invariant body: the packets' records, back to back.
+    pub(crate) hop: HopHeader,
+    /// The hop-invariant body: the records, back to back.
     pub(crate) body: Bytes,
     /// [`body_state`] of `body`.
     pub(crate) state: u64,
 }
 
-/// Parses a DATA or DATA-BATCH frame (see [`is_data_frame`]) out of a
-/// shared receive buffer.
-pub(crate) fn decode_data_frame(frame: &Bytes) -> Result<DataFrame, OverlayError> {
+/// Parses a DATA or DATA-BATCH frame out of a shared receive buffer,
+/// its records — located in the frame's body — into `records` (cleared
+/// first).
+pub(crate) fn decode_data_frame(
+    frame: &Bytes,
+    records: &mut Vec<Record>,
+) -> Result<DataFrame, OverlayError> {
     let Verified { msg_type, from, state } = verify(frame)?;
-    let packets = decode_packets(frame, msg_type, &Materialize::Share(frame))?;
-    Ok(DataFrame { from, packets, body: frame.slice(DATA_HEADER_LEN..frame.len()), state })
+    if !matches!(msg_type, T_DATA | T_DATA_BATCH) {
+        return Err(OverlayError::Malformed("not a data frame"));
+    }
+    let hop = parse_hop(frame, msg_type, from)?;
+    records.clear();
+    records.reserve(hop.count);
+    parse_body(&frame[DATA_HEADER_LEN..], hop.count, |record| records.push(record))?;
+    Ok(DataFrame { hop, body: frame.slice(DATA_HEADER_LEN..frame.len()), state })
+}
+
+/// The node's reading of a data frame — [`decode_data_frame`] — with
+/// its records made into packets: the sender, and what the envelope
+/// decoders must agree with. For tests; no node path calls it.
+///
+/// # Errors
+///
+/// Returns [`OverlayError::Malformed`] for anything but a well-formed
+/// DATA or DATA-BATCH frame.
+#[doc(hidden)]
+pub fn decode_as_node(frame: &Bytes) -> Result<(NodeId, Vec<DataPacket>), OverlayError> {
+    let mut records = Vec::new();
+    let DataFrame { hop, body, .. } = decode_data_frame(frame, &mut records)?;
+    let packets = records.iter().zip(hop.first_link_seq..);
+    let take = |range: Range<usize>| body.slice(range);
+    Ok((hop.from, packets.map(|(r, seq)| r.packet(seq, hop.retransmission, take)).collect()))
 }
 
 fn decode_with(datagram: &[u8], materialize: Materialize<'_>) -> Result<Envelope, OverlayError> {
@@ -641,10 +791,10 @@ fn decode_with(datagram: &[u8], materialize: Materialize<'_>) -> Result<Envelope
     let mut buf = &datagram[PRELUDE_LEN..];
     let message = match msg_type {
         T_DATA => {
-            let mut packets = decode_packets(datagram, msg_type, &materialize)?;
+            let mut packets = decode_packets(datagram, msg_type, from, &materialize)?;
             Message::Data(packets.pop().expect("a DATA frame carries one packet"))
         }
-        T_DATA_BATCH => Message::DataBatch(decode_packets(datagram, msg_type, &materialize)?),
+        T_DATA_BATCH => Message::DataBatch(decode_packets(datagram, msg_type, from, &materialize)?),
         T_NACK => {
             if buf.remaining() < 2 {
                 return Err(OverlayError::Malformed("short nack"));
@@ -1179,26 +1329,54 @@ mod tests {
     /// read again, to the same bytes the field-wise encoder writes.
     #[test]
     fn a_reused_body_frames_to_the_same_bytes() {
+        let mut records = Vec::new();
         for env in [sample_data(), sample_batch(3), big_batch()] {
             let fieldwise = env.encode();
-            let DataFrame { from, packets, body, state } = decode_data_frame(&fieldwise).unwrap();
+            let DataFrame { hop, body, state } =
+                decode_data_frame(&fieldwise, &mut records).unwrap();
             assert_eq!(body.as_ref(), &fieldwise[DATA_HEADER_LEN..]);
             assert_eq!(state, body_state(&body));
-            let header = HopHeader::of(from, &packets);
+            assert_eq!(records.len(), hop.count);
+            assert_eq!(records.last().map(Record::end), Some(body.len()), "located end to end");
             let mut reused = Vec::new();
-            put_data_frame(header, &body, state, &mut reused);
+            put_data_frame(hop, &body, state, &mut reused);
             // (A DATA-BATCH of one is an envelope's to write; the node
             // frames one packet as DATA.)
-            if packets.len() > 1 || fieldwise[2] == T_DATA {
+            if hop.count > 1 || fieldwise[2] == T_DATA {
                 assert_eq!(reused, fieldwise.as_ref());
             }
             // The same body under another hop's header verifies too.
-            let onward = HopHeader { from: NodeId::new(9), first_link_seq: 77, ..header };
+            let onward = HopHeader { from: NodeId::new(9), first_link_seq: 77, ..hop };
             let mut next = Vec::new();
             put_data_frame(onward, &body, state, &mut next);
-            let forwarded = decode_data_frame(&Bytes::from(next)).expect("the next hop verifies");
+            let forwarded =
+                decode_data_frame(&Bytes::from(next), &mut records).expect("the next hop verifies");
             assert_eq!(forwarded.body, body);
-            assert_eq!((forwarded.from, forwarded.packets[0].link_seq), (NodeId::new(9), 77));
+            assert_eq!((forwarded.hop.from, forwarded.hop.first_link_seq), (NodeId::new(9), 77));
+        }
+    }
+
+    /// A record of a frame, copied out behind a header of its own with
+    /// the sum finished from its own state, is the frame the field-wise
+    /// encoder writes for that packet alone: the NACK path's
+    /// retransmission, checked against the envelope.
+    #[test]
+    fn a_record_framed_alone_is_the_packet_s_own_data_frame() {
+        let Message::DataBatch(packets) = sample_batch(5).message else { unreachable!() };
+        let frame = sample_batch(5).encode();
+        let body = &frame[DATA_HEADER_LEN..];
+        for (index, packet) in packets.into_iter().enumerate() {
+            let record = nth_record(body, index);
+            assert_eq!(record.flow_seq, packet.flow_seq);
+            let bytes = &body[record.span()];
+            let (from, link_seq) = (NodeId::new(4), 900 + index as u64);
+            let header =
+                HopHeader { from, first_link_seq: link_seq, retransmission: true, count: 1 };
+            let mut alone = Vec::new();
+            put_data_frame(header, bytes, body_state(bytes), &mut alone);
+            let packet = DataPacket { link_seq, retransmission: true, ..packet };
+            let expected = Envelope { from, message: Message::Data(packet) }.encode();
+            assert_eq!(alone, expected.as_ref(), "record {index}");
         }
     }
 
@@ -1221,7 +1399,7 @@ mod tests {
     }
 
     fn rejected(frame: &[u8]) -> &'static str {
-        let shared = decode_data_frame(&Bytes::copy_from_slice(frame)).map(|_| ());
+        let shared = decode_data_frame(&Bytes::copy_from_slice(frame), &mut Vec::new()).map(|_| ());
         match (Envelope::decode(frame), shared) {
             (Err(OverlayError::Malformed(a)), Err(OverlayError::Malformed(b))) if a == b => a,
             other => panic!("expected one Malformed from both decoders, got {other:?}"),
@@ -1345,15 +1523,16 @@ mod tests {
 
     #[test]
     fn data_frame_of_one_is_plain_data() {
-        // The node's encoder must put a lone packet on the wire exactly
+        // The node's framing must put a lone packet on the wire exactly
         // as a DATA envelope would, and several as a DATA-BATCH, with
         // link sequences counting up from the one given.
         let Message::DataBatch(packets) = sample_batch(3).message else { unreachable!() };
         let from = NodeId::new(3);
         for n in [1, 3] {
-            let mut buf = Vec::new();
+            let (mut body, mut buf) = (Vec::new(), Vec::new());
+            put_records(&mut body, &packets[..n]);
             let header = HopHeader { from, first_link_seq: 500, retransmission: true, count: n };
-            encode_data_frame(header, &packets[..n], &mut buf);
+            put_data_frame(header, &body, body_state(&body), &mut buf);
             let message = match n {
                 1 => Message::Data(packets[0].clone()),
                 _ => Message::DataBatch(packets.clone()),

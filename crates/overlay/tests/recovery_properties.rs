@@ -9,8 +9,9 @@
 //! - **Bounded memory**: the tracker's bookkeeping stays bounded no
 //!   matter how long or how lossy the stream is.
 //! - **Buffer agreement**: [`SendBuffer::take`] (a binary search over
-//!   the sequence-sorted ring) agrees exactly with a naive model, and
-//!   never serves the same sequence twice.
+//!   the sequence-sorted items, each holding a run of sequences) agrees
+//!   exactly with a per-sequence model, and never serves the same
+//!   sequence twice.
 //! - **Frame agreement**: [`GapTracker::observe_run`] on a frame is the
 //!   loop of [`GapTracker::observe_packet`] over its packets — same
 //!   NACKs in the same order, same evidence, same bookkeeping —
@@ -107,42 +108,56 @@ proptest! {
         );
     }
 
-    /// Binary-search take agrees with a naive model and enforces the
-    /// single-retransmission discipline, including across capacity
-    /// eviction and sparse (gappy) sequence numbers.
+    /// Serving agrees with a per-sequence model — the last `capacity`
+    /// sequences pushed, each served at most once, with the item that
+    /// holds it and its place there — for items of 1–40 sequences,
+    /// gaps between them, capacities above and below an item's size,
+    /// and across eviction; and an item is held exactly while its last
+    /// sequence is in the window.
     #[test]
     fn send_buffer_matches_model(
-        capacity in 1usize..64,
-        gaps in proptest::collection::vec(1u64..5, 1..200),
-        takes in proptest::collection::vec((0usize..220, any::<bool>()), 0..300),
+        capacity in 1usize..96,
+        pushes in proptest::collection::vec((0u64..5, 1usize..=40), 1..60),
+        takes in proptest::collection::vec((0usize..2_400, any::<bool>()), 0..300),
     ) {
-        let mut buffer: SendBuffer<u64> = SendBuffer::new(capacity);
-        let mut model: Vec<u64> = Vec::new();
-        let mut seq = 0u64;
-        let mut pushed: Vec<u64> = Vec::new();
-        for &g in &gaps {
-            seq += g;
-            buffer.push(seq, seq);
-            model.push(seq);
-            if model.len() > capacity {
-                model.remove(0);
+        let mut buffer: SendBuffer<usize> = SendBuffer::new(capacity);
+        // Per sequence pushed: the item (its push index) and the place.
+        let mut model: HashMap<u64, (usize, usize)> = HashMap::new();
+        let mut served: HashSet<u64> = HashSet::new();
+        let (mut next, mut released) = (0u64, Vec::new());
+        let mut items: Vec<(u64, u64)> = Vec::new();
+        for (item, &(gap, count)) in pushes.iter().enumerate() {
+            let first = next + gap;
+            buffer.push_run(first, count, item, |old| released.push(old));
+            for place in 0..count {
+                model.insert(first + place as u64, (item, place));
             }
-            pushed.push(seq);
+            items.push((first, first + count as u64 - 1));
+            next = first + count as u64;
         }
+        let newest = next - 1;
+        let in_window = |seq: u64| seq <= newest && newest - seq < capacity as u64;
+        // Released, oldest first: exactly the items whose last sequence
+        // left the window.
+        let gone: Vec<usize> = (0..items.len()).filter(|&i| !in_window(items[i].1)).collect();
+        prop_assert_eq!(&released, &gone);
+        prop_assert_eq!(buffer.len(), items.len() - gone.len());
         for &(idx, second_take) in &takes {
-            let target = pushed[idx % pushed.len()];
-            let expected = model.iter().position(|&s| s == target).map(|i| model.remove(i));
-            prop_assert_eq!(buffer.take(target), expected);
+            let target = idx as u64 % (next + 3);
+            let expected = model
+                .get(&target)
+                .copied()
+                .filter(|_| in_window(target) && served.insert(target));
+            prop_assert_eq!(buffer.take(target).map(|(&item, place)| (item, place)), expected);
             if second_take {
                 prop_assert_eq!(
                     buffer.take(target),
                     None,
-                    "a taken sequence must not be served twice"
+                    "a served sequence must not be served twice"
                 );
             }
         }
-        prop_assert_eq!(buffer.len(), model.len());
-        prop_assert_eq!(buffer.is_empty(), model.is_empty());
+        prop_assert_eq!(buffer.len(), items.len() - gone.len(), "serving releases nothing");
     }
 
     /// A frame handed to the tracker whole leaves it exactly as the

@@ -403,6 +403,89 @@ fn a_lost_batch_is_one_gap_one_nack_and_fully_recovered() {
     assert_eq!((at_d.delivered_on_time, at_d.duplicates, at_d.expired), (3 * batch, 0, 0));
 }
 
+/// A relay between two taps that has just forwarded `frames` frames of
+/// [`BATCH`] packets of one flow from A to C (its own link sequences
+/// toward C counting from zero); returns the net, the sites and the
+/// frames as they arrived at it.
+fn relay_after(frames: u64) -> (Net, Vec<NodeId>, Vec<Bytes>) {
+    let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);
+    let mut net = launch(&graph, BIG_BUDGET, &[n[0], n[2]]);
+    let flow = Flow::new(n[0], n[2]);
+    let mask = mask(&net, flow, &[(n[0], n[1]), (n[1], n[2])]);
+    let arrived = (0..frames)
+        .map(|f| {
+            let seqs = f * BATCH as u64..(f + 1) * BATCH as u64;
+            let packets = seqs.map(|i| packet(&net, flow, i, i, &mask)).collect();
+            let frame = Envelope { from: n[0], message: Message::DataBatch(packets) }.encode();
+            net.inject_bytes(n[1], frame.clone());
+            frame
+        })
+        .collect();
+    // A link's millisecond, and no more: every packet has its budget.
+    net.run_for(Micros::from_millis(1));
+    assert_eq!(data_frames(&net, n[1], n[2]).len() as u64, frames, "each forwarded whole");
+    (net, n, arrived)
+}
+
+/// The frames B sent C with the retransmission bit set: each one
+/// packet, which decoded (so the frame verified).
+fn retransmissions(net: &Net, n: &[NodeId]) -> Vec<(Bytes, DataPacket)> {
+    let frames = data_frames(net, n[1], n[2]).into_iter();
+    let marked = frames.filter(|(_, packets)| packets[0].retransmission);
+    marked
+        .map(|(raw, mut packets)| {
+            (raw, packets.pop().filter(|_| packets.is_empty()).expect("alone"))
+        })
+        .collect()
+}
+
+/// 64 B payloads under a one-byte mask: 102-byte records.
+const RECORD: usize = 102;
+
+/// A NACK is served out of the frame the relay sent: the 17th sequence
+/// of a 32-packet frame comes back alone, as a DATA frame with the
+/// retransmission bit set whose body is the 17th record of the original
+/// body, byte for byte.
+#[test]
+fn a_nack_for_one_record_of_a_frame_gets_that_record_back_alone() {
+    let (mut net, n, arrived) = relay_after(1);
+    inject(&mut net, n[2], n[1], Message::Nack { missing: vec![16] });
+    let back = retransmissions(&net, &n);
+    assert_eq!(back.len(), 1, "one frame back");
+    let (raw, packet) = &back[0];
+    assert_eq!(raw[2], 0, "a plain DATA frame");
+    assert_eq!((packet.link_seq, packet.flow_seq), (16, 16), "under the sequence it had");
+    let original = &arrived[0][HEADER..];
+    assert_eq!(raw[HEADER..], original[16 * RECORD..17 * RECORD], "the record, byte for byte");
+    let b = counters(&net, n[1]);
+    assert_eq!((b.retransmissions_served, b.retransmit_misses), (1, 0));
+}
+
+#[test]
+fn a_nack_naming_sequences_in_two_frames_gets_two_frames() {
+    let (mut net, n, arrived) = relay_after(2);
+    inject(&mut net, n[2], n[1], Message::Nack { missing: vec![5, 40] });
+    let back = retransmissions(&net, &n);
+    let seqs: Vec<(u64, u64)> = back.iter().map(|(_, p)| (p.link_seq, p.flow_seq)).collect();
+    assert_eq!(seqs, [(5, 5), (40, 40)]);
+    assert_eq!(back[0].0[HEADER..], arrived[0][HEADER + 5 * RECORD..HEADER + 6 * RECORD]);
+    assert_eq!(back[1].0[HEADER..], arrived[1][HEADER + 8 * RECORD..HEADER + 9 * RECORD]);
+    assert_eq!(counters(&net, n[1]).retransmissions_served, 2);
+}
+
+/// One retransmission a sequence: asking for it again is a miss.
+#[test]
+fn asking_twice_for_the_same_sequence_counts_a_miss() {
+    let (mut net, n, _) = relay_after(1);
+    for _ in 0..2 {
+        inject(&mut net, n[2], n[1], Message::Nack { missing: vec![16] });
+    }
+    assert_eq!(retransmissions(&net, &n).len(), 1, "served once");
+    let b = counters(&net, n[1]);
+    assert_eq!((b.retransmit_requests_received, b.retransmissions_served), (2, 1));
+    assert_eq!((b.retransmit_misses, b.retransmits_suppressed), (1, 0));
+}
+
 #[test]
 fn expired_packets_in_a_batch_are_counted_and_not_forwarded() {
     let (graph, n) = topology(&["A", "B", "C"], &[(0, 1), (1, 2)]);

@@ -1,13 +1,16 @@
 //! Property tests of the wire codec: decoding must be total (no panics,
-//! no unbounded allocation) on arbitrary input, and encode/decode must
-//! round-trip arbitrary well-formed messages.
+//! no unbounded allocation) on arbitrary input, encode/decode must
+//! round-trip arbitrary well-formed messages, and the node's own reading
+//! of a data frame must agree with the envelope decoders' on every frame
+//! and every damaged copy of one.
 
 use bytes::{Bytes, BytesMut};
 use dg_core::{Flow, SlaClass};
 use dg_overlay::pool::BufferPool;
 use dg_overlay::wire::{
-    DataPacket, DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message,
+    self, DataPacket, DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message,
 };
+use dg_overlay::OverlayError;
 use dg_topology::{EdgeId, Micros, NodeId};
 use proptest::prelude::*;
 
@@ -104,8 +107,155 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The checksum as docs/PROTOCOL.md §1 defines it, written the plain
+/// way: four FNV-1a lanes over the body's 32-byte blocks folded into one
+/// state, the remaining words, the zero-padded tail and the length; then
+/// the header less its checksum field, zero-padded to words.
+fn reference_checksum(frame: &[u8]) -> u32 {
+    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let header_len = if matches!(frame[2], 0 | 5) { 22 } else { 11 };
+    let body = &frame[header_len..];
+    let word = |bytes: &[u8], at: usize| {
+        (0..8)
+            .filter(|k| at + k < bytes.len())
+            .fold(0u64, |w, k| w | u64::from(bytes[at + k]) << (8 * k))
+    };
+    let step = |hash: u64, word: u64| (hash ^ word).wrapping_mul(PRIME);
+    let blocks = body.len() / 32;
+    let mut lanes = [OFFSET; 4];
+    for block in 0..blocks {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, word(body, 32 * block + 8 * j));
+        }
+    }
+    let mut hash = lanes.into_iter().fold(OFFSET, step);
+    hash = (32 * blocks..body.len()).step_by(8).fold(hash, |h, at| step(h, word(body, at)));
+    hash = step(hash, body.len() as u64);
+    let mut head = frame[..7].to_vec();
+    head.extend_from_slice(&frame[11..header_len]);
+    hash = (0..head.len()).step_by(8).fold(hash, |h, at| step(h, word(&head, at)));
+    (hash ^ (hash >> 32)) as u32
+}
+
+/// Makes `frame`'s checksum hold again, where it still has a whole
+/// header to hold it in.
+fn reseal(frame: &mut [u8]) {
+    let header_len = match frame.get(2) {
+        Some(0 | 5) => 22,
+        Some(_) => 11,
+        None => return,
+    };
+    if frame.len() >= header_len {
+        let sum = reference_checksum(frame);
+        frame[7..11].copy_from_slice(&sum.to_be_bytes());
+    }
+}
+
+/// One way to damage a frame: where (a fraction of its length), with
+/// what, and whether the checksum is made to hold again afterwards (so
+/// that the damage reaches the parser behind it).
+#[derive(Debug, Clone)]
+struct Mutation {
+    kind: u8,
+    at: f64,
+    value: u16,
+    reseal: bool,
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    (0u8..5, 0.0f64..1.0, any::<u16>(), any::<bool>())
+        .prop_map(|(kind, at, value, reseal)| Mutation { kind, at, value, reseal })
+}
+
+impl Mutation {
+    fn apply(&self, frame: &[u8]) -> Vec<u8> {
+        let mut bytes = frame.to_vec();
+        let pos = ((bytes.len() as f64) * self.at) as usize % bytes.len();
+        match self.kind {
+            // Flip some bits of one byte.
+            0 => bytes[pos] ^= (self.value as u8).max(1),
+            // Overwrite a big-endian u16 there: a count, a mask or a
+            // payload length, a class byte and what follows it.
+            1 => {
+                let value = self.value.to_be_bytes();
+                for (k, b) in value.iter().enumerate() {
+                    if let Some(slot) = bytes.get_mut(pos + k) {
+                        *slot = *b;
+                    }
+                }
+            }
+            // Cut it short.
+            2 => bytes.truncate(pos),
+            // Append bytes behind it.
+            3 => bytes.extend(std::iter::repeat_n(self.value as u8, 1 + self.value as usize % 40)),
+            // Drop one byte from the middle.
+            _ => {
+                bytes.remove(pos);
+            }
+        }
+        if self.reseal {
+            reseal(&mut bytes);
+        }
+        bytes
+    }
+}
+
+/// What a decoder made of a data frame: the sender and the packets, or
+/// the reason it was refused.
+type Reading = Result<(NodeId, Vec<DataPacket>), &'static str>;
+
+fn reason(e: OverlayError) -> &'static str {
+    match e {
+        OverlayError::Malformed(why) => why,
+        other => panic!("a decoder refused a frame with {other:?}, not Malformed"),
+    }
+}
+
+fn envelope_reading(decoded: Result<Envelope, OverlayError>) -> Reading {
+    match decoded.map_err(reason)? {
+        Envelope { from, message: Message::Data(packet) } => Ok((from, vec![packet])),
+        Envelope { from, message: Message::DataBatch(packets) } => Ok((from, packets)),
+        other => panic!("a data frame decoded as {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One record parser: the node's decoder and both envelope decoders
+    /// accept the same data frames — the generated ones and every
+    /// mutation of them that still says it is a data frame — with equal
+    /// packets, and refuse the rest for the same reason.
+    #[test]
+    fn the_node_and_the_envelope_decoders_agree_on_every_data_frame(
+        from in 0u32..64,
+        message in prop_oneof![
+            arb_frame(1..2).prop_map(|mut one| Message::Data(one.remove(0))),
+            arb_frame(1..8).prop_map(Message::DataBatch),
+        ],
+        mutations in proptest::collection::vec(arb_mutation(), 1..12),
+    ) {
+        let good = Envelope { from: NodeId::new(from), message }.encode();
+        let mut resealed = good.to_vec();
+        reseal(&mut resealed);
+        prop_assert_eq!(&resealed[..], &good[..], "the reference sum is the codec's");
+        let frames = std::iter::once(good.to_vec()).chain(mutations.iter().map(|m| m.apply(&good)));
+        for (i, frame) in frames.enumerate() {
+            if !matches!(frame.get(2), Some(0 | 5)) {
+                continue; // no longer a data frame: the node never parses it as one
+            }
+            let shared = Bytes::from(frame.clone());
+            let copying = envelope_reading(Envelope::decode(&frame));
+            let zero_copy = envelope_reading(Envelope::decode_shared(&shared));
+            let node = wire::decode_as_node(&shared).map_err(reason);
+            prop_assert_eq!(&copying, &zero_copy, "frame {}", i);
+            prop_assert_eq!(&copying, &node, "frame {}", i);
+            if i == 0 {
+                prop_assert!(node.is_ok(), "the generated frame decodes");
+            }
+        }
+    }
 
     /// Arbitrary bytes never panic the decoder.
     #[test]

@@ -246,6 +246,37 @@ fn a_storm_replays_byte_for_byte_from_its_seed() {
     assert!(one.wire() != other.wire(), "different seeds must differ");
 }
 
+/// FNV-1a over every frame of a wire log: its instant, both ends, its
+/// length and its bytes.
+fn wire_hash(net: &Net) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for frame in net.wire() {
+        eat(&frame.at.as_micros().to_le_bytes());
+        eat(&(frame.from.index() as u32).to_le_bytes());
+        eat(&(frame.to.index() as u32).to_le_bytes());
+        eat(&(frame.bytes.len() as u64).to_le_bytes());
+        eat(&frame.bytes);
+    }
+    hash
+}
+
+/// The storm on seed 42 puts on the wire, byte for byte and instant for
+/// instant, what it put there before the node path handled a frame as
+/// one buffer (pinned from that revision): how a node holds a frame is
+/// not the protocol's business. A change that means to move the wire
+/// re-pins this and says why.
+#[test]
+fn a_storm_on_a_fixed_seed_puts_the_pinned_bytes_on_the_wire() {
+    const PINNED: u64 = 0x6ad9_b9c4_ffa5_a6ef;
+    let net = storm_run(42).0;
+    assert_eq!(wire_hash(&net), PINNED, "{} frames", net.wire().len());
+}
+
 /// A crashed-then-restarted node's reports must be re-accepted through
 /// its fresh epoch — observably faster than the 3 s database aging that
 /// would eventually bail out a stale-sequence deadlock.
