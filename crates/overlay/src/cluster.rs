@@ -386,7 +386,7 @@ impl Cluster {
 
     /// Blocks until every live node has heard link state from every
     /// origin, or the timeout passes; returns whether convergence was
-    /// reached.
+    /// reached. Checks every millisecond, one lock hold per node each.
     pub fn wait_for_link_state(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -401,7 +401,7 @@ impl Cluster {
             if std::time::Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 

@@ -42,10 +42,20 @@ impl NodeCore {
         }
     }
 
+    /// Records a hello from `from` and echoes it. The first hello of
+    /// this incarnation from the last in-link still silent completes the
+    /// node's picture of its links: it reports them at once rather than
+    /// at the next link-state refresh.
     pub(super) fn handle_hello(&mut self, cx: &mut Cx, from: NodeId, seq: u64, sent_at: Micros) {
+        let first_contact =
+            self.in_links.iter().any(|&(_, n, _)| n == from) && !self.monitor.heard_from(from);
         self.monitor.record_hello(from, seq, cx.now.saturating_sub(sent_at), cx.now);
         self.stats.counters.hellos_echoed += 1;
         cx.control(self.me(), from, Message::HelloAck { echo_seq: seq, echo_sent_at: sent_at });
+        if first_contact && self.in_links.iter().all(|&(_, n, _)| self.monitor.heard_from(n)) {
+            self.evaluate_links(cx.now);
+            self.originate_link_state(cx);
+        }
     }
 
     pub(super) fn handle_link_state(
@@ -241,10 +251,13 @@ impl NodeCore {
         transitioned
     }
 
-    /// Originates this node's own link-state report: what
+    /// Originates this node's own link-state report — what
     /// [`NodeCore::evaluate_links`] last settled on advertising for each
-    /// in-edge.
+    /// in-edge — unless originations are paused.
     pub(super) fn originate_link_state(&mut self, cx: &mut Cx) {
+        if self.originations_paused {
+            return;
+        }
         let entries = self
             .in_links
             .iter()

@@ -138,8 +138,9 @@ pub(crate) struct NodeCore {
     /// This node's link-state incarnation, minted from the clock at
     /// spawn so a restarted node outranks its previous life.
     ls_epoch: u64,
-    /// While set, the ticker skips link-state origination (hellos,
-    /// digests, acks, and retransmits keep running). Out-of-process
+    /// While set, the node originates no link-state report, neither at
+    /// the refresh nor on first contact (hellos, digests, acks, and
+    /// retransmits keep running). Out-of-process
     /// collectors quiesce origination briefly before snapshotting so
     /// every daemon's final digest refers to the same frozen stamps
     /// instead of racing the 200 ms refresh cadence.
@@ -164,7 +165,9 @@ fn micros(d: Duration) -> Micros {
 
 impl NodeCore {
     /// A node born at `now`. Hello duties fire immediately (a fresh node
-    /// introduces itself right away); link-state and digest origination
+    /// introduces itself right away); its first link-state report leaves
+    /// once every in-link has delivered a hello, or at the first
+    /// refresh, a full interval on, if one is still silent then; digests
     /// wait one full interval.
     pub(crate) fn new(config: Arc<NodeConfig>, graph: Arc<Graph>, now: Micros) -> Self {
         let me = config.node;
@@ -298,7 +301,7 @@ impl NodeCore {
         }
         if hello_due || ls_due {
             let transitioned = self.evaluate_links(now);
-            if (transitioned || ls_due) && !self.originations_paused {
+            if transitioned || ls_due {
                 self.originate_link_state(cx);
             }
         }

@@ -286,6 +286,81 @@ fn poll_timers_returns_the_next_protocol_deadline() {
     assert_eq!(counters(&net, 1).digests_sent, 0, "the 1 s digest cadence has not");
 }
 
+/// Node 1 between node 0, 10 ms away, and node 2, 30 ms away, at the
+/// default configuration, with the sites in `down` not started.
+fn uneven_chain(down: &[u32]) -> Net {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = (0..3).map(|i| b.add_node(&format!("n{i}"))).collect();
+    b.add_link(ids[0], ids[1], ms(10), 1).expect("distinct links");
+    b.add_link(ids[1], ids[2], ms(30), 1).expect("distinct links");
+    let down: Vec<NodeId> = down.iter().map(|&i| node(i)).collect();
+    Net::launch_except(&b.build(), ClusterConfig::default(), &down).expect("launches")
+}
+
+/// Every link-state report `origin` originated: how long after [`T0`]
+/// (when its first copy reached the wire, less that link's latency), and
+/// the loss it states for each in-edge, in the node's in-edge order.
+fn reports(net: &Net, origin: u32) -> Vec<(Micros, Vec<f32>)> {
+    let mut by_seq = BTreeMap::new();
+    for frame in net.wire().iter().filter(|f| f.from == node(origin)) {
+        let Ok(Envelope { message: Message::LinkState(update), .. }) =
+            Envelope::decode(&frame.bytes)
+        else {
+            continue;
+        };
+        if update.origin == node(origin) {
+            let link = net.graph().edge_between(frame.from, frame.to).expect("linked");
+            let sent = frame.at.saturating_sub(net.graph().edge(link).latency);
+            let losses = update.entries.iter().map(|e| e.loss).collect();
+            by_seq.entry(update.seq).or_insert((sent.saturating_sub(T0), losses));
+        }
+    }
+    by_seq.into_values().collect()
+}
+
+/// A node reports its links the instant its last in-link's first hello
+/// arrives — node 1 at 30 ms, node 0 at 10 — once, each link clean, and
+/// next at the 200 ms refresh.
+#[test]
+fn a_node_reports_once_its_last_in_link_is_first_heard() {
+    let mut net = uneven_chain(&[]);
+    net.run_until(T0.saturating_add(ms(199)));
+    assert_eq!(reports(&net, 1), [(ms(30), vec![0.0, 0.0])]);
+    assert_eq!(reports(&net, 0), [(ms(10), vec![0.0])]);
+    assert_eq!(counters(&net, 1).link_state_originated, 1);
+    net.run_until(T0.saturating_add(ms(250)));
+    assert_eq!(reports(&net, 1)[1].0, ms(200), "the refresh keeps its cadence");
+}
+
+/// An in-link never heard holds no report back and brings none forward:
+/// the node reports at the refresh, the silent link at full loss, and
+/// again the instant that link first delivers a hello.
+#[test]
+fn a_silent_in_link_waits_for_the_refresh_then_its_first_hello_reports() {
+    let mut net = uneven_chain(&[2]);
+    net.run_until(T0.saturating_add(ms(250)));
+    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 1.0])]);
+    // Node 2 comes up; its first hello reaches node 1 30 ms later.
+    net.restart_node(node(2));
+    net.run_until(T0.saturating_add(ms(399)));
+    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 1.0]), (ms(280), vec![0.0, 0.0])]);
+}
+
+/// While originations are paused the first-contact report is held too;
+/// once resumed, the node reports at its refresh.
+#[test]
+fn paused_originations_hold_the_first_contact_report() {
+    let mut net = uneven_chain(&[]);
+    net.core_mut(node(1)).originations_paused = true;
+    net.run_until(T0.saturating_add(ms(150)));
+    assert_eq!(reports(&net, 1), []);
+    assert_eq!(counters(&net, 1).link_state_originated, 0);
+    assert_eq!(reports(&net, 0).len(), 1, "the others report as ever");
+    net.core_mut(node(1)).originations_paused = false;
+    net.run_until(T0.saturating_add(ms(250)));
+    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 0.0])]);
+}
+
 /// A closed session gives its admission slot back and is no longer
 /// refreshed.
 #[test]

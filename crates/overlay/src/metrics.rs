@@ -123,7 +123,8 @@ declare_counters! {
     hellos_echoed,
     /// Hello echoes received for this node's own probes.
     hello_acks_received,
-    /// Link-state updates this node originated.
+    /// Link-state updates this node originated: refreshes, flag
+    /// transitions, and the report on first contact.
     link_state_originated,
     /// Link-state transmissions flooded to neighbours (own and relayed).
     link_state_flooded,

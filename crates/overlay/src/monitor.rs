@@ -71,6 +71,10 @@ struct NeighborStats {
     received: BTreeSet<u64>,
     /// Highest hello seq seen.
     highest: Option<u64>,
+    /// Lowest hello seq seen in the neighbour's current life (while
+    /// `highest` is set): hellos numbered below it were sent before this
+    /// estimator knew the link, and are not evidence of loss.
+    first: u64,
     /// When the most recent hello arrived.
     last_heard: Option<Micros>,
     /// Smoothed round-trip time to this neighbour.
@@ -187,6 +191,10 @@ impl LinkMonitor {
     /// the link `neighbor -> self` — along with its measured one-way
     /// delay (EWMA-smoothed) and the local arrival time.
     ///
+    /// Hellos are expected from the first one heard, not from zero: a
+    /// neighbour that was up before this node was (or before this node
+    /// restarted) has not lost what it sent into the void.
+    ///
     /// A sequence more than a window below the highest seen cannot be a
     /// reordered hello: the neighbour restarted and counts from zero
     /// again, so the estimator starts over with it instead of pruning
@@ -197,6 +205,7 @@ impl LinkMonitor {
             stats.received.clear();
             stats.highest = None;
         }
+        stats.first = if stats.highest.is_some() { stats.first.min(seq) } else { seq };
         stats.received.insert(seq);
         let highest = stats.highest.map_or(seq, |h| h.max(seq));
         stats.highest = Some(highest);
@@ -252,12 +261,12 @@ impl LinkMonitor {
     /// How many trailing hello ticks an estimate for `stats` spans: the
     /// fewest, from `scale` × [`SPAN_FLOOR_TICKS`] up, that hold
     /// `scale` × [`SAMPLE_TARGET`] samples, or the whole window when
-    /// none does.
-    fn span(&self, stats: &NeighborStats, highest: u64, scale: u64) -> u64 {
+    /// none does. `sent` is how many hellos the neighbour has sent since
+    /// the first one heard.
+    fn span(&self, stats: &NeighborStats, sent: u64, scale: u64) -> u64 {
         let floor = (scale * SPAN_FLOOR_TICKS).min(self.window);
-        let enough = |&ticks: &u64| {
-            (highest + 1).min(ticks) + stats.data_over(ticks).0 >= scale * SAMPLE_TARGET
-        };
+        let enough =
+            |&ticks: &u64| sent.min(ticks) + stats.data_over(ticks).0 >= scale * SAMPLE_TARGET;
         (floor..self.window).find(enough).unwrap_or(self.window)
     }
 
@@ -270,8 +279,9 @@ impl LinkMonitor {
     /// has to be substantial, so the ten losses the worst background
     /// burst in fifty packs into one tick do not read as a 5 % link.
     /// Unknown neighbours report full loss (a link that has never
-    /// delivered a hello is as good as down), and hellos overdue since
-    /// the link last delivered anything count as lost.
+    /// delivered a hello is as good as down), hellos are expected from
+    /// the first one heard in the neighbour's current life, and hellos
+    /// overdue since the link last delivered anything count as lost.
     pub fn loss_from(&self, neighbor: NodeId, now: Micros) -> f64 {
         let Some(stats) = self.neighbors.get(&neighbor) else {
             return 1.0;
@@ -279,6 +289,7 @@ impl LinkMonitor {
         let (Some(highest), Some(last_heard)) = (stats.highest, stats.last_heard) else {
             return 1.0;
         };
+        let sent = highest + 1 - stats.first;
         // Hellos that should have arrived during the silence. One
         // interval of quiet is normal scheduling jitter, so it is free.
         let silence = now.saturating_sub(last_heard).as_micros();
@@ -286,10 +297,10 @@ impl LinkMonitor {
         let over = |ticks: u64| {
             let hellos = stats.received.iter().filter(|&&s| s + ticks > highest).count() as u64;
             let (data_expected, data) = stats.data_over(ticks);
-            let expected = (highest + 1).min(ticks) + overdue.min(ticks) + data_expected;
+            let expected = sent.min(ticks) + overdue.min(ticks) + data_expected;
             (1.0 - (hellos + data) as f64 / expected.max(1) as f64).clamp(0.0, 1.0)
         };
-        over(self.span(stats, highest, 1)).min(over(self.span(stats, highest, 2)))
+        over(self.span(stats, sent, 1)).min(over(self.span(stats, sent, 2)))
     }
 
     /// Smoothed RTT to `neighbor`, if any echo has returned.
@@ -677,6 +688,45 @@ mod tests {
         }
         let loss = m.loss_from(n, at(119));
         assert!(loss > 0.4 && loss < 0.6, "the new life's loss reads as {loss}");
+    }
+
+    #[test]
+    fn hellos_are_expected_from_the_first_one_heard() {
+        let mut m = monitor();
+        let n = NodeId::new(1);
+        // The neighbour was up long before this node: its first hello
+        // here is its 1 000th, and the 999 before it are not losses.
+        m.record_hello(n, 1_000, Micros::ZERO, at(0));
+        assert_eq!(m.loss_from(n, at(0)), 0.0);
+        for seq in 1_001..1_004 {
+            m.record_hello(n, seq, Micros::ZERO, at(seq - 1_000));
+        }
+        assert_eq!(m.loss_from(n, at(3)), 0.0);
+        // Gaps after the first still count: 1 004 and 1 005 are lost.
+        m.record_hello(n, 1_006, Micros::ZERO, at(6));
+        let loss = m.loss_from(n, at(6));
+        assert!((loss - 2.0 / 7.0).abs() < 1e-9, "two of seven lost reads as {loss}");
+        // A reordered hello below the first is one more expected and one
+        // more received, not a loss.
+        m.record_hello(n, 999, Micros::ZERO, at(6));
+        let loss = m.loss_from(n, at(6));
+        assert!((loss - 2.0 / 8.0).abs() < 1e-9, "two of eight lost reads as {loss}");
+    }
+
+    #[test]
+    fn a_neighbour_restarting_from_zero_is_expected_from_zero() {
+        let mut m = monitor();
+        let n = NodeId::new(1);
+        for seq in 1_000..1_030 {
+            m.record_hello(n, seq, Micros::ZERO, at(seq - 1_000));
+        }
+        assert_eq!(m.loss_from(n, at(29)), 0.0);
+        // It restarts: its new life starts at zero and loses hello 1.
+        for (i, seq) in [0, 2, 3].into_iter().enumerate() {
+            m.record_hello(n, seq, Micros::ZERO, at(30 + i as u64));
+        }
+        let loss = m.loss_from(n, at(32));
+        assert!((loss - 0.25).abs() < 1e-9, "one of four lost reads as {loss}");
     }
 
     #[test]

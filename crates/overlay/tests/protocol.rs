@@ -131,6 +131,30 @@ fn disjoint_pair_survives_a_dead_path() {
     assert!(got.iter().all(|d| d.on_time));
 }
 
+/// `graph` launched at the default cadences, and how long after launch
+/// every node held every origin's report.
+fn converged_at_default_cadences(graph: &Graph) -> (Net, Option<Micros>) {
+    let config = ClusterConfig { fault_seed: env_seed(), ..ClusterConfig::default() };
+    let mut net = Net::launch(graph, config).expect("launches");
+    let took = net.wait_until(ms(1_000), |net| net.link_state_converged());
+    (net, took)
+}
+
+/// A node reports its links once every in-link has delivered a hello,
+/// not at its first 200 ms refresh: the overlay holds every report about
+/// one flood across its diameter after the slowest first hello (US-12:
+/// 49 ms, was 230).
+#[test]
+fn link_state_converges_on_first_contact_not_at_the_refresh() {
+    let us = converged_at_default_cadences(&presets::north_america_12()).1;
+    let us = us.expect("US-12 converges");
+    assert!(us <= ms(80), "US-12 converged {us} after launch");
+    // Six sites 5 ms apart: 5 ms to the first hellos, three hops across.
+    let ring = converged_at_default_cadences(&presets::ring(6, ms(5))).1;
+    let ring = ring.expect("the ring converges");
+    assert!(ring <= ms(40), "the 6-ring converged {ring} after launch");
+}
+
 #[test]
 fn link_state_converges_and_reports_loss() {
     let mut net = na_net();
@@ -288,6 +312,26 @@ fn restarted_neighbour_is_tracked_from_its_first_packet() {
     );
     let delivered = net.take_deliveries(flow).len();
     assert!(delivered >= 500, "recovery repairs most of a 30% loss, delivered {delivered}/600");
+}
+
+/// A killed node that comes back rejoins: its fresh, empty link-state
+/// database holds every origin's report again within a refresh interval
+/// and a flood (109 ms on US-12: its neighbours still owe it the floods
+/// it missed while down, and retransmit them).
+#[test]
+fn a_restarted_node_refills_its_link_state_database() {
+    let graph = presets::north_america_12();
+    let (mut net, converged) = converged_at_default_cadences(&graph);
+    converged.expect("converges");
+    let den = by_name(&graph, "DEN");
+    net.kill_node(den);
+    net.run_for(ms(400));
+    net.restart_node(den);
+    assert!(net.link_state_digest(den).is_empty(), "a fresh incarnation knows nothing");
+    let refilled =
+        net.wait_until(ms(1_000), |net| net.link_state_digest(den).len() == graph.node_count());
+    let refilled = refilled.expect("the restarted node never refilled its database");
+    assert!(refilled <= ms(250), "refilled {refilled} after the restart");
 }
 
 #[test]

@@ -104,8 +104,10 @@ fn non_lossy_impairments_lose_nothing() {
     }
 }
 
-/// A node can die and come back: its threads flush and exit, the port
-/// is rebound, and the replacement rejoins the overlay.
+/// A node can die and come back: its threads flush and exit, and the
+/// replacement binds the port the first life held. (That the restarted
+/// node rejoins the overlay is protocol behaviour, checked on the
+/// virtual clock: `a_restarted_node_refills_its_link_state_database`.)
 #[test]
 fn nodes_survive_kill_and_restart() {
     let _serial = CLUSTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -114,20 +116,12 @@ fn nodes_survive_kill_and_restart() {
     assert!(cluster.wait_for_link_state(Duration::from_secs(10)));
 
     let victim = graph.node_by_name("DEN").unwrap();
+    let port = cluster.node(victim).local_addr();
     cluster.kill_node(victim);
     assert!(!cluster.is_alive(victim));
     cluster.restart_node(victim).unwrap();
     assert!(cluster.is_alive(victim));
-    // The restarted node re-joins the overlay: its link-state database
-    // fills back up from its peers.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        if cluster.node(victim).link_state_origins() == graph.node_count() {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "restarted node never re-converged");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert_eq!(cluster.node(victim).local_addr(), port, "the replacement took the same port");
     cluster.shutdown();
 }
 
