@@ -4,33 +4,37 @@
 
 use super::{Cx, NodeCore, SessionId};
 use crate::metrics::EventKind;
-use crate::recovery::{retransmit_worthwhile, SendBuffer, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER};
+use crate::recovery::{
+    retransmit_worthwhile, SendBuffer, Take, NACK_REREQUEST_AFTER, RETRANSMIT_BUFFER,
+};
 use crate::session::Delivery;
 use crate::wire::{self, DataFrame, HopHeader, Message, Record};
 use bytes::Bytes;
 use dg_core::{Flow, SlaClass};
-use dg_topology::NodeId;
+use dg_topology::{Micros, NodeId};
 use std::ops::Range;
 
 pub(super) struct SendLink {
     next_seq: u64,
     /// The data frames sent on the link, each held once, as it went on
     /// the wire, under the sequences of its records: the NACK path
-    /// copies a record out of one. Exactly the last
-    /// [`RETRANSMIT_BUFFER`] sequences are served, once each, and a
-    /// frame is held until its last sequence leaves that window — so a
-    /// link pins at most ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1
-    /// frames (65 of 32 records) — then its buffer goes back to the
-    /// node's frame pool.
+    /// copies a record out of one. A frame is held while one of its
+    /// packets can still make its deadline and its last sequence is
+    /// among the last [`RETRANSMIT_BUFFER`] — so a link holds the frames
+    /// sent within the budget plus one hello interval, and never more
+    /// than ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1 (65 of 32
+    /// records) — then its buffer goes back to the node's frame pool.
     pub(super) buffer: SendBuffer<Bytes>,
 }
 
 /// One datagram's worth of a run: how many of its records, their span
-/// of the body, and the hash state over that span.
+/// of the body, the hash state over that span, and the latest expiry
+/// among them.
 pub(super) struct Chunk {
     records: usize,
     span: Range<usize>,
     state: u64,
+    expires: Micros,
 }
 
 /// Whether two records of `body` may share a forwarding run: same flow,
@@ -102,7 +106,7 @@ impl NodeCore {
     /// at least one record each — and says each one's hash state:
     /// `state`, the whole body's where it is known (a frame forwarded as
     /// it arrived), for a chunk that is the whole body, else a pass over
-    /// the chunk's bytes.
+    /// the chunk's bytes. A chunk expires with the last of its records.
     fn chunk_run(&self, run: &[Record], body: &[u8], state: Option<u64>, chunks: &mut Vec<Chunk>) {
         let budget = self.config.max_batch_bytes;
         let mut start = 0;
@@ -118,7 +122,9 @@ impl NodeCore {
                 Some(known) if span == (0..body.len()) => known,
                 _ => wire::body_state(&body[span.clone()]),
             };
-            chunks.push(Chunk { records: end - start, span, state });
+            let expires = run[start..end].iter().map(Record::expires).max();
+            let expires = expires.expect("a chunk holds at least one record");
+            chunks.push(Chunk { records: end - start, span, state, expires });
             start = end;
         }
     }
@@ -160,7 +166,9 @@ impl NodeCore {
             wire::put_data_frame(header, &body[chunk.span.clone()], chunk.state, &mut buf);
             let frame = Bytes::from(buf);
             let pool = &mut self.frame_pool;
-            link.buffer.push_run(seq, chunk.records, frame.clone(), |old| pool.recycle(old));
+            let held = frame.clone();
+            link.buffer
+                .push_run(seq, chunk.records, held, chunk.expires, cx.now, |old| pool.recycle(old));
             cx.frame(neighbor, frame, Some(class));
             seq += chunk.records as u64;
         }
@@ -209,7 +217,8 @@ impl NodeCore {
 
     /// Serves a NACK from `from`: each requested sequence still in the
     /// link's buffer is retransmitted once, unless it can no longer
-    /// make its deadline.
+    /// make its deadline. A sequence whose frame was let go on expiry
+    /// is suppressed just as one still held but too late is.
     pub(super) fn handle_nack(&mut self, cx: &mut Cx, from: NodeId, missing: Vec<u64>) {
         let requested = missing.len() as u64;
         self.stats.counters.retransmit_requests_received += requested;
@@ -217,8 +226,11 @@ impl NodeCore {
         let (mut found, mut served) = (0, 0);
         if let Some(link) = self.send_links.get_mut(&from) {
             for seq in missing {
-                let Some((frame, place)) = link.buffer.take(seq) else { continue };
-                found += 1;
+                let taken = link.buffer.take(seq);
+                found += u64::from(!matches!(taken, Take::Missing));
+                // A hopeless sequence's frame was let go because not one
+                // of its packets could still make its deadline.
+                let Take::Served(frame, place) = taken else { continue };
                 let body = &frame[wire::DATA_HEADER_LEN..];
                 let record = wire::nth_record(body, place);
                 // Deadline-aware recovery: a retransmission that cannot
@@ -377,6 +389,18 @@ impl NodeCore {
         }
         self.forward_run(cx, frame, &stretch[start..]);
         self.verdict_scratch = verdicts;
+    }
+
+    /// The hello tick's pass over the out-links' retransmit buffers:
+    /// every frame at a buffer's front that no packet can still make
+    /// its deadline from goes back to the pool, so a link that falls
+    /// idle holds nothing a hello interval after its last budget ran
+    /// out.
+    pub(super) fn service_send_links(&mut self, now: Micros) {
+        let pool = &mut self.frame_pool;
+        for link in self.send_links.values_mut() {
+            link.buffer.release_expired(now, |old| pool.recycle(old));
+        }
     }
 
     /// The hello tick's pass over the in-links' gap trackers. Each hands

@@ -32,7 +32,7 @@ pub(crate) use sessions::{Route, SessionId, SessionSlot};
 use crate::config::NodeConfig;
 use crate::dedup::DedupWindows;
 use crate::linkstate::LinkStateDb;
-use crate::metrics::{MetricsSnapshot, NodeStats, JOURNAL_CAPACITY};
+use crate::metrics::{LinkMetrics, MetricsSnapshot, NodeStats, JOURNAL_CAPACITY};
 use crate::monitor::{
     FlapDamper, LinkMonitor, FLAP_PENALTY_HALF_LIFE, FLAP_SUPPRESS_THRESHOLD, WINDOW_TICKS,
 };
@@ -113,8 +113,9 @@ pub(crate) struct NodeCore {
     pub(crate) receivers: HashSet<Flow>,
     /// The node's data-frame buffers: a received data datagram is
     /// copied into one, a frame sent is framed in one (and held by its
-    /// link's retransmit buffer until that releases it), and both come
-    /// back here.
+    /// link's retransmit buffer until no packet in it can make its
+    /// deadline, or its sequences leave the window), and both come back
+    /// here.
     pub(crate) frame_pool: BufferPool,
     /// The records of the frame being handled or sent.
     record_scratch: Vec<Record>,
@@ -281,10 +282,11 @@ impl NodeCore {
 
     /// Fires whichever periodic duties are due at `now`: hello probes
     /// plus the per-tick housekeeping (overload observation, LSA
-    /// retransmits, loss evidence and NACK re-requests, idle duplicate
-    /// windows, the problem detector) on the hello cadence, link-state
-    /// origination and scheme refresh on the link-state cadence,
-    /// anti-entropy digests on theirs. A flag the detector moves does
+    /// retransmits, loss evidence and NACK re-requests, expired frames
+    /// in the retransmit buffers, idle duplicate windows, the problem
+    /// detector) on the hello cadence, link-state origination and
+    /// scheme refresh on the link-state cadence, anti-entropy digests
+    /// on theirs. A flag the detector moves does
     /// not wait for the link-state cadence: it is originated on the tick
     /// it happens. Returns the next instant a duty falls due.
     pub(crate) fn poll_timers(&mut self, now: Micros, backlog: u64, out: &mut Actions) -> Micros {
@@ -297,6 +299,7 @@ impl NodeCore {
             self.observe_overload(cx);
             self.retransmit_pending_lsas(cx);
             self.service_recv_links(cx);
+            self.service_send_links(now);
             self.dedup.reclaim_idle(now, crate::dedup::DEDUP_IDLE);
         }
         if hello_due || ls_due {
@@ -316,11 +319,27 @@ impl NodeCore {
         self.next_hello.min(self.next_ls).min(self.next_digest)
     }
 
-    /// The node at this instant: its statistics, its link-state digest
-    /// and its graph cache's counters. (`degraded` is the driver's to
-    /// say.)
+    /// The node at this instant: its statistics, what each out-link's
+    /// retransmit buffer holds, its link-state digest and its graph
+    /// cache's counters. (`degraded` is the driver's to say.)
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.stats.snapshot(self.me());
+        for (&neighbor, link) in &self.send_links {
+            if link.buffer.is_empty() {
+                continue;
+            }
+            let at = match snap.links.binary_search_by_key(&neighbor, |l| l.neighbor) {
+                Ok(at) => at,
+                Err(at) => {
+                    snap.links.insert(at, LinkMetrics::new(neighbor));
+                    at
+                }
+            };
+            for frame in link.buffer.items() {
+                snap.links[at].held_frames += 1;
+                snap.links[at].held_bytes += frame.len() as u64;
+            }
+        }
         snap.link_state = self.linkstate.digest();
         snap.graph_cache = self.graph_cache.stats();
         snap

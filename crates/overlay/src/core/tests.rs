@@ -220,13 +220,18 @@ fn backlog_sheds_bulk_then_timely_and_surgical_last() {
     assert_eq!(counters.data_sent, 9);
 }
 
-/// The retransmit buffer's memory bound: a link holds the frames whose
-/// sequences are among the last [`RETRANSMIT_BUFFER`], so at most
-/// ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1 of them — after 200
-/// frames of 32 through a relay, 65 at the most, on its in-link's
-/// sender as on its own out-link.
+/// The retransmit buffer's memory bounds. While frames are sent, a link
+/// holds those whose sequences are among the last [`RETRANSMIT_BUFFER`]
+/// and whose packets can still make their deadline: with 32 records a
+/// millisecond and a 65 ms budget the window binds on 0 → 1, which
+/// holds all of it — ⌈`RETRANSMIT_BUFFER` / records per frame⌉ + 1 at the
+/// most — while 1 → 2, which gets each frame 10 ms into its budget,
+/// holds the 55 ms left of it. Once the sending stops, every frame
+/// leaves at the first hello tick past its deadline, and its buffer is
+/// the pool's again (which keeps what it can hold idle).
 #[test]
-fn a_link_pins_one_window_of_frames() {
+fn a_link_holds_a_frame_while_it_can_make_its_deadline() {
+    use crate::pool::DEFAULT_POOL_CAPACITY;
     use crate::recovery::RETRANSMIT_BUFFER;
     const RECORDS: usize = 32;
     let mut net =
@@ -236,18 +241,25 @@ fn a_link_pins_one_window_of_frames() {
     let session = open(&mut net, flow, SchemeKind::StaticSinglePath, SlaClass::Timely, ms(65));
     let payloads = [[7u8; 64]; RECORDS];
     let payloads: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-    for _ in 0..200 {
+    let window = RETRANSMIT_BUFFER / RECORDS;
+    let bound = RETRANSMIT_BUFFER.div_ceil(RECORDS) + 1;
+    let held =
+        |net: &Net, from: u32, to: u32| net.core(node(from)).send_links[&node(to)].buffer.len();
+    for sent in 1..=200 {
         net.send_batch(session, &payloads);
         net.run_for(ms(1));
+        if sent > 100 {
+            let (first, second) = (held(&net, 0, 1), held(&net, 1, 2));
+            assert!((window..=bound).contains(&first), "0 → 1 holds {first} frames");
+            assert_eq!(second, 56, "1 → 2 holds the frames of the last 55 ms, and this one");
+        }
     }
     net.run_for(ms(100));
     assert_eq!(data_frames(&net, 1, 2), 200, "each frame forwarded whole");
     assert_eq!(net.deliveries().len(), 200 * RECORDS);
-    let bound = RETRANSMIT_BUFFER.div_ceil(RECORDS) + 1;
     for (from, to) in [(0, 1), (1, 2)] {
-        let pinned = net.core(node(from)).send_links[&node(to)].buffer.len();
-        assert!(pinned <= bound, "{from} → {to} pins {pinned} frames, over {bound}");
-        assert!(pinned >= RETRANSMIT_BUFFER / RECORDS, "and holds the whole window");
+        assert_eq!(held(&net, from, to), 0, "{from} → {to} still holds frames past their deadline");
+        assert!(net.core(node(from)).frame_pool.idle() <= DEFAULT_POOL_CAPACITY);
     }
 }
 

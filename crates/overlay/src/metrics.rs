@@ -215,7 +215,8 @@ impl FlowMetrics {
     }
 }
 
-/// Traffic this node pushed onto the link toward one neighbour.
+/// Traffic this node pushed onto the link toward one neighbour, and
+/// what the link's retransmit buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkMetrics {
     /// The link's far end.
@@ -224,6 +225,21 @@ pub struct LinkMetrics {
     pub datagrams: u64,
     /// Total bytes shipped.
     pub bytes: u64,
+    /// Data frames the link's retransmit buffer holds at snapshot time
+    /// (a gauge). Zero in snapshots produced before this field existed.
+    #[serde(default)]
+    pub held_frames: u64,
+    /// Their bytes on the wire, summed. Zero in snapshots produced
+    /// before this field existed.
+    #[serde(default)]
+    pub held_bytes: u64,
+}
+
+impl LinkMetrics {
+    /// A link toward `neighbor` with nothing counted.
+    pub(crate) fn new(neighbor: NodeId) -> Self {
+        LinkMetrics { neighbor, datagrams: 0, bytes: 0, held_frames: 0, held_bytes: 0 }
+    }
 }
 
 /// Something notable that happened on a node, stamped with the shared
@@ -401,7 +417,7 @@ impl NodeStats {
 
     /// The counters of the out-link toward `neighbor`.
     pub(crate) fn link(&mut self, neighbor: NodeId) -> &mut LinkMetrics {
-        self.links.entry(neighbor).or_insert(LinkMetrics { neighbor, datagrams: 0, bytes: 0 })
+        self.links.entry(neighbor).or_insert(LinkMetrics::new(neighbor))
     }
 
     /// Records a journal event that happened at `at`: the instant its

@@ -13,7 +13,8 @@
 //! a received data datagram is copied into one and handed back once
 //! handled (unless a delivery still slices it), and a frame sent is
 //! held by its link's retransmit buffer and handed back when that
-//! releases it. Only what the pool lent comes back — control frames are
+//! releases it — once no packet in it can make its deadline, or its
+//! sequences leave the window. Only what the pool lent comes back — control frames are
 //! encoded fresh and not taken in — so on a steady stream it lends and
 //! takes back alike and holds a few buffers idle. What it can hold idle
 //! is bounded in any case: at most [`DEFAULT_POOL_CAPACITY`] buffers of

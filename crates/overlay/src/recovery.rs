@@ -8,13 +8,19 @@
 //! sequence **once** — the paper's single-retransmission discipline,
 //! which bounds the latency a recovered packet can accumulate.
 //!
-//! Two deadline-awareness refinements on top of the basic discipline:
+//! Three deadline-awareness refinements on top of the basic discipline:
 //!
 //! - Both sides consult [`retransmit_worthwhile`] — a retransmission
 //!   that cannot arrive inside the packet's deadline is pure cost
 //!   (CASPR's observation). The serving side skips it before answering
 //!   a NACK (counted `retransmits_suppressed`); the requesting side
 //!   does not ask a second time for it (`nack_rerequests_skipped`).
+//! - The serving side holds a frame only while one of its packets can
+//!   still make its deadline: past that, [`retransmit_worthwhile`] is
+//!   false for any round-trip, so the frame could only ever be
+//!   suppressed. [`SendBuffer`] lets it go at the next push or release
+//!   pass, and answers a NACK for it [`Take::Hopeless`] — suppressed,
+//!   as before, never a miss.
 //! - A NACK itself rides an unreliable datagram. If the requested
 //!   sequences stay silent past a timeout, [`GapTracker::due_rerequests`]
 //!   re-issues the request exactly once, so a lost NACK does not
@@ -42,29 +48,68 @@ pub const RETRANSMIT_BUFFER: usize = 2_048;
 pub const NACK_REREQUEST_AFTER: Micros = Micros::from_millis(250);
 
 /// Sender side: recent transmissions kept for possible retransmission,
-/// serving exactly the last `capacity` link sequences pushed, each at
-/// most once.
+/// serving the last `capacity` link sequences pushed, each at most
+/// once, for as long as their item is held.
 ///
 /// An item holds a run of consecutive sequences — the node pushes each
 /// data frame it sends once, under the sequences of its records, and
-/// copies a record out of it on the rare NACK — and is held until the
-/// last of them leaves the window. So with `r` sequences an item at
-/// most `⌈capacity / r⌉ + 1` items are held, and an item released is
-/// handed back to the caller (the node returns the frame's buffer to its
-/// pool).
+/// copies a record out of it on the rare NACK — and an expiry: the
+/// instant after which no packet in it can make its deadline any more.
+/// Items leave from the front, oldest first, for either of two reasons:
+///
+/// - its last sequence left the window — so with `r` sequences an item
+///   at most `⌈capacity / r⌉ + 1` items are held;
+/// - it expired, on the push or the [`SendBuffer::release_expired`]
+///   pass after its expiry — so a link holds what it sent within its
+///   packets' budget, plus however long the passes are apart. An
+///   unexpired item at the front holds back expired ones behind it, but
+///   no longer than the window would.
+///
+/// An item released is handed back to the caller (the node returns the
+/// frame's buffer to its pool). A sequence whose item left on expiry
+/// while the sequence was still in the window is answered
+/// [`Take::Hopeless`] — once — so its neighbour's NACK is told apart
+/// from one for a sequence the buffer never had.
 #[derive(Debug)]
 pub struct SendBuffer<T> {
     capacity: usize,
-    /// The items held, oldest first, each with the first sequence it
-    /// holds and how many.
-    items: VecDeque<(u64, u64, T)>,
+    /// The items held, oldest first.
+    items: VecDeque<Held<T>>,
     /// One bit a sequence, at `seq` modulo the power of two at or above
     /// `capacity` (so no two sequences of the window share one): set
-    /// once the sequence has been served. A push clears the bits of its
-    /// sequences, which belonged to ones long out of the window.
+    /// once the sequence has been answered. A push clears the bits of
+    /// its sequences and of any it skipped, which belonged to ones long
+    /// out of the window.
     served: Vec<u64>,
+    /// The same places: set for a sequence still in the window when its
+    /// item was released on expiry. Cleared as `served` is.
+    lapsed: Vec<u64>,
     /// The newest sequence pushed.
     newest: Option<u64>,
+}
+
+/// One item of a [`SendBuffer`]: the first sequence it holds, how many,
+/// and when it expires.
+#[derive(Debug)]
+struct Held<T> {
+    first: u64,
+    count: u64,
+    expires: Micros,
+    item: T,
+}
+
+/// What [`SendBuffer::take`] found for a sequence.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Take<'a, T> {
+    /// Held: the item holding the sequence and the sequence's place in
+    /// it.
+    Served(&'a T, usize),
+    /// Pushed and still in the window, but its item was released
+    /// because no packet in it could make its deadline any more: a
+    /// retransmission would have been too late.
+    Hopeless,
+    /// Never pushed, older than the window, or answered already.
+    Missing,
 }
 
 impl<T> SendBuffer<T> {
@@ -75,85 +120,127 @@ impl<T> SendBuffer<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "send buffer capacity must be positive");
+        let words = capacity.next_power_of_two().div_ceil(64);
         SendBuffer {
             capacity,
             items: VecDeque::new(),
-            served: vec![0; capacity.next_power_of_two().div_ceil(64)],
+            served: vec![0; words],
+            lapsed: vec![0; words],
             newest: None,
         }
     }
 
-    /// Stores a transmission of one sequence ([`SendBuffer::push_run`]
-    /// of one, dropping whatever it releases).
+    /// Stores a transmission of one sequence that never expires
+    /// ([`SendBuffer::push_run`] of one, dropping whatever it releases).
     pub fn push(&mut self, link_seq: u64, item: T) {
-        self.push_run(link_seq, 1, item, drop);
+        self.push_run(link_seq, 1, item, Micros::MAX, Micros::ZERO, drop);
     }
 
-    /// Stores `item` under the `count` consecutive sequences from
-    /// `first` and hands every older item whose last sequence has left
-    /// the window to `release`. Sequences must be pushed in increasing
-    /// order (the per-link counter guarantees it), which is what lets
-    /// [`SendBuffer::take`] binary-search instead of scanning.
+    /// Stores `item`, which expires after `expires`, under the `count`
+    /// consecutive sequences from `first`, at `now`, and hands every
+    /// older item that leaves to `release`: whose last sequence has left
+    /// the window, or — from the front — that expired before `now`.
+    /// Sequences must be pushed in increasing order (the per-link
+    /// counter guarantees it), which is what lets [`SendBuffer::take`]
+    /// binary-search instead of scanning.
     ///
     /// # Panics
     ///
     /// Panics if `count` is zero.
-    pub fn push_run(&mut self, first: u64, count: usize, item: T, mut release: impl FnMut(T)) {
+    pub fn push_run(
+        &mut self,
+        first: u64,
+        count: usize,
+        item: T,
+        expires: Micros,
+        now: Micros,
+        release: impl FnMut(T),
+    ) {
         assert!(count > 0, "an item holds at least one sequence");
         debug_assert!(
             self.newest.is_none_or(|newest| newest < first),
             "link sequences must be pushed in increasing order"
         );
-        // As many consecutive sequences as there are bits cover them all.
-        let bits = self.capacity.next_power_of_two();
-        for seq in first..first + count.min(bits) as u64 {
+        let last = first + (count as u64 - 1);
+        // The item's sequences and any skipped before them start a new
+        // life; as many consecutive sequences as there are bits cover
+        // them all.
+        let bits = self.capacity.next_power_of_two() as u64;
+        let from = self.newest.map_or(first, |newest| newest + 1);
+        for seq in from.max((last + 1).saturating_sub(bits))..=last {
             let (word, mask) = self.bit(seq);
             self.served[word] &= !mask;
+            self.lapsed[word] &= !mask;
         }
-        let last = first + (count as u64 - 1);
         self.newest = Some(last);
-        self.items.push_back((first, count as u64, item));
-        while let Some(&(oldest, held, _)) = self.items.front() {
-            if last - (oldest + held - 1) < self.capacity as u64 {
+        self.items.push_back(Held { first, count: count as u64, expires, item });
+        self.release_expired(now, release);
+    }
+
+    /// Hands the items at the front that have expired by `now` — and any
+    /// whose last sequence has left the window — to `release`, oldest
+    /// first, and stops at the first that has neither. An expired item's
+    /// sequences still in the window are answered
+    /// [`Take::Hopeless`] from now on.
+    pub fn release_expired(&mut self, now: Micros, mut release: impl FnMut(T)) {
+        let Some(newest) = self.newest else { return };
+        let window_start = (newest + 1).saturating_sub(self.capacity as u64);
+        while let Some(front) = self.items.front() {
+            let last = front.first + front.count - 1;
+            let in_window = last >= window_start;
+            if in_window && now <= front.expires {
                 break;
             }
-            let (_, _, item) = self.items.pop_front().expect("the front was just read");
-            release(item);
+            let front = self.items.pop_front().expect("the front was just read");
+            if in_window {
+                for seq in front.first.max(window_start)..=last {
+                    let (word, mask) = self.bit(seq);
+                    self.lapsed[word] |= mask;
+                }
+            }
+            release(front.item);
         }
     }
 
-    /// Serves `link_seq`: the item holding it and the sequence's place
-    /// in that item — once. `None` for a sequence never pushed, older
-    /// than the window, or served already, so a second NACK for the
-    /// same sequence cannot trigger a second retransmission. Binary
-    /// search over the sequence-sorted items and nothing moved.
-    pub fn take(&mut self, link_seq: u64) -> Option<(&T, usize)> {
-        let newest = self.newest?;
+    /// Answers a NACK for `link_seq` — once: a second NACK for the same
+    /// sequence finds it [`Take::Missing`], so it cannot trigger a second
+    /// retransmission. Binary search over the sequence-sorted items and
+    /// nothing moved.
+    pub fn take(&mut self, link_seq: u64) -> Take<'_, T> {
+        let Some(newest) = self.newest else { return Take::Missing };
         if link_seq > newest || newest - link_seq >= self.capacity as u64 {
-            return None;
-        }
-        let idx = self.items.partition_point(|&(first, ..)| first <= link_seq).checked_sub(1)?;
-        let (first, held, item) = &self.items[idx];
-        let place = link_seq - first;
-        if place >= *held {
-            return None;
+            return Take::Missing;
         }
         let (word, mask) = self.bit(link_seq);
         if self.served[word] & mask != 0 {
-            return None;
+            return Take::Missing;
         }
+        let idx = self.items.partition_point(|held| held.first <= link_seq);
+        let held = idx.checked_sub(1).map(|i| &self.items[i]);
+        let answer = match held {
+            Some(held) if link_seq - held.first < held.count => {
+                Take::Served(&held.item, (link_seq - held.first) as usize)
+            }
+            _ if self.lapsed[word] & mask != 0 => Take::Hopeless,
+            _ => return Take::Missing,
+        };
         self.served[word] |= mask;
-        Some((item, place as usize))
+        answer
     }
 
-    /// Where `seq`'s served bit is: its word and the mask within it.
+    /// Where `seq`'s bits are: their word and the mask within it.
     fn bit(&self, seq: u64) -> (usize, u64) {
         let at = seq as usize & (self.capacity.next_power_of_two() - 1);
         (at / 64, 1 << (at % 64))
     }
 
-    /// Number of items held (a diagnostic: an item is held until its
-    /// last sequence leaves the window, served or not).
+    /// The items held, oldest first.
+    pub fn items(&self) -> impl Iterator<Item = &T> {
+        self.items.iter().map(|held| &held.item)
+    }
+
+    /// Number of items held (a diagnostic: an item is held until it
+    /// expires or its last sequence leaves the window, served or not).
     pub fn len(&self) -> usize {
         self.items.len()
     }
@@ -358,7 +445,15 @@ mod tests {
 
     /// What `take` served, owned.
     fn served(b: &mut SendBuffer<Bytes>, seq: u64) -> Option<(Bytes, usize)> {
-        b.take(seq).map(|(item, place)| (item.clone(), place))
+        match b.take(seq) {
+            Take::Served(item, place) => Some((item.clone(), place)),
+            _ => None,
+        }
+    }
+
+    /// `push_run` of an item that never expires, dropping what leaves.
+    fn keep(b: &mut SendBuffer<Bytes>, first: u64, count: usize, item: Bytes) {
+        b.push_run(first, count, item, Micros::MAX, Micros::ZERO, drop);
     }
 
     #[test]
@@ -380,8 +475,8 @@ mod tests {
         b.push(2, Bytes::from_static(b"b"));
         b.push(3, Bytes::from_static(b"c"));
         assert_eq!(served(&mut b, 1), None, "evicted");
-        assert!(b.take(2).is_some());
-        assert!(b.take(3).is_some());
+        assert!(served(&mut b, 2).is_some());
+        assert!(served(&mut b, 3).is_some());
     }
 
     /// Each sequence of a frame is served once, with its place in the
@@ -390,14 +485,17 @@ mod tests {
     fn every_sequence_of_a_frame_is_served_once() {
         let mut b = SendBuffer::new(RETRANSMIT_BUFFER);
         let frame = Bytes::from_static(b"thirty-two records");
-        b.push_run(100, 32, frame.clone(), |_| panic!("nothing leaves the window"));
+        let never = Micros::MAX;
+        b.push_run(100, 32, frame.clone(), never, Micros::ZERO, |_| panic!("nothing leaves"));
         for seq in [116, 100, 131, 101] {
             assert_eq!(served(&mut b, seq), Some((frame.clone(), (seq - 100) as usize)));
             assert_eq!(served(&mut b, seq), None, "sequence {seq} a second time");
         }
         assert_eq!(b.len(), 1, "held for the sequences not yet asked for");
-        let rest =
-            (102..131).filter(|&seq| seq != 116).filter(|&seq| b.take(seq).is_some()).count();
+        let rest = (102..131)
+            .filter(|&seq| seq != 116)
+            .filter(|&seq| served(&mut b, seq).is_some())
+            .count();
         assert_eq!(rest, 28);
     }
 
@@ -408,9 +506,9 @@ mod tests {
     fn only_pushed_sequences_inside_the_window_are_served() {
         let mut b = SendBuffer::new(64);
         assert_eq!(served(&mut b, 0), None, "nothing pushed yet");
-        b.push_run(10, 20, Bytes::from_static(b"first"), drop);
+        keep(&mut b, 10, 20, Bytes::from_static(b"first"));
         // A gap at 30..40: a shed run took no sequences, say.
-        b.push_run(40, 40, Bytes::from_static(b"second"), drop);
+        keep(&mut b, 40, 40, Bytes::from_static(b"second"));
         let newest = 79;
         for seq in [0, 9, 30, 39, 80, 1_000] {
             assert_eq!(served(&mut b, seq), None, "{seq} was never pushed");
@@ -435,7 +533,8 @@ mod tests {
         let push = |b: &mut SendBuffer<Bytes>, pool: &mut BufferPool, first: u64, count| {
             let mut buf = pool.get();
             buf.extend_from_slice(&first.to_be_bytes());
-            b.push_run(first, count, Bytes::from(buf), |released| pool.recycle(released));
+            let frame = Bytes::from(buf);
+            b.push_run(first, count, frame, Micros::MAX, Micros::ZERO, |old| pool.recycle(old));
         };
         push(&mut b, &mut pool, 0, 32);
         push(&mut b, &mut pool, 32, 32);
@@ -444,7 +543,7 @@ mod tests {
         // others are still in the window.
         push(&mut b, &mut pool, 64, 1);
         assert_eq!((b.len(), pool.idle()), (3, 0));
-        assert!(b.take(1).is_some() && b.take(0).is_none());
+        assert!(served(&mut b, 1).is_some() && served(&mut b, 0).is_none());
         // 30 more, and 31 is still in; one after, and sequence 31, the
         // frame's last, leaves — and so does the frame.
         push(&mut b, &mut pool, 65, 30);
@@ -453,6 +552,77 @@ mod tests {
         assert_eq!(b.len(), 4, "frame 0 left");
         assert_eq!(pool.idle(), 1, "and its buffer is the pool's again");
         assert_eq!(served(&mut b, 32).map(|(frame, place)| (frame[7], place)), Some((32, 0)));
+    }
+
+    /// An item leaves at the first push or release pass after its
+    /// expiry — not at the instant itself, when its last packet can
+    /// still make it, and never before — and a NACK for a sequence of
+    /// it then reads hopeless, once.
+    #[test]
+    fn an_item_leaves_at_the_push_or_pass_after_it_expires() {
+        let ms = Micros::from_millis;
+        let mut b = SendBuffer::new(RETRANSMIT_BUFFER);
+        let mut released = Vec::new();
+        b.push_run(0, 32, "a", ms(65), ms(0), |old| released.push(old));
+        b.push_run(32, 32, "b", ms(70), ms(1), |old| released.push(old));
+        b.release_expired(ms(65), |old| released.push(old));
+        assert!(released.is_empty(), "at its expiry an item is still held");
+        assert_eq!(b.take(0), Take::Served(&"a", 0));
+        b.release_expired(ms(66), |old| released.push(old));
+        assert_eq!(released, ["a"], "the pass after its expiry lets it go");
+        assert_eq!(b.take(1), Take::Hopeless);
+        assert_eq!(b.take(1), Take::Missing, "answered once");
+        assert_eq!(b.take(0), Take::Missing, "served before it left");
+        b.push_run(64, 1, "c", ms(200), ms(70), |old| released.push(old));
+        assert_eq!(released, ["a"]);
+        b.push_run(65, 1, "d", ms(200), ms(71), |old| released.push(old));
+        assert_eq!(released, ["a", "b"], "so does the push after it");
+        assert_eq!(b.take(63), Take::Hopeless);
+        assert_eq!(b.take(65), Take::Served(&"d", 0));
+        assert_eq!(b.take(66), Take::Missing, "never pushed");
+        assert_eq!(b.len(), 2);
+    }
+
+    /// An item that never expires leaves only when its last sequence
+    /// leaves the window, however late the pass; its sequences out of
+    /// the window are missing, not hopeless.
+    #[test]
+    fn an_item_that_never_expires_leaves_only_by_the_window() {
+        let late = Micros::MAX;
+        let mut b = SendBuffer::new(64);
+        let mut released = Vec::new();
+        b.push_run(0, 32, 0, Micros::MAX, late, |old| released.push(old));
+        b.push_run(32, 32, 1, Micros::MAX, late, |old| released.push(old));
+        b.release_expired(late, |old| released.push(old));
+        b.push_run(64, 1, 2, Micros::MAX, late, |old| released.push(old));
+        assert!(released.is_empty(), "item 0's last sequence is still in the window");
+        b.push_run(65, 31, 3, Micros::MAX, late, |old| released.push(old));
+        assert_eq!(released, [0]);
+        assert_eq!(b.take(31), Take::Missing, "out of the window");
+        assert_eq!(b.take(32), Take::Served(&1, 0));
+    }
+
+    /// Release is from the front only: an expired item behind one with a
+    /// longer budget waits for it — but no longer than the window keeps
+    /// the front, and then leaves with it.
+    #[test]
+    fn an_expired_item_behind_a_long_budget_waits_no_longer_than_the_window() {
+        let ms = Micros::from_millis;
+        let mut b = SendBuffer::new(64);
+        let mut released = Vec::new();
+        b.push_run(0, 16, "long", ms(1_000), ms(0), |old| released.push(old));
+        b.push_run(16, 16, "short", ms(65), ms(0), |old| released.push(old));
+        b.release_expired(ms(100), |old| released.push(old));
+        assert!(released.is_empty(), "the unexpired front holds it back");
+        assert_eq!(b.take(20), Take::Served(&"short", 4));
+        b.push_run(32, 32, "next", ms(200), ms(100), |old| released.push(old));
+        assert!(released.is_empty());
+        b.push_run(64, 16, "more", ms(200), ms(100), |old| released.push(old));
+        assert_eq!(released, ["long", "short"], "the front left the window, the expired follow");
+        assert_eq!(b.take(21), Take::Hopeless);
+        assert_eq!(b.take(20), Take::Missing, "served while held");
+        assert_eq!(b.take(10), Take::Missing, "out of the window");
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
@@ -622,8 +792,8 @@ mod tests {
         assert_eq!(b.len(), 8);
         assert_eq!(served(&mut b, 11), None, "evicted");
         for seq in (12..20).rev() {
-            assert!(b.take(seq).is_some(), "seq {seq} present");
-            assert!(b.take(seq).is_none(), "seq {seq} single-shot");
+            assert!(served(&mut b, seq).is_some(), "seq {seq} present");
+            assert_eq!(b.take(seq), Take::Missing, "seq {seq} single-shot");
         }
         assert_eq!(b.len(), 8, "served, yet held until the window moves past them");
     }

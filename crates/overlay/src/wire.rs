@@ -249,6 +249,12 @@ impl Record {
         expired(self.sent_at, self.deadline, now)
     }
 
+    /// The last instant the packet is on time: past it, the record has
+    /// [`Record::expired`].
+    pub(crate) fn expires(&self) -> Micros {
+        self.sent_at.saturating_add(self.deadline)
+    }
+
     /// The packet the record is when it travels as `link_seq`, its mask
     /// and payload made by `take` out of their ranges of the body.
     fn packet(

@@ -13,7 +13,8 @@ use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
 use dg_overlay::cluster::ClusterConfig;
 use dg_overlay::metrics::EventKind;
 use dg_overlay::session::{Delivery, DeliveryStats};
-use dg_overlay::simnet::{env_seed, Net, SimSender};
+use dg_overlay::simnet::{env_seed, Net, SimSender, T0};
+use dg_overlay::wire::Message;
 use dg_topology::{presets, Graph, GraphBuilder, Micros, NodeId};
 use std::time::Duration;
 
@@ -251,6 +252,103 @@ fn targeted_redundancy_escalates_and_releases() {
         "released {} after the heal",
         released_at.saturating_sub(healed_at)
     );
+}
+
+/// A link holds a frame only while one of its packets can make its
+/// deadline, and at most one hello interval longer, until the tick's
+/// release pass. At 1 packet/ms under targeted redundancy, through a
+/// loss phase around the source, no link holds more than
+/// (65 + 50) ms × 1/ms + 1 frames at any hello tick — where the window
+/// alone would let it hold 2 048 — and none once the flow falls silent.
+/// Recovery is unchanged: a NACK inside the budget is served, and one
+/// for a frame already let go is suppressed, as it was while such a
+/// frame was held, not missed.
+#[test]
+fn a_link_holds_only_the_frames_that_can_still_make_their_deadline() {
+    let config = ClusterConfig { fault_seed: env_seed(), ..ClusterConfig::default() };
+    let hello = Micros::from_micros(config.hello_interval.as_micros() as u64);
+    let mut net = Net::launch(&presets::north_america_12(), config).expect("launches");
+    net.run_for(ms(1_000));
+    assert!(net.link_state_converged(), "link state flooding never converged");
+    let flow = nyc_sjc(&net);
+    let requirement = ServiceRequirement::default();
+    let tx = open(&mut net, flow, SchemeKind::TargetedRedundancy, requirement);
+    let bound = (requirement.deadline.as_micros() + hello.as_micros()) / 1_000 + 1;
+    assert_eq!(bound, 116);
+    let sites: Vec<NodeId> = net.graph().nodes().collect();
+    let payload = [0u8; 256];
+    let mut peak = 0;
+    for i in 0..3_000 {
+        match i {
+            1_000 => net.impair_node(flow.source, 0.3, Micros::ZERO),
+            2_000 => net.heal_node(flow.source),
+            _ => {}
+        }
+        net.send(tx, &payload);
+        net.run_for(ms(1));
+        if !(net.now().as_micros() - T0.as_micros()).is_multiple_of(hello.as_micros()) {
+            continue;
+        }
+        for &site in &sites {
+            for link in net.snapshot(site).links {
+                let held = link.held_frames;
+                assert!(held <= bound, "{site} → {} holds {held} frames", link.neighbor);
+                assert!(link.held_bytes >= held * payload.len() as u64);
+                peak = peak.max(held);
+            }
+        }
+    }
+    // Right after a tick's pass, a link of the source holds the 65 ms
+    // budget's frames and the one just sent.
+    assert!(peak >= 60, "a link holds the frames inside the budget: {peak} at the most");
+    assert!(net.take_deliveries(flow).len() >= 2_950, "the flow is delivered");
+    let counters = |net: &Net, site: NodeId| net.snapshot(site).counters;
+    assert!(counters(&net, flow.source).retransmissions_served > 0, "NACKs inside the budget");
+    for &site in &sites {
+        assert_eq!(counters(&net, site).retransmit_misses, 0, "{site} missed a retransmission");
+    }
+
+    // By hand: a NACK for the frame the source sent last is served; one
+    // for a frame it sent half a second ago — long released, well inside
+    // the window — is suppressed, once, and only a second NACK for it
+    // reads as a miss.
+    let sent: Vec<(Micros, NodeId, u64)> = net
+        .wire()
+        .iter()
+        .filter(|f| f.from == flow.source)
+        .flat_map(|f| f.data().into_iter().map(move |p| (f.at, f.to, p.link_seq)))
+        .collect();
+    let &(_, neighbor, fresh) = sent.last().expect("the source sent data");
+    let stale = sent
+        .iter()
+        .rev()
+        .find(|&&(at, to, _)| to == neighbor && at <= net.now().saturating_sub(ms(500)))
+        .map(|&(.., seq)| seq)
+        .expect("a frame half a second old");
+    let nack = |net: &mut Net, seq| {
+        net.inject(neighbor, flow.source, Message::Nack { missing: vec![seq] })
+    };
+    let before = counters(&net, flow.source);
+    nack(&mut net, fresh);
+    nack(&mut net, stale);
+    let after = counters(&net, flow.source);
+    assert_eq!(after.retransmissions_served, before.retransmissions_served + 1);
+    assert_eq!(after.retransmits_suppressed, before.retransmits_suppressed + 1);
+    assert_eq!(after.retransmit_misses, 0);
+    let missed = |net: &Net| {
+        let events = net.snapshot(flow.source).events;
+        events.iter().filter(|e| matches!(e.kind, EventKind::RecoveryMissed { .. })).count()
+    };
+    assert_eq!(missed(&net), 0, "a released frame journals no RecoveryMissed");
+    nack(&mut net, stale);
+    assert_eq!(counters(&net, flow.source).retransmit_misses, 1, "answered once");
+    assert_eq!(missed(&net), 1);
+
+    net.run_for(ms(200));
+    for &site in &sites {
+        let held: u64 = net.snapshot(site).links.iter().map(|l| l.held_frames).sum();
+        assert_eq!(held, 0, "{site} holds frames past their deadline");
+    }
 }
 
 /// A restarted node numbers its hellos and its links from zero again.

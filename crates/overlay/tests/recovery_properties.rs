@@ -10,17 +10,18 @@
 //!   matter how long or how lossy the stream is.
 //! - **Buffer agreement**: [`SendBuffer::take`] (a binary search over
 //!   the sequence-sorted items, each holding a run of sequences) agrees
-//!   exactly with a per-sequence model, and never serves the same
-//!   sequence twice.
+//!   exactly with a per-sequence model, and never answers the same
+//!   sequence twice; items leave on expiry or by the window exactly
+//!   when the model says, and never later than by the window alone.
 //! - **Frame agreement**: [`GapTracker::observe_run`] on a frame is the
 //!   loop of [`GapTracker::observe_packet`] over its packets — same
 //!   NACKs in the same order, same evidence, same bookkeeping —
 //!   wherever the frame starts and whatever its sequences do.
 
-use dg_overlay::recovery::{GapTracker, SendBuffer, RETRANSMIT_BUFFER};
+use dg_overlay::recovery::{GapTracker, SendBuffer, Take, RETRANSMIT_BUFFER};
 use dg_topology::Micros;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Turns a loss/dup/reorder plan into an arrival stream of link seqs.
 fn arrivals(n: u64, lost: &HashSet<u64>, dup: &HashSet<u64>, swaps: &[(usize, usize)]) -> Vec<u64> {
@@ -34,6 +35,22 @@ fn arrivals(n: u64, lost: &HashSet<u64>, dup: &HashSet<u64>, swaps: &[(usize, us
         }
     }
     stream
+}
+
+/// What [`SendBuffer::take`] answered, owned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    Served(usize, usize),
+    Hopeless,
+    Missing,
+}
+
+fn answer(take: Take<'_, usize>) -> Answer {
+    match take {
+        Take::Served(&item, place) => Answer::Served(item, place),
+        Take::Hopeless => Answer::Hopeless,
+        Take::Missing => Answer::Missing,
+    }
 }
 
 proptest! {
@@ -109,55 +126,100 @@ proptest! {
     }
 
     /// Serving agrees with a per-sequence model — the last `capacity`
-    /// sequences pushed, each served at most once, with the item that
-    /// holds it and its place there — for items of 1–40 sequences,
-    /// gaps between them, capacities above and below an item's size,
-    /// and across eviction; and an item is held exactly while its last
-    /// sequence is in the window.
+    /// sequences pushed, each answered at most once: served with the
+    /// item that holds it and its place there while the item is held,
+    /// hopeless once the item left on expiry — for items of 1–40
+    /// sequences, gaps between them, capacities above and below an
+    /// item's size, budgets from none to never, release passes in
+    /// between, and across eviction. Items leave from the front, each
+    /// at the first push or pass that finds its last sequence out of the
+    /// window or its expiry passed; and the buffer never holds more than
+    /// the same pushes hold by the window alone, ⌈capacity / r⌉ + 1 with
+    /// `r` sequences the smallest item.
     #[test]
     fn send_buffer_matches_model(
         capacity in 1usize..96,
-        pushes in proptest::collection::vec((0u64..5, 1usize..=40), 1..60),
-        takes in proptest::collection::vec((0usize..2_400, any::<bool>()), 0..300),
+        ops in proptest::collection::vec(
+            (0u8..4, 0u64..5, 1usize..=40, 0u64..120, 0u64..30, 0usize..2_400, any::<bool>()),
+            1..300,
+        ),
     ) {
+        let ms = Micros::from_millis;
         let mut buffer: SendBuffer<usize> = SendBuffer::new(capacity);
+        // The same pushes, never expiring: what the window alone holds.
+        let mut by_window: SendBuffer<usize> = SendBuffer::new(capacity);
         // Per sequence pushed: the item (its push index) and the place.
         let mut model: HashMap<u64, (usize, usize)> = HashMap::new();
-        let mut served: HashSet<u64> = HashSet::new();
-        let (mut next, mut released) = (0u64, Vec::new());
-        let mut items: Vec<(u64, u64)> = Vec::new();
-        for (item, &(gap, count)) in pushes.iter().enumerate() {
-            let first = next + gap;
-            buffer.push_run(first, count, item, |old| released.push(old));
-            for place in 0..count {
-                model.insert(first + place as u64, (item, place));
+        // Per item: its last sequence and its expiry.
+        let mut items: Vec<(u64, Micros)> = Vec::new();
+        let mut held: VecDeque<usize> = VecDeque::new();
+        // Items that left on expiry with a sequence in the window.
+        let mut lapsed: HashSet<usize> = HashSet::new();
+        let mut answered: HashSet<u64> = HashSet::new();
+        let (mut next, mut now, mut newest, mut fewest) = (0u64, Micros::ZERO, None, usize::MAX);
+        let (mut released, mut expected) = (Vec::new(), Vec::new());
+        for &(op, gap, count, budget, advance, idx, twice) in &ops {
+            now = now.saturating_add(ms(advance));
+            match op {
+                0 | 1 => {
+                    let first = next + gap;
+                    let expires =
+                        if budget >= 100 { Micros::MAX } else { now.saturating_add(ms(budget)) };
+                    let item = items.len();
+                    buffer.push_run(first, count, item, expires, now, |old| released.push(old));
+                    by_window.push_run(first, count, item, Micros::MAX, now, drop);
+                    for place in 0..count {
+                        model.insert(first + place as u64, (item, place));
+                    }
+                    next = first + count as u64;
+                    newest = Some(next - 1);
+                    items.push((next - 1, expires));
+                    held.push_back(item);
+                    fewest = fewest.min(count);
+                }
+                2 => buffer.release_expired(now, |old| released.push(old)),
+                _ => {
+                    let target = idx as u64 % (next + 3);
+                    let in_window =
+                        newest.is_some_and(|n| target <= n && n - target < capacity as u64);
+                    let want = match model.get(&target) {
+                        _ if !in_window || answered.contains(&target) => Answer::Missing,
+                        Some(&(item, place)) if held.contains(&item) => Answer::Served(item, place),
+                        Some(&(item, _)) if lapsed.contains(&item) => Answer::Hopeless,
+                        _ => Answer::Missing,
+                    };
+                    if want != Answer::Missing {
+                        answered.insert(target);
+                    }
+                    prop_assert_eq!(answer(buffer.take(target)), want, "seq {}", target);
+                    if twice {
+                        prop_assert_eq!(
+                            answer(buffer.take(target)),
+                            Answer::Missing,
+                            "a sequence must not be answered twice"
+                        );
+                    }
+                    prop_assert_eq!(buffer.len(), held.len(), "answering releases nothing");
+                    continue;
+                }
             }
-            items.push((first, first + count as u64 - 1));
-            next = first + count as u64;
-        }
-        let newest = next - 1;
-        let in_window = |seq: u64| seq <= newest && newest - seq < capacity as u64;
-        // Released, oldest first: exactly the items whose last sequence
-        // left the window.
-        let gone: Vec<usize> = (0..items.len()).filter(|&i| !in_window(items[i].1)).collect();
-        prop_assert_eq!(&released, &gone);
-        prop_assert_eq!(buffer.len(), items.len() - gone.len());
-        for &(idx, second_take) in &takes {
-            let target = idx as u64 % (next + 3);
-            let expected = model
-                .get(&target)
-                .copied()
-                .filter(|_| in_window(target) && served.insert(target));
-            prop_assert_eq!(buffer.take(target).map(|(&item, place)| (item, place)), expected);
-            if second_take {
-                prop_assert_eq!(
-                    buffer.take(target),
-                    None,
-                    "a served sequence must not be served twice"
-                );
+            while let Some(&front) = held.front() {
+                let (last, expires) = items[front];
+                let left = newest.is_some_and(|n: u64| n - last >= capacity as u64);
+                if !left && now <= expires {
+                    break;
+                }
+                held.pop_front();
+                if !left {
+                    lapsed.insert(front);
+                }
+                expected.push(front);
             }
+            prop_assert_eq!(&released, &expected);
+            prop_assert_eq!(buffer.len(), held.len());
+            prop_assert!(buffer.len() <= by_window.len());
+            prop_assert!(buffer.len() <= capacity.div_ceil(fewest) + 1);
         }
-        prop_assert_eq!(buffer.len(), items.len() - gone.len(), "serving releases nothing");
     }
 
     /// A frame handed to the tracker whole leaves it exactly as the
