@@ -21,7 +21,7 @@
 //!   origin in the topology,
 //! * post-heal delivery on every surviving flow at or above
 //!   `--threshold` (default 99%),
-//! * no daemon still degraded at shutdown.
+//! * every daemon the schedule did not kill exited 0 at its run limit.
 //!
 //! Exit status: 0 when the verdict passes, 1 when it fails (or the
 //! deployment itself breaks), 2 on usage errors. Artifacts — per-node

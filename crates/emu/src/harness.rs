@@ -149,7 +149,8 @@ pub struct EmuReport {
     /// Respawns the harness executed, in schedule order.
     pub restarts: Vec<String>,
     /// Nodes that ignored the graceful window and had to be
-    /// force-killed at teardown (each is also a verdict failure).
+    /// force-killed at teardown (each also fails the verdict, by
+    /// rule 3 or by its missing final dump).
     pub forced_teardown: Vec<String>,
     /// Total nominal run length on the shared timeline.
     pub run_ms: u64,
@@ -291,33 +292,35 @@ impl EmuRun {
             slots.iter().filter(|s| s.child.is_some()).map(|s| s.name.clone()).collect();
         let grace_deadline = nominal_end + Duration::from_millis(self.options.shutdown_grace_ms);
         let mut forced_teardown = Vec::new();
-        for slot in &mut slots {
+        let mut exit_codes = vec![None; slots.len()];
+        for (slot, exit_code) in slots.iter_mut().zip(&mut exit_codes) {
             let Some(child) = slot.child.as_mut() else { continue };
-            let exited = loop {
+            let status = loop {
                 match child.try_wait()? {
-                    Some(_) => break true,
-                    None if Instant::now() >= grace_deadline => break false,
+                    Some(status) => break Some(status),
+                    None if Instant::now() >= grace_deadline => {
+                        let _ = child.kill();
+                        forced_teardown.push(slot.name.clone());
+                        break child.wait().ok();
+                    }
                     None => std::thread::sleep(Duration::from_millis(20)),
                 }
             };
-            if !exited {
-                let _ = child.kill();
-                let _ = child.wait();
-                forced_teardown.push(slot.name.clone());
-            }
+            *exit_code = status.and_then(|status| status.code());
             slot.child = None;
         }
 
         // Collect + verify.
         let mut collection_failures = Vec::new();
         let mut reports = Vec::new();
-        for slot in &slots {
+        for (slot, exit_code) in slots.iter().zip(exit_codes) {
             if !survivors.contains(&slot.name) {
                 continue;
             }
             match read_snapshot(&slot.metrics_path) {
                 Ok(snapshot) => reports.push(NodeReport {
                     name: slot.name.clone(),
+                    exit_code,
                     snapshot,
                     baseline: read_snapshot(&slot.baseline_path).ok(),
                 }),
@@ -325,10 +328,9 @@ impl EmuRun {
                     .push(format!("{}: final metrics unreadable: {e}", slot.name)),
             }
         }
+        // A daemon force-killed at teardown fails once: rule 3 (it did
+        // not exit 0) or, without a final dump, the collection failure.
         let mut verdict = verify(&self.graph, &self.flows, self.options.threshold, &reports);
-        for name in &forced_teardown {
-            verdict.failures.push(format!("{name} had to be force-killed at teardown"));
-        }
         verdict.failures.extend(collection_failures);
         verdict.passed = verdict.failures.is_empty();
 

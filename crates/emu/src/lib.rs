@@ -32,7 +32,8 @@
 //! 5. **Verify.** Run the convergence verifier ([`verify`]): all
 //!    surviving nodes must report byte-identical link-state digests,
 //!    post-heal delivery on every surviving flow must clear a
-//!    threshold, and no node may remain degraded.
+//!    threshold, and every daemon the schedule did not kill must have
+//!    exited 0 at its run limit.
 //!
 //! The harness is the scenario soak bed ROADMAP item 5 asks for: the
 //! chaos machinery (PR 2) and the resilient control plane (PR 4)

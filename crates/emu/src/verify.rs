@@ -2,8 +2,8 @@
 //!
 //! A chaos soak that merely *finishes* proves nothing — the point of
 //! the multi-process harness is the post-mortem. [`verify`] takes the
-//! metrics snapshots collected from every surviving daemon and holds
-//! the deployment to three promises:
+//! exit status and metrics snapshots collected from every surviving
+//! daemon and holds the deployment to three promises:
 //!
 //! 1. **Database convergence.** Every surviving node's link-state
 //!    digest — the per-origin `(epoch, seq)` fingerprint embedded in
@@ -18,9 +18,10 @@
 //!    counter delta) at a ratio clearing the threshold — cumulative
 //!    counters plus an atomic baseline snapshot give exact
 //!    post-recovery figures without any cross-process clock agreement.
-//! 3. **No lingering degradation.** No surviving daemon may still
-//!    report itself degraded: supervised threads recovered, watchdogs
-//!    stopped firing.
+//! 3. **Clean exits.** Every daemon the schedule did not kill must have
+//!    exited 0 at its run limit. A node is crash-only — a panic in its
+//!    core stops the daemon with code 3 — so a non-zero status is a
+//!    crash the schedule did not ask for.
 //!
 //! The verifier is a pure function over plain data, so every rule is
 //! unit-testable with synthetic snapshots — and the harness binary
@@ -36,6 +37,9 @@ use serde::{Deserialize, Serialize};
 pub struct NodeReport {
     /// The node's site name.
     pub name: String,
+    /// The daemon's exit code, or `None` when a signal ended it (the
+    /// harness's kill at teardown included) or its status was lost.
+    pub exit_code: Option<i32>,
     /// The final snapshot, written at daemon shutdown.
     pub snapshot: MetricsSnapshot,
     /// The mid-run baseline snapshot, when the run took one.
@@ -136,12 +140,11 @@ pub fn verify(
         ));
     }
 
-    // Rule 3 (cheap, so checked before the flow arithmetic): nobody
-    // still degraded.
-    for report in reports {
-        if report.snapshot.degraded {
-            failures.push(format!("{} is still degraded at shutdown", report.name));
-        }
+    // Rule 3 (cheap, so checked before the flow arithmetic): every
+    // survivor exited 0 at its run limit.
+    for report in reports.iter().filter(|r| r.exit_code != Some(0)) {
+        let status = report.exit_code.map_or("a signal".into(), |code| format!("code {code}"));
+        failures.push(format!("{} exited with {status}, not 0 at its run limit", report.name));
     }
 
     // Rule 2: post-heal delivery per surviving flow.
@@ -199,7 +202,6 @@ mod tests {
             links: Vec::new(),
             events: Vec::new(),
             events_dropped: 0,
-            degraded: false,
             link_state,
             graph_cache: Default::default(),
         }
@@ -230,10 +232,13 @@ mod tests {
         dst_final.flows.push(flow_cell(flow, 0, 290, 9));
         let mut dst_base = snapshot(graph, "SJC", Vec::new());
         dst_base.flows.push(flow_cell(flow, 0, 99, 1));
-        let reports = vec![
-            NodeReport { name: "NYC".into(), snapshot: src_final, baseline: Some(src_base) },
-            NodeReport { name: "SJC".into(), snapshot: dst_final, baseline: Some(dst_base) },
-        ];
+        let report = |name: &str, snapshot, baseline| NodeReport {
+            name: name.into(),
+            exit_code: Some(0),
+            snapshot,
+            baseline: Some(baseline),
+        };
+        let reports = vec![report("NYC", src_final, src_base), report("SJC", dst_final, dst_base)];
         (vec![(nyc, sjc)], reports)
     }
 
@@ -299,19 +304,30 @@ mod tests {
     }
 
     #[test]
-    fn degraded_survivors_and_empty_reports_fail() {
+    fn an_unscheduled_nonzero_exit_fails_naming_the_daemon() {
         let graph = presets::north_america_12();
         let (flows, mut reports) = healthy(&graph);
-        reports[0].snapshot.degraded = true;
+        reports[0].exit_code = Some(3);
+        reports[1].exit_code = None;
         let verdict = verify(&graph, &flows, 0.99, &reports);
         assert!(!verdict.passed);
-        assert!(verdict.failures.iter().any(|f| f.contains("degraded")), "{:?}", verdict.failures);
+        assert_eq!(
+            verdict.failures,
+            [
+                "NYC exited with code 3, not 0 at its run limit",
+                "SJC exited with a signal, not 0 at its run limit",
+            ]
+        );
+    }
 
+    #[test]
+    fn empty_reports_fail() {
+        let graph = presets::north_america_12();
+        let (flows, reports) = healthy(&graph);
         let verdict = verify(&graph, &flows, 0.99, &[]);
         assert!(!verdict.passed);
 
         // Flows with a dead endpoint are skipped, not judged.
-        let (flows, reports) = healthy(&graph);
         let lone = vec![reports[0].clone()];
         let verdict = verify(&graph, &flows, 0.99, &lone);
         assert!(verdict.flows.is_empty(), "flow with a dead endpoint was judged");

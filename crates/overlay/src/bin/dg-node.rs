@@ -30,6 +30,9 @@
 //! running forever, and `--metrics-json PATH` dumps the node's full
 //! metrics snapshot (counters, per-flow/per-link cells, event journal,
 //! link-state digest) as JSON on shutdown; `-` writes it to stdout.
+//! A node is crash-only: if a call into its core panics, the daemon
+//! dumps the post-mortem snapshot to `--metrics-json` and exits with
+//! code 3 and one line on stderr, for its supervisor to restart it.
 //! File dumps are atomic (temp file + rename) so an out-of-process
 //! collector never observes partial JSON — even if the daemon is
 //! SIGKILLed mid-dump, the destination holds either nothing or a
@@ -106,6 +109,10 @@ fn cli() -> Cli {
              instead of process start; deadlines already past are honoured immediately",
         )
 }
+
+/// The longest the daemon goes without looking whether its node
+/// crashed.
+const CRASH_CHECK: Duration = Duration::from_millis(100);
 
 /// Exits with code 1 and a diagnostic on stderr — the non-panicking
 /// path for every operator-input failure.
@@ -325,7 +332,7 @@ fn run(config_path: &str, options: Options) {
     let mut quiesce_due = options.quiesce_at;
     loop {
         let elapsed = start_offset + started.elapsed();
-        if options.run_limit.is_some_and(|limit| elapsed >= limit) {
+        if options.run_limit.is_some_and(|limit| elapsed >= limit) || !handle.is_running() {
             break;
         }
         // Fire everything due at this instant.
@@ -368,16 +375,21 @@ fn run(config_path: &str, options: Options) {
         for at in [baseline_due, quiesce_due, options.run_limit].into_iter().flatten() {
             nap = nap.min(at.saturating_sub(elapsed));
         }
-        std::thread::sleep(nap.max(Duration::from_millis(1)));
+        std::thread::sleep(nap.clamp(Duration::from_millis(1), CRASH_CHECK));
     }
     traffic_running.store(false, Ordering::Relaxed);
     if let Some(thread) = traffic_thread {
         let _ = thread.join();
     }
+    let crashed = !handle.is_running();
     let snapshot = handle.metrics_snapshot();
     handle.shutdown();
     if let Some(path) = &options.metrics_json {
         dump_snapshot(&snapshot, path, "metrics");
+    }
+    if crashed {
+        eprintln!("dg-node: {} crashed: a call into its core panicked", file.node);
+        std::process::exit(3);
     }
 }
 

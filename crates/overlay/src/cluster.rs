@@ -9,7 +9,7 @@
 use crate::chaos::{incident_edges, ChaosTarget};
 use crate::config::NodeConfig;
 use crate::fault::{FaultPlan, LinkFault};
-use crate::metrics::{ClusterMetricsReport, NodeThread};
+use crate::metrics::ClusterMetricsReport;
 use crate::node::{OverlayHandle, OverlayNode};
 use crate::runtime::Runtime;
 use crate::session::{FlowGroup, FlowReceiver, FlowSender};
@@ -45,9 +45,6 @@ pub struct ClusterConfig {
     /// Flap-damper hold-down for every node (see
     /// [`NodeConfig::flap_hold_down`]).
     pub flap_hold_down: Duration,
-    /// Watchdog staleness horizon for every node (see
-    /// [`NodeConfig::watchdog_stale_after`]).
-    pub watchdog_stale_after: Duration,
     /// Outbound data-queue bound for every node (see
     /// [`NodeConfig::shipper_queue`]) — also the depth scale of the
     /// class shed bands and the overload detector.
@@ -72,7 +69,6 @@ impl Default for ClusterConfig {
             max_batch_bytes: node.max_batch_bytes,
             digest_interval: node.digest_interval,
             flap_hold_down: node.flap_hold_down,
-            watchdog_stale_after: node.watchdog_stale_after,
             shipper_queue: node.shipper_queue,
             sender_capacity: node.sender_capacity,
             overload_hold_down: node.overload_hold_down,
@@ -118,7 +114,6 @@ impl Emulation {
             max_batch_bytes: config.max_batch_bytes,
             digest_interval: config.digest_interval,
             flap_hold_down: config.flap_hold_down,
-            watchdog_stale_after: config.watchdog_stale_after,
             shipper_queue: config.shipper_queue,
             sender_capacity: config.sender_capacity,
             overload_hold_down: config.overload_hold_down,
@@ -225,15 +220,15 @@ impl Cluster {
         self.handles[node.index()].take().expect("node is alive").shutdown();
     }
 
-    /// True when `node` has not been killed.
+    /// True when `node` has been neither killed nor crashed.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.handles[node.index()].is_some()
+        self.handles[node.index()].as_ref().is_some_and(OverlayHandle::is_running)
     }
 
-    /// Restarts a previously killed node on its original port. The
-    /// replacement process mints a fresh link-state epoch, so its reset
-    /// sequence numbers are accepted by peers that remember the old
-    /// incarnation; its emulated link delays are re-applied.
+    /// Restarts a previously killed or crashed node on its original
+    /// port. The replacement process mints a fresh link-state epoch, so
+    /// its reset sequence numbers are accepted by peers that remember
+    /// the old incarnation; its emulated link delays are re-applied.
     ///
     /// # Errors
     ///
@@ -244,7 +239,10 @@ impl Cluster {
     ///
     /// Panics if `node` is out of range or still alive.
     pub fn restart_node(&mut self, node: NodeId) -> Result<(), OverlayError> {
-        assert!(self.handles[node.index()].is_none(), "restarting a live node");
+        assert!(!self.is_alive(node), "restarting a live node");
+        // A crashed node's handle goes first: dropping it joins its
+        // threads and, once no session holds it, frees its port.
+        drop(self.handles[node.index()].take());
         let socket = UdpSocket::bind(self.addrs[node.index()])?;
         self.handles[node.index()] = Some(self.spawn(node, socket)?);
         Ok(())
@@ -447,12 +445,6 @@ impl ChaosTarget for Cluster {
             _ => {}
         }
         Ok(())
-    }
-
-    fn panic_thread(&mut self, node: NodeId, thread: NodeThread) {
-        if let Some(handle) = &self.handles[node.index()] {
-            handle.inject_thread_panic(thread);
-        }
     }
 
     fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration) {

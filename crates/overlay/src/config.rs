@@ -38,10 +38,6 @@ pub struct NodeConfig {
     /// neighbour (route-flap damping hold-down); zero disables the
     /// hold-down.
     pub flap_hold_down: Duration,
-    /// A supervised thread whose heartbeat is older than this marks the
-    /// node degraded; it is also how long the degraded flag lingers
-    /// after a thread restart.
-    pub watchdog_stale_after: Duration,
     /// Bound on the outgoing-shipment queue (datagrams); overflow is
     /// dropped and counted in `shipper_drops` (plus the per-class
     /// `shed_*` counter of the shed packet). Also the depth scale of
@@ -77,7 +73,6 @@ impl NodeConfig {
             link_state_max_age: Duration::from_secs(3),
             digest_interval: Duration::from_secs(1),
             flap_hold_down: Duration::from_millis(500),
-            watchdog_stale_after: Duration::from_secs(1),
             shipper_queue: 16_384,
             sender_capacity: 1_024,
             overload_hold_down: Duration::from_millis(500),
@@ -112,12 +107,6 @@ impl NodeConfig {
         }
         if self.digest_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("digest_interval must be positive"));
-        }
-        if self.watchdog_stale_after <= self.hello_interval * 2 {
-            return Err(OverlayError::InvalidConfig(
-                "watchdog_stale_after must comfortably outlast the hello interval \
-                 (heartbeats are stamped at most once per tick)",
-            ));
         }
         if self.shipper_queue == 0 {
             return Err(OverlayError::InvalidConfig("shipper_queue must be positive"));
@@ -305,7 +294,6 @@ mod tests {
         assert_eq!(cluster.link_state_interval, node.link_state_interval);
         assert_eq!(cluster.digest_interval, node.digest_interval);
         assert_eq!(cluster.flap_hold_down, node.flap_hold_down);
-        assert_eq!(cluster.watchdog_stale_after, node.watchdog_stale_after);
         assert_eq!(cluster.shipper_queue, node.shipper_queue);
         assert_eq!(cluster.sender_capacity, node.sender_capacity);
         assert_eq!(cluster.overload_hold_down, node.overload_hold_down);
@@ -322,7 +310,6 @@ mod tests {
         assert_eq!(file.link_state_max_age, node.link_state_max_age);
         assert_eq!(file.digest_interval, node.digest_interval);
         assert_eq!(file.flap_hold_down, node.flap_hold_down);
-        assert_eq!(file.watchdog_stale_after, node.watchdog_stale_after);
         assert_eq!(file.shipper_queue, node.shipper_queue);
         assert_eq!(file.sender_capacity, node.sender_capacity);
         assert_eq!(file.overload_hold_down, node.overload_hold_down);
@@ -334,13 +321,12 @@ mod tests {
     fn validate_names_the_broken_rule() {
         let ok = || NodeConfig::new(NodeId::new(3), listen());
         let ms = Duration::from_millis;
-        let broken: [(NodeConfig, &str); 11] = [
+        let broken: [(NodeConfig, &str); 10] = [
             (NodeConfig { hello_interval: Duration::ZERO, ..ok() }, "hello_interval"),
             (NodeConfig { link_state_interval: Duration::ZERO, ..ok() }, "link_state_interval"),
             (NodeConfig { hello_interval: ms(2_000), ..ok() }, "10x link_state_interval"),
             (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
             (NodeConfig { digest_interval: Duration::ZERO, ..ok() }, "digest_interval"),
-            (NodeConfig { watchdog_stale_after: ms(100), ..ok() }, "watchdog_stale_after"),
             (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
             (NodeConfig { sender_capacity: 0, ..ok() }, "sender_capacity"),
             (NodeConfig { overload_hold_down: Duration::ZERO, ..ok() }, "overload_hold_down"),
@@ -359,9 +345,7 @@ mod tests {
         // Boundaries: the strict rules hold at equality, and a zero flap
         // hold-down is legal (it disables damping's window).
         let edge = NodeConfig {
-            hello_interval: ms(25),
             link_state_max_age: ms(401),
-            watchdog_stale_after: ms(51),
             flap_hold_down: Duration::ZERO,
             max_batch_bytes: 65_485,
             ..ok()

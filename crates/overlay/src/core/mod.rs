@@ -321,7 +321,7 @@ impl NodeCore {
 
     /// The node at this instant: its statistics, what each out-link's
     /// retransmit buffer holds, its link-state digest and its graph
-    /// cache's counters. (`degraded` is the driver's to say.)
+    /// cache's counters.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.stats.snapshot(self.me());
         for (&neighbor, link) in &self.send_links {

@@ -19,7 +19,8 @@ pub enum OverlayError {
     Malformed(&'static str),
     /// The referenced node does not exist in this cluster.
     UnknownNode(NodeId),
-    /// The node is shutting down.
+    /// The node has stopped, by shutdown or because a call into its
+    /// core panicked: nothing enters its core again.
     Shutdown,
     /// A payload exceeded the maximum datagram body.
     PayloadTooLarge {

@@ -77,7 +77,7 @@ pub mod wire;
 pub use clock::now_us;
 pub use config::{NodeConfig, NodeFileConfig};
 pub use error::OverlayError;
-pub use metrics::{ClusterMetricsReport, MetricsSnapshot, NodeCounters, NodeThread};
+pub use metrics::{ClusterMetricsReport, MetricsSnapshot, NodeCounters};
 pub use node::{OverlayHandle, OverlayNode};
 pub use overload::{OverloadConfig, OverloadDetector, OverloadTransition, MAX_LEVEL};
 #[doc(hidden)]

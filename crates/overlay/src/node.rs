@@ -8,7 +8,7 @@ use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::core::Route;
 use crate::fault::{FaultPlan, LinkFault};
-use crate::metrics::{MetricsSnapshot, NodeThread};
+use crate::metrics::MetricsSnapshot;
 use crate::runtime::{spawn_threads, Driver};
 use crate::session::{FlowGroup, FlowReceiver, FlowSender, Session};
 use crate::OverlayError;
@@ -27,8 +27,13 @@ pub struct OverlayNode;
 
 /// A running overlay node. Dropping the handle stops the node and
 /// waits for its threads, exactly as [`OverlayHandle::shutdown`] does.
-/// Sessions opened here may outlive it; they keep the node's socket
-/// bound until they are dropped too.
+/// Sessions opened here may outlive it: they keep the node's socket
+/// bound until they are dropped too, and their sends are refused with
+/// [`OverlayError::Shutdown`].
+///
+/// A node is crash-only: once a call into its core has panicked, the
+/// node stops for good ([`OverlayHandle::is_running`] reads false) and
+/// a new node on the same port is the only recovery.
 #[derive(Debug)]
 pub struct OverlayHandle {
     driver: Arc<Driver>,
@@ -112,8 +117,9 @@ impl OverlayHandle {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnknownNode`] when the scheme's flow does
-    /// not originate here, and [`OverlayError::AdmissionDenied`] when
-    /// the node is at its configured sender capacity.
+    /// not originate here, [`OverlayError::AdmissionDenied`] when the
+    /// node is at its configured sender capacity, and
+    /// [`OverlayError::Shutdown`] once the node has stopped.
     pub fn open_sender(
         &self,
         scheme: Box<dyn RoutingScheme>,
@@ -131,9 +137,10 @@ impl OverlayHandle {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnknownNode`] when the scheme's flow does
-    /// not originate here, and [`OverlayError::AdmissionDenied`] when
-    /// the node is at its configured sender capacity
-    /// ([`NodeConfig::sender_capacity`]).
+    /// not originate here, [`OverlayError::AdmissionDenied`] when the
+    /// node is at its configured sender capacity
+    /// ([`NodeConfig::sender_capacity`]), and [`OverlayError::Shutdown`]
+    /// once the node has stopped.
     pub fn open_sender_with_class(
         &self,
         scheme: Box<dyn RoutingScheme>,
@@ -144,9 +151,9 @@ impl OverlayHandle {
             return Err(OverlayError::UnknownNode(scheme.flow().source));
         }
         let flow = scheme.flow();
-        let id = self.driver.with_core(|core| {
+        let id = self.driver.event(|core, _, _, _| {
             core.open_session(Route::Scheme(scheme), flow, class, requirement.deadline)
-        })?;
+        })??;
         Ok(FlowSender(Session::new(Arc::clone(&self.driver), id, flow, class)))
     }
 
@@ -164,8 +171,9 @@ impl OverlayHandle {
     /// # Errors
     ///
     /// Returns [`OverlayError::Core`] when no multicast graph exists
-    /// (e.g. a receiver is unreachable or the set is empty), and
-    /// [`OverlayError::AdmissionDenied`] at sender capacity.
+    /// (e.g. a receiver is unreachable or the set is empty),
+    /// [`OverlayError::AdmissionDenied`] at sender capacity, and
+    /// [`OverlayError::Shutdown`] once the node has stopped.
     pub fn open_group_sender(
         &self,
         receivers: &[NodeId],
@@ -175,11 +183,11 @@ impl OverlayHandle {
         class: SlaClass,
     ) -> Result<FlowGroup, OverlayError> {
         let flow = Flow::group(self.node_id(), group_id);
-        let id = self.driver.with_core(|core| {
+        let id = self.driver.event(|core, _, _, _| {
             let graph = core.graph_cache.multicast(flow.source, receivers, kind, requirement)?;
             let route = Route::Group { graph, kind, requirement };
             core.open_session(route, flow, class, requirement.deadline)
-        })?;
+        })??;
         Ok(FlowGroup(Session::new(Arc::clone(&self.driver), id, flow, class)))
     }
 
@@ -239,24 +247,17 @@ impl OverlayHandle {
     /// Full observability snapshot: node-wide counters, per-flow and
     /// per-link counters, the event journal, the link-state digest and
     /// the graph cache's counters — all read under one hold of the
-    /// node's lock, so they describe the node at one instant — and the
-    /// degradation flag. Serde-serializable.
+    /// node's lock, so they describe the node at one instant.
+    /// Serde-serializable. A node that crashed still answers, with what
+    /// its core held when it stopped.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.driver.snapshot()
+        self.driver.with_core(|core| core.snapshot())
     }
 
-    /// True while the node runs without a full complement of healthy
-    /// protocol threads — a supervised thread recently crashed or has
-    /// stopped heartbeating.
-    pub fn is_degraded(&self) -> bool {
-        self.driver.degraded()
-    }
-
-    /// Makes the named protocol thread panic at its next checkpoint
-    /// (fault injection for supervision tests; the supervisor catches
-    /// the panic, journals it, and restarts the thread).
-    pub fn inject_thread_panic(&self, thread: NodeThread) {
-        self.driver.request_panic(thread);
+    /// True until the node stops, by shutdown or because a call into
+    /// its core panicked.
+    pub fn is_running(&self) -> bool {
+        self.driver.is_running()
     }
 
     /// Pauses (or resumes) this node's link-state origination. While
@@ -305,8 +306,8 @@ impl OverlayHandle {
 
 /// One node as a chaos target: it enacts what is its own — faults on
 /// its out-links (unscaled: a deployed link has its real delay), its
-/// threads, its queue — and leaves the rest alone, a crash or restart of
-/// itself included: stopping a process is its owner's job.
+/// queue — and leaves the rest alone, a crash or restart of itself
+/// included: stopping a process is its owner's job.
 impl ChaosTarget for OverlayHandle {
     fn graph(&self) -> &Graph {
         &self.driver.graph
@@ -323,12 +324,6 @@ impl ChaosTarget for OverlayHandle {
 
     fn set_running(&mut self, _node: NodeId, _up: bool) -> Result<(), OverlayError> {
         Ok(())
-    }
-
-    fn panic_thread(&mut self, node: NodeId, thread: NodeThread) {
-        if node == self.node_id() {
-            self.inject_thread_panic(thread);
-        }
     }
 
     fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration) {

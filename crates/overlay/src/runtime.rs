@@ -7,28 +7,27 @@
 //! should happen, and carries those [`Actions`] out before letting go,
 //! so a link's wire order is its sequence order. Frames go out through
 //! the node's [`Carrier`], which applies the fault plan and parks what
-//! it delays, under the same lock. A panic in a core call unwinds
-//! through the guard without poisoning it, into the duty's supervision.
+//! it delays, under the same lock. A node is crash-only: a panic in a
+//! core call poisons the lock, nothing enters that core again, and both
+//! threads exit; a fresh node on the same port is the only recovery.
 
 use crate::carrier::Carrier;
 use crate::clock::now_us;
 use crate::config::NodeConfig;
 use crate::core::{Actions, NodeCore};
 use crate::fault::FaultPlan;
-use crate::metrics::{EventKind, MetricsSnapshot, NodeThread};
 use crate::pool::BufferPool;
 use crate::session::{Delivery, FlowReceiver, DELIVERY_QUEUE};
 use crate::wire;
+use crate::OverlayError;
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender, TrySendError};
 use dg_core::Flow;
 use dg_topology::{Graph, Micros, NodeId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::UdpSocket;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -71,16 +70,8 @@ pub(crate) struct Driver {
     /// The timer thread, unparked when the queue gains an earlier head.
     timer: OnceLock<std::thread::Thread>,
     pub(crate) faults: FaultPlan,
-    /// Last heartbeat per supervised duty (indexed by [`NodeThread`]),
-    /// in microseconds on the [`now_us`] clock.
-    heartbeats: [AtomicU64; 3],
-    /// Set to make the matching duty panic at its next checkpoint
-    /// (for tests and chaos).
-    panic_requests: [AtomicBool; 3],
-    /// The node reports itself degraded until this instant after a
-    /// crash, giving operators a visible window even when the restart
-    /// is instant.
-    degraded_until: AtomicU64,
+    /// Poisoned once a core call has panicked under it: the node has
+    /// crashed.
     state: Mutex<Driven>,
 }
 
@@ -93,18 +84,13 @@ impl std::fmt::Debug for Driver {
 impl Driver {
     pub(crate) fn new(config: NodeConfig, graph: Arc<Graph>, socket: UdpSocket) -> Driver {
         let config = Arc::new(config);
-        let now = now_us();
-        let beat = || AtomicU64::new(now.as_micros());
         Driver {
             socket,
             running: AtomicBool::new(true),
             timer: OnceLock::new(),
             faults: FaultPlan::with_seed(config.fault_seed),
-            heartbeats: [beat(), beat(), beat()],
-            panic_requests: Default::default(),
-            degraded_until: AtomicU64::new(0),
             state: Mutex::new(Driven {
-                core: NodeCore::new(Arc::clone(&config), Arc::clone(&graph), now),
+                core: NodeCore::new(Arc::clone(&config), Arc::clone(&graph), now_us()),
                 actions: Actions::default(),
                 carrier: Carrier::default(),
                 receivers: HashMap::new(),
@@ -118,30 +104,38 @@ impl Driver {
     /// One event: takes the lock, reads the clock, lets `f` at the core
     /// with the instant, the data backlog and the action list, and
     /// carries out what the core asked for before releasing the lock.
+    ///
+    /// # Errors
+    ///
+    /// [`OverlayError::Shutdown`] once the node has stopped or crashed:
+    /// nothing enters its core again.
     pub(crate) fn event<R>(
         &self,
         f: impl FnOnce(&mut NodeCore, Micros, u64, &mut Actions) -> R,
-    ) -> R {
-        let mut guard = self.state.lock();
+    ) -> Result<R, OverlayError> {
+        let mut guard = self.state.lock().map_err(|_| OverlayError::Shutdown)?;
+        // Checked under the lock: an event that got in before `stop`
+        // has parked what it sends before the timer thread's last look.
+        if !self.running.load(Ordering::SeqCst) {
+            return Err(OverlayError::Shutdown);
+        }
         let st = &mut *guard;
         let now = now_us();
         let result = f(&mut st.core, now, st.carrier.backlog(), &mut st.actions);
         self.flush(st, now);
-        result
+        Ok(result)
     }
 
-    /// Takes the lock for a query or a session's opening or closing:
-    /// core calls that emit no actions.
+    /// The lock read through the poison: for queries, a post-mortem
+    /// snapshot, and what a `Drop` must do without panicking.
+    fn lock_any(&self) -> MutexGuard<'_, Driven> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the lock, through the poison, for a query or a session's
+    /// closing: core calls that emit no actions.
     pub(crate) fn with_core<R>(&self, f: impl FnOnce(&mut NodeCore) -> R) -> R {
-        f(&mut self.state.lock().core)
-    }
-
-    /// The node at one instant — everything the core reports, read under
-    /// one hold of the lock — plus the degradation flag.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.with_core(|core| core.snapshot());
-        snap.degraded = self.degraded();
-        snap
+        f(&mut self.lock_any().core)
     }
 
     /// Carries the pending actions out: the frames through the carrier
@@ -193,33 +187,34 @@ impl Driver {
         sent
     }
 
-    /// The shipper duty: sends every parked frame that is due.
-    fn service_departures(&self) {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let Driven { core, carrier, .. } = st;
+    /// The shipper duty: sends every parked frame that is due; `Err`
+    /// when the node crashed, which flushes nothing.
+    fn service_departures(&self) -> Result<(), OverlayError> {
+        let mut guard = self.state.lock().map_err(|_| OverlayError::Shutdown)?;
+        let Driven { core, carrier, .. } = &mut *guard;
         let NodeCore { stats, frame_pool, .. } = core;
         stats.counters.send_errors +=
             carrier.service(now_us(), |to, frame| self.send_now(frame_pool, to, frame));
+        Ok(())
     }
 
     /// Parks synthetic backlog that evaporates `dwell` from now (see
     /// [`Carrier::inject_overload`]).
     pub(crate) fn inject_overload(&self, shipments: usize, dwell: Duration) {
         let depart_at = now_us().saturating_add(Micros::from_micros(dwell.as_micros() as u64));
-        self.state.lock().carrier.inject_overload(shipments, depart_at);
+        self.lock_any().carrier.inject_overload(shipments, depart_at);
         self.wake_timer();
     }
 
     /// Data frames parked toward the wire.
     pub(crate) fn backlog(&self) -> u64 {
-        self.state.lock().carrier.backlog()
+        self.lock_any().carrier.backlog()
     }
 
     /// Opens `flow`'s receiving session, replacing any earlier one.
     pub(crate) fn open_receiver(self: &Arc<Self>, flow: Flow) -> FlowReceiver {
         let (tx, rx) = channel::bounded(DELIVERY_QUEUE);
-        let mut st = self.state.lock();
+        let mut st = self.lock_any();
         st.receivers_opened += 1;
         let id = st.receivers_opened;
         st.receivers.insert(flow, (id, tx));
@@ -230,7 +225,7 @@ impl Driver {
     /// Closes receiving session `id` of `flow`, unless a later one has
     /// taken its place.
     pub(crate) fn close_receiver(&self, flow: Flow, id: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.lock_any();
         if st.receivers.get(&flow).is_some_and(|(open, _)| *open == id) {
             st.receivers.remove(&flow);
             st.core.receivers.remove(&flow);
@@ -243,71 +238,26 @@ impl Driver {
         }
     }
 
-    /// Stamps the calling supervised duty's heartbeat.
-    fn beat(&self, thread: NodeThread) {
-        self.heartbeats[thread as usize].store(now_us().as_micros(), Ordering::Relaxed);
+    /// True until shutdown has been requested or a core call panicked.
+    pub(crate) fn is_running(&self) -> bool {
+        self.running.load(Ordering::SeqCst) && !self.state.is_poisoned()
     }
 
-    /// Makes `thread` panic at its next checkpoint.
-    pub(crate) fn request_panic(&self, thread: NodeThread) {
-        self.panic_requests[thread as usize].store(true, Ordering::Relaxed);
-    }
-
-    /// Panics if a panic was injected for `thread` (fault injection for
-    /// supervision tests); consumes the request either way.
-    fn maybe_injected_panic(&self, thread: NodeThread) {
-        if self.panic_requests[thread as usize].swap(false, Ordering::Relaxed) {
-            panic!("injected panic in {thread:?} thread");
-        }
-    }
-
-    /// True until shutdown has been requested.
-    fn is_running(&self) -> bool {
-        self.running.load(Ordering::SeqCst)
-    }
-
-    /// Requests shutdown. The timer thread wakes at once to flush what
-    /// is parked; the receive thread notices within one read timeout.
+    /// Requests shutdown: no event enters the core after this. The timer
+    /// thread wakes at once to flush what is parked; the receive thread
+    /// notices within one read timeout.
     pub(crate) fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.wake_timer();
-    }
-
-    /// Accounts one supervised-duty panic: counts it, journals it, and
-    /// opens the degradation window. The crash instant counts as a
-    /// heartbeat — the restart is immediate, so the duty is degraded,
-    /// not dead.
-    fn note_thread_crash(&self, thread: NodeThread) {
-        let now = now_us();
-        self.with_core(|core| {
-            core.stats.counters.thread_crashes += 1;
-            core.stats.record_at(now, EventKind::ThreadCrash { thread });
-        });
-        let until =
-            now.as_micros().saturating_add(self.config.watchdog_stale_after.as_micros() as u64);
-        self.degraded_until.fetch_max(until, Ordering::Relaxed);
-        self.beat(thread);
-    }
-
-    /// True while the node is running without a full complement of
-    /// healthy duties: either a crash happened recently (within the
-    /// watchdog horizon) or some supervised duty has stopped
-    /// heartbeating entirely.
-    pub(crate) fn degraded(&self) -> bool {
-        let now = now_us().as_micros();
-        if now < self.degraded_until.load(Ordering::Relaxed) {
-            return true;
-        }
-        let stale = self.config.watchdog_stale_after.as_micros() as u64;
-        self.is_running()
-            && self.heartbeats.iter().any(|h| now.saturating_sub(h.load(Ordering::Relaxed)) > stale)
     }
 }
 
 /// Starts a node's two threads — the timer thread, then the receive
 /// thread: by the time a datagram can be handled, a parked reply has a
 /// thread to unpark. Joining both, once [`Driver::stop`] was called,
-/// means every shipment parked before it has left.
+/// means every shipment parked before it has left. After a crash both
+/// exit within one read timeout and one hello interval, flushing
+/// nothing.
 pub(crate) fn spawn_threads(driver: &Arc<Driver>) -> std::io::Result<[JoinHandle<()>; 2]> {
     driver.socket.set_read_timeout(Some(RECV_TIMEOUT))?;
     let node = driver.config.node;
@@ -318,69 +268,64 @@ pub(crate) fn spawn_threads(driver: &Arc<Driver>) -> std::io::Result<[JoinHandle
     driver.timer.set(timer.thread().clone()).expect("a node is spawned once");
     let rx_driver = Arc::clone(driver);
     let receive = std::thread::Builder::new().name(format!("dg-rx-{node}")).spawn(move || {
-        while catch_unwind(AssertUnwindSafe(|| receive_loop(&rx_driver))).is_err()
-            && rx_driver.is_running()
-        {
-            rx_driver.note_thread_crash(NodeThread::Receive);
-        }
+        receive_loop(&rx_driver);
+        // A crash elsewhere is seen here within a read timeout; the
+        // timer thread need not sleep out its wait to see it too.
+        rx_driver.wake_timer();
     })?;
     Ok([receive, timer])
 }
 
+/// Runs until the node stops or crashes: a refused event or, when the
+/// socket is quiet, a read timeout notices either.
 fn receive_loop(driver: &Driver) {
     let mut buf = vec![0u8; 65_536];
-    while driver.is_running() {
-        driver.beat(NodeThread::Receive);
-        driver.maybe_injected_panic(NodeThread::Receive);
+    loop {
         // Blocks for at most the socket's read timeout; with a datagram
         // already queued it returns at once, so a burst is read back to
         // back with no mode switch in between.
         match driver.socket.recv_from(&mut buf) {
-            Ok((len, _addr)) => driver.event(|core, now, backlog, out| {
-                core.handle_datagram(now, &buf[..len], backlog, out)
-            }),
+            Ok((len, _addr)) => {
+                let handled = driver.event(|core, now, backlog, out| {
+                    core.handle_datagram(now, &buf[..len], backlog, out)
+                });
+                if handled.is_err() {
+                    return;
+                }
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if !driver.is_running() {
+                    return;
+                }
+            }
+            Err(_) => return,
         }
     }
-}
-
-/// Runs one pass of a timer-thread duty under panic supervision.
-/// Returns `false` when the pass panicked.
-fn supervised(driver: &Driver, thread: NodeThread, pass: impl FnOnce()) -> bool {
-    driver.beat(thread);
-    let ok = catch_unwind(AssertUnwindSafe(|| {
-        driver.maybe_injected_panic(thread);
-        pass();
-    }))
-    .is_ok();
-    if !ok && driver.is_running() {
-        driver.note_thread_crash(thread);
-    }
-    ok
 }
 
 fn timer_loop(driver: &Driver) {
     // The core's next protocol deadline; a fresh node's hello is due.
     let mut deadline = Micros::ZERO;
     loop {
-        let shipped = supervised(driver, NodeThread::Shipper, || driver.service_departures());
-        let running = driver.is_running();
-        if running {
-            supervised(driver, NodeThread::Ticker, || {
-                deadline = driver.event(NodeCore::poll_timers);
-            });
-        } else if !shipped {
-            // A shipper duty that panics while flushing forfeits the
-            // rest rather than holding shutdown up.
+        // A crashed node flushes nothing.
+        if driver.service_departures().is_err() {
             return;
         }
-        // A frame parked ahead of the head since (the ticker's own
-        // hellos included) left an unpark token: the park returns at
-        // once and the next pass picks it up.
-        let head = driver.state.lock().carrier.head();
+        let running = driver.is_running();
+        if running {
+            // A `stop` since refuses the pass; the next turn flushes.
+            if let Ok(next) = driver.event(NodeCore::poll_timers) {
+                deadline = next;
+            }
+        }
+        // Read after `running`: whatever an event let in before `stop`
+        // had parked is here. A frame parked ahead of the head since
+        // (the ticker's own hellos included) left an unpark token: the
+        // park returns at once and the next pass picks it up.
+        let head = driver.lock_any().carrier.head();
         match next_wake(running, now_us(), head, deadline) {
             Some(wait) => std::thread::park_timeout(wait),
             None => return,
@@ -392,7 +337,7 @@ fn timer_loop(driver: &Driver) {
 /// `benchmark/` names a runtime per workload and is not edited by the
 /// PR that removed the second runtime: a unit handle, every descriptor
 /// yields the one driver. The next benchmark PR deletes it together
-/// with [`crate::cluster::Cluster::launch_on`] (ROADMAP item 6).
+/// with [`crate::cluster::Cluster::launch_on`] (ROADMAP item 4).
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct Runtime;
@@ -410,6 +355,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_topology::GraphBuilder;
+    use std::time::Instant;
 
     #[test]
     fn next_wake_is_the_earliest_departure_or_protocol_deadline() {
@@ -423,5 +370,61 @@ mod tests {
         // A stopping node waits for departures only, then for nothing.
         assert_eq!(next_wake(false, now, Some(at(3)), at(1)), wait(3));
         assert_eq!(next_wake(false, now, None, at(1)), None);
+    }
+
+    /// A node is crash-only: a core call that unwinds inside the lock
+    /// stops the node for good. Both threads exit within a read timeout
+    /// and a hello interval, nothing enters the core again, and the
+    /// post-mortem snapshot still reads. (A restart is a fresh node:
+    /// `protocol.rs::a_restarted_node_refills_its_link_state_database`.)
+    #[test]
+    fn a_core_call_that_panics_stops_its_node() {
+        let mut b = GraphBuilder::new();
+        let (a, z) = (b.add_node("A"), b.add_node("Z"));
+        b.add_link(a, z, Micros::from_millis(1), 1).expect("a link");
+        let graph = Arc::new(b.build());
+        let bind = || UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let (socket_a, socket_z) = (bind(), bind());
+        let (at_a, at_z) = (socket_a.local_addr().unwrap(), socket_z.local_addr().unwrap());
+        let spawn = |me, socket: UdpSocket, peer, at| {
+            let listen = socket.local_addr().unwrap();
+            let config =
+                NodeConfig { peers: HashMap::from([(peer, at)]), ..NodeConfig::new(me, listen) };
+            let driver = Arc::new(Driver::new(config, Arc::clone(&graph), socket));
+            let threads = spawn_threads(&driver).expect("threads start");
+            (driver, threads)
+        };
+        let (node, threads) = spawn(a, socket_a, z, at_z);
+        let (peer, peer_threads) = spawn(z, socket_z, a, at_a);
+        let acked = || node.with_core(|core| core.stats.counters.hello_acks_received > 0);
+        let started = Instant::now();
+        while !acked() {
+            assert!(started.elapsed() < Duration::from_secs(5), "the pair never exchanged hellos");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let crasher = Arc::clone(&node);
+        let unwound = std::thread::spawn(move || {
+            crasher.event(|_, _, _, _| -> () { panic!("a core call unwinds") })
+        })
+        .join();
+        assert!(unwound.is_err(), "the panic unwinds out of its thread");
+        let crashed = Instant::now();
+        for thread in threads {
+            thread.join().expect("a node thread exits, not unwinds");
+        }
+        let bound = RECV_TIMEOUT + node.config.hello_interval;
+        assert!(crashed.elapsed() < bound, "threads took {:?} to stop", crashed.elapsed());
+        assert!(!node.is_running());
+        assert!(matches!(node.event(|_, _, _, _| ()), Err(OverlayError::Shutdown)));
+        let post_mortem = node.with_core(|core| core.snapshot());
+        assert_eq!(post_mortem.node, a);
+        assert!(post_mortem.counters.hellos_sent > 0, "{post_mortem:?}");
+
+        assert!(peer.is_running(), "a neighbour's crash is not its own");
+        peer.stop();
+        for thread in peer_threads {
+            thread.join().expect("a node thread exits");
+        }
     }
 }

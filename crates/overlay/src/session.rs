@@ -122,16 +122,13 @@ impl Session {
 
     fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
         Self::check(payloads)?;
-        Ok(self
-            .driver
-            .event(|core, now, backlog, out| core.send(now, self.id, payloads, backlog, out)))
+        self.driver.event(|core, now, backlog, out| core.send(now, self.id, payloads, backlog, out))
     }
 
     fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
         Self::check(&[payload])?;
-        Ok(self
-            .driver
-            .event(|core, now, backlog, out| core.tail_probe(now, self.id, payload, backlog, out)))
+        self.driver
+            .event(|core, now, backlog, out| core.tail_probe(now, self.id, payload, backlog, out))
     }
 }
 
@@ -162,7 +159,8 @@ impl FlowSender {
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes.
+    /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
+    /// node has stopped; nothing is sent in either case.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
         self.0.send_batch(&[payload])
     }
@@ -189,7 +187,8 @@ impl FlowSender {
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
     /// [`MAX_PAYLOAD`] bytes (the payload must be the one passed to the
     /// matching [`FlowSender::send`] for the probe to be a faithful
-    /// re-offer).
+    /// re-offer), and [`OverlayError::Shutdown`] once the node has
+    /// stopped.
     pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
         self.0.tail_probe(payload)
     }
@@ -206,7 +205,8 @@ impl FlowSender {
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
-    /// [`MAX_PAYLOAD`]; nothing is sent in that case.
+    /// [`MAX_PAYLOAD`], and [`OverlayError::Shutdown`] once the node
+    /// has stopped; nothing is sent in either case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
         self.0.send_batch(payloads)
     }
@@ -252,7 +252,8 @@ impl FlowGroup {
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes.
+    /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
+    /// node has stopped; nothing is sent in either case.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
         self.0.send_batch(&[payload])
     }
@@ -266,7 +267,8 @@ impl FlowGroup {
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
-    /// [`MAX_PAYLOAD`]; nothing is sent in that case.
+    /// [`MAX_PAYLOAD`], and [`OverlayError::Shutdown`] once the node
+    /// has stopped; nothing is sent in either case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
         self.0.send_batch(payloads)
     }
@@ -279,7 +281,8 @@ impl FlowGroup {
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes.
+    /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
+    /// node has stopped.
     pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
         self.0.tail_probe(payload)
     }

@@ -16,16 +16,16 @@
 //! ([`Net::wire`]); a `Net` dropped by a failing assertion prints its
 //! seed.
 //!
-//! What it cannot check is what needs an operating system: thread
-//! supervision, a port re-bound, a socket drained — those stay on
-//! `Cluster`.
+//! What it cannot check is what needs an operating system: threads
+//! that exit when their node crashes, a port re-bound, a socket
+//! drained — those stay on `Cluster` and the driver's own tests.
 
 use crate::carrier::Carrier;
 use crate::chaos::{incident_edges, ChaosRunner, ChaosSchedule, ChaosTarget};
 use crate::cluster::{ClusterConfig, Emulation};
 use crate::core::{Actions, NodeCore, Route, SessionId};
 use crate::fault::{FaultPlan, LinkFault};
-use crate::metrics::{ClusterMetricsReport, MetricsSnapshot, NodeThread};
+use crate::metrics::{ClusterMetricsReport, MetricsSnapshot};
 use crate::session::Delivery;
 use crate::wire::{DataPacket, DigestEntry, Envelope, Message};
 use crate::OverlayError;
@@ -661,8 +661,6 @@ impl ChaosTarget for Net {
         }
         Ok(())
     }
-
-    fn panic_thread(&mut self, _node: NodeId, _thread: NodeThread) {}
 
     fn overload(&mut self, node: NodeId, shipments: usize, dwell: Duration) {
         if self.is_alive(node) {

@@ -259,7 +259,6 @@ fn a_delayed_control_frame_wakes_the_timer_thread() {
         link_state_interval: cadence,
         digest_interval: cadence,
         link_state_max_age: cadence * 4,
-        watchdog_stale_after: cadence * 4,
         ..NodeConfig::new(n[0], listen)
     };
     let node = OverlayNode::spawn(config, Arc::new(graph)).expect("node spawns");
@@ -303,7 +302,6 @@ fn spawn_rejects_a_config_that_breaks_a_rule_or_the_topology() {
     let ms = Duration::from_millis;
     let broken = [
         (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
-        (NodeConfig { watchdog_stale_after: ms(100), ..ok() }, "watchdog_stale_after"),
         (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
         (NodeConfig { node: NodeId::new(3), ..ok() }, "site of the topology"),
         // C exists, but shares no link with A.

@@ -718,7 +718,6 @@ fn a_delayed_control_frame_leaves_at_its_departure_time() {
         hello_interval: cadence,
         link_state_interval: cadence,
         digest_interval: cadence,
-        watchdog_stale_after: cadence * 4,
         ..ClusterConfig::default()
     };
     let mut net = Net::launch_except(&graph, config, &[n[1]]).expect("sound");

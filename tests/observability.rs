@@ -464,7 +464,6 @@ fn overlay_agrees_with_simulator_on_generated_topology() {
             hello_interval: Duration::from_millis(500),
             link_state_interval: Duration::from_secs(1),
             digest_interval: Duration::from_secs(3),
-            watchdog_stale_after: Duration::from_secs(5),
             ..Default::default()
         },
     );

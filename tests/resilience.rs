@@ -11,8 +11,9 @@
 //!   fail-fast, but recoveries are held down, suppressions are counted
 //!   and journaled, and the admitted transition rate is bounded.
 //!
-//! (That a supervised thread which panics is journaled, restarted and
-//! flagged needs threads: `tests/runtime.rs`.)
+//! (That a panic in a core call stops its node needs threads: the unit
+//! test in `runtime.rs`. That a restart under a fresh epoch rejoins is
+//! `protocol.rs::a_restarted_node_refills_its_link_state_database`.)
 //!
 //! All tests are seeded via `DG_CHAOS_SEED` (default 42) so CI can run
 //! the same scenarios across a seed sweep.
