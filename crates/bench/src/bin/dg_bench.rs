@@ -40,11 +40,11 @@
 //! Usage: `cargo run --release -p dg-bench --bin dg-bench --
 //! [--quick] [--only sim|sim-parallel|overload|many-flow]
 //! [--overload] [--parallel] [--flows N]
-//! [--topo us|global|ring|waxman] [--nodes N]
+//! [--topology us|global|ring|waxman] [--nodes N] [--seed N]
 //! [--check docs/bench_baseline]`
 //!
-//! `--topo`/`--nodes` swap the sim bench's topology for a generated
-//! overlay (see `dg_topology::generate`).
+//! `--topology`/`--nodes`/`--seed` swap the sim bench's topology for a
+//! generated overlay (see `dg_topology::generate`).
 
 use dg_bench::cli::Cli;
 use dg_bench::{cores, git_rev, topo_cli, topo_from_matches};

@@ -38,7 +38,7 @@ struct FlagSpec {
 /// A declarative command-line parser shared by all binaries.
 #[derive(Debug, Clone)]
 pub struct Cli {
-    name: &'static str,
+    name: String,
     about: &'static str,
     flags: Vec<FlagSpec>,
 }
@@ -77,8 +77,8 @@ impl std::error::Error for CliError {}
 
 impl Cli {
     /// A parser for the binary `name`, described by `about` in `--help`.
-    pub fn new(name: &'static str, about: &'static str) -> Self {
-        Cli { name, about, flags: Vec::new() }
+    pub fn new(name: impl Into<String>, about: &'static str) -> Self {
+        Cli { name: name.into(), about, flags: Vec::new() }
     }
 
     /// Declares an optional valued flag (`--name VALUE`).
@@ -142,6 +142,11 @@ impl Cli {
         out
     }
 
+    /// Whether `--name` is one of the declared flags.
+    pub fn declares(&self, name: &str) -> bool {
+        self.spec(name).is_some()
+    }
+
     fn spec(&self, name: &str) -> Option<&FlagSpec> {
         self.flags.iter().find(|s| s.name == name)
     }
@@ -192,7 +197,13 @@ impl Cli {
     /// Parses the process arguments; prints help or a uniform error (and
     /// the usage text) and exits when parsing cannot proceed.
     pub fn parse_env(&self) -> Matches {
-        match self.parse(std::env::args().skip(1)) {
+        self.parse_or_exit(std::env::args().skip(1))
+    }
+
+    /// Parses `args` as [`Cli::parse_env`] parses the process
+    /// arguments: help and errors print and exit.
+    pub fn parse_or_exit<I: IntoIterator<Item = String>>(&self, args: I) -> Matches {
+        match self.parse(args) {
             Ok(m) if m.is_set("help") => {
                 print!("{}", self.usage());
                 std::process::exit(0);
@@ -308,6 +319,8 @@ mod tests {
         assert!(usage.contains("[default: 100]"));
         assert!(usage.contains("--quick"));
         assert!(usage.contains("--help"));
+        assert!(demo().declares("rate") && demo().declares("quick"));
+        assert!(!demo().declares("help") && !demo().declares("bogus"));
     }
 
     #[test]

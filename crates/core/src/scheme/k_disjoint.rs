@@ -4,8 +4,8 @@
 //! and comparing it against targeted redundancy is the natural ablation
 //! of the paper's design: a third or fourth disjoint path adds
 //! *permanent* cost everywhere, while targeted redundancy adds
-//! redundancy only where and when problems occur. The ablation binary
-//! (`dg-bench --bin ablation_kpaths`) quantifies the difference.
+//! redundancy only where and when problems occur. The ablation
+//! (`dg-exp ablation_kpaths`) quantifies the difference.
 
 use crate::scheme::{RoutingScheme, SchemeKind};
 use crate::{CoreError, DisseminationGraph, Flow};

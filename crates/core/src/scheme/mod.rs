@@ -123,7 +123,7 @@ pub struct SchemeParams {
     /// beyond the disjoint pair, lowest-latency branches first. `None`
     /// (the paper's construction) uses every usable neighbour; smaller
     /// caps trade coverage for escalated-mode cost (see the
-    /// `ablation_branches` experiment).
+    /// `dg-exp ablation_branches` experiment).
     pub problem_branch_limit: Option<u8>,
 }
 

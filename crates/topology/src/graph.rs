@@ -48,7 +48,13 @@ pub struct EdgeInfo {
 /// assert_eq!(g.edge_count(), 2); // one link = two directed edges
 /// # Ok::<(), dg_topology::TopologyError>(())
 /// ```
+///
+/// A graph serializes as its nodes and edges only; deserializing
+/// rebuilds it through [`GraphBuilder`], so a file is held to the same
+/// rules as code that builds a graph, and the lookup indices are always
+/// derived from the edges, never read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "GraphData", into = "GraphData")]
 pub struct Graph {
     nodes: Vec<NodeInfo>,
     edges: Vec<EdgeInfo>,
@@ -178,6 +184,42 @@ impl Graph {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// What a [`Graph`] serializes as: its primary data, without the
+/// indices derived from it.
+#[derive(Serialize, Deserialize)]
+struct GraphData {
+    nodes: Vec<NodeInfo>,
+    edges: Vec<EdgeInfo>,
+}
+
+impl From<Graph> for GraphData {
+    fn from(graph: Graph) -> Self {
+        GraphData { nodes: graph.nodes, edges: graph.edges }
+    }
+}
+
+impl TryFrom<GraphData> for Graph {
+    type Error = TopologyError;
+
+    /// CORRECTNESS: every rule [`GraphBuilder`] enforces holds for a
+    /// loaded graph too — unique node names (`DuplicateNodeName`), edge
+    /// endpoints that exist (`UnknownNode`), no self loops (`SelfLoop`),
+    /// positive latencies (`ZeroLatency`), at most one edge per ordered
+    /// pair (`DuplicateEdge`) — and `out_edges`, `in_edges`, `reverse`
+    /// and `name_index` agree with the edges because they are built from
+    /// them.
+    fn try_from(data: GraphData) -> Result<Self, TopologyError> {
+        let mut builder = GraphBuilder::new();
+        for node in data.nodes {
+            builder.try_add_node(&node.name, node.position)?;
+        }
+        for edge in data.edges {
+            builder.add_edge(edge.src, edge.dst, edge.latency, edge.cost)?;
+        }
+        Ok(builder.build())
     }
 }
 
@@ -436,6 +478,52 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let back: Graph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
+    }
+
+    /// A graph file is held to the builder's rules, each refusal a
+    /// `TopologyError`, and the indices it carries are never believed.
+    #[test]
+    fn deserializing_rebuilds_through_the_builder() {
+        let node = |name: &str| format!(r#"{{"name":"{name}","position":null}}"#);
+        let edge = |src: u32, dst: u32, latency: u64| {
+            format!(r#"{{"src":{src},"dst":{dst},"latency":{latency},"cost":1}}"#)
+        };
+        let file = |nodes: &[String], edges: &[String], extra: &str| {
+            format!(r#"{{"nodes":[{}],"edges":[{}]{extra}}}"#, nodes.join(","), edges.join(","))
+        };
+        let (a, b) = (node("A"), node("B"));
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        let refused = [
+            (file(&[a.clone(), a.clone()], &[], ""), TopologyError::DuplicateNodeName("A".into())),
+            (
+                file(&[a.clone(), b.clone()], &[edge(0, 9, 5)], ""),
+                TopologyError::UnknownNode(NodeId::new(9)),
+            ),
+            (file(&[a.clone(), b.clone()], &[edge(0, 0, 5)], ""), TopologyError::SelfLoop(n0)),
+            (
+                file(&[a.clone(), b.clone()], &[edge(0, 1, 0)], ""),
+                TopologyError::ZeroLatency(n0, n1),
+            ),
+            (
+                file(&[a.clone(), b.clone()], &[edge(0, 1, 5), edge(0, 1, 7)], ""),
+                TopologyError::DuplicateEdge(n0, n1),
+            ),
+        ];
+        for (json, expected) in refused {
+            let err = serde_json::from_str::<Graph>(&json).expect_err(&json);
+            assert!(err.to_string().contains(&expected.to_string()), "{json}: {err}");
+        }
+
+        // Indices that disagree with the edges are discarded, not read.
+        let lying = r#","out_edges":[[1],[0]],"in_edges":[[],[]],"reverse":[null,null],"name_index":{"A":1,"B":0}"#;
+        let parsed: Graph =
+            serde_json::from_str(&file(&[a, b], &[edge(0, 1, 5), edge(1, 0, 5)], lying)).unwrap();
+        let mut builder = GraphBuilder::new();
+        let (x, y) = (builder.add_node("A"), builder.add_node("B"));
+        builder.add_link(x, y, Micros::from_micros(5), 1).unwrap();
+        assert_eq!(parsed, builder.build());
+        assert_eq!(parsed.node_by_name("A"), Some(n0));
+        assert_eq!(parsed.out_edges(n0), &[EdgeId::new(0)]);
     }
 
     #[test]

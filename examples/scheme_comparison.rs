@@ -43,6 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.average_cost
         );
     }
-    println!("\n(the full 16-flow, multi-week version is `cargo run -p dg-bench --bin table2`)");
+    println!("\n(the full 16-flow, multi-week version is `cargo run -p dg-bench --bin dg-exp -- table2`)");
     Ok(())
 }
