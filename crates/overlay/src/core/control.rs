@@ -170,85 +170,111 @@ impl NodeCore {
         }
     }
 
-    /// Runs the problem detector over every in-link — the loss observed
-    /// *from* each neighbour and the latency above baseline, as of
-    /// `now` — and moves what each link advertises through the flap
-    /// damper. Returns whether an advertised flag changed, which is
-    /// worth an origination of its own.
+    /// Runs the problem detector over every in-link, as the hello tick
+    /// does: [`NodeCore::evaluate_link`] on each. Returns whether an
+    /// advertised flag changed, which is worth an origination of its
+    /// own.
     pub(super) fn evaluate_links(&mut self, now: Micros) -> bool {
-        let (monitor, damper, stats) = (&mut self.monitor, &mut self.damper, &mut self.stats);
         let mut transitioned = false;
-        for &(_, neighbor, baseline) in &self.in_links {
-            let extra =
-                monitor.one_way_from(neighbor).map_or(Micros::ZERO, |d| d.saturating_sub(baseline));
-            let loss = monitor.loss_from(neighbor, now);
-            // The problem detector stays quiet until a link has
-            // delivered at least one hello; a never-heard link reads
-            // as 100% loss and would trigger spuriously at startup.
-            if monitor.heard_from(neighbor) {
-                let _ = monitor.detect(neighbor, loss, self.scheme_params.problem_loss_threshold);
-            }
-            // Hello silence past the monitor's horizon declares the
-            // link down outright — flooded so every scheme routes
-            // around it rather than waiting for loss estimates to
-            // decay.
-            let _ = monitor.down_transition(neighbor, now);
-            let raw = AdvertisedLink {
-                down: monitor.is_down(neighbor, now),
-                triggered: monitor.is_triggered(neighbor),
-                loss: loss as f32,
-                extra_latency_us: extra.as_micros().min(u64::from(u32::MAX)) as u32,
-                withheld: false,
-            };
-            let adv = self.advertised.entry(neighbor).or_default();
-            if raw.down == adv.down && raw.triggered == adv.triggered {
-                // Flags are steady: measured loss and latency drift
-                // through untouched.
-                *adv = raw;
-                continue;
-            }
-            // Bad news is fail-fast: a down declaration or a detector
-            // trigger bypasses the damper (but still charges it, so the
-            // good-news side of a flapping link stays held). Everything
-            // else asks.
-            let bad_news = (raw.down && !adv.down) || (raw.triggered && !adv.triggered);
-            let admitted = if bad_news {
-                damper.record_forced(neighbor, now);
-                true
-            } else {
-                damper.admit(neighbor, now)
-            };
-            if !admitted {
-                // Suppressed: keep the previous advertisement wholesale
-                // — flags *and* measurements — so an oscillating link
-                // cannot thrash every scheme in the network.
-                if !std::mem::replace(&mut adv.withheld, true) {
-                    stats.counters.flap_suppressions += 1;
-                    let penalty = damper.penalty(neighbor, now) as f32;
-                    stats.record_at(now, EventKind::FlapSuppressed { neighbor, penalty });
-                }
-                continue;
-            }
-            if raw.down != adv.down {
-                if raw.down {
-                    stats.counters.links_declared_down += 1;
-                    stats.record_at(now, EventKind::LinkDown { neighbor });
-                } else {
-                    stats.record_at(now, EventKind::LinkUp { neighbor });
-                }
-            }
-            if raw.triggered != adv.triggered {
-                let kind = if raw.triggered {
-                    EventKind::DetectorTriggered { neighbor, loss: raw.loss }
-                } else {
-                    EventKind::DetectorCleared { neighbor, loss: raw.loss }
-                };
-                stats.record_at(now, kind);
-            }
-            *adv = raw;
-            transitioned = true;
+        for link in 0..self.in_links.len() {
+            transitioned |= self.evaluate_link(link, now);
         }
         transitioned
+    }
+
+    /// A gap on the link from `from`, exposed by a frame at `cx.now`:
+    /// a busy link ([`crate::monitor::LinkMonitor::is_busy`]) that is
+    /// not triggered is judged on the spot rather than at the next
+    /// hello tick, and a trigger it admits is originated at once. A
+    /// triggered link waits for the tick to clear, and a quiet one is
+    /// judged on ticks alone.
+    pub(super) fn judge_on_gap(&mut self, cx: &mut Cx, from: NodeId) {
+        let open = self.recv_links.get(&from).map_or((0, 0), |t| t.evidence());
+        if self.monitor.is_triggered(from) || !self.monitor.is_busy(from, open) {
+            return;
+        }
+        let Some(link) = self.in_links.iter().position(|&(_, n, _)| n == from) else { return };
+        if self.evaluate_link(link, cx.now) {
+            self.originate_link_state(cx);
+        }
+    }
+
+    /// Runs the problem detector over in-link number `link` — the loss
+    /// observed *from* its neighbour, over the closed hello ticks and
+    /// the open one's evidence so far, and the latency above baseline,
+    /// as of `now` — and moves what the link advertises through the
+    /// flap damper. Returns whether an advertised flag changed.
+    fn evaluate_link(&mut self, link: usize, now: Micros) -> bool {
+        let (monitor, damper, stats) = (&mut self.monitor, &mut self.damper, &mut self.stats);
+        let (_, neighbor, baseline) = self.in_links[link];
+        let extra =
+            monitor.one_way_from(neighbor).map_or(Micros::ZERO, |d| d.saturating_sub(baseline));
+        let open = self.recv_links.get(&neighbor).map_or((0, 0), |t| t.evidence());
+        let loss = monitor.estimate(neighbor, open, now);
+        // The problem detector stays quiet until a link has delivered
+        // at least one hello; a never-heard link reads as 100% loss and
+        // would trigger spuriously at startup.
+        if monitor.heard_from(neighbor) {
+            let _ = monitor.detect(neighbor, loss, self.scheme_params.problem_loss_threshold);
+        }
+        // Hello silence past the monitor's horizon declares the link
+        // down outright — flooded so every scheme routes around it
+        // rather than waiting for loss estimates to decay.
+        let _ = monitor.down_transition(neighbor, now);
+        let raw = AdvertisedLink {
+            down: monitor.is_down(neighbor, now),
+            triggered: monitor.is_triggered(neighbor),
+            loss: loss as f32,
+            extra_latency_us: extra.as_micros().min(u64::from(u32::MAX)) as u32,
+            withheld: false,
+        };
+        let adv = self.advertised.entry(neighbor).or_default();
+        if raw.down == adv.down && raw.triggered == adv.triggered {
+            // Flags are steady: measured loss and latency drift through
+            // untouched.
+            *adv = raw;
+            return false;
+        }
+        // Bad news is fail-fast: a down declaration or a detector
+        // trigger bypasses the damper (but still charges it, so the
+        // good-news side of a flapping link stays held). Everything
+        // else asks.
+        let bad_news = (raw.down && !adv.down) || (raw.triggered && !adv.triggered);
+        let admitted = if bad_news {
+            damper.record_forced(neighbor, now);
+            true
+        } else {
+            damper.admit(neighbor, now)
+        };
+        if !admitted {
+            // Suppressed: keep the previous advertisement wholesale —
+            // flags *and* measurements — so an oscillating link cannot
+            // thrash every scheme in the network.
+            if !std::mem::replace(&mut adv.withheld, true) {
+                stats.counters.flap_suppressions += 1;
+                let penalty = damper.penalty(neighbor, now) as f32;
+                stats.record_at(now, EventKind::FlapSuppressed { neighbor, penalty });
+            }
+            return false;
+        }
+        if raw.down != adv.down {
+            if raw.down {
+                stats.counters.links_declared_down += 1;
+                stats.record_at(now, EventKind::LinkDown { neighbor });
+            } else {
+                stats.record_at(now, EventKind::LinkUp { neighbor });
+            }
+        }
+        if raw.triggered != adv.triggered {
+            let kind = if raw.triggered {
+                EventKind::DetectorTriggered { neighbor, loss: raw.loss }
+            } else {
+                EventKind::DetectorCleared { neighbor, loss: raw.loss }
+            };
+            stats.record_at(now, kind);
+        }
+        *adv = raw;
+        true
     }
 
     /// Originates this node's own link-state report — what

@@ -277,10 +277,11 @@ impl NodeCore {
 
     /// Handles the `records` of one incoming frame (a DATA frame is a
     /// frame of one), all of them arrived at `cx.now`. Every packet has
-    /// its own outcome — a gap it exposes is NACKed, a copy already seen
-    /// is suppressed, a packet for this node is delivered on time or
-    /// late, an expired one goes no further — and the survivors leave as
-    /// they arrived: every maximal run of consecutive accepted records
+    /// its own outcome — a gap it exposes is NACKed and judged by the
+    /// link's problem detector ([`NodeCore::judge_on_gap`]), a copy
+    /// already seen is suppressed, a packet for this node is delivered
+    /// on time or late, an expired one goes no further — and the
+    /// survivors leave as they arrived: every maximal run of consecutive accepted records
     /// sharing one `(flow, class, mask)` is forwarded as one batch per
     /// out-neighbour. Everything is read off the frame's body where it
     /// lies. What does not depend on the packet is done once a frame,
@@ -299,12 +300,19 @@ impl NodeCore {
             .entry(from)
             .or_default()
             .observe_run(cx.now, sequenced.map(|(i, r)| (first + i as u64, r.sent_at, r.deadline)));
-        for missing in gaps {
-            let packets = missing.len() as u64;
-            self.stats.counters.nack_messages_sent += 1;
-            self.stats.counters.retransmit_requests_issued += packets;
-            self.stats.record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
-            cx.control(self.me(), from, Message::Nack { missing });
+        // A frame that continues the stream costs this one branch. A
+        // gap is fresh loss evidence: the link's detector judges it
+        // now, not at the next hello tick.
+        if !gaps.is_empty() {
+            for missing in gaps {
+                let packets = missing.len() as u64;
+                self.stats.counters.nack_messages_sent += 1;
+                self.stats.counters.retransmit_requests_issued += packets;
+                self.stats
+                    .record_at(cx.now, EventKind::RecoveryRequested { neighbor: from, packets });
+                cx.control(self.me(), from, Message::Nack { missing });
+            }
+            self.judge_on_gap(cx, from);
         }
         for stretch in records.chunk_by(|a, b| a.flow == b.flow) {
             self.accept_stretch(cx, frame, stretch);

@@ -286,9 +286,11 @@ impl NodeCore {
     /// in the retransmit buffers, idle duplicate windows, the problem
     /// detector) on the hello cadence, link-state origination and
     /// scheme refresh on the link-state cadence, anti-entropy digests
-    /// on theirs. A flag the detector moves does
-    /// not wait for the link-state cadence: it is originated on the tick
-    /// it happens. Returns the next instant a duty falls due.
+    /// on theirs. A flag the detector moves does not wait for the
+    /// link-state cadence: it is originated on the tick it happens (a
+    /// trigger between ticks, on the frame whose gap set it off, see
+    /// [`NodeCore::handle_datagram`]). Returns the next instant a duty
+    /// falls due.
     pub(crate) fn poll_timers(&mut self, now: Micros, backlog: u64, out: &mut Actions) -> Micros {
         let cx = &mut Cx { now, backlog, out };
         let hello_due = now >= self.next_hello;

@@ -13,10 +13,17 @@
 //! holds [`SAMPLE_TARGET`] samples, between [`SPAN_FLOOR_TICKS`] and
 //! the configured window: a link carrying a thousand packets a second
 //! is judged on its last fifth of a second, an idle one on its last
-//! window of hellos and nothing else. What is advertised is the lower
-//! of that estimate and one over twice the span: a problem has to be
-//! both recent and more than one burst can fake (see
-//! [`LinkMonitor::loss_from`]).
+//! window of hellos and nothing else. What is advertised is the lowest
+//! of that estimate, one over twice the floor and the samples, and one
+//! over half of each: a problem has to be more than one burst can fake,
+//! and on a busy link it is over as soon as the last two ticks say so
+//! (see [`LinkMonitor::estimate`]).
+//!
+//! Ticks close on the hello tick, but evidence need not wait for one:
+//! the estimate reads the closed ticks plus whatever the open tick has
+//! gathered so far, so the node judges a busy link
+//! ([`LinkMonitor::is_busy`]) on the frame whose gap pushed it over the
+//! threshold, and every link on the hello tick, with the one estimate.
 //!
 //! Estimates are *staleness-aware*: a link that stops delivering hellos
 //! entirely would otherwise freeze at its last (possibly clean)
@@ -33,9 +40,13 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 /// Gilbert–Elliott background of the benchmarks loses two or three
 /// packets of five); four ticks of a busy link dilute it well below a
 /// 5 % threshold, while one tick of a real 50 % loss still reads above
-/// 10 %. It is also what a clear waits for: the estimate of a healed
-/// link falls to zero once the span holds clean ticks only, four to
-/// five ticks after the loss ends.
+/// 10 %. A clear does not wait for it on a busy link: a span of half
+/// the floor and half the [`SAMPLE_TARGET`] is the estimate's third —
+/// the last two ticks at a thousand packets a second — and the estimate
+/// of a healed link falls to zero once those ticks are clean, two to
+/// three ticks after the loss ends. A quieter link's short span reaches
+/// further back, and a link carrying hellos only fills none of the
+/// three before the window's end.
 pub const SPAN_FLOOR_TICKS: u64 = 4;
 
 /// The samples an estimate wants before it stops widening its span. At
@@ -44,7 +55,9 @@ pub const SPAN_FLOOR_TICKS: u64 = 4;
 /// samples of an independent loss is within ±3 points of the rate
 /// nineteen times in twenty. A link too quiet to supply them inside
 /// the window is judged on the whole window, as an idle link always
-/// was.
+/// was. Half of them — a hundred samples, where a 2.5 % clear reads
+/// two or three losses — is what the short span wants: the fewest that
+/// can stand for a link's present on their own.
 pub const SAMPLE_TARGET: u64 = 200;
 
 /// Hello ticks per loss-estimation window as the node runs it (the
@@ -88,13 +101,14 @@ struct NeighborStats {
 }
 
 impl NeighborStats {
-    /// `(expected, received)` data sequences over the last `ticks`.
-    fn data_over(&self, ticks: u64) -> (u64, u64) {
+    /// `(expected, received)` data sequences over the last `ticks`
+    /// closed ticks and the open tick's `open`.
+    fn data_over(&self, ticks: u64, open: (u64, u64)) -> (u64, u64) {
         self.data
             .iter()
             .rev()
             .take(ticks as usize)
-            .fold((0, 0), |(e, r), &(expected, received)| (e + expected, r + received))
+            .fold(open, |(e, r), &(expected, received)| (e + expected, r + received))
     }
 }
 
@@ -259,30 +273,61 @@ impl LinkMonitor {
     }
 
     /// How many trailing hello ticks an estimate for `stats` spans: the
-    /// fewest, from `scale` × [`SPAN_FLOOR_TICKS`] up, that hold
-    /// `scale` × [`SAMPLE_TARGET`] samples, or the whole window when
-    /// none does. `sent` is how many hellos the neighbour has sent since
-    /// the first one heard.
-    fn span(&self, stats: &NeighborStats, sent: u64, scale: u64) -> u64 {
-        let floor = (scale * SPAN_FLOOR_TICKS).min(self.window);
-        let enough =
-            |&ticks: &u64| sent.min(ticks) + stats.data_over(ticks).0 >= scale * SAMPLE_TARGET;
-        (floor..self.window).find(enough).unwrap_or(self.window)
+    /// fewest, from `floor` up, that hold `target` samples with the open
+    /// tick's `open`, or the whole window when none does. `sent` is how
+    /// many hellos the neighbour has sent since the first one heard.
+    fn span(
+        &self,
+        stats: &NeighborStats,
+        sent: u64,
+        (floor, target): (u64, u64),
+        open: (u64, u64),
+    ) -> u64 {
+        let enough = |&ticks: &u64| sent.min(ticks) + stats.data_over(ticks, open).0 >= target;
+        (floor.min(self.window)..self.window).find(enough).unwrap_or(self.window)
+    }
+
+    /// Whether the link from `neighbor` is busy enough to be judged as
+    /// its evidence lands rather than on the hello tick: its data
+    /// alone, the closed ticks of the window and the open tick's
+    /// `open`, supplies the wide span's twice [`SAMPLE_TARGET`]. Then
+    /// a burst has four hundred samples to dilute it, not the handful a
+    /// link starting to carry a flow has, and the rest of the tick
+    /// cannot halve what a gap read.
+    pub fn is_busy(&self, neighbor: NodeId, open: (u64, u64)) -> bool {
+        self.neighbors
+            .get(&neighbor)
+            .is_some_and(|s| s.data_over(self.window, open).0 >= 2 * SAMPLE_TARGET)
+    }
+
+    /// [`LinkMonitor::estimate`] as of a tick just closed: the closed
+    /// ticks alone.
+    pub fn loss_from(&self, neighbor: NodeId, now: Micros) -> f64 {
+        self.estimate(neighbor, (0, 0), now)
     }
 
     /// Estimated loss rate on the link *from* `neighbor` to this node
-    /// as of `now`: the hellos and data sequences missing among those
-    /// expected — over the estimate's span of hello ticks, and over a
-    /// span of twice the floor and twice the samples (the window
-    /// permitting), whichever reads lower. A problem has to be recent,
-    /// so a healed link reads clean once the narrow span does; and it
-    /// has to be substantial, so the ten losses the worst background
-    /// burst in fifty packs into one tick do not read as a 5 % link.
+    /// as of `now`, with `open` the `(expected, received)` data
+    /// sequences of the tick still open (what
+    /// [`crate::recovery::GapTracker::evidence`] reads): the hellos and
+    /// data sequences missing among those expected, over three spans of
+    /// hello ticks, each the closed ticks plus the open one, and the
+    /// lowest reading wins. The estimate's span; a short one, of half
+    /// the floor and half the samples; and a wide one, of twice both
+    /// (the window permitting each). A problem has to be substantial,
+    /// so the ten losses the worst background burst in fifty packs into
+    /// one tick do not read as a 5 % link; and it has to be current, so
+    /// a healed busy link reads clean once its last two ticks do. The
+    /// short span reaches back as far as it must for its samples, so a
+    /// link that falls quiet after a clear is judged on the clean
+    /// samples that cleared it, not on the older, lossy ones; an idle
+    /// link, or one carrying hellos only, fills no span before the
+    /// window's end and is judged on the window, as before.
     /// Unknown neighbours report full loss (a link that has never
     /// delivered a hello is as good as down), hellos are expected from
     /// the first one heard in the neighbour's current life, and hellos
     /// overdue since the link last delivered anything count as lost.
-    pub fn loss_from(&self, neighbor: NodeId, now: Micros) -> f64 {
+    pub fn estimate(&self, neighbor: NodeId, open: (u64, u64), now: Micros) -> f64 {
         let Some(stats) = self.neighbors.get(&neighbor) else {
             return 1.0;
         };
@@ -296,11 +341,18 @@ impl LinkMonitor {
         let overdue = (silence / self.hello_interval.as_micros()).saturating_sub(1);
         let over = |ticks: u64| {
             let hellos = stats.received.iter().filter(|&&s| s + ticks > highest).count() as u64;
-            let (data_expected, data) = stats.data_over(ticks);
+            let (data_expected, data) = stats.data_over(ticks, open);
             let expected = sent.min(ticks) + overdue.min(ticks) + data_expected;
             (1.0 - (hellos + data) as f64 / expected.max(1) as f64).clamp(0.0, 1.0)
         };
-        over(self.span(stats, sent, 1)).min(over(self.span(stats, sent, 2)))
+        [
+            (SPAN_FLOOR_TICKS / 2, SAMPLE_TARGET / 2),
+            (SPAN_FLOOR_TICKS, SAMPLE_TARGET),
+            (2 * SPAN_FLOOR_TICKS, 2 * SAMPLE_TARGET),
+        ]
+        .into_iter()
+        .map(|shape| over(self.span(stats, sent, shape, open)))
+        .fold(1.0, f64::min)
     }
 
     /// Smoothed RTT to `neighbor`, if any echo has returned.
@@ -611,6 +663,114 @@ mod tests {
             })
             .expect("a healed link clears");
         assert!(cleared_after < 5, "cleared only after {} clean ticks", cleared_after + 1);
+    }
+
+    #[test]
+    fn a_busy_link_clears_once_its_last_two_ticks_are_clean() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        for i in 0..20 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        for i in 20..40 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK / 2);
+        }
+        assert_eq!(m.detect(n, m.loss_from(n, at(39)), 0.05), Some(true));
+        // One clean tick: the last two still hold half of a lossy one.
+        tick(&mut m, n, 40, PER_TICK, PER_TICK);
+        assert_eq!(m.detect(n, m.loss_from(n, at(40)), 0.05), None);
+        // Two: they are clean, whatever the four- and eight-tick spans
+        // still hold.
+        tick(&mut m, n, 41, PER_TICK, PER_TICK);
+        let loss = m.loss_from(n, at(41));
+        assert_eq!(loss, 0.0);
+        assert_eq!(m.detect(n, loss, 0.05), Some(false));
+    }
+
+    #[test]
+    fn a_quieter_link_releases_on_as_many_ticks_as_hold_half_the_samples() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        // 40 samples a tick: the short span needs three ticks for its
+        // hundred, so a healed link clears on its third clean tick.
+        for i in 0..20 {
+            tick(&mut m, n, i, 40, 20);
+        }
+        let cleared_after = (20..40)
+            .position(|i| {
+                tick(&mut m, n, i, 40, 40);
+                m.loss_from(n, at(i)) <= 0.025
+            })
+            .expect("a healed link clears");
+        assert_eq!(cleared_after + 1, 3, "cleared after {} clean ticks", cleared_after + 1);
+    }
+
+    #[test]
+    fn a_cleared_link_stays_clear_when_its_ticks_thin_or_it_falls_idle() {
+        let n = NodeId::new(1);
+        for after in [48, 0] {
+            let mut m = busy_monitor();
+            for i in 0..20 {
+                tick(&mut m, n, i, PER_TICK, PER_TICK);
+            }
+            for i in 20..40 {
+                tick(&mut m, n, i, PER_TICK, PER_TICK / 2);
+            }
+            assert_eq!(m.detect(n, m.loss_from(n, at(39)), 0.05), Some(true));
+            for i in 40..42 {
+                tick(&mut m, n, i, PER_TICK, PER_TICK);
+            }
+            assert_eq!(m.detect(n, m.loss_from(n, at(41)), 0.05), Some(false));
+            // The flow thins below a hundred samples in two ticks (tick
+            // jitter), or moves off the link: the short span reaches
+            // back to the clean ticks that cleared it, never past them
+            // to the loss the longer spans still hold.
+            for i in 42..70 {
+                tick(&mut m, n, i, after, after);
+                let loss = m.loss_from(n, at(i));
+                assert!(loss <= 0.025, "{after} a tick, tick {i}: a cleared link reads {loss}");
+                assert_eq!(m.detect(n, loss, 0.05), None);
+            }
+        }
+    }
+
+    #[test]
+    fn the_open_tick_is_judged_before_it_closes() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        for i in 0..40 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        // A tick of 50 % loss, not yet closed: the closed ticks say
+        // nothing, the open one says enough for all three spans.
+        let open = (PER_TICK, PER_TICK / 2);
+        assert_eq!(m.loss_from(n, at(40)), 0.0);
+        let loss = m.estimate(n, open, at(40));
+        assert!(loss >= 0.05, "the open tick reads as {loss}");
+        // Closing it loses none of what was read: the tick's estimate
+        // drops a clean tick from each span, not a lossy one.
+        m.record_hello(n, 40, Micros::ZERO, at(40));
+        m.record_data_tick(n, open.0, open.1, at(40));
+        assert!(m.loss_from(n, at(40)) >= loss);
+    }
+
+    #[test]
+    fn a_link_is_busy_once_its_data_fills_the_wide_span() {
+        let mut m = busy_monitor();
+        let n = NodeId::new(1);
+        assert!(!m.is_busy(n, (400, 400)), "an unknown link");
+        for i in 0..7 {
+            tick(&mut m, n, i, PER_TICK, PER_TICK);
+        }
+        // 350 closed, and the open tick brings the rest.
+        assert!(!m.is_busy(n, (0, 0)));
+        assert!(m.is_busy(n, (PER_TICK, 0)));
+        // Hellos alone never make a link busy.
+        let idle = NodeId::new(2);
+        for i in 0..40 {
+            tick(&mut m, idle, i, 0, 0);
+        }
+        assert!(!m.is_busy(idle, (0, 0)));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! The sequence stream the tracker reads for gaps is also the richest
 //! loss evidence a link offers: [`GapTracker::take_evidence`] hands
 //! the link monitor how far the stream advanced and how much of that
-//! arrived.
+//! arrived on each hello tick, and [`GapTracker::evidence`] lets it
+//! read the open tick's share when a gap lands between ticks.
 
 use dg_topology::Micros;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -411,9 +412,17 @@ impl GapTracker {
 
     /// The loss evidence gathered since the last call, `(expected,
     /// received)`: the link sequences the stream advanced by and how
-    /// many of them arrived as first transmissions.
+    /// many of them arrived as first transmissions. Taking it closes
+    /// the monitor's hello tick.
     pub fn take_evidence(&mut self) -> (u64, u64) {
         std::mem::take(&mut self.evidence)
+    }
+
+    /// The evidence [`GapTracker::take_evidence`] would hand over now,
+    /// left where it is: the open tick, as the link monitor judges it
+    /// between hello ticks.
+    pub fn evidence(&self) -> (u64, u64) {
+        self.evidence
     }
 }
 

@@ -20,6 +20,49 @@
 use dg_core::{Flow, ServiceRequirement, SlaClass};
 use dg_topology::{Graph, Micros};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why [`SlaPlan::from_json`] refused a plan. A flow is named by its
+/// place in the file, from zero.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum SlaPlanError {
+    /// The file is not a plan.
+    Format(serde_json::Error),
+    /// The flow's deadline override is zero: no packet can make it.
+    ZeroDeadline {
+        /// The flow's place in the plan.
+        flow: usize,
+    },
+    /// The flow's source is its destination.
+    SelfFlow {
+        /// The flow's place in the plan.
+        flow: usize,
+        /// The site at both ends.
+        site: String,
+    },
+}
+
+impl fmt::Display for SlaPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SlaPlanError::Format(e) => write!(f, "{e}"),
+            SlaPlanError::ZeroDeadline { flow } => write!(f, "flow {flow}: deadline_ms is 0"),
+            SlaPlanError::SelfFlow { flow, site } => {
+                write!(f, "flow {flow}: source and destination are both {site}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SlaPlanError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SlaPlanError::Format(e) => Some(e),
+            SlaPlanError::ZeroDeadline { .. } | SlaPlanError::SelfFlow { .. } => None,
+        }
+    }
+}
 
 /// One flow's service-class assignment in an [`SlaPlan`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,13 +106,27 @@ pub struct SlaPlan {
 }
 
 impl SlaPlan {
-    /// Parses a plan from JSON.
+    /// Parses a plan from JSON, and refuses one no deployment could
+    /// serve.
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error on malformed input.
-    pub fn from_json(json: &str) -> Result<SlaPlan, serde_json::Error> {
-        serde_json::from_str(json)
+    /// [`SlaPlanError::Format`] on malformed input,
+    /// [`SlaPlanError::ZeroDeadline`] for a flow with `deadline_ms: 0`,
+    /// and [`SlaPlanError::SelfFlow`] for a flow whose source is its
+    /// destination. Site names are checked against a topology later,
+    /// by [`SlaFlowSpec::resolve`].
+    pub fn from_json(json: &str) -> Result<SlaPlan, SlaPlanError> {
+        let plan: SlaPlan = serde_json::from_str(json).map_err(SlaPlanError::Format)?;
+        for (flow, spec) in plan.flows.iter().enumerate() {
+            if spec.deadline_ms == Some(0) {
+                return Err(SlaPlanError::ZeroDeadline { flow });
+            }
+            if spec.source == spec.destination {
+                return Err(SlaPlanError::SelfFlow { flow, site: spec.source.clone() });
+            }
+        }
+        Ok(plan)
     }
 
     /// Serializes the plan to JSON.
@@ -113,6 +170,23 @@ mod tests {
         };
         let parsed = SlaPlan::from_json(&plan.to_json()).unwrap();
         assert_eq!(parsed, plan);
+    }
+
+    #[test]
+    fn a_zero_deadline_is_refused() {
+        let json = r#"{ "flows": [
+            { "source": "NYC", "destination": "SJC", "class": "timely" },
+            { "source": "NYC", "destination": "LAX", "class": "bulk", "deadline_ms": 0 } ] }"#;
+        let err = SlaPlan::from_json(json).unwrap_err();
+        assert!(matches!(err, SlaPlanError::ZeroDeadline { flow: 1 }), "{err}");
+    }
+
+    #[test]
+    fn a_flow_to_itself_is_refused() {
+        let json =
+            r#"{ "flows": [ { "source": "NYC", "destination": "NYC", "class": "surgical" } ] }"#;
+        let err = SlaPlan::from_json(json).unwrap_err();
+        assert!(matches!(&err, SlaPlanError::SelfFlow { flow: 0, site } if site == "NYC"), "{err}");
     }
 
     #[test]

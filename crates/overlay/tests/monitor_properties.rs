@@ -14,6 +14,12 @@
 //!   ticks of starting (the wide span wants twenty losses; a tick of
 //!   coin flips over fifty packets brings 25 ± 3.5), never clears while
 //!   it lasts, and clears within five whole ticks of clean data.
+//! - **Judged on arrival**: with the detector also reading each gap as
+//!   it lands (the closed ticks plus the open one, as a node judges a
+//!   busy link), bursts still never trigger; a sustained 50 % loss
+//!   triggers within two whole ticks, and a trigger read on a gap is
+//!   never undone by the tick that closes after it; a healed link
+//!   clears within three whole ticks of clean data.
 
 use dg_overlay::monitor::{LinkMonitor, WINDOW_TICKS};
 use dg_overlay::recovery::GapTracker;
@@ -70,6 +76,36 @@ impl Link {
         self.ticks += 1;
         let loss = self.monitor.loss_from(self.neighbor, now);
         (loss, self.monitor.detect(self.neighbor, loss, THRESHOLD))
+    }
+}
+
+impl Link {
+    /// As [`Link::tick`], with the detector judging each gap as the
+    /// packet exposing it lands, while the link is busy and not
+    /// triggered, on the closed ticks and the open one. Also says
+    /// whether a gap triggered it during the tick.
+    fn tick_on_arrival(
+        &mut self,
+        packets: u64,
+        mut lost: impl FnMut(u64) -> bool,
+    ) -> (bool, f64, Option<bool>) {
+        let now = Micros::from_micros(self.ticks * TICK.as_micros());
+        let mut on_a_gap = false;
+        for seq in self.next_seq..self.next_seq + packets {
+            if lost(seq) || self.tracker.observe(seq, now).is_empty() {
+                continue;
+            }
+            let open = self.tracker.evidence();
+            if !self.monitor.is_triggered(self.neighbor)
+                && self.monitor.is_busy(self.neighbor, open)
+            {
+                let loss = self.monitor.estimate(self.neighbor, open, now);
+                on_a_gap |= self.monitor.detect(self.neighbor, loss, THRESHOLD) == Some(true);
+            }
+        }
+        self.next_seq += packets;
+        let (loss, verdict) = self.tick(0, |_| false);
+        (on_a_gap, loss, verdict)
     }
 }
 
@@ -151,6 +187,61 @@ proptest! {
         let cleared_after = (0..12).position(|_| link.tick(50, |_| false).1 == Some(false));
         prop_assert!(
             cleared_after.is_some_and(|i| i < 5),
+            "a healed link cleared after {:?} clean ticks",
+            cleared_after.map(|i| i + 1)
+        );
+    }
+
+    #[test]
+    fn judged_on_arrival_a_trigger_holds_and_a_heal_clears_within_three_ticks(
+        seed in any::<u64>(),
+        burst_gaps in proptest::collection::vec(200u64..2_000, 40),
+        onset in 0u64..50,
+        loss_ticks in 4u64..30,
+    ) {
+        let mut rng = seed;
+        let mut link = Link::new();
+        for _ in 0..20 {
+            link.tick_on_arrival(50, |_| false);
+        }
+        let mut starts = Vec::new();
+        let mut at = link.next_seq;
+        for gap in burst_gaps {
+            at += gap;
+            starts.push(at);
+        }
+        let horizon = at + 100;
+        while link.next_seq < horizon {
+            let (on_a_gap, loss, verdict) = link.tick_on_arrival(50, |seq| {
+                starts.iter().any(|&s| (s..s + 5).contains(&seq)) && unit(&mut rng) < 0.5
+            });
+            prop_assert!(!on_a_gap, "a burst triggered on a gap");
+            prop_assert_eq!(verdict, None, "a burst read as {} and triggered", loss);
+        }
+        for _ in 0..8 {
+            link.tick_on_arrival(50, |_| false);
+        }
+        let begins = link.next_seq + onset;
+        let mut triggered_after = None;
+        for i in 0..loss_ticks {
+            let (on_a_gap, loss, verdict) =
+                link.tick_on_arrival(50, |seq| seq >= begins && unit(&mut rng) < 0.5);
+            prop_assert_ne!(verdict, Some(false), "cleared during the loss, reading {}", loss);
+            if on_a_gap || verdict == Some(true) {
+                triggered_after = triggered_after.or(Some(i));
+            }
+        }
+        prop_assert!(
+            triggered_after.is_some_and(|i| i <= 2),
+            "a sustained 50 % loss triggered after {:?} ticks",
+            triggered_after
+        );
+        // The first clean tick may hold the loss's last gap; the two
+        // after it are the short span, clean.
+        let cleared_after =
+            (0..12).position(|_| link.tick_on_arrival(50, |_| false).2 == Some(false));
+        prop_assert!(
+            cleared_after.is_some_and(|i| i < 3),
             "a healed link cleared after {:?} clean ticks",
             cleared_after.map(|i| i + 1)
         );

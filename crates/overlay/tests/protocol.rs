@@ -11,6 +11,7 @@
 use dg_core::scheme::SchemeKind;
 use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
 use dg_overlay::cluster::ClusterConfig;
+use dg_overlay::fault::{BurstLoss, LinkFault};
 use dg_overlay::metrics::EventKind;
 use dg_overlay::session::{Delivery, DeliveryStats};
 use dg_overlay::simnet::{env_seed, Net, SimSender, T0};
@@ -349,6 +350,177 @@ fn a_link_holds_only_the_frames_that_can_still_make_their_deadline() {
         let held: u64 = net.snapshot(site).links.iter().map(|l| l.held_frames).sum();
         assert_eq!(held, 0, "{site} holds frames past their deadline");
     }
+}
+
+/// The benchmarks' Gilbert–Elliott background (`dg-perf`'s
+/// `path_loss`): a burst every thousand datagrams or so, losing half of
+/// the five it lasts, layered on a uniform `loss`.
+fn background(loss: f64) -> LinkFault {
+    let burst = BurstLoss { p_enter: 0.001, p_exit: 0.2, good_loss: 0.0, bad_loss: 0.5 };
+    LinkFault { loss, burst: Some(burst), ..LinkFault::default() }
+}
+
+/// What a link's detector did, as journalled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Move {
+    Triggered,
+    Cleared,
+    /// The flap damper withheld a transition.
+    Suppressed,
+}
+
+/// One detector event: when, at which node, on the link from which
+/// neighbour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Transition {
+    at: Micros,
+    node: NodeId,
+    neighbor: NodeId,
+    moved: Move,
+}
+
+/// Every site's detector events journalled after `seen[site]`, which
+/// moves past them. Read often enough that the journal's ring cannot
+/// have dropped one.
+fn transitions(net: &Net, seen: &mut [u64]) -> Vec<Transition> {
+    let mut out = Vec::new();
+    for node in net.graph().nodes() {
+        for e in net.snapshot(node).events {
+            if e.seq < seen[node.index()] {
+                continue;
+            }
+            seen[node.index()] = e.seq + 1;
+            let (neighbor, moved) = match e.kind {
+                EventKind::DetectorTriggered { neighbor, .. } => (neighbor, Move::Triggered),
+                EventKind::DetectorCleared { neighbor, .. } => (neighbor, Move::Cleared),
+                EventKind::FlapSuppressed { neighbor, .. } => (neighbor, Move::Suppressed),
+                _ => continue,
+            };
+            out.push(Transition { at: e.at, node, neighbor, moved });
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The detector's budget on `path_loss`'s schedule, on the virtual
+/// clock: NYC→SJC under targeted redundancy at a packet a millisecond,
+/// the benchmarks' bursty background on every link, and 50 % loss
+/// around NYC for a second, then healed — five times, injected 0, 10,
+/// 20, 30 and 40 ms into a hello tick. A busy link's detector judges
+/// each gap as the frame exposing it lands, over the closed ticks and
+/// the open one, so it triggers once the loss has put twenty losses
+/// into its wide span, wherever the tick falls; and it clears once its
+/// last two ticks are clean. Judged on ticks alone, with a four-tick
+/// clear, the same runs read a median 70 ms in and 230 ms out on every
+/// seed from 1 to 30. Thirty seconds of background alone move no
+/// detector on the links the flow's data crosses, each of the pair's
+/// links triggers once while the loss lasts and clears once after it,
+/// with nothing withheld by the flap damper, and no link out of NYC
+/// triggers again after the heal — also once the problem graph's extra
+/// branches fall quiet.
+///
+/// (Known gap: the short span holds a hundred samples, and a
+/// background burst that loses five of them in the two ticks after a
+/// clear, while the longer spans still hold the loss, re-triggers the
+/// link. Seeds 4 and 20 of 1–30 do that and fail here; ROADMAP item 14
+/// has it.)
+///
+/// (Links carrying hellos only are judged on twenty hellos, as before:
+/// a background burst that takes two of them reads 10 % and trips them,
+/// every second or so somewhere on US-12, by either rule.)
+#[test]
+fn a_busy_link_triggers_on_the_frame_and_clears_on_its_last_two_ticks() {
+    let config = ClusterConfig { fault_seed: env_seed(), ..ClusterConfig::default() };
+    let hello = Micros::from_micros(config.hello_interval.as_micros() as u64);
+    let mut net = Net::launch(&presets::north_america_12(), config).expect("launches");
+    net.run_for(ms(1_000));
+    assert!(net.link_state_converged(), "link state flooding never converged");
+    let graph = net.graph().clone();
+    let flow = nyc_sjc(&net);
+    let tx = open(&mut net, flow, SchemeKind::TargetedRedundancy, ServiceRequirement::default());
+    // A link as its detector knows it: (the node reading it, the
+    // neighbour it comes from).
+    let ends = |e: dg_topology::EdgeId| (graph.edge(e).dst, graph.edge(e).src);
+    let normal = net.current_graph(tx);
+    let busy: Vec<_> = normal.edges().iter().map(|&e| ends(e)).collect();
+    // What a source problem is judged on: the pair's links out of NYC.
+    let pair: Vec<_> = normal.forwarding_edges(&graph, flow.source).map(ends).collect();
+    assert_eq!(pair.len(), 2, "starts on the disjoint pair");
+    let out_of_source: Vec<_> = graph.out_edges(flow.source).iter().map(|&e| ends(e)).collect();
+    let around: Vec<_> =
+        graph.out_edges(flow.source).iter().chain(graph.in_edges(flow.source)).copied().collect();
+    for edge in graph.edges() {
+        net.set_link_impairment(edge, background(0.0));
+    }
+    let mut seen = vec![0; graph.node_count()];
+    let payload = [0u8; 64];
+    // A packet a millisecond for `millis`; the journals are read every
+    // hello interval.
+    let run = |net: &mut Net, millis: u64, seen: &mut Vec<u64>| {
+        let mut got = Vec::new();
+        for i in 1..=millis {
+            net.send(tx, &payload);
+            net.run_for(ms(1));
+            if i % (hello.as_micros() / 1_000) == 0 || i == millis {
+                got.extend(transitions(net, seen));
+            }
+        }
+        got
+    };
+    let on = |links: &[(NodeId, NodeId)], t: &Transition| links.contains(&(t.node, t.neighbor));
+
+    let quiet = run(&mut net, 30_000, &mut seen);
+    let (on_busy, elsewhere): (Vec<&Transition>, Vec<_>) = quiet.iter().partition(|t| on(&busy, t));
+    assert!(on_busy.is_empty(), "the background moved a busy link's detector: {on_busy:?}");
+    let idle_triggers = elsewhere.iter().filter(|t| t.moved == Move::Triggered).count();
+    println!("30 s of background: {idle_triggers} triggers on links carrying hellos only");
+
+    let (mut engaged, mut released, mut triggers) = (Vec::new(), Vec::new(), Vec::new());
+    for phase in 0..5 {
+        let into_tick = ms(10 * phase).as_micros();
+        while (net.now().as_micros() - T0.as_micros()) % hello.as_micros() != into_tick {
+            net.send(tx, &payload);
+            net.run_for(ms(1));
+        }
+        transitions(&net, &mut seen);
+        let injected = net.now();
+        for &edge in &around {
+            net.set_link_impairment(edge, background(0.5));
+        }
+        let during: Vec<_> = run(&mut net, 1_000, &mut seen);
+        let during: Vec<_> = during.into_iter().filter(|t| on(&pair, t)).collect();
+        assert_eq!(during.len(), 2, "each of the pair's links triggers, and only: {during:?}");
+        assert!(during.iter().all(|t| t.moved == Move::Triggered), "{during:?}");
+        engaged.push(during[0].at.saturating_sub(injected));
+        triggers.extend(during.iter().map(|t| t.at));
+
+        let healed = net.now();
+        for &edge in &around {
+            net.set_link_impairment(edge, background(0.0));
+        }
+        // Every link out of NYC carried the problem graph's data and
+        // falls quiet once it is released: none may re-trigger.
+        let after: Vec<_> =
+            run(&mut net, 1_000, &mut seen).into_iter().filter(|t| on(&out_of_source, t)).collect();
+        assert!(after.iter().all(|t| t.moved == Move::Cleared), "after the heal: {after:?}");
+        let after: Vec<_> = after.into_iter().filter(|t| on(&pair, t)).collect();
+        assert_eq!(after.len(), 2, "each of the pair's links clears, and once: {after:?}");
+        released.push(after[1].at.saturating_sub(healed));
+    }
+    println!("injection → first DetectorTriggered on the pair: {engaged:?}");
+    println!("heal → last DetectorCleared on the pair: {released:?}");
+    let on_a_tick = |t: &Micros| (t.as_micros() - T0.as_micros()).is_multiple_of(hello.as_micros());
+    assert!(triggers.iter().any(|t| !on_a_tick(t)), "no trigger between ticks: {triggers:?}");
+    // Medians of the five phases. The tick rule reads 70 and 230 ms on
+    // every seed from 1 to 30; this one 40–54 and 130 ms.
+    let median = |v: &mut Vec<Micros>| {
+        v.sort();
+        v[v.len() / 2]
+    };
+    let (engage, release) = (median(&mut engaged), median(&mut released));
+    assert!(engage <= ms(60), "triggered a median {engage} after the injection");
+    assert!(release <= ms(160), "cleared a median {release} after the heal");
 }
 
 /// A restarted node numbers its hellos and its links from zero again.

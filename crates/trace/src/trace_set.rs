@@ -15,6 +15,18 @@ use std::path::Path as FsPath;
 pub enum TraceError {
     /// The interval duration was zero or the shape was inconsistent.
     InvalidShape(String),
+    /// A loaded trace has no monitoring interval.
+    NoIntervals,
+    /// A loaded trace gives a link a loss rate outside `[0, 1]` (or no
+    /// number at all), at the `interval` of the `link`.
+    LossOutOfRange {
+        /// The link's row.
+        link: usize,
+        /// The interval within it.
+        interval: usize,
+        /// What the file says.
+        loss: f64,
+    },
     /// Underlying file I/O failed.
     Io(std::io::Error),
     /// (De)serialization failed.
@@ -25,6 +37,10 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::InvalidShape(msg) => write!(f, "invalid trace shape: {msg}"),
+            TraceError::NoIntervals => write!(f, "invalid trace shape: no interval"),
+            TraceError::LossOutOfRange { link, interval, loss } => {
+                write!(f, "link {link} interval {interval}: loss rate {loss} is outside [0, 1]")
+            }
             TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceError::Format(e) => write!(f, "trace format error: {e}"),
         }
@@ -34,7 +50,9 @@ impl fmt::Display for TraceError {
 impl Error for TraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            TraceError::InvalidShape(_) => None,
+            TraceError::InvalidShape(_)
+            | TraceError::NoIntervals
+            | TraceError::LossOutOfRange { .. } => None,
             TraceError::Io(e) => Some(e),
             TraceError::Format(e) => Some(e),
         }
@@ -211,7 +229,10 @@ impl TraceSet {
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] / [`TraceError::Format`] on failure,
-    /// and [`TraceError::InvalidShape`] if link rows have uneven lengths.
+    /// [`TraceError::InvalidShape`] if link rows have uneven lengths or
+    /// the interval duration is zero, [`TraceError::NoIntervals`] for a
+    /// trace of no interval, and [`TraceError::LossOutOfRange`] for a
+    /// loss rate outside `[0, 1]`.
     pub fn load_json(path: &FsPath) -> Result<Self, TraceError> {
         let file = File::open(path)?;
         let set: TraceSet = serde_json::from_reader(BufReader::new(file))?;
@@ -221,6 +242,14 @@ impl TraceSet {
         }
         if set.interval_duration == Micros::ZERO {
             return Err(TraceError::InvalidShape("interval duration must be positive".into()));
+        }
+        if expected == 0 {
+            return Err(TraceError::NoIntervals);
+        }
+        for (link, row) in set.links.iter().enumerate() {
+            for (interval, c) in row.iter().enumerate() {
+                check_loss(link, interval, c.loss_rate)?;
+            }
         }
         Ok(set)
     }
@@ -255,7 +284,9 @@ impl TraceSet {
     /// # Errors
     ///
     /// Returns [`TraceError::InvalidShape`] for bad magic, truncation,
-    /// or degenerate dimensions, and [`TraceError::Io`] on read failure.
+    /// or a zero interval duration, [`TraceError::NoIntervals`] for a
+    /// trace of no interval, [`TraceError::LossOutOfRange`] for a loss
+    /// rate outside `[0, 1]`, and [`TraceError::Io`] on read failure.
     pub fn load_binary(path: &FsPath) -> Result<Self, TraceError> {
         let data = std::fs::read(path)?;
         let header = BINARY_MAGIC.len() + 4 + 4 + 8;
@@ -271,8 +302,11 @@ impl TraceSet {
         let links = u32::from_le_bytes(take(4).try_into().expect("4 bytes")) as usize;
         let intervals = u32::from_le_bytes(take(4).try_into().expect("4 bytes")) as usize;
         let interval_us = u64::from_le_bytes(take(8).try_into().expect("8 bytes"));
-        if interval_us == 0 || intervals == 0 {
-            return Err(TraceError::InvalidShape("degenerate dimensions".into()));
+        if intervals == 0 {
+            return Err(TraceError::NoIntervals);
+        }
+        if interval_us == 0 {
+            return Err(TraceError::InvalidShape("interval duration must be positive".into()));
         }
         let need = header + links * intervals * 8;
         if data.len() != need {
@@ -284,13 +318,23 @@ impl TraceSet {
         let mut set = TraceSet::clean(links, intervals, Micros::from_micros(interval_us))?;
         for l in 0..links {
             for i in 0..intervals {
-                let loss = f32::from_le_bytes(take(4).try_into().expect("4 bytes"));
+                let loss = f64::from(f32::from_le_bytes(take(4).try_into().expect("4 bytes")));
                 let extra = u32::from_le_bytes(take(4).try_into().expect("4 bytes"));
-                set.links[l][i] =
-                    LinkCondition::new(f64::from(loss), Micros::from_micros(u64::from(extra)));
+                check_loss(l, i, loss)?;
+                set.links[l][i] = LinkCondition::new(loss, Micros::from_micros(u64::from(extra)));
             }
         }
         Ok(set)
+    }
+}
+
+/// Refuses a loaded loss rate outside `[0, 1]` (NaN included) rather
+/// than clamping it into a plausible one.
+fn check_loss(link: usize, interval: usize, loss: f64) -> Result<(), TraceError> {
+    if (0.0..=1.0).contains(&loss) {
+        Ok(())
+    } else {
+        Err(TraceError::LossOutOfRange { link, interval, loss })
     }
 }
 
@@ -533,6 +577,55 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(TraceSet::load_binary(&path), Err(TraceError::InvalidShape(_))));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A file of `bytes` in a directory of this process's own.
+    fn scratch_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dg_trace_refusals_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn json_refuses_a_loss_outside_zero_to_one() {
+        let mut t = small();
+        t.links[2][3].loss_rate = 1.5;
+        let path = scratch_file("loss.json", serde_json::to_string(&t).unwrap().as_bytes());
+        let err = TraceSet::load_json(&path).unwrap_err();
+        assert!(matches!(err, TraceError::LossOutOfRange { link: 2, interval: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn json_refuses_a_trace_of_no_interval() {
+        let t = TraceSet { interval_duration: Micros::from_secs(10), links: vec![Vec::new(); 3] };
+        let path = scratch_file("empty.json", serde_json::to_string(&t).unwrap().as_bytes());
+        assert!(matches!(TraceSet::load_json(&path), Err(TraceError::NoIntervals)));
+    }
+
+    #[test]
+    fn binary_refuses_a_loss_outside_zero_to_one() {
+        let t = small();
+        let path = scratch_file("loss.bin", b"");
+        t.save_binary(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Link 1, interval 0: the seventh record after the header.
+        let at = BINARY_MAGIC.len() + 16 + 6 * 8;
+        bytes[at..at + 4].copy_from_slice(&(-0.25f32).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TraceSet::load_binary(&path).unwrap_err();
+        assert!(matches!(err, TraceError::LossOutOfRange { link: 1, interval: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn binary_refuses_a_trace_of_no_interval() {
+        let mut bytes = BINARY_MAGIC.to_vec();
+        bytes.extend(4u32.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes());
+        bytes.extend(10_000_000u64.to_le_bytes());
+        let path = scratch_file("empty.bin", &bytes);
+        assert!(matches!(TraceSet::load_binary(&path), Err(TraceError::NoIntervals)));
     }
 
     #[test]
