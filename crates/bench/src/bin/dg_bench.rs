@@ -611,8 +611,15 @@ fn check_metric(name: &str, baseline: f64, current: f64, tolerance: f64) -> Resu
 fn replay_line(r: &SchemeReplay) -> String {
     let c = r.counters;
     format!(
-        "{}: {} wave hits, {} full propagations ({} straddlers), {} wave builds, full share {:.4}",
-        r.scheme, c.wave_hits, c.full_propagations, c.straddlers, c.wave_builds, r.full_share
+        "{}: {} wave hits, {} full propagations ({} straddlers), {} wave builds, {} heap pushes, \
+         full share {:.4}",
+        r.scheme,
+        c.wave_hits,
+        c.full_propagations,
+        c.straddlers,
+        c.wave_builds,
+        c.heap_pushes,
+        r.full_share
     )
 }
 

@@ -30,8 +30,9 @@ fn as_num(v: &Value) -> Option<f64> {
 }
 
 /// The sim results' stamps and per-scheme replay counters: every one of
-/// a scheme's `packets` is a wave hit or a full propagation, and the
-/// wavefront answers for nearly all of them.
+/// a scheme's `packets` is a wave hit or a full propagation, the
+/// wavefront answers for nearly all of them, and the heap's pushes are
+/// counted.
 fn assert_replay_counters(result: &Value, packets: u64) {
     assert!(as_num(field(result, "cores")).unwrap() >= 1.0);
     assert!(matches!(field(result, "git_rev"), Value::String(rev) if !rev.is_empty()));
@@ -48,6 +49,8 @@ fn assert_replay_counters(result: &Value, packets: u64) {
         assert_eq!(count("wave_hits") + count("full_propagations"), packets);
         assert!(count("straddlers") <= count("full_propagations"));
         assert!(count("wave_builds") >= 2, "the quick trace has two intervals");
+        // Every propagation pushes its send, and the hits push nothing.
+        assert!(count("heap_pushes") >= count("full_propagations") + count("wave_builds"));
         let share = as_num(field(scheme, "full_share")).unwrap();
         assert!(share > 0.0 && share < 0.10, "full share {share}");
     }

@@ -50,6 +50,13 @@
 //! accumulator as one batch. Every other packet — a failed draw, an
 //! interval-straddler — runs the event heap as before.
 //!
+//! The event heap settles nodes in `(time, node)` order, as Dijkstra's
+//! algorithm does, and holds only the arrivals that beat the best one
+//! their node had been offered: one entry per improvement, not one per
+//! transmission that got through. Flooding gains most: on US-12 a
+//! dozen sites are offered each packet on 59 edges.
+//! [`ReplayCounters::heap_pushes`] counts the entries.
+//!
 //! Why this is exact: if no transmission of the wavefront is lost, the
 //! event heap performs the wavefront's pushes and pops in the
 //! wavefront's order, shifted in time; conditions are read at visit

@@ -61,6 +61,13 @@ pub struct ReplayCounters {
     /// The full propagations whose `[send, expiry]` was not inside one
     /// trace interval, so that no wavefront could answer for them.
     pub straddlers: u64,
+    /// Arrivals pushed onto the event heap, by full propagations and
+    /// wavefront builds alike: the send, and then one a transmission
+    /// that got through *and* beat the best arrival its head had been
+    /// offered. A count of the heap's work that repeats exactly on any
+    /// host.
+    #[serde(default)]
+    pub heap_pushes: u64,
 }
 
 impl ReplayCounters {
@@ -74,15 +81,22 @@ impl ReplayCounters {
 /// Reusable per-flow simulation state, so replaying millions of packets
 /// allocates nothing per packet.
 ///
-/// Holds the event heap, a generation-stamped arrival table (cleared in
-/// O(1) by bumping the generation), a per-node index of the current
-/// dissemination graph's forwarding edges — computed once per graph
-/// instead of scanning every member edge at every node visit — and,
-/// during a playback run, the loss-free wavefront of that graph in the
-/// trace interval being replayed.
+/// Holds the event heap, a generation-stamped table of each node's
+/// earliest arrival (cleared in O(1) by bumping the generation), a
+/// per-node index of the current dissemination graph's forwarding edges
+/// — computed once per graph instead of scanning every member edge at
+/// every node visit — and, during a playback run, the loss-free
+/// wavefront of that graph in the trace interval being replayed.
 #[derive(Debug, Default)]
 pub struct SimScratch {
+    /// Tentative arrivals `(at, node)`, earliest first: only those that
+    /// beat the node's entry in `arrival` when they were offered.
     heap: BinaryHeap<Reverse<(Micros, NodeId)>>,
+    /// `arrival[node] = (generation, at)`: the earliest arrival at
+    /// `node` offered so far — tentative while an entry for it is on
+    /// the heap, the node's first arrival once that entry is popped.
+    /// When [`propagate`] returns, every entry of the generation is a
+    /// first arrival.
     arrival: Vec<(u64, Micros)>,
     generation: u64,
     /// `out[node] = ` the dissemination graph's edges leaving `node`.
@@ -188,12 +202,15 @@ impl SimScratch {
         }
     }
 
-    fn arrived(&self, node: NodeId) -> bool {
-        self.arrival[node.index()].0 == self.generation
-    }
-
-    fn mark(&mut self, node: NodeId, at: Micros) {
-        self.arrival[node.index()] = (self.generation, at);
+    /// Offers `node` the packet at `at`: kept, and pushed, only when it
+    /// beats every arrival the node has been offered so far.
+    fn offer(&mut self, node: NodeId, at: Micros) {
+        let best = &mut self.arrival[node.index()];
+        if best.0 != self.generation || at < best.1 {
+            *best = (self.generation, at);
+            self.heap.push(Reverse((at, node)));
+            self.replay.heap_pushes += 1;
+        }
     }
 
     /// How the most recently propagated packet, sent at `sent` for
@@ -370,6 +387,17 @@ pub(crate) fn sampled(seed: u64, seq: u64) -> impl FnMut(EdgeId, u32, f64) -> bo
 /// arrival table for the caller to read; returns the packet's link
 /// transmissions.
 ///
+/// It is Dijkstra's algorithm over the packet's transmissions: nodes
+/// are settled in `(time, node)` order, each forwards once when first
+/// reached, and a transmission that gets through offers its head an
+/// arrival. An offer goes onto the heap only when it beats the head's
+/// best so far, so the heap holds one entry per improvement rather than
+/// one per surviving transmission, and a popped entry that a later
+/// offer beat is skipped. Which nodes settle when, the draws asked for
+/// and in what order, and the transmissions are those of pushing every
+/// surviving transmission — the test module keeps that loop as the
+/// reference.
+///
 /// `survives(edge, attempt, loss_rate)` says whether that transmission
 /// gets through. The timing rule: an edge's condition is read at the
 /// time the packet is at the edge's tail (`condition_at(e, t)` with `t`
@@ -388,13 +416,16 @@ pub(crate) fn propagate(
 ) -> u64 {
     let mut transmissions = 0u64;
     scratch.begin(topology.node_count());
-    scratch.heap.push(Reverse((send_time, source)));
+    scratch.offer(source, send_time);
 
     while let Some(Reverse((t, u))) = scratch.heap.pop() {
-        if scratch.arrived(u) {
+        // The entry at a node's best is its only one (an offer must beat
+        // the best), and no offer made from here on is earlier than `t`:
+        // popping it settles `u` for good.
+        if scratch.arrival[u.index()].1 != t {
+            // Beaten by a later offer, which settled `u` first.
             continue;
         }
-        scratch.mark(u, t);
         if t > expiry {
             // Expired packets are not forwarded further.
             continue;
@@ -405,7 +436,7 @@ pub(crate) fn propagate(
             let latency = topology.edge(e).latency.saturating_add(cond.extra_latency);
             transmissions += 1;
             if survives(e, 0, cond.loss_rate) {
-                scratch.heap.push(Reverse((t.saturating_add(latency), topology.edge(e).dst)));
+                scratch.offer(topology.edge(e).dst, t.saturating_add(latency));
             } else if recovery.enabled {
                 // Lost: receiver detects the gap one inter-packet spacing
                 // after the packet would have arrived, NACKs back, and the
@@ -415,7 +446,7 @@ pub(crate) fn propagate(
                     let recovered = t
                         .saturating_add(recovery.gap_detection)
                         .saturating_add(latency.saturating_mul(3));
-                    scratch.heap.push(Reverse((recovered, topology.edge(e).dst)));
+                    scratch.offer(topology.edge(e).dst, recovered);
                 }
             }
         }
@@ -424,12 +455,13 @@ pub(crate) fn propagate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dg_core::Flow;
     use dg_topology::algo::{dijkstra, disjoint};
     use dg_topology::{presets, EdgeId};
     use dg_trace::{LinkCondition, TraceSet};
+    use proptest::prelude::*;
 
     fn setup() -> (Graph, DisseminationGraph, TraceSet, Flow) {
         let g = presets::north_america_12();
@@ -751,5 +783,262 @@ mod tests {
         // the deadline by construction, so cost == graph size.
         assert_eq!(out.transmissions, dg.len() as u64);
         let _ = EdgeId::new(0);
+    }
+
+    /// The loop [`propagate`] replaced, kept as its definition: every
+    /// transmission that gets through is pushed, and a node settles at
+    /// its first pop. What it computes: each node's first arrival, the
+    /// transmissions, and the heap pushes.
+    pub(crate) struct Reference {
+        pub(crate) arrival: Vec<Option<Micros>>,
+        pub(crate) transmissions: u64,
+        pub(crate) pushes: u64,
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reference(
+        topology: &Graph,
+        dgraph: &DisseminationGraph,
+        traces: &TraceSet,
+        send_time: Micros,
+        expiry: Micros,
+        recovery: &RecoveryModel,
+        mut survives: impl FnMut(EdgeId, u32, f64) -> bool,
+    ) -> Reference {
+        let mut out = vec![Vec::new(); topology.node_count()];
+        for &e in dgraph.edges() {
+            out[topology.edge(e).src.index()].push(e);
+        }
+        let mut arrival = vec![None; topology.node_count()];
+        let mut heap = BinaryHeap::from([Reverse((send_time, dgraph.source()))]);
+        let (mut transmissions, mut pushes) = (0, 1);
+        while let Some(Reverse((t, u))) = heap.pop() {
+            if arrival[u.index()].is_some() {
+                continue;
+            }
+            arrival[u.index()] = Some(t);
+            if t > expiry {
+                continue;
+            }
+            for &e in &out[u.index()] {
+                let cond = traces.condition_at(e, t);
+                let latency = topology.edge(e).latency.saturating_add(cond.extra_latency);
+                transmissions += 1;
+                let at = if survives(e, 0, cond.loss_rate) {
+                    Some(t.saturating_add(latency))
+                } else if recovery.enabled {
+                    transmissions += 1;
+                    survives(e, 1, cond.loss_rate).then(|| {
+                        t.saturating_add(recovery.gap_detection)
+                            .saturating_add(latency.saturating_mul(3))
+                    })
+                } else {
+                    None
+                };
+                if let Some(at) = at {
+                    heap.push(Reverse((at, topology.edge(e).dst)));
+                    pushes += 1;
+                }
+            }
+        }
+        Reference { arrival, transmissions, pushes }
+    }
+
+    /// First arrivals by node in `table`, as [`Reference`] has them.
+    fn first_arrivals(table: &[(u64, Micros)], generation: u64, n: usize) -> Vec<Option<Micros>> {
+        table[..n].iter().map(|&(stamp, at)| (stamp == generation).then_some(at)).collect()
+    }
+
+    fn flooding(g: &Graph, flow: Flow, deadline: Micros) -> DisseminationGraph {
+        let requirement = dg_core::ServiceRequirement::new(deadline);
+        let params = dg_core::scheme::SchemeParams::default();
+        let kind = dg_core::scheme::SchemeKind::TimeConstrainedFlooding;
+        dg_core::scheme::build_scheme(kind, g, flow, requirement, &params)
+            .unwrap()
+            .current()
+            .clone()
+    }
+
+    #[test]
+    fn a_clean_flooding_packet_pushes_only_its_improvements() {
+        let (g, _, traces, flow) = setup();
+        let dg = flooding(&g, flow, DEADLINE);
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(&g, &dg);
+        let rec = RecoveryModel::default();
+        let out = simulate_packet_with(
+            &mut scratch,
+            &g,
+            &dg,
+            &traces,
+            Micros::ZERO,
+            DEADLINE,
+            &rec,
+            1,
+            0,
+        );
+        assert_eq!((out.transmissions, dg.len()), (59, 59));
+        // The send, a first offer to each of the other eleven sites, and
+        // three offers that beat one: against one push a transmission.
+        assert_eq!(scratch.replay().heap_pushes, 15);
+        let parent =
+            reference(&g, &dg, &traces, Micros::ZERO, DEADLINE, &rec, |_, _, _| true).pushes;
+        assert_eq!(parent, 60);
+        assert!(parent > scratch.replay().heap_pushes);
+    }
+
+    /// Per-edge loss rates the proptest draws from, and extra latencies:
+    /// none, some, past the 65 ms deadline, and one that saturates.
+    const LOSS: [f64; 4] = [0.0, 2e-4, 0.5, 1.0];
+    const EXTRA: [Micros; 4] =
+        [Micros::ZERO, Micros::from_millis(8), Micros::from_millis(80), Micros::MAX];
+    /// Deadlines, as multiples of the one the graphs are built for;
+    /// `None` never expires.
+    const SLACK: [Option<f64>; 6] = [Some(0.0), Some(0.25), Some(0.5), Some(1.0), Some(2.0), None];
+
+    /// A topology, a flow, a second receiver and the deadline the
+    /// graphs are built for: US-12's NYC→SJC and LAX at 65 ms, or the
+    /// longest representative flow of a generated Waxman graph, the
+    /// site farthest from its source, and twice their shortest paths.
+    fn network(waxman: Option<(usize, u64)>) -> (Graph, Flow, NodeId, Micros) {
+        let Some((nodes, seed)) = waxman else {
+            let (g, _, _, flow) = setup();
+            let lax = g.node_by_name("LAX").unwrap();
+            return (g, flow, lax, DEADLINE);
+        };
+        let g = dg_topology::generate::GeneratorConfig::waxman(nodes, seed).generate();
+        let (s, d) = dg_topology::generate::representative_flows(&g, 1, seed)[0];
+        let from_s = dijkstra::distances_from(&g, s, |_| true);
+        let far = (0..g.node_count() as u32)
+            .map(NodeId::new)
+            .filter(|&r| r != s && r != d && from_s[r.index()] < Micros::MAX)
+            .max_by_key(|&r| (from_s[r.index()], r))
+            .unwrap();
+        let deadline = dg_topology::generate::feasible_deadline(&g, &[(s, d), (s, far)], 2.0);
+        (g, Flow::new(s, d), far, deadline)
+    }
+
+    /// Flooding, targeted redundancy, and a graph of two receivers —
+    /// the union of a node-disjoint pair to each.
+    fn graphs(g: &Graph, flow: Flow, other: NodeId, deadline: Micros) -> [DisseminationGraph; 3] {
+        use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
+        let requirement = dg_core::ServiceRequirement::new(deadline);
+        let kind = SchemeKind::TargetedRedundancy;
+        let targeted = build_scheme(kind, g, flow, requirement, &SchemeParams::default()).unwrap();
+        let pair =
+            |r| match disjoint::disjoint_pair(g, flow.source, r, disjoint::Disjointness::Node) {
+                Ok((a, b)) => [a.edges(), b.edges()].concat(),
+                Err(_) => dijkstra::shortest_path(g, flow.source, r).unwrap().edges().to_vec(),
+            };
+        let edges = [pair(flow.destination), pair(other)].concat();
+        let group = DisseminationGraph::with_receivers(
+            g,
+            flow.source,
+            vec![flow.destination, other],
+            edges,
+        )
+        .unwrap();
+        [flooding(g, flow, deadline), targeted.current().clone(), group]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `propagate` against the loop that pushes every transmission
+        /// that gets through: the same first arrivals, transmissions and
+        /// draws, for a sampled packet and for the wavefront
+        /// [`SimScratch::build_wave`] records — and never more pushes.
+        #[test]
+        fn propagate_settles_as_pushing_every_transmission_does(
+            (waxman, nodes, topology_seed) in (any::<bool>(), 30usize..51, 1u64..5),
+            impairments in
+                proptest::collection::vec((0u32..1_000, 0usize..3, 0usize..4, 0usize..4), 0..40),
+            background in any::<bool>(),
+            short_intervals in any::<bool>(),
+            recovery in any::<bool>(),
+            slack in 0usize..SLACK.len(),
+            send_us in 0u64..4_000_000,
+            (seed, seq) in (0u64..1_000, 0u64..1_000),
+        ) {
+            let (g, flow, other, built_for) = network(waxman.then_some((nodes, topology_seed)));
+            let interval =
+                if short_intervals { Micros::from_millis(40) } else { Micros::from_secs(1) };
+            let intervals = (Micros::from_secs(4).as_micros() / interval.as_micros()) as usize;
+            let mut traces = TraceSet::clean(g.edge_count(), intervals, interval).unwrap();
+            if background {
+                for e in g.edges() {
+                    for i in 0..intervals {
+                        traces.set_condition(e, i, LinkCondition::new(LOSS[1], Micros::ZERO));
+                    }
+                }
+            }
+            // Impaired in the send's interval and the two after it, where
+            // the packet is.
+            let send = Micros::from_micros(send_us);
+            for &(e, later, loss, extra) in &impairments {
+                let e = EdgeId::new(e % g.edge_count() as u32);
+                let i = (traces.interval_at(send) + later).min(intervals - 1);
+                traces.set_condition(e, i, LinkCondition::new(LOSS[loss], EXTRA[extra]));
+            }
+            let deadline = match SLACK[slack] {
+                Some(slack) => Micros::from_micros((built_for.as_micros() as f64 * slack) as u64),
+                None => Micros::MAX,
+            };
+            let rec = RecoveryModel { enabled: recovery, ..RecoveryModel::default() };
+            let expiry = send.saturating_add(deadline);
+            let n = g.node_count();
+            let mut scratch = SimScratch::new();
+            for dg in graphs(&g, flow, other, built_for) {
+                scratch.index_graph(&g, &dg);
+                // A sampled packet: the draws asked for, in order.
+                let mut asked = Vec::new();
+                let mut draw = sampled(seed, seq);
+                let pushes = scratch.replay().heap_pushes;
+                let record = |e: EdgeId, a, l: f64| {
+                    asked.push((e, a, l.to_bits()));
+                    draw(e, a, l)
+                };
+                let transmissions =
+                    propagate(&mut scratch, &g, dg.source(), &traces, send, expiry, &rec, record);
+                let mut defined_asked = Vec::new();
+                let mut draw = sampled(seed, seq);
+                let defined = reference(&g, &dg, &traces, send, expiry, &rec, |e, a, l| {
+                    defined_asked.push((e, a, l.to_bits()));
+                    draw(e, a, l)
+                });
+                prop_assert_eq!(
+                    first_arrivals(&scratch.arrival, scratch.generation, n),
+                    defined.arrival
+                );
+                prop_assert_eq!(transmissions, defined.transmissions);
+                prop_assert_eq!(&asked, &defined_asked);
+                prop_assert!(scratch.replay().heap_pushes - pushes <= defined.pushes);
+
+                // The wavefront of the send's interval: the draws it
+                // records, its arrivals and its transmissions.
+                let i = traces.interval_at(send);
+                let (from, end) = traces.interval_span(i);
+                scratch.build_wave(&g, &traces, dg.source(), i, deadline, seed);
+                if from >= end.saturating_sub(deadline) {
+                    continue; // too short to build
+                }
+                let no_recovery = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
+                let mut draws = Vec::new();
+                let note = |e: EdgeId, _, l| {
+                    draws.push((edge_prefix(seed, e.index() as u32), survival_threshold(l)));
+                    true
+                };
+                let expiry = from.saturating_add(deadline);
+                let wave = reference(&g, &dg, &traces, from, expiry, &no_recovery, note);
+                draws.retain(|&(_, threshold)| threshold > 0);
+                draws.sort_unstable_by_key(|&(_, threshold)| Reverse(threshold));
+                prop_assert_eq!(&scratch.wave.draws, &draws);
+                prop_assert_eq!(
+                    first_arrivals(&scratch.wave.arrival, scratch.wave.generation, n),
+                    wave.arrival
+                );
+                prop_assert_eq!(scratch.wave.transmissions, wave.transmissions);
+            }
+        }
     }
 }

@@ -339,6 +339,7 @@ pub fn run_flow_full_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::tests::reference;
     use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
     use dg_core::{Flow, ServiceRequirement};
     use dg_topology::presets;
@@ -636,6 +637,41 @@ mod tests {
         assert_eq!(replay.full_propagations, 200 + 1, "interval 1 and interval 0's straddler");
         assert_eq!(replay.wave_builds, 3);
         assert!((replay.full_share() - 201.0 / 600.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn heap_pushes_count_the_arrivals_that_improve() {
+        let g = presets::north_america_12();
+        // Intervals shorter than the deadline, so that no wave is built
+        // and every packet runs the event heap: the pushes of pushing
+        // every surviving transmission are the reference's, packet by
+        // packet. The last interval never ends; no packet is sent in it.
+        let mut traces = TraceSet::clean(g.edge_count(), 41, Micros::from_millis(50)).unwrap();
+        for e in g.edges() {
+            for i in 0..41 {
+                let extra = Micros::from_millis(4 * (i as u64 % 3));
+                traces.set_condition(e, i, LinkCondition::new(0.2, extra));
+            }
+        }
+        let mut s = scheme(&g, SchemeKind::TimeConstrainedFlooding);
+        let graph = s.current().clone();
+        let config = quick_config();
+        let mut scratch = SimScratch::new();
+        run_flow_full_with(&g, &traces, s.as_mut(), &config, &mut scratch);
+        let replay = scratch.replay();
+        assert_eq!((replay.wave_builds, replay.full_propagations), (0, 40));
+        assert_eq!(replay.heap_pushes, 622);
+        let seed = playback_seed(config.seed, &graph);
+        let pushing_every_survivor: u64 = (0..40)
+            .map(|seq| {
+                let t = Micros::from_millis(50 * seq);
+                let expiry = t.saturating_add(config.deadline);
+                let draws = sampled(seed, seq);
+                reference(&g, &graph, &traces, t, expiry, &config.recovery, draws).pushes
+            })
+            .sum();
+        assert_eq!(pushing_every_survivor, 2_305);
+        assert!(pushing_every_survivor > replay.heap_pushes);
     }
 
     #[test]
