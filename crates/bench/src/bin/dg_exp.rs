@@ -5,8 +5,8 @@
 //! every figure. `all` takes the standard experiment flags, gives each
 //! figure the ones it takes, and runs the rest at their defaults; the
 //! standard comparison runs once and table2, fig4_per_flow, fig5_cost
-//! and ablation_kpaths all read it. Files land under `results/` (or a
-//! figure's `--out`).
+//! and ablation_kpaths all read it. Files land under `results/`, or
+//! under `--out DIR`, which every figure and `all` take.
 //!
 //! Usage: `cargo run --release -p dg-bench --bin dg-exp -- table2
 //! --seconds 600 --weeks 2`
@@ -35,7 +35,8 @@ fn emit(report: Report, matches: &Matches) -> bool {
 
 /// Runs every figure; see the module docs.
 fn all(args: Vec<String>) -> bool {
-    let cli = Experiment::cli("dg-exp all", "every table and figure of the paper");
+    let cli =
+        figures::out_cli(Experiment::cli("dg-exp all", "every table and figure of the paper"));
     let matches = cli.parse_or_exit(args.clone());
     let experiment = Experiment::from_matches(&matches).unwrap_or_else(|e| cli.exit_with(&e));
     let mut standard: Option<Tally> = None;

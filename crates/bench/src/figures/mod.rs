@@ -54,11 +54,11 @@ impl Figure {
     /// The flags it accepts.
     pub fn cli(&self) -> Cli {
         let name = format!("dg-exp {}", self.name);
-        (self.flags)(match self.input {
+        out_cli((self.flags)(match self.input {
             Input::Compared(..) | Input::Weeks(_) => Experiment::cli(name, self.about),
             Input::Generated(_) => Experiment::generated_cli(name, self.about),
             Input::Alone(_) => Cli::new(name, self.about),
-        })
+        }))
     }
 
     /// Runs the figure on its own parsed flags.
@@ -78,6 +78,12 @@ impl Figure {
             Input::Alone(figure) => figure(matches),
         }
     }
+}
+
+/// Chains `--out DIR`, where a run writes its files, onto a CLI: every
+/// figure and `dg-exp all` take it.
+pub fn out_cli(cli: Cli) -> Cli {
+    cli.flag("out", "DIR", "output directory (default: results/)")
 }
 
 /// The schemes of ablation_kpaths: always-on 3 and 4 disjoint paths

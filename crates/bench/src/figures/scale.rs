@@ -252,7 +252,6 @@ pub(super) fn flags(cli: Cli) -> Cli {
         .flag("trace-seconds", "N", "trace horizon per topology (default: 30; quick 10)")
         .flag_default("seed", "N", "generator + trace seed", "2017")
         .flag("threads", "N", "playback worker threads (default: all cores)")
-        .flag("out", "DIR", "output directory (default: results/)")
         .switch("check", "fail when cached flap reaction is not cheaper than full recompute")
 }
 

@@ -53,3 +53,18 @@ fn each_figure_answers_help_with_its_own_flags() {
     let out = dg_exp(&["fig6_sensitivity", "--help"]);
     assert!(!String::from_utf8_lossy(&out.stdout).contains("--trace"));
 }
+
+#[test]
+fn out_puts_a_figures_files_in_the_directory_named() {
+    let dir = std::env::temp_dir().join(format!("dg_exp_out_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dg_exp(&["fig2_topology", "--out", dir.join("nested").to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut written: Vec<_> = std::fs::read_dir(dir.join("nested"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["fig2_topology.csv", "fig2_topology.dot"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
