@@ -114,6 +114,7 @@ use crate::scheme::{
     build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticTwoDisjoint, TargetedGraphs,
     TargetedRedundancy,
 };
+use crate::splitmix::mix;
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
 use dg_topology::algo::dijkstra::Direction;
 use dg_topology::algo::reach::Reach;
@@ -195,12 +196,12 @@ pub fn receiver_digest(receivers: &[NodeId]) -> u64 {
     let mut xor = 0u64;
     let mut n = 0u64;
     for &r in receivers {
-        let h = splitmix64(r.index() as u64 + 1);
+        let h = mix(r.index() as u64 + 1);
         sum = sum.wrapping_add(h);
         xor ^= h.rotate_left(17);
         n += 1;
     }
-    splitmix64(sum ^ xor.rotate_left(32) ^ n)
+    mix(sum ^ xor.rotate_left(32) ^ n)
 }
 
 /// Counter snapshot across all cache tiers (see [`GraphCache::stats`]).
@@ -845,7 +846,7 @@ const LATENCY_SHIFT: u32 = 42;
 /// clamped latency ([`clamped`], [`weight_floor`]), never from a plain
 /// sum of latencies.
 fn tie_broken_weight(graph: &Graph, e: EdgeId) -> u64 {
-    (clamped_latency(graph, e) << LATENCY_SHIFT) + (splitmix64(e.index() as u64 + 1) >> 32)
+    (clamped_latency(graph, e) << LATENCY_SHIFT) + (mix(e.index() as u64 + 1) >> 32)
 }
 
 /// `us` clamped as a link latency is in [`tie_broken_weight`]. For a
@@ -876,14 +877,6 @@ fn weight_floor(us: u64) -> u64 {
 /// sum never exceeds the sum of the clamped parts.
 fn to_go(reach: Reach<'_>) -> impl Fn(NodeId) -> u64 + Copy + '_ {
     move |v| weight_floor(reach.to_dst[v.index()])
-}
-
-/// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Like [`build_scheme`], but serving the shareable precomputations

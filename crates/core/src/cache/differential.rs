@@ -505,7 +505,7 @@ struct Case {
 fn case(seed: u64) -> Case {
     let mut state = seed;
     let mut below = |bound: u64| {
-        state = splitmix64(state);
+        state = mix(state);
         state % bound
     };
     let n = 5 + below(10) as usize;
@@ -582,7 +582,7 @@ proptest! {
     fn the_dependency_rule_holds_on_generated_topologies(seed in 0u64..u64::MAX) {
         let mut state = seed;
         let mut below = |bound: u64| {
-            state = splitmix64(state);
+            state = mix(state);
             state % bound
         };
         let nodes = 20 + below(81) as usize;

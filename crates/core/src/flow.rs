@@ -24,34 +24,6 @@ impl Flow {
     pub fn label(&self, graph: &Graph) -> String {
         format!("{}->{}", graph.node(self.source).name, graph.node(self.destination).name)
     }
-
-    /// Tag bit marking a flow's destination as a multicast group id
-    /// rather than a node id. Real node ids are dense indices far below
-    /// this bit, so the two spaces cannot collide; the wire format
-    /// carries flows without validating node ids, which makes group
-    /// flows wire-transparent on protocol v4.
-    pub const GROUP_BIT: u32 = 1 << 31;
-
-    /// Creates a group flow from `source` to the multicast group
-    /// `group_id`. The destination field carries the tagged group id.
-    pub const fn group(source: NodeId, group_id: u32) -> Self {
-        Flow { source, destination: NodeId::new(Self::GROUP_BIT | group_id) }
-    }
-
-    /// Whether this flow addresses a multicast group instead of a
-    /// single destination node.
-    pub const fn is_group(&self) -> bool {
-        self.destination.index() as u32 & Self::GROUP_BIT != 0
-    }
-
-    /// The group id of a group flow, or `None` for a unicast flow.
-    pub fn group_id(&self) -> Option<u32> {
-        if self.is_group() {
-            Some(self.destination.index() as u32 & !Self::GROUP_BIT)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Flow {
@@ -208,17 +180,6 @@ mod tests {
     fn default_requirement_is_65ms() {
         assert_eq!(ServiceRequirement::default().deadline, Micros::from_millis(65));
         assert_eq!(ServiceRequirement::new(Micros::from_millis(100)).deadline.as_millis(), 100);
-    }
-
-    #[test]
-    fn group_flows_round_trip_ids_and_never_collide_with_unicast() {
-        let f = Flow::group(NodeId::new(3), 42);
-        assert!(f.is_group());
-        assert_eq!(f.group_id(), Some(42));
-        assert_eq!(f.source, NodeId::new(3));
-        let unicast = Flow::new(NodeId::new(3), NodeId::new(11));
-        assert!(!unicast.is_group());
-        assert_eq!(unicast.group_id(), None);
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod dgraph;
 mod error;
 mod flow;
 pub mod scheme;
+pub mod splitmix;
 
 pub use cache::{
     build_scheme_cached, receiver_digest, CachedGraphKind, GraphCache, GraphCacheStats,

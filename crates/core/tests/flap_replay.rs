@@ -12,7 +12,7 @@
 //! one the oracle computes, which is what this checks on every flip.
 
 use dg_core::scheme::SchemeParams;
-use dg_core::{CachedGraphKind, Flow, GraphCache, MulticastKind, ServiceRequirement};
+use dg_core::{splitmix, CachedGraphKind, Flow, GraphCache, MulticastKind, ServiceRequirement};
 use dg_topology::generate::TopoSpec;
 use dg_topology::{EdgeId, NodeId};
 use std::collections::HashSet;
@@ -43,11 +43,7 @@ struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % n as u64) as usize
+        (splitmix::next(&mut self.0) % n as u64) as usize
     }
 }
 

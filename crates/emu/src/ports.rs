@@ -9,6 +9,7 @@
 //! ranges, and every candidate is verified free by actually binding it
 //! before it is handed out.
 
+use dg_core::splitmix;
 use std::net::UdpSocket;
 
 /// The low end of the probe space: above the well-known and registered
@@ -19,17 +20,6 @@ const PORT_FLOOR: u32 = 21_000;
 /// ephemeral range (32768+ on Linux) that transient sockets churn
 /// through.
 const PORT_SPAN: u32 = 10_000;
-
-/// SplitMix64 — the same tiny deterministic generator the chaos module
-/// uses, re-derived here so the port walk is seed-stable without a
-/// dependency on overlay internals.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Allocates `count` distinct, currently-free localhost UDP ports,
 /// walking a seed-derived sequence and probing each candidate with a
@@ -42,7 +32,7 @@ pub fn allocate(count: usize, seed: u64) -> Option<Vec<u16>> {
     let mut attempts = 0u32;
     while ports.len() < count && attempts < PORT_SPAN {
         attempts += 1;
-        let port = (PORT_FLOOR + (splitmix64(&mut rng) % u64::from(PORT_SPAN)) as u32) as u16;
+        let port = (PORT_FLOOR + (splitmix::next(&mut rng) % u64::from(PORT_SPAN)) as u32) as u16;
         if ports.contains(&port) {
             continue;
         }

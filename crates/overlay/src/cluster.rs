@@ -12,10 +12,10 @@ use crate::fault::{FaultPlan, LinkFault};
 use crate::metrics::ClusterMetricsReport;
 use crate::node::{OverlayHandle, OverlayNode};
 use crate::runtime::Runtime;
-use crate::session::{FlowGroup, FlowReceiver, FlowSender};
+use crate::session::{FlowReceiver, FlowSender};
 use crate::OverlayError;
 use dg_core::scheme::{SchemeKind, SchemeParams};
-use dg_core::{build_scheme_cached, Flow, GraphCache, MulticastKind, ServiceRequirement, SlaClass};
+use dg_core::{build_scheme_cached, Flow, GraphCache, ServiceRequirement, SlaClass};
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
@@ -291,33 +291,6 @@ impl Cluster {
     pub fn open_sla_sender(&self, flow: Flow, class: SlaClass) -> Result<FlowSender, OverlayError> {
         let requirement = class.requirement();
         self.open_sender_with_class(flow, class.preferred_scheme(), requirement, class)
-    }
-
-    /// Opens a multicast group sender at `source` covering `receivers`,
-    /// plus a receiving session at every receiver — the many-flow fast
-    /// path: one send covers the whole set over an interned
-    /// single-source dissemination graph. Receivers come back in the
-    /// graph's canonical order (sorted, deduplicated, source dropped).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-construction, admission, and session errors.
-    pub fn open_group_sender(
-        &self,
-        source: NodeId,
-        receivers: &[NodeId],
-        group_id: u32,
-        kind: MulticastKind,
-        requirement: ServiceRequirement,
-        class: SlaClass,
-    ) -> Result<(FlowGroup, Vec<(NodeId, FlowReceiver)>), OverlayError> {
-        let group =
-            self.node(source).open_group_sender(receivers, group_id, kind, requirement, class)?;
-        let mut sessions = Vec::with_capacity(group.receivers().len());
-        for r in group.receivers() {
-            sessions.push((r, self.node(r).open_group_receiver(source, group_id)?));
-        }
-        Ok((group, sessions))
     }
 
     /// Opens a receiver at the flow's destination.

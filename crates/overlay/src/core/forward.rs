@@ -326,12 +326,10 @@ impl NodeCore {
 
     /// Whether `flow` can exist on this overlay. Flow ids arrive
     /// unvalidated off the wire and key per-flow state (its counters, a
-    /// duplicate window), so one that names no site gets none. A group
-    /// flow's tagged id cannot be checked; the windows' idle reclaim
-    /// bounds those.
+    /// duplicate window), so one that names no site gets none.
     fn plausible(&self, flow: Flow) -> bool {
         let sites = self.graph.node_count();
-        flow.source.index() < sites && (flow.is_group() || flow.destination.index() < sites)
+        flow.source.index() < sites && flow.destination.index() < sites
     }
 
     /// The receive checks for a frame's stretch of consecutive records
@@ -357,12 +355,11 @@ impl NodeCore {
         let fresh = verdicts.iter().flatten().count() as u64;
         let on_time = verdicts.iter().flatten().filter(|&&on_time| on_time).count() as u64;
         let late = fresh - on_time;
-        // Unicast delivers at the flow's destination; a group flow
-        // delivers at every node with an open receiver session for it
-        // (group membership is not wire-visible — the mask is).
-        let unicast_here = flow.destination == self.me();
-        let receiver = (unicast_here || flow.is_group()) && self.receivers.contains(&flow);
-        if unicast_here || receiver {
+        // A flow is counted delivered at its destination, and handed
+        // out there only while a receiver session is open for it.
+        let here = flow.destination == self.me();
+        let receiver = here && self.receivers.contains(&flow);
+        if here {
             let counts = self.stats.flow(flow);
             counts.packets_on_time += on_time;
             counts.packets_late += late;

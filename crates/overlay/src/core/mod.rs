@@ -27,7 +27,7 @@ mod sessions;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use sessions::{Route, SessionId, SessionSlot};
+pub(crate) use sessions::{SessionId, SessionSlot};
 
 use crate::config::NodeConfig;
 use crate::dedup::DedupWindows;
@@ -109,7 +109,7 @@ pub(crate) struct NodeCore {
     recv_links: BTreeMap<NodeId, GapTracker>,
     pub(crate) dedup: DedupWindows,
     /// Flows with an open receiving session here: their packets are
-    /// delivered (and, for a group flow, counted as delivered) here.
+    /// handed out here.
     pub(crate) receivers: HashSet<Flow>,
     /// The node's data-frame buffers: a received data datagram is
     /// copied into one, a frame sent is framed in one (and held by its
@@ -151,8 +151,7 @@ pub(crate) struct NodeCore {
     next_digest: Micros,
 
     // Sessions (`sessions.rs`).
-    /// Every sending session originated here, unicast and group alike,
-    /// keyed by [`SessionId`]: refreshed on every scheme-update tick
+    /// Every sending session originated here, keyed by [`SessionId`]: refreshed on every scheme-update tick
     /// and counted against `sender_capacity`.
     sessions: Vec<Option<SessionSlot>>,
     /// Damped overload state machine driving per-class redundancy

@@ -8,31 +8,20 @@ use crate::overload::OverloadTransition;
 use crate::OverlayError;
 use bytes::Bytes;
 use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind};
-use dg_core::{
-    CachedGraphKind, DisseminationGraph, Flow, MulticastKind, ServiceRequirement, SlaClass,
-};
+use dg_core::{CachedGraphKind, DisseminationGraph, Flow, ServiceRequirement, SlaClass};
 use dg_topology::Micros;
 use dg_trace::NetworkState;
-use std::sync::Arc;
 
 /// Names one open sending session of a node: its slot in the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SessionId(usize);
 
-/// What decides a sending session's dissemination graph.
-pub(crate) enum Route {
-    /// A routing scheme, shown every link-state update.
-    Scheme(Box<dyn RoutingScheme>),
-    /// A several-receiver graph interned in the node's graph cache and
-    /// fetched again when link-state flips evict it.
-    Group { graph: Arc<DisseminationGraph>, kind: MulticastKind, requirement: ServiceRequirement },
-}
-
-/// The per-session sending state: the route plus its current
-/// dissemination graph pre-encoded as a wire bitmask, and — under
-/// overload — a cheaper override mask that temporarily replaces it.
+/// The per-session sending state: the routing scheme, shown every
+/// link-state update, plus its current dissemination graph pre-encoded
+/// as a wire bitmask, and — under overload — a cheaper override mask
+/// that temporarily replaces it.
 pub(crate) struct SessionSlot {
-    pub(crate) route: Route,
+    scheme: Box<dyn RoutingScheme>,
     pub(crate) flow: Flow,
     pub(crate) class: SlaClass,
     pub(super) deadline: Micros,
@@ -46,15 +35,12 @@ pub(crate) struct SessionSlot {
 }
 
 impl SessionSlot {
-    /// The graph the route currently selects.
+    /// The graph the scheme currently selects.
     pub(crate) fn graph(&self) -> &DisseminationGraph {
-        match &self.route {
-            Route::Scheme(scheme) => scheme.current(),
-            Route::Group { graph, .. } => graph,
-        }
+        self.scheme.current()
     }
 
-    /// Re-stamps the wire mask after the route changed its graph.
+    /// Re-stamps the wire mask after the scheme changed its graph.
     fn refresh_mask(&mut self, edge_count: usize) {
         self.mask = Bytes::from(self.graph().to_bitmask(edge_count));
     }
@@ -69,12 +55,12 @@ impl SessionSlot {
 }
 
 impl NodeCore {
-    /// Opens a sending session. Admission control for every kind of
-    /// session: refuse work beyond the configured capacity instead of
-    /// absorbing it and failing every class.
+    /// Opens a sending session. Admission control: refuse work beyond
+    /// the configured capacity instead of absorbing it and failing
+    /// every class.
     pub(crate) fn open_session(
         &mut self,
-        route: Route,
+        scheme: Box<dyn RoutingScheme>,
         flow: Flow,
         class: SlaClass,
         deadline: Micros,
@@ -85,7 +71,7 @@ impl NodeCore {
             return Err(OverlayError::AdmissionDenied { active, capacity });
         }
         let mut slot = SessionSlot {
-            route,
+            scheme,
             flow,
             class,
             deadline,
@@ -119,66 +105,29 @@ impl NodeCore {
         self.sessions[session.0].as_mut().expect("a session is closed only when dropped")
     }
 
-    /// Shows every open session's route the current network state and
+    /// Shows every open session's scheme the current network state and
     /// re-stamps the masks of those whose graph changed.
     pub(super) fn update_schemes(&mut self, now: Micros) {
         let state = self.linkstate.network_state(now);
         for slot in self.sessions.iter_mut().flatten() {
             let flow = slot.flow;
-            let changed = match &mut slot.route {
-                Route::Scheme(scheme) => {
-                    let changed = scheme.update(&self.graph, &state);
-                    if changed {
-                        self.stats.record_at(
-                            now,
-                            EventKind::RouteChange {
-                                flow,
-                                scheme: scheme.kind(),
-                                edges: scheme.current().len() as u64,
-                            },
-                        );
-                    }
-                    // Keep a usable disjoint-pair fallback warm for the
-                    // flow. Hits are free; a recompute only happens
-                    // after a report flipped one of the routes' links
-                    // across the usability threshold (the pair itself
-                    // is deadline-independent).
-                    let _ = self.graph_cache.live(
-                        flow,
-                        CachedGraphKind::TwoDisjoint,
-                        ServiceRequirement::default(),
-                    );
-                    changed
-                }
-                // A lookup against the interned multicast tier is free
-                // while the cached graph is valid, and recomputes
-                // exactly when a link-state report flipped an edge the
-                // graph depends on.
-                Route::Group { graph, kind, requirement } => {
-                    match self.graph_cache.multicast(
-                        flow.source,
-                        graph.receivers(),
-                        *kind,
-                        *requirement,
-                    ) {
-                        Ok(fresh) if !Arc::ptr_eq(&fresh, graph) => {
-                            // A recompute can land on the same edge set
-                            // (the flip was on a redundant branch's
-                            // alternative); only a real edge-set change
-                            // counts as a reroute.
-                            let changed = *fresh != **graph;
-                            *graph = fresh;
-                            changed
-                        }
-                        _ => false,
-                    }
-                }
-            };
-            if changed {
+            if slot.scheme.update(&self.graph, &state) {
+                let edges = slot.graph().len() as u64;
+                let scheme = slot.scheme.kind();
+                self.stats.record_at(now, EventKind::RouteChange { flow, scheme, edges });
                 slot.refresh_mask(self.graph.edge_count());
                 self.stats.counters.graph_changes += 1;
                 self.stats.flow(flow).graph_changes += 1;
             }
+            // Keep a usable disjoint-pair fallback warm for the flow.
+            // Hits are free; a recompute only happens after a report
+            // flipped one of the routes' links across the usability
+            // threshold (the pair itself is deadline-independent).
+            let _ = self.graph_cache.live(
+                flow,
+                CachedGraphKind::TwoDisjoint,
+                ServiceRequirement::default(),
+            );
         }
         // An ongoing overload episode keeps its downgrade masks in step
         // with the topology: recompute them (silently — the level did
@@ -212,7 +161,7 @@ impl NodeCore {
     }
 
     /// (Re)applies the downgrade policy for overload `level` to every
-    /// unicast session: surgical keeps its full graph at every level,
+    /// session: surgical keeps its full graph at every level,
     /// timely falls back to its precomputed disjoint pair at level 2,
     /// and bulk drops to a single path from level 1. `ClassDowngraded`
     /// is journaled only when a slot's effective level changes; a mask
@@ -220,9 +169,6 @@ impl NodeCore {
     /// is silent.
     fn apply_overload(&mut self, now: Micros, level: u8, state: &NetworkState) {
         for slot in self.sessions.iter_mut().flatten() {
-            // A group keeps its graph: the cheaper unicast graphs below
-            // would not reach its receivers.
-            let Route::Scheme(_) = slot.route else { continue };
             let (flow, class) = (slot.flow, slot.class);
             // Surgical is never downgraded, timely at level 2, bulk
             // from level 1; a flow whose cheaper graph cannot be

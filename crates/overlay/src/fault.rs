@@ -16,6 +16,7 @@
 //! per-link decision sequence produce identical impairment streams —
 //! the foundation of the seeded chaos soak tests.
 
+use dg_core::splitmix;
 use dg_topology::{Micros, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -128,18 +129,9 @@ impl FaultVerdict {
     }
 }
 
-/// SplitMix64 step: advances the state and returns a 64-bit draw.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A uniform draw in `[0, 1)`.
 pub(crate) fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix::next(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[derive(Debug)]
@@ -180,7 +172,7 @@ impl FaultPlan {
     fn entry_rng_seed(&self, neighbor: NodeId) -> u64 {
         // Decorrelate per-link streams from the plan seed.
         let mut s = self.seed ^ (neighbor.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-        splitmix64(&mut s);
+        splitmix::next(&mut s);
         s
     }
 
@@ -247,7 +239,7 @@ impl FaultPlan {
         } else {
             let mut delay = fault.delay;
             if fault.jitter > Micros::ZERO {
-                let extra = splitmix64(&mut rng) % (fault.jitter.as_micros() + 1);
+                let extra = splitmix::next(&mut rng) % (fault.jitter.as_micros() + 1);
                 delay = delay.saturating_add(Micros::from_micros(extra));
             }
             if fault.reorder > 0.0 && unit(&mut rng) < fault.reorder {
@@ -258,7 +250,7 @@ impl FaultPlan {
             let mut corrupt_seed = 0;
             if fault.corrupt > 0.0 && unit(&mut rng) < fault.corrupt {
                 corrupt = true;
-                corrupt_seed = splitmix64(&mut rng);
+                corrupt_seed = splitmix::next(&mut rng);
             }
             FaultVerdict { drop: false, delay, duplicate, corrupt, corrupt_seed }
         };

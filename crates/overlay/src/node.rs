@@ -6,14 +6,13 @@
 use crate::chaos::ChaosTarget;
 use crate::clock::now_us;
 use crate::config::NodeConfig;
-use crate::core::Route;
 use crate::fault::{FaultPlan, LinkFault};
 use crate::metrics::MetricsSnapshot;
 use crate::runtime::{spawn_threads, Driver};
-use crate::session::{FlowGroup, FlowReceiver, FlowSender, Session};
+use crate::session::{FlowReceiver, FlowSender};
 use crate::OverlayError;
 use dg_core::scheme::RoutingScheme;
-use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
+use dg_core::{Flow, ServiceRequirement, SlaClass};
 use dg_topology::{EdgeId, Graph, NodeId};
 use dg_trace::NetworkState;
 use std::net::UdpSocket;
@@ -152,66 +151,9 @@ impl OverlayHandle {
         }
         let flow = scheme.flow();
         let id = self.driver.event(|core, _, _, _| {
-            core.open_session(Route::Scheme(scheme), flow, class, requirement.deadline)
+            core.open_session(scheme, flow, class, requirement.deadline)
         })??;
-        Ok(FlowSender(Session::new(Arc::clone(&self.driver), id, flow, class)))
-    }
-
-    /// Opens a multicast sending session from this node to `receivers`:
-    /// one send covers every receiver, over an interned single-source
-    /// dissemination graph shared by all groups with the same
-    /// `(source, receiver set, kind, deadline)`. The `group_id` is the
-    /// rendezvous: receivers subscribe with
-    /// [`OverlayHandle::open_group_receiver`] on
-    /// `Flow::group(source, group_id)`.
-    ///
-    /// Group sessions count against the same sender admission capacity
-    /// as unicast sessions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::Core`] when no multicast graph exists
-    /// (e.g. a receiver is unreachable or the set is empty),
-    /// [`OverlayError::AdmissionDenied`] at sender capacity, and
-    /// [`OverlayError::Shutdown`] once the node has stopped.
-    pub fn open_group_sender(
-        &self,
-        receivers: &[NodeId],
-        group_id: u32,
-        kind: MulticastKind,
-        requirement: ServiceRequirement,
-        class: SlaClass,
-    ) -> Result<FlowGroup, OverlayError> {
-        let flow = Flow::group(self.node_id(), group_id);
-        let id = self.driver.event(|core, _, _, _| {
-            let graph = core.graph_cache.multicast(flow.source, receivers, kind, requirement)?;
-            let route = Route::Group { graph, kind, requirement };
-            core.open_session(route, flow, class, requirement.deadline)
-        })??;
-        Ok(FlowGroup(Session::new(Arc::clone(&self.driver), id, flow, class)))
-    }
-
-    /// Opens a receiving session for the multicast group flow
-    /// `Flow::group(source, group_id)`. Any node may subscribe; only
-    /// nodes in the sender's receiver set are reached by the group's
-    /// dissemination graph.
-    ///
-    /// A later receiver for the same group flow replaces the earlier
-    /// one at this node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownNode`] when `source` does not
-    /// exist in the topology.
-    pub fn open_group_receiver(
-        &self,
-        source: NodeId,
-        group_id: u32,
-    ) -> Result<FlowReceiver, OverlayError> {
-        if source.index() >= self.driver.graph.node_count() {
-            return Err(OverlayError::UnknownNode(source));
-        }
-        Ok(self.driver.open_receiver(Flow::group(source, group_id)))
+        Ok(FlowSender::new(Arc::clone(&self.driver), id, flow, class))
     }
 
     /// Opens a receiving session for `flow`, which must terminate here.
@@ -269,12 +211,6 @@ impl OverlayHandle {
     /// across nodes; forwarding is unaffected.
     pub fn set_origination_paused(&self, paused: bool) {
         self.driver.with_core(|core| core.originations_paused = paused);
-    }
-
-    /// The node's current overload degradation level (0 = full
-    /// redundancy on every class; see `docs/RESILIENCE.md`).
-    pub fn overload_level(&self) -> u8 {
-        self.driver.with_core(|core| core.overload.level())
     }
 
     /// Data shipments currently queued toward the wire — the depth

@@ -21,12 +21,12 @@ use crate::session::{Delivery, FlowReceiver, DELIVERY_QUEUE};
 use crate::wire;
 use crate::OverlayError;
 use bytes::Bytes;
-use crossbeam::channel::{self, Sender, TrySendError};
 use dg_core::Flow;
 use dg_topology::{Graph, Micros, NodeId};
 use std::collections::HashMap;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -56,7 +56,7 @@ struct Driven {
     carrier: Carrier,
     /// The delivery queue of each open receiving session, with the id
     /// that tells a replaced session's close from its successor's.
-    receivers: HashMap<Flow, (u64, Sender<Delivery>)>,
+    receivers: HashMap<Flow, (u64, SyncSender<Delivery>)>,
     receivers_opened: u64,
 }
 
@@ -155,7 +155,7 @@ impl Driver {
         }
         // A frame's deliveries are mostly one flow's: look its queue up
         // once a stretch, not once a packet.
-        let mut open: Option<(Flow, &Sender<Delivery>)> = None;
+        let mut open: Option<(Flow, &SyncSender<Delivery>)> = None;
         for (class, delivery) in actions.deliveries.drain(..) {
             if open.map(|(flow, _)| flow) != Some(delivery.flow) {
                 open = receivers.get(&delivery.flow).map(|(_, tx)| (delivery.flow, tx));
@@ -213,7 +213,7 @@ impl Driver {
 
     /// Opens `flow`'s receiving session, replacing any earlier one.
     pub(crate) fn open_receiver(self: &Arc<Self>, flow: Flow) -> FlowReceiver {
-        let (tx, rx) = channel::bounded(DELIVERY_QUEUE);
+        let (tx, rx) = mpsc::sync_channel(DELIVERY_QUEUE);
         let mut st = self.lock_any();
         st.receivers_opened += 1;
         let id = st.receivers_opened;

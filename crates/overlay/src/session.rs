@@ -1,13 +1,13 @@
 //! Application-facing sending and receiving sessions.
 
-use crate::core::{Route, SessionId, SessionSlot};
+use crate::core::{SessionId, SessionSlot};
 use crate::runtime::Driver;
 use crate::wire::MAX_PAYLOAD;
 use crate::OverlayError;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
-use dg_core::{DisseminationGraph, Flow, MulticastGraph, SlaClass};
-use dg_topology::{Micros, NodeId};
+use dg_core::{DisseminationGraph, Flow, SlaClass};
+use dg_topology::Micros;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,27 +85,29 @@ impl DeliveryStats {
     }
 }
 
-/// What [`FlowSender`] and [`FlowGroup`] are both made of: the node and
-/// the id of the slot there that stamps this flow's packets. Dropping
-/// it closes the slot, which gives the node its admission slot back.
+/// A sending session: stamps packets with the flow's current
+/// dissemination graph and injects them at the source node. It holds
+/// the node and the id of the slot there that stamps this flow's
+/// packets; dropping it closes the slot, which gives the node its
+/// admission slot back.
 #[derive(Debug)]
-pub(crate) struct Session {
+pub struct FlowSender {
     driver: Arc<Driver>,
     id: SessionId,
     flow: Flow,
     class: SlaClass,
 }
 
-impl Drop for Session {
+impl Drop for FlowSender {
     fn drop(&mut self) {
         self.driver.with_core(|core| core.close_session(self.id));
     }
 }
 
-impl Session {
+impl FlowSender {
     /// Wraps session `id`, just opened at `driver`'s node for `flow`.
     pub(crate) fn new(driver: Arc<Driver>, id: SessionId, flow: Flow, class: SlaClass) -> Self {
-        Session { driver, id, flow, class }
+        FlowSender { driver, id, flow, class }
     }
 
     /// Reads the session's slot under the node's lock.
@@ -120,38 +122,20 @@ impl Session {
         }
     }
 
-    fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        Self::check(payloads)?;
-        self.driver.event(|core, now, backlog, out| core.send(now, self.id, payloads, backlog, out))
-    }
-
-    fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
-        Self::check(&[payload])?;
-        self.driver
-            .event(|core, now, backlog, out| core.tail_probe(now, self.id, payload, backlog, out))
-    }
-}
-
-/// A sending session: stamps packets with the flow's current
-/// dissemination graph and injects them at the source node.
-#[derive(Debug)]
-pub struct FlowSender(pub(crate) Session);
-
-impl FlowSender {
     /// The flow this session sends on.
     pub fn flow(&self) -> Flow {
-        self.0.flow
+        self.flow
     }
 
     /// The SLA class stamped onto this session's packets.
     pub fn class(&self) -> SlaClass {
-        self.0.class
+        self.class
     }
 
     /// True while the node has replaced this flow's dissemination graph
     /// with a cheaper one under overload (see `docs/RESILIENCE.md`).
     pub fn is_downgraded(&self) -> bool {
-        self.0.with_slot(SessionSlot::is_downgraded)
+        self.with_slot(SessionSlot::is_downgraded)
     }
 
     /// Sends one application packet; returns its flow sequence number.
@@ -162,7 +146,7 @@ impl FlowSender {
     /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
     /// node has stopped; nothing is sent in either case.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        self.0.send_batch(&[payload])
+        self.send_batch(&[payload])
     }
 
     /// Re-disseminates the most recently sent packet under its original
@@ -190,7 +174,9 @@ impl FlowSender {
     /// re-offer), and [`OverlayError::Shutdown`] once the node has
     /// stopped.
     pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
-        self.0.tail_probe(payload)
+        Self::check(&[payload])?;
+        self.driver
+            .event(|core, now, backlog, out| core.tail_probe(now, self.id, payload, backlog, out))
     }
 
     /// Sends a run of application packets as one batch: they receive
@@ -208,91 +194,13 @@ impl FlowSender {
     /// [`MAX_PAYLOAD`], and [`OverlayError::Shutdown`] once the node
     /// has stopped; nothing is sent in either case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        self.0.send_batch(payloads)
+        Self::check(payloads)?;
+        self.driver.event(|core, now, backlog, out| core.send(now, self.id, payloads, backlog, out))
     }
 
     /// The dissemination graph currently stamped onto packets.
     pub fn current_graph(&self) -> DisseminationGraph {
-        self.0.with_slot(|slot| slot.graph().clone())
-    }
-}
-
-/// A multicast sending session: one encode + dissemination per packet
-/// covers every receiver of the group, instead of N unicast sends.
-///
-/// The group's dissemination graph is a single-source tree (or, for
-/// [`MulticastKind::Targeted`]/[`MulticastKind::Robust`], a DAG with
-/// redundancy branches grafted at receivers) interned in the node's
-/// graph cache, so thousands of groups over the same topology share
-/// one precomputed graph per distinct `(source, receiver set, kind,
-/// deadline)`. See `docs/MULTICAST.md`.
-#[derive(Debug)]
-pub struct FlowGroup(pub(crate) Session);
-
-impl FlowGroup {
-    /// The group flow this session sends on (a tagged group id in the
-    /// destination field; see [`Flow::group`]).
-    pub fn flow(&self) -> Flow {
-        self.0.flow
-    }
-
-    /// The SLA class stamped onto this session's packets.
-    pub fn class(&self) -> SlaClass {
-        self.0.class
-    }
-
-    /// The canonical receiver set of the group.
-    pub fn receivers(&self) -> Vec<NodeId> {
-        self.0.with_slot(|slot| slot.graph().receivers().to_vec())
-    }
-
-    /// Sends one application packet to every receiver of the group;
-    /// returns its flow sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
-    /// node has stopped; nothing is sent in either case.
-    pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        self.0.send_batch(&[payload])
-    }
-
-    /// Sends a run of packets to every receiver as one batch — the
-    /// many-flow fast path: consecutive sequence numbers, one shared
-    /// timestamp and mask, coalesced wire datagrams per out-link, and
-    /// one dissemination covering all receivers. Returns the first
-    /// sequence number of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
-    /// [`MAX_PAYLOAD`], and [`OverlayError::Shutdown`] once the node
-    /// has stopped; nothing is sent in either case.
-    pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        self.0.send_batch(payloads)
-    }
-
-    /// Offers the group's most recently sent packet again under its
-    /// original sequence number, exactly as [`FlowSender::tail_probe`]
-    /// does for a unicast flow: every receiver that already has it
-    /// suppresses the duplicate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes, and [`OverlayError::Shutdown`] once the
-    /// node has stopped.
-    pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
-        self.0.tail_probe(payload)
-    }
-
-    /// The several-receiver graph currently stamped onto packets.
-    pub fn current_graph(&self) -> Arc<MulticastGraph> {
-        self.0.with_slot(|slot| match &slot.route {
-            Route::Group { graph, .. } => Arc::clone(graph),
-            Route::Scheme(scheme) => Arc::new(scheme.current().clone()),
-        })
+        self.with_slot(|slot| slot.graph().clone())
     }
 }
 
@@ -301,8 +209,7 @@ impl FlowGroup {
 pub const DELIVERY_QUEUE: usize = 16_384;
 
 /// A receiving session: yields [`Delivery`] records for one flow.
-/// Dropping it closes the session: the node stops delivering the flow
-/// (and, for a group flow, counting it as delivered there).
+/// Dropping it closes the session: the node stops delivering the flow.
 #[derive(Debug)]
 pub struct FlowReceiver {
     rx: Receiver<Delivery>,

@@ -23,7 +23,7 @@
 use crate::carrier::Carrier;
 use crate::chaos::{incident_edges, ChaosRunner, ChaosSchedule, ChaosTarget};
 use crate::cluster::{ClusterConfig, Emulation};
-use crate::core::{Actions, NodeCore, Route, SessionId};
+use crate::core::{Actions, NodeCore, SessionId};
 use crate::fault::{FaultPlan, LinkFault};
 use crate::metrics::{ClusterMetricsReport, MetricsSnapshot};
 use crate::session::Delivery;
@@ -31,9 +31,7 @@ use crate::wire::{DataPacket, DigestEntry, Envelope, Message};
 use crate::OverlayError;
 use bytes::Bytes;
 use dg_core::scheme::{RoutingScheme, SchemeKind};
-use dg_core::{
-    build_scheme_cached, DisseminationGraph, Flow, MulticastKind, ServiceRequirement, SlaClass,
-};
+use dg_core::{build_scheme_cached, DisseminationGraph, Flow, ServiceRequirement, SlaClass};
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use dg_trace::NetworkState;
 use std::collections::VecDeque;
@@ -423,34 +421,7 @@ impl Net {
     ) -> Result<SimSender, OverlayError> {
         let flow = scheme.flow();
         let core = self.core_mut(flow.source);
-        let id = core.open_session(Route::Scheme(scheme), flow, class, requirement.deadline)?;
-        Ok(SimSender { id, flow })
-    }
-
-    /// Opens a multicast group sender at `source` and a receiving
-    /// session at every receiver (see `Cluster::open_group_sender`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-construction and admission errors.
-    pub fn open_group_sender(
-        &mut self,
-        source: NodeId,
-        receivers: &[NodeId],
-        group_id: u32,
-        kind: MulticastKind,
-        requirement: ServiceRequirement,
-        class: SlaClass,
-    ) -> Result<SimSender, OverlayError> {
-        let flow = Flow::group(source, group_id);
-        let core = self.core_mut(source);
-        let graph = core.graph_cache.multicast(source, receivers, kind, requirement)?;
-        let reached = graph.receivers().to_vec();
-        let route = Route::Group { graph, kind, requirement };
-        let id = core.open_session(route, flow, class, requirement.deadline)?;
-        for receiver in reached {
-            self.core_mut(receiver).receivers.insert(flow);
-        }
+        let id = core.open_session(scheme, flow, class, requirement.deadline)?;
         Ok(SimSender { id, flow })
     }
 

@@ -21,6 +21,7 @@
 //!   never undone by the tick that closes after it; a healed link
 //!   clears within three whole ticks of clean data.
 
+use dg_core::splitmix;
 use dg_overlay::monitor::{LinkMonitor, WINDOW_TICKS};
 use dg_overlay::recovery::GapTracker;
 use dg_topology::{Micros, NodeId};
@@ -29,13 +30,9 @@ use proptest::prelude::*;
 const TICK: Micros = Micros::from_millis(50);
 const THRESHOLD: f64 = 0.05;
 
-/// SplitMix64: a uniform draw in `[0, 1)` per call.
+/// A uniform draw in `[0, 1)` per call.
 fn unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix::next(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// One in-link: the tracker its data goes through, the monitor its

@@ -9,7 +9,7 @@
 //! needs an operating system (sockets, threads, `Drop`) is `cluster.rs`.
 
 use dg_core::scheme::SchemeKind;
-use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
+use dg_core::{Flow, ServiceRequirement};
 use dg_overlay::cluster::ClusterConfig;
 use dg_overlay::fault::{BurstLoss, LinkFault};
 use dg_overlay::metrics::EventKind;
@@ -796,68 +796,4 @@ fn tail_probe_repairs_a_silently_lost_stream_tail() {
     let flow_cell = cells.flows.iter().find(|f| f.flow == flow).expect("flow has metrics");
     assert_eq!(flow_cell.packets_sent, 4, "probes do not inflate packets_sent");
     assert_eq!(net.send(tx, b"next"), tail_seq + 1, "probes do not consume sequences");
-}
-
-#[test]
-fn group_sender_reaches_every_receiver() {
-    let mut net = na_net();
-    let graph = net.graph().clone();
-    let src = by_name(&graph, "NYC");
-    let receivers = ["SJC", "LAX", "MIA"].map(|n| by_name(&graph, n));
-    let (kind, requirement) = (MulticastKind::Targeted, ServiceRequirement::default());
-    let tx =
-        net.open_group_sender(src, &receivers, 7, kind, requirement, SlaClass::Timely).unwrap();
-    assert!(tx.flow().is_group());
-    assert_eq!(tx.flow().group_id(), Some(7));
-
-    // One send per packet reaches the whole receiver set.
-    for i in 0..10u64 {
-        assert_eq!(net.send(tx, format!("group {i}").as_bytes()), i);
-        net.run_for(ms(5));
-    }
-    // And one encoded batch fans out the same way.
-    assert_eq!(net.send_batch(tx, &[b"batch a".as_ref(), b"batch b".as_ref()]), 10);
-    net.run_for(ms(500));
-
-    for node in receivers {
-        let mut got: Vec<&Delivery> =
-            net.deliveries().iter().filter(|(at, _)| *at == node).map(|(_, d)| d).collect();
-        assert_eq!(got.len(), 12, "receiver {node:?} missed packets");
-        got.sort_by_key(|d| d.flow_seq);
-        assert_eq!(got[0].payload.as_ref(), b"group 0");
-        assert_eq!(got[11].payload.as_ref(), b"batch b");
-        for d in &got {
-            assert!(d.on_time, "receiver {node:?} seq {} late: {}", d.flow_seq, d.latency());
-        }
-    }
-    assert_eq!(net.deliveries().len(), 36, "and nobody else heard them");
-
-    // The multicast tier interned the group graph, and the counters
-    // surface through the node's metrics snapshot.
-    let stats = net.snapshot(src).graph_cache;
-    assert!(stats.multicast.misses >= 1, "group graph was constructed");
-}
-
-#[test]
-fn group_and_unicast_flows_do_not_collide() {
-    let mut net = na_net();
-    let flow = nyc_sjc(&net);
-    let (src, dst) = (flow.source, flow.destination);
-    let requirement = ServiceRequirement::default();
-    let uni_tx = open(&mut net, flow, SchemeKind::StaticSinglePath, requirement);
-    let grp_tx = net
-        .open_group_sender(src, &[dst], 1, MulticastKind::Tree, requirement, SlaClass::Timely)
-        .unwrap();
-
-    net.send(uni_tx, b"unicast");
-    net.send(grp_tx, b"grouped");
-    net.run_for(ms(500));
-
-    // Each session saw exactly its own stream.
-    let uni = net.take_deliveries(flow);
-    assert_eq!(uni.len(), 1, "unicast delivered, and no group packet leaked into it");
-    assert_eq!(uni[0].payload.as_ref(), b"unicast");
-    let grp = net.take_deliveries(grp_tx.flow());
-    assert_eq!(grp.len(), 1, "group delivered, and no unicast packet leaked into it");
-    assert_eq!(grp[0].payload.as_ref(), b"grouped");
 }

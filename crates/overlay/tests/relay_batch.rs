@@ -612,11 +612,14 @@ fn packets_of_flows_between_no_sites_are_dropped_before_any_state() {
     const INVENTED: u64 = 1_000;
     let invented = |i: u64| {
         let nowhere = NodeId::new(5_000 + i as u32);
+        // An id with bit 31 set names no site either.
+        let tagged = NodeId::new(1 << 31 | i as u32);
         // From no site, or from a real one to no site.
-        if i.is_multiple_of(2) {
-            Flow::new(nowhere, n[2])
-        } else {
-            Flow::new(n[0], nowhere)
+        match i % 4 {
+            0 => Flow::new(nowhere, n[2]),
+            1 => Flow::new(n[0], nowhere),
+            2 => Flow::new(n[0], tagged),
+            _ => Flow::new(tagged, n[2]),
         }
     };
     for frame in 0..10 {

@@ -16,21 +16,16 @@
 //!
 //! There is one packet function ([`simulate_packet_with`]: the packet
 //! spreads through the graph once, however many receivers it has), one
-//! playback loop and one worker pool. The loop has two parameters:
+//! playback loop and one worker pool. The loop takes its graph from a
+//! [`RoutingScheme`](dg_core::scheme::RoutingScheme) that sees every
+//! monitoring update and may reroute ([`run_flow`], [`run_flow_full`],
+//! [`run_flows`]), and accumulates per-second records and a latency
+//! histogram ([`PlaybackOutput`]).
 //!
-//! - **where the graph comes from** — a
-//!   [`RoutingScheme`](dg_core::scheme::RoutingScheme) that sees every
-//!   monitoring update and may reroute ([`run_flow`],
-//!   [`run_flow_full`], [`run_flows`]), or a fixed graph from the
-//!   [`GraphCache`](dg_core::GraphCache) ([`run_groups`]);
-//! - **what is accumulated** — per-second records and a latency
-//!   histogram for a flow ([`PlaybackOutput`]), or per-receiver
-//!   counters for a group ([`GroupRunStats`]).
-//!
-//! [`run_flows`], [`run_groups`] and [`experiment::run_comparison`] fan
-//! their jobs out over the same pool: `threads` workers (zero = one per
-//! core), one [`SimScratch`] per worker, results in input order and
-//! byte-identical at any worker count.
+//! [`run_flows`] and [`experiment::run_comparison`] fan their jobs out
+//! over the pool: `threads` workers (zero = one per core), one
+//! [`SimScratch`] per worker, results in input order and byte-identical
+//! at any worker count.
 //!
 //! # Replaying what repeats once
 //!
@@ -92,20 +87,6 @@
 //! let config = PlaybackConfig::default();
 //! let stats = run_flow(&g, &traces, scheme.as_mut(), &config);
 //! assert_eq!(stats.seconds, 30);
-//!
-//! // The same flow as a group of one, on the pool: the graph is fetched
-//! // from a cache and stays fixed for the run.
-//! use dg_core::{GraphCache, MulticastKind};
-//! use dg_sim::{run_groups, GroupJob};
-//! let cache = GraphCache::new(g.clone(), SchemeParams::default());
-//! let job = GroupJob {
-//!     source: flow.source,
-//!     receivers: vec![flow.destination],
-//!     kind: MulticastKind::Tree,
-//!     requirement: Default::default(),
-//! };
-//! let runs = run_groups(&g, &traces, &cache, &[job], &config, 0)?;
-//! assert_eq!(runs[0].receivers[0].packets_sent, stats.packets_sent);
 //! # Ok::<(), dg_core::CoreError>(())
 //! ```
 
@@ -113,7 +94,6 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-mod group;
 mod histogram;
 mod metrics;
 mod packet;
@@ -121,7 +101,6 @@ mod parallel;
 mod playback;
 mod rng;
 
-pub use group::{group_flows, run_groups, GroupJob, GroupRunStats, ReceiverRunStats};
 pub use histogram::LatencyHistogram;
 pub use metrics::{gap_coverage, FlowRunStats, SecondRecord};
 pub use packet::{

@@ -155,16 +155,7 @@ mod tests {
         s.seconds = 0;
         assert_eq!(s.availability(), 1.0);
         assert_eq!(s.average_cost(), 0.0);
-        // Flows and group receivers answer the empty case alike.
         assert_eq!(s.on_time_fraction(), 0.0);
-        let receiver = crate::ReceiverRunStats {
-            receiver: NodeId::new(1),
-            packets_sent: 0,
-            packets_on_time: 0,
-            packets_delivered: 0,
-            packets_lost: 0,
-        };
-        assert_eq!(receiver.on_time_fraction(), s.on_time_fraction());
     }
 
     #[test]

@@ -302,9 +302,9 @@ impl SimScratch {
 /// `send_time`.
 ///
 /// The packet spreads through the graph once however many receivers it
-/// has, exactly as one overlay send covers a whole group; the outcome
-/// counts it delivered once *every* receiver has it (`delivered_at` is
-/// the last receiver's first arrival).
+/// has (the graph cache's multicast tier builds graphs with several);
+/// the outcome counts it delivered once *every* receiver has it
+/// (`delivered_at` is the last receiver's first arrival).
 ///
 /// This convenience wrapper builds fresh scratch state per call; bulk
 /// replays should hold a [`SimScratch`] and call

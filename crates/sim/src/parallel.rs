@@ -5,7 +5,7 @@
 //! scratch arena, and every loss draw is a pure function of the event
 //! coordinates `(seed, seq, edge, attempt)` — so execution order cannot
 //! leak into results. [`fan_out`] is the one worker pool, and
-//! [`run_flows`] and [`crate::run_groups`] both ride it:
+//! [`run_flows`] rides it:
 //!
 //! - routes are pre-built **serially** through one shared
 //!   [`GraphCache`], so the expensive dissemination-graph constructions
@@ -64,9 +64,9 @@ pub(crate) fn fan_out<T: Send>(
 
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..total).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut scratch = SimScratch::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
@@ -78,8 +78,7 @@ pub(crate) fn fan_out<T: Send>(
                 }
             });
         }
-    })
-    .expect("worker threads do not panic");
+    });
 
     results
         .into_inner()

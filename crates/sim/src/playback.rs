@@ -77,18 +77,6 @@ impl Route for dyn RoutingScheme + '_ {
     }
 }
 
-/// A fixed graph — the cached graph a sender holds between reroutes —
-/// stays as it is for the whole run.
-impl Route for &DisseminationGraph {
-    fn current(&self) -> &DisseminationGraph {
-        self
-    }
-
-    fn observe(&mut self, _: &Graph, _: &TraceSet, _: Micros) -> bool {
-        false
-    }
-}
-
 /// What the playback loop accumulates.
 pub(crate) trait Tally {
     /// `n` consecutive packets sent over `graph` each spread as

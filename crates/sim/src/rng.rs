@@ -6,26 +6,19 @@
 //! identical loss outcomes on identical (edge, packet) events, so
 //! differences between schemes reflect routing, not sampling noise.
 
-/// SplitMix64 finalizer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use dg_core::splitmix::mix;
 
 /// The `(seed, edge)` half of a draw's hash chain. It is the same for
 /// every packet a flow sends over `edge`, so a replay that asks about
 /// the same edges packet after packet hashes it once.
 pub(crate) fn edge_prefix(seed: u64, edge: u32) -> u64 {
-    splitmix64(splitmix64(seed) ^ u64::from(edge))
+    mix(mix(seed) ^ u64::from(edge))
 }
 
 /// The 53 random bits of the draw for `(seq, attempt)` on the edge
 /// behind `prefix`: [`unit_sample`] is this over 2^53.
 pub(crate) fn draw_bits(prefix: u64, seq: u64, attempt: u32) -> u64 {
-    splitmix64(splitmix64(prefix ^ seq) ^ u64::from(attempt)) >> 11
+    mix(mix(prefix ^ seq) ^ u64::from(attempt)) >> 11
 }
 
 /// 2^53, the number of values a draw takes.

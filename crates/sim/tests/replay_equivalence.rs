@@ -1,9 +1,9 @@
 //! The playback loop against its definition.
 //!
-//! `run_flow_full` and `run_groups` answer most packets from a
-//! memoised loss-free wavefront. The definition of what they compute is
-//! the loop below: one public `simulate_packet_with` per packet — which
-//! never consults a memo — and one accumulator update per packet. Every
+//! `run_flow_full` answers most packets from a memoised loss-free
+//! wavefront. The definition of what it computes is the loop below: one
+//! public `simulate_packet_with` per packet — which never consults a
+//! memo — and one accumulator update per packet. Every
 //! statistic, per-second record and histogram must be equal, on traces
 //! built to hit every way a packet can leave the fast path: one-second
 //! (and shorter-than-the-deadline) intervals so packets straddle
@@ -11,13 +11,10 @@
 //! past the deadline, recovery on and off.
 
 use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
-use dg_core::{
-    receiver_digest, DisseminationGraph, Flow, GraphCache, MulticastKind, ServiceRequirement,
-};
+use dg_core::{receiver_digest, DisseminationGraph, Flow, ServiceRequirement};
 use dg_sim::{
-    run_flow_full, run_groups, simulate_packet_with, FlowRunStats, GroupJob, GroupRunStats,
-    LatencyHistogram, PlaybackConfig, PlaybackOutput, ReceiverRunStats, RecoveryModel,
-    SecondRecord, SimScratch,
+    run_flow_full, simulate_packet_with, FlowRunStats, LatencyHistogram, PlaybackConfig,
+    PlaybackOutput, RecoveryModel, SecondRecord, SimScratch,
 };
 use dg_topology::{presets, EdgeId, Graph, Micros, NodeId};
 use dg_trace::{LinkCondition, TraceSet};
@@ -157,66 +154,6 @@ fn flow_by_definition(
     PlaybackOutput { stats, seconds, latency }
 }
 
-/// What `run_groups` must return for `graph`: each receiver's counters
-/// from its own one-receiver view of the same edge set (same edges,
-/// same seed, hence the same draws), one propagation per packet.
-fn group_by_definition(
-    g: &Graph,
-    traces: &TraceSet,
-    graph: &DisseminationGraph,
-    config: &PlaybackConfig,
-) -> GroupRunStats {
-    let seed = playback_seed(config.seed, graph);
-    let mut scratch = SimScratch::new();
-    scratch.index_graph(g, graph);
-    let mut transmissions = 0;
-    let receivers = graph
-        .receivers()
-        .iter()
-        .map(|&receiver| {
-            let view = graph.unicast_view(g, receiver).unwrap();
-            let mut cell = ReceiverRunStats {
-                receiver,
-                packets_sent: 0,
-                packets_on_time: 0,
-                packets_delivered: 0,
-                packets_lost: 0,
-            };
-            transmissions = 0;
-            schedule(
-                traces,
-                config,
-                |t, seq| {
-                    let out = simulate_packet_with(
-                        &mut scratch,
-                        g,
-                        &view,
-                        traces,
-                        t,
-                        config.deadline,
-                        &config.recovery,
-                        seed,
-                        seq,
-                    );
-                    transmissions += out.transmissions;
-                    cell.packets_sent += 1;
-                    cell.packets_delivered += u64::from(out.delivered_at.is_some());
-                    cell.packets_lost += u64::from(out.delivered_at.is_none());
-                    cell.packets_on_time += u64::from(out.on_time);
-                },
-                |_| {},
-            );
-            cell
-        })
-        .collect();
-    GroupRunStats {
-        source: graph.source(),
-        seconds: traces.duration().as_secs(),
-        transmissions,
-        receivers,
-    }
-}
-
 fn node(g: &Graph, name: &str) -> NodeId {
     g.node_by_name(name).unwrap()
 }
@@ -279,45 +216,6 @@ proptest! {
             prop_assert_eq!(&replayed.stats, &defined.stats, "{}", kind);
             prop_assert_eq!(&replayed.seconds, &defined.seconds, "{}", kind);
             prop_assert_eq!(&replayed.latency, &defined.latency, "{}", kind);
-        }
-    }
-
-    #[test]
-    fn groups_replay_as_defined(
-        impairments in proptest::collection::vec((0u32..60, 0usize..80, 0usize..4, 0usize..3), 0..40),
-        background in any::<bool>(),
-        (interval, rate) in (0usize..3, 0usize..4),
-        recovery in any::<bool>(),
-        seed in 0u64..1_000,
-    ) {
-        let g = presets::north_america_12();
-        let traces = trace(&g, INTERVAL_MS[interval], background, &impairments);
-        let config = PlaybackConfig {
-            packets_per_second: RATES[rate],
-            recovery: RecoveryModel { enabled: recovery, ..RecoveryModel::default() },
-            seed,
-            ..PlaybackConfig::default()
-        };
-        let cache = GraphCache::new(g.clone(), SchemeParams::default());
-        let jobs: Vec<GroupJob> = [
-            ("NYC", &["SJC", "LAX", "SEA", "MIA"][..], MulticastKind::Targeted),
-            ("SEA", &["WAS", "ATL"][..], MulticastKind::Tree),
-            ("DEN", &["BOS"][..], MulticastKind::Robust),
-        ]
-        .into_iter()
-        .map(|(source, receivers, kind)| GroupJob {
-            source: node(&g, source),
-            receivers: receivers.iter().map(|r| node(&g, r)).collect(),
-            kind,
-            requirement: ServiceRequirement::default(),
-        })
-        .collect();
-        // One worker: the jobs share a scratch, wave and all.
-        let replayed = run_groups(&g, &traces, &cache, &jobs, &config, 1).unwrap();
-        for (job, replayed) in jobs.iter().zip(&replayed) {
-            let graph =
-                cache.multicast(job.source, &job.receivers, job.kind, job.requirement).unwrap();
-            prop_assert_eq!(replayed, &group_by_definition(&g, &traces, &graph, &config));
         }
     }
 }

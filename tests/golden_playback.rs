@@ -5,9 +5,9 @@
 //! `golden_table2_ordering_is_stable_for_fixed_seed` pins four integers;
 //! this pins everything a rewrite of the packet loop, the worker pool,
 //! the targeted-graph builder or the cache tiers could disturb: every
-//! `FlowRunStats` field for all six schemes, per-receiver group
-//! counters, and the exact edge sets of the targeted bundle, the live
-//! tier and the multicast tier — clean and with one link unusable.
+//! `FlowRunStats` field for all six schemes, and the exact edge sets of
+//! the targeted bundle, the live tier and the multicast tier — clean
+//! and with one link unusable.
 //!
 //! The fixture is regenerated with
 //! `cargo test --test golden_playback -- --ignored regenerate_fixture`;
@@ -16,7 +16,7 @@
 use dissemination_graphs::core::scheme::{SchemeParams, TargetedGraphs};
 use dissemination_graphs::core::{CachedGraphKind, GraphCache, MulticastKind};
 use dissemination_graphs::prelude::*;
-use dissemination_graphs::sim::{run_groups, FlowRunStats, GroupJob, GroupRunStats};
+use dissemination_graphs::sim::FlowRunStats;
 use dissemination_graphs::topology::presets;
 use dissemination_graphs::trace::gen;
 use serde::Serialize;
@@ -33,7 +33,6 @@ struct NamedGraph {
 #[derive(Serialize)]
 struct Golden {
     flows: Vec<FlowRunStats>,
-    groups: Vec<GroupRunStats>,
     graphs: Vec<NamedGraph>,
 }
 
@@ -67,26 +66,11 @@ fn golden() -> Golden {
         .collect();
     let flows = run_flows(&graph, &traces, &jobs, &config, 1).expect("flows are routable");
 
-    // (b) One wide targeted group and a one-receiver tree on the same
-    // trace.
+    // (b) Edge lists of every graph builder, clean and with one in-edge
+    // of SJC past the unusable threshold.
     let nyc = node("NYC");
     let sjc = node("SJC");
     let five: Vec<NodeId> = ["SJC", "LAX", "SEA", "DEN", "MIA"].into_iter().map(node).collect();
-    let cache = GraphCache::new(graph.clone(), SchemeParams::default());
-    let group_jobs = [
-        GroupJob {
-            source: nyc,
-            receivers: five.clone(),
-            kind: MulticastKind::Targeted,
-            requirement,
-        },
-        GroupJob { source: nyc, receivers: vec![sjc], kind: MulticastKind::Tree, requirement },
-    ];
-    let groups =
-        run_groups(&graph, &traces, &cache, &group_jobs, &config, 1).expect("groups are routable");
-
-    // (c) Edge lists of every graph builder, clean and with one in-edge
-    // of SJC past the unusable threshold.
     let flow = Flow::new(nyc, sjc);
     let mut graphs = Vec::new();
     let bundle = TargetedGraphs::compute(&graph, flow, requirement, &SchemeParams::default())
@@ -109,7 +93,7 @@ fn golden() -> Golden {
             graphs.push(named(format!("multicast/{state}/{kind}"), group.edges()));
         }
     }
-    Golden { flows, groups, graphs }
+    Golden { flows, graphs }
 }
 
 fn render() -> String {
