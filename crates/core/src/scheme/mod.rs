@@ -8,8 +8,8 @@
 
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
 use dg_topology::algo::disjoint::Disjointness;
-use dg_topology::{EdgeId, Graph};
-use dg_trace::NetworkState;
+use dg_topology::{EdgeId, Graph, Micros};
+use dg_trace::{LinkCondition, NetworkState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -206,9 +206,14 @@ const WEIGHT_CAP: f64 = 1e13;
 /// through). Lossier links become rapidly less attractive; a dead link
 /// is effectively unusable but never disconnects the graph.
 pub fn expected_edge_weight(graph: &Graph, state: &NetworkState, edge: EdgeId) -> u64 {
-    let c = state.condition(edge);
-    let eff = graph.edge(edge).latency.saturating_add(c.extra_latency).as_micros() as f64;
-    let survive = (1.0 - c.loss_rate).max(1e-6);
+    expected_link_weight(graph.edge(edge).latency, state.condition(edge))
+}
+
+/// [`expected_edge_weight`] of a link of baseline latency `latency`
+/// under `condition`.
+pub fn expected_link_weight(latency: Micros, condition: LinkCondition) -> u64 {
+    let eff = latency.saturating_add(condition.extra_latency).as_micros() as f64;
+    let survive = (1.0 - condition.loss_rate).max(1e-6);
     (eff / (survive * survive)).min(WEIGHT_CAP) as u64
 }
 
@@ -224,8 +229,7 @@ pub fn expected_set_weight<I: IntoIterator<Item = EdgeId>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_topology::{presets, Micros};
-    use dg_trace::LinkCondition;
+    use dg_topology::presets;
 
     #[test]
     fn labels_are_distinct() {

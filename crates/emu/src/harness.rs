@@ -226,7 +226,7 @@ impl EmuRun {
             }
         };
 
-        let mut slots = self.distribute(&absolute, timeline)?;
+        let mut slots = self.distribute(&absolute)?;
         let started = Instant::now();
         // Every daemon anchors its deadlines to this one wall-clock
         // instant (--epoch-us): snapshots, quiesce, and traffic stop
@@ -350,11 +350,7 @@ impl EmuRun {
 
     /// Distribute: ports, topology file, SLA plan, per-node configs
     /// and chaos shards.
-    fn distribute(
-        &mut self,
-        absolute: &ChaosSchedule,
-        timeline: Timeline,
-    ) -> Result<Vec<NodeSlot>, EmuError> {
+    fn distribute(&mut self, absolute: &ChaosSchedule) -> Result<Vec<NodeSlot>, EmuError> {
         let out = self.options.out_dir.clone();
         for sub in ["configs", "chaos", "logs", "metrics"] {
             fs::create_dir_all(out.join(sub))?;
@@ -392,13 +388,9 @@ impl EmuRun {
                 addrs[node.index()],
             );
             // Soak cadences: quick link-down detection and anti-entropy
-            // (the resilience suite's settings), and an aging horizon
-            // past the run so a dead origin's reports freeze
-            // identically everywhere instead of expiring mid-compare.
+            // (the resilience suite's settings).
             file.hello_interval_ms = Some(25);
-            file.link_state_interval_ms = Some(100);
             file.digest_interval_ms = Some(300);
-            file.link_state_max_age_ms = Some(timeline.run_ms + 30_000);
             file.fault_seed = Some(self.options.seed);
             for &edge in self.graph.out_edges(node) {
                 let peer = self.graph.edge(edge).dst;

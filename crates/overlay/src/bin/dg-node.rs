@@ -75,7 +75,7 @@
 //!   "listen": "0.0.0.0:7100",
 //!   "peers": { "CHI": "192.0.2.10:7100", "WAS": "192.0.2.11:7100" },
 //!   "hello_interval_ms": 50,
-//!   "link_state_interval_ms": 200
+//!   "digest_interval_ms": 1000
 //! }
 //! ```
 

@@ -27,8 +27,6 @@ use std::time::Duration;
 pub struct ClusterConfig {
     /// Hello probe interval for every node.
     pub hello_interval: Duration,
-    /// Link-state origination interval for every node.
-    pub link_state_interval: Duration,
     /// Scale factor applied to emulated link latencies (1.0 = the
     /// topology's real propagation delays; tests may shrink it).
     pub latency_scale: f64,
@@ -63,7 +61,6 @@ impl Default for ClusterConfig {
         let node = NodeConfig::new(NodeId::new(0), SocketAddr::from(([127, 0, 0, 1], 0)));
         ClusterConfig {
             hello_interval: node.hello_interval,
-            link_state_interval: node.link_state_interval,
             latency_scale: 1.0,
             fault_seed: node.fault_seed,
             max_batch_bytes: node.max_batch_bytes,
@@ -108,7 +105,6 @@ impl Emulation {
         NodeConfig {
             peers: self.graph.neighbors(node).map(|n| (n, addrs[n.index()])).collect(),
             hello_interval: config.hello_interval,
-            link_state_interval: config.link_state_interval,
             fault_seed: config.fault_seed
                 ^ (node.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             max_batch_bytes: config.max_batch_bytes,

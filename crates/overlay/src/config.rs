@@ -26,11 +26,6 @@ pub struct NodeConfig {
     pub peers: HashMap<NodeId, SocketAddr>,
     /// How often hellos probe each out-link.
     pub hello_interval: Duration,
-    /// How often this node originates a link-state update.
-    pub link_state_interval: Duration,
-    /// Link-state reports older than this expire back to a pessimistic
-    /// default (a crashed origin must not freeze the database).
-    pub link_state_max_age: Duration,
     /// How often anti-entropy digests summarize the link-state database
     /// to each neighbour.
     pub digest_interval: Duration,
@@ -62,15 +57,13 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// The localhost-cluster defaults for `node` listening on `listen`,
-    /// with no peers yet: 50 ms hellos, 200 ms link-state refresh.
+    /// with no peers yet: 50 ms hellos, 1 s digests.
     pub fn new(node: NodeId, listen: SocketAddr) -> NodeConfig {
         NodeConfig {
             node,
             listen,
             peers: HashMap::new(),
             hello_interval: Duration::from_millis(50),
-            link_state_interval: Duration::from_millis(200),
-            link_state_max_age: Duration::from_secs(3),
             digest_interval: Duration::from_secs(1),
             flap_hold_down: Duration::from_millis(500),
             shipper_queue: 16_384,
@@ -91,19 +84,6 @@ impl NodeConfig {
     pub fn validate(&self) -> Result<(), OverlayError> {
         if self.hello_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("hello_interval must be positive"));
-        }
-        if self.link_state_interval.is_zero() {
-            return Err(OverlayError::InvalidConfig("link_state_interval must be positive"));
-        }
-        if self.hello_interval >= self.link_state_interval * 10 {
-            return Err(OverlayError::InvalidConfig(
-                "hello_interval must be well under 10x link_state_interval",
-            ));
-        }
-        if self.link_state_max_age <= self.link_state_interval * 2 {
-            return Err(OverlayError::InvalidConfig(
-                "link_state_max_age must outlast at least two link-state refreshes",
-            ));
         }
         if self.digest_interval.is_zero() {
             return Err(OverlayError::InvalidConfig("digest_interval must be positive"));
@@ -166,33 +146,22 @@ pub struct NodeFileConfig {
     /// How often hellos probe each out-link.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub hello_interval_ms: Option<u64>,
-    /// How often this node originates a link-state update.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub link_state_interval_ms: Option<u64>,
     /// Anti-entropy digest cadence.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub digest_interval_ms: Option<u64>,
-    /// Link-state aging horizon. Deployment harnesses that compare
-    /// database digests across daemons raise this past the run length
-    /// so a dead origin's reports freeze identically everywhere instead
-    /// of expiring at slightly different instants.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub link_state_max_age_ms: Option<u64>,
     /// Seed for the daemon's deterministic fault-injection RNG.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault_seed: Option<u64>,
 }
 
 /// Every top-level key a config file may hold.
-const FILE_KEYS: [&str; 9] = [
+const FILE_KEYS: [&str; 7] = [
     "topology",
     "node",
     "listen",
     "peers",
     "hello_interval_ms",
-    "link_state_interval_ms",
     "digest_interval_ms",
-    "link_state_max_age_ms",
     "fault_seed",
 ];
 
@@ -206,9 +175,7 @@ impl NodeFileConfig {
             listen,
             peers: HashMap::new(),
             hello_interval_ms: None,
-            link_state_interval_ms: None,
             digest_interval_ms: None,
-            link_state_max_age_ms: None,
             fault_seed: None,
         }
     }
@@ -260,11 +227,7 @@ impl NodeFileConfig {
         Ok(NodeConfig {
             peers,
             hello_interval: self.hello_interval_ms.map_or(defaults.hello_interval, ms),
-            link_state_interval: self
-                .link_state_interval_ms
-                .map_or(defaults.link_state_interval, ms),
             digest_interval: self.digest_interval_ms.map_or(defaults.digest_interval, ms),
-            link_state_max_age: self.link_state_max_age_ms.map_or(defaults.link_state_max_age, ms),
             fault_seed: self.fault_seed.unwrap_or(defaults.fault_seed),
             ..defaults
         })
@@ -291,7 +254,6 @@ mod tests {
         // Every value a cluster shares with its nodes is the node default.
         let cluster = ClusterConfig::default();
         assert_eq!(cluster.hello_interval, node.hello_interval);
-        assert_eq!(cluster.link_state_interval, node.link_state_interval);
         assert_eq!(cluster.digest_interval, node.digest_interval);
         assert_eq!(cluster.flap_hold_down, node.flap_hold_down);
         assert_eq!(cluster.shipper_queue, node.shipper_queue);
@@ -306,8 +268,6 @@ mod tests {
         assert_eq!((file.node, file.listen), (node.node, node.listen));
         assert!(file.peers.is_empty());
         assert_eq!(file.hello_interval, node.hello_interval);
-        assert_eq!(file.link_state_interval, node.link_state_interval);
-        assert_eq!(file.link_state_max_age, node.link_state_max_age);
         assert_eq!(file.digest_interval, node.digest_interval);
         assert_eq!(file.flap_hold_down, node.flap_hold_down);
         assert_eq!(file.shipper_queue, node.shipper_queue);
@@ -320,12 +280,8 @@ mod tests {
     #[test]
     fn validate_names_the_broken_rule() {
         let ok = || NodeConfig::new(NodeId::new(3), listen());
-        let ms = Duration::from_millis;
-        let broken: [(NodeConfig, &str); 10] = [
+        let broken: [(NodeConfig, &str); 7] = [
             (NodeConfig { hello_interval: Duration::ZERO, ..ok() }, "hello_interval"),
-            (NodeConfig { link_state_interval: Duration::ZERO, ..ok() }, "link_state_interval"),
-            (NodeConfig { hello_interval: ms(2_000), ..ok() }, "10x link_state_interval"),
-            (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
             (NodeConfig { digest_interval: Duration::ZERO, ..ok() }, "digest_interval"),
             (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
             (NodeConfig { sender_capacity: 0, ..ok() }, "sender_capacity"),
@@ -342,14 +298,9 @@ mod tests {
                 other => panic!("{rule}: expected InvalidConfig, got {other:?}"),
             }
         }
-        // Boundaries: the strict rules hold at equality, and a zero flap
-        // hold-down is legal (it disables damping's window).
-        let edge = NodeConfig {
-            link_state_max_age: ms(401),
-            flap_hold_down: Duration::ZERO,
-            max_batch_bytes: 65_485,
-            ..ok()
-        };
+        // Boundaries: a frame budget that just fits is legal, and so is
+        // a zero flap hold-down (it disables damping's window).
+        let edge = NodeConfig { flap_hold_down: Duration::ZERO, max_batch_bytes: 65_485, ..ok() };
         edge.validate().expect("just inside every bound");
     }
 
@@ -359,9 +310,7 @@ mod tests {
         let mut file = NodeFileConfig::new("topo.json", "NYC", "127.0.0.1:7100".parse().unwrap());
         file.peers.insert("CHI".into(), "127.0.0.1:7101".parse().unwrap());
         file.hello_interval_ms = Some(25);
-        file.link_state_interval_ms = Some(100);
         file.digest_interval_ms = Some(300);
-        file.link_state_max_age_ms = Some(15_000);
         file.fault_seed = Some(42);
         let parsed = NodeFileConfig::from_json(&file.to_json()).unwrap();
         assert_eq!(parsed, file, "every key the struct writes is one it accepts");
@@ -370,9 +319,7 @@ mod tests {
         assert_eq!(cfg.node, graph.node_by_name("NYC").unwrap());
         assert_eq!(cfg.peers[&graph.node_by_name("CHI").unwrap()], file.peers["CHI"]);
         assert_eq!(cfg.hello_interval, Duration::from_millis(25));
-        assert_eq!(cfg.link_state_interval, Duration::from_millis(100));
         assert_eq!(cfg.digest_interval, Duration::from_millis(300));
-        assert_eq!(cfg.link_state_max_age, Duration::from_secs(15));
         assert_eq!(cfg.fault_seed, 42);
         cfg.validate().expect("the soak cadences validate");
     }

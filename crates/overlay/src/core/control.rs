@@ -4,10 +4,21 @@
 //! digests).
 
 use super::{Cx, NodeCore};
-use crate::linkstate::{Applied, LSA_MAX_RETRANSMITS, LSA_RETRANSMIT_TIMEOUT};
+use crate::linkstate::{reported_condition, LSA_MAX_RETRANSMITS, LSA_RETRANSMIT_TIMEOUT};
 use crate::metrics::EventKind;
 use crate::wire::{DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message};
-use dg_topology::{Micros, NodeId};
+use dg_core::scheme::expected_link_weight;
+use dg_topology::{EdgeId, Micros, NodeId};
+
+/// The least move of a link's advertised latency that is news. The
+/// least one-way delay a window of hellos measured still wanders by
+/// tens to hundreds of microseconds on a shared host, and on the
+/// shortest links (a generated ring of cliques has 219 µs ones) that is
+/// several times the schemes' hysteresis: a 100-node loopback cluster
+/// re-reported that noise about twenty times a second once its windows
+/// had filled. A millisecond is above the noise and below any delay a
+/// scheme has reason to route around.
+const LATENCY_STEP: Micros = Micros::from_millis(1);
 
 /// A link-state update one neighbour has not yet acknowledged.
 pub(super) struct PendingLsa {
@@ -32,6 +43,18 @@ pub(super) struct AdvertisedLink {
     withheld: bool,
 }
 
+impl AdvertisedLink {
+    /// What a report says of in-edge `edge` while this is advertised.
+    fn entry(&self, edge: EdgeId) -> LinkStateEntry {
+        LinkStateEntry {
+            edge,
+            loss: self.loss,
+            extra_latency_us: self.extra_latency_us,
+            down: self.down,
+        }
+    }
+}
+
 impl NodeCore {
     pub(super) fn send_hellos(&mut self, cx: &mut Cx) {
         let seq = self.hello_seq;
@@ -44,8 +67,9 @@ impl NodeCore {
 
     /// Records a hello from `from` and echoes it. The first hello of
     /// this incarnation from the last in-link still silent completes the
-    /// node's picture of its links: it reports them at once rather than
-    /// at the next link-state refresh.
+    /// node's picture of its links: it reports them at once. (An in-link
+    /// that never speaks cannot hold the first report back past the
+    /// link-down horizon; see [`NodeCore::poll_timers`].)
     pub(super) fn handle_hello(&mut self, cx: &mut Cx, from: NodeId, seq: u64, sent_at: Micros) {
         let first_contact =
             self.in_links.iter().any(|&(_, n, _)| n == from) && !self.monitor.heard_from(from);
@@ -171,15 +195,14 @@ impl NodeCore {
     }
 
     /// Runs the problem detector over every in-link, as the hello tick
-    /// does: [`NodeCore::evaluate_link`] on each. Returns whether an
-    /// advertised flag changed, which is worth an origination of its
-    /// own.
+    /// does: [`NodeCore::evaluate_link`] on each. Returns whether any
+    /// link's advertisement is news worth an origination.
     pub(super) fn evaluate_links(&mut self, now: Micros) -> bool {
-        let mut transitioned = false;
+        let mut news = false;
         for link in 0..self.in_links.len() {
-            transitioned |= self.evaluate_link(link, now);
+            news |= self.evaluate_link(link, now);
         }
-        transitioned
+        news
     }
 
     /// A gap on the link from `from`, exposed by a frame at `cx.now`:
@@ -203,10 +226,13 @@ impl NodeCore {
     /// observed *from* its neighbour, over the closed hello ticks and
     /// the open one's evidence so far, and the latency above baseline,
     /// as of `now` — and moves what the link advertises through the
-    /// flap damper. Returns whether an advertised flag changed.
+    /// flap damper. Returns whether the advertisement is news worth an
+    /// origination: an admitted flag transition, or, once this
+    /// incarnation has reported, a loss or latency that moved
+    /// ([`NodeCore::moved`]).
     fn evaluate_link(&mut self, link: usize, now: Micros) -> bool {
         let (monitor, damper, stats) = (&mut self.monitor, &mut self.damper, &mut self.stats);
-        let (_, neighbor, baseline) = self.in_links[link];
+        let (edge, neighbor, baseline) = self.in_links[link];
         let extra =
             monitor.one_way_from(neighbor).map_or(Micros::ZERO, |d| d.saturating_sub(baseline));
         let open = self.recv_links.get(&neighbor).map_or((0, 0), |t| t.evidence());
@@ -231,9 +257,9 @@ impl NodeCore {
         let adv = self.advertised.entry(neighbor).or_default();
         if raw.down == adv.down && raw.triggered == adv.triggered {
             // Flags are steady: measured loss and latency drift through
-            // untouched.
+            // untouched, and are news only once they have moved.
             *adv = raw;
-            return false;
+            return self.ls_seq > 0 && self.moved(edge, baseline, &raw);
         }
         // Bad news is fail-fast: a down declaration or a detector
         // trigger bypasses the damper (but still charges it, so the
@@ -277,6 +303,31 @@ impl NodeCore {
         true
     }
 
+    /// Whether advertising `adv` for in-edge `edge`, of baseline latency
+    /// `baseline`, moves it from what the database holds — what this
+    /// node last originated for it — by a step some consumer acts on:
+    /// its expected weight ([`expected_link_weight`], what the dynamic
+    /// schemes route on) by more than the schemes' hysteresis, the
+    /// smallest relative move they switch on, or its loss across the
+    /// graph cache's unusable threshold. The latency in it is the
+    /// least a window of hellos measured
+    /// ([`crate::monitor::LinkMonitor::one_way_from`]), so host load
+    /// that comes and goes within a window makes no report, and it
+    /// counts only once it has moved by [`LATENCY_STEP`].
+    fn moved(&self, edge: EdgeId, baseline: Micros, adv: &AdvertisedLink) -> bool {
+        let was = self.linkstate.condition(edge);
+        let mut is = reported_condition(&adv.entry(edge));
+        if is.extra_latency.as_micros().abs_diff(was.extra_latency.as_micros())
+            < LATENCY_STEP.as_micros()
+        {
+            is.extra_latency = was.extra_latency;
+        }
+        let (from, to) = (expected_link_weight(baseline, was), expected_link_weight(baseline, is));
+        let unusable = self.graph_cache.unusable_loss();
+        to.abs_diff(from) as f64 > self.scheme_params.hysteresis * from as f64
+            || (was.loss_rate >= unusable) != (is.loss_rate >= unusable)
+    }
+
     /// Originates this node's own link-state report — what
     /// [`NodeCore::evaluate_links`] last settled on advertising for each
     /// in-edge — unless originations are paused.
@@ -288,13 +339,7 @@ impl NodeCore {
             .in_links
             .iter()
             .map(|&(edge, neighbor, _)| {
-                let adv = self.advertised.get(&neighbor).copied().unwrap_or_default();
-                LinkStateEntry {
-                    edge,
-                    loss: adv.loss,
-                    extra_latency_us: adv.extra_latency_us,
-                    down: adv.down,
-                }
+                self.advertised.get(&neighbor).copied().unwrap_or_default().entry(edge)
             })
             .collect();
         self.stats.counters.link_state_originated += 1;
@@ -307,21 +352,35 @@ impl NodeCore {
     /// Stores a link-state report, own or received from `except`, and
     /// if it is news: feeds it to the graph cache (so precomputed routes
     /// depending on a link that crossed the usability threshold are
-    /// evicted before the next scheme refresh), floods it onward, and —
-    /// when it moved an edge across the problem threshold, which is
-    /// when a route can change — re-runs the local senders' schemes at
-    /// once instead of at the next periodic refresh.
+    /// evicted before the schemes ask), floods it onward, and re-runs
+    /// the local senders' schemes. A report is only originated when
+    /// something moved, so every new one is worth showing them.
+    ///
+    /// A report of this node's own that a neighbour holds stamped at or
+    /// above this incarnation's is a previous life's, minted from a
+    /// clock that read later than this one's did at spawn (stepped back,
+    /// or another host's). It would outrank everything this incarnation
+    /// says, for good: nothing ages out. So, as OSPF does with a
+    /// self-originated LSA newer than its own, the node takes an epoch
+    /// past it and, if it has reported already, reports again.
     fn take_link_state(&mut self, cx: &mut Cx, update: &LinkStateUpdate, except: Option<NodeId>) {
-        let applied = self.linkstate.apply(update, cx.now);
-        if applied.is_new() {
-            for entry in &update.entries {
-                let loss = if entry.down { 1.0 } else { f64::from(entry.loss) };
-                self.graph_cache.note_loss(entry.edge, loss);
-            }
-            self.flood_link_state(cx, update, except);
+        if !self.linkstate.apply(update) {
+            return;
         }
-        if applied == Applied::Crossed {
-            self.update_schemes(cx.now);
+        for entry in &update.entries {
+            self.graph_cache.note_loss(entry.edge, reported_condition(entry).loss_rate);
+        }
+        self.flood_link_state(cx, update, except);
+        self.update_schemes(cx.now);
+        if except.is_some()
+            && update.origin == self.me()
+            && (update.epoch, update.seq) >= (self.ls_epoch, self.ls_seq)
+        {
+            self.ls_epoch = update.epoch.saturating_add(1);
+            let reported = std::mem::take(&mut self.ls_seq) > 0;
+            if reported {
+                self.originate_link_state(cx);
+            }
         }
     }
 }

@@ -19,7 +19,7 @@
 //! Split by concern: `forward` (send, receive checks, dissemination,
 //! NACK service and re-requests), `control` (hellos, detector and
 //! damper, link-state flood / ack / retransmit / digest), `sessions`
-//! (slots, scheme refresh, overload downgrade).
+//! (slots, scheme updates, overload downgrade).
 
 mod control;
 mod forward;
@@ -34,7 +34,8 @@ use crate::dedup::DedupWindows;
 use crate::linkstate::LinkStateDb;
 use crate::metrics::{LinkMetrics, MetricsSnapshot, NodeStats, JOURNAL_CAPACITY};
 use crate::monitor::{
-    FlapDamper, LinkMonitor, FLAP_PENALTY_HALF_LIFE, FLAP_SUPPRESS_THRESHOLD, WINDOW_TICKS,
+    FlapDamper, LinkMonitor, FLAP_PENALTY_HALF_LIFE, FLAP_SUPPRESS_THRESHOLD, LINK_DOWN_INTERVALS,
+    WINDOW_TICKS,
 };
 use crate::overload::{OverloadConfig, OverloadDetector};
 use crate::pool::BufferPool;
@@ -137,22 +138,28 @@ pub(crate) struct NodeCore {
     hello_seq: u64,
     ls_seq: u64,
     /// This node's link-state incarnation, minted from the clock at
-    /// spawn so a restarted node outranks its previous life.
+    /// spawn so a restarted node outranks its previous life (and moved
+    /// past a previous life's that still outranks it; see
+    /// `take_link_state`).
     ls_epoch: u64,
-    /// While set, the node originates no link-state report, neither at
-    /// the refresh nor on first contact (hellos, digests, acks, and
-    /// retransmits keep running). Out-of-process
+    /// While set, the node originates no link-state report (hellos,
+    /// digests, acks, and retransmits keep running). Out-of-process
     /// collectors quiesce origination briefly before snapshotting so
     /// every daemon's final digest refers to the same frozen stamps
-    /// instead of racing the 200 ms refresh cadence.
+    /// instead of racing a late change.
     pub(crate) originations_paused: bool,
+    /// When this incarnation's first report leaves at the latest, if
+    /// first contact has not sent it sooner: the link-down horizon
+    /// after spawn, so an in-link that never speaks holds it back no
+    /// longer than a silent link takes to be declared down.
+    first_report_by: Micros,
     next_hello: Micros,
-    next_ls: Micros,
     next_digest: Micros,
 
     // Sessions (`sessions.rs`).
-    /// Every sending session originated here, keyed by [`SessionId`]: refreshed on every scheme-update tick
-    /// and counted against `sender_capacity`.
+    /// Every sending session originated here, keyed by [`SessionId`]:
+    /// shown every new link-state report and counted against
+    /// `sender_capacity`.
     sessions: Vec<Option<SessionSlot>>,
     /// Damped overload state machine driving per-class redundancy
     /// downgrades.
@@ -164,15 +171,18 @@ fn micros(d: Duration) -> Micros {
 }
 
 impl NodeCore {
-    /// A node born at `now`. Hello duties fire immediately (a fresh node
-    /// introduces itself right away); its first link-state report leaves
-    /// once every in-link has delivered a hello, or at the first
-    /// refresh, a full interval on, if one is still silent then; digests
-    /// wait one full interval.
+    /// A node born at `now`. Hello and digest duties fire immediately: a
+    /// fresh node introduces itself right away, and its empty digest has
+    /// its neighbours push their databases back (no report would bring
+    /// an origin that has nothing new to say). Its first link-state
+    /// report leaves once every in-link has delivered a hello, or on the
+    /// first hello tick past the link-down horizon if one is still
+    /// silent then.
     pub(crate) fn new(config: Arc<NodeConfig>, graph: Arc<Graph>, now: Micros) -> Self {
         let me = config.node;
-        // The one problem threshold: the detector, the link-state
-        // database and the graph cache all read the schemes' default.
+        // One set of scheme parameters: the detector's threshold, the
+        // origination rule's hysteresis and the graph cache all read
+        // the schemes' default.
         let scheme_params = SchemeParams::default();
         NodeCore {
             out_links: graph.out_edges(me).iter().map(|&e| (e, graph.edge(e).dst)).collect(),
@@ -199,15 +209,16 @@ impl NodeCore {
                 FLAP_SUPPRESS_THRESHOLD,
             ),
             advertised: HashMap::new(),
-            linkstate: LinkStateDb::new(&graph, micros(config.link_state_max_age)),
+            linkstate: LinkStateDb::new(&graph),
             pending_lsa: BTreeMap::new(),
             hello_seq: 0,
             ls_seq: 0,
             ls_epoch: now.as_micros(),
             originations_paused: false,
+            first_report_by: now
+                .saturating_add(micros(config.hello_interval).saturating_mul(LINK_DOWN_INTERVALS)),
             next_hello: now,
-            next_ls: now.saturating_add(micros(config.link_state_interval)),
-            next_digest: now.saturating_add(micros(config.digest_interval)),
+            next_digest: now,
             sessions: Vec::new(),
             overload: OverloadDetector::new(OverloadConfig {
                 queue_bound: config.shipper_queue as u64,
@@ -283,18 +294,17 @@ impl NodeCore {
     /// plus the per-tick housekeeping (overload observation, LSA
     /// retransmits, loss evidence and NACK re-requests, expired frames
     /// in the retransmit buffers, idle duplicate windows, the problem
-    /// detector) on the hello cadence, link-state origination and
-    /// scheme refresh on the link-state cadence, anti-entropy digests
-    /// on theirs. A flag the detector moves does not wait for the
-    /// link-state cadence: it is originated on the tick it happens (a
-    /// trigger between ticks, on the frame whose gap set it off, see
-    /// [`NodeCore::handle_datagram`]). Returns the next instant a duty
+    /// detector) on the hello cadence, anti-entropy digests on theirs.
+    /// There is no link-state clock: the tick originates a report only
+    /// when what the node advertises changed (see
+    /// [`NodeCore::evaluate_links`]; a trigger between ticks goes out
+    /// on the frame whose gap set it off, see
+    /// [`NodeCore::handle_datagram`]), or when the first report is
+    /// still owed past its horizon. Returns the next instant a duty
     /// falls due.
     pub(crate) fn poll_timers(&mut self, now: Micros, backlog: u64, out: &mut Actions) -> Micros {
         let cx = &mut Cx { now, backlog, out };
-        let hello_due = now >= self.next_hello;
-        let ls_due = now >= self.next_ls;
-        if hello_due {
+        if now >= self.next_hello {
             self.next_hello = now.saturating_add(micros(self.config.hello_interval));
             self.send_hellos(cx);
             self.observe_overload(cx);
@@ -302,22 +312,16 @@ impl NodeCore {
             self.service_recv_links(cx);
             self.service_send_links(now);
             self.dedup.reclaim_idle(now, crate::dedup::DEDUP_IDLE);
-        }
-        if hello_due || ls_due {
-            let transitioned = self.evaluate_links(now);
-            if transitioned || ls_due {
+            let owed = self.ls_seq == 0 && now >= self.first_report_by;
+            if self.evaluate_links(now) || owed {
                 self.originate_link_state(cx);
             }
-        }
-        if ls_due {
-            self.next_ls = now.saturating_add(micros(self.config.link_state_interval));
-            self.update_schemes(now);
         }
         if now >= self.next_digest {
             self.next_digest = now.saturating_add(micros(self.config.digest_interval));
             self.send_digests(cx);
         }
-        self.next_hello.min(self.next_ls).min(self.next_digest)
+        self.next_hello.min(self.next_digest)
     }
 
     /// The node at this instant: its statistics, what each out-link's

@@ -1,5 +1,5 @@
 //! Sending sessions: the slots local senders stamp their packets from,
-//! the scheme refresh that keeps each slot's graph current, and the
+//! the scheme updates that keep each slot's graph current, and the
 //! per-class redundancy downgrade under overload.
 
 use super::{Cx, NodeCore};
@@ -11,6 +11,7 @@ use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind};
 use dg_core::{CachedGraphKind, DisseminationGraph, Flow, ServiceRequirement, SlaClass};
 use dg_topology::Micros;
 use dg_trace::NetworkState;
+use std::ops::Range;
 
 /// Names one open sending session of a node: its slot in the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +61,7 @@ impl NodeCore {
     /// every class.
     pub(crate) fn open_session(
         &mut self,
+        now: Micros,
         scheme: Box<dyn RoutingScheme>,
         flow: Flow,
         class: SlaClass,
@@ -87,11 +89,15 @@ impl NodeCore {
             self.sessions.len() - 1
         });
         self.sessions[id] = Some(slot);
+        // Reports arrive only on change, so none may come to show a new
+        // scheme the network for a long while: it starts from the state
+        // the database holds now.
+        self.show_state(now, id..id + 1);
         Ok(SessionId(id))
     }
 
     /// Closes `session`: its admission slot is free again and the
-    /// scheme refresh stops visiting it.
+    /// scheme updates stop visiting it.
     pub(crate) fn close_session(&mut self, session: SessionId) {
         self.sessions[session.0] = None;
     }
@@ -108,8 +114,18 @@ impl NodeCore {
     /// Shows every open session's scheme the current network state and
     /// re-stamps the masks of those whose graph changed.
     pub(super) fn update_schemes(&mut self, now: Micros) {
+        self.show_state(now, 0..self.sessions.len());
+    }
+
+    /// [`NodeCore::update_schemes`] for the sessions in `slots`. Every
+    /// new report lands here, so a node with no session open there does
+    /// not build the network state at all.
+    fn show_state(&mut self, now: Micros, slots: Range<usize>) {
+        if self.sessions[slots.clone()].iter().all(Option::is_none) {
+            return;
+        }
         let state = self.linkstate.network_state(now);
-        for slot in self.sessions.iter_mut().flatten() {
+        for slot in self.sessions[slots].iter_mut().flatten() {
             let flow = slot.flow;
             if slot.scheme.update(&self.graph, &state) {
                 let edges = slot.graph().len() as u64;
@@ -131,7 +147,7 @@ impl NodeCore {
         }
         // An ongoing overload episode keeps its downgrade masks in step
         // with the topology: recompute them (silently — the level did
-        // not change) after the scheme refresh.
+        // not change) after the scheme update.
         let level = self.overload.level();
         if level > 0 {
             self.apply_overload(now, level, &state);

@@ -163,10 +163,8 @@ fn a_packet_over_two_in_edges_delivers_once_and_forwards_once() {
 /// (d) Hello silence on 0 → 2 of a triangle. Node 2 last hears node 0 at
 /// T0 + 510 ms; its first tick more than five hello intervals later is
 /// the one at T0 + 800 ms, which journals the `LinkDown` and floods it.
-/// Node 0 holds the report a latency later, and its session leaves the
-/// dead edge at its next scheme refresh, T0 + 1 s (the edge had crossed
-/// the problem threshold already, when node 2's detector fired, so the
-/// down report is not a crossing that refreshes at once).
+/// Node 0 holds the report a latency later, T0 + 810 ms, and its
+/// session leaves the dead edge on it.
 #[test]
 fn hello_silence_declares_the_link_down_and_the_source_routes_around_it() {
     let mut net = launch(3, &[(0, 1), (1, 2), (0, 2)], ClusterConfig::default());
@@ -187,8 +185,90 @@ fn hello_silence_declares_the_link_down_and_the_source_routes_around_it() {
     assert!(net.network_state(node(0)).condition(direct).loss_rate >= 1.0);
 
     net.run_until(T0.saturating_add(ms(1_000)));
-    assert_eq!(at(0, &net, |k| matches!(k, EventKind::RouteChange { .. })), [ms(1_000)]);
+    assert_eq!(at(0, &net, |k| matches!(k, EventKind::RouteChange { .. })), [ms(810)]);
     assert!(!net.current_graph(session).contains(direct), "the session left the edge");
+}
+
+/// A delay with no loss on 0 → 2 of a triangle, from T0 + 505 ms: 30 ms
+/// more on a 10 ms edge. Node 2's one-way estimate moves once a window
+/// of hellos has all measured it: the twentieth slow one, sent at
+/// 1 500 ms, lands at 1 540, and node 2's tick at 1 550 reports it —
+/// news, since the edge's expected weight quadrupled. Node 0 holds the
+/// report a latency later, at 1 560 ms, and its dynamic single path
+/// leaves the edge for the 20 ms detour on it.
+#[test]
+fn a_delay_alone_is_reported_and_moves_a_dynamic_route() {
+    let mut net = launch(3, &[(0, 1), (1, 2), (0, 2)], ClusterConfig::default());
+    let session =
+        open(&mut net, flow(0, 2), SchemeKind::DynamicSinglePath, SlaClass::Timely, ms(65));
+    let direct = net.graph().edge_between(node(0), node(2)).expect("linked");
+    net.run_until(T0.saturating_add(ms(505)));
+    assert!(net.current_graph(session).contains(direct), "the direct edge is shortest");
+    let reported = counters(&net, 2).link_state_originated;
+    net.set_link_fault(direct, 0.0, ms(30));
+
+    net.run_until(T0.saturating_add(ms(1_559)));
+    assert_eq!(net.network_state(node(0)).condition(direct).extra_latency, Micros::ZERO);
+    net.run_until(T0.saturating_add(ms(3_000)));
+    assert_eq!(counters(&net, 2).link_state_originated, reported + 1, "one report of it");
+    assert_eq!(reports(&net, 2).last().map(|r| r.0), Some(ms(1_550)));
+    let seen = net.network_state(node(0)).condition(direct);
+    assert_eq!((seen.extra_latency, seen.loss_rate), (ms(30), 0.0));
+    let events = net.snapshot(node(0)).events;
+    let changes = events.iter().filter(|e| matches!(e.kind, EventKind::RouteChange { .. }));
+    assert_eq!(changes.map(|e| e.at.saturating_sub(T0)).collect::<Vec<_>>(), [ms(1_560)]);
+    assert!(!net.current_graph(session).contains(direct), "the session left the edge");
+}
+
+/// A previous life's report that outranks this one's — its epoch
+/// minted from a clock that read later — cannot shut a node out of the
+/// databases. Node 2 of a triangle is killed, and a report of its
+/// in-links as down, stamped an hour ahead, stands in for its last life
+/// (this clock only runs forward). It restarts under an epoch below
+/// that report's, which its neighbours push to it before its first
+/// report (their answer to its birth digest); a second one is flooded
+/// after it. Each time node 2 takes the epoch past it, and within
+/// 100 ms every database holds node 2's own, clean report.
+#[test]
+fn a_previous_life_stamped_ahead_is_outranked_by_the_next_report() {
+    use crate::wire::{LinkStateEntry, LinkStateUpdate};
+    let mut net = launch(3, &[(0, 1), (1, 2), (0, 2)], ClusterConfig::default());
+    net.run_until(T0.saturating_add(ms(300)));
+    assert!(net.link_state_converged());
+    let in_edges = net.graph().in_edges(node(2)).to_vec();
+    let ahead = |net: &Net, seq| LinkStateUpdate {
+        origin: node(2),
+        epoch: net.now().saturating_add(Micros::from_secs(3_600)).as_micros(),
+        seq,
+        entries: in_edges
+            .iter()
+            .map(|&edge| LinkStateEntry { edge, loss: 0.0, extra_latency_us: 0, down: true })
+            .collect(),
+    };
+    let everywhere_clean = |net: &Net, epoch: u64| {
+        (0..3).all(|site| {
+            let state = net.network_state(node(site));
+            let stamp = net.link_state_digest(node(site))[2];
+            (stamp.epoch, stamp.seq) == (epoch, 1)
+                && in_edges.iter().all(|&e| state.condition(e).loss_rate == 0.0)
+        })
+    };
+
+    // Before the new life's first report.
+    net.kill_node(node(2));
+    let old = ahead(&net, 7);
+    net.inject(node(2), node(0), Message::LinkState(old.clone()));
+    net.run_for(ms(50));
+    assert!((0..2).all(|site| net.link_state_digest(node(site))[2].epoch == old.epoch));
+    net.restart_node(node(2));
+    net.wait_until(ms(100), |net| everywhere_clean(net, old.epoch + 1))
+        .expect("the restarted node's first report was not accepted everywhere");
+
+    // After it: node 2 has reported, and reports again.
+    let late = ahead(&net, 9);
+    net.inject(node(2), node(0), Message::LinkState(late.clone()));
+    net.wait_until(ms(100), |net| everywhere_clean(net, late.epoch + 1))
+        .expect("the node did not outrank a late previous life");
 }
 
 /// (e) The class shed bands over a 128-frame bound: bulk is admitted
@@ -281,21 +361,29 @@ fn replay_is_deterministic() {
     assert!(one[..2].iter().all(|s| !s.events.is_empty()), "the NACK and its service");
 }
 
-/// `poll_timers` returns the earliest of the three cadences, and a
-/// fresh node's hello is due at its birth.
+/// `poll_timers` returns the earlier of the two cadences, and a fresh
+/// node's hello and digest are due at its birth. A node that has heard
+/// nothing owes its first report on the first hello tick past the
+/// 250 ms link-down horizon, and nothing else originates on a clock.
 #[test]
 fn poll_timers_returns_the_next_protocol_deadline() {
     let mut net = launch(3, &CHAIN, ClusterConfig::default());
     let (core, out) = (net.core_mut(node(1)), &mut Actions::default());
     assert_eq!(core.poll_timers(T0, 0, out), T0.saturating_add(ms(50)), "hello is earliest");
-    assert_eq!(out.frames.len(), 2, "a hello to each neighbour, nothing else yet");
+    assert_eq!(out.frames.len(), 4, "a hello and a digest to each neighbour, nothing else");
     assert_eq!(core.poll_timers(T0.saturating_add(ms(49)), 0, out), T0.saturating_add(ms(50)));
-    assert_eq!(out.frames.len(), 2, "nothing is due a millisecond early");
+    assert_eq!(out.frames.len(), 4, "nothing is due a millisecond early");
     // A late pass reschedules from when it ran, not from when it was due.
-    assert_eq!(core.poll_timers(T0.saturating_add(ms(180)), 0, out), T0.saturating_add(ms(200)));
-    assert_eq!(core.poll_timers(T0.saturating_add(ms(200)), 0, out), T0.saturating_add(ms(230)));
-    assert_eq!(counters(&net, 1).link_state_originated, 1, "the 200 ms link-state cadence fired");
-    assert_eq!(counters(&net, 1).digests_sent, 0, "the 1 s digest cadence has not");
+    assert_eq!(core.poll_timers(T0.saturating_add(ms(180)), 0, out), T0.saturating_add(ms(230)));
+    assert_eq!(core.poll_timers(T0.saturating_add(ms(230)), 0, out), T0.saturating_add(ms(280)));
+    assert_eq!(counters(&net, 1).link_state_originated, 0, "the horizon is not yet past");
+    let core = net.core_mut(node(1));
+    assert_eq!(core.poll_timers(T0.saturating_add(ms(280)), 0, out), T0.saturating_add(ms(330)));
+    assert_eq!(counters(&net, 1).link_state_originated, 1, "the owed first report left");
+    let core = net.core_mut(node(1));
+    assert_eq!(core.poll_timers(T0.saturating_add(ms(330)), 0, out), T0.saturating_add(ms(380)));
+    assert_eq!(counters(&net, 1).link_state_originated, 1, "and nothing changed since");
+    assert_eq!(counters(&net, 1).digests_sent, 2, "the 1 s digest cadence has not fired again");
 }
 
 /// Node 1 between node 0, 10 ms away, and node 2, 30 ms away, at the
@@ -332,7 +420,7 @@ fn reports(net: &Net, origin: u32) -> Vec<(Micros, Vec<f32>)> {
 
 /// A node reports its links the instant its last in-link's first hello
 /// arrives — node 1 at 30 ms, node 0 at 10 — once, each link clean, and
-/// next at the 200 ms refresh.
+/// not again while nothing it advertises changes.
 #[test]
 fn a_node_reports_once_its_last_in_link_is_first_heard() {
     let mut net = uneven_chain(&[]);
@@ -340,26 +428,46 @@ fn a_node_reports_once_its_last_in_link_is_first_heard() {
     assert_eq!(reports(&net, 1), [(ms(30), vec![0.0, 0.0])]);
     assert_eq!(reports(&net, 0), [(ms(10), vec![0.0])]);
     assert_eq!(counters(&net, 1).link_state_originated, 1);
-    net.run_until(T0.saturating_add(ms(250)));
-    assert_eq!(reports(&net, 1)[1].0, ms(200), "the refresh keeps its cadence");
+    net.run_until(T0.saturating_add(ms(10_000)));
+    assert_eq!(reports(&net, 1).len(), 1, "a clean, quiet link is no news");
+    assert_eq!(reports(&net, 0).len(), 1);
 }
 
-/// An in-link never heard holds no report back and brings none forward:
-/// the node reports at the refresh, the silent link at full loss, and
-/// again the instant that link first delivers a hello.
+/// An in-link never heard holds the first report back only to the
+/// link-down horizon: the node reports on the hello tick at 250 ms, the
+/// silent link at full loss, and again the instant that link first
+/// delivers a hello.
 #[test]
-fn a_silent_in_link_waits_for_the_refresh_then_its_first_hello_reports() {
+fn a_silent_in_link_waits_for_the_down_horizon_then_its_first_hello_reports() {
     let mut net = uneven_chain(&[2]);
-    net.run_until(T0.saturating_add(ms(250)));
-    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 1.0])]);
+    net.run_until(T0.saturating_add(ms(260)));
+    assert_eq!(reports(&net, 1), [(ms(250), vec![0.0, 1.0])]);
     // Node 2 comes up; its first hello reaches node 1 30 ms later.
     net.restart_node(node(2));
     net.run_until(T0.saturating_add(ms(399)));
-    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 1.0]), (ms(280), vec![0.0, 0.0])]);
+    assert_eq!(reports(&net, 1), [(ms(250), vec![0.0, 1.0]), (ms(290), vec![0.0, 0.0])]);
+}
+
+/// An in-link that never speaks does not silence the others: with node
+/// 2 never started, half the frames on 0 → 1 lost trips node 1's
+/// detector, and its report of that reaches node 0, the silent link
+/// still at full loss beside it.
+#[test]
+fn a_never_heard_in_link_does_not_hold_back_news_of_the_others() {
+    let mut net = uneven_chain(&[2]);
+    net.run_until(T0.saturating_add(ms(300)));
+    assert_eq!(reports(&net, 1).len(), 1, "the first report, at the horizon");
+    let lossy = net.graph().edge_between(node(0), node(1)).expect("linked");
+    net.set_link_fault(lossy, 0.5, Micros::ZERO);
+    net.run_until(T0.saturating_add(ms(2_000)));
+    let (_, losses) = reports(&net, 1).pop().expect("reported");
+    assert!(losses[0] >= 0.05 && losses[1] == 1.0, "{losses:?}");
+    assert!(net.network_state(node(0)).condition(lossy).loss_rate >= 0.05);
 }
 
 /// While originations are paused the first-contact report is held too;
-/// once resumed, the node reports at its refresh.
+/// once resumed, the node reports on its first hello tick past the
+/// link-down horizon.
 #[test]
 fn paused_originations_hold_the_first_contact_report() {
     let mut net = uneven_chain(&[]);
@@ -369,12 +477,12 @@ fn paused_originations_hold_the_first_contact_report() {
     assert_eq!(counters(&net, 1).link_state_originated, 0);
     assert_eq!(reports(&net, 0).len(), 1, "the others report as ever");
     net.core_mut(node(1)).originations_paused = false;
-    net.run_until(T0.saturating_add(ms(250)));
-    assert_eq!(reports(&net, 1), [(ms(200), vec![0.0, 0.0])]);
+    net.run_until(T0.saturating_add(ms(300)));
+    assert_eq!(reports(&net, 1), [(ms(250), vec![0.0, 0.0])]);
 }
 
 /// A closed session gives its admission slot back and is no longer
-/// refreshed.
+/// shown link-state updates.
 #[test]
 fn closed_sessions_leave_the_core() {
     let mut net = launch(3, &CHAIN, ClusterConfig { sender_capacity: 2, ..Default::default() });
@@ -391,11 +499,11 @@ fn closed_sessions_leave_the_core() {
         Err(crate::OverlayError::AdmissionDenied { active: 2, capacity: 2 })
     ));
     let before = lookups(&net);
-    net.run_until(T0.saturating_add(ms(200)));
-    assert_eq!(lookups(&net) - before, 2, "one refresh visits both slots");
+    net.core_mut(node(0)).update_schemes(T0);
+    assert_eq!(lookups(&net) - before, 2, "one update visits both slots");
     net.core_mut(node(0)).close_session(first.id);
     let before = lookups(&net);
-    net.run_until(T0.saturating_add(ms(400)));
+    net.core_mut(node(0)).update_schemes(T0);
     assert_eq!(lookups(&net) - before, 1, "and one fewer once a session has closed");
     assert!(open(&mut net).is_ok(), "the slot is free again");
 }

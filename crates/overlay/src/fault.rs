@@ -18,9 +18,9 @@
 
 use dg_core::splitmix;
 use dg_topology::{Micros, NodeId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How long a reordered datagram is held beyond its normal delay —
 /// enough for several successors on the same link to overtake it.
@@ -169,6 +169,13 @@ impl FaultPlan {
         FaultPlan { seed, links: Mutex::new(HashMap::new()) }
     }
 
+    /// The per-link table. A panic while it was held leaves nothing
+    /// half-written that a later caller could trip on, so a poisoned
+    /// lock is taken as it stands.
+    fn links(&self) -> MutexGuard<'_, HashMap<NodeId, LinkEntry>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn entry_rng_seed(&self, neighbor: NodeId) -> u64 {
         // Decorrelate per-link streams from the plan seed.
         let mut s = self.seed ^ (neighbor.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407);
@@ -179,7 +186,7 @@ impl FaultPlan {
     /// Sets the impairment toward `neighbor`, replacing any previous one
     /// (the link's RNG stream continues where it left off).
     pub fn set(&self, neighbor: NodeId, fault: LinkFault) {
-        let mut links = self.links.lock();
+        let mut links = self.links();
         match links.get_mut(&neighbor) {
             Some(entry) => {
                 entry.fault = fault;
@@ -196,13 +203,13 @@ impl FaultPlan {
 
     /// Removes the impairment toward `neighbor`.
     pub fn clear(&self, neighbor: NodeId) {
-        self.links.lock().remove(&neighbor);
+        self.links().remove(&neighbor);
     }
 
     /// Decides the fate of one datagram toward `neighbor`, advancing
     /// the link's deterministic RNG and burst state.
     pub fn decide(&self, neighbor: NodeId) -> FaultVerdict {
-        let mut links = self.links.lock();
+        let mut links = self.links();
         let Some(entry) = links.get_mut(&neighbor) else {
             return FaultVerdict::clean(Micros::ZERO);
         };

@@ -123,8 +123,8 @@ declare_counters! {
     hellos_echoed,
     /// Hello echoes received for this node's own probes.
     hello_acks_received,
-    /// Link-state updates this node originated: refreshes, flag
-    /// transitions, and the report on first contact.
+    /// Link-state updates this node originated: the first report, and
+    /// one for each admitted flag transition or loss that moved.
     link_state_originated,
     /// Link-state transmissions flooded to neighbours (own and relayed).
     link_state_flooded,
@@ -508,10 +508,13 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Fraction of sent packets delivered on time.
+    /// Fraction of sent packets delivered on time, and `0.0` when none
+    /// were sent: a flow that sent nothing carries no timeliness
+    /// evidence, the stance of the simulator's
+    /// `FlowRunStats::on_time_fraction`.
     pub fn on_time_fraction(&self) -> f64 {
         if self.packets_sent == 0 {
-            return 1.0;
+            return 0.0;
         }
         self.packets_on_time as f64 / self.packets_sent as f64
     }
@@ -679,6 +682,17 @@ mod tests {
         assert_eq!(fr.transmissions, 15);
         assert!((fr.on_time_fraction() - 0.8).abs() < 1e-12);
         assert!((fr.average_cost() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_flow_that_sent_nothing_is_not_on_time() {
+        let mut stats = NodeStats::new(4);
+        stats.flow(flow(1, 2));
+        let report = ClusterMetricsReport::aggregate(vec![stats.snapshot(NodeId::new(1))]);
+        let fr = report.flow(flow(1, 2)).expect("an open flow is reported at zero");
+        assert_eq!(fr.packets_sent, 0);
+        assert_eq!(fr.on_time_fraction(), 0.0, "no packets is no evidence of timeliness");
+        assert_eq!(fr.average_cost(), 0.0);
     }
 
     #[test]

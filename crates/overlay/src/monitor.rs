@@ -33,7 +33,7 @@
 //! widens the span.
 
 use dg_topology::{Micros, NodeId};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// The fewest trailing hello ticks an estimate spans, however many
 /// samples they hold. A loss burst is over within a tick (the
@@ -80,8 +80,9 @@ pub const FLAP_SUPPRESS_THRESHOLD: f64 = 3.0;
 /// Per-neighbour monitoring state.
 #[derive(Debug, Default)]
 struct NeighborStats {
-    /// Hello seqs received from this neighbour (pruned to the window).
-    received: BTreeSet<u64>,
+    /// Hello seqs received from this neighbour (pruned to the window),
+    /// each with the one-way delay it measured.
+    received: BTreeMap<u64, Micros>,
     /// Highest hello seq seen.
     highest: Option<u64>,
     /// Lowest hello seq seen in the neighbour's current life (while
@@ -92,9 +93,6 @@ struct NeighborStats {
     last_heard: Option<Micros>,
     /// Smoothed round-trip time to this neighbour.
     rtt: Option<Micros>,
-    /// Smoothed one-way delay from this neighbour (from hello
-    /// timestamps; nodes of a localhost cluster share a clock).
-    one_way: Option<Micros>,
     /// Data evidence per closed hello tick, newest last, at most a
     /// window of them: `(expected, received)` link sequences.
     data: VecDeque<(u64, u64)>,
@@ -203,7 +201,7 @@ impl LinkMonitor {
 
     /// Records a hello received *from* `neighbor` — i.e. evidence about
     /// the link `neighbor -> self` — along with its measured one-way
-    /// delay (EWMA-smoothed) and the local arrival time.
+    /// delay and the local arrival time.
     ///
     /// Hellos are expected from the first one heard, not from zero: a
     /// neighbour that was up before this node was (or before this node
@@ -220,15 +218,11 @@ impl LinkMonitor {
             stats.highest = None;
         }
         stats.first = if stats.highest.is_some() { stats.first.min(seq) } else { seq };
-        stats.received.insert(seq);
+        stats.received.entry(seq).or_insert(one_way);
         let highest = stats.highest.map_or(seq, |h| h.max(seq));
         stats.highest = Some(highest);
         stats.last_heard = Some(stats.last_heard.map_or(now, |t| t.max(now)));
-        stats.received.retain(|&s| s + self.window > highest);
-        stats.one_way = Some(match stats.one_way {
-            Some(old) => Micros::from_micros((old.as_micros() * 7 + one_way.as_micros()) / 8),
-            None => one_way,
-        });
+        stats.received.retain(|&s, _| s + self.window > highest);
     }
 
     /// Closes one hello tick of data evidence about the link from
@@ -257,9 +251,17 @@ impl LinkMonitor {
         }
     }
 
-    /// Smoothed one-way delay from `neighbor`, if any hello arrived.
+    /// One-way delay from `neighbor`: the least any hello of the window
+    /// measured, once the neighbour's current life has sent a window of
+    /// them. A delay moves it only once it has held for a window of
+    /// hellos, so a burst of host load (one-way delays are read off
+    /// hello timestamps, and a localhost cluster's nodes share a clock
+    /// and its scheduler) does not, nor does the load of a cluster's
+    /// start, while a link that turned slow does within a window.
     pub fn one_way_from(&self, neighbor: NodeId) -> Option<Micros> {
-        self.neighbors.get(&neighbor).and_then(|s| s.one_way)
+        let stats = self.neighbors.get(&neighbor)?;
+        let sent = stats.highest? + 1 - stats.first;
+        (sent >= self.window).then(|| stats.received.values().min().copied()).flatten()
     }
 
     /// Records a measured round trip to `neighbor` (EWMA-smoothed).
@@ -340,7 +342,7 @@ impl LinkMonitor {
         let silence = now.saturating_sub(last_heard).as_micros();
         let overdue = (silence / self.hello_interval.as_micros()).saturating_sub(1);
         let over = |ticks: u64| {
-            let hellos = stats.received.iter().filter(|&&s| s + ticks > highest).count() as u64;
+            let hellos = stats.received.keys().filter(|&&s| s + ticks > highest).count() as u64;
             let (data_expected, data) = stats.data_over(ticks, open);
             let expected = sent.min(ticks) + overdue.min(ticks) + data_expected;
             (1.0 - (hellos + data) as f64 / expected.max(1) as f64).clamp(0.0, 1.0)
@@ -538,6 +540,32 @@ mod tests {
             m2.record_hello(n, seq, Micros::ZERO, at(seq));
         }
         assert_eq!(m2.loss_from(n, at(20) + Micros::from_millis(40)), 0.0);
+    }
+
+    #[test]
+    fn a_delay_moves_the_one_way_estimate_once_it_fills_the_window() {
+        let mut m = monitor();
+        let n = NodeId::new(2);
+        let fast = Micros::from_millis(10);
+        let slow = Micros::from_millis(40);
+        // A window of hellos first: the delays of a start are no
+        // estimate.
+        for seq in 0..10 {
+            assert_eq!(m.one_way_from(n), None, "hello {seq}");
+            m.record_hello(n, seq, fast, at(seq));
+        }
+        assert_eq!(m.one_way_from(n), Some(fast));
+        // A spike of nine slow hellos is not a slower link.
+        for seq in 10..19 {
+            m.record_hello(n, seq, slow, at(seq));
+            assert_eq!(m.one_way_from(n), Some(fast), "hello {seq}");
+        }
+        // The tenth fills the window of ten.
+        m.record_hello(n, 19, slow, at(19));
+        assert_eq!(m.one_way_from(n), Some(slow));
+        // One fast hello is a link that is fast again.
+        m.record_hello(n, 20, fast, at(20));
+        assert_eq!(m.one_way_from(n), Some(fast));
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl OverlayHandle {
             return Err(OverlayError::UnknownNode(scheme.flow().source));
         }
         let flow = scheme.flow();
-        let id = self.driver.event(|core, _, _, _| {
-            core.open_session(scheme, flow, class, requirement.deadline)
+        let id = self.driver.event(|core, now, _, _| {
+            core.open_session(now, scheme, flow, class, requirement.deadline)
         })??;
         Ok(FlowSender::new(Arc::clone(&self.driver), id, flow, class))
     }
@@ -206,17 +206,11 @@ impl OverlayHandle {
     /// paused the node stops minting new `(epoch, seq)` stamps but
     /// keeps probing hellos, answering digests, and flooding other
     /// origins' reports — so databases settle to a fixed fingerprint
-    /// instead of chasing the refresh cadence. Collectors use this as
+    /// instead of chasing a late change. Collectors use this as
     /// a quiesce window right before taking comparable snapshots
     /// across nodes; forwarding is unaffected.
     pub fn set_origination_paused(&self, paused: bool) {
         self.driver.with_core(|core| core.originations_paused = paused);
-    }
-
-    /// Data shipments currently queued toward the wire — the depth
-    /// signal the shed bands and the overload detector read.
-    pub fn outbound_queue_depth(&self) -> u64 {
-        self.driver.backlog()
     }
 
     /// Floods this node's outbound data queue with `shipments`

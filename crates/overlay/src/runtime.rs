@@ -206,11 +206,6 @@ impl Driver {
         self.wake_timer();
     }
 
-    /// Data frames parked toward the wire.
-    pub(crate) fn backlog(&self) -> u64 {
-        self.lock_any().carrier.backlog()
-    }
-
     /// Opens `flow`'s receiving session, replacing any earlier one.
     pub(crate) fn open_receiver(self: &Arc<Self>, flow: Flow) -> FlowReceiver {
         let (tx, rx) = mpsc::sync_channel(DELIVERY_QUEUE);

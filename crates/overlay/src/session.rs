@@ -35,56 +35,6 @@ impl Delivery {
     }
 }
 
-/// Summary of a batch of deliveries (e.g. one drained receive queue).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeliveryStats {
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Packets delivered within their deadline.
-    pub on_time: u64,
-    /// Worst one-way latency observed.
-    pub max_latency: Micros,
-    /// Sum of latencies (for the mean).
-    total_latency: Micros,
-}
-
-impl DeliveryStats {
-    /// Summarizes a batch of deliveries.
-    pub fn from_deliveries<'a, I: IntoIterator<Item = &'a Delivery>>(batch: I) -> Self {
-        let mut stats = DeliveryStats::default();
-        for d in batch {
-            stats.delivered += 1;
-            if d.on_time {
-                stats.on_time += 1;
-            }
-            let l = d.latency();
-            stats.max_latency = stats.max_latency.max(l);
-            stats.total_latency = stats.total_latency.saturating_add(l);
-        }
-        stats
-    }
-
-    /// Fraction of delivered packets that met their deadline, or
-    /// `None` for an empty batch. A batch with no deliveries carries
-    /// no timeliness evidence — a total blackhole must not read as a
-    /// perfect on-time rate.
-    pub fn on_time_fraction(&self) -> Option<f64> {
-        if self.delivered == 0 {
-            None
-        } else {
-            Some(self.on_time as f64 / self.delivered as f64)
-        }
-    }
-
-    /// Mean one-way latency, or zero for an empty batch.
-    pub fn mean_latency(&self) -> Micros {
-        match self.total_latency.as_micros().checked_div(self.delivered) {
-            Some(mean) => Micros::from_micros(mean),
-            None => Micros::ZERO,
-        }
-    }
-}
-
 /// A sending session: stamps packets with the flow's current
 /// dissemination graph and injects them at the source node. It holds
 /// the node and the id of the slot there that stamps this flow's
@@ -265,29 +215,5 @@ mod tests {
             on_time: true,
         };
         assert_eq!(d.latency(), Micros::from_micros(250));
-    }
-
-    #[test]
-    fn delivery_stats_summarize() {
-        let mk = |sent: u64, arrived: u64, on_time: bool| Delivery {
-            flow: Flow::new(NodeId::new(0), NodeId::new(1)),
-            flow_seq: 0,
-            payload: Bytes::new(),
-            sent_at: Micros::from_micros(sent),
-            delivered_at: Micros::from_micros(arrived),
-            on_time,
-        };
-        let batch = [mk(0, 100, true), mk(0, 300, true), mk(0, 800, false)];
-        let stats = DeliveryStats::from_deliveries(&batch);
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.on_time, 2);
-        assert_eq!(stats.max_latency, Micros::from_micros(800));
-        assert_eq!(stats.mean_latency(), Micros::from_micros(400));
-        let fraction = stats.on_time_fraction().expect("non-empty batch has a fraction");
-        assert!((fraction - 2.0 / 3.0).abs() < 1e-12);
-
-        let empty = DeliveryStats::from_deliveries([]);
-        assert_eq!(empty.on_time_fraction(), None, "no deliveries is not evidence of timeliness");
-        assert_eq!(empty.mean_latency(), Micros::ZERO);
     }
 }

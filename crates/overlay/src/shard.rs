@@ -7,10 +7,10 @@
 //! (`overlay.shard.with_ns`), to be deleted with the `Runtime` /
 //! `launch_on` shim by the next benchmark PR.
 
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of independently locked shards. A small power of two keeps
 /// the modulo cheap while comfortably exceeding the thread counts the
@@ -29,21 +29,24 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         ShardedMap { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
+    /// The locked shard holding `key`. A poisoned shard is taken as
+    /// it stands: a map operation leaves no half-written entry.
+    fn shard(&self, key: &K) -> MutexGuard<'_, HashMap<K, V>> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+        let shard = &self.shards[(hasher.finish() as usize) % SHARDS];
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Inserts a value, returning the previous one if present.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.shard(&key).lock().insert(key, value)
+        self.shard(&key).insert(key, value)
     }
 
     /// Applies `f` to the value for `key` under the shard lock, or
     /// returns `None` when the key is absent; never clones the value.
     pub fn with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shard(key).lock().get(key).map(f)
+        self.shard(key).get(key).map(f)
     }
 }
 

@@ -420,8 +420,9 @@ impl Net {
         class: SlaClass,
     ) -> Result<SimSender, OverlayError> {
         let flow = scheme.flow();
+        let now = self.now;
         let core = self.core_mut(flow.source);
-        let id = core.open_session(scheme, flow, class, requirement.deadline)?;
+        let id = core.open_session(now, scheme, flow, class, requirement.deadline)?;
         Ok(SimSender { id, flow })
     }
 
@@ -574,9 +575,8 @@ impl Net {
     }
 
     /// `node`'s current view of network-wide link conditions.
-    pub fn network_state(&mut self, node: NodeId) -> NetworkState {
-        let now = self.now;
-        self.core_mut(node).linkstate.network_state(now)
+    pub fn network_state(&self, node: NodeId) -> NetworkState {
+        self.core(node).linkstate.network_state(self.now)
     }
 
     /// `node`'s per-origin link-state digest; empty while it is down.

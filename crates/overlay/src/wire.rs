@@ -109,8 +109,8 @@ pub enum Message {
     /// the latest `(epoch, seq)` stamp it holds per origin. A receiver
     /// holding strictly newer state for any origin (or state for an
     /// origin absent from the digest) pushes those reports back, so two
-    /// sides of a healed partition reconcile deterministically instead
-    /// of waiting for the next periodic refresh to happen to survive.
+    /// sides of a healed partition, or a neighbour that lost a flood,
+    /// reconcile without waiting for the origin's next change.
     Digest {
         /// The sender's per-origin database summary.
         entries: Vec<DigestEntry>,

@@ -21,11 +21,8 @@ use std::time::{Duration, Instant};
 
 fn na_cluster() -> Cluster {
     let graph = presets::north_america_12();
-    let config = ClusterConfig {
-        hello_interval: Duration::from_millis(20),
-        link_state_interval: Duration::from_millis(80),
-        ..ClusterConfig::default()
-    };
+    let config =
+        ClusterConfig { hello_interval: Duration::from_millis(20), ..ClusterConfig::default() };
     Cluster::launch(&graph, config).expect("cluster launches")
 }
 
@@ -72,9 +69,9 @@ fn sessions_validate_their_endpoints() {
     cluster.shutdown();
 }
 
-/// A closed sender gives its admission slot back and leaves the scheme
-/// refresh: a node that opened and closed senders all day is not at
-/// capacity with none alive.
+/// A closed sender gives its admission slot back and is shown no more
+/// link-state reports: a node that opened and closed senders all day is
+/// not at capacity with none alive.
 #[test]
 fn a_closed_sender_returns_its_admission_slot() {
     let graph = presets::north_america_12();
@@ -90,16 +87,22 @@ fn a_closed_sender_returns_its_admission_slot() {
     drop(first);
     let third = open().expect("the dropped sender's slot is free again");
     drop((second, third));
-    // With no session left the scheme refresh (every 200 ms) has no
-    // slot to visit: the node's graph cache sees no more lookups.
+    // With no session left a report has no slot to show: the source's
+    // own report of a silenced in-link, declared down, costs its graph
+    // cache no lookup. (A link is declared down only once it has been
+    // heard: the silence starts after the first reports.)
+    assert!(cluster.wait_for_link_state(Duration::from_secs(5)), "no link-state convergence");
+    let source = cluster.node(flow.source);
     let lookups = || {
-        let live = cluster.node(flow.source).metrics_snapshot().graph_cache.live;
+        let live = source.metrics_snapshot().graph_cache.live;
         live.hits + live.misses
     };
-    std::thread::sleep(Duration::from_millis(300));
     let settled = lookups();
+    let silenced = cluster.graph().in_edges(flow.source)[0];
+    cluster.set_link_impairment(silenced, LinkFault { blackhole: true, ..LinkFault::default() });
     std::thread::sleep(Duration::from_millis(700));
-    assert_eq!(lookups(), settled, "closed sessions are still being refreshed");
+    assert!(source.metrics_snapshot().counters.links_declared_down > 0, "the silence was news");
+    assert_eq!(lookups(), settled, "closed sessions are still being shown reports");
 }
 
 /// A dropped receiver closes its session: a packet that arrives while
@@ -223,9 +226,7 @@ fn a_delayed_control_frame_wakes_the_timer_thread() {
     let config = NodeConfig {
         peers: HashMap::from([(n[1], tap.local_addr().expect("bound"))]),
         hello_interval: cadence,
-        link_state_interval: cadence,
         digest_interval: cadence,
-        link_state_max_age: cadence * 4,
         ..NodeConfig::new(n[0], listen)
     };
     let node = OverlayNode::spawn(config, Arc::new(graph)).expect("node spawns");
@@ -266,10 +267,8 @@ fn spawn_rejects_a_config_that_breaks_a_rule_or_the_topology() {
     let listen: SocketAddr = "127.0.0.1:0".parse().expect("address");
     let ok =
         || NodeConfig { peers: HashMap::from([(n[1], listen)]), ..NodeConfig::new(n[0], listen) };
-    let ms = Duration::from_millis;
     let broken = [
         (NodeConfig { shipper_queue: 0, ..ok() }, "shipper_queue"),
-        (NodeConfig { link_state_max_age: ms(400), ..ok() }, "link_state_max_age"),
         (NodeConfig { node: NodeId::new(3), ..ok() }, "site of the topology"),
         // C exists, but shares no link with A.
         (NodeConfig { peers: HashMap::from([(n[2], listen)]), ..ok() }, "neighbour"),

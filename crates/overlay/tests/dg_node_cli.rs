@@ -51,7 +51,7 @@ fn two_daemons_start_and_exchange_traffic() {
             format!(
                 r#"{{"topology": "{}", "node": "{node}", "listen": "127.0.0.1:{me}",
                     "peers": {{"{peer_name}": "127.0.0.1:{peer}"}},
-                    "hello_interval_ms": 20, "link_state_interval_ms": 60}}"#,
+                    "hello_interval_ms": 20}}"#,
                 topo.display()
             ),
         )
@@ -117,7 +117,7 @@ fn real_udp_pair_reports_ready_converges_and_dumps_metrics() {
             format!(
                 r#"{{"topology": "{}", "node": "{node}", "listen": "127.0.0.1:{me}",
                     "peers": {{"{peer_name}": "127.0.0.1:{peer}"}},
-                    "hello_interval_ms": 20, "link_state_interval_ms": 60}}"#,
+                    "hello_interval_ms": 20}}"#,
                 topo.display()
             ),
         )

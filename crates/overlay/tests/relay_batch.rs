@@ -719,7 +719,6 @@ fn a_delayed_control_frame_leaves_at_its_departure_time() {
     let cadence = std::time::Duration::from_secs(1);
     let config = ClusterConfig {
         hello_interval: cadence,
-        link_state_interval: cadence,
         digest_interval: cadence,
         ..ClusterConfig::default()
     };

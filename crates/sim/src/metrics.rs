@@ -56,8 +56,7 @@ impl FlowRunStats {
     /// simulator reports. A run that sent nothing carries no timeliness
     /// evidence, and a floor such as `on_time_fraction() >= 0.99` must
     /// not pass on it: the same stance as the overlay's
-    /// `DeliveryStats::on_time_fraction`, which returns `None` there.
-    /// This stays a plain `f64` because report tables and the benchmark
+    /// `FlowReport::on_time_fraction`. This stays a plain `f64` because report tables and the benchmark
     /// consume it as a number.
     pub fn on_time_fraction(&self) -> f64 {
         fraction(self.packets_on_time, self.packets_sent)

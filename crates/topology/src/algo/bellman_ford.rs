@@ -4,6 +4,7 @@
 //! as the negative-weight-capable core of Bhandari's disjoint-path
 //! algorithm (which searches residual graphs containing negated arcs).
 
+#[cfg(test)]
 use crate::{Graph, Micros, NodeId};
 
 /// A directed arc in an ad-hoc arc list (see [`ArcList`]).
@@ -20,7 +21,7 @@ pub struct Arc {
 /// A lightweight directed graph given as a plain arc list.
 ///
 /// Bhandari's algorithm builds residual graphs that contain arcs not
-/// present in the overlay [`Graph`] (reversed path edges with negated
+/// present in the overlay [`crate::Graph`] (reversed path edges with negated
 /// weights), so the Bellman–Ford core operates on this representation.
 #[derive(Debug, Clone, Default)]
 pub struct ArcList {
@@ -82,7 +83,8 @@ impl ArcList {
 ///
 /// Semantically identical to [`crate::algo::dijkstra::distances_from`]
 /// but computed with Bellman–Ford; property tests compare the two.
-pub fn distances_from(graph: &Graph, src: NodeId) -> Vec<Micros> {
+#[cfg(test)]
+pub(crate) fn distances_from(graph: &Graph, src: NodeId) -> Vec<Micros> {
     let arcs = ArcList {
         node_count: graph.node_count(),
         arcs: graph

@@ -67,18 +67,6 @@ where
     ws.dist.into_iter().map(Micros::from_micros).collect()
 }
 
-/// Latency of the shortest path from every node to `dst`.
-///
-/// Computed over reversed edges; unreachable nodes get [`Micros::MAX`].
-pub fn distances_to<F>(graph: &Graph, dst: NodeId, usable: F) -> Vec<Micros>
-where
-    F: Fn(EdgeId) -> bool,
-{
-    let mut ws = SearchWorkspace::new();
-    ws.search(graph, dst, Direction::Backward, None, latency_where(graph, usable), |_| 0);
-    ws.dist.into_iter().map(Micros::from_micros).collect()
-}
-
 /// Shortest path under a caller-supplied edge weight (in microseconds);
 /// returning `None` from `weight` excludes the edge entirely.
 ///
@@ -426,32 +414,6 @@ mod tests {
         assert_eq!(d[a.index()], Micros::ZERO);
         assert_eq!(d[b.index()], Micros::from_millis(3));
         assert!(d[c.index()].is_unreachable());
-    }
-
-    #[test]
-    fn distances_to_uses_reverse_edges() {
-        let mut builder = GraphBuilder::new();
-        let a = builder.add_node("A");
-        let b = builder.add_node("B");
-        builder.add_edge(a, b, Micros::from_millis(3), 1).unwrap();
-        let g = builder.build();
-        let d = distances_to(&g, b, |_| true);
-        assert_eq!(d[a.index()], Micros::from_millis(3));
-        assert_eq!(d[b.index()], Micros::ZERO);
-        // No edge B -> A, so distance from B in `distances_to(a)` is MAX.
-        let d2 = distances_to(&g, a, |_| true);
-        assert!(d2[b.index()].is_unreachable());
-    }
-
-    #[test]
-    fn forward_and_backward_distances_agree() {
-        let g = crate::presets::north_america_12();
-        let s = g.node_by_name("NYC").unwrap();
-        let from = distances_from(&g, s, |_| true);
-        for t in g.nodes() {
-            let to = distances_to(&g, t, |_| true);
-            assert_eq!(from[t.index()], to[s.index()], "mismatch NYC->{}", g.node(t).name);
-        }
     }
 
     #[test]

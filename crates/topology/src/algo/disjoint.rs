@@ -16,7 +16,7 @@
 //! Results downstream — the committed tables, figures and golden
 //! playbacks — are pinned to that choice, so the scan order is part of
 //! this module's contract: a search that scans in another order (say
-//! Dijkstra over reduced costs, as [`crate::algo::suurballe`] does)
+//! Dijkstra over reduced costs, as the tests' Suurballe reference does)
 //! returns a pair of the same total latency but, on ties, not the same
 //! pair. What the rounds do skip is work that cannot change anything:
 //! an arc is scanned in a pass only if its tail's distance fell since
@@ -112,31 +112,8 @@ pub fn k_disjoint_paths(
     k: usize,
     mode: Disjointness,
 ) -> Result<Vec<Path>, TopologyError> {
-    k_disjoint_paths_filtered(graph, src, dst, k, mode, |_| true)
-}
-
-/// Like [`k_disjoint_paths`], restricted to edges passing `usable`.
-///
-/// # Errors
-///
-/// Same conditions as [`k_disjoint_paths`].
-pub fn k_disjoint_paths_filtered<F>(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    mode: Disjointness,
-    usable: F,
-) -> Result<Vec<Path>, TopologyError>
-where
-    F: Fn(EdgeId) -> bool,
-{
     k_disjoint_paths_weighted(graph, src, dst, k, mode, |e| {
-        if usable(e) {
-            Some(graph.edge(e).latency.as_micros() as i64)
-        } else {
-            None
-        }
+        Some(graph.edge(e).latency.as_micros() as i64)
     })
 }
 
@@ -813,7 +790,8 @@ mod tests {
         let m1 = g.node_by_name("M1").unwrap();
         let z = g.node_by_name("Z").unwrap();
         let banned = g.edge_between(a, m1).unwrap();
-        let result = k_disjoint_paths_filtered(&g, a, z, 2, Disjointness::Node, |e| e != banned);
+        let latency = |e| (e != banned).then(|| g.edge(e).latency.as_micros() as i64);
+        let result = k_disjoint_paths_weighted(&g, a, z, 2, Disjointness::Node, latency);
         // Without A->M1 only one node-disjoint route remains.
         assert_eq!(
             result,

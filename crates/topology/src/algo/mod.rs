@@ -8,9 +8,15 @@ pub mod bellman_ford;
 pub mod dijkstra;
 pub mod disjoint;
 pub mod maxflow;
+#[cfg(test)]
+mod properties;
 pub mod reach;
-pub mod suurballe;
+// Independent references the property tests check the production
+// algorithms against; nothing outside the tests calls them.
+#[cfg(test)]
+mod suurballe;
 mod workspace;
-pub mod yen;
+#[cfg(test)]
+mod yen;
 
 pub use workspace::SearchWorkspace;

@@ -1,8 +1,16 @@
-//! Property-based tests for the topology algorithms.
+//! Property tests for the routing algorithms, checked against the
+//! independent references this module's siblings compile for the tests
+//! only: Bellman–Ford distances, Yen's k shortest paths and Suurballe's
+//! disjoint pair. First on dense random small graphs, then on the
+//! realistic overlays the generator produces — the graphs the scale
+//! experiments actually run on — at sizes the paper's 12-site preset
+//! never reaches.
 
-use dg_topology::algo::disjoint::{k_disjoint_paths, max_disjoint, Disjointness};
-use dg_topology::algo::{bellman_ford, dijkstra, reach, yen};
-use dg_topology::{Graph, GraphBuilder, Micros, NodeId, TopologyError};
+use crate::algo::disjoint::{disjoint_pair, k_disjoint_paths, max_disjoint, Disjointness};
+use crate::algo::suurballe::suurballe_pair;
+use crate::algo::{bellman_ford, dijkstra, reach, yen};
+use crate::generate::GeneratorConfig;
+use crate::{Graph, GraphBuilder, Micros, NodeId, TopologyError};
 use proptest::prelude::*;
 
 /// Builds a random graph from a list of candidate links, silently
@@ -110,7 +118,7 @@ proptest! {
                     |e| !banned.contains(&e)) else { continue };
                 if !p1.is_edge_disjoint(&p2) { continue; }
                 let greedy_total = p1.latency(&g) + p2.latency(&g);
-                let (q1, q2) = dg_topology::algo::disjoint::disjoint_pair(
+                let (q1, q2) = disjoint_pair(
                     &g, s, t, Disjointness::Edge).expect("greedy found a pair");
                 prop_assert!(q1.latency(&g) + q2.latency(&g) <= greedy_total);
             }
@@ -168,13 +176,12 @@ proptest! {
     /// every pair on every random graph.
     #[test]
     fn suurballe_agrees_with_bhandari(g in graph_strategy()) {
-        use dg_topology::algo::suurballe::suurballe_pair;
         for mode in [Disjointness::Edge, Disjointness::Node] {
             for s in g.nodes() {
                 for t in g.nodes() {
                     if s == t { continue; }
                     let a = suurballe_pair(&g, s, t, mode);
-                    let b = dg_topology::algo::disjoint::disjoint_pair(&g, s, t, mode);
+                    let b = disjoint_pair(&g, s, t, mode);
                     match (a, b) {
                         (Ok((a1, a2)), Ok((b1, b2))) => {
                             prop_assert_eq!(
@@ -201,5 +208,107 @@ proptest! {
         let json = serde_json::to_string(&g).unwrap();
         let back: Graph = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(g, back);
+    }
+}
+
+/// A generated overlay plus a deterministic sample of distinct
+/// (source, destination) pairs to validate on.
+fn topo_with_pairs() -> impl Strategy<Value = (Graph, Vec<(NodeId, NodeId)>)> {
+    (
+        0usize..2,
+        20usize..=60,
+        0u64..1_000_000,
+        proptest::collection::vec((0usize..1_000, 0usize..1_000), 8),
+    )
+        .prop_map(|(family, nodes, seed, raw_pairs)| {
+            let config = if family == 0 {
+                GeneratorConfig::waxman(nodes, seed)
+            } else {
+                GeneratorConfig::ring_of_cliques(nodes, seed)
+            };
+            let g = config.generate();
+            let n = g.node_count();
+            let pairs = raw_pairs
+                .into_iter()
+                .map(|(a, b)| (a % n, b % n))
+                .filter(|&(a, b)| a != b)
+                .map(|(a, b)| (NodeId::new(a as u32), NodeId::new(b as u32)))
+                .collect();
+            (g, pairs)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Suurballe's pair is truly edge-disjoint, simple, and exists
+    /// exactly when max-flow admits two edge-disjoint paths — which on
+    /// generated overlays (min degree 2, 2-edge-connected backbone) it
+    /// must for every sampled pair. Bhandari must agree on the optimal
+    /// total latency.
+    #[test]
+    fn disjoint_pair_implementations_agree_on_generated_topologies(
+        (g, pairs) in topo_with_pairs()
+    ) {
+        for (s, t) in pairs {
+            let capacity = max_disjoint(&g, s, t, Disjointness::Edge);
+            match suurballe_pair(&g, s, t, Disjointness::Edge) {
+                Ok((p1, p2)) => {
+                    prop_assert!(capacity >= 2, "pair found but maxflow says {capacity}");
+                    prop_assert!(p1.is_simple(&g));
+                    prop_assert!(p2.is_simple(&g));
+                    prop_assert!(p1.is_edge_disjoint(&p2));
+                    prop_assert_eq!((p1.source(), p1.destination()), (s, t));
+                    prop_assert_eq!((p2.source(), p2.destination()), (s, t));
+                    let (b1, b2) = disjoint_pair(&g, s, t, Disjointness::Edge)
+                        .expect("bhandari agrees a pair exists");
+                    prop_assert_eq!(
+                        p1.latency(&g) + p2.latency(&g),
+                        b1.latency(&g) + b2.latency(&g)
+                    );
+                }
+                Err(e) => {
+                    prop_assert!(capacity < 2,
+                        "maxflow says {capacity} but suurballe failed: {e}");
+                }
+            }
+        }
+    }
+
+    /// Yen's k shortest paths on a generated overlay are sorted by
+    /// latency, loop-free, distinct, anchored by Dijkstra's optimum,
+    /// and connect the requested endpoints.
+    #[test]
+    fn yen_paths_are_sorted_and_loop_free_on_generated_topologies(
+        (g, pairs) in topo_with_pairs(), k in 2usize..6
+    ) {
+        for (s, t) in pairs {
+            let paths = yen::k_shortest_paths(&g, s, t, k)
+                .expect("generated overlays are connected");
+            prop_assert!(!paths.is_empty() && paths.len() <= k);
+            let sp = dijkstra::shortest_path(&g, s, t).unwrap();
+            prop_assert_eq!(paths[0].latency(&g), sp.latency(&g));
+            for w in paths.windows(2) {
+                prop_assert!(w[0].latency(&g) <= w[1].latency(&g));
+                prop_assert_ne!(&w[0], &w[1]);
+            }
+            for p in &paths {
+                prop_assert!(p.is_simple(&g), "loopy path from yen");
+                prop_assert_eq!((p.source(), p.destination()), (s, t));
+            }
+        }
+    }
+
+    /// Dijkstra and Bellman–Ford agree on every shortest distance from
+    /// every sampled source of a generated overlay.
+    #[test]
+    fn shortest_path_implementations_agree_on_generated_topologies(
+        (g, pairs) in topo_with_pairs()
+    ) {
+        for (s, _) in pairs {
+            let fast = dijkstra::distances_from(&g, s, |_| true);
+            let slow = bellman_ford::distances_from(&g, s);
+            prop_assert_eq!(fast, slow);
+        }
     }
 }

@@ -1,7 +1,6 @@
-//! Yen's algorithm for K shortest loopless paths.
-//!
-//! Dynamic single-path routing re-ranks alternatives when link state
-//! changes; Yen's algorithm supplies the ranked alternatives.
+//! Yen's algorithm for K shortest loopless paths: a test reference.
+//! The property suite checks Dijkstra's optimum and time-constrained
+//! flooding's edge set against the ranked paths it enumerates.
 
 use crate::algo::dijkstra;
 use crate::{Graph, NodeId, Path, TopologyError};
@@ -17,19 +16,6 @@ use std::collections::HashSet;
 ///
 /// Returns [`TopologyError::NoRoute`] when no path at all exists (or
 /// `src == dst`), and endpoint validation errors.
-///
-/// # Example
-///
-/// ```
-/// use dg_topology::{presets, algo::yen};
-///
-/// let g = presets::north_america_12();
-/// let s = g.node_by_name("WAS").unwrap();
-/// let t = g.node_by_name("SJC").unwrap();
-/// let paths = yen::k_shortest_paths(&g, s, t, 3)?;
-/// assert!(paths.len() <= 3 && !paths.is_empty());
-/// # Ok::<(), dg_topology::TopologyError>(())
-/// ```
 pub fn k_shortest_paths(
     graph: &Graph,
     src: NodeId,

@@ -7,7 +7,6 @@
 //!
 //! - shortest paths ([`algo::dijkstra`], [`algo::bellman_ford`]),
 //! - disjoint path pairs via Bhandari's algorithm ([`algo::disjoint`]),
-//! - K-shortest loopless paths via Yen's algorithm ([`algo::yen`]),
 //! - unit-capacity max-flow via Dinic's algorithm ([`algo::maxflow`]),
 //! - time-constrained reachability for deadline flooding ([`algo::reach`]).
 //!

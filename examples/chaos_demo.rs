@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &graph,
         ClusterConfig {
             hello_interval: Duration::from_millis(25),
-            link_state_interval: Duration::from_millis(100),
             fault_seed: 7,
             // Small enough that the storm's overload bursts actually
             // cross the class shed bands (256/384/512 here).

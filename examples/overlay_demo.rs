@@ -13,11 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("launching {} overlay nodes on localhost...", graph.node_count());
     let cluster = Cluster::launch(
         &graph,
-        ClusterConfig {
-            hello_interval: Duration::from_millis(20),
-            link_state_interval: Duration::from_millis(80),
-            ..ClusterConfig::default()
-        },
+        ClusterConfig { hello_interval: Duration::from_millis(20), ..ClusterConfig::default() },
     )?;
     assert!(cluster.wait_for_link_state(Duration::from_secs(5)));
     println!("link-state flooding converged\n");

@@ -12,11 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = topology::presets::north_america_12();
     let cluster = Cluster::launch(
         &graph,
-        ClusterConfig {
-            hello_interval: Duration::from_millis(20),
-            link_state_interval: Duration::from_millis(80),
-            ..ClusterConfig::default()
-        },
+        ClusterConfig { hello_interval: Duration::from_millis(20), ..ClusterConfig::default() },
     )?;
     assert!(cluster.wait_for_link_state(Duration::from_secs(5)));
 

@@ -462,7 +462,6 @@ fn overlay_agrees_with_simulator_on_generated_topology() {
         &graph,
         ClusterConfig {
             hello_interval: Duration::from_millis(500),
-            link_state_interval: Duration::from_secs(1),
             digest_interval: Duration::from_secs(3),
             ..Default::default()
         },

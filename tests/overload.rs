@@ -55,7 +55,6 @@ fn overload_graph() -> Graph {
 fn overload_config() -> ClusterConfig {
     ClusterConfig {
         hello_interval: Duration::from_millis(20),
-        link_state_interval: Duration::from_millis(80),
         shipper_queue: 128,
         overload_hold_down: Duration::from_millis(250),
         fault_seed: env_seed(),

@@ -53,7 +53,6 @@ fn partition_heals_to_identical_digests_and_full_delivery() {
     let graph = topology::presets::ring(6, ms(5));
     let config = ClusterConfig {
         hello_interval: Duration::from_millis(25),
-        link_state_interval: Duration::from_millis(100),
         digest_interval: Duration::from_millis(300),
         fault_seed: env_seed(),
         ..Default::default()
@@ -71,10 +70,9 @@ fn partition_heals_to_identical_digests_and_full_delivery() {
     // Cut {0,1,2} from {3,4,5}: both ring crossings, both directions.
     set_cut(&mut net, n2, n3, true);
     set_cut(&mut net, n5, n0, true);
-    // Hold the partition long enough for both sides to diverge (many
-    // originations) but well under the 3 s database aging fallback —
-    // reconvergence must come from flooding and digest repair, not
-    // from expiry.
+    // Hold the partition long enough for both sides to diverge (the
+    // cut links are declared down on each side): reconvergence must
+    // come from flooding and digest repair.
     net.run_for(ms(1_500));
     let (near, far) = (net.link_state_digest(n0), net.link_state_digest(n3));
     assert_ne!(near, far, "the halves never diverged");
@@ -115,7 +113,6 @@ fn oscillating_link_is_flap_damped() {
     let hold_down = Duration::from_secs(2);
     let config = ClusterConfig {
         hello_interval: Duration::from_millis(25),
-        link_state_interval: Duration::from_millis(100),
         flap_hold_down: hold_down,
         fault_seed: env_seed(),
         ..Default::default()

@@ -35,7 +35,6 @@ fn non_lossy_impairments_lose_nothing() {
     let graph = presets::north_america_12();
     let config = ClusterConfig {
         hello_interval: Duration::from_millis(50),
-        link_state_interval: Duration::from_millis(200),
         fault_seed: 42,
         ..Default::default()
     };
@@ -140,14 +139,12 @@ fn hundred_node_cluster_converges_delivers_and_stops_promptly() {
     let graph = GeneratorConfig::ring_of_cliques(100, 2017).generate();
     assert_eq!(graph.node_count(), 100);
 
-    // Calm control cadences: at 100 nodes the default 50 ms hello /
-    // 200 ms link-state rates are a reliably-flooded message storm that
-    // has nothing to do with what this test measures.
+    // Calm hello and digest cadences: 200 threads share the host, and
+    // what this test measures is not how fast a silent link is noticed.
     let cluster = Cluster::launch(
         &graph,
         ClusterConfig {
             hello_interval: Duration::from_millis(500),
-            link_state_interval: Duration::from_secs(1),
             digest_interval: Duration::from_secs(3),
             ..Default::default()
         },
@@ -183,6 +180,9 @@ fn hundred_node_cluster_converges_delivers_and_stops_promptly() {
     cluster.shutdown();
     let stopped_in = stopping.elapsed();
 
+    // No fault is injected: a link declared down is the control plane
+    // losing its own datagrams in the host.
+    assert_eq!(report.totals.links_declared_down, 0, "links declared down with no fault");
     let fr = *report.flow(flow).expect("flow was active");
     assert_eq!(fr.packets_sent, total);
     assert_eq!(fr.packets_sent, fr.packets_delivered + fr.packets_lost, "conservation");
