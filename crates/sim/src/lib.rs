@@ -42,8 +42,21 @@
 //! *hit* when its `[send, expiry]` lies inside the interval and its
 //! first-attempt draws on the noted edges all survive; that costs two
 //! hash rounds an edge and no heap, and runs of hits reach the
-//! accumulator as one batch. Every other packet — a failed draw, an
-//! interval-straddler — runs the event heap as before.
+//! accumulator as one batch.
+//!
+//! A packet of the interval that loses a draw is **repaired** when it
+//! can be. Each noted draw is *tight* when its transmission gave its
+//! head the head's first arrival, *slack* otherwise: recovery delay
+//! builds up only along the path of first arrivals, and losing a slack
+//! transmission changes nothing but the count of retransmissions. One
+//! scan of the packet's draws classifies its losses. Only slack ones:
+//! the wavefront's outcome, plus one retransmission a loss when links
+//! recover. One tight one: the outcome of a *derived wave* — the same
+//! propagation with that edge's first attempt lost and its retry given
+//! the packet's keyed fate — memoised per `(edge, retry fate)` for the
+//! wavefront's life, provided the packet's other losses are slack in
+//! it. Two tight losses, and the interval-straddlers, **miss** and run
+//! the event heap as before.
 //!
 //! The event heap settles nodes in `(time, node)` order, as Dijkstra's
 //! algorithm does, and holds only the arrivals that beat the best one
@@ -57,10 +70,16 @@
 //! wavefront's order, shifted in time; conditions are read at visit
 //! times, all of which are at or before the expiry and so inside the
 //! interval; and the integer comparison is the float comparison
-//! (scaling by 2^53 is exact). A wavefront is dropped with its graph
+//! (scaling by 2^53 is exact). A repair adds one step: every node the
+//! base wave (the wavefront, or a derived wave) reaches is reached
+//! through a tight transmission the packet did not lose, and the only
+//! offers the packet makes that the base does not are retries of slack
+//! losses, which land after their head's arrival in the base; so the
+//! packet settles exactly as the base did. A wavefront is dropped with its graph
 //! ([`SimScratch::index_graph`], which every run and every reroute
-//! calls), rebuilt at each interval, and belongs to the seed, deadline
-//! and trace of the run that built it: the run holds its `&TraceSet`
+//! calls), rebuilt at each interval with its derived waves, and belongs
+//! to the seed, deadline, recovery model and trace of the run that
+//! built it: the run holds its `&TraceSet`
 //! from start to end, which is what [`simulate_packet_with`] cannot do
 //! between calls — so that function stays un-memoised.
 //! [`SimScratch::replay`] counts where the packets went

@@ -1,5 +1,14 @@
 //! Per-packet propagation through a dissemination graph, and the
 //! loss-free wavefront that answers for the packets that repeat it.
+//!
+//! A playback packet takes one of three roads. A **hit** loses none of
+//! the wavefront's draws ([`SimScratch::wave_loss`], the only check a
+//! surviving packet pays) and takes the wavefront's outcome. A
+//! **repair** loses draws, but only slack ones, or one tight one and
+//! draws that stay slack without it ([`SimScratch::repair`]), and takes
+//! the outcome of the wavefront or of a memoised derived wave, plus its
+//! retransmissions. A **miss** — two tight losses, or a send whose
+//! expiry leaves the interval — runs the event heap ([`propagate`]).
 
 use crate::rng::{draw_bits, edge_prefix, survival_threshold, unit_sample};
 use dg_core::DisseminationGraph;
@@ -44,16 +53,23 @@ pub struct PacketOutcome {
 }
 
 /// Where the packets a [`SimScratch`] replayed went: answered by the
-/// memoised loss-free wavefront, or propagated through the event heap.
-/// Every replayed packet is exactly one of `wave_hits` and
-/// `full_propagations`; the counters run for the scratch's whole life.
+/// memoised loss-free wavefront, repaired from it, or propagated through
+/// the event heap. Every replayed packet is exactly one of `wave_hits`,
+/// `wave_repairs` and `full_propagations`; the counters run for the
+/// scratch's whole life.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplayCounters {
     /// Packets that lost nothing inside one trace interval and took
     /// their outcome from the interval's wavefront.
     pub wave_hits: u64,
-    /// Packets propagated through the event heap: a draw failed, or the
-    /// packet was a straddler.
+    /// Packets of the wavefront's window that lost draws, but only slack
+    /// ones, or one tight one and slack ones beside it: their outcome is
+    /// the wavefront's, or a memoised derived wavefront's, plus their
+    /// retransmissions.
+    #[serde(default)]
+    pub wave_repairs: u64,
+    /// Packets propagated through the event heap: two or more tight
+    /// draws failed, or the packet was a straddler.
     pub full_propagations: u64,
     /// Wavefronts built — one loss-free propagation per (graph,
     /// interval) a replay entered, not a packet.
@@ -74,7 +90,8 @@ impl ReplayCounters {
     /// Share of the replayed packets that took the event heap; `0.0`
     /// when none were replayed.
     pub fn full_share(&self) -> f64 {
-        crate::metrics::fraction(self.full_propagations, self.wave_hits + self.full_propagations)
+        let replayed = self.wave_hits + self.wave_repairs + self.full_propagations;
+        crate::metrics::fraction(self.full_propagations, replayed)
     }
 }
 
@@ -102,6 +119,8 @@ pub struct SimScratch {
     /// `out[node] = ` the dissemination graph's edges leaving `node`.
     out: Vec<Vec<EdgeId>>,
     wave: Wave,
+    /// The slack draws a repaired packet lost, by index into the wave's.
+    lost: Vec<usize>,
     pub(crate) replay: ReplayCounters,
 }
 
@@ -113,12 +132,26 @@ pub struct SimScratch {
 /// the same offsets from its send, the same transmissions — and the
 /// draws are all that is left to compute for it.
 ///
+/// It also repairs most packets that lose a draw. A draw is **tight**
+/// when its transmission gave its head the head's first arrival in the
+/// wave (`a_tail + latency <= a_head`), and **slack** otherwise. Losing
+/// a slack transmission changes no arrival — its retransmission, if
+/// any, offers the head something later still — so a packet that loses
+/// only slack draws spreads as the wave did, plus one retransmission a
+/// loss when recovery is on. A packet that loses exactly one tight draw
+/// spreads as a **derived wave** does: the wave's propagation with that
+/// edge's first attempt lost and its retry given the packet's keyed
+/// fate, built once per `(draw, retry fate)` and memoised for the
+/// wave's life — provided each of its other losses is slack in the
+/// derived wave. Two tight losses, or one tight in the derived wave,
+/// and the packet runs the event heap.
+///
 /// It is valid for one graph (dropped by [`SimScratch::index_graph`]),
-/// one interval, and the seed, deadline and trace of the playback run
-/// that built it: a run holds its `&TraceSet` from start to end and
-/// starts by indexing its graph, so a wave never outlives the
-/// conditions it was built from. [`simulate_packet_with`] holds no such
-/// borrow between calls and never consults it.
+/// one interval, and the seed, deadline, recovery model and trace of
+/// the playback run that built it: a run holds its `&TraceSet` from
+/// start to end and starts by indexing its graph, so a wave never
+/// outlives the conditions it was built from. [`simulate_packet_with`]
+/// holds no such borrow between calls and never consults it.
 #[derive(Debug, Default)]
 struct Wave {
     /// The trace interval it was built in; `None` when there is none.
@@ -127,6 +160,10 @@ struct Wave {
     /// expiry is still inside the interval, and no arrival saturates.
     from: Micros,
     until: Micros,
+    /// The run's deadline and recovery model, which derived waves
+    /// propagate under.
+    deadline: Micros,
+    recovery: RecoveryModel,
     /// First arrivals of the loss-free packet sent at `from` — the
     /// scratch's table at the time, entries stamped `generation`.
     arrival: Vec<(u64, Micros)>,
@@ -136,6 +173,58 @@ struct Wave {
     /// [`edge_prefix`] and its [`survival_threshold`], likeliest loss
     /// first so that a dead link ends the check at the first draw.
     draws: Vec<(u64, u64)>,
+    /// `links[i]`: the transmission behind `draws[i]`. Apart from the
+    /// draws so that a hit's check reads nothing it does not need.
+    links: Vec<WaveLink>,
+    /// Derived waves, `derived[..built]` this wave's; the tables of the
+    /// rest are kept for reuse.
+    derived: Vec<DerivedWave>,
+    built: usize,
+    /// `memo[2 * i + retry]`: the index in `derived` of the wave with
+    /// draw `i` lost and its retry surviving (`retry = 1`) or not.
+    memo: Vec<Option<usize>>,
+    /// Build buffer for `draws` and `links`, kept to reuse its storage.
+    noted: Vec<(u64, u64, EdgeId)>,
+}
+
+/// A transmission of the wave that can be lost.
+#[derive(Debug, Clone, Copy)]
+struct WaveLink {
+    edge: EdgeId,
+    tail: NodeId,
+    head: NodeId,
+    /// The edge's latency in the interval, condition included.
+    latency: Micros,
+    /// It gave `head` its first arrival in the wave.
+    tight: bool,
+}
+
+impl WaveLink {
+    /// Whether this transmission gave `head` its first arrival in the
+    /// spread whose table is `arrival`, stamped `generation`, and whose
+    /// packet expires at `expiry`: `None` when `tail` never forwarded
+    /// there, so that the edge carried nothing.
+    fn tight_in(&self, arrival: &[(u64, Micros)], generation: u64, expiry: Micros) -> Option<bool> {
+        let (stamp, at_tail) = arrival[self.tail.index()];
+        if stamp != generation || at_tail > expiry {
+            return None;
+        }
+        // A head the transmission did not reach is not one it can be
+        // lost to without consequence: it counts as tight.
+        let (stamp, at_head) = arrival[self.head.index()];
+        Some(stamp != generation || at_tail.saturating_add(self.latency) <= at_head)
+    }
+}
+
+/// The wave's propagation with one draw lost and its retry decided.
+#[derive(Debug, Default)]
+struct DerivedWave {
+    arrival: Vec<(u64, Micros)>,
+    generation: u64,
+    transmissions: u64,
+    /// The wave's `until`, earlier if this wave's latest arrival would
+    /// saturate sooner.
+    until: Micros,
 }
 
 /// How one packet spread through the indexed graph: when it first
@@ -237,9 +326,122 @@ impl SimScratch {
         self.wave.from <= t && t < self.wave.until
     }
 
-    /// Whether packet `seq` loses none of the wavefront's transmissions.
-    pub(crate) fn wave_survives(&self, seq: u64) -> bool {
-        self.wave.draws.iter().all(|&(prefix, threshold)| draw_bits(prefix, seq, 0) >= threshold)
+    /// The first of the wavefront's draws, in check order, that packet
+    /// `seq` loses; `None` when it loses none, which makes it a hit.
+    pub(crate) fn wave_loss(&self, seq: u64) -> Option<usize> {
+        self.wave
+            .draws
+            .iter()
+            .position(|&(prefix, threshold)| draw_bits(prefix, seq, 0) < threshold)
+    }
+
+    /// How packet `seq`, sent at `t` inside the wavefront's window and
+    /// losing its draw `first` ([`SimScratch::wave_loss`]), spread —
+    /// when the wavefront can say without the event heap: the packet
+    /// loses only slack draws, or one tight draw and only draws that are
+    /// slack in the derived wave of that loss. `None` sends it to the
+    /// heap. Counts the packet as a repair when it answers.
+    pub(crate) fn repair(
+        &mut self,
+        topology: &Graph,
+        traces: &TraceSet,
+        source: NodeId,
+        seq: u64,
+        t: Micros,
+        first: usize,
+    ) -> Option<Spread<'_>> {
+        // Every draw of the packet is keyed, so one scan classifies its
+        // losses.
+        let mut tight = None;
+        self.lost.clear();
+        for i in first..self.wave.draws.len() {
+            let (prefix, threshold) = self.wave.draws[i];
+            if draw_bits(prefix, seq, 0) >= threshold {
+                continue;
+            }
+            if !self.wave.links[i].tight {
+                self.lost.push(i);
+            } else if tight.replace(i).is_some() {
+                return None;
+            }
+        }
+        // One retransmission a loss, when links recover.
+        let retransmits = u64::from(self.wave.recovery.enabled);
+        let Some(i) = tight else {
+            self.replay.wave_repairs += 1;
+            let mut spread = self.wave_spread();
+            spread.transmissions += retransmits * self.lost.len() as u64;
+            return Some(spread);
+        };
+        let (prefix, threshold) = self.wave.draws[i];
+        let retry = self.wave.recovery.enabled && draw_bits(prefix, seq, 1) >= threshold;
+        let d = self.derive(topology, traces, source, i, retry);
+        let wave = &self.wave;
+        let derived = &wave.derived[d];
+        if t >= derived.until {
+            return None;
+        }
+        let expiry = wave.from.saturating_add(wave.deadline);
+        let mut losses = 0;
+        for &j in &self.lost {
+            match wave.links[j].tight_in(&derived.arrival, derived.generation, expiry) {
+                Some(true) => return None,
+                Some(false) => losses += 1,
+                None => {} // the derived wave never sends it
+            }
+        }
+        self.replay.wave_repairs += 1;
+        Some(Spread {
+            arrival: &derived.arrival,
+            generation: derived.generation,
+            sent: wave.from,
+            transmissions: derived.transmissions + retransmits * losses,
+        })
+    }
+
+    /// The derived wave of the wavefront with draw `i` lost and its retry
+    /// surviving or not: memoised, built by one [`propagate`] on first
+    /// use.
+    fn derive(
+        &mut self,
+        topology: &Graph,
+        traces: &TraceSet,
+        source: NodeId,
+        i: usize,
+        retry: bool,
+    ) -> usize {
+        let key = 2 * i + usize::from(retry);
+        if let Some(d) = self.wave.memo[key] {
+            return d;
+        }
+        let Wave { from, deadline, recovery, .. } = self.wave;
+        let lost = self.wave.links[i].edge;
+        let transmissions = propagate(
+            self,
+            topology,
+            source,
+            traces,
+            from,
+            from.saturating_add(deadline),
+            &recovery,
+            |e, attempt, _| e != lost || (attempt == 1 && retry),
+        );
+        let d = self.wave.built;
+        self.wave.built += 1;
+        if d == self.wave.derived.len() {
+            self.wave.derived.push(DerivedWave::default());
+        }
+        let derived = &mut self.wave.derived[d];
+        std::mem::swap(&mut self.arrival, &mut derived.arrival);
+        derived.generation = self.generation;
+        derived.transmissions = transmissions;
+        derived.until = self.wave.until.min(Micros::MAX.saturating_sub(reach(
+            &derived.arrival,
+            derived.generation,
+            from,
+        )));
+        self.wave.memo[key] = Some(d);
+        d
     }
 
     /// Builds the wavefront of the indexed graph in `interval`: one run
@@ -252,6 +454,10 @@ impl SimScratch {
     /// latest arrival does not saturate, so that all of `propagate`'s
     /// arithmetic is the wave's shifted by `t - from`. An interval no
     /// longer than the deadline gets an empty wave.
+    ///
+    /// Each draw is marked tight or slack ([`Wave`]), and the derived
+    /// waves of the interval before are forgotten.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_wave(
         &mut self,
         topology: &Graph,
@@ -259,6 +465,7 @@ impl SimScratch {
         source: NodeId,
         interval: usize,
         deadline: Micros,
+        recovery: &RecoveryModel,
         seed: u64,
     ) {
         let (from, end) = traces.interval_span(interval);
@@ -268,26 +475,48 @@ impl SimScratch {
         if from >= until {
             return;
         }
+        (self.wave.deadline, self.wave.recovery) = (deadline, *recovery);
         // Nothing is lost, so nothing is recovered.
         let no_recovery = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
-        let mut draws = std::mem::take(&mut self.wave.draws);
-        draws.clear();
+        let mut noted = std::mem::take(&mut self.wave.noted);
+        noted.clear();
         let expiry = from.saturating_add(deadline);
         self.wave.transmissions =
             propagate(self, topology, source, traces, from, expiry, &no_recovery, |e, _, loss| {
-                draws.push((edge_prefix(seed, e.index() as u32), survival_threshold(loss)));
+                noted.push((edge_prefix(seed, e.index() as u32), survival_threshold(loss), e));
                 true
             });
-        draws.retain(|&(_, threshold)| threshold > 0);
-        draws.sort_unstable_by_key(|&(_, threshold)| Reverse(threshold));
-        self.wave.draws = draws;
+        noted.retain(|&(_, threshold, _)| threshold > 0);
+        noted.sort_unstable_by_key(|&(prefix, threshold, _)| (Reverse(threshold), prefix));
+        self.wave.draws.clear();
+        self.wave.draws.extend(noted.iter().map(|&(prefix, threshold, _)| (prefix, threshold)));
+        self.wave.links.clear();
+        for &(_, _, edge) in &noted {
+            let info = topology.edge(edge);
+            let at_tail = self.arrival[info.src.index()].1;
+            let extra = traces.condition_at(edge, at_tail).extra_latency;
+            let latency = info.latency.saturating_add(extra);
+            let mut link = WaveLink { edge, tail: info.src, head: info.dst, latency, tight: false };
+            link.tight = link.tight_in(&self.arrival, self.generation, expiry) == Some(true);
+            self.wave.links.push(link);
+        }
+        self.wave.noted = noted;
+        self.wave.built = 0;
+        self.wave.memo.clear();
+        self.wave.memo.resize(2 * self.wave.draws.len(), None);
         std::mem::swap(&mut self.arrival, &mut self.wave.arrival);
         self.wave.generation = self.generation;
-        let latest = self.wave.arrival.iter().filter(|a| a.0 == self.generation).map(|a| a.1).max();
-        let reach = latest.unwrap_or(from).saturating_sub(from);
+        let reach = reach(&self.wave.arrival, self.generation, from);
         self.wave.until = until.min(Micros::MAX.saturating_sub(reach));
         self.replay.wave_builds += 1;
     }
+}
+
+/// How long after `from` the last node of the spread stamped
+/// `generation` in `arrival` was reached.
+fn reach(arrival: &[(u64, Micros)], generation: u64, from: Micros) -> Micros {
+    let latest = arrival.iter().filter(|a| a.0 == generation).map(|a| a.1).max();
+    latest.unwrap_or(from).saturating_sub(from)
 }
 
 /// Simulates one packet sent at `send_time` over `dgraph`.
@@ -688,7 +917,7 @@ pub(crate) mod tests {
         scratch.index_graph(&g, &dg);
         assert_eq!(scratch.wave_interval(), None);
         assert!(!scratch.wave_covers(Micros::ZERO));
-        scratch.build_wave(&g, &traces, dg.source(), 1, DEADLINE, 7);
+        scratch.build_wave(&g, &traces, dg.source(), 1, DEADLINE, &RecoveryModel::default(), 7);
         assert_eq!(scratch.wave_interval(), Some(1));
         let (from, until) = (Micros::from_secs(10), Micros::from_secs(20).saturating_sub(DEADLINE));
         assert!(!scratch.wave_covers(from.saturating_sub(Micros::from_micros(1))));
@@ -697,12 +926,12 @@ pub(crate) mod tests {
         assert!(!scratch.wave_covers(until), "expiry on the boundary reads the next interval");
         // A clean trace loses nothing: no draw is left to make, and the
         // wave is the clean packet.
-        assert!(scratch.wave_survives(0));
+        assert_eq!(scratch.wave_loss(0), None);
         let spread = scratch.wave_spread();
         assert_eq!(spread.transmissions, dg.len() as u64);
         assert_eq!(spread.delivered_after(&dg), Some(dg.best_latency(&g)));
         // The last interval has no end; indexing a graph drops the wave.
-        scratch.build_wave(&g, &traces, dg.source(), 9, DEADLINE, 7);
+        scratch.build_wave(&g, &traces, dg.source(), 9, DEADLINE, &RecoveryModel::default(), 7);
         assert!(scratch.wave_covers(Micros::from_secs(1_000_000)));
         assert!(!scratch.wave_covers(Micros::MAX.saturating_sub(DEADLINE)), "expiry saturates");
         scratch.index_graph(&g, &dg);
@@ -718,22 +947,22 @@ pub(crate) mod tests {
         scratch.index_graph(&g, &dg);
         // An interval no longer than the deadline: every packet straddles.
         let short = TraceSet::clean(g.edge_count(), 4, Micros::from_millis(60)).unwrap();
-        scratch.build_wave(&g, &short, dg.source(), 1, DEADLINE, 7);
+        scratch.build_wave(&g, &short, dg.source(), 1, DEADLINE, &RecoveryModel::default(), 7);
         assert_eq!(scratch.wave_interval(), Some(1));
         assert!(!scratch.wave_covers(Micros::from_millis(60)));
         assert_eq!(scratch.replay().wave_builds, 0, "nothing to build");
         // An arrival that saturates is not a fixed offset from the send.
         traces.set_condition(dg.edges()[0], 0, LinkCondition::new(0.0, Micros::MAX));
-        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, 7);
+        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, &RecoveryModel::default(), 7);
         assert!(!scratch.wave_covers(Micros::ZERO));
         // A dead link is the first draw checked, and no packet survives it.
         traces.set_condition(dg.edges()[0], 0, LinkCondition::new(2e-4, Micros::ZERO));
         traces.set_condition(dg.edges()[1], 0, LinkCondition::down());
-        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, 7);
+        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, &RecoveryModel::default(), 7);
         assert!(scratch.wave_covers(Micros::ZERO));
         assert_eq!(scratch.wave.draws.len(), 2, "clean links need no draw");
         assert_eq!(scratch.wave.draws[0].1, 1 << 53);
-        assert!((0..1_000).all(|seq| !scratch.wave_survives(seq)));
+        assert!((0..1_000).all(|seq| scratch.wave_loss(seq) == Some(0)));
     }
 
     #[test]
@@ -887,6 +1116,159 @@ pub(crate) mod tests {
         assert!(parent > scratch.replay().heap_pushes);
     }
 
+    /// A network of directed edges `(tail, head, latency in ms)`, its
+    /// nodes named as they first appear, and the graph of all of its
+    /// edges from `S` to `D`, with `lossy` edges losing half their
+    /// transmissions over one 10 s interval.
+    fn toy(
+        edges: &[(&str, &str, u64)],
+        lossy: &[(&str, &str)],
+    ) -> (Graph, DisseminationGraph, TraceSet) {
+        let mut b = dg_topology::GraphBuilder::new();
+        let mut ids = std::collections::HashMap::new();
+        for &(tail, head, ms) in edges {
+            let [tail, head] =
+                [tail, head].map(|name| *ids.entry(name).or_insert_with(|| b.add_node(name)));
+            b.add_edge(tail, head, Micros::from_millis(ms), 1).unwrap();
+        }
+        let g = b.build();
+        let all = g.edges().collect();
+        let dg = DisseminationGraph::new(&g, ids["S"], ids["D"], all).unwrap();
+        let mut traces = TraceSet::clean(g.edge_count(), 1, Micros::from_secs(10)).unwrap();
+        for &(tail, head) in lossy {
+            let e = g.edge_between(ids[tail], ids[head]).unwrap();
+            traces.set_condition(e, 0, LinkCondition::new(0.5, Micros::ZERO));
+        }
+        (g, dg, traces)
+    }
+
+    /// The first packet whose draws on `edges`, attempt by attempt, come
+    /// out as `lost` says under the toy's 50 % loss.
+    fn packet_losing(g: &Graph, edges: &[(&str, &str)], lost: &[[bool; 2]]) -> u64 {
+        let id = |name| g.node_by_name(name).unwrap();
+        (0..)
+            .find(|&seq| {
+                edges.iter().zip(lost).all(|(&(tail, head), attempts)| {
+                    let e = g.edge_between(id(tail), id(head)).unwrap().index() as u32;
+                    (0..2).all(|a| {
+                        (crate::rng::unit_sample(7, e, seq, a) < 0.5) == attempts[a as usize]
+                    })
+                })
+            })
+            .unwrap()
+    }
+
+    /// Packet `seq` sent at zero: what the wave's repair says, if it
+    /// answers, and what the event heap says.
+    fn repaired_and_defined(
+        g: &Graph,
+        dg: &DisseminationGraph,
+        traces: &TraceSet,
+        recovery: &RecoveryModel,
+        seq: u64,
+    ) -> (Option<(Option<Micros>, u64)>, PacketOutcome) {
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(g, dg);
+        scratch.build_wave(g, traces, dg.source(), 0, DEADLINE, recovery, 7);
+        assert!(scratch.wave_covers(Micros::ZERO));
+        let first = scratch.wave_loss(seq).expect("the packet loses a draw");
+        let repaired = scratch
+            .repair(g, traces, dg.source(), seq, Micros::ZERO, first)
+            .map(|spread| (spread.delivered_after(dg), spread.transmissions));
+        assert_eq!(scratch.replay().wave_repairs, u64::from(repaired.is_some()));
+        let defined = simulate_packet_with(
+            &mut scratch,
+            g,
+            dg,
+            traces,
+            Micros::ZERO,
+            DEADLINE,
+            recovery,
+            7,
+            seq,
+        );
+        (repaired, defined)
+    }
+
+    /// S reaches A and B at 10 ms and D at 20 ms through A; A→B (at
+    /// 40 ms) and S→D (at 35 ms) are slack. A retransmission lands a gap
+    /// (10 ms) plus three latencies after its tail had the packet.
+    const KITE: [(&str, &str, u64); 5] =
+        [("S", "A", 10), ("S", "B", 10), ("A", "D", 10), ("A", "B", 30), ("S", "D", 35)];
+
+    #[test]
+    fn a_slack_loss_costs_its_retransmission_and_nothing_else() {
+        let (g, dg, traces) = toy(&KITE, &[("A", "B")]);
+        let seq = packet_losing(&g, &[("A", "B")], &[[true, false]]);
+        for (enabled, retransmissions) in [(true, 1), (false, 0)] {
+            let recovery = RecoveryModel { enabled, ..RecoveryModel::default() };
+            let (repaired, defined) = repaired_and_defined(&g, &dg, &traces, &recovery, seq);
+            let clean = Some(Micros::from_millis(20));
+            assert_eq!(repaired, Some((clean, dg.len() as u64 + retransmissions)));
+            assert_eq!(repaired, Some((defined.delivered_at, defined.transmissions)));
+        }
+    }
+
+    #[test]
+    fn a_tight_loss_takes_its_derived_wave() {
+        // Losing S→A leaves D to S→D at 35 ms: A's retransmission lands
+        // at 10 + 3 × 10 = 40 ms (a gap, a NACK back, the resend), too
+        // late for A→D to win.
+        let (g, dg, traces) = toy(&KITE, &[("S", "A")]);
+        let recovery = RecoveryModel::default();
+        for retry_lost in [false, true] {
+            let seq = packet_losing(&g, &[("S", "A")], &[[true, retry_lost]]);
+            let (repaired, defined) = repaired_and_defined(&g, &dg, &traces, &recovery, seq);
+            assert_eq!(repaired, Some((defined.delivered_at, defined.transmissions)));
+            assert_eq!(defined.delivered_at, Some(Micros::from_millis(35)));
+            // A forwards on two edges only when its retransmission lands.
+            let sent = if retry_lost { dg.len() - 2 } else { dg.len() };
+            assert_eq!(defined.transmissions, sent as u64 + 1, "retry lost: {retry_lost}");
+        }
+    }
+
+    #[test]
+    fn two_tight_losses_take_the_event_heap() {
+        let recovery = RecoveryModel::default();
+        // Both tight in the wave.
+        let (g, dg, traces) = toy(&KITE, &[("S", "A"), ("A", "D")]);
+        let seq = packet_losing(&g, &[("S", "A"), ("A", "D")], &[[true, false], [true, false]]);
+        let (repaired, defined) = repaired_and_defined(&g, &dg, &traces, &recovery, seq);
+        assert_eq!(repaired, None);
+        assert_eq!(defined.delivered_at, Some(Micros::from_millis(35)));
+        // S→D is slack in the wave, but tight once S→A is lost.
+        let (g, dg, traces) = toy(&KITE, &[("S", "A"), ("S", "D")]);
+        let seq = packet_losing(&g, &[("S", "A"), ("S", "D")], &[[true, false], [true, false]]);
+        let (repaired, defined) = repaired_and_defined(&g, &dg, &traces, &recovery, seq);
+        assert_eq!(repaired, None);
+        assert_eq!(defined.delivered_at, Some(Micros::from_millis(50)), "A's retry, then A→D");
+    }
+
+    #[test]
+    fn a_tie_is_two_tight_draws_either_of_which_is_enough() {
+        // D is reached at 20 ms through A and through B at once.
+        let diamond = [("S", "A", 10), ("S", "B", 10), ("A", "D", 10), ("B", "D", 10)];
+        let (g, dg, traces) = toy(&diamond, &[("A", "D"), ("B", "D")]);
+        let mut scratch = SimScratch::new();
+        scratch.index_graph(&g, &dg);
+        let recovery = RecoveryModel::default();
+        scratch.build_wave(&g, &traces, dg.source(), 0, DEADLINE, &recovery, 7);
+        assert!(scratch.wave.links.iter().all(|link| link.tight));
+        let legs = [("A", "D"), ("B", "D")];
+        for (lost, repairs) in [([[true, false], [false, false]], true), ([[true, true]; 2], false)]
+        {
+            let seq = packet_losing(&g, &legs, &lost);
+            let (repaired, defined) = repaired_and_defined(&g, &dg, &traces, &recovery, seq);
+            assert_eq!(repaired.is_some(), repairs, "{lost:?}");
+            if let Some(repaired) = repaired {
+                assert_eq!(repaired, (Some(Micros::from_millis(20)), dg.len() as u64 + 1));
+                assert_eq!(repaired, (defined.delivered_at, defined.transmissions));
+            } else {
+                assert_eq!(defined.delivered_at, None, "both legs and both retries lost");
+            }
+        }
+    }
+
     /// Per-edge loss rates the proptest draws from, and extra latencies:
     /// none, some, past the 65 ms deadline, and one that saturates.
     const LOSS: [f64; 4] = [0.0, 2e-4, 0.5, 1.0];
@@ -1015,29 +1397,72 @@ pub(crate) mod tests {
                 prop_assert!(scratch.replay().heap_pushes - pushes <= defined.pushes);
 
                 // The wavefront of the send's interval: the draws it
-                // records, its arrivals and its transmissions.
+                // records, whether each is tight, its arrivals and its
+                // transmissions.
                 let i = traces.interval_at(send);
                 let (from, end) = traces.interval_span(i);
-                scratch.build_wave(&g, &traces, dg.source(), i, deadline, seed);
+                scratch.build_wave(&g, &traces, dg.source(), i, deadline, &rec, seed);
                 if from >= end.saturating_sub(deadline) {
                     continue; // too short to build
                 }
                 let no_recovery = RecoveryModel { enabled: false, gap_detection: Micros::ZERO };
-                let mut draws = Vec::new();
+                let mut noted = Vec::new();
                 let note = |e: EdgeId, _, l| {
-                    draws.push((edge_prefix(seed, e.index() as u32), survival_threshold(l)));
+                    noted.push((edge_prefix(seed, e.index() as u32), survival_threshold(l), e));
                     true
                 };
                 let expiry = from.saturating_add(deadline);
                 let wave = reference(&g, &dg, &traces, from, expiry, &no_recovery, note);
-                draws.retain(|&(_, threshold)| threshold > 0);
-                draws.sort_unstable_by_key(|&(_, threshold)| Reverse(threshold));
+                noted.retain(|&(_, threshold, _)| threshold > 0);
+                noted.sort_unstable_by_key(|&(prefix, threshold, _)| (Reverse(threshold), prefix));
+                let draws: Vec<_> = noted.iter().map(|&(p, threshold, _)| (p, threshold)).collect();
                 prop_assert_eq!(&scratch.wave.draws, &draws);
+                // Tight: the transmission's arrival is its head's first.
+                let tight: Vec<bool> = noted
+                    .iter()
+                    .map(|&(_, _, e)| {
+                        let edge = g.edge(e);
+                        let at_tail = wave.arrival[edge.src.index()].expect("it transmitted");
+                        let extra = traces.condition_at(e, at_tail).extra_latency;
+                        let offered = at_tail.saturating_add(edge.latency.saturating_add(extra));
+                        wave.arrival[edge.dst.index()] == Some(offered)
+                    })
+                    .collect();
+                let marked: Vec<bool> = scratch.wave.links.iter().map(|l| l.tight).collect();
+                prop_assert_eq!(marked, tight);
                 prop_assert_eq!(
                     first_arrivals(&scratch.wave.arrival, scratch.wave.generation, n),
                     wave.arrival
                 );
                 prop_assert_eq!(scratch.wave.transmissions, wave.transmissions);
+
+                // Every packet the wave repairs spreads as the event heap
+                // spreads it.
+                if !scratch.wave_covers(send) {
+                    continue;
+                }
+                for q in seq..seq + 64 {
+                    let Some(first) = scratch.wave_loss(q) else { continue };
+                    let Some(repaired) = scratch
+                        .repair(&g, &traces, dg.source(), q, send, first)
+                        .map(|s| (s.delivered_after(&dg), s.transmissions))
+                    else {
+                        continue;
+                    };
+                    let expiry = send.saturating_add(deadline);
+                    let heap = propagate(
+                        &mut scratch,
+                        &g,
+                        dg.source(),
+                        &traces,
+                        send,
+                        expiry,
+                        &rec,
+                        sampled(seed, q),
+                    );
+                    let spread = scratch.spread(send, heap);
+                    prop_assert_eq!(repaired, (spread.delivered_after(&dg), heap), "seq {}", q);
+                }
             }
         }
     }

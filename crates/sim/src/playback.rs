@@ -133,11 +133,14 @@ fn flush_hits<T: Tally>(
 /// those spread alike: the loop builds the interval's loss-free
 /// wavefront once ([`SimScratch::build_wave`]) and a packet it covers
 /// whose draws all survive is a **hit**, counted and handed to the
-/// tally with the hits around it — at the next miss, second boundary,
-/// interval change or route update. Every other packet — a failed
-/// draw, or a `[send, expiry]` that leaves the interval — runs the
-/// event heap, which is the definition; a hit is the same result
-/// without the work.
+/// tally with the hits around it — at the next repair or miss, second
+/// boundary, interval change or route update. A covered packet that
+/// loses only slack draws, or one tight draw, is a **repair**
+/// ([`SimScratch::repair`]), handed to the tally on its own with its
+/// own transmissions. Every other packet — two tight losses, or a
+/// `[send, expiry]` that leaves the interval — is a **miss** and runs
+/// the event heap, which is the definition; hits and repairs are the
+/// same results without the work.
 pub(crate) fn play<R: Route + ?Sized, T: Tally>(
     topology: &Graph,
     traces: &TraceSet,
@@ -180,27 +183,38 @@ pub(crate) fn play<R: Route + ?Sized, T: Tally>(
                 let interval = traces.interval_at(t);
                 if scratch.wave_interval() != Some(interval) {
                     flush_hits(tally, scratch, graph, deadline, &mut hits);
-                    scratch.build_wave(topology, traces, graph.source(), interval, deadline, seed);
+                    let recovery = &config.recovery;
+                    let source = graph.source();
+                    scratch
+                        .build_wave(topology, traces, source, interval, deadline, recovery, seed);
                 }
             }
             let covered = scratch.wave_covers(t);
-            if covered && scratch.wave_survives(seq) {
+            let loss = covered.then(|| scratch.wave_loss(seq));
+            if loss == Some(None) {
                 hits += 1;
             } else {
                 flush_hits(tally, scratch, graph, deadline, &mut hits);
-                scratch.replay.full_propagations += 1;
-                scratch.replay.straddlers += u64::from(!covered);
-                let transmissions = propagate(
-                    scratch,
-                    topology,
-                    graph.source(),
-                    traces,
-                    t,
-                    t.saturating_add(deadline),
-                    &config.recovery,
-                    sampled(seed, seq),
-                );
-                tally.packets(scratch.spread(t, transmissions), graph, deadline, 1);
+                let repaired = loss.flatten().and_then(|first| {
+                    scratch.repair(topology, traces, graph.source(), seq, t, first)
+                });
+                if let Some(spread) = repaired {
+                    tally.packets(spread, graph, deadline, 1);
+                } else {
+                    scratch.replay.full_propagations += 1;
+                    scratch.replay.straddlers += u64::from(!covered);
+                    let transmissions = propagate(
+                        scratch,
+                        topology,
+                        graph.source(),
+                        traces,
+                        t,
+                        t.saturating_add(deadline),
+                        &config.recovery,
+                        sampled(seed, seq),
+                    );
+                    tally.packets(scratch.spread(t, transmissions), graph, deadline, 1);
+                }
             }
             seq += 1;
         }

@@ -54,7 +54,8 @@ fn replay_counters_are_pinned_on_the_calibrated_trace() {
     let [targeted, flooding] =
         replay([SchemeKind::TargetedRedundancy, SchemeKind::TimeConstrainedFlooding]);
     for (kind, c) in [("targeted", targeted), ("flooding", flooding)] {
-        assert_eq!(c.wave_hits + c.full_propagations, PACKETS, "{kind}: every packet counted once");
+        let counted = c.wave_hits + c.wave_repairs + c.full_propagations;
+        assert_eq!(counted, PACKETS, "{kind}: every packet counted once");
         assert!(c.straddlers <= c.full_propagations, "{kind}: a straddler is a full propagation");
         // Every propagation and every wavefront build pushes its send.
         assert!(c.heap_pushes >= c.full_propagations + c.wave_builds, "{kind}: {c:?}");
@@ -64,9 +65,17 @@ fn replay_counters_are_pinned_on_the_calibrated_trace() {
         "targeted sent {:.4} of its packets through the event heap",
         targeted.full_share()
     );
-    let pinned = |wave_hits, full_propagations, straddlers, wave_builds, heap_pushes| {
-        ReplayCounters { wave_hits, full_propagations, straddlers, wave_builds, heap_pushes }
-    };
-    assert_eq!(targeted, pinned(39_826, 174, 130, 2, 1_195));
-    assert_eq!(flooding, pinned(39_432, 568, 130, 2, 8_416));
+    let pinned =
+        |wave_hits, wave_repairs, full_propagations, straddlers, wave_builds, heap_pushes| {
+            ReplayCounters {
+                wave_hits,
+                wave_repairs,
+                full_propagations,
+                straddlers,
+                wave_builds,
+                heap_pushes,
+            }
+        };
+    assert_eq!(targeted, pinned(39_826, 44, 130, 130, 2, 984));
+    assert_eq!(flooding, pinned(39_432, 438, 130, 130, 2, 2_312));
 }

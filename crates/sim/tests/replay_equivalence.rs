@@ -8,13 +8,16 @@
 //! built to hit every way a packet can leave the fast path: one-second
 //! (and shorter-than-the-deadline) intervals so packets straddle
 //! boundaries all the time, dead and coin-flip links, added latency
-//! past the deadline, recovery on and off.
+//! past the deadline, recovery on and off. A second family replays
+//! flooding and targeted redundancy — which reroutes — under uniform
+//! background loss, where most packets that leave the fast path are
+//! repaired from the wavefront rather than sent to the event heap.
 
-use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams};
+use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind, SchemeParams};
 use dg_core::{receiver_digest, DisseminationGraph, Flow, ServiceRequirement};
 use dg_sim::{
-    run_flow_full, simulate_packet_with, FlowRunStats, LatencyHistogram, PlaybackConfig,
-    PlaybackOutput, RecoveryModel, SecondRecord, SimScratch,
+    run_flow_full, run_flow_full_with, simulate_packet_with, FlowRunStats, LatencyHistogram,
+    PlaybackConfig, PlaybackOutput, RecoveryModel, SecondRecord, SimScratch,
 };
 use dg_topology::{presets, EdgeId, Graph, Micros, NodeId};
 use dg_trace::{LinkCondition, TraceSet};
@@ -94,12 +97,31 @@ fn flow_by_definition(
     graph: &DisseminationGraph,
     config: &PlaybackConfig,
 ) -> PlaybackOutput {
-    let seed = playback_seed(config.seed, graph);
+    let mut scheme =
+        build_scheme(kind, g, flow, ServiceRequirement::default(), &SchemeParams::default())
+            .unwrap();
+    assert_eq!(scheme.current(), graph);
+    let defined = by_definition(g, traces, scheme.as_mut(), config);
+    assert_eq!(defined.stats.graph_changes, 0, "{kind} is static");
+    defined
+}
+
+/// What `run_flow_full` must return for `scheme`: the scheme sees each
+/// interval's conditions `detection_lag` after the interval starts, and
+/// every packet is one event-heap propagation over the graph in force
+/// at its send, and one tally.
+fn by_definition(
+    g: &Graph,
+    traces: &TraceSet,
+    scheme: &mut dyn RoutingScheme,
+    config: &PlaybackConfig,
+) -> PlaybackOutput {
+    let seed = playback_seed(config.seed, scheme.current());
     let mut scratch = SimScratch::new();
-    scratch.index_graph(g, graph);
+    scratch.index_graph(g, scheme.current());
     let mut stats = FlowRunStats {
-        scheme: kind,
-        flow,
+        scheme: scheme.kind(),
+        flow: scheme.flow(),
         seconds: traces.duration().as_secs(),
         unavailable_seconds: 0,
         packets_sent: 0,
@@ -109,6 +131,9 @@ fn flow_by_definition(
         transmissions: 0,
         graph_changes: 0,
     };
+    let mut updates: Vec<_> =
+        traces.interval_starts().map(|start| (start + config.detection_lag, start)).collect();
+    updates.reverse();
     let mut latency = LatencyHistogram::new();
     let mut seconds = Vec::new();
     // Sent and on time in the second under way.
@@ -117,10 +142,17 @@ fn flow_by_definition(
         traces,
         config,
         |t, seq| {
+            while updates.last().is_some_and(|&(observe, _)| observe <= t) {
+                let (_, start) = updates.pop().unwrap();
+                if scheme.update(g, &traces.state_at(start)) {
+                    stats.graph_changes += 1;
+                    scratch.index_graph(g, scheme.current());
+                }
+            }
             let out = simulate_packet_with(
                 &mut scratch,
                 g,
-                graph,
+                scheme.current(),
                 traces,
                 t,
                 config.deadline,
@@ -218,4 +250,59 @@ proptest! {
             prop_assert_eq!(&replayed.latency, &defined.latency, "{}", kind);
         }
     }
+}
+
+/// Uniform background loss of 1 % and 5 % on every link, with a few
+/// links impaired on top, under flooding and targeted redundancy,
+/// recovery on and off. Most packets that lose a draw lose only
+/// transmissions the flood did not need, or one it did: the battery
+/// must repair some of them from the wavefront, and every output must
+/// be the definition's.
+#[test]
+fn lossy_backgrounds_repair_from_the_wave_as_defined() {
+    let g = presets::north_america_12();
+    let flow = Flow::new(node(&g, "NYC"), node(&g, "SJC"));
+    let mut repairs = [0u64; 2];
+    for (background, interval_ms) in [(1e-2, 1000), (5e-2, 250)] {
+        let mut traces = trace(&g, interval_ms, false, &[]);
+        for e in g.edges() {
+            for i in 0..traces.interval_count() {
+                traces.set_condition(e, i, LinkCondition::new(background, Micros::ZERO));
+            }
+        }
+        for (e, i, loss, extra) in [(7, 1, 2, 1), (22, 2, 3, 0), (40, 0, 1, 2)] {
+            let condition = LinkCondition::new(LOSS[loss], Micros::from_millis(EXTRA_MS[extra]));
+            traces.set_condition(EdgeId::new(e), i, condition);
+        }
+        for (k, kind) in [SchemeKind::TimeConstrainedFlooding, SchemeKind::TargetedRedundancy]
+            .into_iter()
+            .enumerate()
+        {
+            for (enabled, seed) in [(true, 3), (false, 4), (true, 5), (false, 6)] {
+                let config = PlaybackConfig {
+                    recovery: RecoveryModel { enabled, ..RecoveryModel::default() },
+                    seed,
+                    ..PlaybackConfig::default()
+                };
+                let build = || {
+                    let requirement = ServiceRequirement::default();
+                    build_scheme(kind, &g, flow, requirement, &SchemeParams::default()).unwrap()
+                };
+                let mut scratch = SimScratch::new();
+                let replayed =
+                    run_flow_full_with(&g, &traces, build().as_mut(), &config, &mut scratch);
+                let defined = by_definition(&g, &traces, build().as_mut(), &config);
+                let case = format!("{kind}, loss {background}, recovery {enabled}, seed {seed}");
+                assert_eq!(replayed, defined, "{case}");
+                let replay = scratch.replay();
+                assert_eq!(
+                    replay.wave_hits + replay.wave_repairs + replay.full_propagations,
+                    replayed.stats.packets_sent,
+                    "{case}"
+                );
+                repairs[k] += replay.wave_repairs;
+            }
+        }
+    }
+    assert!(repairs.iter().all(|&n| n > 0), "repairs by scheme: {repairs:?}");
 }
