@@ -41,9 +41,8 @@ impl Default for RecoveryModel {
 /// What happened to one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketOutcome {
-    /// Earliest arrival time at the destination (with several
-    /// receivers: at the last of them), if it arrived at all before
-    /// nodes dropped it as expired.
+    /// Earliest arrival time at the destination, if it arrived at all
+    /// before nodes dropped it as expired.
     pub delivered_at: Option<Micros>,
     /// True when `delivered_at` is within the deadline.
     pub on_time: bool,

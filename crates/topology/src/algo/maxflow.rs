@@ -2,9 +2,11 @@
 //!
 //! Used to count the disjoint-path capacity between two sites (Menger's
 //! theorem): the max flow with unit edge (or node) capacities equals the
-//! number of edge- (or node-) disjoint paths. `dg-core` uses this to
-//! size problem graphs, and the test suite uses it as an oracle for
-//! Bhandari's algorithm.
+//! number of edge- (or node-) disjoint paths. Through
+//! [`crate::algo::disjoint::max_disjoint`] it decides which sampled
+//! pairs [`crate::generate::representative_flows`] may pick, fills the
+//! disjoint-route column of `dg-exp fig2_topology`'s flow table, and is
+//! the test suite's oracle for Bhandari's algorithm.
 
 use crate::algo::disjoint::Disjointness;
 use crate::{Graph, NodeId};

@@ -27,8 +27,8 @@
 //! overhead. [`LatencyModel::bounds_for_km`] exposes the exact bounds,
 //! which the generator property tests assert edge by edge.
 
-use crate::algo::dijkstra;
 use crate::algo::disjoint::{max_disjoint, Disjointness};
+use crate::algo::SearchWorkspace;
 use crate::{GeoPoint, Graph, GraphBuilder, Micros, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -454,11 +454,13 @@ impl UnionFind {
 /// Picks `count` long-haul flows with two node-disjoint routes — the
 /// generated-topology analogue of the presets' transcontinental flows.
 ///
-/// Samples candidate ordered pairs deterministically from `seed`,
-/// keeps those with `max_disjoint ≥ 2`, and returns the `count`
-/// highest-shortest-path-latency ones (ties broken by node ids).
-/// Returns fewer than `count` flows only when the topology genuinely
-/// lacks enough disjoint-routable pairs among the sampled candidates.
+/// Samples candidate ordered pairs deterministically from `seed`, ranks
+/// the routable ones by shortest-path latency (highest first, ties
+/// broken by node ids), and returns the first `count` in that ranking
+/// with `max_disjoint ≥ 2`: the check runs only on the pairs the walk
+/// down the ranking reaches. Returns fewer than `count` flows only when
+/// the topology genuinely lacks enough disjoint-routable pairs among
+/// the sampled candidates.
 pub fn representative_flows(graph: &Graph, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let n = graph.node_count();
     if n < 2 || count == 0 {
@@ -466,22 +468,23 @@ pub fn representative_flows(graph: &Graph, count: usize, seed: u64) -> Vec<(Node
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = std::collections::HashSet::new();
-    let mut scored: Vec<(Micros, NodeId, NodeId)> = Vec::new();
+    let mut candidates = Vec::new();
     let attempts = (count * 20).max(64);
     for _ in 0..attempts {
         let s = NodeId::new(rng.gen_range(0..n) as u32);
         let t = NodeId::new(rng.gen_range(0..n) as u32);
-        if s == t || !seen.insert((s, t)) {
-            continue;
-        }
-        let Ok(path) = dijkstra::shortest_path(graph, s, t) else { continue };
-        if max_disjoint(graph, s, t, Disjointness::Node) >= 2 {
-            scored.push((path.latency(graph), s, t));
+        if s != t && seen.insert((s, t)) {
+            candidates.push((s, t));
         }
     }
-    scored.sort_by(|a, b| (b.0, a.1, a.2).cmp(&(a.0, b.1, b.2)));
-    scored.truncate(count);
-    scored.into_iter().map(|(_, s, t)| (s, t)).collect()
+    let mut ranked = routed_pairs(graph, &candidates);
+    ranked.sort_by(|a, b| (b.0, a.1, a.2).cmp(&(a.0, b.1, b.2)));
+    ranked
+        .into_iter()
+        .filter(|&(_, s, t)| max_disjoint(graph, s, t, Disjointness::Node) >= 2)
+        .take(count)
+        .map(|(_, s, t)| (s, t))
+        .collect()
 }
 
 /// A one-way deadline that makes every listed flow feasible with
@@ -493,17 +496,33 @@ pub fn representative_flows(graph: &Graph, count: usize, seed: u64) -> Vec<(Node
 /// Panics when `flows` is empty or a flow is unroutable.
 pub fn feasible_deadline(graph: &Graph, flows: &[(NodeId, NodeId)], slack: f64) -> Micros {
     assert!(!flows.is_empty(), "need at least one flow to size a deadline");
-    let worst = flows
-        .iter()
-        .map(|&(s, t)| {
-            dijkstra::shortest_path(graph, s, t)
-                .expect("deadline flows are routable")
-                .latency(graph)
-        })
-        .max()
-        .expect("non-empty flows");
+    let routed = routed_pairs(graph, flows);
+    assert_eq!(routed.len(), flows.len(), "deadline flows are routable");
+    let worst = routed.iter().map(|&(latency, _, _)| latency).max().expect("non-empty flows");
     let us = (worst.as_micros() as f64 * slack).ceil() as u64;
     Micros::from_millis(us.div_ceil(1000))
+}
+
+/// The pairs that have a route, each with its shortest-path latency, in
+/// source order: one forward search per distinct source, all on one
+/// workspace. A node paired with itself has no route.
+fn routed_pairs(graph: &Graph, pairs: &[(NodeId, NodeId)]) -> Vec<(Micros, NodeId, NodeId)> {
+    let mut by_source = pairs.to_vec();
+    by_source.sort_by_key(|&(s, _)| s);
+    let mut ws = SearchWorkspace::new();
+    let mut searched = None;
+    let latency = |e| Some(graph.edge(e).latency.as_micros());
+    by_source
+        .into_iter()
+        .filter_map(|(s, t)| {
+            if searched != Some(s) {
+                ws.search_from(graph, s, None, latency).ok()?;
+                searched = Some(s);
+            }
+            let d = ws.distance_to(t).filter(|_| s != t)?;
+            Some((Micros::from_micros(d), s, t))
+        })
+        .collect()
 }
 
 /// A topology selector shared by the experiment binaries: the two
