@@ -9,10 +9,7 @@ mod scale;
 
 use crate::cli::{Cli, CliError, Matches};
 use crate::{topo_cli, topo_from_matches, Experiment, Report, Tally};
-use dg_core::scheme::{
-    build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticSinglePath, TargetedMode,
-    TargetedRedundancy, TimeConstrainedFlooding,
-};
+use dg_core::scheme::{build_scheme, SchemeKind, SchemeParams, TargetedMode, TargetedRedundancy};
 use dg_core::{DisseminationGraph, Flow, ServiceRequirement};
 use dg_sim::experiment::{SchemeAggregate, TableRow};
 use dg_sim::{gap_coverage, run_flow_full, LatencyHistogram, PlaybackConfig};
@@ -272,7 +269,7 @@ fn comparison_table(rows: &[TableRow], availability: bool) -> Vec<Vec<String>> {
 fn table1(experiment: &Experiment, matches: &Matches) -> Result<Report, CliError> {
     let threshold: f64 = matches.get_or("loss-threshold", 0.05)?;
     let (graph, flows) = (&experiment.topology, &experiment.flows);
-    let deadline = experiment.config.requirement.deadline;
+    let deadline = experiment.config.playback.deadline;
     let mut total = FlowProblemSummary::default();
     // Problem-episode durations: reactive routing only pays off when
     // problems outlive the detection delay.
@@ -379,11 +376,14 @@ fn fig1_graphs(matches: &Matches) -> Result<Report, CliError> {
     };
     let requirement =
         ServiceRequirement::new(spec.default_deadline(&graph, &[(flow.source, flow.destination)]));
-    let targeted = TargetedRedundancy::new(&graph, flow, requirement, &SchemeParams::default())
-        .expect("flow is routable");
+    let params = SchemeParams::default();
+    let targeted =
+        TargetedRedundancy::new(&graph, flow, requirement, &params).expect("flow is routable");
     let flooding =
-        TimeConstrainedFlooding::new(&graph, flow, requirement).expect("deadline feasible");
-    let single = StaticSinglePath::new(&graph, flow).expect("routable");
+        build_scheme(SchemeKind::TimeConstrainedFlooding, &graph, flow, requirement, &params)
+            .expect("deadline feasible");
+    let single = build_scheme(SchemeKind::StaticSinglePath, &graph, flow, requirement, &params)
+        .expect("routable");
     let graphs: [(&str, &DisseminationGraph); 6] = [
         ("single-path", single.current()),
         ("two-disjoint", targeted.graph_for_mode(TargetedMode::Normal)),
@@ -586,7 +586,7 @@ fn fig5_cost(experiment: &Experiment, tally: &Tally) -> Report {
                     kind,
                     graph,
                     Flow::new(s, t),
-                    experiment.config.requirement,
+                    experiment.config.requirement(),
                     &experiment.config.scheme_params,
                 )
                 .expect("flows routable")
@@ -658,7 +658,6 @@ fn fig6_sensitivity(experiment: &Experiment, _: &Matches) -> Result<Report, CliE
     report.line("\nsweep 2: gap coverage vs one-way deadline\n");
     let deadlines = [50, 65, 80, 100].map(|ms| {
         let mut point = experiment.clone();
-        point.config.requirement.deadline = Micros::from_millis(ms);
         point.config.playback.deadline = Micros::from_millis(ms);
         (format!("{ms}ms"), point)
     });
@@ -682,7 +681,7 @@ fn fig7_latency_cdf(experiment: &Experiment, _: &Matches) -> Result<Report, CliE
                     *kind,
                     graph,
                     Flow::new(s, t),
-                    config.requirement,
+                    config.requirement(),
                     &config.scheme_params,
                 )
                 .expect("flows routable");

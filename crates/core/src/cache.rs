@@ -55,7 +55,7 @@
 //! heal may bring the usable route back.
 //!
 //! **Why it is sound.** Every search runs on tie-broken weights
-//! (`latency × 2⁴² + hash(edge)`, [`tie_broken_weight`]), so each
+//! (`latency × 2⁴² + hash(edge)`, `tie_broken_weight`), so each
 //! optimum is unique and the cached value is a pure function of the
 //! usable-edge partition. Each test above is a sufficient condition for
 //! "healing this edge leaves the step's output unchanged", and healing
@@ -65,7 +65,7 @@
 //! step selected never changes an optimum either. So a resident entry
 //! equals a fresh computation for every usable set reached without a
 //! flip of one of its dependencies. The bounds are formed from latency
-//! clamped as the weights clamp it ([`LATENCY_CLAMP_US`]).
+//! clamped as the weights clamp it (`LATENCY_CLAMP_US`).
 //!
 //! A continuation aimed at the destination stops having popped only the
 //! nodes whose key — distance plus the floor on the way still to go —
@@ -94,12 +94,12 @@
 //! plain-latency distances over the full topology from the source and
 //! to the destination. They depend on the topology alone, so the cache
 //! computes each endpoint's side once and keeps it until the epoch
-//! advances ([`ReachMemo`]). Deadline feasibility reads them, the
+//! advances (`ReachMemo`). Deadline feasibility reads them, the
 //! dependency rule's bounds read them, and they aim the searches that end
 //! at the destination — the source-side continuations and the pair's
 //! first round run as A* under a consistent lower bound on the way still
 //! to go. In the live tier that is the distance on to the destination
-//! scaled ([`weight_floor`]), since a tie-broken weight is at least its
+//! scaled (`weight_floor`), since a tie-broken weight is at least its
 //! clamped latency scaled. In the baseline tier, whose weights are plain
 //! latency, it is the distance itself. Those weights tie, and the
 //! committed results pin how the ties fall; an aimed search settles them
@@ -111,7 +111,7 @@
 use crate::dgraph::canonical_receivers;
 use crate::scheme::targeted::{problem_branches, AfterSearch, Scratch, Side};
 use crate::scheme::{
-    build_scheme, RoutingScheme, SchemeKind, SchemeParams, StaticTwoDisjoint, TargetedGraphs,
+    build_scheme, BasicScheme, RoutingScheme, SchemeKind, SchemeParams, TargetedGraphs,
     TargetedRedundancy,
 };
 use crate::splitmix::mix;
@@ -899,7 +899,7 @@ pub fn build_scheme_cached(
             Ok(Box::new(TargetedRedundancy::from_graphs(graphs, flow, cache.params())))
         }
         SchemeKind::StaticTwoDisjoint => match cache.baseline(flow, requirement) {
-            Ok(graphs) => Ok(Box::new(StaticTwoDisjoint::from_graph(flow, graphs.normal.clone()))),
+            Ok(graphs) => Ok(Box::new(BasicScheme::from_pair(flow, graphs.normal.clone()))),
             // The bundle needs a feasible deadline; the plain pair
             // does not. Fall back rather than fail the flow.
             Err(_) => build_scheme(kind, cache.graph(), flow, requirement, cache.params()),
@@ -1061,7 +1061,8 @@ mod tests {
         let cache = GraphCache::new(g.clone(), SchemeParams::default());
         let live = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
         let direct =
-            StaticTwoDisjoint::new(&g, flow, SchemeParams::default().disjointness).unwrap();
+            build_scheme(SchemeKind::StaticTwoDisjoint, &g, flow, req, &SchemeParams::default())
+                .unwrap();
         let lat = |dg: &DisseminationGraph| -> u64 {
             dg.edges().iter().map(|&e| g.edge(e).latency.as_micros()).sum()
         };

@@ -52,9 +52,6 @@ pub(crate) fn canonical_receivers(
     Ok(receivers)
 }
 
-/// A [`DisseminationGraph`] with several receivers, by its older name.
-pub type MulticastGraph = DisseminationGraph;
-
 impl DisseminationGraph {
     /// Builds the dissemination graph of a unicast flow from an edge
     /// set: [`DisseminationGraph::with_receivers`] for the single

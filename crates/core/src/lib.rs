@@ -10,16 +10,17 @@
 //! routing strategies per flow and per network condition.
 //!
 //! The [`scheme`] module implements the paper's six routing schemes
-//! behind one [`scheme::RoutingScheme`] trait:
+//! behind one [`scheme::RoutingScheme`] trait; [`scheme::build_scheme`]
+//! makes any of them from its [`scheme::SchemeKind`]:
 //!
 //! | Scheme | Paper role |
 //! |---|---|
-//! | [`scheme::StaticSinglePath`] | the traditional baseline |
-//! | [`scheme::DynamicSinglePath`] | single path, re-routed on updates |
-//! | [`scheme::StaticTwoDisjoint`] | two node-disjoint paths, fixed |
-//! | [`scheme::DynamicTwoDisjoint`] | two node-disjoint paths, re-routed |
-//! | [`scheme::TargetedRedundancy`] | **the paper's contribution** |
-//! | [`scheme::TimeConstrainedFlooding`] | the optimal (costly) benchmark |
+//! | [`StaticSinglePath`](scheme::SchemeKind::StaticSinglePath) | the traditional baseline |
+//! | [`DynamicSinglePath`](scheme::SchemeKind::DynamicSinglePath) | single path, re-routed on updates |
+//! | [`StaticTwoDisjoint`](scheme::SchemeKind::StaticTwoDisjoint) | two node-disjoint paths, fixed |
+//! | [`DynamicTwoDisjoint`](scheme::SchemeKind::DynamicTwoDisjoint) | two node-disjoint paths, re-routed |
+//! | [`TargetedRedundancy`](scheme::TargetedRedundancy) | **the paper's contribution** |
+//! | [`TimeConstrainedFlooding`](scheme::SchemeKind::TimeConstrainedFlooding) | the optimal (costly) benchmark |
 //!
 //! # Example
 //!
@@ -57,6 +58,6 @@ pub use cache::{
     MulticastKind,
 };
 pub use detector::{ProblemDetector, ProblemStatus};
-pub use dgraph::{DisseminationGraph, MulticastGraph};
+pub use dgraph::DisseminationGraph;
 pub use error::CoreError;
 pub use flow::{Flow, ServiceRequirement, SlaClass};

@@ -3,8 +3,13 @@
 //! Every scheme is a per-flow object implementing [`RoutingScheme`]:
 //! it exposes a current [`DisseminationGraph`] and reacts to network
 //! monitoring updates ([`NetworkState`]) by (possibly) changing it.
-//! Static schemes never change; dynamic schemes re-route; the paper's
-//! targeted-redundancy scheme switches between precomputed graphs.
+//! [`build_scheme`] (or [`crate::build_scheme_cached`]) makes one from
+//! its [`SchemeKind`]. A static scheme holds one fixed graph, a dynamic
+//! one recomputes its single path or disjoint pair on each update, and
+//! the paper's [`TargetedRedundancy`] switches among graphs it computed
+//! in advance. The five non-targeted kinds, and the k-path extension,
+//! are one crate-private type: a kind, a flow, a graph and, for the two
+//! dynamic kinds, the reroute rule.
 
 use crate::{CoreError, DisseminationGraph, Flow, ServiceRequirement};
 use dg_topology::algo::disjoint::Disjointness;
@@ -13,20 +18,10 @@ use dg_trace::{LinkCondition, NetworkState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-mod dynamic_disjoint;
-mod dynamic_single;
-mod flooding;
-mod k_disjoint;
-mod static_disjoint;
-mod static_single;
+mod basic;
 pub(crate) mod targeted;
 
-pub use dynamic_disjoint::DynamicTwoDisjoint;
-pub use dynamic_single::DynamicSinglePath;
-pub use flooding::TimeConstrainedFlooding;
-pub use k_disjoint::StaticKDisjoint;
-pub use static_disjoint::StaticTwoDisjoint;
-pub use static_single::StaticSinglePath;
+pub(crate) use basic::BasicScheme;
 pub use targeted::{TargetedGraphs, TargetedMode, TargetedRedundancy};
 
 /// A per-flow routing scheme.
@@ -173,26 +168,10 @@ pub fn build_scheme(
     params: &SchemeParams,
 ) -> Result<Box<dyn RoutingScheme>, CoreError> {
     Ok(match kind {
-        SchemeKind::StaticSinglePath => Box::new(StaticSinglePath::new(topology, flow)?),
-        SchemeKind::DynamicSinglePath => Box::new(DynamicSinglePath::new(topology, flow, params)?),
-        SchemeKind::StaticTwoDisjoint => {
-            Box::new(StaticTwoDisjoint::new(topology, flow, params.disjointness)?)
-        }
-        SchemeKind::DynamicTwoDisjoint => {
-            Box::new(DynamicTwoDisjoint::new(topology, flow, params)?)
-        }
         SchemeKind::TargetedRedundancy => {
             Box::new(TargetedRedundancy::new(topology, flow, requirement, params)?)
         }
-        SchemeKind::TimeConstrainedFlooding => {
-            Box::new(TimeConstrainedFlooding::new(topology, flow, requirement)?)
-        }
-        SchemeKind::StaticKDisjoint(k) => Box::new(StaticKDisjoint::new_with_fallback(
-            topology,
-            flow,
-            usize::from(k),
-            params.disjointness,
-        )?),
+        other => Box::new(BasicScheme::new(other, topology, flow, requirement, params)?),
     })
 }
 

@@ -486,10 +486,12 @@ mod tests {
         assert!(robust.is_superset_of(s.graph_for_mode(TargetedMode::SourceProblem)));
         assert!(robust.is_superset_of(s.graph_for_mode(TargetedMode::DestinationProblem)));
         // Still cheaper than flooding.
-        let flood = crate::scheme::TimeConstrainedFlooding::new(
+        let flood = crate::scheme::build_scheme(
+            SchemeKind::TimeConstrainedFlooding,
             &g,
             s.flow(),
             ServiceRequirement::default(),
+            &SchemeParams::default(),
         )
         .unwrap();
         assert!(robust.cost(&g) < flood.current().cost(&g));

@@ -8,7 +8,7 @@
 //! lookups, and epoch flushes, exactly like the unicast live tier.
 
 use dg_core::scheme::SchemeParams;
-use dg_core::{GraphCache, MulticastGraph, MulticastKind, ServiceRequirement};
+use dg_core::{DisseminationGraph, GraphCache, MulticastKind, ServiceRequirement};
 use dg_topology::generate::{feasible_deadline, representative_flows, GeneratorConfig};
 use dg_topology::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -90,7 +90,7 @@ fn check_lookup(
 
 /// Nodes reachable from the graph's source over its own edge set —
 /// an independent re-proof of the spanning invariant.
-fn reachable(graph: &Graph, mg: &MulticastGraph) -> HashSet<NodeId> {
+fn reachable(graph: &Graph, mg: &DisseminationGraph) -> HashSet<NodeId> {
     let mut seen: HashSet<NodeId> = [mg.source()].into();
     let mut frontier = vec![mg.source()];
     while let Some(node) = frontier.pop() {

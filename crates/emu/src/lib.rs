@@ -29,7 +29,7 @@
 //!    forced kill as a last resort — gather every surviving daemon's
 //!    atomically-written metrics snapshots (a mid-run baseline and the
 //!    final dump).
-//! 5. **Verify.** Run the convergence verifier ([`verify`]): all
+//! 5. **Verify.** Run the convergence verifier ([`verify()`]): all
 //!    surviving nodes must report byte-identical link-state digests,
 //!    post-heal delivery on every surviving flow must clear a
 //!    threshold, and every daemon the schedule did not kill must have

@@ -8,7 +8,7 @@
 //! paper's architecture.
 //!
 //! The prelude checksum (64-bit FNV-1a over every byte except the
-//! checksum field itself, folded to 32 bits; see [`body_state`]) turns
+//! checksum field itself, folded to 32 bits; see `body_state`) turns
 //! in-flight corruption into a clean decode error: a corrupted
 //! datagram only ever increments the `malformed` counter, it can never
 //! deliver a flipped payload or poison protocol state.

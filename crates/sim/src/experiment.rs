@@ -4,7 +4,7 @@ use crate::metrics::{gap_coverage, FlowRunStats};
 use crate::parallel::{run_flows_cached, FlowJob};
 use crate::playback::PlaybackConfig;
 use dg_core::scheme::{SchemeKind, SchemeParams};
-use dg_core::{CoreError, Flow, GraphCache, ServiceRequirement, SlaClass};
+use dg_core::{CoreError, Flow, GraphCache, ServiceRequirement};
 use dg_topology::{Graph, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
@@ -14,9 +14,8 @@ use serde::{Deserialize, Serialize};
 pub struct ExperimentConfig {
     /// Scheme construction tunables.
     pub scheme_params: SchemeParams,
-    /// The flows' timeliness contract.
-    pub requirement: ServiceRequirement,
-    /// Playback parameters.
+    /// Playback parameters; their deadline is also the schemes'
+    /// timeliness contract ([`ExperimentConfig::requirement`]).
     pub playback: PlaybackConfig,
 }
 
@@ -46,6 +45,11 @@ impl ExperimentConfig {
     pub fn builder() -> ExperimentConfigBuilder {
         ExperimentConfigBuilder { config: ExperimentConfig::default() }
     }
+
+    /// The flows' timeliness contract: the playback deadline.
+    pub fn requirement(&self) -> ServiceRequirement {
+        ServiceRequirement::new(self.playback.deadline)
+    }
 }
 
 /// Builder for [`ExperimentConfig`] with validated defaults.
@@ -59,13 +63,6 @@ impl ExperimentConfigBuilder {
     #[must_use]
     pub fn scheme_params(mut self, params: SchemeParams) -> Self {
         self.config.scheme_params = params;
-        self
-    }
-
-    /// Sets the flows' timeliness contract.
-    #[must_use]
-    pub fn requirement(mut self, requirement: ServiceRequirement) -> Self {
-        self.config.requirement = requirement;
         self
     }
 
@@ -88,7 +85,6 @@ impl ExperimentConfigBuilder {
     #[must_use]
     pub fn deadline(mut self, deadline: dg_topology::Micros) -> Self {
         self.config.playback.deadline = deadline;
-        self.config.requirement.deadline = deadline;
         self
     }
 
@@ -128,14 +124,6 @@ impl ExperimentConfigBuilder {
         if !(p.availability_threshold > 0.0 && p.availability_threshold <= 1.0) {
             return Err(InvalidExperiment("availability_threshold must be in (0, 1]"));
         }
-        if self.config.requirement.deadline == dg_topology::Micros::ZERO {
-            return Err(InvalidExperiment("requirement deadline must be positive"));
-        }
-        if p.deadline < self.config.requirement.deadline {
-            return Err(InvalidExperiment(
-                "playback deadline must not be tighter than the schemes' requirement",
-            ));
-        }
         Ok(self.config)
     }
 }
@@ -163,41 +151,6 @@ impl SchemeAggregate {
     }
 }
 
-/// Replays `flows` under each `(scheme, requirement)` row on `threads`
-/// workers and sums every row over its flows. With no flows there is
-/// nothing to aggregate, so the result is empty.
-fn aggregate_rows(
-    topology: &Graph,
-    traces: &TraceSet,
-    cache: &GraphCache,
-    flows: &[(NodeId, NodeId)],
-    rows: &[(SchemeKind, ServiceRequirement)],
-    playback: &PlaybackConfig,
-    threads: usize,
-) -> Result<Vec<SchemeAggregate>, CoreError> {
-    if flows.is_empty() {
-        return Ok(Vec::new());
-    }
-    let jobs: Vec<FlowJob> = rows
-        .iter()
-        .flat_map(|&(kind, requirement)| {
-            flows.iter().map(move |&(s, t)| FlowJob { kind, flow: Flow::new(s, t), requirement })
-        })
-        .collect();
-    let results = run_flows_cached(topology, traces, &jobs, playback, threads, cache)?;
-    Ok(rows
-        .iter()
-        .zip(results.chunks(flows.len()))
-        .map(|(&(kind, _), per_flow)| {
-            let mut totals = per_flow[0];
-            for f in &per_flow[1..] {
-                totals.merge(f);
-            }
-            SchemeAggregate { kind, totals, per_flow: per_flow.to_vec() }
-        })
-        .collect())
-}
-
 /// Runs every scheme in `kinds` over every flow against `traces`, the
 /// per-(scheme, flow) replays fanned out over `threads` workers (zero =
 /// one per CPU core, as for [`crate::run_flows`]).
@@ -218,44 +171,32 @@ pub fn run_comparison(
     config: &ExperimentConfig,
     threads: usize,
 ) -> Result<Vec<SchemeAggregate>, CoreError> {
+    if flows.is_empty() {
+        return Ok(Vec::new());
+    }
     // One cache per run: the expensive graph constructions (disjoint
     // pairs, targeted bundles) are shared across the schemes that need
     // them instead of being recomputed per (kind, flow).
     let cache = GraphCache::new(topology.clone(), config.scheme_params);
-    let rows: Vec<_> = kinds.iter().map(|&kind| (kind, config.requirement)).collect();
-    aggregate_rows(topology, traces, &cache, flows, &rows, &config.playback, threads)
-}
-
-/// Evaluates each SLA service class under its own scheme preference
-/// and deadline budget — bulk on a dynamic single path at 250 ms,
-/// timely on two disjoint paths at 100 ms, surgical on a targeted
-/// graph at 65 ms — over identical traces. This is the simulator-side
-/// counterpart of the overlay's per-class bindings: it sizes, offline,
-/// what each class's redundancy budget buys in timeliness, the numbers
-/// an operator needs before writing an `--sla-json` plan. An empty
-/// `flows` list yields no rows.
-///
-/// # Errors
-///
-/// Propagates scheme-construction failures (e.g. a flow without two
-/// disjoint paths).
-pub fn run_sla_comparison(
-    topology: &Graph,
-    traces: &TraceSet,
-    flows: &[(NodeId, NodeId)],
-    config: &ExperimentConfig,
-) -> Result<Vec<(SlaClass, SchemeAggregate)>, CoreError> {
-    let cache = GraphCache::new(topology.clone(), config.scheme_params);
-    let mut out = Vec::with_capacity(SlaClass::ALL.len());
-    for class in SlaClass::ALL {
-        // Each class plays back against its own deadline.
-        let requirement = class.requirement();
-        let playback = PlaybackConfig { deadline: requirement.deadline, ..config.playback };
-        let row = [(class.preferred_scheme(), requirement)];
-        let aggregates = aggregate_rows(topology, traces, &cache, flows, &row, &playback, 1)?;
-        out.extend(aggregates.into_iter().map(|aggregate| (class, aggregate)));
-    }
-    Ok(out)
+    let requirement = config.requirement();
+    let jobs: Vec<FlowJob> = kinds
+        .iter()
+        .flat_map(|&kind| {
+            flows.iter().map(move |&(s, t)| FlowJob { kind, flow: Flow::new(s, t), requirement })
+        })
+        .collect();
+    let results = run_flows_cached(topology, traces, &jobs, &config.playback, threads, &cache)?;
+    Ok(kinds
+        .iter()
+        .zip(results.chunks(flows.len()))
+        .map(|(&kind, per_flow)| {
+            let mut totals = per_flow[0];
+            for f in &per_flow[1..] {
+                totals.merge(f);
+            }
+            SchemeAggregate { kind, totals, per_flow: per_flow.to_vec() }
+        })
+        .collect())
 }
 
 /// A Table-2-style row derived from a comparison run.
@@ -363,27 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn sla_comparison_binds_each_class_to_its_scheme() {
-        let (g, traces, flows) = tiny_experiment();
-        let config = ExperimentConfig {
-            playback: PlaybackConfig { packets_per_second: 10, ..Default::default() },
-            ..Default::default()
-        };
-        let aggs = run_sla_comparison(&g, &traces, &flows, &config).unwrap();
-        assert_eq!(aggs.len(), SlaClass::ALL.len());
-        for (class, agg) in &aggs {
-            assert_eq!(agg.kind, class.preferred_scheme());
-            assert_eq!(agg.per_flow.len(), flows.len());
-        }
-        // The classes spend strictly increasing redundancy budgets.
-        let cost = |c: SlaClass| {
-            aggs.iter().find(|(k, _)| *k == c).map(|(_, a)| a.average_cost()).unwrap()
-        };
-        assert!(cost(SlaClass::Bulk) <= cost(SlaClass::Timely) + 1e-9);
-        assert!(cost(SlaClass::Timely) <= cost(SlaClass::Surgical) + 1e-9);
-    }
-
-    #[test]
     fn worker_counts_cannot_change_the_comparison() {
         let (g, traces, flows) = tiny_experiment();
         let config = ExperimentConfig {
@@ -407,7 +327,6 @@ mod tests {
             let aggs = run_comparison(&g, &traces, &[], &SchemeKind::ALL, &config, threads);
             assert_eq!(aggs.unwrap(), vec![]);
         }
-        assert!(run_sla_comparison(&g, &traces, &[], &config).unwrap().is_empty());
     }
 
     #[test]
@@ -441,7 +360,7 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.playback.packets_per_second, 250);
         assert_eq!(cfg.playback.deadline, Micros::from_millis(80));
-        assert_eq!(cfg.requirement.deadline, Micros::from_millis(80));
+        assert_eq!(cfg.requirement().deadline, Micros::from_millis(80));
         assert_eq!(cfg.playback.seed, 42);
     }
 

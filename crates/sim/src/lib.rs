@@ -16,11 +16,13 @@
 //!
 //! There is one packet function ([`simulate_packet_with`]: the packet
 //! spreads through the graph once, however many receivers it has), one
-//! playback loop and one worker pool. The loop takes its graph from a
+//! playback loop ([`run_flow_full_with`]; [`run_flow`] and
+//! [`run_flow_full`] call it on a scratch of their own) and one worker
+//! pool ([`run_flows`]). The loop takes its graph from a `&mut dyn`
 //! [`RoutingScheme`](dg_core::scheme::RoutingScheme) that sees every
-//! monitoring update and may reroute ([`run_flow`], [`run_flow_full`],
-//! [`run_flows`]), and accumulates per-second records and a latency
-//! histogram ([`PlaybackOutput`]).
+//! monitoring update and may reroute, and fills the flow's
+//! [`PlaybackOutput`] — stats, per-second records and a latency
+//! histogram — itself.
 //!
 //! [`run_flows`] and [`experiment::run_comparison`] fan their jobs out
 //! over the pool: `threads` workers (zero = one per core), one

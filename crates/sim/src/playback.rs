@@ -1,11 +1,11 @@
-//! The playback loop: replaying a trace against one dissemination-graph
-//! route, and the per-flow entry points built on it.
+//! The playback loop: replaying a trace for one flow over the graphs
+//! its routing scheme selects.
 
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{FlowRunStats, SecondRecord};
 use crate::packet::{propagate, sampled, RecoveryModel, SimScratch, Spread};
 use dg_core::scheme::RoutingScheme;
-use dg_core::{receiver_digest, DisseminationGraph};
+use dg_core::Flow;
 use dg_topology::{Graph, Micros};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
@@ -56,225 +56,6 @@ pub struct PlaybackOutput {
     pub latency: LatencyHistogram,
 }
 
-/// Where the playback loop takes its dissemination graph from.
-pub(crate) trait Route {
-    /// The graph packets are sent over right now.
-    fn current(&self) -> &DisseminationGraph;
-
-    /// Shows the route the conditions of the monitoring interval that
-    /// started at `interval_start`; true when the graph changed.
-    fn observe(&mut self, topology: &Graph, traces: &TraceSet, interval_start: Micros) -> bool;
-}
-
-/// A routing scheme reroutes on monitoring updates.
-impl Route for dyn RoutingScheme + '_ {
-    fn current(&self) -> &DisseminationGraph {
-        RoutingScheme::current(self)
-    }
-
-    fn observe(&mut self, topology: &Graph, traces: &TraceSet, interval_start: Micros) -> bool {
-        self.update(topology, &traces.state_at(interval_start))
-    }
-}
-
-/// What the playback loop accumulates.
-pub(crate) trait Tally {
-    /// `n` consecutive packets sent over `graph` each spread as
-    /// `spread` says. Packets are handed over in send order.
-    fn packets(&mut self, spread: Spread<'_>, graph: &DisseminationGraph, deadline: Micros, n: u64);
-
-    /// Every packet of `second` has been sent.
-    fn second_ended(&mut self, _second: u64, _availability_threshold: f64) {}
-
-    /// The route changed its graph.
-    fn rerouted(&mut self) {}
-}
-
-/// The sampling seed of a run. The graph's endpoints are mixed in so
-/// different flows see independent loss draws while schemes on the same
-/// flow stay paired: `(source << 32) | receiver` for one receiver, the
-/// receiver-set digest in the low half for several.
-fn playback_seed(seed: u64, graph: &DisseminationGraph) -> u64 {
-    let receivers = match graph.receivers() {
-        [only] => only.index() as u64,
-        many => receiver_digest(many) & 0xFFFF_FFFF,
-    };
-    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((graph.source().index() as u64) << 32 | receivers)
-}
-
-/// Hands the run of wavefront hits not yet tallied to `tally`.
-fn flush_hits<T: Tally>(
-    tally: &mut T,
-    scratch: &mut SimScratch,
-    graph: &DisseminationGraph,
-    deadline: Micros,
-    hits: &mut u64,
-) {
-    let n = std::mem::take(hits);
-    if n > 0 {
-        scratch.replay.wave_hits += n;
-        tally.packets(scratch.wave_spread(), graph, deadline, n);
-    }
-}
-
-/// The playback loop: sends `packets_per_second` evenly spaced packets
-/// for every second of `traces` over whatever graph `route` currently
-/// selects, and hands what became of them to `tally`.
-///
-/// Route updates fire `detection_lag` after each monitoring interval
-/// boundary, with that boundary's conditions — packets sent before the
-/// update still use the previous dissemination graph, which is how a
-/// real deployment experiences a problem's onset. The scratch's
-/// forwarding index is rebuilt only when the route actually changes,
-/// and its event heap and arrival table are reused across every packet.
-///
-/// Most packets lose nothing, and inside one trace interval all of
-/// those spread alike: the loop builds the interval's loss-free
-/// wavefront once ([`SimScratch::build_wave`]) and a packet it covers
-/// whose draws all survive is a **hit**, counted and handed to the
-/// tally with the hits around it — at the next repair or miss, second
-/// boundary, interval change or route update. A covered packet that
-/// loses only slack draws, or one tight draw, is a **repair**
-/// ([`SimScratch::repair`]), handed to the tally on its own with its
-/// own transmissions. Every other packet — two tight losses, or a
-/// `[send, expiry]` that leaves the interval — is a **miss** and runs
-/// the event heap, which is the definition; hits and repairs are the
-/// same results without the work.
-pub(crate) fn play<R: Route + ?Sized, T: Tally>(
-    topology: &Graph,
-    traces: &TraceSet,
-    route: &mut R,
-    config: &PlaybackConfig,
-    scratch: &mut SimScratch,
-    tally: &mut T,
-) {
-    assert!(config.packets_per_second > 0, "at least one packet per second");
-    let seed = playback_seed(config.seed, route.current());
-    let deadline = config.deadline;
-    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
-
-    // Pending route updates: (observe_time, interval_start).
-    let mut updates: Vec<(Micros, Micros)> = traces
-        .interval_starts()
-        .map(|start| (start.saturating_add(config.detection_lag), start))
-        .collect();
-    updates.reverse(); // pop from the back in chronological order
-
-    let mut seq = 0u64;
-    let mut hits = 0u64;
-    scratch.index_graph(topology, route.current());
-    for second in 0..traces.duration().as_secs() {
-        for k in 0..u64::from(config.packets_per_second) {
-            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
-            // Apply monitoring updates that have become observable.
-            while updates.last().is_some_and(|&(observe, _)| observe <= t) {
-                let (_, interval_start) = updates.pop().expect("checked non-empty");
-                flush_hits(tally, scratch, route.current(), deadline, &mut hits);
-                if route.observe(topology, traces, interval_start) {
-                    tally.rerouted();
-                    scratch.index_graph(topology, route.current());
-                }
-            }
-            let graph = route.current();
-            if !scratch.wave_covers(t) {
-                // A straddler of the wave's interval, or the first
-                // packet of another.
-                let interval = traces.interval_at(t);
-                if scratch.wave_interval() != Some(interval) {
-                    flush_hits(tally, scratch, graph, deadline, &mut hits);
-                    let recovery = &config.recovery;
-                    let source = graph.source();
-                    scratch
-                        .build_wave(topology, traces, source, interval, deadline, recovery, seed);
-                }
-            }
-            let covered = scratch.wave_covers(t);
-            let loss = covered.then(|| scratch.wave_loss(seq));
-            if loss == Some(None) {
-                hits += 1;
-            } else {
-                flush_hits(tally, scratch, graph, deadline, &mut hits);
-                let repaired = loss.flatten().and_then(|first| {
-                    scratch.repair(topology, traces, graph.source(), seq, t, first)
-                });
-                if let Some(spread) = repaired {
-                    tally.packets(spread, graph, deadline, 1);
-                } else {
-                    scratch.replay.full_propagations += 1;
-                    scratch.replay.straddlers += u64::from(!covered);
-                    let transmissions = propagate(
-                        scratch,
-                        topology,
-                        graph.source(),
-                        traces,
-                        t,
-                        t.saturating_add(deadline),
-                        &config.recovery,
-                        sampled(seed, seq),
-                    );
-                    tally.packets(scratch.spread(t, transmissions), graph, deadline, 1);
-                }
-            }
-            seq += 1;
-        }
-        flush_hits(tally, scratch, route.current(), deadline, &mut hits);
-        tally.second_ended(second, config.availability_threshold);
-    }
-}
-
-/// The per-flow accumulator: aggregate stats, one record per second,
-/// and the latency distribution.
-struct FlowTally {
-    out: PlaybackOutput,
-    /// Packets sent and delivered on time in the second under way.
-    sent: u64,
-    on_time: u64,
-}
-
-impl Tally for FlowTally {
-    fn packets(
-        &mut self,
-        spread: Spread<'_>,
-        graph: &DisseminationGraph,
-        deadline: Micros,
-        n: u64,
-    ) {
-        let stats = &mut self.out.stats;
-        self.sent += n;
-        stats.packets_sent += n;
-        stats.transmissions += spread.transmissions * n;
-        match spread.delivered_after(graph) {
-            Some(latency) => {
-                stats.packets_delivered += n;
-                self.out.latency.record_n(latency, n);
-                if latency <= deadline {
-                    self.on_time += n;
-                    stats.packets_on_time += n;
-                }
-            }
-            None => {
-                stats.packets_lost += n;
-                self.out.latency.record_lost_n(n);
-            }
-        }
-    }
-
-    fn second_ended(&mut self, second: u64, availability_threshold: f64) {
-        let (sent, on_time) = (self.sent, self.on_time);
-        let unavailable = (on_time as f64) < availability_threshold * sent as f64;
-        if unavailable {
-            self.out.stats.unavailable_seconds += 1;
-        }
-        self.out.seconds.push(SecondRecord { second, sent, on_time, unavailable });
-        (self.sent, self.on_time) = (0, 0);
-    }
-
-    fn rerouted(&mut self) {
-        self.out.stats.graph_changes += 1;
-    }
-}
-
 /// Replays `traces` for the scheme's flow and returns aggregate stats.
 ///
 /// See [`run_flow_full`] for the per-second breakdown and the latency
@@ -301,11 +82,81 @@ pub fn run_flow_full(
     run_flow_full_with(topology, traces, scheme, config, &mut SimScratch::new())
 }
 
+/// The sampling seed of a run. The flow's endpoints are mixed in so
+/// different flows see independent loss draws while schemes on the same
+/// flow stay paired.
+fn playback_seed(seed: u64, flow: Flow) -> u64 {
+    let endpoints = (flow.source.index() as u64) << 32 | flow.destination.index() as u64;
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(endpoints)
+}
+
+/// Adds `n` consecutive packets, each spread as `spread` says, to the
+/// run's stats and latency distribution.
+fn record(out: &mut PlaybackOutput, spread: Spread<'_>, deadline: Micros, n: u64) {
+    let stats = &mut out.stats;
+    stats.packets_sent += n;
+    stats.transmissions += spread.transmissions * n;
+    match spread.reached_after(stats.flow.destination) {
+        Some(latency) => {
+            stats.packets_delivered += n;
+            out.latency.record_n(latency, n);
+            if latency <= deadline {
+                stats.packets_on_time += n;
+            }
+        }
+        None => {
+            stats.packets_lost += n;
+            out.latency.record_lost_n(n);
+        }
+    }
+}
+
+/// Records the run of wavefront hits not yet recorded.
+fn flush_hits(
+    out: &mut PlaybackOutput,
+    scratch: &mut SimScratch,
+    deadline: Micros,
+    hits: &mut u64,
+) {
+    let n = std::mem::take(hits);
+    if n > 0 {
+        scratch.replay.wave_hits += n;
+        record(out, scratch.wave_spread(), deadline, n);
+    }
+}
+
 /// [`run_flow_full`] over a caller-held scratch arena: a pool worker
 /// reuses one across its jobs, and [`SimScratch::replay`] says
 /// afterwards where the run's packets went. The scratch is re-indexed
 /// for the scheme's graph before any packet is simulated, so results do
 /// not depend on what it was used for before.
+///
+/// This is the playback loop. It sends `packets_per_second` evenly
+/// spaced packets for every second of `traces` over whatever graph the
+/// scheme currently selects. Route updates fire `detection_lag` after
+/// each monitoring interval boundary, with that boundary's conditions —
+/// packets sent before the update still use the previous dissemination
+/// graph, which is how a real deployment experiences a problem's onset.
+/// The scratch's forwarding index is rebuilt only when the route
+/// actually changes, and its event heap and arrival table are reused
+/// across every packet.
+///
+/// Most packets lose nothing, and inside one trace interval all of
+/// those spread alike: the loop builds the interval's loss-free
+/// wavefront once (`SimScratch::build_wave`) and a packet it covers
+/// whose draws all survive is a **hit**, counted and recorded with the
+/// hits around it — at the next repair or miss, second boundary,
+/// interval change or route update, and always with the wavefront of
+/// the graph they were sent over. A covered packet that loses only slack draws, or one
+/// tight draw, is a **repair** (`SimScratch::repair`), recorded on
+/// its own with its own transmissions. Every other packet — two tight
+/// losses, or a `[send, expiry]` that leaves the interval — is a
+/// **miss** and runs the event heap, which is the definition; hits and
+/// repairs are the same results without the work.
+///
+/// # Panics
+///
+/// When `packets_per_second` is zero.
 pub fn run_flow_full_with(
     topology: &Graph,
     traces: &TraceSet,
@@ -313,29 +164,101 @@ pub fn run_flow_full_with(
     config: &PlaybackConfig,
     scratch: &mut SimScratch,
 ) -> PlaybackOutput {
+    assert!(config.packets_per_second > 0, "at least one packet per second");
     let seconds = traces.duration().as_secs();
-    let mut tally = FlowTally {
-        out: PlaybackOutput {
-            stats: FlowRunStats {
-                scheme: scheme.kind(),
-                flow: scheme.flow(),
-                seconds,
-                unavailable_seconds: 0,
-                packets_sent: 0,
-                packets_on_time: 0,
-                packets_delivered: 0,
-                packets_lost: 0,
-                transmissions: 0,
-                graph_changes: 0,
-            },
-            seconds: Vec::with_capacity(seconds as usize),
-            latency: LatencyHistogram::new(),
+    let mut out = PlaybackOutput {
+        stats: FlowRunStats {
+            scheme: scheme.kind(),
+            flow: scheme.flow(),
+            seconds,
+            unavailable_seconds: 0,
+            packets_sent: 0,
+            packets_on_time: 0,
+            packets_delivered: 0,
+            packets_lost: 0,
+            transmissions: 0,
+            graph_changes: 0,
         },
-        sent: 0,
-        on_time: 0,
+        seconds: Vec::with_capacity(seconds as usize),
+        latency: LatencyHistogram::new(),
     };
-    play(topology, traces, scheme, config, scratch, &mut tally);
-    tally.out
+    let seed = playback_seed(config.seed, scheme.flow());
+    let deadline = config.deadline;
+    let spacing = Micros::from_micros(1_000_000 / u64::from(config.packets_per_second));
+
+    // Pending route updates: (observe_time, interval_start).
+    let mut updates: Vec<(Micros, Micros)> = traces
+        .interval_starts()
+        .map(|start| (start.saturating_add(config.detection_lag), start))
+        .collect();
+    updates.reverse(); // pop from the back in chronological order
+
+    let mut seq = 0u64;
+    let mut hits = 0u64;
+    scratch.index_graph(topology, scheme.current());
+    for second in 0..seconds {
+        let (sent_before, on_time_before) = (out.stats.packets_sent, out.stats.packets_on_time);
+        for k in 0..u64::from(config.packets_per_second) {
+            let t = Micros::from_secs(second).saturating_add(spacing.saturating_mul(k));
+            // Apply monitoring updates that have become observable.
+            while updates.last().is_some_and(|&(observe, _)| observe <= t) {
+                let (_, interval_start) = updates.pop().expect("checked non-empty");
+                flush_hits(&mut out, scratch, deadline, &mut hits);
+                if scheme.update(topology, &traces.state_at(interval_start)) {
+                    out.stats.graph_changes += 1;
+                    scratch.index_graph(topology, scheme.current());
+                }
+            }
+            let graph = scheme.current();
+            if !scratch.wave_covers(t) {
+                // A straddler of the wave's interval, or the first
+                // packet of another.
+                let interval = traces.interval_at(t);
+                if scratch.wave_interval() != Some(interval) {
+                    flush_hits(&mut out, scratch, deadline, &mut hits);
+                    let recovery = &config.recovery;
+                    let source = graph.source();
+                    scratch
+                        .build_wave(topology, traces, source, interval, deadline, recovery, seed);
+                }
+            }
+            let covered = scratch.wave_covers(t);
+            let loss = covered.then(|| scratch.wave_loss(seq));
+            if loss == Some(None) {
+                hits += 1;
+            } else {
+                flush_hits(&mut out, scratch, deadline, &mut hits);
+                let repaired = loss.flatten().and_then(|first| {
+                    scratch.repair(topology, traces, graph.source(), seq, t, first)
+                });
+                if let Some(spread) = repaired {
+                    record(&mut out, spread, deadline, 1);
+                } else {
+                    scratch.replay.full_propagations += 1;
+                    scratch.replay.straddlers += u64::from(!covered);
+                    let transmissions = propagate(
+                        scratch,
+                        topology,
+                        graph.source(),
+                        traces,
+                        t,
+                        t.saturating_add(deadline),
+                        &config.recovery,
+                        sampled(seed, seq),
+                    );
+                    record(&mut out, scratch.spread(t, transmissions), deadline, 1);
+                }
+            }
+            seq += 1;
+        }
+        flush_hits(&mut out, scratch, deadline, &mut hits);
+        let sent = out.stats.packets_sent - sent_before;
+        let on_time = out.stats.packets_on_time - on_time_before;
+        let unavailable = (on_time as f64) < config.availability_threshold * sent as f64;
+        out.stats.unavailable_seconds += u64::from(unavailable);
+        out.seconds.push(SecondRecord { second, sent, on_time, unavailable });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -514,62 +437,41 @@ mod tests {
         assert_eq!(stats.graph_changes, 2, "one switch away, one back");
     }
 
-    /// A route that leaves its first graph for its second on seeing
-    /// the interval that starts at `at`.
-    struct Switch<'a> {
-        graphs: [&'a DisseminationGraph; 2],
-        at: Micros,
-        now: usize,
-    }
-
-    impl Route for Switch<'_> {
-        fn current(&self) -> &DisseminationGraph {
-            self.graphs[self.now]
-        }
-
-        fn observe(&mut self, _: &Graph, _: &TraceSet, interval_start: Micros) -> bool {
-            let switch = interval_start == self.at;
-            self.now += usize::from(switch);
-            switch
-        }
-    }
-
-    /// Per tally call: the size of the graph named, the transmissions of
-    /// the spread handed over, and the packets it stands for.
-    struct Calls(Vec<(usize, u64, u64)>);
-
-    impl Tally for Calls {
-        fn packets(&mut self, spread: Spread<'_>, graph: &DisseminationGraph, _: Micros, n: u64) {
-            self.0.push((graph.len(), spread.transmissions, n));
-        }
-    }
-
     #[test]
     fn a_reroute_mid_interval_hands_the_pending_hits_to_the_old_graph() {
         let g = presets::north_america_12();
-        let traces = TraceSet::clean(g.edge_count(), 3, Micros::from_secs(10)).unwrap();
-        let single = scheme(&g, SchemeKind::StaticSinglePath).current().clone();
-        let double = scheme(&g, SchemeKind::StaticTwoDisjoint).current().clone();
-        // Seen half a second into interval 1, between two packets of a
-        // second and of a run of hits.
-        let mut route = Switch { graphs: [&single, &double], at: Micros::from_secs(10), now: 0 };
+        let mut traces = TraceSet::clean(g.edge_count(), 3, Micros::from_secs(10)).unwrap();
+        let mut s = scheme(&g, SchemeKind::DynamicSinglePath);
+        let old = s.current().clone();
+        // Added latency, and no loss, on the path's first hop from
+        // interval 1 on: the scheme leaves it when it sees interval 1,
+        // half a second in — between two packets of a second and of a
+        // run of hits — and stays away.
+        for i in 1..3 {
+            traces.set_condition(
+                old.edges()[0],
+                i,
+                LinkCondition::new(0.0, Micros::from_millis(20)),
+            );
+        }
         let config = PlaybackConfig {
             packets_per_second: 10,
             detection_lag: Micros::from_millis(500),
             ..PlaybackConfig::default()
         };
-        let mut calls = Calls(Vec::new());
         let mut scratch = SimScratch::new();
-        play(&g, &traces, &mut route, &config, &mut scratch, &mut calls);
-        // On a clean network a packet costs its graph's edges, so a run
-        // of hits handed over with the wrong graph shows.
-        let packets_costing = |edges: usize| -> u64 {
-            calls.0.iter().filter(|c| c.1 == edges as u64).map(|c| c.2).sum()
-        };
-        assert!(calls.0.iter().all(|&(edges, cost, _)| cost == edges as u64), "{:?}", calls.0);
-        assert_eq!(packets_costing(single.len()), 105, "sent before 10.5 s");
-        assert_eq!(packets_costing(double.len()), 195);
-        assert!(calls.0.contains(&(single.len(), single.len() as u64, 5)), "10.0 s to 10.4 s");
+        let out = run_flow_full_with(&g, &traces, s.as_mut(), &config, &mut scratch);
+        let new = s.current();
+        assert_eq!(out.stats.graph_changes, 1);
+        assert_ne!(old.len(), new.len(), "the two graphs must cost differently to tell apart");
+        // Nothing is lost, so a packet costs its graph's edges, and a
+        // run of hits recorded with the other graph's wavefront shows.
+        assert_eq!(out.stats.packets_on_time, 300);
+        assert_eq!(
+            out.stats.transmissions,
+            105 * old.len() as u64 + 195 * new.len() as u64,
+            "sent before 10.5 s over the old graph, after it over the new"
+        );
         let replay = scratch.replay();
         assert_eq!((replay.wave_hits, replay.full_propagations, replay.straddlers), (300, 0, 0));
         assert_eq!(replay.wave_builds, 4, "one per interval, and one more for the new graph");
@@ -663,7 +565,7 @@ mod tests {
         let replay = scratch.replay();
         assert_eq!((replay.wave_builds, replay.full_propagations), (0, 40));
         assert_eq!(replay.heap_pushes, 622);
-        let seed = playback_seed(config.seed, &graph);
+        let seed = playback_seed(config.seed, s.flow());
         let pushing_every_survivor: u64 = (0..40)
             .map(|seq| {
                 let t = Micros::from_millis(50 * seq);

@@ -14,7 +14,7 @@
 //! repaired from the wavefront rather than sent to the event heap.
 
 use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind, SchemeParams};
-use dg_core::{receiver_digest, DisseminationGraph, Flow, ServiceRequirement};
+use dg_core::{DisseminationGraph, Flow, ServiceRequirement};
 use dg_sim::{
     run_flow_full, run_flow_full_with, simulate_packet_with, FlowRunStats, LatencyHistogram,
     PlaybackConfig, PlaybackOutput, RecoveryModel, SecondRecord, SimScratch,
@@ -59,13 +59,9 @@ fn trace(g: &Graph, interval_ms: u64, background: bool, impairments: &[Impairmen
 }
 
 /// The documented seed mix of a playback run (`playback::playback_seed`).
-fn playback_seed(seed: u64, graph: &DisseminationGraph) -> u64 {
-    let receivers = match graph.receivers() {
-        [only] => only.index() as u64,
-        many => receiver_digest(many) & 0xFFFF_FFFF,
-    };
+fn playback_seed(seed: u64, flow: Flow) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((graph.source().index() as u64) << 32 | receivers)
+        .wrapping_add((flow.source.index() as u64) << 32 | flow.destination.index() as u64)
 }
 
 /// Calls `packet(send time, seq)` for every packet of a run, in order,
@@ -116,7 +112,7 @@ fn by_definition(
     scheme: &mut dyn RoutingScheme,
     config: &PlaybackConfig,
 ) -> PlaybackOutput {
-    let seed = playback_seed(config.seed, scheme.current());
+    let seed = playback_seed(config.seed, scheme.flow());
     let mut scratch = SimScratch::new();
     scratch.index_graph(g, scheme.current());
     let mut stats = FlowRunStats {

@@ -1,6 +1,6 @@
 //! Dijkstra shortest paths by latency.
 //!
-//! There is one search loop, [`SearchWorkspace::search`]'s, and it runs
+//! There is one search loop, `SearchWorkspace::search`'s, and it runs
 //! on a [`SearchWorkspace`]: a search stops as soon as its target is
 //! settled, a caller with a lower bound on the way still to go may aim
 //! it at that target ([`SearchWorkspace::search_toward`]), and after the
