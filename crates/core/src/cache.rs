@@ -78,9 +78,10 @@
 //! a tail that was popped the tests read final distances, and with the
 //! same floor as `lb` they select exactly the edges they select after a
 //! plain search ([`SearchWorkspace::relaxes`]). The pair's goal-directed
-//! first round changes no dependency either: its path is the one
+//! rounds change no dependency either: their paths are the ones
 //! Bellman–Ford finds, and the reduced costs are priced against the
-//! second round, which is Bellman–Ford as before. The
+//! distances whole passes would give, the stopped second round resumed
+//! where an end of the edge asked about was not settled. The
 //! `cache::differential` battery checks the rule directly — healing an
 //! unusable edge outside an entry's dependencies rebuilds the same
 //! graph — and `cache_properties`, `multicast_properties` and
@@ -98,7 +99,8 @@
 //! dependency rule's bounds read them, and they aim the searches that end
 //! at the destination — the source-side continuations and the pair's
 //! first round run as A* under a consistent lower bound on the way still
-//! to go. In the live tier that is the distance on to the destination
+//! to go, and the pair's second round over reduced costs whose potential
+//! the first round leaves. In the live tier that is the distance on to the destination
 //! scaled (`weight_floor`), since a tie-broken weight is at least its
 //! clamped latency scaled. In the baseline tier, whose weights are plain
 //! latency, it is the distance itself. Those weights tie, and the
@@ -591,7 +593,7 @@ impl GraphCache {
                 // `d(s,u) + lat + d(v,t)` beside `d(s,t)`.
                 let pair_us: u64 =
                     paths.iter().flat_map(|p| p.edges()).map(|&e| clamped_latency(g, e)).sum();
-                let ws = &scratch.ws;
+                let ws = &mut scratch.ws;
                 for e in unusable.iter() {
                     let info = g.edge(e);
                     let floor = clamped(reach.from_src[info.src.index()])
@@ -687,7 +689,7 @@ impl GraphCache {
             // take: feasible, clear of the endpoint, and able to shorten
             // a route the search was read for. A route on from an
             // edge's head weighs at least the floor there.
-            let mut heals = |ws: &SearchWorkspace, bound: u64| {
+            let mut heals = |ws: &mut SearchWorkspace, bound: u64| {
                 for e in unusable.iter() {
                     let info = g.edge(e);
                     if !feasible.contains(e) || info.src == endpoint || info.dst == endpoint {
@@ -719,7 +721,7 @@ impl GraphCache {
     /// workspace's last search was read for: it relaxes (see
     /// [`SearchWorkspace::relaxes`]; `lb` bounds a route on from `e`'s
     /// head) and a route through it, at `lb` beyond, is within `bound`.
-    fn could_shorten(&self, ws: &SearchWorkspace, e: EdgeId, lb: u64, bound: u64) -> bool {
+    fn could_shorten(&self, ws: &mut SearchWorkspace, e: EdgeId, lb: u64, bound: u64) -> bool {
         let info = self.graph.edge(e);
         let w = self.weights[e.index()];
         ws.relaxes(&self.graph, e, w, lb)
@@ -764,7 +766,7 @@ impl GraphCache {
             .collect();
         if cut_off.is_empty() {
             // Only the paths to the receivers were read off the tree.
-            let ws = &scratch.ws;
+            let ws = &mut scratch.ws;
             let farthest = receivers.iter().filter_map(|&r| ws.distance_to(r)).max();
             let bound = farthest.unwrap_or(0);
             for e in unusable.iter().filter(|&e| self.could_shorten(ws, e, 0, bound)) {
@@ -1242,5 +1244,57 @@ mod tests {
         cache.multicast(flow.source, &[flow.destination], MulticastKind::Tree, req).unwrap();
         let share = cache.stats().interned_share();
         assert!((share - 2.0 / 3.0).abs() < 1e-9, "2 hits of 3 lookups, got {share}");
+    }
+
+    /// Work Bhandari's rounds did, by the cache's workspace, while `f`
+    /// ran.
+    fn pair_work_of(cache: &GraphCache, f: impl FnOnce()) -> (u64, u64) {
+        let read = || cache.inner.lock().expect("cache lock").work.scratch.ws.pair_work();
+        let before = read();
+        f();
+        let after = read();
+        (after.arcs_scanned - before.arcs_scanned, after.frontier_pushes - before.frontier_pushes)
+    }
+
+    /// The pairs of `ctrl_churn`'s 64 Waxman-100 flows cost a pinned
+    /// number of arc scans and frontier pushes: the baseline bundles, the
+    /// Robust live graphs, and those graphs rebuilt with six links of
+    /// their pairs down (their pricing resumes the stopped second round). A
+    /// return to whole Bellman–Ford passes, or a search that wanders
+    /// wider, moves these counts on any host.
+    #[test]
+    fn the_benchmark_flows_pairs_do_a_pinned_amount_of_work() {
+        use dg_topology::generate::TopoSpec;
+        let spec = TopoSpec::Waxman { nodes: 100, seed: 2017 };
+        let g = spec.build();
+        let pairs = spec.default_flows(&g, 64);
+        let req = ServiceRequirement::new(spec.default_deadline(&g, &pairs));
+        let flows: Vec<Flow> = pairs.iter().map(|&(s, t)| Flow::new(s, t)).collect();
+        let cache = GraphCache::new(g, SchemeParams::default());
+        let baseline = pair_work_of(&cache, || {
+            for &flow in &flows {
+                cache.baseline(flow, req).unwrap();
+            }
+        });
+        let robust = |cache: &GraphCache| {
+            for &flow in &flows {
+                cache.live(flow, CachedGraphKind::Robust, req).unwrap();
+            }
+        };
+        let live = pair_work_of(&cache, || robust(&cache));
+        // A link of each of the first six flows' pairs: the rebuilt pairs
+        // price them.
+        let down: Vec<EdgeId> = flows[..6]
+            .iter()
+            .map(|&flow| {
+                let pair = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
+                pair.edges()[pair.len() / 2]
+            })
+            .collect();
+        for &e in &down {
+            cache.note_loss(e, 0.9);
+        }
+        let rebuilt = pair_work_of(&cache, || robust(&cache));
+        assert_eq!((baseline, live, rebuilt), ((12_795, 8_401), (12_795, 8_403), (6_093, 4_032)));
     }
 }

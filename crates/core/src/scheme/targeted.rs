@@ -259,7 +259,7 @@ impl Side {
 
 /// Called by [`problem_branches`] after each search with the workspace
 /// holding it and a bound (see there).
-pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&SearchWorkspace, u64);
+pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&mut SearchWorkspace, u64);
 
 /// The redundancy branches a problem graph adds around one endpoint of
 /// `flow`, flattened into one edge list.

@@ -41,10 +41,30 @@
 //! `(0, −1)`. A node keeps the first arc that reaches it at its final
 //! distance: of its tight arcs (tail distance plus weight equal to the
 //! head's), the one whose scan after its tail settled comes first, and
-//! that scan settles it. The aimed round replays exactly that over
-//! the tight arcs into the destination, which are the arcs of its
-//! shortest routes. The free functions keep whole Bellman–Ford rounds;
-//! the rounds after the first are Bellman–Ford for every caller.
+//! that scan settles it. A Dijkstra round that saw two arcs reach a
+//! node equally short replays exactly that over the tight arcs into the
+//! destination, which are the arcs of its shortest routes: a
+//! label-setting search over those times, which stays exact where tight
+//! arcs close a cycle (zero weights, or a negative arc in a later round).
+//!
+//! The aimed form runs the rounds after the first as Dijkstra searches
+//! too, over reduced costs, each stopped at the destination once the
+//! keys equal to its distance are drained. Each takes its potential
+//! from the round before: `π'(x) = π(x) + min(δ(x), δ(t))`, `δ` the
+//! reduced label of that round (the aimed round's is `d + floor`, below
+//! a potential of `−floor`), an untouched node's taken as `∞`. Every
+//! node keyed below `δ(t)` was settled, so `π'` prices every residual
+//! arc at 0 or more and the reversed path arcs at exactly 0; no round
+//! needs a Bellman–Ford pass, and each replays the scan order where it
+//! tied. The potentials stay within `i64`, and no sum can leave it,
+//! while the heaviest arc out of each node sums to no more than
+//! `i64::MAX` (every label is a simple route's weight). Latencies in µs
+//! pass that test by far, and so do the cache's tie-broken weights on
+//! the generated families up to 500 nodes (Waxman-500 sums to 0.57 of
+//! the range, Waxman-1000 to 1.16). Where it fails, the
+//! rounds after the first run as whole passes, so that an overflow is
+//! met exactly where they would meet it. The free functions keep whole
+//! Bellman–Ford rounds.
 
 use crate::algo::bellman_ford::Arc;
 use crate::algo::workspace::LastSearch;
@@ -193,13 +213,21 @@ impl Layout<'_> {
         }
     }
 
-    /// Calls `f` with every arc that leaves node `x` of the residual
-    /// graph: its own arcs not in `used`, and the arcs into it that are
-    /// (those run backwards).
-    fn for_each_residual_out_arc(self, used: &[bool], x: usize, mut f: impl FnMut(usize)) {
+    /// Calls `f` with every arc of the residual graph that leaves node
+    /// `x` (`outward`) or enters it (`!outward`): of the arcs laid out
+    /// at `x`, those that run that way and are not in `used`, and those
+    /// that run the other way and are (they run backwards).
+    fn for_each_residual_arc(
+        self,
+        used: &[bool],
+        x: usize,
+        outward: bool,
+        mut f: impl FnMut(usize),
+    ) {
         let g = self.graph;
-        let mut offer = |arc: usize, reversed: bool| {
-            if used[arc] == reversed {
+        // `into_x`: the arc as laid out ends at `x`.
+        let mut offer = |arc: usize, into_x: bool| {
+            if used[arc] == (into_x == outward) {
                 f(arc);
             }
         };
@@ -223,32 +251,33 @@ impl Layout<'_> {
         }
     }
 
-    /// The `k`th arc into node `x` of the arc graph as laid out, before
-    /// any path is flipped into it; `None` past the last.
-    fn in_arc(self, x: usize, k: usize) -> Option<usize> {
-        let g = self.graph;
-        let edge_arcs = |v: usize, offset: usize| {
-            g.in_edges(NodeId::new(v as u32)).get(k).map(|e| offset + e.index())
-        };
-        match self.mode {
-            Disjointness::Edge => edge_arcs(x, 0),
-            Disjointness::Node if x.is_multiple_of(2) => edge_arcs(x / 2, g.node_count()),
-            // A node's out-copy is entered by its internal arc alone.
-            Disjointness::Node => (k == 0).then_some(x / 2),
+    /// Arc `i` as laid out, before any path is flipped into it: its
+    /// tail, its head and its overlay edge (`None` for a node-internal
+    /// arc).
+    fn arc_ends(self, i: usize) -> (usize, usize, Option<EdgeId>) {
+        match i.checked_sub(self.internal_arcs()) {
+            None => (i * 2, i * 2 + 1, None),
+            Some(e) => {
+                let edge = EdgeId::new(e as u32);
+                let info = self.graph.edge(edge);
+                let (from, to) = split_endpoints(info.src, info.dst, self.mode);
+                (from, to, Some(edge))
+            }
         }
     }
 }
 
 /// The replay's settling time (`SearchWorkspace::settled_at`) of a node
-/// it has not settled, or found no settled tail for.
+/// with no tight route on to the destination.
 const UNSETTLED: u64 = u64::MAX;
 
-/// The replay's settling time of a node on its stack.
+/// The replay's settling time of a node with a tight route on to the
+/// destination, until the replay finds it.
 const SETTLING: u64 = u64::MAX - 1;
 
-/// When round one scans arc `i` out of a tail settled at `tail`: in the
-/// same pass if `i` comes after the arc that settled the tail, else in
-/// the next (module docs). A time packs `(pass, arc index + 1)` into one
+/// When a round's plain scan reaches arc `i` out of a tail settled at
+/// `tail`: in the same pass if `i` comes after the arc that settled the
+/// tail, else in the next (module docs). A time packs `(pass, arc index + 1)` into one
 /// word, so times order as the scans do and the source, settled before
 /// pass 0's first arc, is 0.
 fn scan_time(tail: u64, i: usize) -> u64 {
@@ -256,32 +285,6 @@ fn scan_time(tail: u64, i: usize) -> u64 {
     let at = i as u64 + 1;
     let pass = if at > after { pass } else { pass + 1 };
     (pass << 32) | at
-}
-
-/// A node on the replay's stack (see
-/// [`SearchWorkspace::replay_scan_order`]): which of its in-arcs to look
-/// at next, the earliest scan of a tight one found so far, and the arc
-/// out of it that the node below on the stack waits on.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Settling {
-    node: usize,
-    next: usize,
-    first: u64,
-    first_arc: usize,
-    waited_on_by: usize,
-}
-
-impl Settling {
-    fn new(node: usize, waited_on_by: usize) -> Self {
-        Settling { node, next: 0, first: UNSETTLED, first_arc: 0, waited_on_by }
-    }
-
-    /// A tight in-arc `i`, scanned at `time`.
-    fn offer(&mut self, i: usize, time: u64) {
-        if time < self.first {
-            (self.first, self.first_arc) = (time, i);
-        }
-    }
 }
 
 impl SearchWorkspace {
@@ -305,13 +308,13 @@ impl SearchWorkspace {
         self.bhandari(graph, src, dst, k, mode, weight, None::<fn(NodeId) -> u64>)
     }
 
-    /// [`SearchWorkspace::k_disjoint_paths_weighted`] with its first
-    /// round aimed at `dst`: nothing is in the solution yet, so the
-    /// residual graph has no negative arc and round one is a
-    /// goal-directed Dijkstra search (A*, keyed `d + floor(v)` at both
-    /// copies of a split node `v`) instead of Bellman–Ford. The rounds
-    /// after it are Bellman–Ford as always, so with two rounds or more
-    /// [`SearchWorkspace::relaxes`] prices against the same distances.
+    /// [`SearchWorkspace::k_disjoint_paths_weighted`] with its rounds
+    /// aimed at `dst`: nothing is in the solution yet, so the residual
+    /// graph has no negative arc and round one is a goal-directed
+    /// Dijkstra search (A*, keyed `d + floor(v)` at both copies of a
+    /// split node `v`) instead of Bellman–Ford. Each round after it is a
+    /// Dijkstra search over reduced costs, its potential read off the
+    /// round before, stopped at `dst` in the same way (module docs).
     ///
     /// Every weight must be non-negative and `floor` a consistent lower
     /// bound on the weight of every route on to `dst` (see
@@ -320,11 +323,9 @@ impl SearchWorkspace {
     /// equal its distance, so every arc of a shortest route has its final
     /// distances at both ends, and then replays Bellman–Ford's scan order
     /// over those arcs (module docs) to pick the path Bellman–Ford picks.
-    /// Where every edge's weight is positive the result is therefore
-    /// [`SearchWorkspace::k_disjoint_paths_weighted`]'s, ties included.
-    /// Zero weights can close a cycle of tight arcs, which the replay
-    /// steps around: the pair is then of minimum total but not
-    /// necessarily the one the scan order picks.
+    /// The later rounds replay it as well. The result is therefore
+    /// [`SearchWorkspace::k_disjoint_paths_weighted`]'s, ties included,
+    /// and so is what [`SearchWorkspace::relaxes`] answers after it.
     ///
     /// # Errors
     ///
@@ -347,7 +348,9 @@ impl SearchWorkspace {
         self.bhandari(graph, src, dst, k, mode, weight, Some(floor))
     }
 
-    /// Bhandari's rounds, the first goal-directed when `floor` is given.
+    /// Bhandari's rounds, all of them goal-directed when `floor` is
+    /// given and every sum is sure to stay in range, else the first
+    /// alone.
     #[allow(clippy::too_many_arguments)]
     fn bhandari<W, H>(
         &mut self,
@@ -373,9 +376,13 @@ impl SearchWorkspace {
         self.load_arcs(layout, weight);
         self.last = LastSearch::Other;
         self.arc_overflow = false;
+        // Whether the round under way, if not the first, is a Dijkstra
+        // search over reduced costs.
+        let mut reduced = floor.is_some() && k > 1 && self.sums_in_range(layout);
         for round in 0..k {
             let found = match &floor {
                 Some(floor) if round == 0 => self.augment_toward(layout, s, t, floor),
+                _ if reduced => self.augment_reduced(layout, s, t),
                 _ => self.augment(layout, s, t),
             };
             if !found {
@@ -384,27 +391,34 @@ impl SearchWorkspace {
                     available: round,
                 });
             }
+            if round + 1 < k {
+                if reduced {
+                    reduced = match &floor {
+                        Some(floor) if round == 0 => self.potential_after_aimed(layout, t, floor),
+                        _ => self.potential_after_reduced(t),
+                    };
+                }
+                self.flip_path(s, t);
+            }
         }
         // `arc_dist` holds the last round's distances: what `relaxes`
         // prices an excluded arc against — unless a route ran out of
         // range, which leaves them no potential to price by, or the last
-        // round was the goal-directed one, which stopped short of a
-        // potential.
+        // round was the aimed first one, which stopped short of a
+        // potential. The last path stays out of `arcs`, so that a
+        // stopped round can be resumed on the graph it searched.
         if !self.arc_overflow && (floor.is_none() || k > 1) {
-            self.last = LastSearch::Disjoint(mode);
+            self.last = LastSearch::Disjoint { mode, stopped: reduced };
         }
 
-        // A used arc sits reversed in `arcs`.
-        let internal = layout.internal_arcs();
-        let arcs = &self.arcs;
+        // The solution: the arcs used, the last path's toggled.
+        self.toggle_path(s, t);
         self.selected.clear();
         // Room for any union, so that a longer one later allocates nothing.
-        self.selected.reserve(arcs.len());
-        self.selected.extend((0..arcs.len()).filter(|&i| self.used[i]));
-        let mut paths = decompose(graph, &mut self.selected, s, t, k, |i| {
-            let edge = i.checked_sub(internal).map(|e| EdgeId::new(e as u32));
-            (arcs[i].to, arcs[i].from, edge)
-        });
+        self.selected.reserve(self.arcs.len());
+        self.selected.extend((0..self.arcs.len()).filter(|&i| self.used[i]));
+        self.toggle_path(s, t);
+        let mut paths = decompose(graph, &mut self.selected, s, t, k, |i| layout.arc_ends(i));
         paths.sort_by_key(|p| p.latency(graph));
         Ok(paths)
     }
@@ -431,10 +445,26 @@ impl SearchWorkspace {
         self.used.resize(self.arcs.len(), false);
     }
 
-    /// One round: Bellman–Ford from `s` over the residual graph, then
-    /// the shortest `s → t` path's arcs flipped in place — an unused arc
-    /// joins the solution and now runs backwards at negated weight, a
-    /// used one leaves it. `false` when `t` is out of reach.
+    /// Whether no sum a round forms can leave `i64`'s range: the
+    /// heaviest admitted edge out of each node, summed, is within it. A
+    /// label is the weight of a simple route, and each node on one adds
+    /// at most its heaviest arc out (a reversed path arc adds nothing),
+    /// so no relaxation of any round — Bellman–Ford's included — can
+    /// overflow, and a Dijkstra round over reduced costs sees the same
+    /// sums whole passes would.
+    fn sums_in_range(&self, layout: Layout<'_>) -> bool {
+        let graph = layout.graph;
+        let internal = layout.internal_arcs();
+        let heaviest_out = |v: NodeId| {
+            let weights = graph.out_edges(v).iter().map(|e| self.arcs[internal + e.index()].weight);
+            weights.filter(|&w| w != EXCLUDED).max().unwrap_or(0).max(0)
+        };
+        graph.nodes().try_fold(0i64, |sum, v| sum.checked_add(heaviest_out(v))).is_some()
+    }
+
+    /// One round: Bellman–Ford from `s` over the residual graph; `false`
+    /// when `t` is out of reach. `arc_prev` then holds the shortest
+    /// `s → t` path, for [`SearchWorkspace::flip_path`].
     ///
     /// The scan is the plain algorithm's (whole passes over the arcs in
     /// index order, relaxing in place) minus the scans that cannot
@@ -453,7 +483,7 @@ impl SearchWorkspace {
         let set = |due: &mut [u64], arc: usize| due[arc / 64] |= 1 << (arc % 64);
 
         self.arc_dist[s] = 0;
-        layout.for_each_residual_out_arc(&self.used, s, |arc| set(&mut self.scan_now, arc));
+        layout.for_each_residual_arc(&self.used, s, true, |arc| set(&mut self.scan_now, arc));
         for _pass in 0..nodes.saturating_sub(1) {
             for word in 0..words {
                 // Re-read after every scan: a relaxation may make a
@@ -463,6 +493,7 @@ impl SearchWorkspace {
                     self.scan_now[word] = bits & (bits - 1);
                     let i = word * 64 + bits.trailing_zeros() as usize;
                     let arc = self.arcs[i];
+                    self.pair_work.arcs_scanned += 1;
                     if arc.weight == EXCLUDED {
                         continue;
                     }
@@ -475,7 +506,7 @@ impl SearchWorkspace {
                     if nd < self.arc_dist[arc.to] {
                         self.arc_dist[arc.to] = nd;
                         self.arc_prev[arc.to] = i;
-                        layout.for_each_residual_out_arc(&self.used, arc.to, |next| {
+                        layout.for_each_residual_arc(&self.used, arc.to, true, |next| {
                             let due =
                                 if next > i { &mut self.scan_now } else { &mut self.scan_next };
                             set(due, next);
@@ -488,19 +519,18 @@ impl SearchWorkspace {
                 break;
             }
         }
-        self.flip_path(s, t)
+        self.arc_dist[t] != i64::MAX
     }
 
     /// Round one as a goal-directed Dijkstra search over the arcs (see
     /// [`SearchWorkspace::k_disjoint_paths_toward`]): `floor` of a split
-    /// node's overlay node keys the frontier, and the search stops once
-    /// `t` is settled and the nodes keyed as low are popped too. Where two
-    /// arcs reached a node at one distance,
+    /// node's overlay node keys the frontier (`aimed_key`), and the
+    /// search stops once `t` is settled and the nodes keyed as low are
+    /// popped too. Where two arcs reached a node at one distance,
     /// [`SearchWorkspace::replay_scan_order`] then picks the tree arcs
-    /// Bellman–Ford would; the path is flipped as
-    /// [`SearchWorkspace::augment`] flips its own. Sums are checked as
-    /// there: a route past i64's range is out of reach and marks the
-    /// rounds as having had one.
+    /// Bellman–Ford would, into `arc_prev` as [`SearchWorkspace::augment`]
+    /// leaves its own. Sums are checked as there: a route past i64's
+    /// range is out of reach and marks the rounds as having had one.
     fn augment_toward(
         &mut self,
         layout: Layout<'_>,
@@ -512,26 +542,28 @@ impl SearchWorkspace {
         self.arc_dist.clear();
         self.arc_dist.resize(nodes, i64::MAX);
         self.arc_prev.resize(nodes, 0);
-        self.heap.clear();
-        self.heap.reserve(self.arcs.len() + 1);
-        // The replay's memo and stack (its stack holds a node once at
-        // most), sized whether or not a tie calls for it, so that no later
-        // round allocates.
+        // A Dijkstra round pushes at most once an arc, and once more for
+        // `s`. The later rounds' and the replays' storage is sized here
+        // too, whether or not a later round or a tie calls for it, so
+        // that no later call allocates (the replays' stacks hold a node
+        // once at most).
+        for frontier in [&mut self.heap, &mut self.times] {
+            frontier.clear();
+            frontier.reserve(self.arcs.len() + 1);
+        }
         self.settled_at.clear();
         self.settled_at.reserve(nodes);
-        self.settling.clear();
-        self.settling.reserve(nodes);
-        let key = |x: usize, d: i64| {
-            let v = match layout.mode {
-                Disjointness::Edge => x,
-                Disjointness::Node => x / 2,
-            };
-            // Round one's distances are sums of non-negative weights.
-            (d as u64).saturating_add(floor(NodeId::new(v as u32)))
-        };
+        self.ancestors.clear();
+        self.ancestors.reserve(nodes);
+        self.potential.clear();
+        self.potential.reserve(nodes);
+        self.popped.clear();
+        self.popped.reserve(nodes);
+        let key = |x: usize, d: i64| aimed_key(layout, &floor, x, d);
 
         self.arc_dist[s] = 0;
         self.heap.push(Reverse((key(s, 0), s as u32)));
+        self.pair_work.frontier_pushes += 1;
         // As in the Dijkstra loop: once `t` is settled, the nodes keyed no
         // higher are popped too, so that every node on a shortest route to
         // `t` has its final distance for the replay.
@@ -556,8 +588,9 @@ impl SearchWorkspace {
                 last_key = popped;
                 continue;
             }
-            layout.for_each_residual_out_arc(&self.used, x, |i| {
+            layout.for_each_residual_arc(&self.used, x, true, |i| {
                 let arc = self.arcs[i];
+                self.pair_work.arcs_scanned += 1;
                 if arc.weight == EXCLUDED {
                     return;
                 }
@@ -571,6 +604,7 @@ impl SearchWorkspace {
                     self.arc_dist[arc.to] = nd;
                     self.arc_prev[arc.to] = i;
                     self.heap.push(Reverse((key(arc.to, nd), arc.to as u32)));
+                    self.pair_work.frontier_pushes += 1;
                 } else if nd == was {
                     tied = true;
                 }
@@ -579,68 +613,230 @@ impl SearchWorkspace {
         if tied {
             self.replay_scan_order(layout, s, t);
         }
-        self.flip_path(s, t)
+        self.arc_dist[t] != i64::MAX
+    }
+
+    /// The potential of round two, read off the aimed round's labels
+    /// (module docs): the aimed round is a reduced one below a potential
+    /// of `−h`, `h` the floor clamped at `D`, the key of `t`, so the
+    /// step is [`SearchWorkspace::potential_after_reduced`]'s. Clamping
+    /// keeps the floor consistent and changes no key below `D`. `false`,
+    /// and the rounds left to whole passes, when `D` is past `i64`'s
+    /// range (a floor above 0 at `t` itself).
+    fn potential_after_aimed(
+        &mut self,
+        layout: Layout<'_>,
+        t: usize,
+        floor: impl Fn(NodeId) -> u64,
+    ) -> bool {
+        let to_t = aimed_key(layout, &floor, t, self.arc_dist[t]);
+        let Ok(to_t) = i64::try_from(to_t) else { return false };
+        self.potential.clear();
+        // Within `[−D, 0]`.
+        let h = |x: usize| aimed_key(layout, &floor, x, 0).min(to_t as u64) as i64;
+        self.potential.extend((0..layout.node_count()).map(|x| -h(x)));
+        self.potential_after_reduced(t)
+    }
+
+    /// The next round's potential, read off a reduced round's labels:
+    /// `π + min(δ, δ(t))` (module docs). It is at most the distance to
+    /// `t` found and at least the potential it grows from, so it stays
+    /// within `i64`'s range; `false`, and whole passes, were it not to.
+    fn potential_after_reduced(&mut self, t: usize) -> bool {
+        let to_t = i128::from(reduced_key(&self.potential, t, self.arc_dist[t]));
+        for (x, &d) in self.arc_dist.iter().enumerate() {
+            let below = d != i64::MAX && i128::from(reduced_key(&self.potential, x, d)) < to_t;
+            let next = if below { i128::from(d) } else { i128::from(self.potential[x]) + to_t };
+            let Ok(next) = i64::try_from(next) else { return false };
+            self.potential[x] = next;
+        }
+        true
+    }
+
+    /// A round after the first as a Dijkstra search over reduced costs
+    /// against `potential`, stopped at `t` as
+    /// [`SearchWorkspace::augment_toward`] stops: once `t` is settled and
+    /// the keys equal to its are drained. Its frontier is left as it
+    /// stopped, for [`SearchWorkspace::relaxes`] to resume. `arc_prev`
+    /// then holds the path Bellman–Ford would have taken: the search's
+    /// own tree arcs, or, where two arcs reached a node at one distance,
+    /// those [`SearchWorkspace::replay_scan_order`] picks. Needs every sum
+    /// in range ([`SearchWorkspace::sums_in_range`]).
+    fn augment_reduced(&mut self, layout: Layout<'_>, s: usize, t: usize) -> bool {
+        let nodes = layout.node_count();
+        self.arc_dist.clear();
+        self.arc_dist.resize(nodes, i64::MAX);
+        self.arc_prev.resize(nodes, 0);
+        self.popped.clear();
+        self.popped.resize(nodes, false);
+        self.heap.clear();
+        self.arc_dist[s] = 0;
+        self.heap.push(Reverse((reduced_key(&self.potential, s, 0), s as u32)));
+        self.pair_work.frontier_pushes += 1;
+        let mut last_key = u64::MAX;
+        let mut tied = false;
+        while let Some(&Reverse((key, x))) = self.heap.peek() {
+            if key > last_key {
+                break;
+            }
+            self.heap.pop();
+            let x = x as usize;
+            // A node's entries are pushed at falling keys, so its first
+            // one out is its current one.
+            if self.popped[x] {
+                continue;
+            }
+            if x == t {
+                last_key = key;
+            }
+            tied |= self.settle(layout, x);
+        }
+        if self.arc_dist[t] == i64::MAX {
+            return false;
+        }
+        if tied {
+            self.replay_scan_order(layout, s, t);
+        }
+        true
+    }
+
+    /// Settles `x` in a reduced round: relaxes every residual arc out
+    /// of it. `true` when one reached a node exactly as short as it
+    /// already was.
+    fn settle(&mut self, layout: Layout<'_>, x: usize) -> bool {
+        self.popped[x] = true;
+        let d = self.arc_dist[x];
+        let mut tied = false;
+        layout.for_each_residual_arc(&self.used, x, true, |i| {
+            let arc = self.arcs[i];
+            self.pair_work.arcs_scanned += 1;
+            if arc.weight == EXCLUDED {
+                return;
+            }
+            // In range: `sums_in_range`.
+            let nd = d + arc.weight;
+            let was = self.arc_dist[arc.to];
+            if nd < was {
+                self.arc_dist[arc.to] = nd;
+                self.arc_prev[arc.to] = i;
+                let key = reduced_key(&self.potential, arc.to, nd);
+                self.heap.push(Reverse((key, arc.to as u32)));
+                self.pair_work.frontier_pushes += 1;
+            } else if nd == was {
+                tied = true;
+            }
+        });
+        tied
+    }
+
+    /// [`SearchWorkspace::relaxes`] after a stopped reduced round, for
+    /// the arc `from → to` at weight `w`: what whole passes answer (an
+    /// end out of reach, or `d(from) + w ≤ d(to)`), resuming the search
+    /// one settled node at a time until the bounds decide it. An
+    /// unsettled node's distance is at least its potential plus the
+    /// frontier's least key (reduced costs are never negative), and at
+    /// most its tentative label; a settled one's is its label.
+    pub(super) fn resumed_relaxes(
+        &mut self,
+        graph: &Graph,
+        mode: Disjointness,
+        from: usize,
+        to: usize,
+        w: u64,
+    ) -> bool {
+        let layout = Layout { graph, mode };
+        let w = i128::from(w);
+        loop {
+            let (tail, head) = (self.arc_dist[from], self.arc_dist[to]);
+            let Some(&Reverse((least, _))) = self.heap.peek() else {
+                // Exhausted: every label is final, and `i64::MAX` out of
+                // reach.
+                return tail == i64::MAX
+                    || head == i64::MAX
+                    || i128::from(tail) + w <= i128::from(head);
+            };
+            let below = |x: usize| match self.popped[x] {
+                true => i128::from(self.arc_dist[x]),
+                false => i128::from(least) + i128::from(self.potential[x]),
+            };
+            if tail != i64::MAX && i128::from(tail) + w <= below(to) {
+                return true;
+            }
+            if tail != i64::MAX && head != i64::MAX && i128::from(head) < below(from) + w {
+                return false;
+            }
+            while let Some(Reverse((_, x))) = self.heap.pop() {
+                if !self.popped[x as usize] {
+                    self.settle(layout, x as usize);
+                    break;
+                }
+            }
+        }
     }
 
     /// Bellman–Ford's tree arcs on the shortest routes from `s` to `t`,
-    /// replayed from round one's final distances (module docs, "Which
-    /// optimum"): walking back from `t` over tight arcs, each node is
-    /// settled by its tight in-arc scanned first, which needs its tails'
-    /// settling times first — memoised in `settled_at`, with `settling`
-    /// as the stack, so each node is settled once. The arcs land in
-    /// `arc_prev` for [`SearchWorkspace::flip_path`] to read.
-    ///
-    /// A node on the stack is never entered again. Only a cycle of tight
-    /// arcs leads back to one, and that needs zero-weight edges; a node
-    /// whose tight tails were all on the stack is left unsettled, to be
-    /// tried again from another.
+    /// replayed from a Dijkstra round's final distances (module docs,
+    /// "Which optimum") as a label-setting search over the times the
+    /// plain round would settle each node at: first the nodes with a
+    /// tight route on to `t`, walked back from it, and then, from `s`,
+    /// each of them settled by the tight arc from one of them that would
+    /// be scanned first. A node's time is above its tail's, so the search
+    /// settles them in time order however their tight arcs cycle (a
+    /// negative arc, or zero weights, can close a cycle). Every tail of a
+    /// tight arc into a node of final distance has its final distance
+    /// too, so only final labels are read. The arcs land in `arc_prev`.
     fn replay_scan_order(&mut self, layout: Layout<'_>, s: usize, t: usize) {
-        self.settled_at.resize(layout.node_count(), UNSETTLED);
         if self.arc_dist[t] == i64::MAX {
             return;
         }
-        self.settled_at[s] = 0;
+        let tight =
+            |tail: i64, w: i64, head: i64| w != EXCLUDED && tail.checked_add(w) == Some(head);
+        self.settled_at.clear();
+        self.settled_at.resize(layout.node_count(), UNSETTLED);
         self.settled_at[t] = SETTLING;
-        self.settling.push(Settling::new(t, 0));
-        while let Some(top) = self.settling.last_mut() {
-            let x = top.node;
-            let Some(i) = layout.in_arc(x, top.next) else {
-                // Every in-arc looked at: `x` is settled by its first.
-                let done = *top;
-                self.settling.pop();
-                self.settled_at[x] = done.first;
-                if done.first != UNSETTLED {
-                    self.arc_prev[x] = done.first_arc;
-                    if let Some(below) = self.settling.last_mut() {
-                        below.offer(done.waited_on_by, scan_time(done.first, done.waited_on_by));
-                    }
+        self.ancestors.push(t as u32);
+        while let Some(x) = self.ancestors.pop() {
+            let x = x as usize;
+            let d = self.arc_dist[x];
+            layout.for_each_residual_arc(&self.used, x, false, |i| {
+                let arc = self.arcs[i];
+                let from = arc.from;
+                if self.settled_at[from] == UNSETTLED && tight(self.arc_dist[from], arc.weight, d) {
+                    self.settled_at[from] = SETTLING;
+                    self.ancestors.push(from as u32);
                 }
-                continue;
-            };
-            top.next += 1;
-            let arc = self.arcs[i];
-            if self.arc_dist[arc.from].checked_add(arc.weight) != Some(self.arc_dist[x]) {
+            });
+        }
+
+        self.settled_at[s] = 0;
+        self.times.clear();
+        self.times.push(Reverse((0, s as u32)));
+        while let Some(Reverse((time, x))) = self.times.pop() {
+            let x = x as usize;
+            if time > self.settled_at[x] {
                 continue;
             }
-            match self.settled_at[arc.from] {
-                SETTLING => {}
-                UNSETTLED => {
-                    self.settled_at[arc.from] = SETTLING;
-                    self.settling.push(Settling::new(arc.from, i));
-                }
-                tail => top.offer(i, scan_time(tail, i)),
+            if x == t {
+                break;
             }
+            let d = self.arc_dist[x];
+            layout.for_each_residual_arc(&self.used, x, true, |i| {
+                let arc = self.arcs[i];
+                let (at, was) = (scan_time(time, i), self.settled_at[arc.to]);
+                if was != UNSETTLED && at < was && tight(d, arc.weight, self.arc_dist[arc.to]) {
+                    self.settled_at[arc.to] = at;
+                    self.arc_prev[arc.to] = i;
+                    self.times.push(Reverse((at, arc.to as u32)));
+                }
+            });
         }
     }
 
     /// Flips the path the round just found from `s` to `t` (read back
     /// along `arc_prev`) into the arc list: an unused arc joins the
     /// solution and now runs backwards at negated weight, a used one
-    /// leaves it. `false`, and nothing flipped, when `t` is out of reach.
-    fn flip_path(&mut self, s: usize, t: usize) -> bool {
-        if self.arc_dist[t] == i64::MAX {
-            return false;
-        }
+    /// leaves it.
+    fn flip_path(&mut self, s: usize, t: usize) {
         let mut at = t;
         while at != s {
             let i = self.arc_prev[at];
@@ -649,8 +845,37 @@ impl SearchWorkspace {
             *arc = Arc { from: arc.to, to: arc.from, weight: -arc.weight };
             self.used[i] = !self.used[i];
         }
-        true
     }
+
+    /// Toggles, in `used` alone, whether the arcs of the path the round
+    /// just found are in the solution: the last round's path, which is
+    /// never flipped into the arc list.
+    fn toggle_path(&mut self, s: usize, t: usize) {
+        let mut at = t;
+        while at != s {
+            let i = self.arc_prev[at];
+            at = self.arcs[i].from;
+            self.used[i] = !self.used[i];
+        }
+    }
+}
+
+/// Round one's key of node `x` of the arc graph at distance `d`: `d`
+/// plus `floor` of its overlay node. Round one's distances are sums of
+/// non-negative weights.
+fn aimed_key(layout: Layout<'_>, floor: impl Fn(NodeId) -> u64, x: usize, d: i64) -> u64 {
+    let v = match layout.mode {
+        Disjointness::Edge => x,
+        Disjointness::Node => x / 2,
+    };
+    (d as u64).saturating_add(floor(NodeId::new(v as u32)))
+}
+
+/// A reduced round's key of node `x` at distance `d`: its reduced
+/// distance `d − π(x)`. A potential is at most the distance and at
+/// least `−i64::MAX`, so the key is within `u64`.
+fn reduced_key(potential: &[i64], x: usize, d: i64) -> u64 {
+    (i128::from(d) - i128::from(potential[x])) as u64
 }
 
 /// Splits the union of `k` arc-disjoint `s → t` paths back into paths.
@@ -689,6 +914,7 @@ pub(crate) fn decompose(
 mod tests {
     use super::*;
     use crate::{GraphBuilder, Micros};
+    use proptest::prelude::{prop_assert_eq, TestCaseError};
 
     /// Two vertex-disjoint routes A->Z: via M1 and via M2, plus a tempting
     /// shortcut M1->M2 that a greedy shortest-path-first approach would
@@ -1056,17 +1282,17 @@ mod tests {
                 .iter()
                 .map(|&us| us.saturating_mul(1 << 32))
                 .collect();
-            let prices = |ws: &SearchWorkspace| -> Vec<bool> {
+            let prices = |ws: &mut SearchWorkspace| -> Vec<bool> {
                 let outside = g.edges().filter(|&e| !admitted(e));
                 outside.map(|e| ws.relaxes(&g, e, weight_of(e) as u64, 0)).collect()
             };
             for mode in [Disjointness::Edge, Disjointness::Node] {
                 for k in 1..=3 {
                     let plain = ws.k_disjoint_paths_weighted(&g, s, t, k, mode, weight);
-                    let plain_prices = prices(&ws);
+                    let plain_prices = prices(&mut ws);
                     let aimed =
                         ws.k_disjoint_paths_toward(&g, s, t, k, mode, weight, |v| floor[v.index()]);
-                    let aimed_prices = prices(&ws);
+                    let aimed_prices = prices(&mut ws);
                     let theirs = reference_union(&g, s, t, k, mode, weight);
                     let at = format!("case {case} {mode:?} k={k}");
                     assert_eq!(aimed, plain, "{at}");
@@ -1129,11 +1355,204 @@ mod tests {
         assert!(found > 35_000, "too few routable cases to mean anything: {found}");
     }
 
+    /// `relaxes` after the last search, for every edge of `g` at its
+    /// weight before any exclusion.
+    fn every_price(
+        ws: &mut SearchWorkspace,
+        g: &Graph,
+        weight_of: impl Fn(EdgeId) -> u64,
+    ) -> Vec<bool> {
+        g.edges().map(|e| ws.relaxes(g, e, weight_of(e), 0)).collect()
+    }
+
+    /// The aimed rounds on `aimed` against whole Bellman–Ford passes on
+    /// `plain`, for one request: the same paths (or the same failure),
+    /// and then the same `relaxes` answer for every edge. Whether there
+    /// were paths.
+    #[allow(clippy::too_many_arguments)]
+    fn aimed_against_whole_passes(
+        (aimed, plain): (&mut SearchWorkspace, &mut SearchWorkspace),
+        g: &Graph,
+        (s, t): (NodeId, NodeId),
+        k: usize,
+        mode: Disjointness,
+        weight_of: impl Fn(EdgeId) -> u64 + Copy,
+        admitted: impl Fn(EdgeId) -> bool + Copy,
+        floor: impl Fn(NodeId) -> u64,
+        at: &str,
+    ) -> Result<bool, TestCaseError> {
+        let weight = |e: EdgeId| admitted(e).then(|| weight_of(e) as i64);
+        let theirs = plain.k_disjoint_paths_weighted(g, s, t, k, mode, weight);
+        let ours = aimed.k_disjoint_paths_toward(g, s, t, k, mode, weight, floor);
+        prop_assert_eq!(&ours, &theirs, "{}", at);
+        prop_assert_eq!(
+            every_price(aimed, g, weight_of),
+            every_price(plain, g, weight_of),
+            "{}",
+            at
+        );
+        Ok(ours.is_ok())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// On the generated overlays, under plain and tie-broken weights,
+        /// with some edges excluded: the reduced rounds after an aimed
+        /// first return what whole passes return, and price every edge as
+        /// after them.
+        #[test]
+        fn reduced_rounds_match_whole_passes_on_generated_overlays(
+            ring in proptest::prelude::any::<bool>(),
+            nodes in 20usize..=200,
+            seed in 0u64..1_000,
+            tie_broken in proptest::prelude::any::<bool>(),
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::algo::dijkstra::Direction;
+            use crate::generate::GeneratorConfig;
+            let config = match ring {
+                true => GeneratorConfig::ring_of_cliques(nodes, seed),
+                false => GeneratorConfig::waxman(nodes, seed),
+            };
+            let g = config.generate();
+            let n = g.node_count() as u64;
+            // Latency, or latency first and a distinct hash of the edge
+            // after it, as the live tier weighs edges.
+            let shift = if tie_broken { 32 } else { 0 };
+            let hash = |e: EdgeId| match tie_broken {
+                true => (e.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32,
+                false => 0,
+            };
+            let weight_of = |e: EdgeId| (g.edge(e).latency.as_micros() << shift) + hash(e);
+            let admitted = |e: EdgeId| !(e.index() as u64 ^ pick).is_multiple_of(9);
+            let (mut aimed, mut plain) = (SearchWorkspace::new(), SearchWorkspace::new());
+            for (s, hop) in [(pick % n, (pick >> 16) % (n - 1)), ((pick >> 32) % n, (pick >> 48) % (n - 1))] {
+                let (s, t) = (NodeId::new(s as u32), NodeId::new(((s + 1 + hop) % n) as u32));
+                // Plain latency on to `t` over the whole graph, scaled as
+                // the weights scale it: a consistent floor.
+                let to_t: Vec<u64> = aimed
+                    .reach_pass(&g, t, Direction::Backward)
+                    .unwrap()
+                    .iter()
+                    .map(|&us| us.saturating_mul(1 << shift))
+                    .collect();
+                for mode in [Disjointness::Edge, Disjointness::Node] {
+                    for k in [2, 3] {
+                        let at = format!("{s}->{t} {mode:?} k={k}");
+                        let floor = |v: NodeId| to_t[v.index()];
+                        aimed_against_whole_passes(
+                            (&mut aimed, &mut plain), &g, (s, t), k, mode, weight_of, admitted,
+                            floor, &at,
+                        )?;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the last round's tight arcs — both ends settled, the
+    /// tail's label plus the weight equal to the head's — close a cycle.
+    fn tight_cycle(ws: &SearchWorkspace) -> bool {
+        let settled = |x: usize| ws.popped[x];
+        let tight: Vec<Arc> = (ws.arcs.iter().copied())
+            .filter(|a| a.weight != EXCLUDED && settled(a.from) && settled(a.to))
+            .filter(|a| ws.arc_dist[a.from] + a.weight == ws.arc_dist[a.to])
+            .collect();
+        // Peel off the nodes no tight arc enters; a cycle is what is left.
+        let mut entering = vec![0; ws.arc_dist.len()];
+        tight.iter().for_each(|a| entering[a.to] += 1);
+        let mut peel: Vec<usize> = (0..entering.len()).filter(|&x| entering[x] == 0).collect();
+        let mut peeled = 0;
+        while let Some(x) = peel.pop() {
+            peeled += 1;
+            for a in tight.iter().filter(|a| a.from == x) {
+                entering[a.to] -= 1;
+                if entering[a.to] == 0 {
+                    peel.push(a.to);
+                }
+            }
+        }
+        peeled < entering.len()
+    }
+
+    /// Holds the aimed rounds to whole passes for a pair on `g` (see
+    /// [`aimed_against_whole_passes`]), floored by plain latency on to
+    /// `t`; returns the aimed pair, displayed.
+    fn hand_built_pair(g: &Graph, s: NodeId, t: NodeId, mode: Disjointness) -> Vec<String> {
+        use crate::algo::dijkstra::Direction;
+        let weight_of = |e: EdgeId| g.edge(e).latency.as_micros();
+        let (mut aimed, mut plain) = (SearchWorkspace::new(), SearchWorkspace::new());
+        let to_t = aimed.reach_pass(g, t, Direction::Backward).unwrap().to_vec();
+        let floor = |v: NodeId| to_t[v.index()];
+        let at = format!("{mode:?}");
+        let found = aimed_against_whole_passes(
+            (&mut aimed, &mut plain),
+            g,
+            (s, t),
+            2,
+            mode,
+            weight_of,
+            |_| true,
+            floor,
+            &at,
+        );
+        assert!(matches!(found, Ok(true)), "{at}: {found:?}");
+        let pair = plain.k_disjoint_paths_weighted(g, s, t, 2, mode, |e| Some(weight_of(e) as i64));
+        pair.unwrap().iter().map(|p| p.display(g)).collect()
+    }
+
     #[test]
-    fn zero_weights_end_and_find_a_pair_of_minimum_total() {
+    fn two_equal_second_routes_fall_as_the_scan_order_has_them() {
+        // S→A→T is round one's path; S→B→T and S→C→T tie for round two.
+        // C is the lower node, so a Dijkstra round settles it first; B's
+        // links come first in the arc list, so Bellman–Ford's scan
+        // reaches T from B first, and the replay must take B.
+        let mut b = GraphBuilder::new();
+        let [s, a, c, bb, t] = ["S", "A", "C", "B", "T"].map(|n| b.add_node(n));
+        for (u, v, ms) in [(s, a, 1), (a, t, 1), (s, bb, 2), (bb, t, 2), (s, c, 2), (c, t, 2)] {
+            b.add_link(u, v, Micros::from_millis(ms), 1).unwrap();
+        }
+        let g = b.build();
+        for mode in [Disjointness::Edge, Disjointness::Node] {
+            assert_eq!(hand_built_pair(&g, s, t, mode), ["S -> A -> T", "S -> B -> T"], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_tie_for_path_one_closes_a_tight_cycle_in_round_two() {
+        // Round one's path from S to T runs through A and then B or X,
+        // at one cost either way; the second route S→Y→B meets it at B.
+        // Whichever way round one went from A, round two's residual graph
+        // has a cycle through A, B, T and X of weight 0 (two of its arcs
+        // reversed and negated), and every arc of it is tight.
+        let mut b = GraphBuilder::new();
+        let [s, a, bb, t, x, y] = ["S", "A", "B", "T", "X", "Y"].map(|n| b.add_node(n));
+        let links =
+            [(s, a, 1), (a, bb, 1), (bb, t, 1), (a, x, 1), (x, t, 1), (s, y, 2), (y, bb, 2)];
+        for (u, v, ms) in links {
+            b.add_link(u, v, Micros::from_millis(ms), 1).unwrap();
+        }
+        let g = b.build();
+        let weight = |e: EdgeId| Some(g.edge(e).latency.as_micros() as i64);
+        let mut ws = SearchWorkspace::new();
+        for mode in [Disjointness::Edge, Disjointness::Node] {
+            let shown = hand_built_pair(&g, s, t, mode);
+            let to_t = ws.reach_pass(&g, t, crate::algo::dijkstra::Direction::Backward).unwrap();
+            let to_t = to_t.to_vec();
+            let aimed = ws.k_disjoint_paths_toward(&g, s, t, 2, mode, weight, |v| to_t[v.index()]);
+            assert!(tight_cycle(&ws), "{mode:?}: round two's tight arcs close no cycle");
+            let aimed: Vec<String> = aimed.unwrap().iter().map(|p| p.display(&g)).collect();
+            assert_eq!(aimed, shown, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn zero_weights_find_the_pair_whole_passes_find() {
         // Zero-weight edges close cycles of tight arcs, which the replay
-        // must step around rather than follow. All weights zero, then a
-        // mix of 0, 1 and 2, against whole Bellman–Ford passes.
+        // settles in the order of the plain scan's times rather than
+        // follows. All weights zero, then a mix of 0, 1 and 2, against
+        // whole Bellman–Ford passes.
         let mut rng = 0x0000u64;
         let mut ws = SearchWorkspace::new();
         let mut found = 0;
@@ -1143,16 +1562,14 @@ mod tests {
                 let w = (e.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62;
                 Some(if case % 2 == 0 { 0 } else { w.min(2) as i64 })
             };
-            let total = |edges: &[EdgeId]| edges.iter().map(|&e| weight(e).unwrap()).sum::<i64>();
             let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
             for mode in [Disjointness::Edge, Disjointness::Node] {
                 for k in 1..=3 {
                     let at = format!("case {case} {mode:?} k={k}");
                     let aimed = ws.k_disjoint_paths_toward(&g, s, t, k, mode, weight, |_| 0);
                     let theirs = reference_union(&g, s, t, k, mode, weight);
-                    let same_total =
-                        |ours: &[EdgeId], theirs: &[EdgeId]| total(ours) == total(theirs);
-                    let Some(paths) = against_reference(aimed, theirs, k, &at, same_total) else {
+                    let Some(paths) = against_reference(aimed, theirs, k, &at, <[EdgeId]>::eq)
+                    else {
                         continue;
                     };
                     found += 1;

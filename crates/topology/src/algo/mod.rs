@@ -19,4 +19,4 @@ mod workspace;
 #[cfg(test)]
 mod yen;
 
-pub use workspace::SearchWorkspace;
+pub use workspace::{PairWork, SearchWorkspace};

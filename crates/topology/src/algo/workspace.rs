@@ -33,8 +33,22 @@ pub(super) enum LastSearch {
     Other,
     /// A forward Dijkstra search, stopped once `target` was settled.
     Forward { target: Option<NodeId> },
-    /// Bhandari's rounds, on the arc layout of this mode.
-    Disjoint(Disjointness),
+    /// Bhandari's rounds, on the arc layout of `mode`. `stopped` when
+    /// the last was a Dijkstra round over reduced costs, stopped at the
+    /// destination: its frontier is kept, to be resumed on demand.
+    Disjoint { mode: Disjointness, stopped: bool },
+}
+
+/// Work Bhandari's rounds on a workspace have done, summed over every
+/// call: a count that repeats exactly on any host, unlike a timing.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PairWork {
+    /// Arcs looked at: by a Bellman–Ford pass, or out of a node a
+    /// Dijkstra round (or [`SearchWorkspace::relaxes`] resuming one)
+    /// settled.
+    pub arcs_scanned: u64,
+    /// Entries the Dijkstra rounds pushed onto their frontier.
+    pub frontier_pushes: u64,
 }
 
 /// Dense scratch storage shared by the searches of
@@ -52,8 +66,8 @@ pub struct SearchWorkspace {
     // Dijkstra (`dijkstra.rs`): tentative distance and tree edge per
     // node, the frontier as (key, node index), and the origin the tree
     // edges lead back to (`None` after a backward search, which leaves
-    // no tree). Bhandari's goal-directed first round keys its frontier
-    // of split nodes here too.
+    // no tree). Bhandari's Dijkstra rounds key their frontier of split
+    // nodes here too, and the last one's stays for `relaxes` to resume.
     pub(super) dist: Vec<u64>,
     pub(super) prev: Vec<Option<EdgeId>>,
     pub(super) heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -61,8 +75,9 @@ pub struct SearchWorkspace {
     // What the last search was, for `relaxes`.
     pub(super) last: LastSearch,
     // Bhandari (`disjoint.rs`): the residual arcs, flipped in place as
-    // paths are found, which arcs the solution uses, Bellman–Ford's
-    // distance and predecessor arc per (split) node, the arcs to scan
+    // paths are found (every path but the last), which arcs the
+    // solution uses, a round's distance and predecessor arc per (split)
+    // node, the Bellman–Ford arcs to scan
     // in this pass and the next, the solution's arcs in index order, and
     // whether some route's sum left i64's range.
     pub(super) arcs: Vec<super::bellman_ford::Arc>,
@@ -73,17 +88,30 @@ pub struct SearchWorkspace {
     pub(super) scan_next: Vec<u64>,
     pub(super) selected: Vec<usize>,
     pub(super) arc_overflow: bool,
-    // An aimed first round's replay of Bellman–Ford's scan order: when
-    // the plain round would have settled each (split) node, memoised,
-    // and the nodes being settled.
+    // The replay of Bellman–Ford's scan order: when the plain round
+    // would have settled each (split) node, the stack of the nodes with
+    // a tight route on to the destination, and the frontier of settling
+    // times.
     pub(super) settled_at: Vec<u64>,
-    pub(super) settling: Vec<super::disjoint::Settling>,
+    pub(super) ancestors: Vec<u32>,
+    pub(super) times: BinaryHeap<Reverse<(u64, u32)>>,
+    // The rounds after the first, as Dijkstra searches over reduced
+    // costs: the potential per (split) node, and which nodes the
+    // search has settled. Their frontier is `heap`.
+    pub(super) potential: Vec<i64>,
+    pub(super) popped: Vec<bool>,
+    pub(super) pair_work: PairWork,
 }
 
 impl SearchWorkspace {
     /// An empty workspace; storage is allocated by the first search.
     pub fn new() -> Self {
         SearchWorkspace::default()
+    }
+
+    /// What Bhandari's rounds on this workspace have done so far.
+    pub fn pair_work(&self) -> PairWork {
+        self.pair_work
     }
 
     /// Whether the last search could have found something else had it
@@ -101,9 +129,14 @@ impl SearchWorkspace {
     ///   more: `e`'s arc has a reduced cost of at most 0 against the last
     ///   round's distances, or either end was out of that round's reach.
     ///   Those distances are a potential for the final residual graph,
-    ///   so an arc of positive reduced cost closes no negative cycle. The
-    ///   last round is always a whole Bellman–Ford run; a goal-directed
-    ///   first round only decides which path the second starts from.
+    ///   so an arc of positive reduced cost closes no negative cycle.
+    ///   The answer is the one whole Bellman–Ford passes give. After the
+    ///   aimed form the last round is a Dijkstra search stopped at the
+    ///   destination, so an end it did not settle has no final distance:
+    ///   the search is resumed, node by node, until both ends are settled
+    ///   or their bounds decide the answer (its frontier's least key
+    ///   bounds an unsettled distance from below, a tentative one from
+    ///   above). That moves no path; it is why this takes `&mut self`.
     /// - After any other search, or rounds in which a route's sum left
     ///   i64's range: `true`.
     ///
@@ -133,7 +166,7 @@ impl SearchWorkspace {
     /// distance is final and the tests above apply as after a plain
     /// search; with `lb` the same floor at `e`'s head they pass and fail
     /// for exactly the edges they do after one.
-    pub fn relaxes(&self, graph: &Graph, e: EdgeId, w: u64, lb: u64) -> bool {
+    pub fn relaxes(&mut self, graph: &Graph, e: EdgeId, w: u64, lb: u64) -> bool {
         let info = graph.edge(e);
         match self.last {
             LastSearch::Forward { target } => {
@@ -145,8 +178,11 @@ impl SearchWorkspace {
                 via <= self.dist[info.dst.index()]
                     && target.is_none_or(|t| via.saturating_add(lb) <= self.dist[t.index()])
             }
-            LastSearch::Disjoint(mode) => {
+            LastSearch::Disjoint { mode, stopped } => {
                 let (from, to) = split_endpoints(info.src, info.dst, mode);
+                if stopped {
+                    return self.resumed_relaxes(graph, mode, from, to, w);
+                }
                 let (tail, head) = (self.arc_dist[from], self.arc_dist[to]);
                 tail == i64::MAX
                     || head == i64::MAX
@@ -181,7 +217,10 @@ mod tests {
             + ws.scan_next.capacity()
             + ws.selected.capacity()
             + ws.settled_at.capacity()
-            + ws.settling.capacity()
+            + ws.ancestors.capacity()
+            + ws.times.capacity()
+            + ws.potential.capacity()
+            + ws.popped.capacity()
     }
 
     /// What the searches of one flow found.
@@ -194,6 +233,7 @@ mod tests {
         pair: Option<Vec<Path>>,
         aimed_path: Vec<EdgeId>,
         aimed_pair: Option<Vec<Path>>,
+        aimed_prices: Vec<bool>,
     }
 
     /// Every kind of search a workspace runs, for one flow, on `ws`.
@@ -218,8 +258,10 @@ mod tests {
         ws.append_path_to(g, t, &mut aimed_path);
         let aimed_pair =
             ws.k_disjoint_paths_toward(g, s, t, 2, Disjointness::Node, pair_weight, floor).ok();
+        // Every edge priced: the stopped last round resumed to the end.
+        let aimed_prices = g.edges().map(|e| ws.relaxes(g, e, latency(e).unwrap(), 0)).collect();
         let in_time = feasible.iter().collect();
-        Found { path, tree, tree_path, in_time, pair, aimed_path, aimed_pair }
+        Found { path, tree, tree_path, in_time, pair, aimed_path, aimed_pair, aimed_prices }
     }
 
     #[test]
@@ -382,7 +424,8 @@ mod tests {
         let pair_weight = |e: EdgeId| Some(latency(e) as i64);
         ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, pair_weight).unwrap();
         // An aimed first round's frontier holds split nodes: it sizes the
-        // frontier for every search after it, and the replay's storage.
+        // frontier for every search after it, and the storage of the
+        // rounds after it, of their replays and of their resumption.
         ws.k_disjoint_paths_toward(&g, s, t, 1, Disjointness::Node, pair_weight, |_| 0).unwrap();
         let frontier = ws.heap.capacity();
         let held = capacity(&ws);

@@ -86,11 +86,6 @@ impl EdgeSet {
         self.bits.get(word).is_some_and(|w| w & (1 << bit) != 0)
     }
 
-    /// Whether any edge is in both sets.
-    pub fn intersects(&self, other: &EdgeSet) -> bool {
-        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
-    }
-
     /// Number of edges in the set.
     pub fn len(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -194,11 +189,6 @@ impl<K: Eq + Hash, V> PrecomputeCache<K, V> {
         }
     }
 
-    /// Looks `key` up without touching the counters.
-    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.entries.get(key).map(|e| Arc::clone(&e.value))
-    }
-
     /// Stores a freshly computed `value` whose computation depended on
     /// `deps`, returning the interned handle.
     pub fn insert(&mut self, key: K, value: V, deps: EdgeSet) -> Arc<V> {
@@ -217,16 +207,6 @@ impl<K: Eq + Hash, V> PrecomputeCache<K, V> {
         evicted
     }
 
-    /// Evicts every entry whose dependency set intersects `edges`;
-    /// returns how many were evicted.
-    pub fn invalidate_edges(&mut self, edges: &EdgeSet) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| !e.deps.intersects(edges));
-        let evicted = before - self.entries.len();
-        self.stats.invalidated += evicted as u64;
-        evicted
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -240,11 +220,6 @@ impl<K: Eq + Hash, V> PrecomputeCache<K, V> {
     /// The counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the counters (entries are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -303,16 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_set_intersection() {
-        let a: EdgeSet = [e(1), e(70)].into_iter().collect();
-        let b: EdgeSet = [e(70)].into_iter().collect();
-        let c: EdgeSet = [e(2)].into_iter().collect();
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(!EdgeSet::new().intersects(&a));
-    }
-
-    #[test]
     fn cache_hit_miss_and_interning() {
         let mut c: PrecomputeCache<&str, u64> = PrecomputeCache::new();
         assert!(c.get(&"k").is_none());
@@ -330,13 +295,12 @@ mod tests {
         c.insert(2, 20, [e(6)].into_iter().collect());
         c.insert(3, 30, EdgeSet::new());
         assert_eq!(c.invalidate_edge(e(5)), 1);
-        assert!(c.peek(&1).is_none());
-        assert!(c.peek(&2).is_some());
-        assert!(c.peek(&3).is_some());
+        assert!(c.get(&1).is_none());
+        assert!(c.get(&2).is_some());
+        assert!(c.get(&3).is_some());
         assert_eq!(c.stats().invalidated, 1);
-        let set: EdgeSet = [e(6), e(7)].into_iter().collect();
-        assert_eq!(c.invalidate_edges(&set), 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.invalidate_edge(e(7)), 0);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
