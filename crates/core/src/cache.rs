@@ -28,44 +28,66 @@
 //! # The dependency rule
 //!
 //! A live or multicast graph depends on the edges it **selects**, plus
-//! the **unusable edges some step of its construction would have
-//! used** — not on every edge that was unusable when it was computed.
-//! After each usability-filtered search the construction asks the
-//! workspace about each unusable edge ([`SearchWorkspace::relaxes`]):
+//! the **unusable edges whose heal, alone or together with others, could
+//! change what some step of its construction read** — not on every edge
+//! that was unusable when it was computed. After each usability-filtered
+//! search the construction asks the workspace about each unusable edge:
 //!
-//! - the disjoint pair: could the edge's arc, priced by reduced cost
-//!   against the last Bhandari round's distances, close a cheaper flow —
-//!   and is a pair through it, `d(s,u) + lat + d(v,t)` beside `d(s,t)`
-//!   over the full graph, no heavier than the pair's latency;
+//! - the disjoint pair ([`SearchWorkspace::relaxes`]): could the edge's
+//!   arc, priced by reduced cost against the last Bhandari round's
+//!   distances, close a cheaper flow — and is a pair through it,
+//!   `d(s,u) + lat + d(v,t)` beside `d(s,t)` over the full graph, no
+//!   heavier than the pair's latency;
 //! - a source-side continuation (aimed at the destination and stopped
-//!   there): could the edge improve a distance, and reach the
-//!   destination within its distance given the reach pass's distance on
-//!   from the edge's head;
-//! - the destination-side tree: the same, against the heaviest branch
-//!   read off it (its farthest read in-neighbour of the destination,
-//!   plus the link in);
-//! - the multicast tree: the same, against its farthest receiver.
+//!   there; [`SearchWorkspace::relaxes`]): could the edge improve a
+//!   distance, and reach the destination within its distance given the
+//!   reach pass's distance on from the edge's head;
+//! - the destination-side tree and the multicast tree, whole trees read
+//!   at a few nodes (the destination's in-neighbours a branch was read
+//!   for; the receivers): the improvement test
+//!   ([`SearchWorkspace::improves`]). A search seeded at the edge's head
+//!   `v` with `d(u) + w(e)`, admitting every edge the step would admit
+//!   were it usable — the other unusable ones included — and expanding
+//!   only nodes whose label stays within their tree distance, must reach
+//!   a node the step read.
+//!
+//! Two fallbacks read the absence of a usable route, and depend on the
+//! cut that proves it:
+//!
+//! - a pair taken from the full topology because the usable subgraph has
+//!   none depends on the unusable arcs that leave what the failing
+//!   Bhandari round reached in the residual graph (`relaxes` after a
+//!   failed round). That round's reach is the source side of a minimum
+//!   cut, so by max-flow/min-cut no set of other heals opens a usable
+//!   pair;
+//! - a multicast receiver the usable tree cuts off is a read node at no
+//!   distance: the improvement test gives it the unusable edges out of
+//!   what the tree reached from which a heal could reach it, the cut
+//!   narrowed to the arcs that lead somewhere.
 //!
 //! An unusable link at a problem endpoint that could meet the deadline
-//! is a branch its heal adds, and always a dependency; so is every receiver in-edge of a
-//! [`MulticastKind::Targeted`] graph, whose problem classification reads
-//! them. Two fallbacks depend on the whole unusable set: a pair taken
-//! from the full topology because the usable subgraph has none, and a
-//! multicast tree with a receiver the usable subgraph cuts off — any
-//! heal may bring the usable route back.
+//! is a branch its heal adds, and always a dependency; so is every
+//! receiver in-edge of a [`MulticastKind::Targeted`] graph, whose
+//! problem classification reads them.
 //!
 //! **Why it is sound.** Every search runs on tie-broken weights
 //! (`latency × 2⁴² + hash(edge)`, `tie_broken_weight`), so each
 //! optimum is unique and the cached value is a pure function of the
-//! usable-edge partition. Each test above is a sufficient condition for
-//! "healing this edge leaves the step's output unchanged", and healing
-//! any set of such edges together moves none of the step's distances
-//! (the first healed edge on any new route fails its test, so the route
-//! is no better than one without it). Taking down a usable edge that no
-//! step selected never changes an optimum either. So a resident entry
-//! equals a fresh computation for every usable set reached without a
-//! flip of one of its dependencies. The bounds are formed from latency
-//! clamped as the weights clamp it (`LATENCY_CLAMP_US`).
+//! usable-edge partition. Each test above answers `false` only for an
+//! edge whose heal, together with any set of other `false` edges, leaves
+//! the step's output unchanged. For the pair and the continuations the
+//! first healed edge on any new route fails its test, so the route is no
+//! better than one without it. For a tree, the first healed edge on a
+//! route that displaces a read path has a usable prefix, so the label
+//! it seeds is at most that route's weight, and every later node of the
+//! route, a shortest one, lies within its old tree distance: the route
+//! stays inside that edge's region, which therefore reaches the read
+//! node. For a fallback, no heal outside the cut adds capacity across
+//! it. Taking down a usable edge that no step selected never changes an
+//! optimum either. So a resident entry equals a fresh computation for
+//! every usable set reached without a flip of one of its dependencies.
+//! The bounds are formed from latency clamped as the weights clamp it
+//! (`LATENCY_CLAMP_US`).
 //!
 //! A continuation aimed at the destination stops having popped only the
 //! nodes whose key — distance plus the floor on the way still to go —
@@ -81,13 +103,16 @@
 //! rounds change no dependency either: their paths are the ones
 //! Bellman–Ford finds, and the reduced costs are priced against the
 //! distances whole passes would give, the stopped second round resumed
-//! where an end of the edge asked about was not settled. The
-//! `cache::differential` battery checks the rule directly — healing an
-//! unusable edge outside an entry's dependencies rebuilds the same
-//! graph — and `cache_properties`, `multicast_properties` and
-//! `flap_replay` drive flap sequences against
+//! where an end of the edge asked about was not settled; a failed round,
+//! aimed or not, runs until nothing is left to reach. The
+//! `cache::differential` battery checks the rule directly — healing any
+//! unusable edge outside an entry's dependencies, any pair of them, or
+//! all of them, rebuilds the same graph — and `cache_properties`,
+//! `multicast_properties` and `flap_replay` drive flap sequences against
 //! [`GraphCache::compute_uncached`] and
 //! [`GraphCache::compute_multicast_uncached`] as from-scratch oracles.
+//! The improvement tests run on the workspace's storage, and none runs
+//! while every link is usable.
 //!
 //! # What a construction costs
 //!
@@ -111,7 +136,7 @@
 //! ones the unaimed searches built.
 
 use crate::dgraph::canonical_receivers;
-use crate::scheme::targeted::{problem_branches, AfterSearch, Scratch, Side};
+use crate::scheme::targeted::{problem_branches, AfterSearch, Read, Scratch, Side};
 use crate::scheme::{
     build_scheme, BasicScheme, RoutingScheme, SchemeKind, SchemeParams, TargetedGraphs,
     TargetedRedundancy,
@@ -416,8 +441,12 @@ impl GraphCache {
     /// the live and multicast entries that depend on it when (and only
     /// when) the report flips the edge across the unusable threshold.
     /// Returns whether a flip (and therefore any invalidation)
-    /// happened.
+    /// happened. A report of an edge the topology lacks is ignored and
+    /// returns `false`.
     pub fn note_loss(&self, edge: EdgeId, loss_rate: f64) -> bool {
+        if self.graph.check_edge(edge).is_err() {
+            return false;
+        }
         let unusable = loss_rate >= self.unusable_loss;
         let mut inner = self.inner.lock().expect("cache lock");
         let flipped =
@@ -578,13 +607,14 @@ impl GraphCache {
         let reach = reach.reach(&mut scratch.ws, g, s, t)?;
         let mut deps = EdgeSet::new();
         let mode = self.params.disjointness;
-        let mut pair = |usable_only: bool| {
+        let pair = |ws: &mut SearchWorkspace, usable_only: bool| {
             let weight = |e: EdgeId| {
                 (!usable_only || !unusable.contains(e)).then(|| self.weights[e.index()] as i64)
             };
-            scratch.ws.k_disjoint_paths_toward(g, s, t, 2, mode, weight, to_go(reach))
+            ws.k_disjoint_paths_toward(g, s, t, 2, mode, weight, to_go(reach))
         };
-        let paths = match pair(true) {
+        let ws = &mut scratch.ws;
+        let paths = match pair(ws, true) {
             Ok(paths) => {
                 // The unusable edges whose arc, admitted, could join a
                 // cheaper pair: reduced cost against the last round's
@@ -593,7 +623,6 @@ impl GraphCache {
                 // `d(s,u) + lat + d(v,t)` beside `d(s,t)`.
                 let pair_us: u64 =
                     paths.iter().flat_map(|p| p.edges()).map(|&e| clamped_latency(g, e)).sum();
-                let ws = &mut scratch.ws;
                 for e in unusable.iter() {
                     let info = g.edge(e);
                     let floor = clamped(reach.from_src[info.src.index()])
@@ -607,11 +636,16 @@ impl GraphCache {
                 paths
             }
             // Not enough usable disjoint routes: fall back to the full
-            // topology rather than failing the flow. Any heal may bring
-            // a usable pair back.
+            // topology rather than failing the flow. Only a heal of an
+            // arc out of what the failing round reached can bring a
+            // usable pair back (the cut test of `relaxes`).
             Err(_) => {
-                deps.clone_from(unusable);
-                pair(false)?
+                for e in unusable.iter() {
+                    if ws.relaxes(g, e, self.weights[e.index()], 0) {
+                        deps.insert(e);
+                    }
+                }
+                pair(ws, false)?
             }
         };
         let mut edges: Vec<EdgeId> = paths.iter().flat_map(|p| p.edges().iter().copied()).collect();
@@ -687,15 +721,23 @@ impl GraphCache {
             }
             // Of the other unusable edges, those a continuation could
             // take: feasible, clear of the endpoint, and able to shorten
-            // a route the search was read for. A route on from an
-            // edge's head weighs at least the floor there.
-            let mut heals = |ws: &mut SearchWorkspace, bound: u64| {
-                for e in unusable.iter() {
-                    let info = g.edge(e);
-                    if !feasible.contains(e) || info.src == endpoint || info.dst == endpoint {
-                        continue;
-                    }
-                    if self.could_shorten(ws, e, floor(info.dst), bound) {
+            // a route the search was read for. On the source side a
+            // route on from an edge's head weighs at least the floor
+            // there; the destination-side tree asks the improvement test,
+            // every edge a continuation could take admitted.
+            let clear = |e: EdgeId| {
+                let info = g.edge(e);
+                feasible.contains(e) && info.src != endpoint && info.dst != endpoint
+            };
+            let admit = |e: EdgeId| clear(e).then(|| self.weights[e.index()]);
+            let mut heals = |ws: &mut SearchWorkspace, read: Read<'_>| {
+                for e in unusable.iter().filter(|&e| clear(e)) {
+                    let w = self.weights[e.index()];
+                    let depends = match read {
+                        Read::Path => ws.relaxes(g, e, w, floor(g.edge(e).dst)),
+                        Read::Tree(nodes) => ws.improves(g, e, w, admit, |x| nodes.contains(&x)),
+                    };
+                    if depends {
                         deps.insert(e);
                     }
                 }
@@ -717,26 +759,15 @@ impl GraphCache {
         Ok(branches)
     }
 
-    /// Whether admitting the unusable edge `e` could shorten a route the
-    /// workspace's last search was read for: it relaxes (see
-    /// [`SearchWorkspace::relaxes`]; `lb` bounds a route on from `e`'s
-    /// head) and a route through it, at `lb` beyond, is within `bound`.
-    fn could_shorten(&self, ws: &mut SearchWorkspace, e: EdgeId, lb: u64, bound: u64) -> bool {
-        let info = self.graph.edge(e);
-        let w = self.weights[e.index()];
-        ws.relaxes(&self.graph, e, w, lb)
-            && ws
-                .distance_to(info.src)
-                .is_some_and(|d| d.saturating_add(w).saturating_add(lb) <= bound)
-    }
-
     /// Computes the multicast graph and its dependency set against an
     /// explicit usability partition, by the live tier's rule: the edges
     /// it selects, and the unusable edges the tree search or a graft's
     /// searches would have used — plus, for [`MulticastKind::Targeted`],
     /// every receiver's in-edges, because the problem *classification*
     /// of a receiver reads their usability too. A receiver the usable
-    /// subgraph cuts off makes it depend on every unusable edge.
+    /// subgraph cuts off is read at no distance, so the tree depends on
+    /// the unusable edges out of what it reached from which a heal could
+    /// reach that receiver.
     fn compute_multicast(
         &self,
         work: &mut Work,
@@ -764,16 +795,16 @@ impl GraphCache {
             .copied()
             .filter(|&r| !scratch.ws.append_path_to(g, r, &mut edges))
             .collect();
-        if cut_off.is_empty() {
-            // Only the paths to the receivers were read off the tree.
-            let ws = &mut scratch.ws;
-            let farthest = receivers.iter().filter_map(|&r| ws.distance_to(r)).max();
-            let bound = farthest.unwrap_or(0);
-            for e in unusable.iter().filter(|&e| self.could_shorten(ws, e, 0, bound)) {
+        // Only the paths to the receivers were read off the tree, a
+        // cut-off receiver's absence included.
+        let ws = &mut scratch.ws;
+        let admit = |e: EdgeId| Some(self.weights[e.index()]);
+        for e in unusable.iter() {
+            if ws.improves(g, e, self.weights[e.index()], admit, |x| receivers.contains(&x)) {
                 deps.insert(e);
             }
-        } else {
-            deps.clone_from(unusable);
+        }
+        if !cut_off.is_empty() {
             scratch.ws.search_from(g, source, None, |e| Some(self.weights[e.index()]))?;
             for r in cut_off {
                 g.check_node(r)?;
@@ -1037,6 +1068,25 @@ mod tests {
         }
         let again = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
         assert!(Arc::ptr_eq(&normal, &again));
+    }
+
+    #[test]
+    fn a_report_of_an_edge_the_topology_lacks_is_ignored() {
+        let (g, flow) = setup();
+        let req = ServiceRequirement::default();
+        let cache = GraphCache::new(g.clone(), SchemeParams::default());
+        let normal = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
+        for missing in [g.edge_count() as u32, 50_000_000, u32::MAX].map(EdgeId::new) {
+            assert!(!cache.note_loss(missing, 1.0), "{missing:?} is no edge of the graph");
+            assert!(!cache.note_loss(missing, 0.0));
+            assert!(cache.is_usable(missing));
+        }
+        assert_eq!(cache.stats().unusable_edges, 0);
+        // The next build reads only edges the graph has.
+        let dead = normal.edges()[0];
+        assert!(cache.note_loss(dead, 0.9));
+        let rerouted = cache.live(flow, CachedGraphKind::TwoDisjoint, req).unwrap();
+        assert!(!rerouted.contains(dead));
     }
 
     #[test]

@@ -444,8 +444,9 @@ impl GraphCache {
 /// 2. `selected ⊆ deps ⊆ selected ∪ down` (a targeted multicast graph
 ///    also depends on its receivers' in-edges, which its problem
 ///    classification reads);
-/// 3. healing any edge of `down` outside `deps` — one at a time, and
-///    all of them at once — and building again gives the same graph.
+/// 3. healing any edge of `down` outside `deps` — one at a time, every
+///    pair of them, and all of them at once — and building again gives
+///    the same graph.
 fn check_rule(
     cache: &GraphCache,
     work: &mut Work,
@@ -473,8 +474,12 @@ fn check_rule(
         entry
     );
     let free: Vec<EdgeId> = down.iter().filter(|&e| !deps.contains(e)).collect();
-    let all_at_once = (free.len() > 1).then_some(&free[..]);
-    for healed in free.chunks(1).chain(all_at_once) {
+    let pairs =
+        free.iter().enumerate().flat_map(|(i, &a)| free[i + 1..].iter().map(move |&b| [a, b]));
+    let pairs: Vec<[EdgeId; 2]> = pairs.collect();
+    let all_at_once = (free.len() > 2).then_some(&free[..]);
+    let sets = free.chunks(1).chain(pairs.iter().map(|pair| &pair[..])).chain(all_at_once);
+    for healed in sets {
         let mut now = down.clone();
         for &e in healed {
             now.remove(e);
@@ -617,4 +622,179 @@ proptest! {
             check_rule(&cache, &mut work, entry, &request, &down)?;
         }
     }
+}
+
+/// A hand-built graph of one-way links, `(from, to, latency in ms)` on
+/// nodes named by their index in `names`.
+fn one_way(names: &[&str], links: &[(usize, usize, u64)]) -> (Graph, Vec<EdgeId>) {
+    let mut b = GraphBuilder::new();
+    let nodes: Vec<NodeId> = names.iter().map(|name| b.add_node(name)).collect();
+    let edges = links
+        .iter()
+        .map(|&(u, v, ms)| b.add_edge(nodes[u], nodes[v], Micros::from_millis(ms), 1).unwrap())
+        .collect();
+    (b.build(), edges)
+}
+
+/// `entry`'s rule obligations on a hand-built case ([`check_rule`]),
+/// and its dependency set.
+fn rule_and_deps(cache: &GraphCache, entry: Entry, request: &Request, down: &EdgeSet) -> EdgeSet {
+    let mut work = Work::default();
+    check_rule(cache, &mut work, entry, request, down).expect("the rule holds");
+    cache.build(&mut work, entry, request, down).expect("a graph").1
+}
+
+/// The destination-side tree of a problem graph and a multicast tree
+/// both read a path to R: S→A→R. Two down links, S→X and X→R, make a
+/// shorter one only together. The improvement test from S→X admits X→R
+/// although it is down, so S→X is a dependency; a test that admitted
+/// only usable edges past S→X would pass over both (X→R's tail was not
+/// reached), and healing the pair would leave a stale graph.
+#[test]
+fn two_down_links_that_shorten_a_read_path_only_together_are_a_dependency() {
+    let names = ["S", "A", "B", "R", "X", "T"];
+    let (g, e) = one_way(
+        &names,
+        &[
+            (0, 1, 10), // S→A, the pair
+            (1, 5, 10), // A→T
+            (0, 2, 10), // S→B, the pair
+            (2, 5, 10), // B→T
+            (1, 3, 10), // A→R
+            (3, 5, 30), // R→T, the branch into T
+            (0, 4, 5),  // S→X, down
+            (4, 3, 5),  // X→R, down
+        ],
+    );
+    let (s, r, t) = (NodeId::new(0), NodeId::new(3), NodeId::new(5));
+    let (sx, xr) = (e[6], e[7]);
+    let down: EdgeSet = [sx, xr].into_iter().collect();
+    let request =
+        Request::new(Flow::new(s, t), vec![r], ServiceRequirement::new(Micros::from_secs(1)));
+    let cache = GraphCache::new(g, SchemeParams::default());
+    for entry in [
+        Entry::Live(CachedGraphKind::DestinationProblem),
+        Entry::Live(CachedGraphKind::Robust),
+        Entry::Multicast(MulticastKind::Tree),
+    ] {
+        let deps = rule_and_deps(&cache, entry, &request, &down);
+        assert!(deps.contains(sx) && !deps.contains(xr), "{entry:?}");
+        // Healing one alone leaves the graph as it is; healing both
+        // moves R's path onto them.
+        let mut work = Work::default();
+        let built =
+            |now: &EdgeSet, work: &mut Work| cache.build(work, entry, &request, now).unwrap().0;
+        let before = built(&down, &mut work);
+        for alone in [sx, xr] {
+            let now: EdgeSet = down.iter().filter(|&d| d != alone).collect();
+            assert_eq!(built(&now, &mut work), before, "{entry:?} healing {alone:?}");
+        }
+        let after = built(&EdgeSet::new(), &mut work);
+        assert!(after.2.contains(&sx) && after.2.contains(&xr), "{entry:?}: {after:?}");
+    }
+}
+
+/// No usable pair S→T: S→C and S→D are down, so the live graph falls
+/// back to the full topology's pair, S→A→T and S→D→T. The failing round
+/// reached S alone, so S→C and S→D leave the cut. Healing A→C, down with
+/// its tail unreached, keeps the entry; healing S→C, which the fallback
+/// does not select, evicts it, and the graph rebuilt is the usable pair
+/// S→A→T, S→C→T.
+#[test]
+fn a_live_fallback_depends_on_the_cut_and_not_on_every_down_link() {
+    let names = ["S", "A", "C", "D", "T"];
+    let (g, e) = one_way(
+        &names,
+        &[
+            (0, 1, 10), // S→A
+            (1, 4, 10), // A→T
+            (0, 2, 10), // S→C, down: the cut
+            (2, 4, 15), // C→T
+            (0, 3, 5),  // S→D, down: the cut
+            (3, 4, 5),  // D→T
+            (1, 2, 10), // A→C, down, past the cut
+        ],
+    );
+    let (s, t) = (NodeId::new(0), NodeId::new(4));
+    let (sc, sd, ac) = (e[2], e[4], e[6]);
+    let flow = Flow::new(s, t);
+    let req = ServiceRequirement::new(Micros::from_secs(1));
+    let cache = GraphCache::new(g, SchemeParams::default());
+    let down: EdgeSet = [sc, sd, ac].into_iter().collect();
+    let request = Request::new(flow, vec![t], req);
+    for kind in CachedGraphKind::ALL {
+        let deps = rule_and_deps(&cache, Entry::Live(kind), &request, &down);
+        assert!(deps.contains(sc) && deps.contains(sd), "{kind:?}");
+        // The destination side reads T's in-neighbour C, which A→C would
+        // reach: there it is a dependency of its own.
+        let reads_c = matches!(kind, CachedGraphKind::DestinationProblem | CachedGraphKind::Robust);
+        assert_eq!(deps.contains(ac), reads_c, "{kind:?}");
+    }
+
+    for link in [sc, sd, ac] {
+        cache.note_loss(link, 0.9);
+    }
+    let kind = CachedGraphKind::TwoDisjoint;
+    let fallback = cache.live(flow, kind, req).unwrap();
+    assert!(fallback.contains(sd) && !fallback.contains(sc), "the full topology's pair");
+    assert!(cache.note_loss(ac, 0.0));
+    assert_eq!(cache.stats().live.invalidated, 0, "a heal past the cut evicts nothing");
+    assert!(Arc::ptr_eq(&fallback, &cache.live(flow, kind, req).unwrap()));
+    assert!(cache.note_loss(sc, 0.0));
+    assert_eq!(cache.stats().live.invalidated, 1, "healing a cut link evicts the fallback");
+    let usable = cache.live(flow, kind, req).unwrap();
+    assert!(usable.contains(sc) && !usable.contains(sd), "the usable pair: {usable:?}");
+    assert_eq!(*usable, cache.compute_uncached(flow, kind, req).unwrap());
+}
+
+/// A multicast tree from S to R1 and R2, where every usable route to R2
+/// is down: X→W and R1→R2 leave what the usable tree reached, and Z→R2
+/// is down too, its tail unreached. R2 takes the full topology's path,
+/// S→X→W→R2. Healing Z→R2 keeps the entry; healing R1→R2 evicts it, and
+/// R2's path is rebuilt over the usable S→A→R1→R2.
+#[test]
+fn a_receiver_cut_off_depends_on_the_cut_and_not_on_every_down_link() {
+    let names = ["S", "A", "R1", "X", "W", "Z", "R2"];
+    let (g, e) = one_way(
+        &names,
+        &[
+            (0, 1, 10), // S→A
+            (1, 2, 10), // A→R1
+            (2, 6, 10), // R1→R2, down: the cut
+            (0, 3, 10), // S→X
+            (3, 4, 1),  // X→W, down: the cut
+            (4, 6, 1),  // W→R2
+            (4, 5, 1),  // W→Z
+            (5, 6, 5),  // Z→R2, down, past the cut
+        ],
+    );
+    let (s, r1, r2) = (NodeId::new(0), NodeId::new(2), NodeId::new(6));
+    let (r1r2, xw, zr2) = (e[2], e[4], e[7]);
+    let req = ServiceRequirement::new(Micros::from_secs(1));
+    let cache = GraphCache::new(g, SchemeParams::default());
+    let down: EdgeSet = [r1r2, xw, zr2].into_iter().collect();
+    let request = Request::new(Flow::new(s, r1), vec![r1, r2], req);
+    for kind in MulticastKind::ALL {
+        let deps = rule_and_deps(&cache, Entry::Multicast(kind), &request, &down);
+        assert!(deps.contains(r1r2) && deps.contains(xw), "{kind}");
+        // A graft into R2 depends on its down in-link Z→R2, a branch its
+        // heal adds.
+        assert_eq!(deps.contains(zr2), kind != MulticastKind::Tree, "{kind}");
+    }
+
+    for link in [r1r2, xw, zr2] {
+        cache.note_loss(link, 0.9);
+    }
+    let kind = MulticastKind::Tree;
+    let receivers = [r1, r2];
+    let fallback = cache.multicast(s, &receivers, kind, req).unwrap();
+    assert!(fallback.contains(xw) && !fallback.contains(r1r2), "the full topology's path");
+    assert!(cache.note_loss(zr2, 0.0));
+    assert_eq!(cache.stats().multicast.invalidated, 0, "a heal past the cut evicts nothing");
+    assert!(Arc::ptr_eq(&fallback, &cache.multicast(s, &receivers, kind, req).unwrap()));
+    assert!(cache.note_loss(r1r2, 0.0));
+    assert_eq!(cache.stats().multicast.invalidated, 1, "healing a cut link evicts the tree");
+    let usable = cache.multicast(s, &receivers, kind, req).unwrap();
+    assert!(usable.contains(r1r2) && !usable.contains(xw), "the usable tree: {usable:?}");
+    assert_eq!(*usable, cache.compute_multicast_uncached(s, &receivers, kind, req).unwrap());
 }

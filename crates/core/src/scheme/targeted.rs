@@ -258,8 +258,18 @@ impl Side {
 }
 
 /// Called by [`problem_branches`] after each search with the workspace
-/// holding it and a bound (see there).
-pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&mut SearchWorkspace, u64);
+/// holding it and what the search was read for (see there).
+pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&mut SearchWorkspace, Read<'_>);
+
+/// What [`problem_branches`] read off a search it ran.
+pub(crate) enum Read<'a> {
+    /// A source-side continuation, stopped at the destination: the path
+    /// there.
+    Path,
+    /// The destination-side tree: the paths to these neighbours of the
+    /// destination, reached or not.
+    Tree(&'a [NodeId]),
+}
 
 /// The redundancy branches a problem graph adds around one endpoint of
 /// `flow`, flattened into one edge list.
@@ -289,15 +299,11 @@ pub(crate) type AfterSearch<'a> = &'a mut dyn FnMut(&mut SearchWorkspace, u64);
 /// destination of `flow` there).
 ///
 /// `after_search`, when given, is called after every search, while the
-/// workspace still holds it, with a bound on what the search was read
-/// for: a route under `weight` from the search's origin to the far
-/// endpoint (through the connecting link, on the destination side)
-/// heavier than the bound cannot change a branch. A source-side search
-/// stops at the far endpoint, which bounds it already, and passes
-/// `u64::MAX`; the destination-side tree passes its heaviest branch
-/// read, or `u64::MAX` when a neighbour read was out of reach. The
-/// cache asks here which unusable edges a construction depends on; the
-/// baseline bundle passes `None`.
+/// workspace still holds it, with what the search was read for
+/// ([`Read`]): a source-side search its path to the far endpoint, the
+/// destination-side tree its paths to the neighbours it was read at.
+/// The cache asks here which unusable edges a construction depends on;
+/// the baseline bundle passes `None`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn problem_branches(
     ws: &mut SearchWorkspace,
@@ -330,12 +336,15 @@ pub(crate) fn problem_branches(
         Side::Destination => flow.source,
     };
     let mut tree_built = false;
-    // The heaviest branch read off the destination-side tree.
-    let mut heaviest_read = 0u64;
+    // The neighbours the destination-side tree was read at, for
+    // `after_search`.
+    let mut read = Vec::new();
     let mut candidates: Vec<(Micros, Vec<EdgeId>)> = Vec::new();
     for &link in connecting {
         let neighbor = ends(link).1;
-        let Some(link_weight) = weight(link) else { continue };
+        if weight(link).is_none() {
+            continue;
+        }
         if base.iter().any(|&e| ends(e) == (endpoint, neighbor)) {
             continue;
         }
@@ -350,7 +359,7 @@ pub(crate) fn problem_branches(
                 branch.push(link);
                 let searched = ws.search_toward(g, neighbor, far, onward, &floor).is_ok();
                 if let (true, Some(after)) = (searched, after_search.as_mut()) {
-                    after(ws, u64::MAX);
+                    after(ws, Read::Path);
                 }
                 searched && ws.append_path_to(g, far, &mut branch)
             }
@@ -359,8 +368,9 @@ pub(crate) fn problem_branches(
                     tree_built = ws.search_from(g, far, None, onward).is_ok();
                 }
                 let reached = tree_built && ws.append_path_to(g, neighbor, &mut branch);
-                let read = ws.distance_to(neighbor).map(|d| d.saturating_add(link_weight));
-                heaviest_read = heaviest_read.max(read.unwrap_or(u64::MAX));
+                if after_search.is_some() {
+                    read.push(neighbor);
+                }
                 branch.push(link);
                 reached
             }
@@ -371,7 +381,7 @@ pub(crate) fn problem_branches(
         }
     }
     if let (true, Some(after)) = (tree_built, after_search) {
-        after(ws, heaviest_read);
+        after(ws, Read::Tree(&read));
     }
     candidates.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
     let limit = limit.map_or(usize::MAX, usize::from);

@@ -367,7 +367,9 @@ impl NodeCore {
         if !self.linkstate.apply(update) {
             return;
         }
-        for entry in &update.entries {
+        // The entries the database took: it skips those naming an edge
+        // the topology lacks.
+        for entry in update.entries.iter().filter(|e| self.graph.check_edge(e.edge).is_ok()) {
             self.graph_cache.note_loss(entry.edge, reported_condition(entry).loss_rate);
         }
         self.flood_link_state(cx, update, except);

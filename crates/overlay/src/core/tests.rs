@@ -271,6 +271,54 @@ fn a_previous_life_stamped_ahead_is_outranked_by_the_next_report() {
         .expect("the node did not outrank a late previous life");
 }
 
+/// A flooded report may name an edge the topology lacks: a database
+/// skips that entry, and so must the graph cache, or the next
+/// usability-aware build reads the edge and the node stops. Node 1 of
+/// a square with the diagonal 0 → 3 is made to report its in-links
+/// clean and edge 50 000 000 down. Then 0 → 3 is lost for real: node 0
+/// builds its session's usable pair afresh (over 1 and over 2), moves
+/// the session off the link, and every node keeps running with that
+/// link alone unusable.
+#[test]
+fn a_report_of_an_edge_the_topology_lacks_stops_no_node() {
+    use crate::wire::{LinkStateEntry, LinkStateUpdate};
+    let links = [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)];
+    let mut net = launch(4, &links, ClusterConfig::default());
+    let session =
+        open(&mut net, flow(0, 3), SchemeKind::DynamicSinglePath, SlaClass::Timely, ms(65));
+    let direct = net.graph().edge_between(node(0), node(3)).expect("linked");
+    net.run_until(T0.saturating_add(ms(300)));
+    assert!(net.link_state_converged());
+    assert!(net.current_graph(session).contains(direct), "the direct edge is shortest");
+    let clean = |edge| LinkStateEntry { edge, loss: 0.0, extra_latency_us: 0, down: false };
+    let mut entries: Vec<LinkStateEntry> =
+        net.graph().in_edges(node(1)).iter().map(|&e| clean(e)).collect();
+    entries.push(LinkStateEntry { down: true, ..clean(EdgeId::new(50_000_000)) });
+    let report = LinkStateUpdate {
+        origin: node(1),
+        epoch: net.now().saturating_add(Micros::from_secs(3_600)).as_micros(),
+        seq: 1,
+        entries,
+    };
+    net.inject(node(1), node(0), Message::LinkState(report.clone()));
+    net.run_for(ms(100));
+    for site in 0..4 {
+        assert!(net.link_state_digest(node(site))[1].epoch >= report.epoch, "node {site}");
+    }
+
+    // The flap makes node 0 build its session's usable pair afresh.
+    net.set_link_impairment(direct, LinkFault { blackhole: true, ..Default::default() });
+    net.run_for(ms(1_000));
+    assert!(net.network_state(node(0)).condition(direct).loss_rate >= 1.0);
+    assert!(!net.current_graph(session).contains(direct), "the session left the edge");
+    for site in 0..4 {
+        assert!(net.is_alive(node(site)), "node {site} stopped");
+        let cache = &net.core(node(site)).graph_cache;
+        assert_eq!(cache.stats().unusable_edges, 1, "node {site}");
+        assert!(!cache.is_usable(direct), "node {site}");
+    }
+}
+
 /// (e) The class shed bands over a 128-frame bound: bulk is admitted
 /// below 64 parked, timely below 96, surgical below 128.
 #[test]

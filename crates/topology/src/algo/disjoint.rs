@@ -366,6 +366,7 @@ impl SearchWorkspace {
         W: Fn(EdgeId) -> Option<i64>,
         H: Fn(NodeId) -> u64,
     {
+        self.last = LastSearch::Other;
         graph.check_node(src)?;
         graph.check_node(dst)?;
         if src == dst || k == 0 {
@@ -374,7 +375,6 @@ impl SearchWorkspace {
         let layout = Layout { graph, mode };
         let (s, t) = split_endpoints(src, dst, mode);
         self.load_arcs(layout, weight);
-        self.last = LastSearch::Other;
         self.arc_overflow = false;
         // Whether the round under way, if not the first, is a Dijkstra
         // search over reduced costs.
@@ -386,6 +386,13 @@ impl SearchWorkspace {
                 _ => self.augment(layout, s, t),
             };
             if !found {
+                // The round ran until nothing was left to reach, so
+                // `arc_dist` marks the source side of a cut for `relaxes`
+                // — unless a route ran out of range, which left some node
+                // it reached unmarked.
+                if !self.arc_overflow {
+                    self.last = LastSearch::Cut { mode };
+                }
                 return Err(TopologyError::InsufficientDisjointPaths {
                     requested: k,
                     available: round,

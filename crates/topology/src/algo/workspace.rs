@@ -12,8 +12,9 @@
 //! the free functions are wrappers that run on a workspace of their
 //! own.
 //!
-//! A workspace also answers one question about the search it ran last
-//! ([`SearchWorkspace::relaxes`]): could an edge the search's weight
+//! A workspace also answers questions about the search it ran last
+//! ([`SearchWorkspace::relaxes`], and for a whole shortest-path tree
+//! [`SearchWorkspace::improves`]): could an edge the search's weight
 //! excluded have changed what it found? That is what lets a cache of
 //! constructions depend on the excluded edges that matter to them
 //! rather than on all of them.
@@ -27,8 +28,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Default, Clone, Copy)]
 pub(super) enum LastSearch {
     /// None yet, or one that leaves nothing to ask about (a backward
-    /// pass, Bhandari's rounds when one failed or some route's sum left
-    /// i64's range).
+    /// pass, Bhandari's rounds when some route's sum left i64's range).
     #[default]
     Other,
     /// A forward Dijkstra search, stopped once `target` was settled.
@@ -37,6 +37,10 @@ pub(super) enum LastSearch {
     /// the last was a Dijkstra round over reduced costs, stopped at the
     /// destination: its frontier is kept, to be resumed on demand.
     Disjoint { mode: Disjointness, stopped: bool },
+    /// Bhandari's rounds on the arc layout of `mode`, the last of which
+    /// ran out of nodes to reach before the destination: `arc_dist`
+    /// holds what it reached.
+    Cut { mode: Disjointness },
 }
 
 /// Work Bhandari's rounds on a workspace have done, summed over every
@@ -101,6 +105,9 @@ pub struct SearchWorkspace {
     pub(super) potential: Vec<i64>,
     pub(super) popped: Vec<bool>,
     pub(super) pair_work: PairWork,
+    // `improves`: the label per node of the search from an excluded
+    // edge's head. Its frontier is `heap`.
+    pub(super) region: Vec<u64>,
 }
 
 impl SearchWorkspace {
@@ -137,13 +144,22 @@ impl SearchWorkspace {
     ///   or their bounds decide the answer (its frontier's least key
     ///   bounds an unsettled distance from below, a tentative one from
     ///   above). That moves no path; it is why this takes `&mut self`.
+    /// - After Bhandari's rounds when one of them failed to reach the
+    ///   destination: `e`'s arc leaves what that round reached (its tail
+    ///   was reached, its head was not). The round searched the residual
+    ///   graph of a flow one short of what was asked, so what it reached
+    ///   is the source side of a minimum cut, and the arcs out of that
+    ///   side are all in the flow or excluded. By max-flow/min-cut no set
+    ///   of excluded arcs admitted together adds a path unless one of
+    ///   them leaves that side: every other arc leaves the cut as it was.
     /// - After any other search, or rounds in which a route's sum left
     ///   i64's range: `true`.
     ///
     /// `false` means the search's result stands with `e` admitted —
     /// also with any set of such edges admitted together, since none of
-    /// them moves a distance the search found — provided every weight
-    /// is positive and its optimum unique, as under tie-broken weights.
+    /// them moves a distance the search found (or, after a failed round,
+    /// opens the cut) — provided every weight is positive and its
+    /// optimum unique, as under tie-broken weights.
     /// (Where a search stopped early, a route whose first admitted edge
     /// fails the bound already outweighs `d(T)`; one whose first admitted
     /// edge fails the relaxation test is no shorter than one with that
@@ -188,8 +204,86 @@ impl SearchWorkspace {
                     || head == i64::MAX
                     || i128::from(tail) + i128::from(w) <= i128::from(head)
             }
+            LastSearch::Cut { mode } => {
+                let (from, to) = split_endpoints(info.src, info.dst, mode);
+                self.arc_dist[from] != i64::MAX && self.arc_dist[to] == i64::MAX
+            }
             LastSearch::Other => true,
         }
+    }
+
+    /// After a forward search that built the whole tree
+    /// ([`SearchWorkspace::search_from`] with no `until`): whether
+    /// admitting `e` at weight `w` — alone, or together with any set of
+    /// the edges `admit` weighs — could change the path the tree holds
+    /// to a node `read` picks (or, for one it did not reach, give it
+    /// one). `admit` weighs every edge the search would have taken were
+    /// it usable, the edges it did take and those it excluded alike.
+    ///
+    /// A search seeded at `e`'s head with `d(tail) + w` runs under
+    /// `admit`, expanding only nodes whose label stays at most their
+    /// tree distance (any label, at a node the tree did not reach): the
+    /// region admitting `e` could improve. `true` when it reaches a node
+    /// `read` picks — exactly when admitting `e` with some set of the
+    /// others gives that node a route through `e` no heavier than its
+    /// tree path. That is sound for sets. Admit a set together, and take
+    /// any route that displaces a read path: the first admitted edge on
+    /// it has a prefix the tree held, so `d(tail)` is at most that
+    /// prefix's weight, and every later node of the route, a shortest
+    /// one, lies no farther than it did in the tree. So the route stays
+    /// inside that edge's region, and the edge answers `true`. An edge
+    /// whose tail the tree did not reach is never first, and answers
+    /// `false`.
+    ///
+    /// After any other search: `true`. The search runs on the
+    /// workspace's storage and leaves the tree as it was, so every
+    /// excluded edge can be asked about in turn.
+    pub fn improves<W, R>(&mut self, graph: &Graph, e: EdgeId, w: u64, admit: W, read: R) -> bool
+    where
+        W: Fn(EdgeId) -> Option<u64>,
+        R: Fn(NodeId) -> bool,
+    {
+        if !matches!(self.last, LastSearch::Forward { target: None }) {
+            return true;
+        }
+        let info = graph.edge(e);
+        let tail = self.dist[info.src.index()];
+        if tail == u64::MAX {
+            return false;
+        }
+        let start = tail.saturating_add(w);
+        let head = info.dst.index();
+        if start > self.dist[head] {
+            return false;
+        }
+        if read(info.dst) {
+            return true;
+        }
+        self.region.clear();
+        self.region.resize(graph.node_count(), u64::MAX);
+        // A whole tree leaves its frontier empty.
+        self.heap.clear();
+        self.region[head] = start;
+        self.heap.push(Reverse((start, head as u32)));
+        while let Some(Reverse((d, x))) = self.heap.pop() {
+            if d > self.region[x as usize] {
+                continue;
+            }
+            for &f in graph.out_edges(NodeId::new(x)) {
+                let Some(wf) = admit(f) else { continue };
+                let y = graph.edge(f).dst;
+                let nd = d.saturating_add(wf);
+                if nd < self.region[y.index()] && nd <= self.dist[y.index()] {
+                    if read(y) {
+                        self.heap.clear();
+                        return true;
+                    }
+                    self.region[y.index()] = nd;
+                    self.heap.push(Reverse((nd, y.index() as u32)));
+                }
+            }
+        }
+        false
     }
 }
 
@@ -221,6 +315,7 @@ mod tests {
             + ws.times.capacity()
             + ws.potential.capacity()
             + ws.popped.capacity()
+            + ws.region.capacity()
     }
 
     /// What the searches of one flow found.
@@ -229,6 +324,7 @@ mod tests {
         path: Option<Path>,
         tree: Vec<Option<u64>>,
         tree_path: Vec<EdgeId>,
+        improving: Vec<bool>,
         in_time: Vec<EdgeId>,
         pair: Option<Vec<Path>>,
         aimed_path: Vec<EdgeId>,
@@ -244,6 +340,12 @@ mod tests {
         let tree = g.nodes().map(|v| ws.distance_to(v)).collect();
         let mut tree_path = Vec::new();
         ws.append_path_to(g, t, &mut tree_path);
+        // Every edge as though excluded, read at `t`: the tight ones run
+        // the improvement search.
+        let improving = g
+            .edges()
+            .map(|e| ws.improves(g, e, latency(e).unwrap(), latency, |v| v == t))
+            .collect();
         let from_src = ws.reach_pass(g, s, Direction::Forward).unwrap().to_vec();
         let to_dst = ws.reach_pass(g, t, Direction::Backward).unwrap().to_vec();
         let mut feasible = EdgeSet::new();
@@ -261,7 +363,17 @@ mod tests {
         // Every edge priced: the stopped last round resumed to the end.
         let aimed_prices = g.edges().map(|e| ws.relaxes(g, e, latency(e).unwrap(), 0)).collect();
         let in_time = feasible.iter().collect();
-        Found { path, tree, tree_path, in_time, pair, aimed_path, aimed_pair, aimed_prices }
+        Found {
+            path,
+            tree,
+            tree_path,
+            improving,
+            in_time,
+            pair,
+            aimed_path,
+            aimed_pair,
+            aimed_prices,
+        }
     }
 
     #[test]
@@ -410,6 +522,54 @@ mod tests {
     }
 
     #[test]
+    fn admitting_excluded_edges_outside_their_improvement_regions_moves_no_read_path() {
+        let mut state = 0x2029u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        let (mut quiet, mut improving) = (0, 0);
+        for case in 0..300 {
+            let g = dense_graph(&mut below, 35);
+            // Latency first, an edge hash to break ties: unique optima.
+            let weights: Vec<u64> =
+                g.edges().map(|e| (g.edge(e).latency.as_micros() << 32) + below(1 << 32)).collect();
+            let excluded: EdgeSet = g.edges().filter(|_| below(100) < 30).collect();
+            let read: Vec<NodeId> = g.nodes().filter(|_| below(100) < 30).collect();
+            let s = NodeId::new(0);
+            let admitted = |healed: &[EdgeId]| {
+                let (excluded, weights, healed) = (&excluded, &weights, healed.to_vec());
+                move |e: EdgeId| {
+                    (!excluded.contains(e) || healed.contains(&e)).then(|| weights[e.index()])
+                }
+            };
+            let paths = |ws: &mut SearchWorkspace, healed: &[EdgeId]| {
+                ws.search_from(&g, s, None, admitted(healed)).unwrap();
+                read.iter().map(|&v| path_to(ws, &g, v)).collect::<Vec<_>>()
+            };
+            let found = paths(&mut ws, &[]);
+            let every = |e: EdgeId| Some(weights[e.index()]);
+            let free: Vec<EdgeId> = excluded
+                .iter()
+                .filter(|&e| !ws.improves(&g, e, weights[e.index()], every, |v| read.contains(&v)))
+                .collect();
+            quiet += free.len();
+            improving += excluded.len() - free.len();
+            let pairs: Vec<[EdgeId; 2]> = free
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| free[i + 1..].iter().map(move |&b| [a, b]))
+                .collect();
+            let all = (free.len() > 2).then_some(&free[..]);
+            for healed in free.chunks(1).chain(pairs.iter().map(|p| &p[..])).chain(all) {
+                assert_eq!(paths(&mut ws, healed), found, "case {case}: admitting {healed:?}");
+            }
+        }
+        assert!(quiet > 1_000 && improving > 500, "{quiet} quiet, {improving} improving");
+    }
+
+    #[test]
     fn no_search_allocates_after_the_first_on_a_graph_of_that_size() {
         let g = GeneratorConfig::waxman(80, 3).generate();
         let mut ws = SearchWorkspace::new();
@@ -421,6 +581,9 @@ mod tests {
         let t = g.edge(g.out_edges(s)[0]).dst;
         let latency = |e: EdgeId| g.edge(e).latency.as_micros();
         ws.shortest_path_weighted(&g, s, t, |e| Some(latency(e))).unwrap();
+        // A whole tree, and one improvement search that reads nothing.
+        ws.search_from(&g, s, None, |e| Some(latency(e))).unwrap();
+        ws.improves(&g, g.out_edges(s)[0], 0, |e| Some(latency(e)), |_| false);
         let pair_weight = |e: EdgeId| Some(latency(e) as i64);
         ws.k_disjoint_paths_weighted(&g, s, t, 1, Disjointness::Node, pair_weight).unwrap();
         // An aimed first round's frontier holds split nodes: it sizes the
